@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"aecdsm"
@@ -32,27 +31,11 @@ func main() {
 		ns        = flag.Int("ns", 2, "LAP update set size (AEC only)")
 		list      = flag.Bool("list", false, "list applications and protocols")
 		perProc   = flag.Bool("procs", false, "print the per-processor breakdown")
-		traceFile = flag.String("trace", "", "write the protocol event trace to this file")
-		traceFmt  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (Perfetto)")
-		metrics   = flag.String("metrics", "", "write the per-lock/per-page metrics summary (JSON) to this file")
 		faults    = flag.String("faults", "", "fault schedule: a preset (light, heavy) or clauses like drop=0.05,dup=0.02 (empty = no faults)")
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for the fault schedule")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
 	)
+	obs := profutil.Register(flag.CommandLine, "")
 	flag.Parse()
-
-	stopProf, perr := profutil.Start(*cpuProfile, *memProfile)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "aecsim:", perr)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "aecsim: writing profile:", err)
-		}
-	}()
 
 	if *list {
 		fmt.Println("applications:", aecdsm.Apps())
@@ -60,56 +43,19 @@ func main() {
 		return
 	}
 
-	var sinks []aecdsm.Tracer
-	var closers []io.Closer
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aecsim:", err)
-			os.Exit(1)
-		}
-		switch *traceFmt {
-		case "jsonl":
-			t := aecdsm.NewJSONLTracer(f)
-			sinks, closers = append(sinks, t), append(closers, t)
-		case "chrome":
-			t := aecdsm.NewChromeTracer(f)
-			sinks, closers = append(sinks, t), append(closers, t)
-		default:
-			fmt.Fprintf(os.Stderr, "aecsim: unknown -trace-format %q (want jsonl or chrome)\n", *traceFmt)
-			os.Exit(2)
-		}
-		closers = append(closers, f)
+	tracer, closeObs, err := obs.Open()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aecsim:", err)
+		os.Exit(profutil.ExitCode(err))
 	}
-	var agg *aecdsm.TraceMetrics
-	if *metrics != "" {
-		agg = aecdsm.NewTraceMetrics()
-		sinks = append(sinks, agg)
-	}
-
 	res, err := aecdsm.Run(aecdsm.Config{
 		App: *app, Protocol: *protocol, Scale: *scale, Ns: *ns,
-		TraceSink: aecdsm.MultiTracer(sinks...),
+		TraceSink: tracer,
 		Faults:    *faults, FaultSeed: *faultSeed,
 	})
-	for _, c := range closers {
-		if cerr := c.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "aecsim: closing trace:", cerr)
-			os.Exit(1)
-		}
-	}
-	if agg != nil {
-		f, merr := os.Create(*metrics)
-		if merr == nil {
-			merr = agg.WriteJSON(f)
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-		}
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "aecsim: writing metrics:", merr)
-			os.Exit(1)
-		}
+	if cerr := closeObs(); cerr != nil {
+		fmt.Fprintln(os.Stderr, "aecsim:", cerr)
+		os.Exit(1)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aecsim:", err)

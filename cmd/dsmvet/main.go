@@ -50,9 +50,8 @@ func main() {
 	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	unusedFlag := flag.Bool("unused-directives", false,
 		"report only directive hygiene: unused/malformed //dsmvet:allow and stale //dsmvet:crossengine markers")
-	noCacheFlag := flag.Bool("nocache", false, "bypass the loader's type-information cache")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dsmvet [-list] [-run names] [-json] [-unused-directives] [-nocache] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: dsmvet [-list] [-run names] [-json] [-unused-directives] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -87,9 +86,6 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	if *noCacheFlag {
-		loader.DisableCache()
-	}
 	pkgs, err := loader.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmvet: %v\n", err)

@@ -20,7 +20,6 @@
 //	tables -recovery       # crash-tolerance sweep: faults x protocols (docs/ROBUSTNESS.md)
 //	tables -recovery -recovery-app Ocean
 //	tables -timeline       # execution timeline via engine warm starts
-//	tables -timeline -warm=false   # same bytes, cold replay per horizon
 //
 // The -scaling sweep runs the machine with the scaling architecture
 // enabled (radix-16 barrier combining, hash-sharded homes and lock
@@ -42,7 +41,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -69,13 +67,10 @@ func parseProcs(spec string) ([]int, error) {
 
 func main() {
 	var (
-		scale     = flag.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
-		jobs      = flag.Int("jobs", 0, "simulations to run concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at every value)")
-		table     = flag.String("table", "", "regenerate one table: 1, 2, 3, 4 or ns")
-		figure    = flag.String("figure", "", "regenerate one figure: 3, 4, 5 or 6")
-		traceFile = flag.String("trace", "", "write the protocol event trace to this file")
-		traceFmt  = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (Perfetto)")
-		metrics   = flag.String("metrics", "", "write the per-lock/per-page metrics summary (JSON) to this file")
+		scale  = flag.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
+		jobs   = flag.Int("jobs", 0, "simulations to run concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at every value)")
+		table  = flag.String("table", "", "regenerate one table: 1, 2, 3, 4 or ns")
+		figure = flag.String("figure", "", "regenerate one figure: 3, 4, 5 or 6")
 
 		scaling      = flag.Bool("scaling", false, "run the scaling-architecture sweep (docs/SCALING.md)")
 		scalingProcs = flag.String("scaling-procs", "16,64,256", "comma-separated machine sizes for -scaling")
@@ -88,74 +83,25 @@ func main() {
 
 		timeline    = flag.Bool("timeline", false, "run the execution-timeline sweep: cycle breakdown sampled at sixths of each protocol's runtime")
 		timelineApp = flag.String("timeline-app", "Raytrace", "application for -timeline")
-		warm        = flag.Bool("warm", true, "sample the timeline from one paused engine per protocol (warm starts) instead of replaying each horizon from cycle zero; the output bytes are identical either way")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (pins -jobs to 1)")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file (pins -jobs to 1)")
 	)
+	obs := profutil.Register(flag.CommandLine, " (pins -jobs to 1)")
 	flag.Parse()
 
-	stopProf, err := profutil.Start(*cpuProfile, *memProfile)
+	tracer, closeObs, err := obs.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
+		os.Exit(profutil.ExitCode(err))
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "tables: writing profile:", err)
+		if err := closeObs(); err != nil {
+			fmt.Fprintln(os.Stderr, "tables:", err)
 		}
 	}()
 
 	e := aecdsm.NewExperiments(*scale)
-	e.Jobs = profutil.Pin(*jobs, *cpuProfile, *memProfile)
+	e.Jobs = obs.Pin(*jobs)
+	e.Tracer = tracer
 	w := os.Stdout
-
-	var sinks []aecdsm.Tracer
-	var closers []io.Closer
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		switch *traceFmt {
-		case "jsonl":
-			t := aecdsm.NewJSONLTracer(f)
-			sinks, closers = append(sinks, t), append(closers, t)
-		case "chrome":
-			t := aecdsm.NewChromeTracer(f)
-			sinks, closers = append(sinks, t), append(closers, t)
-		default:
-			fmt.Fprintf(os.Stderr, "tables: unknown -trace-format %q (want jsonl or chrome)\n", *traceFmt)
-			os.Exit(2)
-		}
-		closers = append(closers, f)
-	}
-	var agg *aecdsm.TraceMetrics
-	if *metrics != "" {
-		agg = aecdsm.NewTraceMetrics()
-		sinks = append(sinks, agg)
-	}
-	e.Tracer = aecdsm.MultiTracer(sinks...)
-	defer func() {
-		for _, c := range closers {
-			if err := c.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tables: closing trace:", err)
-			}
-		}
-		if agg != nil {
-			f, err := os.Create(*metrics)
-			if err == nil {
-				err = agg.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tables: writing metrics:", err)
-			}
-		}
-	}()
 
 	switch {
 	case *scaling:
@@ -170,7 +116,7 @@ func main() {
 	case *recovery:
 		e.RecoverySweep(w, *recoveryApp)
 	case *timeline:
-		e.TimelineSweep(w, *timelineApp, *warm)
+		e.TimelineSweep(w, *timelineApp)
 	case *table == "" && *figure == "":
 		e.All(w)
 	case *table == "1":

@@ -22,13 +22,8 @@ import (
 	"sort"
 
 	"aecdsm/internal/bitset"
-	"aecdsm/internal/lap"
-	"aecdsm/internal/lockpolicy"
-
 	"aecdsm/internal/mem"
-	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/topo"
@@ -55,7 +50,7 @@ const (
 	kBarReady
 	kBarComplete
 	kBarInstrBatch
-	kRepLog // lock-manager replication log record -> backup node
+	kRepLog // lock-manager journal record -> backup node (proto.LockMgr)
 )
 
 // Options configures an AEC instance.
@@ -86,18 +81,20 @@ func DefaultOptions() Options { return Options{UseLAP: true, Ns: 2} }
 type AEC struct {
 	opt Options
 
+	// LockMgr is the shared lock-manager service; AEC supplies its
+	// coherence delta (locks.go) and its crash scrub (recover.go).
+	proto.LockMgr
+
 	e    *sim.Engine
 	s    *mem.Space
 	ctxs []*proto.Ctx
 	ps   []*procState
 
-	locks []*lockState
-	bar   barrierState
-	tree  topo.Tree // barrier combining tree (flat when BarrierRadix is 0)
+	bar  barrierState
+	tree topo.Tree // barrier combining tree (flat when BarrierRadix is 0)
 
 	nprocs   int
 	pageSize int
-	numLocks int
 
 	// merger is the per-instance scratch behind every diff merge; one
 	// protocol serves one engine, so reuse is safe and keeps the merge
@@ -109,16 +106,6 @@ type AEC struct {
 	// requester copies its entries into pendingWN by value, so the
 	// requester recycles the slice there. Entries are pointer-free.
 	wnFree [][]mem.WriteNotice
-
-	// rep is the lock-manager replication log, armed only when the fault
-	// schedule contains crashes (docs/ROBUSTNESS.md). Nil means no
-	// replication traffic at all: runs without crash faults are
-	// byte-identical to the pre-recovery protocol.
-	rep *recover.Replicator
-	// failoverCost accumulates, per crashed node, the failover work done
-	// at the crash instant (log replay, orphan sweep); the engine charges
-	// it to the node at restart (sim.Engine.OnRestart).
-	failoverCost map[int]uint64
 }
 
 // New builds an AEC protocol with the given options.
@@ -126,7 +113,7 @@ func New(opt Options) *AEC {
 	if opt.Ns <= 0 {
 		opt.Ns = 2
 	}
-	return &AEC{opt: opt, numLocks: 1}
+	return &AEC{opt: opt}
 }
 
 // Name implements proto.Protocol.
@@ -137,24 +124,8 @@ func (pr *AEC) Name() string {
 	return "AEC"
 }
 
-// SetNumLocks implements proto.NumLocksProvider.
-func (pr *AEC) SetNumLocks(n int) {
-	if n > pr.numLocks {
-		pr.numLocks = n
-	}
-}
-
 // Options returns the configuration.
 func (pr *AEC) Options() Options { return pr.opt }
-
-// NumLocks returns the number of lock variables managed.
-func (pr *AEC) NumLocks() int { return len(pr.locks) }
-
-// LockLAP returns the LAP prediction statistics of one lock variable
-// (Table 3 of the paper).
-func (pr *AEC) LockLAP(lock int) lap.Stats {
-	return pr.locks[lock].pred.Stats
-}
 
 // Attach implements proto.Protocol.
 func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
@@ -170,36 +141,15 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	for i := range pr.ps {
 		pr.ps[i] = newProcState(i, pages, s)
 	}
-	pr.locks = make([]*lockState, pr.numLocks)
 	nsz := pr.opt.Ns
 	if !pr.opt.UseLAP {
 		nsz = 1 // predictor still sized, but never consulted for pushes
 	}
-	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
-	if err != nil {
-		panic("aec: " + err.Error())
-	}
-	for i := range pr.locks {
-		pr.locks[i] = newLockState(pr.nprocs, nsz)
-		pr.locks[i].pred.SetPolicy(pol)
-		if pr.opt.AffinityFactor > 0 {
-			pr.locks[i].pred.SetAffinityFactor(pr.opt.AffinityFactor)
+	pr.InitLocks(e, nsz, kRepLog, pr)
+	if pr.opt.AffinityFactor > 0 {
+		for i := 0; i < pr.NumLocks(); i++ {
+			pr.Lock(i).Pred.SetAffinityFactor(pr.opt.AffinityFactor)
 		}
-		if e.Tracer != nil {
-			p := pr.locks[i].pred
-			p.Tracer, p.Lock, p.Mgr, p.Clock = e.Tracer, i, pr.mgrOf(i), e.Now
-		}
-	}
-	// Crash tolerance (docs/ROBUSTNESS.md): when the fault schedule can
-	// destroy a node, every lock-manager action is replicated to the
-	// manager's backup before it takes effect, and the crash/restart
-	// hooks fail managed locks over to the replicated log and sweep the
-	// crashed node's volatile push buffers and clean page copies.
-	if e.Faults != nil && e.Faults.HasCrashes() {
-		pr.rep = recover.NewReplicator()
-		pr.failoverCost = map[int]uint64{}
-		e.OnCrash(pr.onCrash)
-		e.OnRestart(pr.onRestart)
 	}
 	pr.bar = barrierState{
 		arrivals: make([]*arriveMsg, pr.nprocs),
@@ -244,17 +194,6 @@ func (pr *AEC) debugf(proc, page int, format string, args ...any) {
 	}
 }
 
-// mgrOf returns the managing processor of a lock: round-robin as in the
-// paper, or hash-sharded under the scaling architecture, which
-// decorrelates manager placement from application lock numbering
-// (docs/SCALING.md).
-func (pr *AEC) mgrOf(lock int) int {
-	if pr.e.Params.ShardManagers {
-		return memsys.ShardAssign(lock, pr.nprocs)
-	}
-	return lock % pr.nprocs
-}
-
 // barMgr is the barrier manager's processor.
 const barMgr = 0
 
@@ -264,14 +203,9 @@ func (pr *AEC) Done(c *proto.Ctx) {}
 // Notice implements proto.Protocol: sends an acquire notice to the lock
 // manager, feeding the LAP virtual queue.
 func (pr *AEC) Notice(c *proto.Ctx, lock int) {
-	if !pr.opt.UseLAP {
-		return
+	if pr.opt.UseLAP {
+		pr.LockNotice(c, kNotice, lock)
 	}
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kNotice, 8, lock,
-		func(s *sim.Svc, m *sim.Msg) {
-			s.ChargeList(1)
-			pr.locks[m.Payload.(int)].pred.Notice(m.From)
-		})
 }
 
 // merge2 merges two diffs of one page (either may be nil). The result is
@@ -428,10 +362,10 @@ func (pr *AEC) String() string {
 // DumpState prints the lock manager and per-processor wait state; used by
 // tests to diagnose deadlocks.
 func (pr *AEC) DumpState() {
-	for i, l := range pr.locks {
-		if l.held || l.pred.QueueLen() > 0 {
+	for i := 0; i < pr.NumLocks(); i++ {
+		if l := pr.Lock(i); l.Held || l.Pred.QueueLen() > 0 {
 			fmt.Printf("lock %d: held=%v holder=%d queue=%d lastRel=%d lastCount=%d cum=%d\n",
-				i, l.held, l.holder, l.pred.QueueLen(), l.lastReleaser, l.lastCount, len(l.cumPages))
+				i, l.Held, l.Holder, l.Pred.QueueLen(), l.LastReleaser, l.LastCount, len(l.CumPages))
 		}
 	}
 	for _, st := range pr.ps {

@@ -359,9 +359,9 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	// The step sequence advances with the reset so that in-flight release
 	// messages from the finished step are recognized as stale.
 	b.seq++
-	for _, l := range pr.locks {
-		l.cumPages = nil
-		l.lastUS = nil
+	for i := 0; i < pr.NumLocks(); i++ {
+		l := pr.Lock(i)
+		l.CumPages, l.LastUS = nil, nil
 	}
 
 	// Distribute instructions: the manager serves itself, then each of

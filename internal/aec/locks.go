@@ -5,7 +5,6 @@ import (
 
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
@@ -25,10 +24,10 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	if pr.e.Tracer != nil {
 		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
 		ev.Lock = lock
-		ev.Arg = int64(pr.mgrOf(lock))
+		ev.Arg = int64(pr.MgrOf(lock))
 		pr.e.Tracer.Trace(ev)
 	}
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kAcqReq, 8,
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
 		acqReq{lock: lock}, pr.handleAcqReq)
 
 	// Overlap window: apply pushed diffs for this lock to valid pages,
@@ -216,49 +215,29 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
 	return false
 }
 
-// handleAcqReq is the lock manager's service routine for ownership
-// requests.
+// handleAcqReq lands an ownership request at the lock's manager.
 func (pr *AEC) handleAcqReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(acqReq)
-	l := pr.locks[req.lock]
-	s.ChargeList(l.pred.RequestElems())
-	if l.held {
-		if pr.rep != nil {
-			pr.rep.Ship(s, pr.nprocs, kRepLog,
-				recover.Record{Lock: req.lock, Op: recover.OpEnqueue, Proc: m.From})
-		}
-		l.pred.Enqueue(m.From)
-		return
-	}
-	pr.grantLock(s, req.lock, m.From, false)
+	pr.LockRequest(s, m.Payload.(acqReq).lock, m.From)
 }
 
-// grantLock hands the lock to proc, computing its update set (LAP) and
-// telling it how to bring its memory up to date. fromQueue marks grants
-// that consumed a queued waiter (the release path), which the replication
-// log must know to replay the queue removal at failover.
-func (pr *AEC) grantLock(s *sim.Svc, lock, to int, fromQueue bool) {
-	l := pr.locks[lock]
-	prev := l.lastReleaser
-	l.pred.Granted(to, prev)
+// Grant implements proto.LockCoherence: the grant carries the acquire
+// counter of the new tenure and, under LAP, the update set the grantee
+// will push to at its release; the message tells the acquirer how to bring
+// its memory up to date — whether the last releaser pushed to it, and the
+// chain's cumulative pages to invalidate if not.
+func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
+	l := pr.Lock(lock)
 	var us []int
 	if pr.opt.UseLAP {
-		us = l.pred.UpdateSet(to)
+		us = l.Pred.UpdateSet(to)
 		s.ChargeList(len(us) + 1)
 	}
-	if pr.rep != nil {
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: lock, Op: recover.OpGrant, Proc: to, FromQueue: fromQueue,
-				Count: l.acqCount + 1, US: append([]int(nil), us...)})
-	}
-	l.held = true
-	l.holder = to
-	l.acqCount++
-	l.curGrantCount = l.acqCount
-	l.curUS = us
+	// Grants and releases alternate, so the last release carries the
+	// counter of the newest grant.
+	pr.CommitGrant(s, lock, to, fromQueue, l.LastCount+1, us)
 
 	inUS := false
-	for _, q := range l.lastUS {
+	for _, q := range l.LastUS {
 		if q == to {
 			inUS = true
 			break
@@ -266,19 +245,17 @@ func (pr *AEC) grantLock(s *sim.Svc, lock, to int, fromQueue bool) {
 	}
 	g := grantMsg{
 		lock:         lock,
-		lastReleaser: l.lastReleaser,
-		lastCount:    l.lastCount,
-		myCount:      l.acqCount,
+		lastReleaser: l.LastReleaser,
+		lastCount:    l.LastCount,
+		myCount:      l.Count,
 		inUS:         inUS,
 		us:           us,
+		invPages:     append([]int(nil), l.CumPages...),
 	}
 	size := 24 + 8*len(us)
-	if !inUS && l.lastReleaser >= 0 && l.lastReleaser != to {
-		g.invPages = append([]int(nil), l.cumPages...)
+	if !inUS && l.LastReleaser >= 0 && l.LastReleaser != to {
 		size += 8 * len(g.invPages)
 		s.ChargeList(len(g.invPages))
-	} else {
-		g.invPages = append([]int(nil), l.cumPages...)
 	}
 	s.Send(to, kAcqGrant, size, g, pr.handleGrant)
 }
@@ -407,7 +384,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 
 	// Tell the manager we are giving up ownership.
 	pr.lockf("p%d release lock %d count %d pages %d", c.ID, lock, myCount, len(pages))
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kRel, 8+8*len(pages),
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8+8*len(pages),
 		relMsg{lock: lock, count: myCount, step: st.step, pages: pages}, pr.handleRel)
 
 	// Unprotect pages modified outside the CS and not inside it; their
@@ -468,46 +445,22 @@ func (pr *AEC) handlePush(s *sim.Svc, m *sim.Msg) {
 	s.Wake(s.P)
 }
 
-// handleRel processes a release at the lock manager: record the new chain
-// state and grant to the head of the waiting queue, if any. A release sent
-// before a barrier that has since completed transfers ownership but not
-// chain state: the barrier already distributed the merged diffs (and the
-// releaser's push was dropped at the step boundary), so the chain restarts
-// empty.
+// handleRel lands a release at the lock's manager: the chain state it
+// leaves behind is the releaser's update set and cumulative page list. A
+// release sent before a barrier that has since completed transfers
+// ownership but not chain state: the barrier already distributed the
+// merged diffs (and the releaser's push was dropped at the step boundary),
+// so the chain restarts empty. The journal thus records the RESULTING
+// chain, never the message: replaying "r.step == pr.bar.seq" later would
+// consult the wrong barrier phase (recover package comment).
 func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 	r := m.Payload.(relMsg)
-	l := pr.locks[r.lock]
 	s.ChargeList(1 + len(r.pages))
-	lastUS, cumPages := l.curUS, r.pages
+	lastUS, cumPages := pr.Lock(r.lock).US, r.pages
 	if r.step != pr.bar.seq {
 		lastUS, cumPages = nil, nil
 	}
-	if pr.rep != nil {
-		// The record carries the RESULTING chain state, not the message:
-		// replaying "r.step == pr.bar.seq" later would consult the wrong
-		// barrier phase (recover package comment).
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: r.lock, Op: recover.OpRelease, Proc: m.From, Count: r.count,
-				US: append([]int(nil), lastUS...), Pages: append([]int(nil), cumPages...)})
-	}
-	l.held = false
-	l.holder = -1
-	l.lastReleaser = m.From
-	l.lastCount = r.count
-	l.lastUS = lastUS
-	l.cumPages = cumPages
-	// Hand the lock on per the grant policy. GrantElems is 0 for the
-	// head-popping disciplines, so the default charges nothing extra.
-	s.ChargeList(l.pred.GrantElems())
-	if pk := l.pred.PickNext(m.From); pk.Proc >= 0 {
-		if pk.Bypassed > 0 {
-			s.P.Stats.GrantBypasses++
-		}
-		if pk.Renewal {
-			s.P.Stats.LeaseRenewals++
-		}
-		pr.grantLock(s, r.lock, pk.Proc, true)
-	}
+	pr.LockRelease(s, r.lock, m.From, r.count, lastUS, cumPages)
 }
 
 // fetchLockDiffs synchronously fetches merged diffs for the given pages

@@ -1,9 +1,6 @@
 package aec
 
-import (
-	"aecdsm/internal/recover"
-	"aecdsm/internal/trace"
-)
+import "aecdsm/internal/trace"
 
 // Crash failover (docs/ROBUSTNESS.md). The simulator models a node crash
 // as an outage window (no message in or out, in-flight traffic lost) plus
@@ -14,16 +11,13 @@ import (
 // the engine's local-delivery shortcut, so no event may ever observe
 // half-recovered state:
 //
-//  1. Lock-manager state of the locks the node manages. The backup holds
-//     the replication log (every enqueue/grant/release, shipped before it
-//     took effect); replaying it rebuilds the wait queue — with the grant
-//     policy's bypass counters and lease tenure reproduced exactly — and
-//     the holder/chain metadata. Because the log is prefix-complete at
-//     every event boundary, the rebuilt state is identical to the lost
-//     state, which is precisely the determinism argument: a crash changes
-//     WHEN the manager answers (requests retry across the outage), never
-//     WHAT it answers. Grants in flight at the crash are re-driven by the
-//     reliable transport's retransmission loop, not by the failover.
+//  1. Lock-manager state of the locks the node manages. The shared
+//     manager service fails it over from the replication log before it
+//     calls Crashed below (proto.LockMgr, internal/proto/lockmgr.go):
+//     a crash changes WHEN the manager answers (requests retry across
+//     the outage), never WHAT it answers. Grants in flight at the crash
+//     are re-driven by the reliable transport's retransmission loop, not
+//     by the failover.
 //
 //  2. Received LAP push buffers that nothing has consumed yet. They are
 //     dropped; when the node next acquires the lock, the grant finds no
@@ -49,43 +43,15 @@ import (
 // change results, not timing. They ride the same stable-storage fiction
 // as the replication journal.
 //
-// All failover work is costed: log replay and the orphan sweep accumulate
-// into failoverCost, which the engine charges to the node at restart as
-// FailoverCycles on top of the fixed reboot charge (sim/crash.go).
+// All failover work is costed: the manager service adds the orphan
+// sweep's cost to the log replay's and surrenders the sum at restart, where
+// the engine charges it to the node as FailoverCycles on top of the fixed
+// reboot charge (sim/crash.go).
 
-// onCrash is the engine's crash hook: fail the node's managed locks over
-// to the replication log, scrub unconsumed push buffers, and invalidate
-// orphaned clean page copies.
-func (pr *AEC) onCrash(node int) {
-	pp := &pr.e.Params
-	cost := pp.InterruptCycles // failover trap at the backup
-
-	for lock, l := range pr.locks {
-		if pr.mgrOf(lock) != node {
-			continue
-		}
-		recs := pr.rep.Records(lock)
-		l.pred.RecoverReset()
-		img := recover.Replay(recs, l.pred)
-		l.held = img.Held
-		l.holder = img.Holder
-		// acqCount is the count of the newest grant: the holder's while
-		// held, the last releaser's otherwise (each release's count equals
-		// the count of the grant it closes).
-		if img.Held {
-			l.acqCount = img.Count
-		} else {
-			l.acqCount = img.LastCount
-		}
-		l.curGrantCount = img.Count
-		l.curUS = img.US
-		l.lastReleaser = img.LastReleaser
-		l.lastCount = img.LastCount
-		l.lastUS = img.LastUS
-		l.cumPages = img.CumPages
-		cost += pp.ListCycles(1 + len(recs))
-	}
-
+// Crashed implements proto.LockCoherence: scrub the node's unconsumed
+// push buffers and invalidate its orphaned clean page copies (the managed
+// locks were already failed over), returning the sweep's cost.
+func (pr *AEC) Crashed(node int) uint64 {
 	st := pr.ps[node]
 	for lock, buf := range st.recv {
 		if anyApplied(buf) {
@@ -116,17 +82,7 @@ func (pr *AEC) onCrash(node int) {
 		}
 	}
 	ctx.P.Stats.OrphanInvalidations += uint64(inval)
-	cost += pp.ListCycles(inval)
-
-	pr.failoverCost[node] += cost
-}
-
-// onRestart is the engine's restart hook: it surrenders the accumulated
-// failover cost, which the engine charges to the restarted node.
-func (pr *AEC) onRestart(node int) uint64 {
-	c := pr.failoverCost[node]
-	delete(pr.failoverCost, node)
-	return c
+	return pr.e.Params.ListCycles(inval)
 }
 
 // anyApplied reports whether any diff of a push buffer has been applied.

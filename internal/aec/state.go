@@ -2,7 +2,6 @@ package aec
 
 import (
 	"aecdsm/internal/bitset"
-	"aecdsm/internal/lap"
 	"aecdsm/internal/mem"
 )
 
@@ -137,34 +136,6 @@ func newProcState(id, pages int, space *mem.Space) *procState {
 		st.homes[pg] = space.InitHome(pg)
 	}
 	return st
-}
-
-// lockState is the manager-side state of one lock variable. Lock managers
-// are distributed round-robin across processors (lock % nprocs), as in the
-// paper; the state lives in Go memory but is only touched by messages
-// addressed to the managing node, so its costs land on the right processor.
-type lockState struct {
-	pred *lap.Predictor
-
-	held   bool
-	holder int
-
-	acqCount      int
-	curGrantCount int   // acqCount at the current holder's grant
-	curUS         []int // update set computed for the current holder
-
-	lastReleaser int
-	lastCount    int
-	lastUS       []int
-	cumPages     []int // cumulative merged page set of the chain
-}
-
-func newLockState(nprocs, ns int) *lockState {
-	return &lockState{
-		pred:         lap.New(nprocs, ns),
-		holder:       -1,
-		lastReleaser: -1,
-	}
 }
 
 // ownedLock is one entry in a barrier arrival message: a lock whose merged

@@ -42,7 +42,7 @@ func TestParallelOutputIdentical(t *testing.T) {
 		{"KeyStats", func(e *Experiments, b *bytes.Buffer) { e.KeyStats(b) }},
 		{"ScalingSweep", func(e *Experiments, b *bytes.Buffer) { e.ScalingSweep(b, "Ocean", []int{16, 64}) }},
 		{"RecoverySweep", func(e *Experiments, b *bytes.Buffer) { e.RecoverySweep(b, "IS") }},
-		{"Timeline", func(e *Experiments, b *bytes.Buffer) { e.TimelineSweep(b, "Raytrace", true) }},
+		{"Timeline", func(e *Experiments, b *bytes.Buffer) { e.TimelineSweep(b, "Raytrace") }},
 	}
 	for _, sec := range sections {
 		sec := sec

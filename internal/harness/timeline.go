@@ -91,48 +91,35 @@ const timelineSteps = 6
 // timelineKinds are the protocols the timeline compares.
 func timelineKinds() []ProtocolKind { return []ProtocolKind{ProtoAEC, ProtoTM} }
 
+// timelineSnapshots samples one protocol's statistics at sixths of its own
+// runtime: one cold run to completion fixes the total, then one paused
+// engine walks the horizons, each snapshot costing only the events since
+// the previous one. The cold replay — a fresh engine per horizon — survives
+// as the reference inside TestTimelineWarmMatchesCold.
+func (e *Experiments) timelineSnapshots(app string, kind ProtocolKind) (total uint64, snaps []*stats.Run) {
+	prog := func() proto.Program {
+		return appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
+	}
+	total = MustRun(e.Params, e.protocol(kind, 2), prog()).Cycles()
+	sess := NewSession(e.Params, e.protocol(kind, 2), prog())
+	for i := 1; i < timelineSteps; i++ {
+		sess.RunUntil(total * uint64(i) / timelineSteps)
+		snaps = append(snaps, sess.Snapshot())
+	}
+	return total, append(snaps, sess.Finish().Run)
+}
+
 // TimelineSweep renders the execution timeline of one application: the
 // cumulative machine-wide cycle breakdown sampled at sixths of each
-// protocol's own runtime. With warm=true one paused engine per protocol
-// walks the horizons (each row costs only the events since the previous
-// row); with warm=false every row replays a fresh engine from cycle
-// zero. The rendered bytes are identical either way — the warm-start
-// validity contract, asserted by TestTimelineWarmMatchesCold — so the
-// flag only chooses how much work regeneration costs.
-func (e *Experiments) TimelineSweep(w io.Writer, app string, warm bool) {
+// protocol's own runtime.
+func (e *Experiments) TimelineSweep(w io.Writer, app string) {
 	fmt.Fprintf(w, "Execution timeline: %s at scale %.2f.\n", app, e.Scale)
 	fmt.Fprintf(w, "Cumulative machine-wide cycle breakdown sampled at sixths of each protocol's\n")
 	fmt.Fprintf(w, "own runtime. Warm and cold sampling render identical bytes (docs/PERFORMANCE.md).\n\n")
 	fmt.Fprintf(w, "  %-9s %4s %14s %14s %14s %14s %12s %10s %10s\n",
 		"protocol", "frac", "horizon", "busy", "data", "synch", "ipc", "others", "msgs")
 	for _, kind := range timelineKinds() {
-		// One cold run to completion fixes the protocol's total runtime
-		// (and provides the final row in both modes).
-		prog := appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-		full := MustRun(e.Params, e.protocol(kind, 2), prog)
-		total := full.Cycles()
-
-		snaps := make([]*stats.Run, 0, timelineSteps)
-		if warm {
-			sess := NewSession(e.Params,
-				e.protocol(kind, 2),
-				appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed}))
-			for i := 1; i < timelineSteps; i++ {
-				sess.RunUntil(total * uint64(i) / timelineSteps)
-				snaps = append(snaps, sess.Snapshot())
-			}
-			snaps = append(snaps, sess.Finish().Run)
-		} else {
-			for i := 1; i < timelineSteps; i++ {
-				sess := NewSession(e.Params,
-					e.protocol(kind, 2),
-					appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed}))
-				sess.RunUntil(total * uint64(i) / timelineSteps)
-				snaps = append(snaps, sess.Snapshot())
-			}
-			snaps = append(snaps, full.Run)
-		}
-
+		total, snaps := e.timelineSnapshots(app, kind)
 		for i, snap := range snaps {
 			horizon := total * uint64(i+1) / timelineSteps
 			b := snap.TotalBreakdown()

@@ -10,18 +10,29 @@ import (
 	"aecdsm/internal/apps"
 )
 
-// TestTimelineWarmMatchesCold is the warm-start validity contract: the
-// timeline rendered from one paused engine per protocol must be
-// byte-identical to the one where every horizon replays a fresh engine
-// from cycle zero. Any divergence means pausing perturbed the event
-// sequence — a determinism bug in StartUntil/ContinueUntil.
+// TestTimelineWarmMatchesCold is the warm-start validity contract: every
+// snapshot the sweep takes from its one paused engine per protocol must
+// equal the snapshot of a fresh engine replayed from cycle zero to the
+// same horizon (to completion for the last one). Any divergence means
+// pausing perturbed the event sequence — a determinism bug in
+// StartUntil/ContinueUntil.
 func TestTimelineWarmMatchesCold(t *testing.T) {
-	var warm, cold bytes.Buffer
-	NewExperiments(0.1).TimelineSweep(&warm, "Raytrace", true)
-	NewExperiments(0.1).TimelineSweep(&cold, "Raytrace", false)
-	if !bytes.Equal(warm.Bytes(), cold.Bytes()) {
-		t.Errorf("warm-start timeline diverged from cold replay:\n%s",
-			diffLines(cold.String(), warm.String()))
+	e := NewExperiments(0.1)
+	for _, kind := range timelineKinds() {
+		total, warm := e.timelineSnapshots("Raytrace", kind)
+		for i, snap := range warm {
+			prog := appsFactory("Raytrace")(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
+			cold := NewSession(e.Params, e.protocol(kind, 2), prog)
+			if i+1 < timelineSteps {
+				cold.RunUntil(total * uint64(i+1) / timelineSteps)
+			} else {
+				cold.Finish()
+			}
+			if !reflect.DeepEqual(cold.Snapshot(), snap) {
+				t.Errorf("%s: warm snapshot %d/%d diverged from a cold replay to the same horizon",
+					kind, i+1, timelineSteps)
+			}
+		}
 	}
 }
 
@@ -32,7 +43,7 @@ func TestTimelineWarmMatchesCold(t *testing.T) {
 //	go test ./internal/harness -run TestGoldenTimeline -update-golden
 func TestGoldenTimeline(t *testing.T) {
 	var buf bytes.Buffer
-	NewExperiments(goldenScale).TimelineSweep(&buf, "Raytrace", true)
+	NewExperiments(goldenScale).TimelineSweep(&buf, "Raytrace")
 
 	path := filepath.Join("testdata", "golden_timeline.txt")
 	if *updateGolden {

@@ -44,6 +44,8 @@ var Blockingcharge = &analysis.Analyzer{
 	Run: runBlockingcharge,
 }
 
+var blockingchargeScope = []string{"proto", "aec", "tm", "munin", "lap", "lockpolicy"}
+
 func runBlockingcharge(pass *analysis.Pass) (any, error) {
 	if !inRepoScope(pass.Pkg.Path(), blockingchargeScope...) {
 		return nil, nil

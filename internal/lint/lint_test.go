@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"go/ast"
 	"strings"
 	"testing"
 
@@ -60,72 +59,6 @@ func TestLockdiscipline(t *testing.T) {
 
 func TestChargeflow(t *testing.T) {
 	analysistest.Run(t, "testdata", "chargeflow", lint.Chargeflow)
-}
-
-// TestSyntacticV1Gap pins the reason blockingcharge was rewritten on the
-// dataflow tier: over the very same fixture package, the retired
-// syntactic v1 misses every interprocedural and loop-carried positive
-// (the load or the publication hides behind a helper, or the staleness
-// only exists on a back edge) and false-positives on chargePathReturnsOK,
-// where the charge sits between load and publish in source order but on
-// no execution path. V2's results are pinned by the want comments; this
-// test pins V1's complementary failures, so the gap is demonstrated in
-// both directions.
-func TestSyntacticV1Gap(t *testing.T) {
-	pkg := analysistest.Load(t, "testdata", "blockingcharge")
-	findings, err := lint.RunPackage(pkg, []*analysis.Analyzer{lint.BlockingchargeSyntactic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inFile := func(file string) []lint.Finding {
-		var out []lint.Finding
-		for _, f := range findings {
-			if strings.HasSuffix(f.Pos.Filename, file) && f.Analyzer == "blockingcharge" {
-				out = append(out, f)
-			}
-		}
-		return out
-	}
-	// V1 sees nothing in the interprocedural fixtures (v2 flags two sites
-	// there, per the want comments).
-	if got := inFile("interproc.go"); len(got) != 0 {
-		t.Errorf("syntactic v1 unexpectedly found interprocedural positives: %v", got)
-	}
-	// V1 misses the back-edge positives but flags chargePathReturnsOK's
-	// dead source-order pairing — the false positive v2 eliminates.
-	var v1FalsePositive bool
-	for _, f := range inFile("flow.go") {
-		line := f.Pos.Line
-		if line >= flowLine(t, "chargePathReturnsOK") && line < flowLine(t, "panicPathOK") {
-			v1FalsePositive = true
-		}
-		if strings.Contains(f.Message, "loop") {
-			t.Errorf("syntactic v1 unexpectedly caught the loop-carried case: %v", f)
-		}
-	}
-	if !v1FalsePositive {
-		t.Errorf("expected the syntactic v1 to false-positive inside chargePathReturnsOK; findings: %v", findings)
-	}
-}
-
-// flowLine finds the declaration line of a function in the flow.go
-// fixture so the v1-gap assertions track edits to the fixture.
-func flowLine(t *testing.T, fn string) int {
-	t.Helper()
-	pkg := analysistest.Load(t, "testdata", "blockingcharge")
-	for _, file := range pkg.Syntax {
-		pos := pkg.Fset.Position(file.Pos())
-		if !strings.HasSuffix(pos.Filename, "flow.go") {
-			continue
-		}
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == fn {
-				return pkg.Fset.Position(fd.Pos()).Line
-			}
-		}
-	}
-	t.Fatalf("function %s not found in flow.go", fn)
-	return 0
 }
 
 func TestTracedisc(t *testing.T) {

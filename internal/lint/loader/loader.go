@@ -47,17 +47,8 @@ type listPkg struct {
 }
 
 // GoList returns the `go list -e -export -deps -json` package records for
-// the patterns in dir, in listing order. The subprocess output is cached
-// on disk (see cache.go) keyed on the module files and source tree, so
-// repeated dsmvet runs over an unchanged tree skip the go command
-// entirely; DisableCache (dsmvet -nocache) forces the subprocess.
+// the patterns in dir, in listing order.
 func GoList(dir string, patterns ...string) ([]listPkg, error) {
-	key, keyErr := cacheKey(dir, patterns)
-	if keyErr == nil {
-		if out := lookupListCache(key); out != nil {
-			return decodeList(out)
-		}
-	}
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -70,9 +61,6 @@ func GoList(dir string, patterns ...string) ([]listPkg, error) {
 	pkgs, err := decodeList(out)
 	if err != nil {
 		return nil, fmt.Errorf("go list %v: %v", patterns, err)
-	}
-	if keyErr == nil {
-		storeListCache(key, out)
 	}
 	return pkgs, nil
 }

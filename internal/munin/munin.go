@@ -24,12 +24,8 @@ import (
 	"sort"
 
 	"aecdsm/internal/bitset"
-	"aecdsm/internal/lap"
-	"aecdsm/internal/lockpolicy"
 	"aecdsm/internal/mem"
-	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/topo"
@@ -50,7 +46,7 @@ const (
 	kPageRep
 	kBarArrive
 	kBarComplete
-	kRepLog // lock-manager replication log record -> backup node
+	kRepLog // lock-manager journal record -> backup node (proto.LockMgr)
 )
 
 // Options configures the protocol.
@@ -66,12 +62,16 @@ type Options struct {
 type Munin struct {
 	opt Options
 
+	// LockMgr is the shared lock-manager service: eager RC moved all
+	// coherence work to the release, so a grant carries only the update
+	// set (under LAP).
+	proto.LockMgr
+
 	e    *sim.Engine
 	s    *mem.Space
 	ctxs []*proto.Ctx
 	ps   []*procState
 
-	locks []*lockState
 	pages []pageState // per-page home-side state (lives at InitHome)
 	tree  topo.Tree   // barrier combining tree (flat when BarrierRadix is 0)
 
@@ -82,13 +82,6 @@ type Munin struct {
 
 	nprocs   int
 	pageSize int
-	numLocks int
-
-	// rep is the lock-manager replication log, armed only when the fault
-	// schedule contains crashes (docs/ROBUSTNESS.md); failoverCost holds
-	// the crash-instant failover work until the restart charge.
-	rep          *recover.Replicator
-	failoverCost map[int]uint64
 }
 
 type procState struct {
@@ -115,14 +108,6 @@ type procState struct {
 	// Per-processor, not per-protocol: a flush blocks on acks, and other
 	// processors flush while it waits.
 	flushPages []int
-}
-
-type lockState struct {
-	pred   *lap.Predictor
-	held   bool
-	holder int
-	last   int
-	curUS  []int
 }
 
 type pageState struct {
@@ -183,7 +168,7 @@ func New(opt Options) *Munin {
 	if opt.Ns <= 0 {
 		opt.Ns = 2
 	}
-	return &Munin{opt: opt, numLocks: 1}
+	return &Munin{opt: opt}
 }
 
 // Name implements proto.Protocol.
@@ -193,19 +178,6 @@ func (pr *Munin) Name() string {
 	}
 	return "Munin"
 }
-
-// SetNumLocks implements proto.NumLocksProvider.
-func (pr *Munin) SetNumLocks(n int) {
-	if n > pr.numLocks {
-		pr.numLocks = n
-	}
-}
-
-// NumLocks returns the number of lock variables managed.
-func (pr *Munin) NumLocks() int { return len(pr.locks) }
-
-// LockLAP returns the LAP statistics recorded at the lock's manager.
-func (pr *Munin) LockLAP(lock int) lap.Stats { return pr.locks[lock].pred.Stats }
 
 // Attach implements proto.Protocol.
 func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
@@ -220,41 +192,13 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 		pr.ps[i] = &procState{id: i, dirty: map[int]bool{},
 			fetching: map[int]bool{}, stale: map[int]bool{}, curLock: -1}
 	}
-	pr.locks = make([]*lockState, pr.numLocks)
-	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
-	if err != nil {
-		panic("munin: " + err.Error())
-	}
-	for i := range pr.locks {
-		p := lap.New(pr.nprocs, pr.opt.Ns)
-		p.SetPolicy(pol)
-		if e.Tracer != nil {
-			p.Tracer, p.Lock, p.Mgr, p.Clock = e.Tracer, i, pr.mgrOf(i), e.Now
-		}
-		pr.locks[i] = &lockState{pred: p, holder: -1, last: -1}
-	}
+	pr.InitLocks(e, pr.opt.Ns, kRepLog, pr)
 	pr.pages = make([]pageState, s.Pages())
 	for pg := range pr.pages {
 		pr.pages[pg].copyset = bitset.With(pr.nprocs, s.InitHome(pg))
 	}
-	// Crash tolerance: replicate lock-manager actions and fail managers
-	// over at crashes (internal/munin/recover.go).
-	if e.Faults != nil && e.Faults.HasCrashes() {
-		pr.rep = recover.NewReplicator()
-		pr.failoverCost = map[int]uint64{}
-		e.OnCrash(pr.onCrash)
-		e.OnRestart(pr.onRestart)
-	}
 }
 
-// mgrOf returns the managing processor of a lock: round-robin as in the
-// seed, or hash-sharded under the scaling architecture (docs/SCALING.md).
-func (pr *Munin) mgrOf(lock int) int {
-	if pr.e.Params.ShardManagers {
-		return memsys.ShardAssign(lock, pr.nprocs)
-	}
-	return lock % pr.nprocs
-}
 func (pr *Munin) homeOf(page int) int { return pr.s.InitHome(page) }
 
 const barMgr = 0
@@ -265,14 +209,9 @@ func (pr *Munin) Done(c *proto.Ctx) {}
 // Notice implements proto.Protocol: feeds the LAP virtual queue when LAP
 // is enabled.
 func (pr *Munin) Notice(c *proto.Ctx, lock int) {
-	if !pr.opt.UseLAP {
-		return
+	if pr.opt.UseLAP {
+		pr.LockNotice(c, kAcqReq+100, lock)
 	}
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kAcqReq+100, 8, lock,
-		func(s *sim.Svc, m *sim.Msg) {
-			s.ChargeList(1)
-			pr.locks[m.Payload.(int)].pred.Notice(m.From)
-		})
 }
 
 // Fault implements proto.Protocol: fetch the page from its home (which is
@@ -381,10 +320,10 @@ func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	if pr.e.Tracer != nil {
 		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
 		ev.Lock = lock
-		ev.Arg = int64(pr.mgrOf(lock))
+		ev.Arg = int64(pr.MgrOf(lock))
 		pr.e.Tracer.Trace(ev)
 	}
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kAcqReq, 8,
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
 		acqReq{lock: lock, from: c.ID}, pr.handleAcqReq)
 	c.P.WaitTag = "munin grant"
 	c.P.WaitUntil(func() bool { return st.grant }, stats.Synch)
@@ -393,51 +332,37 @@ func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	c.Epoch++
 }
 
+// handleAcqReq lands an ownership request at the lock's manager.
 func (pr *Munin) handleAcqReq(s *sim.Svc, m *sim.Msg) {
 	req := m.Payload.(acqReq)
-	l := pr.locks[req.lock]
-	s.ChargeList(l.pred.RequestElems())
-	if l.held {
-		if pr.rep != nil {
-			pr.rep.Ship(s, pr.nprocs, kRepLog,
-				recover.Record{Lock: req.lock, Op: recover.OpEnqueue, Proc: req.from})
-		}
-		l.pred.Enqueue(req.from)
-		return
-	}
-	pr.grantLock(s, req.lock, req.from, false)
+	pr.LockRequest(s, req.lock, req.from)
 }
 
-func (pr *Munin) grantLock(s *sim.Svc, lock, to int, fromQueue bool) {
-	l := pr.locks[lock]
-	l.pred.Granted(to, l.last)
-	l.held = true
-	l.holder = to
+// Grant implements proto.LockCoherence: under LAP the grant carries the
+// update set the grantee's release-time flush is restricted to.
+func (pr *Munin) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	var us []int
 	if pr.opt.UseLAP {
-		us = l.pred.UpdateSet(to)
+		us = pr.Lock(lock).Pred.UpdateSet(to)
 		s.ChargeList(len(us) + 1)
 	}
-	if pr.rep != nil {
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: lock, Op: recover.OpGrant, Proc: to, FromQueue: fromQueue,
-				US: append([]int(nil), us...)})
+	pr.CommitGrant(s, lock, to, fromQueue, 0, us)
+	s.Send(to, kGrant, 16+8*len(us), grantMsg{lock: lock, us: us}, pr.handleGrant)
+}
+
+// handleGrant lands the grant at the acquirer.
+func (pr *Munin) handleGrant(s *sim.Svc, m *sim.Msg) {
+	g := m.Payload.(grantMsg)
+	st := pr.ps[m.To]
+	if pr.e.Tracer != nil {
+		ev := trace.Ev(s.Now, m.To, trace.KindLockGrant)
+		ev.Lock = g.lock
+		ev.Arg, ev.Arg2 = int64(m.From), int64(len(g.us))
+		pr.e.Tracer.Trace(ev)
 	}
-	l.curUS = us
-	s.Send(to, kGrant, 16+8*len(us), grantMsg{lock: lock, us: us},
-		func(s2 *sim.Svc, m2 *sim.Msg) {
-			g := m2.Payload.(grantMsg)
-			st := pr.ps[m2.To]
-			if pr.e.Tracer != nil {
-				ev := trace.Ev(s2.Now, m2.To, trace.KindLockGrant)
-				ev.Lock = g.lock
-				ev.Arg, ev.Arg2 = int64(m2.From), int64(len(g.us))
-				pr.e.Tracer.Trace(ev)
-			}
-			st.grant = true
-			pr.ps[m2.To].usForLock(g.lock, g.us)
-			s2.Wake(s2.P)
-		})
+	st.grant = true
+	st.usForLock(g.lock, g.us)
+	s.Wake(s.P)
 }
 
 // usForLock stashes the grant's update set (a tiny per-proc map would be
@@ -460,33 +385,15 @@ func (pr *Munin) Release(c *proto.Ctx, lock int) {
 	st.inCS--
 	st.curLock = -1
 	c.Epoch++
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kRel, 8,
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
 		relMsg{lock: lock}, pr.handleRel)
 }
 
+// handleRel lands a release at the lock's manager; the flush already made
+// every sharer current, so no chain state stays behind.
 func (pr *Munin) handleRel(s *sim.Svc, m *sim.Msg) {
-	r := m.Payload.(relMsg)
-	l := pr.locks[r.lock]
 	s.ChargeList(1)
-	if pr.rep != nil {
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: r.lock, Op: recover.OpRelease, Proc: m.From})
-	}
-	l.held = false
-	l.holder = -1
-	l.last = m.From
-	// Hand the lock on per the grant policy (0 extra list elements for
-	// the head-popping disciplines).
-	s.ChargeList(l.pred.GrantElems())
-	if pk := l.pred.PickNext(m.From); pk.Proc >= 0 {
-		if pk.Bypassed > 0 {
-			s.P.Stats.GrantBypasses++
-		}
-		if pk.Renewal {
-			s.P.Stats.LeaseRenewals++
-		}
-		pr.grantLock(s, r.lock, pk.Proc, true)
-	}
+	pr.LockRelease(s, m.Payload.(relMsg).lock, m.From, 0, nil, nil)
 }
 
 // flush diffs every dirty page and distributes the updates through the

@@ -1,42 +1,16 @@
 package munin
 
-import "aecdsm/internal/recover"
-
 // Crash failover for Munin (docs/ROBUSTNESS.md): lock managers only, as
-// in TreadMarks. Replay rebuilds the wait queue and the held/holder/last
-// triple; the grant record's update set restores the LAP-restricted
-// distribution state of the current tenure.
-//
-// No page copies are invalidated at a crash: Munin is write-update — the
-// home's copy and every sharer's copy are kept current by the eager
-// release-time fan-out, and surgically destroying a copy mid-protocol
-// would require copyset surgery at the homes to stay sound. The home
-// copies and copysets ride the same stable-storage fiction as the
-// replication journal; AEC's orphan invalidation has no analogue here.
+// in TreadMarks, failed over by the shared manager service
+// (proto.LockMgr). Replay rebuilds the wait queue and the
+// held/holder/last-releaser triple; the grant record's update set restores
+// the LAP-restricted distribution state of the current tenure.
 
-// onCrash fails the crashed node's lock managers over to the replication
-// log; onRestart charges the accumulated failover work.
-func (pr *Munin) onCrash(node int) {
-	pp := &pr.e.Params
-	cost := pp.InterruptCycles
-	for lock, l := range pr.locks {
-		if pr.mgrOf(lock) != node {
-			continue
-		}
-		recs := pr.rep.Records(lock)
-		l.pred.RecoverReset()
-		img := recover.Replay(recs, l.pred)
-		l.held = img.Held
-		l.holder = img.Holder
-		l.last = img.LastReleaser
-		l.curUS = img.US
-		cost += pp.ListCycles(1 + len(recs))
-	}
-	pr.failoverCost[node] += cost
-}
-
-func (pr *Munin) onRestart(node int) uint64 {
-	c := pr.failoverCost[node]
-	delete(pr.failoverCost, node)
-	return c
-}
+// Crashed implements proto.LockCoherence. No page copies are invalidated
+// at a crash: Munin is write-update — the home's copy and every sharer's
+// copy are kept current by the eager release-time fan-out, and surgically
+// destroying a copy mid-protocol would require copyset surgery at the
+// homes to stay sound. The home copies and copysets ride the same
+// stable-storage fiction as the replication journal; AEC's orphan
+// invalidation has no analogue here.
+func (pr *Munin) Crashed(node int) uint64 { return 0 }

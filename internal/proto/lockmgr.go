@@ -1,0 +1,232 @@
+package proto
+
+import (
+	"aecdsm/internal/lap"
+	"aecdsm/internal/lockpolicy"
+	"aecdsm/internal/memsys"
+	"aecdsm/internal/recover"
+	"aecdsm/internal/sim"
+	"aecdsm/internal/stats"
+)
+
+// LockCoherence is the coherence delta a DSM protocol plugs into the
+// shared lock manager: the paper frames AEC and TreadMarks as differing
+// only in what travels with a grant, and these methods are exactly that
+// difference. All of them run at the lock's manager node.
+type LockCoherence interface {
+	// Grant runs once the manager has decided to hand lock to proc to and
+	// the predictor has absorbed the transfer. It computes what travels
+	// with the grant (charging whatever that costs), commits the grant
+	// with CommitGrant — passing fromQueue through — and only then ships
+	// the grant message: the journal record must leave for the backup
+	// before the grant leaves for the acquirer.
+	Grant(s *sim.Svc, lock, to int, fromQueue bool)
+	// Crashed scrubs whatever else of the protocol's state on node is
+	// volatile (the managed locks were already failed over) and returns
+	// the cost of doing so in cycles.
+	Crashed(node int) uint64
+}
+
+// ManagedLock is the manager-side state of one lock variable: the LAP
+// predictor that hosts its wait queue, and the tenure and last-release
+// image. The image is by construction what replaying the lock's
+// replication log yields, so failover is an assignment.
+type ManagedLock struct {
+	Pred *lap.Predictor
+	recover.Image
+}
+
+// LockMgr is the distributed lock-manager service every DSM protocol
+// embeds: manager placement, the per-lock wait queue under the configured
+// grant policy, the enqueue-or-grant and release-then-pick decisions with
+// their list-processing charges, primary-backup journaling of every
+// decision when the fault schedule contains crashes, and the failover that
+// rebuilds a crashed manager's locks from the journal
+// (docs/ROBUSTNESS.md). The state lives in Go memory but is only touched
+// by messages addressed to the managing node, so its costs land on the
+// right processor.
+type LockMgr struct {
+	e        *sim.Engine
+	coh      LockCoherence
+	nprocs   int
+	numLocks int
+	locks    []ManagedLock
+
+	repKind int
+	noticeH sim.Handler
+
+	// rep is the replication log, nil unless the fault schedule can crash
+	// a node: runs without crash faults carry no replication traffic.
+	rep *recover.Replicator
+	// failoverCost accumulates, per crashed node, the failover work done
+	// at the crash instant; the engine charges it to the node at restart.
+	failoverCost map[int]uint64
+}
+
+// SetNumLocks implements NumLocksProvider; it must precede InitLocks.
+func (m *LockMgr) SetNumLocks(n int) {
+	if n > m.numLocks {
+		m.numLocks = n
+	}
+}
+
+// NumLocks returns the number of lock variables managed.
+func (m *LockMgr) NumLocks() int { return len(m.locks) }
+
+// LockLAP returns the LAP prediction statistics recorded at one lock's
+// manager (Table 3 of the paper; passive under TreadMarks, §5.1).
+func (m *LockMgr) LockLAP(lock int) lap.Stats { return m.locks[lock].Pred.Stats }
+
+// Lock returns the manager-side state of one lock.
+func (m *LockMgr) Lock(lock int) *ManagedLock { return &m.locks[lock] }
+
+// InitLocks builds the managers at Attach time: one predictor per lock
+// with update sets of size ns under the machine's grant policy, wired to
+// the engine's tracer. repKind is the protocol's message kind for shipped
+// journal records.
+func (m *LockMgr) InitLocks(e *sim.Engine, ns, repKind int, coh LockCoherence) {
+	m.e, m.coh, m.nprocs, m.repKind = e, coh, len(e.Procs), repKind
+	m.noticeH = m.handleNotice
+	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
+	if err != nil {
+		panic("proto: " + err.Error())
+	}
+	m.locks = make([]ManagedLock, max(m.numLocks, 1))
+	for i := range m.locks {
+		p := lap.New(m.nprocs, ns)
+		p.SetPolicy(pol)
+		if e.Tracer != nil {
+			p.Tracer, p.Lock, p.Mgr, p.Clock = e.Tracer, i, m.MgrOf(i), e.Now
+		}
+		m.locks[i] = ManagedLock{Pred: p, Image: recover.Image{Holder: -1, LastReleaser: -1}}
+	}
+	if e.Faults != nil && e.Faults.HasCrashes() {
+		m.rep = recover.NewReplicator()
+		m.failoverCost = map[int]uint64{}
+		e.OnCrash(m.onCrash)
+		e.OnRestart(m.onRestart)
+	}
+}
+
+// MgrOf returns the managing processor of a lock: round-robin as in the
+// paper (§3.2), or hash-sharded under the scaling architecture, which
+// decorrelates manager placement from application lock numbering
+// (docs/SCALING.md).
+func (m *LockMgr) MgrOf(lock int) int {
+	if m.e.Params.ShardManagers {
+		return memsys.ShardAssign(lock, m.nprocs)
+	}
+	return lock % m.nprocs
+}
+
+// LockNotice sends an acquire notice (a message of the protocol's kind)
+// to the lock's manager, feeding the LAP virtual queue.
+func (m *LockMgr) LockNotice(c *Ctx, kind, lock int) {
+	m.e.SendFrom(c.P, stats.Synch, m.MgrOf(lock), kind, 8, lock, m.noticeH)
+}
+
+func (m *LockMgr) handleNotice(s *sim.Svc, msg *sim.Msg) {
+	s.ChargeList(1)
+	m.locks[msg.Payload.(int)].Pred.Notice(msg.From)
+}
+
+// journal replicates one manager decision to the backup before it takes
+// effect. The record's lists are snapshotted here, and only when armed.
+func (m *LockMgr) journal(s *sim.Svc, rec recover.Record) {
+	if m.rep == nil {
+		return
+	}
+	rec.US = append([]int(nil), rec.US...)
+	rec.Pages = append([]int(nil), rec.Pages...)
+	m.rep.Ship(s, m.nprocs, m.repKind, rec)
+}
+
+// LockRequest is the manager's service routine for an ownership request:
+// queue the requester behind the holder, or grant at once.
+func (m *LockMgr) LockRequest(s *sim.Svc, lock, from int) {
+	l := &m.locks[lock]
+	s.ChargeList(l.Pred.RequestElems())
+	if l.Held {
+		m.journal(s, recover.Record{Lock: lock, Op: recover.OpEnqueue, Proc: from})
+		l.Pred.Enqueue(from)
+		return
+	}
+	m.grant(s, lock, from, false)
+}
+
+// LockRelease is the manager's service routine for a release, called once
+// the protocol has decoded (and charged for) its release message: record
+// the chain state the release leaves behind — the releaser's acquire
+// count, the update set and the cumulative page list the next acquirer
+// inherits; zero and nil for protocols that keep none — and hand the lock
+// on per the grant policy. GrantElems is 0 for the head-popping
+// disciplines, so the default charges nothing extra.
+func (m *LockMgr) LockRelease(s *sim.Svc, lock, from, count int, us, pages []int) {
+	l := &m.locks[lock]
+	m.journal(s, recover.Record{Lock: lock, Op: recover.OpRelease, Proc: from,
+		Count: count, US: us, Pages: pages})
+	l.Image = recover.Image{Holder: -1,
+		LastReleaser: from, LastCount: count, LastUS: us, CumPages: pages}
+	s.ChargeList(l.Pred.GrantElems())
+	if pk := l.Pred.PickNext(from); pk.Proc >= 0 {
+		if pk.Bypassed > 0 {
+			s.P.Stats.GrantBypasses++
+		}
+		if pk.Renewal {
+			s.P.Stats.LeaseRenewals++
+		}
+		m.grant(s, lock, pk.Proc, true)
+	}
+}
+
+// grant hands the lock to proc to. fromQueue marks grants that consumed a
+// queued waiter, which the journal must know to replay the queue removal
+// at failover.
+func (m *LockMgr) grant(s *sim.Svc, lock, to int, fromQueue bool) {
+	l := &m.locks[lock]
+	l.Pred.Granted(to, l.LastReleaser)
+	m.coh.Grant(s, lock, to, fromQueue)
+	if !l.Held || l.Holder != to {
+		panic("proto: LockCoherence.Grant returned without CommitGrant")
+	}
+}
+
+// CommitGrant journals the grant and marks the lock held. count and us
+// are what the grant record carries beyond the grantee: its acquire count
+// and the update set computed for its tenure (zero and nil for protocols
+// that keep neither). Lock(lock) then holds the new tenure next to the
+// last release, which is all a grant message is built from.
+func (m *LockMgr) CommitGrant(s *sim.Svc, lock, to int, fromQueue bool, count int, us []int) {
+	l := &m.locks[lock]
+	m.journal(s, recover.Record{Lock: lock, Op: recover.OpGrant, Proc: to,
+		FromQueue: fromQueue, Count: count, US: us})
+	l.Held, l.Holder, l.Count, l.US = true, to, count, us
+}
+
+// onCrash is the engine's crash hook: fail the node's managed locks over
+// to the replication log, then let the protocol scrub what else the crash
+// destroyed. The log is prefix-complete at every event boundary, so the
+// rebuilt queue (bypass counters and lease tenure included) and image are
+// identical to the lost ones: a crash changes WHEN the manager answers,
+// never WHAT it answers.
+func (m *LockMgr) onCrash(node int) {
+	pp := &m.e.Params
+	cost := pp.InterruptCycles // failover trap at the backup
+	for lock := range m.locks {
+		if m.MgrOf(lock) != node {
+			continue
+		}
+		recs := m.rep.Records(lock)
+		m.locks[lock].Image = recover.Replay(recs, m.locks[lock].Pred)
+		cost += pp.ListCycles(1 + len(recs))
+	}
+	m.failoverCost[node] += cost + m.coh.Crashed(node)
+}
+
+// onRestart is the engine's restart hook: it surrenders the accumulated
+// failover cost, which the engine charges to the restarted node.
+func (m *LockMgr) onRestart(node int) uint64 {
+	c := m.failoverCost[node]
+	delete(m.failoverCost, node)
+	return c
+}

@@ -1,44 +1,18 @@
 package tm
 
-import "aecdsm/internal/recover"
-
 // Crash failover for TreadMarks (docs/ROBUSTNESS.md): only the lock
-// managers get replicated state. TM records no chain metadata at the
+// managers get replicated state, and the shared manager service
+// (proto.LockMgr) fails them over. TM records no chain metadata at the
 // manager, so a grant/release record carries just the processor; replay
 // rebuilds the wait queue (with the grant policy's bookkeeping intact)
-// and the held/holder/lastReleaser triple. Queued waiters' stashed vector
+// and the held/holder/last-releaser triple. Queued waiters' stashed vector
 // clocks ride the enqueue records conceptually — they live in per-proc
 // state the crash does not destroy.
-//
-// Unlike AEC, no page copies are invalidated at a crash: TreadMarks'
-// consistency information (intervals, write notices, lazily created
-// diffs) is woven through every processor's volatile state, and there is
-// no degraded-mode fetch path equivalent to AEC's LAP fallback to absorb
-// a surgically destroyed copy. The interval stores ride the same
-// stable-storage fiction as the replication journal.
 
-// onCrash fails the crashed node's lock managers over to the replication
-// log; onRestart charges the accumulated failover work.
-func (pr *TM) onCrash(node int) {
-	pp := &pr.e.Params
-	cost := pp.InterruptCycles
-	for lock, l := range pr.locks {
-		if pr.mgrOf(lock) != node {
-			continue
-		}
-		recs := pr.rep.Records(lock)
-		l.pred.RecoverReset()
-		img := recover.Replay(recs, l.pred)
-		l.held = img.Held
-		l.holder = img.Holder
-		l.lastReleaser = img.LastReleaser
-		cost += pp.ListCycles(1 + len(recs))
-	}
-	pr.failoverCost[node] += cost
-}
-
-func (pr *TM) onRestart(node int) uint64 {
-	c := pr.failoverCost[node]
-	delete(pr.failoverCost, node)
-	return c
-}
+// Crashed implements proto.LockCoherence. Unlike AEC, no page copies are
+// invalidated at a crash: TreadMarks' consistency information (intervals,
+// write notices, lazily created diffs) is woven through every processor's
+// volatile state, and there is no degraded-mode fetch path equivalent to
+// AEC's LAP fallback to absorb a surgically destroyed copy. The interval
+// stores ride the same stable-storage fiction as the replication journal.
+func (pr *TM) Crashed(node int) uint64 { return 0 }

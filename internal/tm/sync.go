@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
@@ -21,11 +20,11 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	if pr.e.Tracer != nil {
 		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
 		ev.Lock = lock
-		ev.Arg = int64(pr.mgrOf(lock))
+		ev.Arg = int64(pr.MgrOf(lock))
 		pr.e.Tracer.Trace(ev)
 	}
 	vc := append([]int(nil), st.vc...)
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kAcqReq, 8+4*pr.nprocs,
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs,
 		acqReq{lock: lock, vc: vc, from: c.ID}, pr.handleAcqReq)
 	c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	g := st.grant
@@ -111,45 +110,32 @@ func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ival
 	pr.applyWNs(c, st, fallback)
 }
 
-// handleAcqReq runs at the lock manager.
+// handleAcqReq lands an ownership request at the lock's manager. The
+// requester's vector clock waits in its per-processor state for the
+// eventual grant, which may be immediate or come off the wait queue.
 func (pr *TM) handleAcqReq(s *sim.Svc, m *sim.Msg) {
 	req := m.Payload.(acqReq)
-	l := pr.locks[req.lock]
-	s.ChargeList(l.pred.RequestElems())
-	if l.held {
-		if pr.rep != nil {
-			pr.rep.Ship(s, pr.nprocs, kRepLog,
-				recover.Record{Lock: req.lock, Op: recover.OpEnqueue, Proc: req.from})
-		}
-		l.pred.Enqueue(req.from)
-		// Stash the requester's vector clock for the eventual grant.
-		pr.ps[req.from].stashVC = req.vc
-		return
-	}
-	if pr.rep != nil {
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: req.lock, Op: recover.OpGrant, Proc: req.from})
-	}
-	l.held = true
-	l.holder = req.from
-	l.pred.Granted(req.from, l.lastReleaser)
-	pr.routeGrant(s, req.lock, req.from, req.vc)
+	pr.ps[req.from].stashVC = req.vc
+	pr.LockRequest(s, req.lock, req.from)
 }
 
-// routeGrant asks the last releaser to build the grant (it owns the
-// freshest consistency information), or grants directly when the lock has
-// no history or returns to its last releaser.
-func (pr *TM) routeGrant(s *sim.Svc, lock, to int, vc []int) {
-	l := pr.locks[lock]
-	if l.lastReleaser < 0 || l.lastReleaser == to {
+// Grant implements proto.LockCoherence. TreadMarks keeps no chain state
+// at the manager, so the record carries just the processor; the manager
+// then asks the last releaser to build the grant (it owns the freshest
+// consistency information), or grants directly when the lock has no
+// history or returns to its last releaser.
+func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
+	pr.CommitGrant(s, lock, to, fromQueue, 0, nil)
+	vc := pr.ps[to].stashVC
+	if last := pr.Lock(lock).LastReleaser; last >= 0 && last != to {
 		//dsmvet:allow chargecat routing decision only; the acquire/release handlers charged the queue work and the grant body is costed at the releaser
-		s.Send(to, kGrant, 8+4*pr.nprocs,
-			grantMsg{lock: lock, vc: append([]int(nil), vc...)}, pr.handleGrant)
+		s.Send(last, kGrantReq, 8+4*pr.nprocs,
+			grantReq{lock: lock, to: to, vc: vc}, pr.handleGrantReq)
 		return
 	}
 	//dsmvet:allow chargecat routing decision only; the acquire/release handlers charged the queue work and the grant body is costed at the releaser
-	s.Send(l.lastReleaser, kGrantReq, 8+4*pr.nprocs,
-		grantReq{lock: lock, to: to, vc: vc}, pr.handleGrantReq)
+	s.Send(to, kGrant, 8+4*pr.nprocs,
+		grantMsg{lock: lock, vc: append([]int(nil), vc...)}, pr.handleGrant)
 }
 
 // handleGrantReq runs at the last releaser: build the write-notice set and
@@ -207,46 +193,15 @@ func (pr *TM) Release(c *proto.Ctx, lock int) {
 	}
 	pr.closeInterval(c, st)
 	c.Epoch++
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kRel, 8,
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
 		relMsg{lock: lock}, pr.handleRel)
 }
 
-// handleRel runs at the manager: record the releaser and serve the queue.
+// handleRel lands a release at the lock's manager; a lazy release leaves
+// no chain state behind.
 func (pr *TM) handleRel(s *sim.Svc, m *sim.Msg) {
-	r := m.Payload.(relMsg)
-	l := pr.locks[r.lock]
 	s.ChargeList(1)
-	if pr.rep != nil {
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: r.lock, Op: recover.OpRelease, Proc: m.From})
-	}
-	l.lastReleaser = m.From
-	l.held = false
-	l.holder = -1
-	// Hand the lock on per the grant policy (0 extra list elements for
-	// the head-popping disciplines).
-	s.ChargeList(l.pred.GrantElems())
-	if pk := l.pred.PickNext(m.From); pk.Proc >= 0 {
-		next := pk.Proc
-		if pk.Bypassed > 0 {
-			s.P.Stats.GrantBypasses++
-		}
-		if pk.Renewal {
-			s.P.Stats.LeaseRenewals++
-		}
-		if pr.rep != nil {
-			pr.rep.Ship(s, pr.nprocs, kRepLog,
-				recover.Record{Lock: r.lock, Op: recover.OpGrant, Proc: next, FromQueue: true})
-		}
-		l.held = true
-		l.holder = next
-		l.pred.Granted(next, l.lastReleaser)
-		vc := pr.ps[next].stashVC
-		if vc == nil {
-			vc = make([]int, pr.nprocs)
-		}
-		pr.routeGrant(s, r.lock, next, vc)
-	}
+	pr.LockRelease(s, m.Payload.(relMsg).lock, m.From, 0, nil, nil)
 }
 
 // Barrier implements the TreadMarks barrier: everyone ships its new

@@ -21,12 +21,8 @@ import (
 	"math/bits"
 	"sort"
 
-	"aecdsm/internal/lap"
-	"aecdsm/internal/lockpolicy"
 	"aecdsm/internal/mem"
-	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/topo"
@@ -45,7 +41,7 @@ const (
 	kPageRep
 	kBarArrive
 	kBarRelease
-	kRepLog // lock-manager replication log record -> backup node
+	kRepLog // lock-manager journal record -> backup node (proto.LockMgr)
 )
 
 // wnRef names one interval's modification of one page.
@@ -77,7 +73,7 @@ type tmProc struct {
 
 	grant      *grantMsg
 	barOut     bool
-	stashVC    []int // acquirer vc stashed at the manager while queued
+	stashVC    []int // acquirer vc stashed at the manager until its grant
 	lastBarSeq int   // own interval seq at the last barrier
 
 	// Combining-tree aggregation state (tree-mode barriers only): the
@@ -315,18 +311,6 @@ type barRelease struct {
 	vc  []int
 }
 
-// lockState is the manager-side lock record. pred is a passive Lock
-// Acquirer Prediction instance: TreadMarks never pushes updates, but the
-// paper's §5.1 robustness study measures LAP accuracy under TreadMarks to
-// show the technique is protocol-independent, so the manager records the
-// same grant stream AEC's managers would see.
-type lockState struct {
-	held         bool
-	holder       int
-	lastReleaser int
-	pred         *lap.Predictor
-}
-
 // TM is the protocol instance.
 type TM struct {
 	// hybrid enables the Lazy Hybrid variation (Dwarkadas et al.),
@@ -335,12 +319,17 @@ type TM struct {
 	// acquirer that caches the pages needs no separate diff fetch.
 	hybrid bool
 
+	// LockMgr is the shared lock-manager service. Its predictors are
+	// passive here: TreadMarks never pushes updates, but the paper's §5.1
+	// robustness study measures LAP accuracy under TreadMarks to show the
+	// technique is protocol-independent, so the managers record the same
+	// grant stream AEC's would see.
+	proto.LockMgr
+
 	e    *sim.Engine
 	s    *mem.Space
 	ctxs []*proto.Ctx
 	ps   []*tmProc
-
-	locks []*lockState
 
 	bar struct {
 		got int
@@ -353,7 +342,6 @@ type TM struct {
 
 	nprocs   int
 	pageSize int
-	numLocks int
 
 	// topoSc is the happens-before sort's reusable working set; safe to
 	// share across page faults because the engine core is single-threaded
@@ -366,20 +354,14 @@ type TM struct {
 	// acquirer recycles it at the end of Acquire. Entries are pointer-
 	// free (wnRef is three ints), so truncation is a full reset.
 	wnFree [][]wnRef
-
-	// rep is the lock-manager replication log, armed only when the fault
-	// schedule contains crashes (docs/ROBUSTNESS.md); failoverCost holds
-	// the crash-instant failover work until the restart charge.
-	rep          *recover.Replicator
-	failoverCost map[int]uint64
 }
 
 // New builds a TreadMarks protocol instance.
-func New() *TM { return &TM{numLocks: 1} }
+func New() *TM { return &TM{} }
 
 // NewLazyHybrid builds the Lazy Hybrid variation: grants piggyback the
 // releaser's own diffs for cached pages.
-func NewLazyHybrid() *TM { return &TM{numLocks: 1, hybrid: true} }
+func NewLazyHybrid() *TM { return &TM{hybrid: true} }
 
 // Name implements proto.Protocol.
 func (pr *TM) Name() string {
@@ -387,13 +369,6 @@ func (pr *TM) Name() string {
 		return "TM-LH"
 	}
 	return "TM"
-}
-
-// SetNumLocks implements proto.NumLocksProvider.
-func (pr *TM) SetNumLocks(n int) {
-	if n > pr.numLocks {
-		pr.numLocks = n
-	}
 }
 
 // Attach implements proto.Protocol.
@@ -416,52 +391,15 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 			history:   make(map[int][]wnRef),
 		}
 	}
-	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
-	if err != nil {
-		panic("tm: " + err.Error())
-	}
-	pr.locks = make([]*lockState, pr.numLocks)
-	for i := range pr.locks {
-		p := lap.New(pr.nprocs, 2)
-		p.SetPolicy(pol)
-		if e.Tracer != nil {
-			p.Tracer, p.Lock, p.Mgr, p.Clock = e.Tracer, i, pr.mgrOf(i), e.Now
-		}
-		pr.locks[i] = &lockState{holder: -1, lastReleaser: -1, pred: p}
-	}
+	pr.InitLocks(e, 2, kRepLog, pr)
 	pr.bar.vc = make([]int, pr.nprocs)
 	pr.bar.arr = make([]bool, pr.nprocs)
-	// Crash tolerance: replicate lock-manager actions and fail managers
-	// over at crashes (internal/tm/recover.go).
-	if e.Faults != nil && e.Faults.HasCrashes() {
-		pr.rep = recover.NewReplicator()
-		pr.failoverCost = map[int]uint64{}
-		e.OnCrash(pr.onCrash)
-		e.OnRestart(pr.onRestart)
-	}
-}
-
-// mgrOf returns the managing processor of a lock: round-robin as in
-// TreadMarks, or hash-sharded under the scaling architecture
-// (docs/SCALING.md).
-func (pr *TM) mgrOf(lock int) int {
-	if pr.e.Params.ShardManagers {
-		return memsys.ShardAssign(lock, pr.nprocs)
-	}
-	return lock % pr.nprocs
 }
 
 const barMgr = 0
 
 // Done implements proto.Protocol.
 func (pr *TM) Done(c *proto.Ctx) {}
-
-// NumLocks returns the number of lock variables managed.
-func (pr *TM) NumLocks() int { return len(pr.locks) }
-
-// LockLAP returns the passive LAP statistics recorded at the lock's
-// manager (the paper's §5.1 cross-protocol robustness measurement).
-func (pr *TM) LockLAP(lock int) lap.Stats { return pr.locks[lock].pred.Stats }
 
 // Notice implements proto.Protocol: TreadMarks has no virtual queues.
 func (pr *TM) Notice(c *proto.Ctx, lock int) {}

@@ -213,7 +213,6 @@ func TestTopoOrderScratchReuse(t *testing.T) {
 
 func TestCollectWNsBounds(t *testing.T) {
 	pr := New()
-	pr.numLocks = 1
 	// Minimal attach surrogate: 2 procs with intervals.
 	pr.nprocs = 2
 	pr.ps = []*tmProc{
