@@ -34,11 +34,13 @@ type Workload struct {
 }
 
 // Generate derives the workload for one seed. procs forces the processor
-// count when > 0; otherwise it is drawn from the seed (2–16).
+// count when > 0; otherwise it is drawn from the seed (2–16). The draw is
+// consumed either way, so forcing the count changes nothing else: a
+// report's "reproduce: ... -procs N" line rebuilds the reported workload.
 func Generate(seed uint64, procs int) Workload {
 	rng := apps.NewRand(seed ^ 0xC3EC4C3EC4) // decorrelate from the app's own stream
-	if procs <= 0 {
-		procs = 2 + rng.Intn(15)
+	if drawn := 2 + rng.Intn(15); procs <= 0 {
+		procs = drawn
 	}
 	cfg := apps.SynthConfig{
 		Seed:         seed,

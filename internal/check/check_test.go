@@ -26,6 +26,19 @@ func TestDifferentialSeeds(t *testing.T) {
 	}
 }
 
+// TestGenerateForcedProcsRoundTrips pins what makes a report's
+// "reproduce: fuzzdsm -seed S -iters 1 -procs N" line reproduce: forcing the
+// processor count a seed would have drawn anyway yields the same workload.
+func TestGenerateForcedProcsRoundTrips(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		derived := Generate(seed, 0)
+		if forced := Generate(seed, derived.Procs); forced != derived {
+			t.Fatalf("seed %d: Generate(seed, %d) = %+v, but Generate(seed, 0) = %+v",
+				seed, derived.Procs, forced, derived)
+		}
+	}
+}
+
 // TestDifferentialVariants runs a few seeds across the full protocol set,
 // including AEC without LAP, the TreadMarks Lazy Hybrid and Munin+LAP.
 func TestDifferentialVariants(t *testing.T) {
