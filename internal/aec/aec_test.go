@@ -6,6 +6,7 @@ import (
 
 	"aecdsm/internal/aec"
 	"aecdsm/internal/apps"
+	"aecdsm/internal/fault"
 	"aecdsm/internal/harness"
 	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
@@ -293,5 +294,62 @@ func TestBarrier64Procs(t *testing.T) {
 				t.Fatal(res.VerifyErr)
 			}
 		})
+	}
+}
+
+// orphanProg is the shape behind the crash sweep's access-history rule: p2
+// reads a page outside any lock, p1 then writes another word of it inside
+// a critical section, and after the barrier p2 reads that word under the
+// lock. The barrier pushes p1's diff to every valid-copy holder, so p2
+// only sees the write if its copy is valid at the barrier — or if it knows
+// afterwards that its copy is not to be trusted.
+type orphanProg struct {
+	base mem.Addr
+	err  error
+}
+
+func (a *orphanProg) Name() string                  { return "orphan" }
+func (a *orphanProg) NumLocks() int                 { return 1 }
+func (a *orphanProg) Err() error                    { return a.err }
+func (a *orphanProg) Init(s *mem.Space, nprocs int) { a.base = s.Alloc("y", 4096, 0) }
+
+func (a *orphanProg) Body(c *proto.Ctx) {
+	c.Barrier()
+	switch c.ID {
+	case 1:
+		c.Compute(100_000)
+		c.Acquire(0)
+		c.WriteI64(a.base, 42)
+		c.Release(0)
+	case 2:
+		c.ReadI64(a.base + 64)
+		c.Compute(2_000_000) // the crash lands here
+	}
+	c.Barrier()
+	if c.ID == 2 {
+		c.Acquire(0)
+		if got := c.ReadI64(a.base); got != 42 {
+			a.err = errf("p2 reads %d after the barrier, want p1's 42", got)
+		}
+		c.Release(0)
+	}
+	c.Barrier()
+}
+
+// TestOrphanedCopyRefetchedAfterBarrier crashes p2 between its read and
+// the barrier. The sweep invalidates its clean copy, so the barrier's diff
+// for the page is dropped there; p2 accessed the page in the previous
+// step, which without the sweep erasing that history would let it
+// revalidate the stale frame instead of asking the home for a base copy.
+func TestOrphanedCopyRefetchedAfterBarrier(t *testing.T) {
+	p := memsys.Default().ForProcs(3)
+	fc := &fault.Config{Crashes: []fault.Crash{{Node: 2, At: 500_000, Down: 100_000}}}
+	prog := &orphanProg{}
+	res := harness.RunFaultTraced(p, aec.New(aec.Options{UseLAP: false}), prog, nil, fc)
+	if res.Deadlocked || res.VerifyErr != nil {
+		t.Fatalf("deadlock=%v verify=%v", res.Deadlocked, res.VerifyErr)
+	}
+	if n := res.Run.Procs[2].OrphanInvalidations; n == 0 {
+		t.Fatal("the crash orphaned no page: the scenario is not exercised")
 	}
 }

@@ -19,6 +19,7 @@ func (pr *AEC) Fault(c *proto.Ctx, page int, write bool) {
 	pr.debugf(c.ID, page, "FAULT write=%v valid=%v reason=%v inCS=%d", write, c.M.Peek(page).Valid, pr.ps[c.ID].reason[page], pr.ps[c.ID].inCS)
 	st := pr.ps[c.ID]
 	f := c.M.Frame(page)
+	st.faultPage = page
 
 	if !f.Valid {
 		pr.validateFault(c, st, page, f)
@@ -28,6 +29,7 @@ func (pr *AEC) Fault(c *proto.Ctx, page int, write bool) {
 		pr.writeFault(c, st, page, f)
 	}
 	st.accessedCur[page] = true
+	st.faultPage = -1
 }
 
 // validateFault brings an invalid page back to a valid state.

@@ -27,16 +27,30 @@ import "aecdsm/internal/trace"
 //     applied flags are what prevents double application.
 //
 //  3. The node's clean page copies, which are orphaned by the crash and
-//     invalidated: the next access re-faults and revalidates (re-fetching
-//     the base from the page's home when the access-history rule demands
-//     it). Only copies whose loss is recoverable from elsewhere qualify —
+//     invalidated; the sweep also erases the page's access history, so by
+//     the §3.4 recency rule the next access asks the page's home for a
+//     base copy instead of revalidating the frame left behind. That
+//     matters because the barrier manager is not told: the node stays in
+//     the page's copyset, and a merged diff the next barrier pushes to it
+//     is dropped at an invalid copy (TestOrphanedCopyRefetchedAfterBarrier).
+//     Only copies the home can replace qualify. A home's copy plus its
+//     pending write notices reconstructs the page as of the last barrier;
+//     it does not hold what this step's critical sections did to it —
+//     homes learn lock-chain diffs at barriers. So these are kept:
 //     pages homed here (the home copy is modeled as stable storage, like
-//     the replication journal), pages with live twins or un-diffed local
-//     modifications, and the current critical section's chain pages (their
-//     applied diffs are tracked by buffers we must not desynchronize) are
-//     all kept. Since a clean copy is byte-identical to what a re-fetch
-//     returns, the invalidation perturbs timing only — the fault-injection
-//     contract.
+//     the replication journal); pages with live twins or un-diffed local
+//     modifications; every page with critical-section diffs of the
+//     current step, produced here (myMerged), inherited with a grant or
+//     fetched from the last owner (inherited, and the grant's cumulative
+//     page list, which also covers diffs fetched outside the critical
+//     section), or applied from a push buffer that survives the scrub
+//     above; and the page whose access fault the node is in the middle
+//     of, which the handler has validated and is about to twin or hand to
+//     the access. With those kept, what a re-fetch returns differs from
+//     the lost copy only by the home's own writes of this step, which a
+//     race-free program cannot read before the synchronization that
+//     delivers them anyway — so the invalidation perturbs timing only,
+//     the fault-injection contract.
 //
 // Diff stores (myMerged, diffStore) and the last-releaser role survive a
 // crash: remote processors fetch from them, and destroying them would
@@ -70,10 +84,12 @@ func (pr *AEC) Crashed(node int) uint64 {
 		if st.dirtyOutside[pg] || st.dirtyInside[pg] || st.homes[pg] == node {
 			continue
 		}
-		if st.inCS > 0 && pr.pageInChain(st, st.curLock, pg) {
+		if pg == st.faultPage || st.hasChainDiffs(pg) {
 			continue
 		}
 		ctx.M.Invalidate(pg)
+		delete(st.accessedPrev, pg)
+		delete(st.accessedCur, pg)
 		inval++
 		if pr.e.Tracer != nil {
 			ev := trace.Ev(pr.e.Now(), node, trace.KindOrphanInval)
@@ -89,6 +105,35 @@ func (pr *AEC) Crashed(node int) uint64 {
 func anyApplied(buf *recvBuf) bool {
 	for _, ok := range buf.applied {
 		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// hasChainDiffs reports whether this processor's copy of the page may
+// hold critical-section diffs of the current step; every map it consults
+// is emptied when the step is finalized.
+func (st *procState) hasChainDiffs(pg int) bool {
+	for _, m := range st.myMerged {
+		if _, ok := m[pg]; ok {
+			return true
+		}
+	}
+	for _, m := range st.inherited {
+		if _, ok := m[pg]; ok {
+			return true
+		}
+	}
+	for _, pages := range st.lockPages {
+		for _, p := range pages {
+			if p == pg {
+				return true
+			}
+		}
+	}
+	for _, buf := range st.recv {
+		if _, ok := buf.diffs[pg]; ok {
 			return true
 		}
 	}

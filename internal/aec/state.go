@@ -54,6 +54,10 @@ type procState struct {
 	diffStore    map[int]map[int]*mem.Diff // page -> step -> archived outside diff
 	reqSeen      map[int]bool              // pages some remote processor requested
 
+	// faultPage is the page whose access fault is being serviced, -1
+	// outside the fault handler.
+	faultPage int
+
 	// Critical-section state.
 	inCS        int
 	curLock     int
@@ -131,6 +135,7 @@ func newProcState(id, pages int, space *mem.Space) *procState {
 		newValid:      make(map[int]bool),
 		homes:         make([]int, pages),
 		curLock:       -1,
+		faultPage:     -1,
 	}
 	for pg := range st.homes {
 		st.homes[pg] = space.InitHome(pg)

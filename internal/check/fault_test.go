@@ -133,6 +133,30 @@ func TestCrashSchedulesAgree(t *testing.T) {
 	}
 }
 
+// TestOrphanSweepKeepsLockChainCopies pins the crash schedules on which the
+// AEC orphan sweep used to lose lock-protected updates (the five smallest of
+// the 25 failures in fuzzdsm -iters 1000 -crash-seed 0, docs/ROBUSTNESS.md).
+// Seed 75 crashes a node whose clean copy holds this step's critical-
+// section diffs, which no home can return; the other four crash a node in
+// the middle of a write fault, between validating the page and twinning it.
+func TestOrphanSweepKeepsLockChainCopies(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		spec string
+	}{
+		{75, "crash=0@727059:262693"},
+		{257, "crash=2@167380:288942"},
+		{537, "crash=1@99385:323450,crash=1@505531:141344"},
+		{611, "crash=4@249488:113289"},
+		{869, "crash=8@331718:98143,crash=3@1953228:71676"},
+	} {
+		kinds := []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoAECNoLAP, harness.ProtoIdeal}
+		if rep := RunSeedFault(c.seed, 0, kinds, mustSpec(t, c.spec, c.seed)); rep.Failed() {
+			t.Errorf("seed %d under %s:\n%s", c.seed, c.spec, rep)
+		}
+	}
+}
+
 // TestCrashFailoverFires pins the mechanism, not just the outcome: under
 // a mid-run crash of a manager node, every DSM protocol must actually
 // take the failover path (crash counted, replication log non-empty) and
