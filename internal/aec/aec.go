@@ -163,15 +163,6 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	}
 }
 
-// DebugPage and DebugProc, when >= 0, trace every mutation of that
-// processor's copy of that page to stdout (test instrumentation).
-var (
-	DebugPage = -1
-	DebugProc = -1
-	// DebugLocks traces lock protocol events to stdout.
-	DebugLocks = false
-)
-
 // MutateDiffApply, when true, makes diff application intentionally buggy:
 // the last run of every applied diff is silently skipped (stale memory)
 // and the diff-apply event is emitted twice. It exists solely so
@@ -180,19 +171,6 @@ var (
 // of one diff) both catch a real diff-application bug. Never enable it
 // outside tests.
 var MutateDiffApply = false
-
-func (pr *AEC) lockf(format string, args ...any) {
-	if DebugLocks {
-		fmt.Printf("[aec t%d] "+format+"\n", append([]any{pr.e.Now()}, args...)...)
-	}
-}
-
-func (pr *AEC) debugf(proc, page int, format string, args ...any) {
-	if page == DebugPage && proc == DebugProc {
-		fmt.Printf("[aec p%d pg%d t%d] "+format+"\n",
-			append([]any{proc, page, pr.e.Now()}, args...)...)
-	}
-}
 
 // barMgr is the barrier manager's processor.
 const barMgr = 0
@@ -308,7 +286,6 @@ func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hi
 // applyDiffData patches a diff into the local frame and invalidates the
 // affected cache lines (data changed under the processor's feet).
 func (pr *AEC) applyDiffData(c *proto.Ctx, d *mem.Diff) {
-	pr.debugf(c.ID, d.Page, "applyDiffData runs=%d bytes=%d covers8=%v", len(d.Runs), d.DataBytes(), d.Covers(8))
 	f := c.M.Frame(d.Page)
 	if MutateDiffApply && len(d.Runs) > 0 {
 		for _, r := range d.Runs[:len(d.Runs)-1] {

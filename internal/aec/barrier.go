@@ -436,7 +436,6 @@ func (pr *AEC) handleBarDiff(s *sim.Svc, m *sim.Msg) {
 	ctx := pr.ctxs[m.To]
 	pp := &pr.e.Params
 	f := ctx.M.Frame(bd.page)
-	pr.debugf(m.To, bd.page, "barDiff from %d lock %d valid=%v", m.From, bd.lock, f.Valid)
 	if f.Valid {
 		cost := pp.DiffCycles(bd.diff.DataBytes())
 		s.Charge(cost)

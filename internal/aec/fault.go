@@ -16,7 +16,6 @@ import (
 // epoch; on exit it is readable and, when requested, writable with a twin
 // in place for later diffing.
 func (pr *AEC) Fault(c *proto.Ctx, page int, write bool) {
-	pr.debugf(c.ID, page, "FAULT write=%v valid=%v reason=%v inCS=%d", write, c.M.Peek(page).Valid, pr.ps[c.ID].reason[page], pr.ps[c.ID].inCS)
 	st := pr.ps[c.ID]
 	f := c.M.Frame(page)
 	st.faultPage = page
@@ -144,7 +143,6 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 		ev.Arg, ev.Arg2 = int64(home), int64(len(tk.page))
 		pr.e.Tracer.Trace(ev)
 	}
-	pr.debugf(c.ID, page, "fetchPage from home %d, wns=%v", home, tk.wns)
 	// Copy the page in across the memory bus.
 	cost := c.P.MemBus.Cost(c.P.Clock, pr.e.Params.Words(pr.pageSize))
 	c.P.Advance(cost, stats.Data)
@@ -187,14 +185,6 @@ func (pr *AEC) handlePageReq(s *sim.Svc, m *sim.Msg) {
 	f := ctx.M.Frame(req.page)
 	data := make([]byte, pr.pageSize)
 	copy(data, f.Data)
-	if req.page == DebugPage && req.from == DebugProc {
-		bits := uint64(0)
-		for b := 0; b < 8; b++ {
-			bits |= uint64(data[8+b]) << (8 * b)
-		}
-		fmt.Printf("[aec serve pg%d by p%d for p%d t%d] off8=%x valid=%v wns=%d\n",
-			req.page, m.To, req.from, pr.e.Now(), bits, f.Valid, len(st.pendingWN[req.page]))
-	}
 	s.ChargeMem(pr.pageSize)
 	wns := append(pr.takeWNs(), st.pendingWN[req.page]...)
 	s.Send(m.From, kPageRep, pr.pageSize+16*len(wns), [2]any{data, wns},

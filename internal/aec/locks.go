@@ -20,7 +20,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	}
 	pp := &pr.e.Params
 
-	pr.lockf("p%d acqreq lock %d", c.ID, lock)
 	if pr.e.Tracer != nil {
 		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
 		ev.Lock = lock
@@ -46,8 +45,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	}
 	g := st.grant
 	st.grant = nil
-	pr.lockf("p%d got grant lock %d lastRel=%d lastCount=%d myCount=%d inUS=%v inv=%d us=%v",
-		c.ID, lock, g.lastReleaser, g.lastCount, g.myCount, g.inUS, len(g.invPages), g.us)
 
 	st.inCS++
 	st.curLock = lock
@@ -100,8 +97,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		fresh = isFresh()
 		if !fresh {
 			c.P.Stats.LAPFallbacks++
-			pr.lockf("p%d push timeout lock %d from %d count %d: falling back to fetch",
-				c.ID, lock, g.lastReleaser, g.lastCount)
 			if pr.e.Tracer != nil {
 				ev := trace.Ev(c.P.Clock, c.ID, trace.KindLAPFallback)
 				ev.Lock = lock
@@ -371,7 +366,6 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 				ev.Arg, ev.Arg2 = int64(q), int64(bytes)
 				pr.e.Tracer.Trace(ev)
 			}
-			pr.lockf("p%d push lock %d count %d to p%d (%d pages)", c.ID, lock, myCount, q, len(pages))
 			// Best effort: a push is an optimization, not a protocol
 			// obligation. Under fault injection a lost push is never
 			// retransmitted — the predicted acquirer times out and
@@ -383,7 +377,6 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	}
 
 	// Tell the manager we are giving up ownership.
-	pr.lockf("p%d release lock %d count %d pages %d", c.ID, lock, myCount, len(pages))
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8+8*len(pages),
 		relMsg{lock: lock, count: myCount, step: st.step, pages: pages}, pr.handleRel)
 
@@ -434,7 +427,6 @@ func (pr *AEC) handlePush(s *sim.Svc, m *sim.Msg) {
 	if old != nil {
 		pr.ctxs[m.To].P.Stats.UselessUpdates += uint64(len(old.diffs))
 	}
-	pr.lockf("p%d recv push lock %d count %d from p%d", m.To, p.lock, p.count, p.from)
 	buf := &recvBuf{from: p.from, count: p.count, step: p.step,
 		diffs: make(map[int]*mem.Diff, len(p.diffs)), applied: make(map[int]bool)}
 	for _, d := range p.diffs {

@@ -20,7 +20,6 @@
 package munin
 
 import (
-	"fmt"
 	"sort"
 
 	"aecdsm/internal/bitset"
@@ -146,23 +145,6 @@ type token struct {
 	data []byte
 }
 
-// DebugPage, when >= 0, traces coherence events on that page (tests).
-var DebugPage = -1
-
-func dbg(format string, args ...any) {
-	if DebugPage >= 0 {
-		fmt.Printf(format+"\n", args...)
-	}
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
 // New builds a Munin-style protocol instance.
 func New(opt Options) *Munin {
 	if opt.Ns <= 0 {
@@ -223,9 +205,6 @@ func (pr *Munin) Notice(c *proto.Ctx, lock int) {
 func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 	st := pr.ps[c.ID]
 	f := c.M.Frame(page)
-	if page == DebugPage {
-		dbg("[t%d] p%d FAULT pg%d write=%v valid=%v dirty=%v", pr.e.Now(), c.ID, page, write, f.Valid, st.dirty[page])
-	}
 	if !f.Valid {
 		pp := &pr.e.Params
 		var local *mem.Diff
@@ -275,9 +254,6 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 		}
 		f.Valid = true
 		f.EverValid = true
-		if page == DebugPage {
-			dbg("[t%d] p%d VALIDATE pg%d val0=%d", pr.e.Now(), c.ID, page, int64(leU64(f.Data)))
-		}
 	}
 	if write {
 		pp := &pr.e.Params
@@ -298,10 +274,6 @@ func (pr *Munin) handlePageReq(s *sim.Svc, m *sim.Msg) {
 	req := m.Payload.(pageReq)
 	ctx := pr.ctxs[m.To]
 	pr.pages[req.page].copyset = pr.pages[req.page].copyset.Add(req.from)
-	if req.page == DebugPage {
-		dbg("[t%d] home p%d serves pg%d to p%d (cs=%x) val0=%d", pr.e.Now(), m.To, req.page, req.from,
-			pr.pages[req.page].copyset, int64(leU64(ctx.M.Frame(req.page).Data)))
-	}
 	data := make([]byte, pr.pageSize)
 	copy(data, ctx.M.Frame(req.page).Data)
 	s.ChargeMem(pr.pageSize)
@@ -470,10 +442,6 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 	u := m.Payload.(updateMsg)
 	ctx := pr.ctxs[m.To]
 	pp := &pr.e.Params
-	if u.page == DebugPage {
-		dbg("[t%d] home p%d update pg%d from p%d restrict=%v us=%v cs=%x covers0=%v", pr.e.Now(), m.To,
-			u.page, u.releaser, u.restrict, u.us, pr.pages[u.page].copyset, u.diff.Covers(0))
-	}
 
 	// Apply locally (the home always stays current).
 	if m.To != u.releaser {
@@ -551,9 +519,6 @@ func (pr *Munin) handleFwdUpdate(s *sim.Svc, m *sim.Msg) {
 	ctx := pr.ctxs[m.To]
 	pp := &pr.e.Params
 	f := ctx.M.Frame(u.page)
-	if u.page == DebugPage {
-		dbg("[t%d] p%d fwdupdate pg%d valid=%v", pr.e.Now(), m.To, u.page, f.Valid)
-	}
 	if !f.Valid && pr.ps[m.To].fetching[u.page] {
 		pr.ps[m.To].stale[u.page] = true
 	}
@@ -588,9 +553,6 @@ func (pr *Munin) handleFwdInval(s *sim.Svc, m *sim.Msg) {
 	u := m.Payload.(fwdMsg)
 	ctx := pr.ctxs[m.To]
 	f := ctx.M.Peek(u.page)
-	if u.page == DebugPage {
-		dbg("[t%d] p%d fwdinval pg%d valid=%v", pr.e.Now(), m.To, u.page, f.Valid)
-	}
 	if !f.Valid && pr.ps[m.To].fetching[u.page] {
 		pr.ps[m.To].stale[u.page] = true
 	}

@@ -140,9 +140,6 @@ func (pr *TM) fetchAndApplyDiffs(c *proto.Ctx, st *tmProc, page int, wns []wnRef
 	pp := &pr.e.Params
 	f := c.M.Frame(page)
 	for _, fd := range all {
-		if c.ID == DebugProc {
-			println("p", c.ID, "apply diff page", page, "from", fd.proc, "seq", fd.seq, "nil", fd.d == nil)
-		}
 		if fd.d == nil {
 			continue
 		}

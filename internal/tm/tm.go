@@ -518,18 +518,11 @@ func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 	return d
 }
 
-// DebugProc, when >= 0, traces write-notice handling for that processor.
-var DebugProc = -1
-
 // applyWNs invalidates pages named by write notices and records them.
 // Returns the number of fresh notices (not already seen).
 func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 	fresh := 0
 	for _, wn := range wns {
-		if st.id == DebugProc {
-			skip := wn.proc == st.id || wn.seq <= st.vc[wn.proc]
-			println("p", st.id, "wn from", wn.proc, "seq", wn.seq, "page", wn.page, "skip", skip, "vc", st.vc[wn.proc])
-		}
 		if wn.proc == st.id || wn.seq <= st.vc[wn.proc] {
 			continue
 		}
