@@ -84,6 +84,8 @@ type AEC struct {
 	// LockMgr is the shared lock-manager service; AEC supplies its
 	// coherence delta (locks.go) and its crash scrub (recover.go).
 	proto.LockMgr
+	// PageHome serves base page copies; AEC's delta is pageDelta (fault.go).
+	proto.PageHome
 
 	e    *sim.Engine
 	s    *mem.Space
@@ -146,6 +148,7 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 		nsz = 1 // predictor still sized, but never consulted for pushes
 	}
 	pr.InitLocks(e, nsz, kRepLog, pr)
+	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
 	if pr.opt.AffinityFactor > 0 {
 		for i := 0; i < pr.NumLocks(); i++ {
 			pr.Lock(i).Pred.SetAffinityFactor(pr.opt.AffinityFactor)
@@ -283,30 +286,13 @@ func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hi
 	c.P.Advance(cost, cat)
 }
 
-// applyDiffData patches a diff into the local frame and invalidates the
-// affected cache lines (data changed under the processor's feet).
+// applyDiffData patches a diff into the local frame (the mutation switch
+// drops its last run).
 func (pr *AEC) applyDiffData(c *proto.Ctx, d *mem.Diff) {
-	f := c.M.Frame(d.Page)
 	if MutateDiffApply && len(d.Runs) > 0 {
-		for _, r := range d.Runs[:len(d.Runs)-1] {
-			copy(f.Data[r.Off:r.Off+len(r.Data)], r.Data)
-		}
-	} else {
-		d.Apply(f.Data)
+		d = &mem.Diff{Page: d.Page, Runs: d.Runs[:len(d.Runs)-1]}
 	}
-	base := pr.s.PageBase(d.Page)
-	for _, r := range d.Runs {
-		c.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-	}
-}
-
-// chargeTwin charges making a twin of one page.
-func (pr *AEC) chargeTwin(c *proto.Ctx, cat stats.Category) {
-	pp := &pr.e.Params
-	cost := pp.TwinCycles(pr.pageSize)
-	cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
-	c.P.Stats.TwinCycles += cost
-	c.P.Advance(cost, cat)
+	c.PatchDiff(d)
 }
 
 // writeProtect forces the next write to this frame to trap.

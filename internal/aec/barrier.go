@@ -451,11 +451,7 @@ func (pr *AEC) handleBarDiff(s *sim.Svc, m *sim.Msg) {
 			ev.Arg, ev.Arg2 = int64(bd.diff.DataBytes()), 1
 			pr.e.Tracer.Trace(ev)
 		}
-		bd.diff.Apply(f.Data)
-		base := pr.s.PageBase(bd.page)
-		for _, r := range bd.diff.Runs {
-			ctx.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-		}
+		ctx.PatchDiff(bd.diff)
 	}
 	st.barDiffsGot++
 	s.Wake(s.P)

@@ -8,7 +8,6 @@ import (
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
-	"aecdsm/internal/trace"
 )
 
 // Fault implements the access-fault protocol of §3.4. On entry the page is
@@ -42,7 +41,7 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 	needBase := !f.EverValid ||
 		(!st.accessedPrev[page] && !st.accessedCur[page])
 	if needBase {
-		pr.fetchPage(c, st, page, f)
+		pr.fetchPage(c, st, page)
 	}
 
 	// Inside a critical section, pages of the lock's cumulative set get
@@ -116,7 +115,7 @@ func (pr *AEC) pageInChain(st *procState, lock, page int) bool {
 }
 
 // fetchPage asks the page's home node for a base copy.
-func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
+func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
 	home := st.homes[page]
 	if home == c.ID {
 		// We are the home: our copy is the base (degenerate case after
@@ -130,31 +129,14 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 	if st.dirtyOutside[page] {
 		pr.makeOutsideDiff(c, st, page, stats.Data, false)
 	}
-	tk := &token{}
-	c.P.Stats.PageFetches++
-	c.P.WaitTag = fmt.Sprintf("pagereq %d home %d", page, home)
-	pr.e.SendFrom(c.P, stats.Data, home, kPageReq, 8,
-		pageReq{page: page, tk: tk, from: c.ID}, pr.handlePageReq)
-	c.P.WaitUntil(func() bool { return tk.done }, stats.Data)
-	c.P.Stats.PageFetchBytes += uint64(len(tk.page))
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindPageFetch)
-		ev.Page = page
-		ev.Arg, ev.Arg2 = int64(home), int64(len(tk.page))
-		pr.e.Tracer.Trace(ev)
-	}
-	// Copy the page in across the memory bus.
-	cost := c.P.MemBus.Cost(c.P.Clock, pr.e.Params.Words(pr.pageSize))
-	c.P.Advance(cost, stats.Data)
-	copy(f.Data, tk.page)
-	c.P.Cache.InvalidateRange(pr.s.PageBase(page), pr.pageSize)
+	wns := pr.FetchPage(c, page, home).([]mem.WriteNotice)
 	// The fresh base supersedes any stale local write notices (their
 	// modifications are already in the home's copy); what remains to be
 	// applied is exactly the home's own unresolved notice set — which
 	// may include notices naming us, replayed from the local archive.
 	delete(st.pendingWN, page)
-	st.pendingWN[page] = append(st.pendingWN[page], tk.wns...)
-	pr.freeWNs(tk.wns)
+	st.pendingWN[page] = append(st.pendingWN[page], wns...)
+	pr.freeWNs(wns)
 }
 
 // takeWNs hands out a write-notice slice from the page-reply pool.
@@ -176,25 +158,14 @@ func (pr *AEC) freeWNs(wns []mem.WriteNotice) {
 	pr.wnFree = append(pr.wnFree, wns[:0])
 }
 
-// handlePageReq serves a page (plus pending write notices) from its home.
-func (pr *AEC) handlePageReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(pageReq)
-	st := pr.ps[m.To]
-	ctx := pr.ctxs[m.To]
-	st.reqSeen[req.page] = true
-	f := ctx.M.Frame(req.page)
-	data := make([]byte, pr.pageSize)
-	copy(data, f.Data)
-	s.ChargeMem(pr.pageSize)
-	wns := append(pr.takeWNs(), st.pendingWN[req.page]...)
-	s.Send(m.From, kPageRep, pr.pageSize+16*len(wns), [2]any{data, wns},
-		func(s2 *sim.Svc, m2 *sim.Msg) {
-			pl := m2.Payload.([2]any)
-			req.tk.page = pl[0].([]byte)
-			req.tk.wns = pl[1].([]mem.WriteNotice)
-			req.tk.done = true
-			s2.Wake(s2.P)
-		})
+// pageDelta implements proto.PageDelta: a base copy travels with the
+// home's pending write notices for the page, and the home remembers that
+// the page is wanted elsewhere (worth diffing eagerly at the next barrier).
+func (pr *AEC) pageDelta(home, page, from int) (any, int) {
+	st := pr.ps[home]
+	st.reqSeen[page] = true
+	wns := append(pr.takeWNs(), st.pendingWN[page]...)
+	return wns, 16 * len(wns)
 }
 
 // applyWriteNotices fetches and applies the outside diffs named by the
@@ -225,13 +196,11 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 	for _, w := range writers {
 		steps := byWriter[w]
 		sort.Ints(steps)
-		tk := &token{}
 		c.P.Stats.DiffRequests++
 		c.P.WaitTag = fmt.Sprintf("wnreq pg %d writer %d", page, w)
-		pr.e.SendFrom(c.P, stats.Data, w, kWNDiffReq, 8+8*len(steps),
-			wnDiffReq{page: page, steps: steps, tk: tk, from: c.ID}, pr.handleWNDiffReq)
-		c.P.WaitUntil(func() bool { return tk.done }, stats.Data)
-		for i, d := range tk.diffs {
+		diffs := c.Call(stats.Data, w, kWNDiffReq, 8+8*len(steps),
+			wnDiffReq{page: page, steps: steps}, pr.handleWNDiffReq).([]*mem.Diff)
+		for i, d := range diffs {
 			if d != nil && i < len(steps) {
 				all = append(all, fetched{step: steps[i], d: d})
 			}
@@ -273,11 +242,7 @@ func (pr *AEC) handleWNDiffReq(s *sim.Svc, m *sim.Msg) {
 			bytes += d.EncodedBytes()
 		}
 	}
-	s.Send(m.From, kWNDiffRep, bytes, out, func(s2 *sim.Svc, m2 *sim.Msg) {
-		req.tk.diffs = m2.Payload.([]*mem.Diff)
-		req.tk.done = true
-		s2.Wake(s2.P)
-	})
+	pr.ctxs[m.From].Reply(s, kWNDiffRep, bytes, out)
 }
 
 // writeFault grants write permission for the current epoch, creating the
@@ -291,7 +256,7 @@ func (pr *AEC) writeFault(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 		if st.dirtyOutside[page] {
 			pr.makeOutsideDiff(c, st, page, stats.Data, false)
 		}
-		pr.chargeTwin(c, stats.Data)
+		c.ChargeTwin(stats.Data)
 		c.M.MakeTwin(page)
 		st.dirtyInside[page] = true
 	} else {
@@ -301,7 +266,7 @@ func (pr *AEC) writeFault(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 				// Twin belongs to a previous step whose diff was
 				// never archived: archive it before re-twinning.
 				pr.makeOutsideDiff(c, st, page, stats.Data, false)
-				pr.chargeTwin(c, stats.Data)
+				c.ChargeTwin(stats.Data)
 				c.M.MakeTwin(page)
 				st.dirtyOutside[page] = true
 				st.twinStep[page] = st.step
@@ -309,7 +274,7 @@ func (pr *AEC) writeFault(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 			// Same-step re-protection (e.g. after a speculative
 			// acquire-time diff): keep accumulating on the twin.
 		} else {
-			pr.chargeTwin(c, stats.Data)
+			c.ChargeTwin(stats.Data)
 			c.M.MakeTwin(page)
 			st.dirtyOutside[page] = true
 			st.twinStep[page] = st.step

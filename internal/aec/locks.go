@@ -459,13 +459,10 @@ func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 // from the last owner of the lock (the lazy path used on faults and at
 // release top-up).
 func (pr *AEC) fetchLockDiffs(c *proto.Ctx, lock, owner int, pages []int, cat stats.Category) []*mem.Diff {
-	tk := &token{}
 	c.P.Stats.DiffRequests++
 	c.P.WaitTag = fmt.Sprintf("diffreq lock %d owner %d", lock, owner)
-	pr.e.SendFrom(c.P, cat, owner, kDiffReq, 8+8*len(pages),
-		diffReq{lock: lock, pages: pages, tk: tk, from: c.ID}, pr.handleDiffReq)
-	c.P.WaitUntil(func() bool { return tk.done }, cat)
-	return tk.diffs
+	return c.Call(cat, owner, kDiffReq, 8+8*len(pages),
+		diffReq{lock: lock, pages: pages}, pr.handleDiffReq).([]*mem.Diff)
 }
 
 // handleDiffReq serves merged CS diffs from the last owner's store.
@@ -483,9 +480,5 @@ func (pr *AEC) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 			bytes += d.EncodedBytes()
 		}
 	}
-	s.Send(m.From, kDiffRep, bytes, out, func(s2 *sim.Svc, m2 *sim.Msg) {
-		req.tk.diffs = m2.Payload.([]*mem.Diff)
-		req.tk.done = true
-		s2.Wake(s2.P)
-	})
+	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, out)
 }

@@ -225,14 +225,6 @@ type barrierState struct {
 	homes    []int
 }
 
-// token is the landing zone of a blocking request/reply exchange.
-type token struct {
-	done  bool
-	diffs []*mem.Diff
-	page  []byte
-	wns   []mem.WriteNotice
-}
-
 // wire payload types.
 type acqReq struct {
 	lock int
@@ -256,21 +248,11 @@ type pushMsg struct {
 type diffReq struct { // fetch merged CS diffs from last owner
 	lock  int
 	pages []int
-	tk    *token
-	from  int
-}
-
-type pageReq struct {
-	page int
-	tk   *token
-	from int
 }
 
 type wnDiffReq struct { // fetch outside diffs named by write notices
 	page  int
 	steps []int
-	tk    *token
-	from  int
 }
 
 type barDiffMsg struct {

@@ -65,6 +65,8 @@ type Munin struct {
 	// coherence work to the release, so a grant carries only the update
 	// set (under LAP).
 	proto.LockMgr
+	// PageHome serves base page copies; Munin's delta is the copyset add.
+	proto.PageHome
 
 	e    *sim.Engine
 	s    *mem.Space
@@ -134,17 +136,6 @@ type fwdMsg struct {
 	releaser int
 }
 
-type pageReq struct {
-	page int
-	tk   *token
-	from int
-}
-
-type token struct {
-	done bool
-	data []byte
-}
-
 // New builds a Munin-style protocol instance.
 func New(opt Options) *Munin {
 	if opt.Ns <= 0 {
@@ -175,6 +166,7 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 			fetching: map[int]bool{}, stale: map[int]bool{}, curLock: -1}
 	}
 	pr.InitLocks(e, pr.opt.Ns, kRepLog, pr)
+	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
 	pr.pages = make([]pageState, s.Pages())
 	for pg := range pr.pages {
 		pr.pages[pg].copyset = bitset.With(pr.nprocs, s.InitHome(pg))
@@ -222,17 +214,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 			for {
 				st.fetching[page] = true
 				st.stale[page] = false
-				tk := &token{}
-				c.P.Stats.PageFetches++
-				c.P.WaitTag = "munin pagereq"
-				pr.e.SendFrom(c.P, stats.Data, home, kPageReq, 8,
-					pageReq{page: page, tk: tk, from: c.ID}, pr.handlePageReq)
-				c.P.WaitUntil(func() bool { return tk.done }, stats.Data)
-				c.P.Stats.PageFetchBytes += uint64(len(tk.data))
-				cost := c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
-				c.P.Advance(cost, stats.Data)
-				copy(f.Data, tk.data)
-				c.P.Cache.InvalidateRange(pr.s.PageBase(page), pr.pageSize)
+				pr.FetchPage(c, page, home)
 				st.fetching[page] = false
 				if !st.stale[page] {
 					break
@@ -246,21 +228,13 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 			c.M.MakeTwin(page)
 			cost := pp.DiffCycles(local.DataBytes())
 			c.P.Advance(cost, stats.Data)
-			local.Apply(f.Data)
-			base := pr.s.PageBase(page)
-			for _, r := range local.Runs {
-				c.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-			}
+			c.PatchDiff(local)
 		}
 		f.Valid = true
 		f.EverValid = true
 	}
 	if write {
-		pp := &pr.e.Params
-		cost := pp.TwinCycles(pr.pageSize)
-		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
-		c.P.Stats.TwinCycles += cost
-		c.P.Advance(cost, stats.Data)
+		c.ChargeTwin(stats.Data)
 		if f.Twin == nil {
 			c.M.MakeTwin(page)
 		}
@@ -269,19 +243,12 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 	}
 }
 
-// handlePageReq serves a page from its home and records the new sharer.
-func (pr *Munin) handlePageReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(pageReq)
-	ctx := pr.ctxs[m.To]
-	pr.pages[req.page].copyset = pr.pages[req.page].copyset.Add(req.from)
-	data := make([]byte, pr.pageSize)
-	copy(data, ctx.M.Frame(req.page).Data)
-	s.ChargeMem(pr.pageSize)
-	s.Send(m.From, kPageRep, pr.pageSize, data, func(s2 *sim.Svc, m2 *sim.Msg) {
-		req.tk.data = m2.Payload.([]byte)
-		req.tk.done = true
-		s2.Wake(s2.P)
-	})
+// pageDelta implements proto.PageDelta: nothing travels with a base copy
+// (the eager updates keep the home current), but the home records the new
+// sharer.
+func (pr *Munin) pageDelta(home, page, from int) (any, int) {
+	pr.pages[page].copyset = pr.pages[page].copyset.Add(from)
+	return nil, 0
 }
 
 // Acquire implements proto.Protocol: plain queued lock transfer — eager RC
@@ -445,7 +412,6 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 
 	// Apply locally (the home always stays current).
 	if m.To != u.releaser {
-		f := ctx.M.Frame(u.page)
 		cost := pp.DiffCycles(u.diff.DataBytes())
 		s.Charge(cost)
 		s.ChargeMem(u.diff.DataBytes())
@@ -458,11 +424,7 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 			ev.Arg = int64(u.diff.DataBytes())
 			pr.e.Tracer.Trace(ev)
 		}
-		u.diff.Apply(f.Data)
-		base := pr.s.PageBase(u.page)
-		for _, r := range u.diff.Runs {
-			ctx.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-		}
+		ctx.PatchDiff(u.diff)
 	}
 
 	inUS := func(q int) bool {
@@ -535,11 +497,7 @@ func (pr *Munin) handleFwdUpdate(s *sim.Svc, m *sim.Msg) {
 			ev.Arg = int64(u.diff.DataBytes())
 			pr.e.Tracer.Trace(ev)
 		}
-		u.diff.Apply(f.Data)
-		base := pr.s.PageBase(u.page)
-		for _, r := range u.diff.Runs {
-			ctx.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-		}
+		ctx.PatchDiff(u.diff)
 	}
 	s.Send(u.releaser, kMemberAck, 8, nil, func(s2 *sim.Svc, m2 *sim.Msg) {
 		pr.ps[m2.To].memAcks++

@@ -38,6 +38,11 @@ type Ctx struct {
 	// this context (protocols and tests can consult it).
 	InFault bool
 
+	// reply, replied and land are the landing zone of Call (call.go).
+	reply   any
+	replied bool
+	land    sim.Handler
+
 	scratch [8]byte
 
 	// bulkBuf is the reusable conversion buffer for the bulk accessors
@@ -58,7 +63,9 @@ func (c *Ctx) bulk(n int) []byte {
 
 // NewCtx builds the context for one processor.
 func NewCtx(p *sim.Proc, e *sim.Engine, m *mem.ProcMem, s *mem.Space, pr Protocol, id, n int) *Ctx {
-	return &Ctx{P: p, E: e, M: m, S: s, Pr: pr, ID: id, N: n, Epoch: 1}
+	c := &Ctx{P: p, E: e, M: m, S: s, Pr: pr, ID: id, N: n, Epoch: 1}
+	c.land = c.landReply
+	return c
 }
 
 // Compute charges local computation (instructions, private data) at one

@@ -3,7 +3,6 @@ package tm
 import (
 	"sort"
 
-	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
@@ -28,9 +27,12 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 			pr.forceDiff(c, st, page, stats.Data)
 		}
 		if !f.EverValid {
-			pr.fetchPage(c, st, page, f)
-			// Fresh base of unknown vintage: apply the full write
-			// notice history for the page.
+			// A base copy from the page's statically assigned home is of
+			// unknown vintage: apply the full write notice history for
+			// the page.
+			if home := pr.s.InitHome(page); home != c.ID {
+				pr.FetchPage(c, page, home)
+			}
 			pr.fetchAndApplyDiffs(c, st, page, st.history[page])
 		} else {
 			pr.fetchAndApplyDiffs(c, st, page, st.pendingWN[page])
@@ -46,53 +48,11 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 		if st.undiffed[page] != nil {
 			pr.forceDiff(c, st, page, stats.Data)
 		}
-		pp := &pr.e.Params
-		cost := pp.TwinCycles(pr.pageSize)
-		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
-		c.P.Stats.TwinCycles += cost
-		c.P.Advance(cost, stats.Data)
+		c.ChargeTwin(stats.Data)
 		c.M.MakeTwin(page)
 		st.dirty[page] = true
 		f.WriteEpoch = c.Epoch
 	}
-}
-
-// fetchPage brings a base copy from the page's statically assigned home.
-func (pr *TM) fetchPage(c *proto.Ctx, st *tmProc, page int, f *mem.Frame) {
-	home := pr.s.InitHome(page)
-	if home == c.ID {
-		return
-	}
-	tk := &token{}
-	c.P.Stats.PageFetches++
-	pr.e.SendFrom(c.P, stats.Data, home, kPageReq, 8,
-		pageReq{page: page, tk: tk, from: c.ID}, pr.handlePageReq)
-	c.P.WaitUntil(func() bool { return tk.done }, stats.Data)
-	c.P.Stats.PageFetchBytes += uint64(len(tk.page))
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindPageFetch)
-		ev.Page = page
-		ev.Arg, ev.Arg2 = int64(home), int64(len(tk.page))
-		pr.e.Tracer.Trace(ev)
-	}
-	cost := c.P.MemBus.Cost(c.P.Clock, pr.e.Params.Words(pr.pageSize))
-	c.P.Advance(cost, stats.Data)
-	copy(f.Data, tk.page)
-	c.P.Cache.InvalidateRange(pr.s.PageBase(page), pr.pageSize)
-}
-
-// handlePageReq serves a base page copy from its home node.
-func (pr *TM) handlePageReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(pageReq)
-	ctx := pr.ctxs[m.To]
-	data := make([]byte, pr.pageSize)
-	copy(data, ctx.M.Frame(req.page).Data)
-	s.ChargeMem(pr.pageSize)
-	s.Send(m.From, kPageRep, pr.pageSize, data, func(s2 *sim.Svc, m2 *sim.Msg) {
-		req.tk.page = m2.Payload.([]byte)
-		req.tk.done = true
-		s2.Wake(s2.P)
-	})
 }
 
 // fetchAndApplyDiffs fetches the diffs for the given write notices from
@@ -125,12 +85,10 @@ func (pr *TM) fetchAndApplyDiffs(c *proto.Ctx, st *tmProc, page int, wns []wnRef
 			seqs = append(seqs, s)
 		}
 		sort.Ints(seqs)
-		tk := &token{}
 		c.P.Stats.DiffRequests++
-		pr.e.SendFrom(c.P, stats.Data, w, kDiffReq, 8+8*len(seqs),
-			diffReq{page: page, seqs: seqs, tk: tk, from: c.ID}, pr.handleDiffReq)
-		c.P.WaitUntil(func() bool { return tk.done }, stats.Data)
-		all = append(all, tk.diffs...)
+		diffs := c.Call(stats.Data, w, kDiffReq, 8+8*len(seqs),
+			diffReq{page: page, seqs: seqs}, pr.handleDiffReq).([]ivalDiff)
+		all = append(all, diffs...)
 	}
 	// Apply in happens-before order (vector clock partial order).
 	// Same-chain intervals are totally ordered; truly concurrent ones
@@ -138,7 +96,6 @@ func (pr *TM) fetchAndApplyDiffs(c *proto.Ctx, st *tmProc, page int, wns []wnRef
 	// deterministically.
 	all = pr.topoSc.order(all)
 	pp := &pr.e.Params
-	f := c.M.Frame(page)
 	for _, fd := range all {
 		if fd.d == nil {
 			continue
@@ -156,11 +113,7 @@ func (pr *TM) fetchAndApplyDiffs(c *proto.Ctx, st *tmProc, page int, wns []wnRef
 			ev.Arg, ev.Arg2 = int64(fd.d.DataBytes()), int64(fd.proc)
 			pr.e.Tracer.Trace(ev)
 		}
-		fd.d.Apply(f.Data)
-		base := pr.s.PageBase(page)
-		for _, r := range fd.d.Runs {
-			c.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-		}
+		c.PatchDiff(fd.d)
 	}
 }
 
@@ -181,9 +134,5 @@ func (pr *TM) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 			bytes += d.EncodedBytes() + 4*pr.nprocs
 		}
 	}
-	s.Send(m.From, kDiffRep, bytes, out, func(s2 *sim.Svc, m2 *sim.Msg) {
-		req.tk.diffs = m2.Payload.([]ivalDiff)
-		req.tk.done = true
-		s2.Wake(s2.P)
-	})
+	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, out)
 }

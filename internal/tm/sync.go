@@ -98,12 +98,7 @@ func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ival
 			c.P.Stats.DiffsApplied++
 			c.P.Stats.DiffBytesApplied += uint64(d.d.DataBytes())
 			c.P.Advance(cost, stats.Synch)
-			fr := c.M.Frame(pg)
-			d.d.Apply(fr.Data)
-			base := pr.s.PageBase(pg)
-			for _, r := range d.d.Runs {
-				c.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
-			}
+			c.PatchDiff(d.d)
 			st.history[pg] = append(st.history[pg], wn)
 		}
 	}

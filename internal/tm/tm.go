@@ -108,20 +108,6 @@ type relMsg struct{ lock int }
 type diffReq struct {
 	page int
 	seqs []int
-	tk   *token
-	from int
-}
-
-type pageReq struct {
-	page int
-	tk   *token
-	from int
-}
-
-type token struct {
-	done  bool
-	diffs []ivalDiff
-	page  []byte
 }
 
 // ivalDiff is one fetched diff together with the interval ordering
@@ -325,6 +311,9 @@ type TM struct {
 	// technique is protocol-independent, so the managers record the same
 	// grant stream AEC's would see.
 	proto.LockMgr
+	// PageHome serves base page copies, with no delta: a TreadMarks home
+	// is static and its copy carries no consistency information.
+	proto.PageHome
 
 	e    *sim.Engine
 	s    *mem.Space
@@ -392,6 +381,7 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 		}
 	}
 	pr.InitLocks(e, 2, kRepLog, pr)
+	pr.InitPageHome(ctxs, kPageReq, kPageRep, nil)
 	pr.bar.vc = make([]int, pr.nprocs)
 	pr.bar.arr = make([]bool, pr.nprocs)
 }
