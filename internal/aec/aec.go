@@ -26,7 +26,6 @@ import (
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
-	"aecdsm/internal/topo"
 	"aecdsm/internal/trace"
 )
 
@@ -92,8 +91,8 @@ type AEC struct {
 	ctxs []*proto.Ctx
 	ps   []*procState
 
-	bar  barrierState
-	tree topo.Tree // barrier combining tree (flat when BarrierRadix is 0)
+	bar   barrierState
+	relay proto.Relay // barrier fan-in/fan-out; arrive and ready share it
 
 	nprocs   int
 	pageSize int
@@ -135,7 +134,7 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.s = s
 	pr.ctxs = ctxs
 	pr.nprocs = len(ctxs)
-	pr.tree = topo.New(pr.nprocs, e.Params.BarrierRadix)
+	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
 	pr.merger = mem.NewMerger(pr.pageSize)
 	pages := s.Pages()
@@ -174,9 +173,6 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 // of one diff) both catch a real diff-application bug. Never enable it
 // outside tests.
 var MutateDiffApply = false
-
-// barMgr is the barrier manager's processor.
-const barMgr = 0
 
 // Done implements proto.Protocol.
 func (pr *AEC) Done(c *proto.Ctx) {}

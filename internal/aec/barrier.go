@@ -54,7 +54,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 
 	st.barInstr = nil
 	st.barComplete = false
-	pr.e.SendFrom(c.P, stats.Synch, pr.tree.ArrivalDest(c.ID), kBarArrive, 16+8*elems,
+	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 16+8*elems,
 		&arriveBatch{arr: []*arriveMsg{
 			{proc: c.ID, owned: owned, outside: outside, newValid: newValid}}},
 		pr.handleBarArrive)
@@ -115,7 +115,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	c.P.WaitUntil(func() bool {
 		return st.barDiffsGot >= instr.expDiffs && st.barWNsGot >= instr.expWNs
 	}, stats.Synch)
-	pr.e.SendFrom(c.P, stats.Synch, pr.tree.ArrivalDest(c.ID), kBarReady, 8, 1, pr.handleBarReady)
+	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarReady, 8, 1, pr.handleBarReady)
 	c.P.WaitTag = "barcomplete"
 	c.P.WaitUntil(func() bool { return st.barComplete }, stats.Synch)
 
@@ -197,31 +197,28 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		elems += a.elems()
 	}
 	s.ChargeList(elems)
-	if m.To != barMgr {
-		st := pr.ps[m.To]
-		st.combArr = append(st.combArr, batch.arr...)
-		if len(st.combArr) < pr.tree.SubtreeSize(m.To) {
-			return
+	_, complete := pr.relay.Gather(m.To, len(batch.arr))
+	if m.To == proto.BarMgr {
+		for _, a := range batch.arr {
+			pr.bar.arrivals[a.proc] = a
 		}
-		size := 16 + 16*(len(st.combArr)-1)
-		for _, a := range st.combArr {
-			size += 8 * a.elems()
+		if complete {
+			pr.computeBarrierInstructions(s)
 		}
-		s.ChargeList(len(st.combArr))
-		pr.sendFromSvc(s, pr.tree.Parent(m.To), kBarArrive, size,
-			&arriveBatch{arr: st.combArr}, pr.handleBarArrive)
-		st.combArr = nil
 		return
 	}
-	b := &pr.bar
-	for _, a := range batch.arr {
-		b.arrivals[a.proc] = a
-		b.got++
-	}
-	if b.got < pr.nprocs {
+	st := pr.ps[m.To]
+	st.combArr = append(st.combArr, batch.arr...)
+	if !complete {
 		return
 	}
-	pr.computeBarrierInstructions(s)
+	size := 16 + 16*(len(st.combArr)-1)
+	for _, a := range st.combArr {
+		size += 8 * a.elems()
+	}
+	s.ChargeList(len(st.combArr))
+	pr.relay.Up(s, m.To, kBarArrive, size, &arriveBatch{arr: st.combArr}, pr.handleBarArrive)
+	st.combArr = nil
 }
 
 // computeBarrierInstructions is the barrier manager's core: determine, for
@@ -371,9 +368,16 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	for q := 0; q < pr.nprocs; q++ {
 		instr[q].homes = homes
 	}
-	pr.sendInstrSubtree(s, barMgr, instr[:1])
-	for _, c := range pr.tree.Children(barMgr) {
-		pr.sendInstrSubtree(s, c, instr[c:c+pr.tree.SubtreeSize(c)])
+	pr.sendInstrSubtree(s, proto.BarMgr, instr[:1])
+	pr.scatterInstr(s, proto.BarMgr, instr)
+}
+
+// scatterInstr sends each tree child of node its subtree's slice of ins,
+// the instructions of node's own (contiguous) subtree.
+func (pr *AEC) scatterInstr(s *sim.Svc, node int, ins []*barInstr) {
+	for _, c := range pr.relay.Children(node) {
+		lo := c - node
+		pr.sendInstrSubtree(s, c, ins[lo:lo+pr.relay.SubtreeSize(c)])
 	}
 }
 
@@ -384,15 +388,14 @@ func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []*barInstr) {
 	if len(ins) == 1 {
 		in := ins[0]
 		size := 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
-		pr.sendFromSvc(s, c, kBarInstr, size, in, pr.handleBarInstr)
+		pr.relay.Send(s, c, kBarInstr, size, in, pr.handleBarInstr)
 		return
 	}
 	size := 16 * (len(ins) - 1)
 	for _, in := range ins {
 		size += 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
 	}
-	pr.sendFromSvc(s, c, kBarInstrBatch, size,
-		&instrBatch{base: c, ins: ins}, pr.handleBarInstrBatch)
+	pr.relay.Send(s, c, kBarInstrBatch, size, &instrBatch{ins: ins}, pr.handleBarInstrBatch)
 }
 
 // handleBarInstrBatch lands a subtree's instructions at its
@@ -400,22 +403,11 @@ func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []*barInstr) {
 func (pr *AEC) handleBarInstrBatch(s *sim.Svc, m *sim.Msg) {
 	batch := m.Payload.(*instrBatch)
 	s.ChargeList(len(batch.ins))
-	for _, c := range pr.tree.Children(m.To) {
-		lo := c - batch.base
-		pr.sendInstrSubtree(s, c, batch.ins[lo:lo+pr.tree.SubtreeSize(c)])
-	}
+	pr.scatterInstr(s, m.To, batch.ins)
 	in := batch.ins[0]
 	s.ChargeList(len(in.diffSends) + len(in.wnSends))
 	pr.ps[m.To].barInstr = in
 	s.Wake(s.P)
-}
-
-// sendFromSvc sends from the manager's service context. It is a thin
-// forwarding wrapper: the callers charge the list-walk and assembly cycles
-// for the whole batch before fanning out.
-func (pr *AEC) sendFromSvc(s *sim.Svc, to, kind, size int, payload any, h sim.Handler) {
-	//dsmvet:allow chargecat forwarding wrapper; callers charge the batch assembly cost before fanning out
-	s.Send(to, kind, size, payload, h)
 }
 
 // handleBarInstr lands the manager's instructions at a processor.
@@ -479,49 +471,27 @@ func (pr *AEC) handleBarWN(s *sim.Svc, m *sim.Msg) {
 // — and, at the manager, broadcasts completion down the same edges when
 // the whole machine is done exchanging.
 func (pr *AEC) handleBarReady(s *sim.Svc, m *sim.Msg) {
-	n := m.Payload.(int)
 	s.ChargeList(1)
-	if m.To != barMgr {
-		st := pr.ps[m.To]
-		st.combReady += n
-		if st.combReady < pr.tree.SubtreeSize(m.To) {
-			return
-		}
-		pr.sendFromSvc(s, pr.tree.Parent(m.To), kBarReady, 8,
-			st.combReady, pr.handleBarReady)
-		st.combReady = 0
+	ready, complete := pr.relay.Gather(m.To, m.Payload.(int))
+	if !complete {
 		return
 	}
+	if m.To != proto.BarMgr {
+		pr.relay.Up(s, m.To, kBarReady, 8, ready, pr.handleBarReady)
+		return
+	}
+	// Episode over: reset manager state and release everyone.
 	b := &pr.bar
-	b.ready += n
-	if b.ready < pr.nprocs {
-		return
-	}
-	// Episode over: reset manager state and release everyone, fanning
-	// out along the tree (self first, then children — ascending ids, so
-	// the flat broadcast order matches the seed exactly).
-	b.got = 0
-	b.ready = 0
 	for i := range b.arrivals {
 		b.arrivals[i] = nil
 	}
-	pr.sendFromSvc(s, barMgr, kBarComplete, 8, b.seq, pr.handleBarComplete)
-	for _, q := range pr.tree.Children(barMgr) {
-		pr.sendFromSvc(s, q, kBarComplete, 8, b.seq, pr.handleBarComplete)
-	}
+	pr.relay.Broadcast(s, kBarComplete, 8, b.seq, pr.handleBarComplete)
 }
 
 // handleBarComplete releases a processor from the barrier, relaying the
 // completion to its tree children first.
 func (pr *AEC) handleBarComplete(s *sim.Svc, m *sim.Msg) {
-	if m.To != barMgr {
-		if kids := pr.tree.AppendChildren(nil, m.To); len(kids) > 0 {
-			s.ChargeList(len(kids))
-			for _, q := range kids {
-				pr.sendFromSvc(s, q, kBarComplete, 8, m.Payload, pr.handleBarComplete)
-			}
-		}
-	}
+	pr.relay.Down(s, m, pr.handleBarComplete)
 	st := pr.ps[m.To]
 	st.barComplete = true
 	s.Wake(s.P)

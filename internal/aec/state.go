@@ -102,11 +102,10 @@ type procState struct {
 	barDiffsGot, barWNsGot int
 	barComplete            bool
 
-	// Combining-tree aggregation state: arrivals and ready counts from
-	// this node's subtree, buffered until the subtree is complete and
-	// one batched message goes upstream. Unused in the flat barrier.
-	combArr   []*arriveMsg
-	combReady int
+	// combArr buffers the arrivals of this node's combining-tree subtree
+	// until the subtree is complete and one batched message goes
+	// upstream. Unused in the flat barrier.
+	combArr []*arriveMsg
 }
 
 func newProcState(id, pages int, space *mem.Space) *procState {
@@ -177,10 +176,10 @@ type arriveBatch struct {
 }
 
 // instrBatch carries the per-processor barrier instructions for the
-// contiguous subtree [base, base+len(ins)) down the combining tree.
+// receiving node's contiguous subtree down the combining tree; ins[0] is
+// the receiver's own.
 type instrBatch struct {
-	base int
-	ins  []*barInstr
+	ins []*barInstr
 }
 
 // sendDiffInstr instructs the last owner of a lock to send a page's merged
@@ -219,8 +218,6 @@ type barInstr struct {
 type barrierState struct {
 	seq      int
 	arrivals []*arriveMsg
-	got      int
-	ready    int
 	copyset  []bitset.Set // per page set of processors with valid copies
 	homes    []int
 }

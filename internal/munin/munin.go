@@ -27,7 +27,6 @@ import (
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
-	"aecdsm/internal/topo"
 	"aecdsm/internal/trace"
 )
 
@@ -74,12 +73,7 @@ type Munin struct {
 	ps   []*procState
 
 	pages []pageState // per-page home-side state (lives at InitHome)
-	tree  topo.Tree   // barrier combining tree (flat when BarrierRadix is 0)
-
-	bar struct {
-		got, ready int
-		waiters    []*proto.Ctx
-	}
+	relay proto.Relay // barrier fan-in/fan-out
 
 	nprocs   int
 	pageSize int
@@ -103,7 +97,6 @@ type procState struct {
 	memWanted int   // member acks expected (learned from home acks)
 	memAcks   int
 	barOut    bool
-	barComb   int // combining-tree subtree arrival count (tree mode only)
 
 	// flushPages is the reusable sorted dirty-page scratch of flush.
 	// Per-processor, not per-protocol: a flush blocks on acks, and other
@@ -158,7 +151,7 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.s = s
 	pr.ctxs = ctxs
 	pr.nprocs = len(ctxs)
-	pr.tree = topo.New(pr.nprocs, e.Params.BarrierRadix)
+	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
 	pr.ps = make([]*procState, pr.nprocs)
 	for i := range pr.ps {
@@ -174,8 +167,6 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 }
 
 func (pr *Munin) homeOf(page int) int { return pr.s.InitHome(page) }
-
-const barMgr = 0
 
 // Done implements proto.Protocol.
 func (pr *Munin) Done(c *proto.Ctx) {}
@@ -534,7 +525,7 @@ func (pr *Munin) Barrier(c *proto.Ctx) {
 		pr.e.Tracer.Trace(trace.Ev(c.P.Clock, c.ID, trace.KindBarrierArrive))
 	}
 	st.barOut = false
-	pr.e.SendFrom(c.P, stats.Synch, pr.tree.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.handleBarArrive)
+	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.handleBarArrive)
 	c.P.WaitTag = "munin barrier"
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
 	if pr.e.Tracer != nil {
@@ -547,40 +538,21 @@ func (pr *Munin) Barrier(c *proto.Ctx) {
 // (a no-op in the flat barrier, where every count-1 arrival lands at the
 // manager directly, as in the seed).
 func (pr *Munin) handleBarArrive(s *sim.Svc, m *sim.Msg) {
-	n := m.Payload.(int)
 	s.ChargeList(1)
-	if m.To != barMgr {
-		st := pr.ps[m.To]
-		st.barComb += n
-		if st.barComb < pr.tree.SubtreeSize(m.To) {
-			return
-		}
-		s.Send(pr.tree.Parent(m.To), kBarArrive, 8, st.barComb, pr.handleBarArrive)
-		st.barComb = 0
-		return
-	}
-	pr.bar.got += n
-	if pr.bar.got < pr.nprocs {
-		return
-	}
-	pr.bar.got = 0
-	s.Send(barMgr, kBarComplete, 8, nil, pr.handleBarComplete)
-	for _, q := range pr.tree.Children(barMgr) {
-		s.Send(q, kBarComplete, 8, nil, pr.handleBarComplete)
+	arrived, complete := pr.relay.Gather(m.To, m.Payload.(int))
+	switch {
+	case !complete:
+	case m.To != proto.BarMgr:
+		pr.relay.Up(s, m.To, kBarArrive, 8, arrived, pr.handleBarArrive)
+	default:
+		pr.relay.Broadcast(s, kBarComplete, 8, nil, pr.handleBarComplete)
 	}
 }
 
 // handleBarComplete releases a processor, relaying the completion to its
 // tree children first.
 func (pr *Munin) handleBarComplete(s *sim.Svc, m *sim.Msg) {
-	if m.To != barMgr {
-		if kids := pr.tree.AppendChildren(nil, m.To); len(kids) > 0 {
-			s.ChargeList(len(kids))
-			for _, q := range kids {
-				s.Send(q, kBarComplete, 8, nil, pr.handleBarComplete)
-			}
-		}
-	}
+	pr.relay.Down(s, m, pr.handleBarComplete)
 	pr.ps[m.To].barOut = true
 	s.Wake(s.P)
 }

@@ -225,7 +225,7 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 		pr.e.Tracer.Trace(ev)
 	}
 	st.barOut = false
-	pr.e.SendFrom(c.P, stats.Synch, pr.tree.ArrivalDest(c.ID), kBarArrive,
+	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive,
 		16+16*len(wns)+4*pr.nprocs,
 		barArrive{proc: c.ID, vc: append([]int(nil), st.vc...), wns: wns, count: 1},
 		pr.handleBarArrive)
@@ -241,61 +241,36 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 	a := m.Payload.(barArrive)
 	s.ChargeList(len(a.wns) + 1)
-	if m.To != barMgr {
-		st := pr.ps[m.To]
-		if st.combVC == nil {
-			st.combVC = make([]int, pr.nprocs)
-		}
-		mergeVC(st.combVC, a.vc)
-		st.combWNs = append(st.combWNs, a.wns...)
-		st.combCount += a.count
-		if st.combCount < pr.tree.SubtreeSize(m.To) {
-			return
-		}
-		s.ChargeList(st.combCount)
-		pr.sendSvc(s, pr.tree.Parent(m.To), kBarArrive,
-			16+16*len(st.combWNs)+4*pr.nprocs+16*(st.combCount-1),
-			barArrive{proc: m.To, vc: st.combVC, wns: st.combWNs, count: st.combCount},
-			pr.handleBarArrive)
-		st.combVC, st.combWNs, st.combCount = nil, nil, 0
-		return
-	}
-	b := &pr.bar
-	if a.count == 1 {
+	if m.To == proto.BarMgr && a.count == 1 {
 		// Per-processor arrivals keep the seed's duplicate guard; a
 		// combined arrival already aggregated its subtree exactly once.
-		if b.arr[a.proc] {
+		if pr.barSeen[a.proc] {
 			panic(fmt.Sprintf("tm: duplicate barrier arrival from %d", a.proc))
 		}
-		b.arr[a.proc] = true
+		pr.barSeen[a.proc] = true
 	}
-	b.got += a.count
-	mergeVC(b.vc, a.vc)
-	b.wns = append(b.wns, a.wns...)
-	if b.got < pr.nprocs {
+	st := pr.ps[m.To]
+	if st.combVC == nil {
+		st.combVC = make([]int, pr.nprocs)
+	}
+	mergeVC(st.combVC, a.vc)
+	st.combWNs = append(st.combWNs, a.wns...)
+	count, complete := pr.relay.Gather(m.To, a.count)
+	if !complete {
 		return
 	}
-	wns := b.wns
-	vc := append([]int(nil), b.vc...)
-	b.got = 0
-	b.wns = nil
-	for i := range b.arr {
-		b.arr[i] = false
+	vc, wns := st.combVC, st.combWNs
+	st.combVC, st.combWNs = nil, nil
+	if m.To != proto.BarMgr {
+		s.ChargeList(count)
+		pr.relay.Up(s, m.To, kBarArrive, 16+16*len(wns)+4*pr.nprocs+16*(count-1),
+			barArrive{proc: m.To, vc: vc, wns: wns, count: count}, pr.handleBarArrive)
+		return
 	}
+	clear(pr.barSeen)
 	s.ChargeList(len(wns))
-	rel := barRelease{wns: wns, vc: vc}
-	size := 16 + 16*len(wns) + 4*pr.nprocs
-	s.Send(barMgr, kBarRelease, size, rel, pr.handleBarRelease)
-	for _, q := range pr.tree.Children(barMgr) {
-		s.Send(q, kBarRelease, size, rel, pr.handleBarRelease)
-	}
-}
-
-// sendSvc forwards combined barrier traffic from a service context; the
-// combining node charges the merge and assembly work before the send.
-func (pr *TM) sendSvc(s *sim.Svc, to, kind, size int, payload any, h sim.Handler) {
-	//dsmvet:allow chargecat forwarding wrapper; the combining node charges the aggregation cost before fanning out
-	s.Send(to, kind, size, payload, h)
+	pr.relay.Broadcast(s, kBarRelease, 16+16*len(wns)+4*pr.nprocs,
+		barRelease{wns: wns, vc: vc}, pr.handleBarRelease)
 }
 
 // handleBarRelease applies the merged consistency information and releases
@@ -303,15 +278,7 @@ func (pr *TM) sendSvc(s *sim.Svc, to, kind, size int, payload any, h sim.Handler
 // tree children first.
 func (pr *TM) handleBarRelease(s *sim.Svc, m *sim.Msg) {
 	r := m.Payload.(barRelease)
-	if m.To != barMgr {
-		if kids := pr.tree.AppendChildren(nil, m.To); len(kids) > 0 {
-			s.ChargeList(len(kids))
-			size := 16 + 16*len(r.wns) + 4*pr.nprocs
-			for _, q := range kids {
-				pr.sendSvc(s, q, kBarRelease, size, r, pr.handleBarRelease)
-			}
-		}
-	}
+	pr.relay.Down(s, m, pr.handleBarRelease)
 	st := pr.ps[m.To]
 	ctx := pr.ctxs[m.To]
 	fresh := pr.applyWNs(ctx, st, r.wns)

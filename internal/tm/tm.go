@@ -25,7 +25,6 @@ import (
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
-	"aecdsm/internal/topo"
 	"aecdsm/internal/trace"
 )
 
@@ -76,12 +75,11 @@ type tmProc struct {
 	stashVC    []int // acquirer vc stashed at the manager until its grant
 	lastBarSeq int   // own interval seq at the last barrier
 
-	// Combining-tree aggregation state (tree-mode barriers only): the
-	// merged clock, concatenated notices and processor count of this
-	// node's subtree, buffered until the subtree is complete.
-	combVC    []int
-	combWNs   []wnRef
-	combCount int
+	// Barrier fan-in state: the merged clock and concatenated notices of
+	// this node's combining-tree subtree (at the manager, the machine),
+	// buffered until the subtree is complete.
+	combVC  []int
+	combWNs []wnRef
 }
 
 type grantMsg struct {
@@ -320,14 +318,8 @@ type TM struct {
 	ctxs []*proto.Ctx
 	ps   []*tmProc
 
-	bar struct {
-		got int
-		vc  []int
-		wns []wnRef
-		arr []bool
-	}
-
-	tree topo.Tree // barrier combining tree (flat when BarrierRadix is 0)
+	relay   proto.Relay // barrier fan-in/fan-out
+	barSeen []bool      // manager's duplicate-arrival guard
 
 	nprocs   int
 	pageSize int
@@ -366,7 +358,7 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.s = s
 	pr.ctxs = ctxs
 	pr.nprocs = len(ctxs)
-	pr.tree = topo.New(pr.nprocs, e.Params.BarrierRadix)
+	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
 	pr.ps = make([]*tmProc, pr.nprocs)
 	for i := range pr.ps {
@@ -382,11 +374,8 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	}
 	pr.InitLocks(e, 2, kRepLog, pr)
 	pr.InitPageHome(ctxs, kPageReq, kPageRep, nil)
-	pr.bar.vc = make([]int, pr.nprocs)
-	pr.bar.arr = make([]bool, pr.nprocs)
+	pr.barSeen = make([]bool, pr.nprocs)
 }
-
-const barMgr = 0
 
 // Done implements proto.Protocol.
 func (pr *TM) Done(c *proto.Ctx) {}
