@@ -7,6 +7,7 @@ import (
 	"aecdsm/internal/harness"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
+	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
 )
 
@@ -149,4 +150,37 @@ func barArriveEv(proc int) trace.Event {
 
 func barDepartEv(proc int) trace.Event {
 	return trace.Ev(0, proc, trace.KindBarrierDepart)
+}
+
+// TestTraceEventsMatchCounters pins that the auditor sees every base-page
+// fetch and every diff application the statistics count: under each
+// protocol kind, page-fetch events equal the PageFetches counters and
+// diff-apply events equal DiffsApplied, both read off one traced run.
+func TestTraceEventsMatchCounters(t *testing.T) {
+	for _, kind := range AllProtocols() {
+		var fetches, applies uint64
+		for seed := uint64(1); seed <= 4; seed++ {
+			w := Generate(seed, 8)
+			m := trace.NewMetrics()
+			res := harness.RunTraced(w.Params(), harness.NewProtocol(kind, 2), apps.NewSynth(w.Cfg), m)
+			wantFetches := res.Run.Sum(func(p *stats.Proc) uint64 { return p.PageFetches })
+			wantApplies := res.Run.Sum(func(p *stats.Proc) uint64 { return p.DiffsApplied })
+			var gotFetches, gotApplies uint64
+			for _, pg := range m.Summary().Pages {
+				gotFetches += pg.Fetches
+				gotApplies += pg.DiffsUsed
+			}
+			if gotFetches != wantFetches {
+				t.Errorf("%s seed %d: %d page-fetch events, PageFetches = %d", kind, seed, gotFetches, wantFetches)
+			}
+			if gotApplies != wantApplies {
+				t.Errorf("%s seed %d: %d diff-apply events, DiffsApplied = %d", kind, seed, gotApplies, wantApplies)
+			}
+			fetches += wantFetches
+			applies += wantApplies
+		}
+		if kind != harness.ProtoIdeal && (fetches == 0 || applies == 0) {
+			t.Errorf("%s: workloads fetched %d pages and applied %d diffs; the comparison is vacuous", kind, fetches, applies)
+		}
+	}
 }
