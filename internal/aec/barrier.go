@@ -356,10 +356,7 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	// The step sequence advances with the reset so that in-flight release
 	// messages from the finished step are recognized as stale.
 	b.seq++
-	for i := 0; i < pr.NumLocks(); i++ {
-		l := pr.Lock(i)
-		l.CumPages, l.LastUS = nil, nil
-	}
+	pr.ResetChains(s)
 
 	// Distribute instructions: the manager serves itself, then each of
 	// its tree children — a plain per-processor message for leaf

@@ -179,6 +179,22 @@ func (m *LockMgr) LockRelease(s *sim.Svc, lock, from, count int, us, pages []int
 	}
 }
 
+// ResetChains discards every lock's chain state — the update set and the
+// cumulative page list its last release left behind — keeping tenure, last
+// releaser and counts. AEC's barrier manager calls it once a barrier has
+// made everyone coherent. It is journaled like every other decision, from
+// the node that takes it, so a manager failing over after the barrier does
+// not get the finished step's chains back.
+func (m *LockMgr) ResetChains(s *sim.Svc) {
+	for lock := range m.locks {
+		l := &m.locks[lock]
+		if len(l.LastUS)+len(l.CumPages) > 0 {
+			m.journal(s, recover.Record{Lock: lock, Op: recover.OpReset})
+		}
+		l.LastUS, l.CumPages = nil, nil
+	}
+}
+
 // grant hands the lock to proc to. fromQueue marks grants that consumed a
 // queued waiter, which the journal must know to replay the queue removal
 // at failover.

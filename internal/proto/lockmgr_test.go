@@ -74,12 +74,15 @@ func (r *mgrRig) svc(lock int) *sim.Svc {
 	return &sim.Svc{E: r.eng, P: r.eng.Procs[r.MgrOf(lock)]}
 }
 
-// step plays one client action drawn from rng: an idle processor requests
-// a lock, a holder releases (leaving AEC-like chain state behind), a
-// waiter does nothing.
+// step plays one action drawn from rng: an idle processor requests a
+// lock, a holder releases (leaving AEC-like chain state behind), a waiter
+// does nothing — or, one time in sixteen, the barrier manager resets every
+// lock's chain, as AEC's barrier does.
 func (r *mgrRig) step(rng *rand.Rand) {
 	p := rng.Intn(r.nprocs)
 	switch {
+	case rng.Intn(16) == 0:
+		r.ResetChains(&sim.Svc{E: r.eng, P: r.eng.Procs[BarMgr]})
 	case r.holds[p] >= 0:
 		lock := r.holds[p]
 		l := r.Lock(lock)
@@ -138,7 +141,8 @@ func (r *mgrRig) policyCounters() (bypasses, renewals uint64) {
 // random request/release stream under each grant policy. One never
 // crashes. The other loses a manager node before every action — its
 // locks' images and queues really are wiped — and fails over from the
-// journal. The rebuilt state must equal the lost state, and because the
+// journal. The rebuilt state must equal the lost state (chains a barrier
+// reset included: replay must not resurrect them), and because the
 // run continues on the rebuilt queues, every later grant decision, the
 // bypass and renewal counters (whose policy-side bookkeeping — bypass
 // counts per waiter, lease tenure — only replay can restore) and the

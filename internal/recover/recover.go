@@ -2,14 +2,15 @@
 // makes the lock managers crash-tolerant (docs/ROBUSTNESS.md).
 //
 // Every state-changing lock-manager action — a waiter enqueued, a grant
-// issued, a release absorbed — is appended to a per-lock replication log
-// BEFORE the action takes effect at the manager, and a copy of the record
-// is shipped to the manager's backup node (memsys.BackupOf) over the
-// reliable transport. When the manager crashes, the backup owns a
-// prefix-complete log: replaying it deterministically reconstructs the
-// wait queue (with the grant policy's bypass counters and lease tenure
-// intact, via lockpolicy.Queue.Remove), the holder, and the consistency
-// metadata the next acquirer needs (update set, cumulative page list).
+// issued, a release absorbed, a chain reset at a barrier — is appended to
+// a per-lock replication log BEFORE the action takes effect at the
+// manager, and a copy of the record is shipped to the backup
+// (memsys.BackupOf) of the node that took it over the reliable transport.
+// When the manager crashes, the backup owns a prefix-complete log:
+// replaying it deterministically reconstructs the wait queue (with the
+// grant policy's bypass counters and lease tenure intact, via
+// lockpolicy.Queue.Remove), the holder, and the consistency metadata the
+// next acquirer needs (update set, cumulative page list).
 //
 // Modeling note — why the in-process log is authoritative. The simulator
 // is single-threaded and manager handlers run to completion, so "append
@@ -53,6 +54,10 @@ const (
 	// OpRelease records the lock released, with the resulting
 	// last-release metadata.
 	OpRelease
+	// OpReset records the lock's chain state — the update set and the
+	// cumulative page list its last release left behind — discarded, as
+	// AEC's barrier does; tenure, last releaser and counts stand.
+	OpReset
 )
 
 // String names the operation for traces and test failures.
@@ -64,6 +69,8 @@ func (o Op) String() string {
 		return "grant"
 	case OpRelease:
 		return "release"
+	case OpReset:
+		return "reset"
 	}
 	return "op?"
 }
@@ -219,6 +226,8 @@ func Replay(recs []Record, q Queue) Image {
 			img.LastCount = rec.Count
 			img.LastUS = rec.US
 			img.CumPages = rec.Pages
+		case OpReset:
+			img.LastUS, img.CumPages = nil, nil
 		}
 	}
 	return img

@@ -92,7 +92,7 @@ func TestRecordBytes(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
-	for op, want := range map[Op]string{OpEnqueue: "enqueue", OpGrant: "grant", OpRelease: "release", Op(9): "op?"} {
+	for op, want := range map[Op]string{OpEnqueue: "enqueue", OpGrant: "grant", OpRelease: "release", OpReset: "reset", Op(9): "op?"} {
 		if got := op.String(); got != want {
 			t.Fatalf("Op(%d).String() = %q, want %q", op, got, want)
 		}
