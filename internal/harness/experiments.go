@@ -126,13 +126,18 @@ func (e *Experiments) Run(app string, kind ProtocolKind) *Result {
 // concurrent goroutines; distinct Experiments instances never share
 // state.
 func (e *Experiments) RunNs(app string, kind ProtocolKind, ns int) *Result {
-	key := runKey{app: app, proto: kind, ns: ns}
-	if r, ok := e.sched.lookup(key); ok {
-		return r
+	return e.outcome(runKey{app: app, proto: kind, ns: ns}).res
+}
+
+// outcome returns the memoized outcome of one run key, running it first
+// if need be.
+func (e *Experiments) outcome(key runKey) runOutcome {
+	out, ok := e.sched.lookup(key)
+	if !ok {
+		out = e.runOne(key)
+		e.sched.store(key, out)
 	}
-	out := e.runOne(key)
-	e.sched.store(out)
-	return out.res
+	return out
 }
 
 // runOne executes the simulation behind one run key — a pure, isolated
@@ -142,16 +147,7 @@ func (e *Experiments) runOne(key runKey) runOutcome {
 	prog := appsFactory(key.app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
 	pr := e.protocol(key.proto, key.ns)
 	res := MustRunTraced(e.Params, pr, prog, e.Tracer)
-	out := runOutcome{key: key, res: res}
-	if g, ok := prog.(apps.LockGrouper); ok {
-		out.groups = g.LockGroups()
-		out.hasGroups = true
-	}
-	if a, ok := pr.(lapReporter); ok {
-		out.lap = harvestLAP(a, out.groups)
-		out.hasLAP = true
-	}
-	return out
+	return runOutcome{res: res, lap: harvestLAP(pr, prog)}
 }
 
 // lapReporter is implemented by protocols whose lock managers record Lock
@@ -162,9 +158,19 @@ type lapReporter interface {
 	LockLAP(lock int) lap.Stats
 }
 
-// harvestLAP aggregates per-lock LAP statistics into the app's groups,
-// weighting by acquire events as the paper does.
-func harvestLAP(a lapReporter, groups []apps.LockGroup) []lapRow {
+// harvestLAP aggregates the per-lock LAP statistics a finished run left in
+// its protocol instance into the program's lock groups, weighting by
+// acquire events as the paper does. It returns nil for a protocol that
+// records none.
+func harvestLAP(pr proto.Protocol, prog proto.Program) []lapRow {
+	a, ok := pr.(lapReporter)
+	if !ok {
+		return nil
+	}
+	var groups []apps.LockGroup
+	if g, ok := prog.(apps.LockGrouper); ok {
+		groups = g.LockGroups()
+	}
 	if len(groups) == 0 {
 		groups = []apps.LockGroup{{Name: "all locks", Lo: 0, Hi: a.NumLocks()}}
 	}
@@ -203,15 +209,13 @@ func harvestLAP(a lapReporter, groups []apps.LockGroup) []lapRow {
 // LAP returns the Table 3 rows for an app (runs AEC with the given Ns if
 // not cached yet).
 func (e *Experiments) LAP(app string, ns int) []lapRow {
-	e.RunNs(app, ProtoAEC, ns)
-	return e.sched.lapRows(runKey{app: app, proto: ProtoAEC, ns: ns})
+	return e.outcome(runKey{app: app, proto: ProtoAEC, ns: ns}).lap
 }
 
 // LAPUnder returns the lock-group LAP rows measured under an arbitrary
 // protocol (AEC or TM).
 func (e *Experiments) LAPUnder(app string, kind ProtocolKind) []lapRow {
-	e.RunNs(app, kind, 2)
-	return e.sched.lapRows(runKey{app: app, proto: kind, ns: 2})
+	return e.outcome(runKey{app: app, proto: kind, ns: 2}).lap
 }
 
 // OverallLAPRate collapses an app's group rows into one events-weighted

@@ -82,14 +82,7 @@ func (e *Experiments) RecoverySweep(w io.Writer, app string) {
 				app, k, sc.name, res.VerifyErr))
 		}
 		cells[i].res = res
-		cells[i].lapRate = -1
-		if a, ok := pr.(lapReporter); ok {
-			var groups []apps.LockGroup
-			if g, ok := prog.(apps.LockGrouper); ok {
-				groups = g.LockGroups()
-			}
-			cells[i].lapRate = OverallLAPRate(harvestLAP(a, groups))
-		}
+		cells[i].lapRate = OverallLAPRate(harvestLAP(pr, prog))
 	})
 
 	fmt.Fprintf(w, "Recovery sweep: %s at scale %.2f (docs/ROBUSTNESS.md).\n", app, e.Scale)

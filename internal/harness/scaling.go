@@ -96,14 +96,7 @@ func (e *Experiments) ScalingSweep(w io.Writer, app string, procsList []int) {
 		if i%2 == 0 {
 			res := MustRun(params, pr, prog)
 			cells[slot].res = res
-			cells[slot].lapRate = -1
-			if a, ok := pr.(lapReporter); ok {
-				var groups []apps.LockGroup
-				if g, ok := prog.(apps.LockGrouper); ok {
-					groups = g.LockGroups()
-				}
-				cells[slot].lapRate = OverallLAPRate(harvestLAP(a, groups))
-			}
+			cells[slot].lapRate = OverallLAPRate(harvestLAP(pr, prog))
 			return
 		}
 		// Fault-injected twin of the same configuration: recovery

@@ -15,66 +15,41 @@ package harness
 import (
 	"runtime"
 	"sync"
-
-	"aecdsm/internal/apps"
 )
 
-// runOutcome carries everything one completed run contributes to the memo
-// cache: the measurements plus the harvested LAP statistics and lock
-// groups.
+// runOutcome is everything one completed run contributes to the memo
+// cache: the measurements plus the LAP statistics harvested from its
+// protocol instance (nil when the protocol records none).
 type runOutcome struct {
-	key       runKey
-	res       *Result
-	groups    []apps.LockGroup
-	hasGroups bool
-	lap       []lapRow
-	hasLAP    bool
+	res *Result
+	lap []lapRow
 }
 
 // scheduler owns the Experiments memo cache. All access is serialized by
 // its mutex so Experiments methods and prefetch workers may run
 // concurrently.
 type scheduler struct {
-	mu       sync.Mutex
-	cache    map[runKey]*Result
-	lapCache map[runKey][]lapRow
-	groups   map[string][]apps.LockGroup
+	mu    sync.Mutex
+	cache map[runKey]runOutcome
 }
 
-func (s *scheduler) init() {
-	s.cache = map[runKey]*Result{}
-	s.lapCache = map[runKey][]lapRow{}
-	s.groups = map[string][]apps.LockGroup{}
-}
+func (s *scheduler) init() { s.cache = map[runKey]runOutcome{} }
 
-// lookup returns the memoized result for key, if any.
-func (s *scheduler) lookup(key runKey) (*Result, bool) {
+// lookup returns the memoized outcome for key, if any.
+func (s *scheduler) lookup(key runKey) (runOutcome, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.cache[key]
-	return r, ok
+	out, ok := s.cache[key]
+	return out, ok
 }
 
 // store memoizes a completed run. Concurrent duplicate runs of one key
 // are harmless: the simulations are deterministic, so both outcomes are
 // identical and last-write-wins.
-func (s *scheduler) store(out runOutcome) {
+func (s *scheduler) store(key runKey, out runOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache[out.key] = out.res
-	if out.hasGroups {
-		s.groups[out.key.app] = out.groups
-	}
-	if out.hasLAP {
-		s.lapCache[out.key] = out.lap
-	}
-}
-
-// lapRows returns the harvested LAP rows for a memoized run key.
-func (s *scheduler) lapRows(key runKey) []lapRow {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lapCache[key]
+	s.cache[key] = out
 }
 
 // missing filters keys down to the uncached ones, deduplicated, in input
@@ -117,41 +92,15 @@ func (e *Experiments) jobs() int {
 // happened here in parallel or lazily in sequential order.
 func (e *Experiments) prefetch(keys []runKey) {
 	missing := e.sched.missing(keys)
-	if len(missing) == 0 {
-		return
-	}
-	jobs := e.jobs()
-	if jobs > len(missing) {
-		jobs = len(missing)
-	}
-	if jobs <= 1 {
-		for _, k := range missing {
-			e.RunNs(k.app, k.proto, k.ns)
-		}
-		return
-	}
-	work := make(chan runKey)
-	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range work {
-				e.sched.store(e.runOne(k))
-			}
-		}()
-	}
-	for _, k := range missing {
-		work <- k
-	}
-	close(work)
-	wg.Wait()
+	runParallel(len(missing), e.jobs(), func(i int) {
+		e.sched.store(missing[i], e.runOne(missing[i]))
+	})
 }
 
 // runParallel executes fn(0..n-1) on up to jobs workers and waits for all
-// of them — the ordered fan-out behind drivers whose runs are not
-// memoizable (Speedup varies the machine shape, so its results bypass the
-// key cache and land in caller-indexed slots instead).
+// of them: the one worker pool, behind prefetch and behind the drivers
+// whose runs are not memoizable (Speedup varies the machine shape, so its
+// results bypass the key cache and land in caller-indexed slots instead).
 func runParallel(n, jobs int, fn func(i int)) {
 	if jobs > n {
 		jobs = n
