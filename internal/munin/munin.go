@@ -540,13 +540,14 @@ func (pr *Munin) Barrier(c *proto.Ctx) {
 func (pr *Munin) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 	s.ChargeList(1)
 	arrived, complete := pr.relay.Gather(m.To, m.Payload.(int))
-	switch {
-	case !complete:
-	case m.To != proto.BarMgr:
-		pr.relay.Up(s, m.To, kBarArrive, 8, arrived, pr.handleBarArrive)
-	default:
-		pr.relay.Broadcast(s, kBarComplete, 8, nil, pr.handleBarComplete)
+	if !complete {
+		return
 	}
+	if m.To != proto.BarMgr {
+		pr.relay.Up(s, m.To, kBarArrive, 8, arrived, pr.handleBarArrive)
+		return
+	}
+	pr.relay.Broadcast(s, kBarComplete, 8, nil, pr.handleBarComplete)
 }
 
 // handleBarComplete releases a processor, relaying the completion to its

@@ -8,12 +8,13 @@ import (
 // Call sends a request from this processor and parks it until the serving
 // node's handler answers through Reply; it returns the reply's payload.
 // The stall is charged to cat, like the send. A processor blocks in at
-// most one call at a time, so the landing zone lives in the Ctx and an
-// exchange allocates nothing beyond its two messages.
+// most one call at a time, so the landing zone lives in the Ctx, its
+// handler and wait predicate are bound once (NewCtx), and an exchange
+// allocates nothing beyond its two messages.
 func (c *Ctx) Call(cat stats.Category, to, kind, bytes int, req any, h sim.Handler) any {
 	c.replied = false
 	c.E.SendFrom(c.P, cat, to, kind, bytes, req, h)
-	c.P.WaitUntil(func() bool { return c.replied }, cat)
+	c.P.WaitUntil(c.landed, cat)
 	reply := c.reply
 	c.reply = nil
 	return reply

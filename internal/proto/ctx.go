@@ -38,10 +38,12 @@ type Ctx struct {
 	// this context (protocols and tests can consult it).
 	InFault bool
 
-	// reply, replied and land are the landing zone of Call (call.go).
+	// The landing zone of Call (call.go): the reply, whether it is in,
+	// the handler that lands it and the predicate Call waits on.
 	reply   any
 	replied bool
 	land    sim.Handler
+	landed  func() bool
 
 	scratch [8]byte
 
@@ -65,6 +67,7 @@ func (c *Ctx) bulk(n int) []byte {
 func NewCtx(p *sim.Proc, e *sim.Engine, m *mem.ProcMem, s *mem.Space, pr Protocol, id, n int) *Ctx {
 	c := &Ctx{P: p, E: e, M: m, S: s, Pr: pr, ID: id, N: n, Epoch: 1}
 	c.land = c.landReply
+	c.landed = func() bool { return c.replied }
 	return c
 }
 

@@ -102,19 +102,27 @@ func (pr *TM) fetchAndApplyDiffs(c *proto.Ctx, st *tmProc, page int, wns []wnRef
 		}
 		cost := pp.DiffCycles(fd.d.DataBytes())
 		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(fd.d.DataBytes()))
-		c.P.Stats.DiffApplyCycles += cost
-		c.P.Stats.DiffsApplied++
-		c.P.Stats.DiffBytesApplied += uint64(fd.d.DataBytes())
-		c.P.Advance(cost, stats.Data)
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffApply)
-			ev.Page = page
-			ev.Ref = fd.d.ID
-			ev.Arg, ev.Arg2 = int64(fd.d.DataBytes()), int64(fd.proc)
-			pr.e.Tracer.Trace(ev)
-		}
-		c.PatchDiff(fd.d)
+		pr.applyDiff(c, fd, cost, stats.Data)
 	}
+}
+
+// applyDiff charges c cost cycles for applying one fetched or piggybacked
+// diff, counts and traces the application, and patches the frame. Counter
+// and event live here together so that neither path can emit one without
+// the other.
+func (pr *TM) applyDiff(c *proto.Ctx, fd ivalDiff, cost uint64, cat stats.Category) {
+	c.P.Stats.DiffApplyCycles += cost
+	c.P.Stats.DiffsApplied++
+	c.P.Stats.DiffBytesApplied += uint64(fd.d.DataBytes())
+	c.P.Advance(cost, cat)
+	if pr.e.Tracer != nil {
+		ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffApply)
+		ev.Page = fd.d.Page
+		ev.Ref = fd.d.ID
+		ev.Arg, ev.Arg2 = int64(fd.d.DataBytes()), int64(fd.proc)
+		pr.e.Tracer.Trace(ev)
+	}
+	c.PatchDiff(fd.d)
 }
 
 // handleDiffReq serves (and lazily creates) interval diffs at the writer.

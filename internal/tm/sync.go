@@ -93,19 +93,7 @@ func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ival
 		// and the later access fault (and diff fetch) never happens.
 		for _, wn := range refs {
 			d := covered[wn]
-			cost := pp.DiffCycles(d.d.DataBytes())
-			c.P.Stats.DiffApplyCycles += cost
-			c.P.Stats.DiffsApplied++
-			c.P.Stats.DiffBytesApplied += uint64(d.d.DataBytes())
-			c.P.Advance(cost, stats.Synch)
-			if pr.e.Tracer != nil {
-				ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffApply)
-				ev.Page = pg
-				ev.Ref = d.d.ID
-				ev.Arg, ev.Arg2 = int64(d.d.DataBytes()), int64(d.proc)
-				pr.e.Tracer.Trace(ev)
-			}
-			c.PatchDiff(d.d)
+			pr.applyDiff(c, *d, pp.DiffCycles(d.d.DataBytes()), stats.Synch)
 			st.history[pg] = append(st.history[pg], wn)
 		}
 	}
