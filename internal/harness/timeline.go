@@ -17,7 +17,9 @@ import (
 // cycle zero — an engine warm start. A paused session's snapshot is
 // byte-identical to a cold run stopped at the same horizon: the event
 // sequence is deterministic and the pause point (next pending event at
-// or beyond the horizon) is a pure function of the horizon.
+// or beyond the horizon) is a pure function of the horizon. A session
+// that is not run to Finish must be Closed, or its parked processor
+// stacks stay live.
 type Session struct {
 	eng     *sim.Engine
 	run     *stats.Run
@@ -58,16 +60,23 @@ func (s *Session) RunUntil(horizon uint64) bool {
 // point.
 func (s *Session) Snapshot() *stats.Run { return s.run.Clone() }
 
+// Close ends the session where it stands, releasing every processor
+// stack still parked in the engine. Idempotent.
+func (s *Session) Close() {
+	s.more = false
+	s.eng.Close()
+}
+
 // Finish runs the session to completion with MustRun's failure checks
 // and returns the result.
 func (s *Session) Finish() *Result {
+	defer s.Close()
 	if !s.started {
 		s.started = true
 		s.eng.Start()
 	} else {
 		s.eng.Finish()
 	}
-	s.more = false
 	r := &Result{
 		Run:        s.run,
 		Protocol:   s.pr,

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"aecdsm/internal/apps"
@@ -32,6 +33,7 @@ func TestTimelineWarmMatchesCold(t *testing.T) {
 				t.Errorf("%s: warm snapshot %d/%d diverged from a cold replay to the same horizon",
 					kind, i+1, timelineSteps)
 			}
+			cold.Close()
 		}
 	}
 }
@@ -82,5 +84,32 @@ func TestSessionMatchesRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Run.Procs, r.Run.Procs) {
 		t.Error("sliced run per-processor statistics differ from uninterrupted run")
+	}
+}
+
+// TestSessionCloseReleasesCoroutines: a session dropped part-way holds
+// one parked coroutine per simulated processor until it is closed;
+// Close releases them all, twice is a no-op, and a closed session
+// refuses to run on.
+func TestSessionCloseReleasesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewExperiments(0.05)
+	for i := 0; i < 5; i++ {
+		prog := appsFactory("IS")(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
+		sess := NewSession(e.Params, NewProtocol(ProtoAEC, 2), prog)
+		if !sess.RunUntil(100000) {
+			t.Fatal("IS should still be running at cycle 100000")
+		}
+		if n := runtime.NumGoroutine(); n < before+e.Params.NumProcs {
+			t.Fatalf("paused session holds %d goroutines over %d, want one per processor", n-before, before)
+		}
+		sess.Close()
+		sess.Close()
+		if sess.RunUntil(200000) {
+			t.Error("closed session ran on")
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after closing every session, started with %d", after, before)
 	}
 }

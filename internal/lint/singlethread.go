@@ -13,9 +13,10 @@ import (
 // Singlethread enforces the simulator's cooperative-scheduling contract:
 // exactly one of {engine, some processor goroutine} executes at any
 // instant, so the protocol packages must not introduce real concurrency.
-// Goroutines, channel operations, select statements and sync/sync-atomic
-// primitives are forbidden inside the single-runner core; only the
-// engine's coroutine handoff may use them, behind //dsmvet:allow.
+// Goroutines, iter.Pull coroutines, channel operations, select statements
+// and sync/sync-atomic primitives are forbidden inside the single-runner
+// core. The engine's hand-off is the one exception: it creates each
+// processor body's coroutine with iter.Pull, behind //dsmvet:allow.
 //
 // The driver layers (harness, check) are in scope too, with one
 // deliberately different boundary: a file carrying a
@@ -30,10 +31,11 @@ import (
 // exists to prevent.
 var Singlethread = &analysis.Analyzer{
 	Name: "singlethread",
-	Doc: "forbid go statements, channel operations and sync primitives in the " +
-		"cooperatively-scheduled simulator core (engine.go: \"no locking is " +
-		"needed anywhere\"); only the engine coroutine handoff is exempt, plus " +
-		"//dsmvet:crossengine files whose concurrency is across isolated engines",
+	Doc: "forbid go statements, iter.Pull coroutines, channel operations and sync " +
+		"primitives in the cooperatively-scheduled simulator core (engine.go: \"no " +
+		"locking is needed anywhere\"); only the engine's one iter.Pull per processor " +
+		"body is exempt, plus //dsmvet:crossengine files whose concurrency is across " +
+		"isolated engines",
 	Run: runSinglethread,
 }
 
@@ -74,7 +76,7 @@ func runSinglethread(pass *analysis.Pass) (any, error) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(x.Pos(), "go statement spawns a second runner in the cooperatively-scheduled core; only the engine coroutine handoff may do this")
+				pass.Reportf(x.Pos(), "go statement spawns a second runner in the cooperatively-scheduled core")
 			case *ast.SendStmt:
 				pass.Reportf(x.Pos(), "channel send in the single-runner core; protocol state is handed off via the engine, not channels")
 			case *ast.UnaryExpr:
@@ -94,7 +96,7 @@ func runSinglethread(pass *analysis.Pass) (any, error) {
 					if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 						if t := pass.TypeOf(x.Args[0]); t != nil {
 							if _, ok := t.Underlying().(*types.Chan); ok {
-								pass.Reportf(x.Pos(), "channel creation in the single-runner core; only the engine coroutine handoff may use channels")
+								pass.Reportf(x.Pos(), "channel creation in the single-runner core; nothing in it may use channels")
 							}
 						}
 					}
@@ -106,6 +108,8 @@ func runSinglethread(pass *analysis.Pass) (any, error) {
 
 	// Any use of sync or sync/atomic: the core's whole design premise is
 	// that no locking is needed anywhere (see sim.Engine's doc comment).
+	// Any use of iter.Pull/Pull2, called or not: a pulled sequence runs on
+	// its own goroutine, a second runner just as a go statement is.
 	// Cross-engine files coordinate isolated engines and are exempt.
 	inCross := func(pos token.Pos) bool {
 		for _, f := range crossFiles {
@@ -116,8 +120,8 @@ func runSinglethread(pass *analysis.Pass) (any, error) {
 		return false
 	}
 	type use struct {
-		pos  token.Pos
-		name string
+		pos token.Pos
+		msg string
 	}
 	var uses []use
 	for id, obj := range pass.TypesInfo.Uses {
@@ -127,13 +131,16 @@ func runSinglethread(pass *analysis.Pass) (any, error) {
 		if inCross(id.Pos()) {
 			continue
 		}
-		if p := obj.Pkg().Path(); p == "sync" || p == "sync/atomic" {
-			uses = append(uses, use{id.Pos(), p + "." + obj.Name()})
+		switch p, name := obj.Pkg().Path(), obj.Name(); {
+		case p == "sync" || p == "sync/atomic":
+			uses = append(uses, use{id.Pos(), "use of " + p + "." + name + " in the single-runner core: the simulator guarantees one runner at a time, so locking hides bugs instead of fixing them"})
+		case p == "iter" && (name == "Pull" || name == "Pull2"):
+			uses = append(uses, use{id.Pos(), "iter." + name + " spawns a second runner in the cooperatively-scheduled core; only the engine's hand-off may create a coroutine"})
 		}
 	}
 	sort.Slice(uses, func(i, j int) bool { return uses[i].pos < uses[j].pos })
 	for _, u := range uses {
-		pass.Reportf(u.pos, "use of %s in the single-runner core: the simulator guarantees one runner at a time, so locking hides bugs instead of fixing them", u.name)
+		pass.Reportf(u.pos, "%s", u.msg)
 	}
 	return nil, nil
 }

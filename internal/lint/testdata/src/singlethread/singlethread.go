@@ -2,10 +2,33 @@
 // single-runner core.
 package singlethread
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 func spawn(work func()) {
 	go work() // want `go statement spawns a second runner`
+}
+
+// A pulled sequence runs on its own goroutine: a second runner, however
+// the function is reached.
+func coroutines(seq iter.Seq[int], seq2 iter.Seq2[int, int]) {
+	next, stop := iter.Pull(seq) // want `iter\.Pull spawns a second runner`
+	defer stop()
+	next()
+	_, stop2 := iter.Pull2[int, int](seq2) // want `iter\.Pull2 spawns a second runner`
+	stop2()
+	pull := iter.Pull[int] // want `iter\.Pull spawns a second runner`
+	_ = pull
+}
+
+// Ranging over a push iterator stays on the caller's goroutine.
+func rangeOverFuncIsFine(seq iter.Seq[int]) (total int) {
+	for x := range seq {
+		total += x
+	}
+	return total
 }
 
 func channels() {

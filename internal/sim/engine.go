@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 
 	"aecdsm/internal/fault"
 	"aecdsm/internal/memsys"
@@ -11,9 +13,10 @@ import (
 )
 
 // Engine drives the simulation: it owns virtual time, the event queue, the
-// network, and the processors. Exactly one of {engine, some processor
-// goroutine} executes at any instant, so no locking is needed anywhere in
-// the simulator or the protocols.
+// network, and the processors, whose bodies are coroutines (iter.Pull) of
+// the engine's goroutine. Exactly one of {engine, some processor body}
+// executes at any instant, so no locking is needed anywhere in the
+// simulator or the protocols. An abandoned run must be Closed.
 type Engine struct {
 	Params memsys.Params
 	Net    *network.Mesh
@@ -82,11 +85,6 @@ func New(p memsys.Params, run *stats.Run) *Engine {
 			TLB:    memsys.NewTLB(p.TLBEntries),
 			MemBus: memsys.NewBus(p.MemSetupCycles, p.MemPerWordCycles),
 			IOBus:  memsys.NewBus(p.IOBusSetupCycles, p.IOBusPerWordCycles),
-			//dsmvet:allow singlethread engine coroutine handoff channels; exactly one runner is unblocked at a time
-			resumeCh: make(chan Time),
-			//dsmvet:allow singlethread engine coroutine handoff channels; exactly one runner is unblocked at a time
-			yieldCh: make(chan yieldKind),
-			horizon: 0,
 		}
 		e.Procs = append(e.Procs, pr)
 	}
@@ -123,27 +121,47 @@ func (e *Engine) Spawn(id int, body func(*Proc)) {
 	e.bodies[id] = body
 }
 
-// step resumes processor p: grants it a horizon, waits for its yield, and
-// reschedules it if it merely paused.
+// step resumes processor p: grants it a horizon, switches into its body
+// until it yields, and reschedules it if it merely paused.
 func (e *Engine) step(p *Proc) {
 	if p.done {
 		return
 	}
-	//dsmvet:allow singlethread engine coroutine handoff: resume the runner, then wait for it to yield
-	p.resumeCh <- e.nextEventTime()
-	//dsmvet:allow singlethread engine coroutine handoff: resume the runner, then wait for it to yield
-	switch <-p.yieldCh {
-	case yieldPaused:
-		e.scheduleStep(p.Clock, p)
-	case yieldBlocked:
-		// Nothing: a Wake will reschedule it.
-	case yieldDone:
-		p.done = true
+	p.horizon = e.nextEventTime()
+	if _, running := p.next(); !running {
+		p.done = true // the body returned
 		e.finished++
+	} else if !p.blocked {
+		e.scheduleStep(p.Clock, p) // reached its horizon; a blocked one waits for a Wake
 	}
 }
 
-// launch starts every processor goroutine and seeds the event queue
+// closed is the panic that unwinds a parked body when its engine is closed
+// (not runtime.Goexit: iter.Pull carries that into the engine's goroutine).
+type closed struct{}
+
+// unwound is deferred at the root of p's coroutine: it swallows closed and
+// re-raises any other panic with the processor, its clock and the body's
+// stack, which is lost once iter.Pull re-panics on the engine's goroutine.
+func (p *Proc) unwound() {
+	if r := recover(); r != nil && r != any(closed{}) {
+		panic(fmt.Sprintf("sim: processor %d panicked at cycle %d: %v\n%s", p.ID, p.Clock, r, debug.Stack()))
+	}
+}
+
+// Close unwinds every processor body that has not returned and releases its
+// coroutine. runUntil calls it whenever a run ends; the owner of a paused
+// run it will not continue must. Idempotent; a closed engine stays stopped.
+func (e *Engine) Close() {
+	for _, p := range e.Procs {
+		if p.stop != nil {
+			p.done = true
+			p.stop()
+		}
+	}
+}
+
+// launch creates every processor's coroutine and seeds the event queue
 // with their cycle-0 resume events. Idempotent: the first run call does
 // the launch, later continues skip it.
 func (e *Engine) launch() {
@@ -156,15 +174,12 @@ func (e *Engine) launch() {
 			panic(fmt.Sprintf("sim: processor %d has no body", i))
 		}
 		p := e.Procs[i]
-		b := body
-		//dsmvet:allow singlethread the engine coroutine handoff: one goroutine per processor body, serialized by the resume/yield channel pair
-		go func() {
-			//dsmvet:allow singlethread engine coroutine handoff: wait for the first resume
-			p.horizon = <-p.resumeCh
-			b(p)
-			//dsmvet:allow singlethread engine coroutine handoff: signal the body has returned
-			p.yieldCh <- yieldDone
-		}()
+		//dsmvet:allow singlethread the engine's coroutine hand-off: next/yield switch goroutines directly, so still only one runs
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer p.unwound()
+			body(p)
+		})
 		e.scheduleStep(0, p)
 	}
 }
@@ -172,10 +187,16 @@ func (e *Engine) launch() {
 // runUntil dispatches events until the run completes (returns false) or
 // the next pending event is at or beyond horizon (returns true: the run
 // is paused with every processor stack live and can be continued).
-// Pausing happens only between dispatches — no processor goroutine is
+// Pausing happens only between dispatches — no processor body is
 // mid-resume — so a paused engine is exactly the state a cold run
-// reaches after the same event prefix.
-func (e *Engine) runUntil(horizon Time) bool {
+// reaches after the same event prefix. Every other way out — finished,
+// deadlocked, a body's panic passing through — closes the engine.
+func (e *Engine) runUntil(horizon Time) (paused bool) {
+	defer func() {
+		if !paused {
+			e.Close()
+		}
+	}()
 	for e.finished < len(e.Procs) {
 		if e.events.Len() == 0 {
 			e.Deadlocked = true
@@ -211,7 +232,7 @@ func (e *Engine) finalize() Time {
 	return max
 }
 
-// Start launches all processor goroutines and runs the event loop until
+// Start launches all processor bodies and runs the event loop until
 // every processor's body has returned (or deadlock). It returns the
 // parallel execution time: the maximum processor clock.
 func (e *Engine) Start() Time {

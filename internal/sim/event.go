@@ -1,10 +1,13 @@
 // Package sim is the execution-driven simulation kernel: a discrete-event
 // engine over virtual processor cycles, with each simulated processor
-// running real application code on its own goroutine. It plays the role of
-// MINT plus the back-end scheduler in the paper's methodology.
+// running real application code on its own stack, as a runtime coroutine
+// (iter.Pull) of the engine. It plays the role of MINT plus the back-end
+// scheduler in the paper's methodology.
 //
-// Engine and processor goroutines alternate strictly — at most one of them
-// runs at any instant — so no package state needs locking. The engine
+// Engine and processor bodies alternate strictly: the engine switches
+// directly into a body and the body switches directly back, with no
+// channel and no trip through the Go scheduler, so at most one of them
+// runs at any instant and no package state needs locking. The engine
 // resumes the runnable processor event with the lowest timestamp and hands
 // it a horizon (the timestamp of the next pending event); the processor
 // executes until an operation would cross the horizon, then yields. This

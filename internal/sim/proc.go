@@ -7,17 +7,9 @@ import (
 	"aecdsm/internal/stats"
 )
 
-type yieldKind int
-
-const (
-	yieldPaused  yieldKind = iota // runnable again at p.Clock
-	yieldBlocked                  // waiting for an explicit Wake
-	yieldDone                     // application function returned
-)
-
 // Proc is one simulated workstation node: a computation processor with its
 // own clock, cache, TLB, memory bus and I/O bus, plus the coroutine
-// plumbing that lets its application goroutine interleave with the engine.
+// plumbing that lets its application body interleave with the engine.
 type Proc struct {
 	ID  int
 	Eng *Engine
@@ -34,15 +26,16 @@ type Proc struct {
 	MemBus *memsys.Bus
 	IOBus  *memsys.Bus
 
-	// Coroutine channels. resumeCh carries the horizon granted by the
-	// engine; yieldCh tells the engine why the processor stopped.
-	resumeCh chan Time
-	yieldCh  chan yieldKind
+	// Coroutine hand-off (iter.Pull, see Engine.launch): the engine sets
+	// horizon and calls next to switch into the body; the body calls yield
+	// to switch back, blocked or merely at its horizon. stop unwinds it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	horizon Time
 	blocked bool
 	done    bool
-	started bool
 
 	// wakeAt is the time a blocked processor should resume at, set by
 	// Wake before the resume event fires.
@@ -84,34 +77,20 @@ func (p *Proc) Advance(cycles uint64, cat stats.Category) {
 	p.Clock += cycles
 	p.Stats.Breakdown.Add(cat, cycles)
 	if p.Clock >= p.horizon {
-		p.pause()
+		p.park()
 	}
 }
 
 // Checkpoint yields to the engine if the horizon has been reached without
 // charging any cycles. Call it inside long polling loops.
-func (p *Proc) Checkpoint() {
-	if p.stolen > 0 {
-		p.Clock += p.stolen
-		p.Stats.Breakdown.Add(stats.IPC, p.stolen)
-		p.stolen = 0
-	}
-	if p.stolenRec > 0 {
-		p.Clock += p.stolenRec
-		p.Stats.Breakdown.Add(stats.Recovery, p.stolenRec)
-		p.stolenRec = 0
-	}
-	if p.Clock >= p.horizon {
-		p.pause()
-	}
-}
+func (p *Proc) Checkpoint() { p.Advance(0, stats.Busy) }
 
-// pause hands control to the engine and waits to be resumed.
-func (p *Proc) pause() {
-	//dsmvet:allow singlethread engine coroutine handoff: yield to the event loop
-	p.yieldCh <- yieldPaused
-	//dsmvet:allow singlethread engine coroutine handoff: block until the engine resumes us
-	p.horizon = <-p.resumeCh
+// park hands control to the engine and returns when step resumes the
+// body with a fresh horizon — or unwinds it if the engine was closed.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(closed{})
+	}
 }
 
 // Block parks the processor until another entity calls Wake. The stall
@@ -120,10 +99,7 @@ func (p *Proc) pause() {
 func (p *Proc) Block(cat stats.Category) uint64 {
 	p.wakeAt = p.Clock
 	p.blocked = true
-	//dsmvet:allow singlethread engine coroutine handoff: yield to the event loop
-	p.yieldCh <- yieldBlocked
-	//dsmvet:allow singlethread engine coroutine handoff: block until a Wake resumes us
-	p.horizon = <-p.resumeCh
+	p.park()
 	var stalled uint64
 	if p.wakeAt > p.Clock {
 		stalled = p.wakeAt - p.Clock

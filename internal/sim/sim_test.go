@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"aecdsm/internal/memsys"
@@ -280,4 +283,112 @@ func TestSvcHelpersAndCheckpoint(t *testing.T) {
 	if run.Procs[1].Breakdown[stats.Busy] != 5000 {
 		t.Fatalf("busy = %d", run.Procs[1].Breakdown[stats.Busy])
 	}
+}
+
+// TestDeadlockReleasesCoroutines: the engine owns its processors'
+// coroutines, so a run that cannot finish — deadlocked, or paused and
+// abandoned — must not leave their goroutines parked. Close is what
+// releases them, runs deferred calls on the way out, and is idempotent.
+func TestDeadlockReleasesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	spawnStuck := func(e *Engine) {
+		for i := range e.Procs {
+			e.Spawn(i, func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Advance(uint64(10+p.ID), stats.Busy)
+				p.WaitUntil(func() bool { return false }, stats.Synch)
+			})
+		}
+	}
+	for i := 0; i < 50; i++ {
+		e, _ := testEngine(4)
+		spawnStuck(e)
+		e.Start()
+		if !e.Deadlocked {
+			t.Fatal("deadlock not detected")
+		}
+		e.Close() // the deadlock path already closed: a no-op
+	}
+	if unwound != 50*4 {
+		t.Errorf("%d bodies unwound by the deadlock path, want %d", unwound, 50*4)
+	}
+
+	// Paused mid-run and abandoned: two bodies blocked, two parked at
+	// their horizon.
+	e, _ := testEngine(4)
+	spawnStuck(e)
+	if !e.StartUntil(12) {
+		t.Fatal("run should be paused with events pending")
+	}
+	if n := runtime.NumGoroutine(); n <= before {
+		t.Fatalf("paused run holds %d goroutines, started with %d: the coroutines are not live", n, before)
+	}
+	e.Close()
+	e.Close()
+	if unwound != 51*4 {
+		t.Errorf("%d bodies unwound after closing the paused run, want %d", unwound, 51*4)
+	}
+
+	// Launched but paused before the first step: coroutines that were
+	// never entered have no stack to unwind, only a goroutine to release.
+	e, _ = testEngine(2)
+	spawnStuck(e)
+	e.StartUntil(0)
+	e.Close()
+
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after closing every run, started with %d", after, before)
+	}
+}
+
+// TestBodyPanicSurfaces: a panic inside a processor body reaches the
+// caller of Start on its own goroutine — recoverable — and still says
+// which processor, at what clock, with the body's own stack; the other
+// bodies are released on the way out.
+func TestBodyPanicSurfaces(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, _ := testEngine(3)
+	for i := range e.Procs {
+		e.Spawn(i, func(p *Proc) {
+			for {
+				p.Advance(100, stats.Busy)
+				if p.ID == 1 && p.Clock == 300 {
+					panic("directory entry lost")
+				}
+			}
+		})
+	}
+	var got string
+	func() {
+		defer func() { got = fmt.Sprint(recover()) }()
+		e.Start()
+	}()
+	for _, want := range []string{"processor 1", "cycle 300", "directory entry lost", "sim_test.go"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("panic value lacks %q:\n%s", want, got)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the panic, started with %d", after, before)
+	}
+}
+
+// BenchmarkHandoff measures the coroutine hand-off: two processors in
+// lockstep, so every Advance(1) reaches the horizon, yields to the
+// engine and is resumed by a step event — one op is one such round
+// (schedule, pop, switch in, switch out). Must be 0 allocs/op (asserted
+// in CI).
+func BenchmarkHandoff(b *testing.B) {
+	e, _ := testEngine(2)
+	for i := range e.Procs {
+		e.Spawn(i, func(p *Proc) {
+			for n := b.N / 2; n > 0; n-- {
+				p.Advance(1, stats.Busy)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Start()
 }
