@@ -12,8 +12,9 @@
 //	go test -run '^$' -bench . -benchmem -json ./... | benchsum
 //
 // With -assert-zero-allocs 'regexp', benchsum exits nonzero when any
-// matching benchmark reports a nonzero allocs/op — the CI bench-smoke
-// gate for the zero-alloc engine paths.
+// matching benchmark reports a nonzero allocs/op, or when the regexp
+// matches no benchmark at all — the CI bench-smoke gate for the zero-alloc
+// engine paths.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -58,13 +60,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	os.Exit(run(os.Stdin, os.Stdout, os.Stderr, zeroRe))
+}
 
+// run condenses the `go test -json` stream on in into one record per
+// line on out and, given zeroRe, applies the zero-alloc gate; it returns
+// the process exit code.
+func run(in io.Reader, out, errw io.Writer, zeroRe *regexp.Regexp) int {
 	// Result lines may arrive split across several output events (the
 	// name in one event, the measurements in the next), so accumulate
 	// per-package partial lines and parse on newline.
 	partial := make(map[string]string)
 	var records []record
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		var ev testEvent
@@ -90,8 +98,8 @@ func main() {
 		partial[ev.Package] = buf
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsum: reading stdin:", err)
-		os.Exit(1)
+		fmt.Fprintln(errw, "benchsum: reading stdin:", err)
+		return 1
 	}
 
 	sort.Slice(records, func(i, j int) bool {
@@ -101,30 +109,35 @@ func main() {
 		return records[i].Benchmark < records[j].Benchmark
 	})
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	failed := false
+	matched := 0
 	for _, r := range records {
 		if err := enc.Encode(r); err != nil {
-			fmt.Fprintln(os.Stderr, "benchsum:", err)
-			os.Exit(1)
+			fmt.Fprintln(errw, "benchsum:", err)
+			return 1
 		}
 		if zeroRe != nil && zeroRe.MatchString(r.Benchmark) {
+			matched++
 			if r.AllocsOp == nil {
-				fmt.Fprintf(os.Stderr, "benchsum: %s matched -assert-zero-allocs but reported no allocs/op (run with -benchmem)\n", r.Benchmark)
+				fmt.Fprintf(errw, "benchsum: %s matched -assert-zero-allocs but reported no allocs/op (run with -benchmem)\n", r.Benchmark)
 				failed = true
 			} else if *r.AllocsOp != 0 {
-				fmt.Fprintf(os.Stderr, "benchsum: %s allocates %g allocs/op, want 0\n", r.Benchmark, *r.AllocsOp)
+				fmt.Fprintf(errw, "benchsum: %s allocates %g allocs/op, want 0\n", r.Benchmark, *r.AllocsOp)
 				failed = true
 			}
 		}
 	}
-	if zeroRe != nil && len(records) == 0 {
-		fmt.Fprintln(os.Stderr, "benchsum: -assert-zero-allocs given but no benchmark results were seen")
+	// A gate that checked nothing has not passed: a renamed benchmark, or
+	// one left out of -bench, must not drop out of it silently.
+	if zeroRe != nil && matched == 0 {
+		fmt.Fprintf(errw, "benchsum: -assert-zero-allocs %q matched no benchmark among %d results\n", zeroRe, len(records))
 		failed = true
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // parseBenchLine parses one testing.B result line:

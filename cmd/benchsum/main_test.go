@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"regexp"
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	tests := []struct {
@@ -50,4 +56,46 @@ func eq(a, b *float64) bool {
 		return false
 	}
 	return a == nil || *a == *b
+}
+
+// TestAssertZeroAllocsGate: the gate fails on a nonzero allocs/op, on a
+// match without -benchmem, and — the vacuous pass it used to allow — when
+// results were seen but the regexp matched none of them.
+func TestAssertZeroAllocsGate(t *testing.T) {
+	event := func(line string) string {
+		b, _ := json.Marshal(testEvent{Action: "output", Package: "aecdsm/internal/sim", Output: line + "\n"})
+		return string(b) + "\n"
+	}
+	zero := event("BenchmarkSchedule-8 \t20000000\t 55.2 ns/op\t 0 B/op\t 0 allocs/op")
+	leaky := event("BenchmarkSendDeliver-8 \t1000000\t 122 ns/op\t 96 B/op\t 1 allocs/op")
+	nomem := event("BenchmarkHandoff-8 \t1000000\t 196 ns/op")
+	tests := []struct {
+		name, in, re string
+		code         int
+		stderr       string
+	}{
+		{"no gate", zero + leaky, "", 0, ""},
+		{"all zero", zero, "BenchmarkSchedule$", 0, ""},
+		{"nonzero", zero + leaky, "BenchmarkSchedule$|BenchmarkSendDeliver$", 1, "allocates 1 allocs/op"},
+		{"unmatched nonzero ignored", zero + leaky, "BenchmarkSchedule$", 0, ""},
+		{"no benchmem", nomem, "BenchmarkHandoff$", 1, "reported no allocs/op"},
+		{"renamed benchmark", zero, "BenchmarkSched$", 1, "matched no benchmark among 1 results"},
+		{"left out of -bench", "", "BenchmarkSchedule$", 1, "matched no benchmark among 0 results"},
+	}
+	for _, tc := range tests {
+		var re *regexp.Regexp
+		if tc.re != "" {
+			re = regexp.MustCompile(tc.re)
+		}
+		var out, errw bytes.Buffer
+		if code := run(strings.NewReader(tc.in), &out, &errw, re); code != tc.code {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", tc.name, code, tc.code, errw.String())
+		}
+		if !strings.Contains(errw.String(), tc.stderr) || (tc.stderr == "" && errw.Len() > 0) {
+			t.Errorf("%s: stderr %q, want it to contain %q", tc.name, errw.String(), tc.stderr)
+		}
+		if want := strings.Count(tc.in, "\n"); strings.Count(out.String(), "\n") != want {
+			t.Errorf("%s: %d records out, want %d", tc.name, strings.Count(out.String(), "\n"), want)
+		}
+	}
 }
