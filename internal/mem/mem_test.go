@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,62 @@ func TestSpaceInitImage(t *testing.T) {
 	img := s.InitImage()
 	if !bytes.Equal(img[a+4:a+8], []byte{1, 2, 3, 4}) {
 		t.Fatal("init image not written")
+	}
+}
+
+// TestSpaceAllocLinearGrowth: a long run of small allocations allocates
+// O(final image) bytes — not the whole image again per allocation — while
+// the image stays exactly the page-ceiled extent, keeps everything written
+// to it, reads zero elsewhere, and the first allocation to reach a page
+// still owns its home.
+func TestSpaceAllocLinearGrowth(t *testing.T) {
+	const n, page = 1000, 4096
+	type write struct {
+		at Addr
+		b  [3]byte
+	}
+	var writes []write
+	var homes []int
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewSpace(page)
+	for i := 0; i < n; i++ {
+		size, home := 100+i%7, i%5
+		var a Addr
+		if i%3 == 2 {
+			a = s.AllocPacked("packed", size, home)
+		} else {
+			a = s.Alloc("aligned", size, home)
+		}
+		w := write{a + i%50, [3]byte{byte(i), byte(i >> 8), 0xA5}}
+		s.WriteInit(w.at, w.b[:])
+		writes = append(writes, w)
+		for pg := len(homes); pg <= (a+size-1)/page; pg++ {
+			homes = append(homes, home)
+		}
+		if got, want := len(s.InitImage()), pageCeil(s.Size(), page); got != want {
+			t.Fatalf("after %d allocations the image is %d bytes, want the page-ceiled extent %d", i+1, got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	img := s.InitImage()
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*uint64(len(img)) {
+		t.Fatalf("%d allocations allocated %d bytes for a %d-byte image: growth must be geometric", n, got, len(img))
+	}
+	want := make([]byte, len(img))
+	for _, w := range writes {
+		copy(want[w.at:], w.b[:])
+	}
+	if !bytes.Equal(img, want) {
+		t.Fatal("image contents changed across growth")
+	}
+	if len(homes) != s.Pages() {
+		t.Fatalf("%d pages, oracle has %d", s.Pages(), len(homes))
+	}
+	for pg, h := range homes {
+		if s.InitHome(pg) != h {
+			t.Fatalf("page %d home = %d, want %d", pg, s.InitHome(pg), h)
+		}
 	}
 }
 

@@ -82,10 +82,12 @@ func (s *Space) allocAt(name string, size, home int) Addr {
 	base := s.size
 	s.size += size
 	s.regions = append(s.regions, Region{Name: name, Base: base, Size: size, Home: home})
-	if need := s.size; need > len(s.init) {
-		grown := make([]byte, pageCeil(need, s.pageSize))
-		copy(grown, s.init)
-		s.init = grown
+	if need := pageCeil(s.size, s.pageSize); need > len(s.init) {
+		// append grows the backing array geometrically, so a run of
+		// allocations copies O(final size) bytes, not the whole image
+		// each time; the length stays the page-ceiled extent, and the
+		// extension is zeroed.
+		s.init = append(s.init, make([]byte, need-len(s.init))...)
 	}
 	for len(s.homes) < s.Pages() {
 		s.homes = append(s.homes, home)
@@ -116,8 +118,10 @@ func (s *Space) Rehome(f func(page int) int) {
 	}
 }
 
-// InitImage exposes the initial memory contents for bootstrapping frames.
-func (s *Space) InitImage() []byte { return s.init }
+// InitImage exposes the initial memory contents for bootstrapping frames,
+// capped at their length: the spare capacity behind it must stay zero for
+// allocAt to grow into.
+func (s *Space) InitImage() []byte { return s.init[:len(s.init):len(s.init)] }
 
 // WriteInit stores initial contents at the given address; used by
 // application init hooks before the simulation starts.
