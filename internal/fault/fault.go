@@ -405,9 +405,11 @@ type Injector struct {
 	cfg Config
 	rng uint64
 
-	// degradedUntil maps a directed (from, to) pair to the end of its
-	// current degraded window.
-	degradedUntil map[[2]int]uint64
+	// degradedUntil[from][to] is the end of the directed pair's current
+	// degraded window (0: never degraded). A sender's row is allocated
+	// when its first window opens, so the table costs what the schedule
+	// degrades, not nodes² up front.
+	degradedUntil [][]uint64
 
 	// burstLeft counts the remaining transmissions in the current drop
 	// burst (0 = not in a burst).
@@ -416,10 +418,11 @@ type Injector struct {
 	counts Counts
 }
 
-// New builds the injector for one run from the schedule. The injector's
-// RNG is derived from cfg.Seed via a splitmix64 scramble, so structurally
-// different schedules with the same seed still decorrelate.
-func New(cfg Config) *Injector {
+// New builds the injector for one run of a machine of the given size from
+// the schedule. The injector's RNG is derived from cfg.Seed via a
+// splitmix64 scramble, so structurally different schedules with the same
+// seed still decorrelate.
+func New(cfg Config, nodes int) *Injector {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 0x5DEECE66D
@@ -432,7 +435,7 @@ func New(cfg Config) *Injector {
 	if z == 0 {
 		z = 0x9E3779B97F4A7C15
 	}
-	return &Injector{cfg: cfg, rng: z, degradedUntil: map[[2]int]uint64{}}
+	return &Injector{cfg: cfg, rng: z, degradedUntil: make([][]uint64, nodes)}
 }
 
 // next is the xorshift64* step (same construction as apps.Rand).
@@ -516,12 +519,16 @@ func (in *Injector) OnLink(now uint64, from, to int) uint64 {
 	if in.cfg.Degrade <= 0 || from == to {
 		return 0
 	}
-	key := [2]int{from, to}
-	if until, ok := in.degradedUntil[key]; ok && now < until {
+	row := in.degradedUntil[from]
+	if row != nil && now < row[to] {
 		return in.cfg.DegradeExtra
 	}
 	if in.chance(in.cfg.Degrade) {
-		in.degradedUntil[key] = now + in.cfg.DegradeWindow
+		if row == nil {
+			row = make([]uint64, len(in.degradedUntil))
+			in.degradedUntil[from] = row
+		}
+		row[to] = now + in.cfg.DegradeWindow
 		in.counts.DegradeWindows++
 		return in.cfg.DegradeExtra
 	}

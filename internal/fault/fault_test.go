@@ -125,7 +125,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Seed = 42
-	a, b := New(cfg), New(cfg)
+	a, b := New(cfg, 16), New(cfg, 16)
 	for i := 0; i < 10000; i++ {
 		now := uint64(i * 13)
 		from, to := i%16, (i*7+1)%16
@@ -149,9 +149,9 @@ func TestDeterminism(t *testing.T) {
 func TestSeedsDecorrelate(t *testing.T) {
 	cfg, _ := ParseSpec("heavy")
 	cfg.Seed = 1
-	a := New(cfg)
+	a := New(cfg, 16)
 	cfg.Seed = 2
-	b := New(cfg)
+	b := New(cfg, 16)
 	same := 0
 	const trials = 1000
 	for i := 0; i < trials; i++ {
@@ -165,14 +165,14 @@ func TestSeedsDecorrelate(t *testing.T) {
 }
 
 func TestProbabilityExtremes(t *testing.T) {
-	in := New(Config{Seed: 3, Drop: 1, Dup: 1, Delay: 1, DelayMax: 100})
+	in := New(Config{Seed: 3, Drop: 1, Dup: 1, Delay: 1, DelayMax: 100}, 16)
 	for i := 0; i < 100; i++ {
 		d := in.OnSend(0, 0, 1, 1, false)
 		if !d.Drop || !d.Dup || d.ExtraDelay == 0 || d.ExtraDelay > 100 {
 			t.Fatalf("p=1 decision not forced: %+v", d)
 		}
 	}
-	quiet := New(Config{Seed: 3})
+	quiet := New(Config{Seed: 3}, 16)
 	for i := 0; i < 100; i++ {
 		if d := quiet.OnSend(0, 0, 1, 1, false); d != (SendDecision{}) {
 			t.Fatalf("zero schedule injected %+v", d)
@@ -188,7 +188,7 @@ func TestProbabilityExtremes(t *testing.T) {
 // retransmission protocol builds on. Best-effort traffic has no such
 // floor.
 func TestMaxAttemptsBoundsLoss(t *testing.T) {
-	in := New(Config{Seed: 7, Drop: 1, MaxAttempts: 3})
+	in := New(Config{Seed: 7, Drop: 1, MaxAttempts: 3}, 16)
 	for i := 0; i < 100; i++ {
 		if !in.OnSend(0, 0, 1, 2, true).Drop {
 			t.Fatal("below the bound, reliable traffic should drop at p=1")
@@ -203,14 +203,14 @@ func TestMaxAttemptsBoundsLoss(t *testing.T) {
 }
 
 func TestRTOBackoff(t *testing.T) {
-	in := New(Config{RTO: 1000})
+	in := New(Config{RTO: 1000}, 16)
 	want := []uint64{1000, 2000, 4000, 8000, 16000, 32000, 64000, 64000, 64000}
 	for i, w := range want {
 		if got := in.RTO(i + 1); got != w {
 			t.Fatalf("RTO(attempt %d) = %d, want %d", i+1, got, w)
 		}
 	}
-	def := New(Config{})
+	def := New(Config{}, 16)
 	if def.RTO(1) != DefaultRTO {
 		t.Fatalf("default RTO = %d, want %d", def.RTO(1), DefaultRTO)
 	}
@@ -227,7 +227,7 @@ func TestRTOBackoff(t *testing.T) {
 // Burst=1 and every window spent, every transmission drops; the window
 // length draw stays within [1, BurstLen].
 func TestBurstCorrelation(t *testing.T) {
-	in := New(Config{Seed: 9, Burst: 1, BurstLen: 5})
+	in := New(Config{Seed: 9, Burst: 1, BurstLen: 5}, 16)
 	for i := 0; i < 200; i++ {
 		if !in.OnSend(0, 0, 1, 1, false).Drop {
 			t.Fatalf("burst=1 transmission %d not dropped", i)
@@ -245,7 +245,7 @@ func TestBurstCorrelation(t *testing.T) {
 	// A rare burst yields runs: find at least one run of >=2 consecutive
 	// drops, which Bernoulli drop at the same marginal rate would make
 	// vanishingly unlikely to demand deterministically.
-	runs := New(Config{Seed: 5, Burst: 0.05, BurstLen: 8})
+	runs := New(Config{Seed: 5, Burst: 0.05, BurstLen: 8}, 16)
 	run, maxRun := 0, 0
 	for i := 0; i < 5000; i++ {
 		if runs.OnSend(0, 0, 1, 1, false).Drop {
@@ -261,7 +261,7 @@ func TestBurstCorrelation(t *testing.T) {
 		t.Fatalf("burst schedule produced no drop run (max run %d)", maxRun)
 	}
 	// The MaxAttempts floor holds inside a burst too.
-	floor := New(Config{Seed: 3, Burst: 1, BurstLen: 4, MaxAttempts: 3})
+	floor := New(Config{Seed: 3, Burst: 1, BurstLen: 4, MaxAttempts: 3}, 16)
 	for i := 0; i < 50; i++ {
 		if floor.OnSend(0, 0, 1, 3, true).Drop {
 			t.Fatal("reliable traffic at the attempt bound dropped inside a burst")
@@ -277,7 +277,7 @@ func TestOutageQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(cfg)
+	in := New(cfg, 16)
 	rng := in.rng
 	if in.Down(999, 2) || !in.Down(1000, 2) || !in.Down(1499, 2) || in.Down(1500, 2) {
 		t.Fatal("Down window wrong")
@@ -316,7 +316,7 @@ func TestOutageEndChained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(cfg)
+	in := New(cfg, 16)
 	// Node 1 is down 1000-1500; then partitioned from node 3... no wait,
 	// the partition separates {1,2} from everyone else until 1800.
 	if got := in.OutageEnd(1100, 1, 3); got != 1800 {
@@ -325,7 +325,7 @@ func TestOutageEndChained(t *testing.T) {
 }
 
 func TestDegradeWindows(t *testing.T) {
-	in := New(Config{Seed: 5, Degrade: 1, DegradeWindow: 1000, DegradeExtra: 77})
+	in := New(Config{Seed: 5, Degrade: 1, DegradeWindow: 1000, DegradeExtra: 77}, 16)
 	if got := in.OnLink(0, 0, 1); got != 77 {
 		t.Fatalf("opening transfer pays %d, want 77", got)
 	}

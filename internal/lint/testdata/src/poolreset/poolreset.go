@@ -89,6 +89,20 @@ func (p *pools) recycleOtherReset(a, b *fieldwise) {
 	p.fwFree = append(p.fwFree, b) // want `recycled onto fwFree without a field reset`
 }
 
+// owner reaches its pools through another struct, the way sim.Engine
+// reaches the reliable transport's txFree (e.rel.txFree): the rule looks
+// at the field the append lands in, however long the path to it.
+type owner struct{ p *pools }
+
+func (o *owner) recycleNested(it *item) {
+	it.reset()
+	o.p.itemFree = append(o.p.itemFree, it)
+}
+
+func (o *owner) recycleNestedDirty(it *item) {
+	o.p.itemFree = append(o.p.itemFree, it) // want `recycled onto itemFree without a field reset`
+}
+
 // appendElsewhere appends to a non-pool field: out of scope.
 type other struct{ items []*item }
 

@@ -208,7 +208,7 @@ func TestTransferDoesNotAllocate(t *testing.T) {
 func TestDegradedLinkAddsLatency(t *testing.T) {
 	cfg := fault.Config{Seed: 1, Degrade: 1.0, DegradeWindow: 1 << 40, DegradeExtra: 500}
 	m := testMesh()
-	m.Faults = fault.New(cfg)
+	m.Faults = fault.New(cfg, m.Size())
 	clean := testMesh()
 	degraded := m.Transfer(0, 0, 15, 64)
 	plain := clean.Transfer(0, 0, 15, 64)

@@ -44,9 +44,11 @@ type Engine struct {
 	// msgFree/svcFree are the engine's message and service-context free
 	// lists (plain slices: the engine core is single-threaded). Every
 	// recycled object is field-reset before it goes back on the list —
-	// the pool-hygiene contract dsmvet's poolreset rule enforces.
-	msgFree []*Msg
-	svcFree []*Svc
+	// the pool-hygiene contract dsmvet's poolreset rule enforces. msgsMade
+	// counts the messages ever allocated: msgFree's length when none is live.
+	msgFree  []*Msg
+	svcFree  []*Svc
+	msgsMade int
 
 	// Deadlocked is set if the event queue drained while processors were
 	// still blocked.
@@ -99,9 +101,9 @@ func (e *Engine) Now() Time { return e.now }
 // degradation, and switches every remote message onto the reliable
 // transport. Must be called before Start.
 func (e *Engine) EnableFaults(cfg fault.Config) {
-	e.Faults = fault.New(cfg)
+	e.Faults = fault.New(cfg, len(e.Procs))
 	e.Net.Faults = e.Faults
-	e.rel = newReliability()
+	e.rel = &reliability{pairs: make([][]pair, len(e.Procs))}
 	e.scheduleOutages(cfg)
 }
 
@@ -210,10 +212,12 @@ func (e *Engine) runUntil(horizon Time) (paused bool) {
 		switch {
 		case ev.proc != nil:
 			e.step(ev.proc)
-		case ev.h != nil:
+		case ev.m == nil:
+			ev.fn()
+		case ev.m.op == opDeliver:
 			e.deliver(ev.m, ev.h)
 		default:
-			ev.fn()
+			e.transportEvent(ev.m, ev.h)
 		}
 	}
 	return false

@@ -22,9 +22,10 @@ type Time = uint64
 // Forever is a horizon meaning "no other event pending".
 const Forever = ^Time(0)
 
-// event is one pending engine action. Exactly one of proc, h and fn is
-// set: proc marks the dominant "resume processor p" event, h a message
-// delivery (the message rides in m), and fn every other scheduled action.
+// event is one pending engine action. Exactly one of proc, m and fn is
+// set: proc marks the dominant "resume processor p" event, m a message
+// delivery (with its handler h) or, by m.op, one of the reliable
+// transport's records, and fn every other scheduled action.
 // Carrying the two hot payloads unboxed in the event itself is what makes
 // the schedule/send/deliver steady state allocation-free — there is no
 // per-event closure and no interface boxing anywhere on the path.
@@ -39,7 +40,7 @@ type event struct {
 	// engine's pool after the handler runs.
 	m *Msg
 	h Handler
-	// fn carries every other scheduled action (timeouts, outages).
+	// fn carries every other scheduled action (protocol timeouts, outages).
 	fn func()
 }
 

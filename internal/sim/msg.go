@@ -16,12 +16,13 @@ type Msg struct {
 
 	// Reliable-transport bookkeeping, used only when fault injection is
 	// enabled (engine.rel != nil): per-(sender,receiver) sequence number,
-	// 1-based transmission attempt, and whether the message is acked and
-	// retransmitted (reliable) or fire-and-forget (best effort).
-	seq      uint64
-	attempt  int
-	reliable bool
-	tracked  bool
+	// 1-based transmission attempt, the sender's pending entry when the
+	// message is acked and retransmitted (nil: best effort, fire and
+	// forget), and what this record is in the event queue (reliable.go).
+	seq     uint64
+	attempt int
+	tx      *pendingTx
+	op      uint8
 }
 
 // reset clears every field so a recycled message carries nothing — no
@@ -36,13 +37,20 @@ func (e *Engine) allocMsg() *Msg {
 		e.msgFree = e.msgFree[:n-1]
 		return m
 	}
+	e.msgsMade++
 	return &Msg{}
 }
 
-// freeMsg recycles a delivered message. Callers must not free tracked
-// messages: the reliable transport retains them (pendingTx) for
-// retransmission until the ack lands.
+// freeMsg recycles a message once its last reader has returned, dropping
+// its reference on the sender's pending entry, which follows it into its
+// own pool when this was the last one.
 func (e *Engine) freeMsg(m *Msg) {
+	if tx := m.tx; tx != nil {
+		if tx.refs--; tx.refs == 0 {
+			tx.reset()
+			e.rel.txFree = append(e.rel.txFree, tx)
+		}
+	}
 	m.reset()
 	e.msgFree = append(e.msgFree, m)
 }
@@ -189,12 +197,10 @@ func (e *Engine) deliver(m *Msg, h Handler) {
 		ev.Arg, ev.Arg2 = int64(m.From), int64(svc)
 		e.Tracer.Trace(ev)
 	}
-	if !m.tracked {
-		// Handlers extract the payload synchronously and never retain
-		// the message; tracked messages stay with the reliable
-		// transport for retransmission.
-		e.freeMsg(m)
-	}
+	// Handlers extract the payload synchronously and never retain the
+	// message; a tracked one is its own copy, the transport resends from
+	// the original.
+	e.freeMsg(m)
 	if p.Blocked() || p.done {
 		// Service overlapped an existing stall: hidden.
 		p.Stats.IPCHiddenCycles += svc

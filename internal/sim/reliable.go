@@ -23,8 +23,8 @@ package sim
 // out and falls back to explicit fetches (degraded-mode LAP).
 //
 // Sequence-number persistence (the crash-tier decision, docs/ROBUSTNESS.md):
-// the transport's per-pair sequence counters, the receiver dedup table and
-// the sender's pending-retransmission set are modeled as journaled to
+// the transport's per-pair sequence counters and dedup windows and the
+// sender's pending-retransmission set are modeled as journaled to
 // node-local stable storage — they survive a crash/restart untouched.
 // Without this, a restarted receiver would re-run a handler for a
 // retransmitted message it already serviced before the crash (breaking
@@ -43,61 +43,102 @@ import "aecdsm/internal/trace"
 // ackBytes is the payload size of a transport-level acknowledgement.
 const ackBytes = 16
 
-type pairKey struct{ from, to int }
+// Transport event tags (Msg.op): what the event loop does with a queued
+// message record. Zero is the plain delivery every clean run uses.
+const (
+	opDeliver = iota // run the handler
+	opTracked        // a tracked delivery copy arrives
+	opTimeout        // the retransmission timer of one attempt fires
+	opAck            // an ack reaches the sender
+)
 
-type seqKey struct {
-	from, to int
-	seq      uint64
+// pendingTx is one reliable message at its sender. refs counts the Msgs
+// whose tx points here — the retained original until its ack lands, and
+// every queued delivery copy, timer and ack record — and freeMsg returns
+// the entry to txFree when the last of them goes. So an entry is recycled
+// only once acked and past its last armed timer, and neither a stale timer
+// nor the ack of a late duplicate can ever reach a recycled one.
+type pendingTx struct {
+	m    *Msg // the original, its attempt the latest sent; nil once acked
+	h    Handler
+	refs int
 }
 
-// pendingTx is one unacked reliable message at its sender.
-type pendingTx struct {
-	m       *Msg
-	h       Handler
-	size    int // wire size including header
-	attempt int
-	acked   bool
+func (tx *pendingTx) reset() { *tx = pendingTx{} }
+
+// pair is the transport state of one directed (sender, receiver) pair: the
+// sender's sequence counter and the receiver's dedup window. Every sequence
+// number up to base has been delivered; bit i of bits records base+1+i.
+// Sequence numbers are dense per pair, so the window slides past each fully
+// delivered word and is as long as the pair's reordering, not its history
+// (a best-effort message lost for good pins its word: one bit per later
+// message).
+type pair struct {
+	nextSeq uint64
+	base    uint64
+	bits    []uint64
+}
+
+// firstSeen records seq as delivered and reports whether it was new.
+func (p *pair) firstSeen(seq uint64) bool {
+	if seq <= p.base {
+		return false
+	}
+	i := seq - p.base - 1
+	w, bit := int(i>>6), uint64(1)<<(i&63)
+	for w >= len(p.bits) {
+		p.bits = append(p.bits, 0)
+	}
+	if p.bits[w]&bit != 0 {
+		return false
+	}
+	p.bits[w] |= bit
+	for len(p.bits) > 0 && p.bits[0] == ^uint64(0) {
+		p.bits = p.bits[:copy(p.bits, p.bits[1:])] // slide, keeping the backing array
+		p.base += 64
+	}
+	return true
 }
 
 // reliability is the per-run transport state.
 type reliability struct {
-	nextSeq map[pairKey]uint64
-	seen    map[seqKey]bool
-	pending map[seqKey]*pendingTx
-}
-
-func newReliability() *reliability {
-	return &reliability{
-		nextSeq: map[pairKey]uint64{},
-		seen:    map[seqKey]bool{},
-		pending: map[seqKey]*pendingTx{},
-	}
+	pairs  [][]pair // [from][to]; a sender's row is allocated at its first send
+	txFree []*pendingTx
 }
 
 // relSend enters a freshly sent remote message into the transport:
 // assigns its sequence number, registers it for retransmission if
 // reliable, and attempts the first transmission.
 func (e *Engine) relSend(m *Msg, h Handler, size int, ready Time, reliable bool) {
-	k := pairKey{m.From, m.To}
-	e.rel.nextSeq[k]++
-	m.seq = e.rel.nextSeq[k]
-	m.attempt = 1
-	m.reliable = reliable
-	m.tracked = true
+	row := e.rel.pairs[m.From]
+	if row == nil {
+		row = make([]pair, len(e.Procs))
+		e.rel.pairs[m.From] = row
+	}
+	row[m.To].nextSeq++
+	m.seq, m.attempt = row[m.To].nextSeq, 1
 	if reliable {
-		e.rel.pending[seqKey{m.From, m.To, m.seq}] =
-			&pendingTx{m: m, h: h, size: size, attempt: 1}
+		if n := len(e.rel.txFree); n > 0 {
+			m.tx, e.rel.txFree = e.rel.txFree[n-1], e.rel.txFree[:n-1]
+		} else {
+			m.tx = &pendingTx{}
+		}
+		m.tx.m, m.tx.h, m.tx.refs = m, h, 1
 	}
 	e.transmit(m, h, size, ready)
+	if !reliable {
+		e.freeMsg(m) // its copies are queued; a reliable original waits for its ack
+	}
 }
 
 // transmit performs one transmission attempt of a tracked message: asks
-// the injector for its fate, reserves the network for each surviving
-// copy, and (for reliable messages) arms the retransmission timer.
+// the injector for its fate, arms the retransmission timer (for reliable
+// messages) and reserves the network for each surviving copy. Each copy is
+// a pooled record of its own, so m may be resent or freed while they fly.
 func (e *Engine) transmit(m *Msg, h Handler, size int, ready Time) {
-	dec := e.Faults.OnSend(ready, m.From, m.To, m.attempt, m.reliable)
-	if m.reliable {
-		e.armRetransmit(seqKey{m.From, m.To, m.seq}, m.attempt, ready)
+	dec := e.Faults.OnSend(ready, m.From, m.To, m.attempt, m.tx != nil)
+	if m.tx != nil {
+		e.queueTx(opTimeout, m, ready+e.Faults.RTO(m.attempt))
 	}
 	// A crashed endpoint or a partition between the pair loses the
 	// transmission outright, MaxAttempts floor or not: the link is
@@ -107,12 +148,7 @@ func (e *Engine) transmit(m *Msg, h Handler, size int, ready Time) {
 		dec.Drop = true
 	}
 	if dec.Drop {
-		e.Procs[m.From].Stats.MsgsDropped++
-		if e.Tracer != nil {
-			ev := trace.Ev(ready, m.From, trace.KindMsgDrop)
-			ev.Arg, ev.Arg2 = int64(m.To), int64(m.seq)
-			e.Tracer.Trace(ev)
-		}
+		e.traceDrop(ready, m.From, m.To, m.seq)
 		return
 	}
 	copies := 1
@@ -121,57 +157,86 @@ func (e *Engine) transmit(m *Msg, h Handler, size int, ready Time) {
 	}
 	for i := 0; i < copies; i++ {
 		arrive := e.Net.Transfer(ready+dec.ExtraDelay, m.From, m.To, size)
-		cp := *m
-		cp.ArriveAt = arrive
-		mc := &cp
-		e.schedule(arrive, func() { e.deliverTracked(mc, h) })
+		cp := e.allocMsg()
+		*cp = *m
+		cp.op, cp.ArriveAt = opTracked, arrive
+		if cp.tx != nil {
+			cp.tx.refs++
+		}
+		e.scheduleDeliver(arrive, cp, h)
 	}
 }
 
-// armRetransmit schedules the timeout for one transmission attempt. The
-// timer is a no-op if the message has been acked by the time it fires, or
-// if a newer attempt has already superseded this one (its own timer is
-// armed).
-func (e *Engine) armRetransmit(key seqKey, attempt int, sentAt Time) {
-	at := sentAt + e.Faults.RTO(attempt)
-	e.schedule(at, func() {
-		tx := e.rel.pending[key]
-		if tx == nil || tx.acked || tx.attempt != attempt {
-			return
+// traceDrop counts and traces a transmission from src to dst lost at cycle
+// at (injected loss at send, or an outage at either end).
+func (e *Engine) traceDrop(at Time, src, dst int, seq uint64) {
+	e.Procs[src].Stats.MsgsDropped++
+	if e.Tracer != nil {
+		ev := trace.Ev(at, src, trace.KindMsgDrop)
+		ev.Arg, ev.Arg2 = int64(dst), int64(seq)
+		e.Tracer.Trace(ev)
+	}
+}
+
+// queueTx schedules a transport record about m's pending entry — the
+// retransmission timer of m's attempt, or the arrival of m's ack — as a
+// pooled Msg on the delivery path: no closure, the entry rides by pointer.
+func (e *Engine) queueTx(op uint8, m *Msg, at Time) {
+	r := e.allocMsg()
+	r.op, r.tx, r.attempt, r.ArriveAt = op, m.tx, m.attempt, at
+	r.tx.refs++
+	e.scheduleDeliver(at, r, nil)
+}
+
+// transportEvent dispatches a queued transport record (Msg.op != opDeliver).
+func (e *Engine) transportEvent(m *Msg, h Handler) {
+	switch m.op {
+	case opTracked:
+		e.deliverTracked(m, h)
+	case opTimeout:
+		// A no-op if the message has been acked by now, or if a newer
+		// attempt has superseded this one (its own timer is armed).
+		if orig := m.tx.m; orig != nil && orig.attempt == m.attempt {
+			e.retransmit(orig, m.tx.h, m.ArriveAt)
 		}
-		e.retransmit(key, tx, at)
-	})
+		e.freeMsg(m)
+	case opAck:
+		if orig := m.tx.m; orig != nil {
+			m.tx.m = nil
+			e.freeMsg(orig)
+		}
+		e.freeMsg(m)
+	}
 }
 
 // retransmit re-sends an unacked reliable message. The resend overhead
 // (messaging software cost + I/O bus) runs in the sender's service window
 // and is charged to Recovery: the OS-level transport preempts whatever
 // the node is doing, exactly like message service does for ipc.
-func (e *Engine) retransmit(key seqKey, tx *pendingTx, at Time) {
-	from := e.Procs[key.from]
+func (e *Engine) retransmit(m *Msg, h Handler, at Time) {
+	from := e.Procs[m.From]
 	pp := &e.Params
+	size := m.Bytes + pp.MsgHeaderBytes
 	start := at
 	if from.svcBusyUntil > start {
 		start = from.svcBusyUntil
 	}
 	done := start + pp.MsgOverheadCycles
-	done = from.IOBus.Transfer(done, pp.Words(tx.size))
+	done = from.IOBus.Transfer(done, pp.Words(size))
 	from.svcBusyUntil = done
 	e.chargeRecovery(from, done-start)
 
-	tx.attempt++
+	m.attempt++
+	m.SentAt = start
 	from.Stats.Retransmits++
 	from.Stats.MsgsSent++
-	from.Stats.BytesSent += uint64(tx.size)
+	from.Stats.BytesSent += uint64(size)
 	if e.Tracer != nil {
-		ev := trace.Ev(start, key.from, trace.KindMsgRetry)
-		ev.Arg, ev.Arg2 = int64(key.to), int64(tx.attempt)
+		ev := trace.Ev(start, m.From, trace.KindMsgRetry)
+		ev.Arg, ev.Arg2 = int64(m.To), int64(m.attempt)
 		e.Tracer.Trace(ev)
 	}
-	m := *tx.m
-	m.attempt = tx.attempt
-	m.SentAt = start
-	e.transmit(&m, tx.h, tx.size, done)
+	e.transmit(m, h, size, done)
 }
 
 // deliverTracked is the receive side of the transport: injected node
@@ -184,12 +249,8 @@ func (e *Engine) deliverTracked(m *Msg, h Handler) {
 	// interrupt, the handler does not run. Reliable messages recover via
 	// the sender's retransmission loop; best-effort ones stay lost.
 	if e.Faults.Outage(m.ArriveAt, m.From, m.To) {
-		e.Procs[m.From].Stats.MsgsDropped++
-		if e.Tracer != nil {
-			ev := trace.Ev(m.ArriveAt, m.From, trace.KindMsgDrop)
-			ev.Arg, ev.Arg2 = int64(m.To), int64(m.seq)
-			e.Tracer.Trace(ev)
-		}
+		e.traceDrop(m.ArriveAt, m.From, m.To, m.seq)
+		e.freeMsg(m)
 		return
 	}
 	p := e.Procs[m.To]
@@ -206,8 +267,7 @@ func (e *Engine) deliverTracked(m *Msg, h Handler) {
 			e.Tracer.Trace(ev)
 		}
 	}
-	key := seqKey{m.From, m.To, m.seq}
-	if e.rel.seen[key] {
+	if !e.rel.pairs[m.From][m.To].firstSeen(m.seq) {
 		// Duplicate: the node still takes the interrupt and pulls the
 		// message across its I/O bus before it can recognize the
 		// sequence number, but the handler does not run. Re-ack in case
@@ -227,13 +287,13 @@ func (e *Engine) deliverTracked(m *Msg, h Handler) {
 			ev.Arg, ev.Arg2 = int64(m.From), int64(m.seq)
 			e.Tracer.Trace(ev)
 		}
-		if m.reliable {
+		if m.tx != nil {
 			e.sendAck(m)
 		}
+		e.freeMsg(m)
 		return
 	}
-	e.rel.seen[key] = true
-	if m.reliable {
+	if m.tx != nil {
 		e.sendAck(m)
 	}
 	e.deliver(m, h)
@@ -268,22 +328,10 @@ func (e *Engine) sendAck(m *Msg) {
 		dec.Drop = true
 	}
 	if dec.Drop {
-		p.Stats.MsgsDropped++
-		if e.Tracer != nil {
-			ev := trace.Ev(done, m.To, trace.KindMsgDrop)
-			ev.Arg, ev.Arg2 = int64(m.From), int64(m.seq)
-			e.Tracer.Trace(ev)
-		}
+		e.traceDrop(done, m.To, m.From, m.seq)
 		return
 	}
-	arrive := e.Net.Transfer(done+dec.ExtraDelay, m.To, m.From, size)
-	key := seqKey{m.From, m.To, m.seq}
-	e.schedule(arrive, func() {
-		if tx := e.rel.pending[key]; tx != nil {
-			tx.acked = true
-			delete(e.rel.pending, key)
-		}
-	})
+	e.queueTx(opAck, m, e.Net.Transfer(done+dec.ExtraDelay, m.To, m.From, size))
 }
 
 // chargeRecovery attributes transport work on a node: overlapped with an

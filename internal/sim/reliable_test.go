@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"aecdsm/internal/fault"
@@ -346,34 +348,194 @@ func TestDedupAcrossReceiverRestart(t *testing.T) {
 	}
 }
 
-// TestFaultedRunIsDeterministic: the same seed gives bit-identical timing;
-// a different seed is allowed to differ.
+// TestFaultedRunIsDeterministic: the same schedule gives bit-identical
+// timing and statistics; a different seed is allowed to differ. The second
+// schedule — the heavy preset plus a crash of the receiver — loses every
+// transmission inside the window, so messages are resent from their
+// retained original long after the first delivery copy was recycled.
 func TestFaultedRunIsDeterministic(t *testing.T) {
-	runOnce := func(seed uint64) uint64 {
-		e, _ := testEngine(3)
-		e.EnableFaults(fault.Config{Seed: seed, Drop: 0.3, Dup: 0.3, Delay: 0.5,
-			DelayMax: 3000, Stall: 0.2, StallMax: 2000, RTO: 4000})
-		count := 0
-		for i := 0; i < 2; i++ {
-			i := i
-			e.Spawn(i, func(p *Proc) {
-				for k := 0; k < 10; k++ {
-					e.SendFrom(p, stats.Synch, 2, 1, 128, nil, func(s *Svc, m *Msg) {
-						s.Charge(50)
-						count++
-						s.Wake(e.Procs[2])
-					})
-					p.Advance(500, stats.Busy)
+	heavy, err := fault.ParseSpec("heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy.Seed, heavy.RTO = 77, 4000
+	heavy.Crashes = []fault.Crash{{Node: 2, At: 2000, Down: 15000}}
+	for name, cfg := range map[string]fault.Config{
+		"mixed": {Seed: 77, Drop: 0.3, Dup: 0.3, Delay: 0.5,
+			DelayMax: 3000, Stall: 0.2, StallMax: 2000, RTO: 4000},
+		"heavy+crash": heavy,
+	} {
+		runOnce := func() (Time, *stats.Run) {
+			e, run := testEngine(3)
+			e.EnableFaults(cfg)
+			count := 0
+			for i := 0; i < 2; i++ {
+				e.Spawn(i, func(p *Proc) {
+					for k := 0; k < 10; k++ {
+						e.SendFrom(p, stats.Synch, 2, 1, 128, nil, func(s *Svc, m *Msg) {
+							s.Charge(50)
+							count++
+							s.Wake(e.Procs[2])
+						})
+						p.Advance(500, stats.Busy)
+					}
+				})
+			}
+			e.Spawn(2, func(p *Proc) {
+				p.WaitUntil(func() bool { return count == 20 }, stats.Synch)
+			})
+			return e.Start(), run
+		}
+		a, runA := runOnce()
+		b, runB := runOnce()
+		if a != b {
+			t.Fatalf("%s: same seed, different parallel time: %d vs %d", name, a, b)
+		}
+		if !reflect.DeepEqual(runA, runB) {
+			t.Fatalf("%s: same seed, different statistics:\n%+v\n%+v", name, runA, runB)
+		}
+		if retx := runA.Procs[0].Retransmits + runA.Procs[1].Retransmits; retx == 0 {
+			t.Fatalf("%s: schedule exercised no retransmission", name)
+		}
+	}
+}
+
+// TestSeenWindowMatchesMapOracle drives the per-pair dedup window and the
+// map it replaced through the same random sequence numbers — the next in
+// order, an older one still outstanding (reordering), one already seen
+// (duplicate), one far ahead — across several pairs, and demands the same
+// first-seen/duplicate verdict every time. Once a pair's outstanding
+// numbers have all arrived the window must have slid past them.
+func TestSeenWindowMatchesMapOracle(t *testing.T) {
+	type seqKey struct {
+		pair int
+		seq  uint64
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pairs := make([]pair, 5)
+		oracle := map[seqKey]bool{}
+		next := make([]uint64, len(pairs))      // highest number handed out
+		pending := make([][]uint64, len(pairs)) // handed out, not yet delivered
+		deliver := func(i int, seq uint64) {
+			k := seqKey{i, seq}
+			if got, want := pairs[i].firstSeen(seq), !oracle[k]; got != want {
+				t.Fatalf("seed %d pair %d seq %d: firstSeen = %v, oracle says %v (base %d, %d words)",
+					seed, i, seq, got, want, pairs[i].base, len(pairs[i].bits))
+			}
+			oracle[k] = true
+		}
+		takePending := func(i int) uint64 {
+			j := rng.Intn(len(pending[i]))
+			seq := pending[i][j]
+			pending[i] = append(pending[i][:j], pending[i][j+1:]...)
+			return seq
+		}
+		for step := 0; step < 4000; step++ {
+			i := rng.Intn(len(pairs))
+			switch r := rng.Intn(100); {
+			case r < 50: // in order
+				next[i]++
+				deliver(i, next[i])
+			case r < 65: // sent but held back by the network
+				next[i]++
+				pending[i] = append(pending[i], next[i])
+			case r < 80 && len(pending[i]) > 0: // reordered arrival
+				deliver(i, takePending(i))
+			case r < 97 && next[i] > 0: // duplicate of anything sent so far
+				deliver(i, 1+uint64(rng.Int63n(int64(next[i]))))
+			case r >= 97: // far ahead: everything skipped stays outstanding
+				for skip := 1 + rng.Intn(300); skip > 0; skip-- {
+					next[i]++
+					pending[i] = append(pending[i], next[i])
 				}
+				next[i]++
+				deliver(i, next[i])
+			}
+		}
+		for i := range pairs {
+			for len(pending[i]) > 0 {
+				deliver(i, takePending(i))
+			}
+			if p := &pairs[i]; len(p.bits) > 1 || p.base+64 <= next[i] {
+				t.Fatalf("seed %d pair %d: all %d numbers delivered, window still base %d with %d words",
+					seed, i, next[i], p.base, len(p.bits))
+			}
+		}
+	}
+}
+
+// TestTrackedMessagesRecycled: after faulted runs with drops, duplicates,
+// delays, stalls, a crash window and a partition have run to completion —
+// every retransmission loop finished, the event queue empty — every Msg
+// the engine ever allocated is back on msgFree exactly once and
+// field-reset, and so is every pending entry on txFree: delivery copies
+// (handled, dropped at arrival, or suppressed as duplicates), best-effort
+// originals, acked reliable originals, timer and ack records.
+func TestTrackedMessagesRecycled(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		e, run := testEngine(4)
+		e.EnableFaults(fault.Config{Seed: seed, Drop: 0.2, Dup: 0.2, Delay: 0.3, DelayMax: 3000,
+			Stall: 0.1, StallMax: 1500, Degrade: 0.05, DegradeWindow: 5000, DegradeExtra: 40,
+			RTO: 2000, MaxAttempts: 4,
+			Crashes:    []fault.Crash{{Node: 1, At: 5000, Down: 20000}},
+			Partitions: []fault.Partition{{Nodes: []int{3}, At: 30000, Until: 50000}}})
+		handled := 0
+		h := func(s *Svc, m *Msg) {
+			s.Charge(20)
+			handled++
+		}
+		const perProc = 40
+		for i := 0; i < 4; i++ {
+			e.Spawn(i, func(p *Proc) {
+				for k := 0; k < perProc; k++ {
+					to := (p.ID + 1 + k%3) % 4
+					if k%4 == 3 {
+						e.SendFromBestEffort(p, stats.Synch, to, 1, 96, "push", h)
+					} else {
+						e.SendFrom(p, stats.Synch, to, 1, 96, "data", h)
+					}
+					p.Advance(900, stats.Busy)
+				}
+				// Outlive every backoff the outages can stretch.
+				p.Advance(3_000_000, stats.Busy)
 			})
 		}
-		e.Spawn(2, func(p *Proc) {
-			p.WaitUntil(func() bool { return count == 20 }, stats.Synch)
-		})
-		return e.Start()
-	}
-	a, b := runOnce(77), runOnce(77)
-	if a != b {
-		t.Fatalf("same seed, different parallel time: %d vs %d", a, b)
+		e.Start()
+		if e.Deadlocked || e.events.Len() != 0 {
+			t.Fatalf("seed %d: run did not settle: deadlocked %v, %d events pending", seed, e.Deadlocked, e.events.Len())
+		}
+		var sum stats.Proc
+		for i := range run.Procs {
+			sum.Retransmits += run.Procs[i].Retransmits
+			sum.MsgsDropped += run.Procs[i].MsgsDropped
+			sum.DupMsgsSuppressed += run.Procs[i].DupMsgsSuppressed
+		}
+		if sum.Retransmits == 0 || sum.MsgsDropped == 0 || sum.DupMsgsSuppressed == 0 || handled < 4*perProc*3/4 {
+			t.Fatalf("seed %d: schedule too quiet to prove anything: %+v, %d handled", seed, sum, handled)
+		}
+		if len(e.msgFree) != e.msgsMade {
+			t.Fatalf("seed %d: %d of %d messages back on the free list", seed, len(e.msgFree), e.msgsMade)
+		}
+		onList := map[*Msg]bool{}
+		for _, m := range e.msgFree {
+			if onList[m] {
+				t.Fatalf("seed %d: message %p freed twice", seed, m)
+			}
+			onList[m] = true
+			if *m != (Msg{}) {
+				t.Fatalf("seed %d: pooled message not reset: %+v", seed, *m)
+			}
+		}
+		if len(e.rel.txFree) == 0 {
+			t.Fatalf("seed %d: no pending entry was recycled", seed)
+		}
+		txOnList := map[*pendingTx]bool{}
+		for _, tx := range e.rel.txFree {
+			if txOnList[tx] || !txIsReset(tx) {
+				t.Fatalf("seed %d: pending entry %p freed twice or not reset: %+v", seed, tx, *tx)
+			}
+			txOnList[tx] = true
+		}
 	}
 }
