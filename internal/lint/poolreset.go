@@ -12,7 +12,7 @@ import (
 // Poolreset enforces the pool-hygiene contract behind the zero-alloc
 // message path (docs/PERFORMANCE.md): an object recycled onto a free
 // list carries state from its previous life, and any field that
-// survives the round trip — a stale tracked flag, a leftover payload
+// survives the round trip — a stale transport tag, a leftover payload
 // pointer, an old vector-clock reference — resurfaces in a *different*
 // message arbitrarily later, which is both a correctness landmine and a
 // determinism hazard. The rule is mechanical so the contract cannot rot:

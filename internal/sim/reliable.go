@@ -38,7 +38,10 @@ package sim
 // When Engine.rel is nil none of this code runs and the message path is
 // byte-for-byte the historical one: zero perturbation.
 
-import "aecdsm/internal/trace"
+import (
+	"aecdsm/internal/bitset"
+	"aecdsm/internal/trace"
+)
 
 // ackBytes is the payload size of a transport-level acknowledgement.
 const ackBytes = 16
@@ -76,7 +79,7 @@ func (tx *pendingTx) reset() { *tx = pendingTx{} }
 type pair struct {
 	nextSeq uint64
 	base    uint64
-	bits    []uint64
+	bits    bitset.Set
 }
 
 // firstSeen records seq as delivered and reports whether it was new.
@@ -84,15 +87,11 @@ func (p *pair) firstSeen(seq uint64) bool {
 	if seq <= p.base {
 		return false
 	}
-	i := seq - p.base - 1
-	w, bit := int(i>>6), uint64(1)<<(i&63)
-	for w >= len(p.bits) {
-		p.bits = append(p.bits, 0)
-	}
-	if p.bits[w]&bit != 0 {
+	i := int(seq - p.base - 1)
+	if p.bits.Has(i) {
 		return false
 	}
-	p.bits[w] |= bit
+	p.bits = p.bits.Add(i)
 	for len(p.bits) > 0 && p.bits[0] == ^uint64(0) {
 		p.bits = p.bits[:copy(p.bits, p.bits[1:])] // slide, keeping the backing array
 		p.base += 64
