@@ -30,14 +30,11 @@ package aecdsm
 import (
 	"fmt"
 
-	"aecdsm/internal/aec"
 	"aecdsm/internal/apps"
 	"aecdsm/internal/fault"
 	"aecdsm/internal/harness"
 	"aecdsm/internal/memsys"
-	"aecdsm/internal/munin"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/tm"
 )
 
 // Params holds the simulated system parameters (Table 1 of the paper).
@@ -64,7 +61,11 @@ func DefaultParams() Params { return memsys.Default() }
 
 // Protocols lists the available protocol names.
 func Protocols() []string {
-	return []string{"AEC", "AEC-noLAP", "TM", "TM-LH", "Munin", "Munin+LAP", "ideal"}
+	var names []string
+	for _, k := range harness.Kinds() {
+		names = append(names, string(k))
+	}
+	return names
 }
 
 // Apps lists the registered application names (the paper's six first).
@@ -76,33 +77,17 @@ func NewProtocol(name string, ns int) (Protocol, error) {
 	if ns <= 0 {
 		ns = 2
 	}
-	switch name {
-	case "AEC":
-		return aec.New(aec.Options{UseLAP: true, Ns: ns}), nil
-	case "AEC-noLAP":
-		return aec.New(aec.Options{UseLAP: false, Ns: ns}), nil
-	case "TM":
-		return tm.New(), nil
-	case "TM-LH":
-		return tm.NewLazyHybrid(), nil
-	case "Munin":
-		return munin.New(munin.Options{}), nil
-	case "Munin+LAP":
-		return munin.New(munin.Options{UseLAP: true, Ns: ns}), nil
-	case "ideal":
-		return proto.NewIdeal(4096), nil
+	kind, err := harness.ParseKind(name)
+	if err != nil {
+		return nil, fmt.Errorf("aecdsm: %w", err)
 	}
-	return nil, fmt.Errorf("aecdsm: unknown protocol %q (have %v)", name, Protocols())
+	return harness.NewProtocol(kind, ns), nil
 }
 
 // NewApp builds an application by name at the given problem scale
 // ((0,1]; 1.0 = the paper's configuration).
 func NewApp(name string, scale float64) (Program, error) {
-	factory, ok := apps.Registry[name]
-	if !ok {
-		return nil, fmt.Errorf("aecdsm: unknown app %q (have %v)", name, Apps())
-	}
-	return factory(apps.Config{Scale: scale}), nil
+	return NewAppSeeded(name, scale, 0)
 }
 
 // NewAppSeeded is NewApp with an explicit base seed perturbing every RNG

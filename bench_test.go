@@ -194,7 +194,7 @@ func BenchmarkAblation(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res := harness.MustRun(aecdsm.DefaultParams(), v.mk(), prog)
+					res := harness.Run(aecdsm.DefaultParams(), v.mk(), prog).Must()
 					b.ReportMetric(float64(res.Cycles()), "simcycles")
 				}
 			})

@@ -28,10 +28,12 @@
 // and remote references per synchronization operation for the ideal,
 // AEC, TreadMarks and Munin protocols.
 //
-// With -trace / -metrics every simulation the selected tables run is
-// traced into one combined event stream (see docs/OBSERVABILITY.md); a
-// trace sink forces sequential execution regardless of -jobs so the
-// stream keeps its deterministic order.
+// With -trace / -metrics every simulation the selection runs — a table,
+// a figure or any of the sweeps — is traced into one combined event
+// stream (see docs/OBSERVABILITY.md); a trace sink forces sequential
+// execution regardless of -jobs so the stream keeps its deterministic
+// order. The one untraced engine is -timeline's sampling session: it
+// replays, paused at each horizon, a run that is already in the stream.
 //
 // -jobs N runs up to N simulations concurrently on isolated engines
 // (default GOMAXPROCS). The rendered tables are byte-identical at every

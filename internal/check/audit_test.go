@@ -31,7 +31,7 @@ func TestAuditorCleanOnApps(t *testing.T) {
 	for name, factory := range programs {
 		for _, kind := range kinds {
 			aud := NewAuditor(memsys.Default().NumProcs)
-			res := harness.RunTraced(memsys.Default(), harness.NewProtocol(kind, 2), factory(), aud)
+			res := harness.RunFaultTraced(memsys.Default(), harness.NewProtocol(kind, 2), factory(), aud, nil)
 			if res.Deadlocked {
 				t.Errorf("%s under %s: deadlocked", name, kind)
 			}
@@ -162,7 +162,7 @@ func TestTraceEventsMatchCounters(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			w := Generate(seed, 8)
 			m := trace.NewMetrics()
-			res := harness.RunTraced(w.Params(), harness.NewProtocol(kind, 2), apps.NewSynth(w.Cfg), m)
+			res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(kind, 2), apps.NewSynth(w.Cfg), m, nil)
 			wantFetches := res.Run.Sum(func(p *stats.Proc) uint64 { return p.PageFetches })
 			wantApplies := res.Run.Sum(func(p *stats.Proc) uint64 { return p.DiffsApplied })
 			var gotFetches, gotApplies uint64

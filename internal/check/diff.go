@@ -95,13 +95,7 @@ func DefaultProtocols() []harness.ProtocolKind {
 
 // AllProtocols additionally covers the protocol variants (AEC without
 // LAP, the TreadMarks Lazy Hybrid, Munin with LAP-restricted updates).
-func AllProtocols() []harness.ProtocolKind {
-	return []harness.ProtocolKind{
-		harness.ProtoAEC, harness.ProtoAECNoLAP, harness.ProtoTM,
-		harness.ProtoTMLH, harness.ProtoMunin, harness.ProtoMuninLAP,
-		harness.ProtoIdeal,
-	}
-}
+func AllProtocols() []harness.ProtocolKind { return harness.Kinds() }
 
 // RunWorkload executes one workload under every protocol kind with the
 // invariant auditor attached, then cross-checks the runs: no deadlocks,

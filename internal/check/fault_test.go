@@ -164,7 +164,7 @@ func TestOrphanSweepKeepsLockChainCopies(t *testing.T) {
 func TestCrashFailoverFires(t *testing.T) {
 	w := Generate(2, 0)
 	clean := apps.NewSynth(w.Cfg)
-	harness.MustRun(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), clean)
+	harness.Run(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), clean).Must()
 	want := clean.FinalChecksum()
 
 	fc := mustSpec(t, "crash=5@9000000:500000", 7)
@@ -199,7 +199,7 @@ func TestCrashFailoverFires(t *testing.T) {
 func TestLAPFallback(t *testing.T) {
 	w := Generate(21, 8)
 	prog := apps.NewSynth(w.Cfg)
-	clean := harness.RunTraced(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), prog, nil)
+	clean := harness.Run(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), prog)
 	if clean.Deadlocked || clean.VerifyErr != nil {
 		t.Fatalf("fault-free run failed: deadlock=%v err=%v", clean.Deadlocked, clean.VerifyErr)
 	}

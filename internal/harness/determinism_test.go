@@ -21,7 +21,7 @@ func metricsJSONSeeded(t *testing.T, app string, scale float64, seed uint64) []b
 	t.Helper()
 	m := trace.NewMetrics()
 	prog := apps.Registry[app](apps.Config{Scale: scale, BaseSeed: seed})
-	MustRunTraced(memsys.Default(), NewProtocol(ProtoAEC, 2), prog, m)
+	RunFaultTraced(memsys.Default(), NewProtocol(ProtoAEC, 2), prog, m, nil).Must()
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"aecdsm/internal/aec"
 	"aecdsm/internal/apps"
+	"aecdsm/internal/fault"
 	"aecdsm/internal/lap"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/munin"
@@ -27,23 +28,51 @@ const (
 	ProtoIdeal    ProtocolKind = "ideal"
 )
 
-// runKey identifies a memoized experiment run.
-type runKey struct {
-	app   string
-	proto ProtocolKind
-	ns    int
+// Kinds lists every protocol kind: the DSM protocols in the paper's order,
+// the ideal machine last. It is the one list behind aecdsm.Protocols,
+// check.AllProtocols and the all-protocol tables.
+func Kinds() []ProtocolKind {
+	return []ProtocolKind{ProtoAEC, ProtoAECNoLAP, ProtoTM, ProtoTMLH, ProtoMunin, ProtoMuninLAP, ProtoIdeal}
 }
 
-// Experiments runs and memoizes the simulations behind every table and
-// figure of the paper. Scale in (0,1] shrinks the application problem
-// sizes (1.0 = the paper's configuration).
+// ParseKind resolves a protocol name that arrives from outside the
+// program (a CLI flag, a Config field).
+func ParseKind(name string) (ProtocolKind, error) {
+	for _, k := range Kinds() {
+		if string(k) == name {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("unknown protocol %q (have %v)", name, Kinds())
+}
+
+// runSpec identifies one memoized simulation by everything that decides
+// its outcome besides the Experiments' Scale and BaseSeed, which are
+// fixed before the first run. It is comparable: the memo cache's key.
+type runSpec struct {
+	app       string           // apps.Registry name; "" runs synth instead
+	synth     apps.SynthConfig // the apps.NewSynth workload when app == ""
+	proto     ProtocolKind
+	ns        int
+	params    memsys.Params
+	faults    string // fault.ParseSpec preset or clause list; "" = fault-free
+	faultSeed uint64
+	metrics   bool // trace into a trace.Metrics of the run's own and keep its lock summaries
+}
+
+// Experiments runs and memoizes the simulations behind every table,
+// figure and sweep. Scale in (0,1] shrinks the application problem sizes
+// (1.0 = the paper's configuration).
 //
-// Each table first submits its full set of (app, protocol, ns) run keys
-// to the prefetching scheduler (sched.go), which executes the uncached
-// keys on a worker pool of up to Jobs concurrent engines, then formats
-// its output sequentially from the memo cache — so the rendered bytes are
-// identical at every job count.
+// Every driver has one shape: it builds the run specs it needs (what to
+// run, on which machine, under which fault schedule), submits them to the
+// prefetching scheduler (sched.go), which executes the uncached ones on a
+// worker pool of up to Jobs concurrent engines, then formats its output
+// sequentially from the memo cache — so the rendered bytes are identical
+// at every job count, and no spec is simulated twice.
 type Experiments struct {
+	// Params is the machine the paper's tables run on. It is part of every
+	// run spec, so changing it between calls runs new simulations.
 	Params memsys.Params
 	Scale  float64
 
@@ -58,7 +87,7 @@ type Experiments struct {
 	Jobs int
 
 	// Tracer, when non-nil, is attached to every simulation the driver
-	// runs. Because runs are memoized, each (app, protocol, ns) triple
+	// runs, tables and sweeps alike. Because runs are memoized, each spec
 	// traces at most once.
 	Tracer trace.Tracer
 
@@ -82,21 +111,15 @@ type lapRow struct {
 // NewExperiments builds an experiment driver with the paper's default
 // system parameters.
 func NewExperiments(scale float64) *Experiments {
-	e := &Experiments{
-		Params: memsys.Default(),
-		Scale:  scale,
-	}
-	e.sched.init()
+	e := &Experiments{Params: memsys.Default(), Scale: scale}
+	e.sched.cache = map[runSpec]runOutcome{}
 	return e
-}
-
-func (e *Experiments) protocol(kind ProtocolKind, ns int) proto.Protocol {
-	return NewProtocol(kind, ns)
 }
 
 // NewProtocol builds a fresh protocol instance of the given kind with
 // update-set size ns (where applicable). Each run needs its own instance;
-// protocols keep per-run state.
+// protocols keep per-run state. It panics on a kind that is not one of
+// Kinds; names from outside the program go through ParseKind first.
 func NewProtocol(kind ProtocolKind, ns int) proto.Protocol {
 	switch kind {
 	case ProtoAEC:
@@ -117,6 +140,12 @@ func NewProtocol(kind ProtocolKind, ns int) proto.Protocol {
 	panic("harness: unknown protocol kind " + string(kind))
 }
 
+// spec is the run the paper's tables make: a registry application on the
+// Experiments' machine, fault-free.
+func (e *Experiments) spec(app string, kind ProtocolKind, ns int) runSpec {
+	return runSpec{app: app, proto: kind, ns: ns, params: e.Params}
+}
+
 // Run returns the memoized result of app under the protocol kind (Ns=2).
 func (e *Experiments) Run(app string, kind ProtocolKind) *Result {
 	return e.RunNs(app, kind, 2)
@@ -126,28 +155,48 @@ func (e *Experiments) Run(app string, kind ProtocolKind) *Result {
 // concurrent goroutines; distinct Experiments instances never share
 // state.
 func (e *Experiments) RunNs(app string, kind ProtocolKind, ns int) *Result {
-	return e.outcome(runKey{app: app, proto: kind, ns: ns}).res
+	return &Result{Run: e.outcome(e.spec(app, kind, ns)).run}
 }
 
-// outcome returns the memoized outcome of one run key, running it first
-// if need be.
-func (e *Experiments) outcome(key runKey) runOutcome {
-	out, ok := e.sched.lookup(key)
-	if !ok {
-		out = e.runOne(key)
-		e.sched.store(key, out)
+// program builds a fresh instance of the program a spec names; programs
+// keep per-run state, so every run (and every timeline session) needs its
+// own.
+func (e *Experiments) program(spec runSpec) proto.Program {
+	if spec.app == "" {
+		return apps.NewSynth(spec.synth)
+	}
+	return appsFactory(spec.app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
+}
+
+// runOne executes the simulation behind one run spec — a pure, isolated
+// unit touching no Experiments state besides the immutable configuration,
+// so the scheduler may run many of these concurrently — and keeps what
+// the renderers read, dropping the program and protocol instances. A run
+// that does not finish and verify panics (Result.Must): it would
+// invalidate the whole table.
+func (e *Experiments) runOne(spec runSpec) runOutcome {
+	prog, pr := e.program(spec), NewProtocol(spec.proto, spec.ns)
+	var fcfg *fault.Config
+	if spec.faults != "" {
+		c, err := fault.ParseSpec(spec.faults)
+		if err != nil {
+			panic("harness: fault spec " + spec.faults + ": " + err.Error())
+		}
+		c.Seed = spec.faultSeed
+		fcfg = &c
+	}
+	tr := e.Tracer
+	var m *trace.Metrics
+	if spec.metrics {
+		m = trace.NewMetrics()
+		tr = trace.Multi(tr, m)
+	}
+	res := RunFaultTraced(spec.params, pr, prog, tr, fcfg).Must()
+	out := runOutcome{run: res.Run, numLocks: prog.NumLocks(), lap: harvestLAP(pr, prog)}
+	if m != nil {
+		out.locks = m.Summary().Locks
 	}
 	return out
-}
-
-// runOne executes the simulation behind one run key — a pure, isolated
-// unit touching no Experiments state besides the immutable configuration,
-// so the scheduler may run many of these concurrently.
-func (e *Experiments) runOne(key runKey) runOutcome {
-	prog := appsFactory(key.app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-	pr := e.protocol(key.proto, key.ns)
-	res := MustRunTraced(e.Params, pr, prog, e.Tracer)
-	return runOutcome{res: res, lap: harvestLAP(pr, prog)}
 }
 
 // lapReporter is implemented by protocols whose lock managers record Lock
@@ -209,13 +258,13 @@ func harvestLAP(pr proto.Protocol, prog proto.Program) []lapRow {
 // LAP returns the Table 3 rows for an app (runs AEC with the given Ns if
 // not cached yet).
 func (e *Experiments) LAP(app string, ns int) []lapRow {
-	return e.outcome(runKey{app: app, proto: ProtoAEC, ns: ns}).lap
+	return e.outcome(e.spec(app, ProtoAEC, ns)).lap
 }
 
 // LAPUnder returns the lock-group LAP rows measured under an arbitrary
 // protocol (AEC or TM).
 func (e *Experiments) LAPUnder(app string, kind ProtocolKind) []lapRow {
-	return e.outcome(runKey{app: app, proto: kind, ns: 2}).lap
+	return e.outcome(e.spec(app, kind, 2)).lap
 }
 
 // OverallLAPRate collapses an app's group rows into one events-weighted

@@ -15,7 +15,7 @@ import (
 // percentages whose formatting could drift — so any byte difference is a
 // real behavioural change in an application or a protocol.
 func (e *Experiments) KeyStats(w io.Writer) {
-	e.prefetch(keysFor(AllApps(), []ProtocolKind{ProtoAEC, ProtoTM}))
+	e.prefetch(e.specsFor(AllApps(), []ProtocolKind{ProtoAEC, ProtoTM}))
 	e.Table1(w)
 	fmt.Fprintf(w, "\nKey statistics at scale %g:\n", e.Scale)
 	fmt.Fprintf(w, "  %-10s %-6s %14s %10s %10s %12s %10s %10s\n",

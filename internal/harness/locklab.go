@@ -9,7 +9,6 @@ import (
 	"aecdsm/internal/lockpolicy"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/predict"
-	"aecdsm/internal/trace"
 )
 
 // The lock-policy lab (docs/LOCKING.md) runs synthetic lock workloads
@@ -89,40 +88,39 @@ type LockLabStats struct {
 	OverallErr float64
 }
 
-// lockLabCell is one simulation of the run grid.
-type lockLabCell struct {
-	rows []LockLabRow
-}
-
-// LockLabData runs the lab grid (workloads x policies, every run traced
-// into its own metrics sink) and computes the prediction table data. The
-// runs bypass the memo cache: they need per-run tracing and non-default
-// machine parameters, exactly like the scaling sweep.
+// LockLabData runs the lab grid (workloads x policies) and computes the
+// prediction table data. Each cell is one spec — a synthetic workload on
+// the lab's own machine, with a metrics sink of its own — memoized and
+// traced like any table run.
 func (e *Experiments) LockLabData() LockLabStats {
-	configs := lockLabConfigs()
-	kinds := lockpolicy.Kinds()
-	cells := make([]lockLabCell, len(configs)*len(kinds))
-	runParallel(len(cells), e.jobs(), func(i int) {
-		lc := configs[i/len(kinds)]
-		kind := kinds[i%len(kinds)]
+	configs, kinds := lockLabConfigs(), lockpolicy.Kinds()
+	at := func(lc lockLabConfig, kind lockpolicy.Kind) runSpec {
 		params := memsys.Default().ForProcs(lockLabProcs)
 		params.LockPolicy = string(kind)
-		m := trace.NewMetrics()
-		res := MustRunTraced(params, NewProtocol(ProtoAEC, lockLabNs), apps.NewSynth(lc.cfg), m)
-		cells[i] = lockLabCell{rows: lockLabRows(lc.name, kind, params, m, res.Cycles())}
-	})
+		return runSpec{synth: lc.cfg, proto: ProtoAEC, ns: lockLabNs, params: params, metrics: true}
+	}
+	var specs []runSpec
+	for _, lc := range configs {
+		for _, kind := range kinds {
+			specs = append(specs, at(lc, kind))
+		}
+	}
+	e.prefetch(specs)
 
 	st := LockLabStats{MeanAbsErr: map[lockpolicy.Kind]float64{}}
 	sums := map[lockpolicy.Kind]float64{}
 	counts := map[lockpolicy.Kind]float64{}
 	var allSum, allN float64
-	for _, c := range cells {
-		for _, r := range c.rows {
-			st.Rows = append(st.Rows, r)
-			sums[r.Policy] += math.Abs(r.WaitErr)
-			counts[r.Policy]++
-			allSum += math.Abs(r.WaitErr)
-			allN++
+	for _, lc := range configs {
+		for _, kind := range kinds {
+			spec := at(lc, kind)
+			for _, r := range lockLabRows(lc.name, spec.params, e.outcome(spec)) {
+				st.Rows = append(st.Rows, r)
+				sums[r.Policy] += math.Abs(r.WaitErr)
+				counts[r.Policy]++
+				allSum += math.Abs(r.WaitErr)
+				allN++
+			}
 		}
 	}
 	for _, k := range kinds {
@@ -139,10 +137,10 @@ func (e *Experiments) LockLabData() LockLabStats {
 // lockLabRows turns one traced run into per-lock table rows: measured
 // hold/think/wait from the metrics histograms, predicted wait and
 // throughput from the MVA model fed with those same measurements.
-func lockLabRows(config string, kind lockpolicy.Kind, params memsys.Params,
-	m *trace.Metrics, cycles uint64) []LockLabRow {
+func lockLabRows(config string, params memsys.Params, out runOutcome) []LockLabRow {
+	kind, cycles := lockpolicy.Kind(params.LockPolicy), out.run.Cycles
 	var rows []LockLabRow
-	for _, l := range m.Summary().Locks {
+	for _, l := range out.locks {
 		if l.Acquires == 0 {
 			continue
 		}
@@ -185,12 +183,7 @@ func lockLabRows(config string, kind lockpolicy.Kind, params memsys.Params,
 // per-policy mean absolute error summary the accuracy contract is stated
 // over (docs/LOCKING.md).
 func (e *Experiments) LockLab(w io.Writer) {
-	renderLockLab(w, e.LockLabData())
-}
-
-// renderLockLab formats already-computed lab data (split from LockLab so
-// the golden and error-bound tests share one grid run).
-func renderLockLab(w io.Writer, st LockLabStats) {
+	st := e.LockLabData()
 	fmt.Fprintf(w, "Lock-policy lab: analytical MVA prediction vs simulation (docs/LOCKING.md).\n")
 	fmt.Fprintf(w, "Synthetic lock workloads under AEC (Ns=%d) on the Table 1 node, %d processors;\n",
 		lockLabNs, lockLabProcs)

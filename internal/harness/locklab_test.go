@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"aecdsm/internal/lockpolicy"
@@ -15,20 +14,16 @@ import (
 var updateLockLab = flag.Bool("update-locklab", false,
 	"rewrite results/locklab.txt from the current code")
 
-// lockLabOnce runs the lab grid exactly once per test binary; the golden
-// and error-bound tests share the result.
-var lockLabOnce = sync.Once{}
-var lockLabStats LockLabStats
+// lockLab is the driver the lab tests share: its memo cache runs the grid
+// exactly once per test binary.
+var lockLab = NewExperiments(1.0)
 
 func lockLabData(t *testing.T) LockLabStats {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("lock-policy lab grid in -short mode")
 	}
-	lockLabOnce.Do(func() {
-		lockLabStats = NewExperiments(1.0).LockLabData()
-	})
-	return lockLabStats
+	return lockLab.LockLabData()
 }
 
 // TestLockLabGolden byte-compares the rendered lock-policy lab table
@@ -38,9 +33,9 @@ func lockLabData(t *testing.T) LockLabStats {
 //
 //	go test ./internal/harness -run TestLockLabGolden -update-locklab
 func TestLockLabGolden(t *testing.T) {
-	st := lockLabData(t)
+	lockLabData(t)
 	var buf bytes.Buffer
-	renderLockLab(&buf, st)
+	lockLab.LockLab(&buf)
 
 	path := filepath.Join("..", "..", "results", "locklab.txt")
 	if *updateLockLab {

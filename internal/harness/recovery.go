@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"aecdsm/internal/apps"
-	"aecdsm/internal/fault"
 	"aecdsm/internal/stats"
 )
 
@@ -40,50 +38,33 @@ func recoveryScenarios() []recoveryScenario {
 	}
 }
 
-// recoveryCell is the measurement of one (scenario, protocol) cell.
-type recoveryCell struct {
-	res     *Result
-	lapRate float64
-}
-
 // RecoverySweep measures app under every RecoveryKinds protocol across
 // the recovery fault grid and renders the table: runtime, slowdown
 // relative to the same protocol's fault-free run, recovery overhead as a
 // share of total busy cycles, LAP full-hit rate, and the crash-tolerance
 // counters (node crashes taken, replication log traffic, orphan page
 // invalidations, degraded-mode LAP fallbacks). Results are a determinism
-// check as much as a cost sweep: every faulted run must still verify —
-// the differential fuzzer additionally pins its checksums to the
-// fault-free run bit for bit (docs/ROBUSTNESS.md).
+// check as much as a cost sweep: every faulted run must still verify
+// (Result.Must) — the differential fuzzer additionally pins its checksums
+// to the fault-free run bit for bit (docs/ROBUSTNESS.md). The fault-free
+// anchor row is the table spec, shared with the paper's tables.
 func (e *Experiments) RecoverySweep(w io.Writer, app string) {
 	kinds := RecoveryKinds()
 	scens := recoveryScenarios()
-	cells := make([]recoveryCell, len(scens)*len(kinds))
-	runParallel(len(cells), e.jobs(), func(i int) {
-		sc := scens[i/len(kinds)]
-		k := kinds[i%len(kinds)]
-		prog := appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-		pr := e.protocol(k, 2)
-		var fcfg *fault.Config
+	at := func(sc recoveryScenario, k ProtocolKind) runSpec {
+		spec := e.spec(app, k, 2)
 		if sc.spec != "" {
-			c, err := fault.ParseSpec(sc.spec)
-			if err != nil {
-				panic("harness: recovery scenario " + sc.name + ": " + err.Error())
-			}
-			c.Seed = 11
-			fcfg = &c
+			spec.faults, spec.faultSeed = sc.spec, 11
 		}
-		res := RunFaultTraced(e.Params, pr, prog, nil, fcfg)
-		if res.Deadlocked {
-			panic(fmt.Sprintf("harness: recovery %s/%s under %q deadlocked", app, k, sc.name))
+		return spec
+	}
+	var specs []runSpec
+	for _, sc := range scens {
+		for _, k := range kinds {
+			specs = append(specs, at(sc, k))
 		}
-		if res.VerifyErr != nil {
-			panic(fmt.Sprintf("harness: recovery %s/%s under %q failed verification: %v",
-				app, k, sc.name, res.VerifyErr))
-		}
-		cells[i].res = res
-		cells[i].lapRate = OverallLAPRate(harvestLAP(pr, prog))
-	})
+	}
+	e.prefetch(specs)
 
 	fmt.Fprintf(w, "Recovery sweep: %s at scale %.2f (docs/ROBUSTNESS.md).\n", app, e.Scale)
 	fmt.Fprintf(w, "Fault schedules per row; crash rows take two node outages (nodes 2 and 5,\n")
@@ -96,21 +77,21 @@ func (e *Experiments) RecoverySweep(w io.Writer, app string) {
 	fmt.Fprintf(w, "  %-12s %-9s %12s %9s %7s %6s %8s %7s %8s %7s\n",
 		"scenario", "protocol", "cycles", "vs clean", "recov%", "LAP%",
 		"crashes", "log KB", "orphans", "fallbk")
-	for si, sc := range scens {
-		for ki, k := range kinds {
-			c := cells[si*len(kinds)+ki]
-			clean := cells[ki].res.Cycles() // scenario 0 is fault-free
-			b := c.res.Run.TotalBreakdown()
-			sum := func(f func(p *stats.Proc) uint64) uint64 { return c.res.Run.Sum(f) }
+	for _, sc := range scens {
+		for _, k := range kinds {
+			out := e.outcome(at(sc, k))
+			r := out.run
+			clean := e.Run(app, k).Cycles()
+			b := r.TotalBreakdown()
 			fmt.Fprintf(w, "  %-12s %-9s %12d %8.2fx %6.1f%% %6s %8d %7.1f %8d %7d\n",
-				sc.name, k, c.res.Cycles(),
-				float64(c.res.Cycles())/float64(clean),
+				sc.name, k, r.Cycles,
+				float64(r.Cycles)/float64(clean),
 				pct(b[stats.Recovery], b.Total()),
-				fmtRate(c.lapRate),
-				sum(func(p *stats.Proc) uint64 { return p.NodeCrashes }),
-				float64(sum(func(p *stats.Proc) uint64 { return p.ReplicaLogBytes }))/1024,
-				sum(func(p *stats.Proc) uint64 { return p.OrphanInvalidations }),
-				sum(func(p *stats.Proc) uint64 { return p.LAPFallbacks }))
+				fmtRate(OverallLAPRate(out.lap)),
+				r.Sum(func(p *stats.Proc) uint64 { return p.NodeCrashes }),
+				float64(r.Sum(func(p *stats.Proc) uint64 { return p.ReplicaLogBytes }))/1024,
+				r.Sum(func(p *stats.Proc) uint64 { return p.OrphanInvalidations }),
+				r.Sum(func(p *stats.Proc) uint64 { return p.LAPFallbacks }))
 		}
 		fmt.Fprintln(w)
 	}

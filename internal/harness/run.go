@@ -21,49 +21,65 @@ type memorySharer interface {
 	SharesMemory() bool
 }
 
-// Result bundles everything measured in one run.
+// Result bundles everything measured in one run. It holds no reference
+// to the protocol or program instance, so keeping a Result does not keep
+// a finished run's page images alive.
 type Result struct {
-	Run      *stats.Run
-	Protocol proto.Protocol
-	Program  proto.Program
+	Run *stats.Run
 	// VerifyErr is the application's self-check outcome.
 	VerifyErr error
 	// Deadlocked reports a simulation that wedged (protocol bug).
 	Deadlocked bool
 	// SplitErr, when non-nil, reports that the program's problem splitter
 	// refused the (scale, procs) combination (proto.SplitChecker); the
-	// simulation never ran and every other field is zero.
+	// simulation never ran and Run holds only the names and machine size.
 	SplitErr error
+	// faults is the injected fault schedule (nil = none), for Must's message.
+	faults *fault.Config
 }
 
 // Cycles returns the parallel execution time.
 func (r *Result) Cycles() uint64 { return r.Run.Cycles }
 
+// Must returns r when its simulation ran to completion and verified, and
+// panics otherwise, naming the application, protocol, machine size and
+// fault schedule: the one failure policy of the experiment drivers and
+// sessions, where a failed run invalidates the whole table.
+func (r *Result) Must() *Result {
+	what := fmt.Sprintf("harness: %s under %s on %d processors", r.Run.App, r.Run.Protocol, len(r.Run.Procs))
+	if r.faults != nil {
+		what += " with faults " + r.faults.String()
+	}
+	switch {
+	case r.SplitErr != nil:
+		panic(fmt.Sprintf("%s cannot run: %v", what, r.SplitErr))
+	case r.Deadlocked:
+		panic(what + " deadlocked")
+	case r.VerifyErr != nil:
+		panic(fmt.Sprintf("%s failed verification: %v", what, r.VerifyErr))
+	}
+	return r
+}
+
 // Run executes prog under protocol pr with the given system parameters and
 // returns the measurements. It panics on configuration errors; protocol
 // deadlocks are reported in the result.
 func Run(params memsys.Params, pr proto.Protocol, prog proto.Program) *Result {
-	return RunTraced(params, pr, prog, nil)
+	return RunFaultTraced(params, pr, prog, nil, nil)
 }
 
-// RunTraced is Run with an event tracer attached to every layer of the
-// stack (engine, interconnect, per-processor memories, protocol). A nil
-// tracer is exactly Run: the hooks stay dormant behind their nil checks
-// and the simulated cycle counts are identical either way — tracing never
-// charges simulated time.
-func RunTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer) *Result {
-	return RunFaultTraced(params, pr, prog, tr, nil)
-}
-
-// RunFaultTraced is RunTraced with deterministic fault injection: a
-// non-nil fcfg arms the injector and the reliable transport before the
-// protocol attaches (see aecdsm/internal/fault and docs/ROBUSTNESS.md). A
-// nil fcfg is exactly RunTraced — the fault hooks stay dormant behind
-// their nil checks and the simulated cycle counts are byte-identical.
+// RunFaultTraced is Run with an event tracer attached to every layer of
+// the stack (engine, interconnect, per-processor memories, protocol) and
+// deterministic fault injection: a non-nil fcfg arms the injector and the
+// reliable transport before the protocol attaches (see
+// aecdsm/internal/fault and docs/ROBUSTNESS.md). A nil tracer and a nil
+// fcfg are exactly Run — the hooks stay dormant behind their nil checks
+// and the simulated cycle counts are byte-identical; tracing never charges
+// simulated time.
 func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) *Result {
-	eng, run, split := compose(params, pr, prog, tr, fcfg)
-	if split != nil {
-		return split
+	eng, res := compose(params, pr, prog, tr, fcfg)
+	if eng == nil {
+		return res
 	}
 	if tr != nil {
 		ev := trace.Ev(0, 0, trace.KindRunStart)
@@ -73,34 +89,26 @@ func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program,
 	}
 	eng.Start()
 	if tr != nil {
-		ev := trace.Ev(run.Cycles, 0, trace.KindRunEnd)
+		ev := trace.Ev(res.Run.Cycles, 0, trace.KindRunEnd)
 		ev.Note = prog.Name() + "/" + pr.Name()
 		tr.Trace(ev)
 	}
-
-	return &Result{
-		Run:        run,
-		Protocol:   pr,
-		Program:    prog,
-		VerifyErr:  prog.Err(),
-		Deadlocked: eng.Deadlocked,
-	}
+	res.VerifyErr, res.Deadlocked = prog.Err(), eng.Deadlocked
+	return res
 }
 
 // compose assembles the full simulation stack — space, engine, contexts,
 // protocol, bodies — without starting it, so callers can either run it
 // to completion (RunFaultTraced) or drive it in horizon slices
-// (Session). A non-nil third return is the split-refusal Result: the
-// configuration cannot run and the engine was never built.
-func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*sim.Engine, *stats.Run, *Result) {
+// (Session), and returns it with the Result the run will fill in. A nil
+// engine is a split refusal, reported in the Result: the configuration
+// cannot run and the engine was never built.
+func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*sim.Engine, *Result) {
+	run := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
+	res := &Result{Run: run, faults: fcfg}
 	if sc, ok := prog.(proto.SplitChecker); ok {
-		if err := sc.CheckSplit(params.NumProcs); err != nil {
-			return nil, nil, &Result{
-				Run:      stats.NewRun(prog.Name(), pr.Name(), params.NumProcs),
-				Protocol: pr,
-				Program:  prog,
-				SplitErr: err,
-			}
+		if res.SplitErr = sc.CheckSplit(params.NumProcs); res.SplitErr != nil {
+			return nil, res
 		}
 	}
 	space := mem.NewSpace(params.PageSize)
@@ -113,7 +121,6 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 		nl.SetNumLocks(prog.NumLocks())
 	}
 
-	run := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
 	eng := sim.New(params, run)
 	if fcfg != nil {
 		eng.EnableFaults(*fcfg)
@@ -123,10 +130,8 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 	eng.Tracer = tr
 	eng.Net.Tracer = tr
 
-	shared := false
-	if ms, ok := pr.(memorySharer); ok && ms.SharesMemory() {
-		shared = true
-	}
+	ms, ok := pr.(memorySharer)
+	shared := ok && ms.SharesMemory()
 	var sharedMem *mem.ProcMem
 	if shared {
 		sharedMem = mem.NewProcMem(space, 0)
@@ -154,28 +159,5 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 			pr.Done(c)
 		})
 	}
-	return eng, run, nil
-}
-
-// MustRun is Run plus a panic on deadlock or verification failure; used by
-// the experiment drivers where a failure invalidates the whole table.
-func MustRun(params memsys.Params, pr proto.Protocol, prog proto.Program) *Result {
-	return MustRunTraced(params, pr, prog, nil)
-}
-
-// MustRunTraced is RunTraced plus the MustRun failure panics.
-func MustRunTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer) *Result {
-	r := RunTraced(params, pr, prog, tr)
-	if r.SplitErr != nil {
-		panic(fmt.Sprintf("harness: %s cannot run on %d processors: %v",
-			prog.Name(), params.NumProcs, r.SplitErr))
-	}
-	if r.Deadlocked {
-		panic(fmt.Sprintf("harness: %s under %s deadlocked", prog.Name(), pr.Name()))
-	}
-	if r.VerifyErr != nil {
-		panic(fmt.Sprintf("harness: %s under %s failed verification: %v",
-			prog.Name(), pr.Name(), r.VerifyErr))
-	}
-	return r
+	return eng, res
 }

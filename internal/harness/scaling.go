@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"aecdsm/internal/apps"
-	"aecdsm/internal/fault"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/stats"
@@ -18,24 +16,15 @@ func ScalingKinds() []ProtocolKind {
 	return []ProtocolKind{ProtoIdeal, ProtoAEC, ProtoTM, ProtoMunin}
 }
 
-// scalingCell is the measurement of one (procs, protocol) configuration:
-// a clean run for runtime/LAP/traffic plus a light-fault run for the
-// recovery overhead column.
-type scalingCell struct {
-	res     *Result
-	lapRate float64 // overall LAP full-hit rate, -1 when not recorded
-	recPct  float64 // recovery overhead under the "light" fault preset, %
-}
-
 // remRefsPerSync returns the run's remote references per synchronization
 // operation: messages sent per lock acquire or barrier arrival. This is
 // the sweep's stand-in for Golab's CC-vs-DSM remote-reference metric —
 // under the ideal (cache-coherent-like) machine it stays flat as the
 // machine grows, while the DSM protocols' consistency fan-out makes it
 // climb with the processor count (docs/SCALING.md).
-func remRefsPerSync(r *Result) float64 {
-	msgs := r.Run.Sum(func(p *stats.Proc) uint64 { return p.MsgsSent })
-	syncs := r.Run.Sum(func(p *stats.Proc) uint64 { return p.LockAcquires + p.BarrierArrivals })
+func remRefsPerSync(r *stats.Run) float64 {
+	msgs := r.Sum(func(p *stats.Proc) uint64 { return p.MsgsSent })
+	syncs := r.Sum(func(p *stats.Proc) uint64 { return p.LockAcquires + p.BarrierArrivals })
 	if syncs == 0 {
 		return 0
 	}
@@ -60,17 +49,16 @@ func (e *Experiments) scalingParams(n int) memsys.Params {
 // four ScalingKinds protocols and renders the sweep table: runtime,
 // runtime relative to the ideal machine at the same size, LAP full-hit
 // rate, recovery overhead under the "light" fault preset, and remote
-// references per synchronization operation. Machine shapes vary per run,
-// so the runs bypass the memo cache and fan out through runParallel into
-// an ordered grid, exactly like the Speedup table (docs/SCALING.md).
+// references per synchronization operation. Each cell is two specs on the
+// scalingParams machine — a clean run and its light-fault twin — memoized
+// like any table run (docs/SCALING.md).
 func (e *Experiments) ScalingSweep(w io.Writer, app string, procsList []int) {
 	kinds := ScalingKinds()
 	// Drop machine sizes the app's problem splitter cannot feed at this
 	// scale (proto.SplitChecker) instead of letting every cell of the row
 	// fail; the skipped sizes are reported under the table header.
 	var skipped []string
-	probe := appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-	if sc, ok := probe.(proto.SplitChecker); ok {
+	if sc, ok := e.program(runSpec{app: app}).(proto.SplitChecker); ok {
 		kept := procsList[:0:0]
 		for _, n := range procsList {
 			if err := sc.CheckSplit(n); err != nil {
@@ -81,33 +69,19 @@ func (e *Experiments) ScalingSweep(w io.Writer, app string, procsList []int) {
 		}
 		procsList = kept
 	}
-	cells := make([]scalingCell, len(procsList)*len(kinds))
-	fcfg, err := fault.ParseSpec("light")
-	if err != nil {
-		panic("harness: light fault preset: " + err.Error())
+	// Each cell is a clean run ("") and its "light"-fault twin.
+	at := func(n int, k ProtocolKind, faults string) runSpec {
+		spec := e.spec(app, k, 2)
+		spec.params, spec.faults = e.scalingParams(n), faults
+		return spec
 	}
-	runParallel(len(cells)*2, e.jobs(), func(i int) {
-		slot := i / 2
-		n := procsList[slot/len(kinds)]
-		k := kinds[slot%len(kinds)]
-		params := e.scalingParams(n)
-		prog := appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-		pr := e.protocol(k, 2)
-		if i%2 == 0 {
-			res := MustRun(params, pr, prog)
-			cells[slot].res = res
-			cells[slot].lapRate = OverallLAPRate(harvestLAP(pr, prog))
-			return
+	var specs []runSpec
+	for _, n := range procsList {
+		for _, k := range kinds {
+			specs = append(specs, at(n, k, ""), at(n, k, "light"))
 		}
-		// Fault-injected twin of the same configuration: recovery
-		// overhead as a share of the machine's total busy cycles.
-		res := RunFaultTraced(params, pr, prog, nil, &fcfg)
-		if res.Deadlocked {
-			panic(fmt.Sprintf("harness: scaling %s/%s at %d procs deadlocked under faults", app, k, n))
-		}
-		b := res.Run.TotalBreakdown()
-		cells[slot].recPct = pct(b[stats.Recovery], b.Total())
-	})
+	}
+	e.prefetch(specs)
 
 	fmt.Fprintf(w, "Scaling sweep: %s at scale %.2f (docs/SCALING.md).\n", app, e.Scale)
 	fmt.Fprintf(w, "Radix-16 barrier combining, hash-sharded homes and lock managers at every size.\n")
@@ -126,28 +100,32 @@ func (e *Experiments) ScalingSweep(w io.Writer, app string, procsList []int) {
 	}
 	fmt.Fprintf(w, "  %5s %-9s %14s %9s %6s %7s %12s\n",
 		"procs", "protocol", "cycles", "vs ideal", "LAP%", "recov%", "remref/sync")
-	for pi, n := range procsList {
+	for _, n := range procsList {
 		var ideal uint64
-		for ki, k := range kinds {
-			c := cells[pi*len(kinds)+ki]
+		for _, k := range kinds {
+			clean, light := e.outcome(at(n, k, "")), e.outcome(at(n, k, "light"))
 			if k == ProtoIdeal {
-				ideal = c.res.Cycles()
+				ideal = clean.run.Cycles
 			}
+			// Recovery overhead as a share of the faulted twin's total busy
+			// cycles.
+			b := light.run.TotalBreakdown()
 			fmt.Fprintf(w, "  %5d %-9s %14d %8.2fx %6s %6.1f%% %12.1f\n",
-				n, k, c.res.Cycles(),
-				float64(c.res.Cycles())/float64(ideal),
-				fmtRate(c.lapRate), c.recPct, remRefsPerSync(c.res))
+				n, k, clean.run.Cycles,
+				float64(clean.run.Cycles)/float64(ideal),
+				fmtRate(OverallLAPRate(clean.lap)), pct(b[stats.Recovery], b.Total()),
+				remRefsPerSync(clean.run))
 		}
 		fmt.Fprintln(w)
 	}
 
 	// Qualitative Golab-shape check: the growth of remote references per
 	// synchronization operation from the smallest to the largest machine.
-	lo, hi := 0, len(procsList)-1
-	fmt.Fprintf(w, "remref/sync growth %d -> %d procs:", procsList[lo], procsList[hi])
-	for ki, k := range kinds {
-		a := remRefsPerSync(cells[lo*len(kinds)+ki].res)
-		b := remRefsPerSync(cells[hi*len(kinds)+ki].res)
+	lo, hi := procsList[0], procsList[len(procsList)-1]
+	fmt.Fprintf(w, "remref/sync growth %d -> %d procs:", lo, hi)
+	for _, k := range kinds {
+		a := remRefsPerSync(e.outcome(at(lo, k, "")).run)
+		b := remRefsPerSync(e.outcome(at(hi, k, "")).run)
 		growth := 0.0
 		if a > 0 {
 			growth = b / a

@@ -1,4 +1,4 @@
-// Parallel experiment scheduler: executes distinct memoized run keys on a
+// Parallel experiment scheduler: executes distinct memoized run specs on a
 // worker pool of isolated engines. Every simulation is a self-contained
 // deterministic unit — its own sim.Engine, mem.Space, protocol instance
 // and program instance, with all randomness derived from per-run
@@ -15,14 +15,22 @@ package harness
 import (
 	"runtime"
 	"sync"
+
+	"aecdsm/internal/stats"
+	"aecdsm/internal/trace"
 )
 
-// runOutcome is everything one completed run contributes to the memo
-// cache: the measurements plus the LAP statistics harvested from its
-// protocol instance (nil when the protocol records none).
+// runOutcome is what one completed run contributes to the memo cache —
+// only what a renderer reads, so a finished run's protocol and program
+// (page images, twins, diffs) are garbage as soon as it is harvested: the
+// statistics, the program's lock count, the LAP rows harvested from the
+// protocol instance (nil when it records none) and, for a spec with
+// metrics set, the per-lock summaries of its metrics sink.
 type runOutcome struct {
-	res *Result
-	lap []lapRow
+	run      *stats.Run
+	numLocks int
+	lap      []lapRow
+	locks    []trace.LockSummary
 }
 
 // scheduler owns the Experiments memo cache. All access is serialized by
@@ -30,36 +38,35 @@ type runOutcome struct {
 // concurrently.
 type scheduler struct {
 	mu    sync.Mutex
-	cache map[runKey]runOutcome
+	cache map[runSpec]runOutcome
 }
 
-func (s *scheduler) init() { s.cache = map[runKey]runOutcome{} }
-
-// lookup returns the memoized outcome for key, if any.
-func (s *scheduler) lookup(key runKey) (runOutcome, bool) {
+// outcome returns the memoized outcome of one run spec, running it first
+// if need be. Concurrent duplicate runs of one spec are harmless: the
+// simulations are deterministic, so both outcomes are identical and
+// last-write-wins.
+func (e *Experiments) outcome(spec runSpec) runOutcome {
+	s := &e.sched
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, ok := s.cache[key]
-	return out, ok
+	out, ok := s.cache[spec]
+	s.mu.Unlock()
+	if !ok {
+		out = e.runOne(spec)
+		s.mu.Lock()
+		s.cache[spec] = out
+		s.mu.Unlock()
+	}
+	return out
 }
 
-// store memoizes a completed run. Concurrent duplicate runs of one key
-// are harmless: the simulations are deterministic, so both outcomes are
-// identical and last-write-wins.
-func (s *scheduler) store(key runKey, out runOutcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache[key] = out
-}
-
-// missing filters keys down to the uncached ones, deduplicated, in input
+// missing filters specs down to the uncached ones, deduplicated, in input
 // order.
-func (s *scheduler) missing(keys []runKey) []runKey {
+func (s *scheduler) missing(specs []runSpec) []runSpec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[runKey]bool, len(keys))
-	var out []runKey
-	for _, k := range keys {
+	seen := make(map[runSpec]bool, len(specs))
+	var out []runSpec
+	for _, k := range specs {
 		if seen[k] {
 			continue
 		}
@@ -85,22 +92,19 @@ func (e *Experiments) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefetch brings every given run key into the memo cache, executing the
-// uncached ones on up to e.jobs() concurrent engines. Tables call it with
-// their full key set before formatting anything; because formatting then
-// reads only the cache, table output is byte-identical whether the runs
-// happened here in parallel or lazily in sequential order.
-func (e *Experiments) prefetch(keys []runKey) {
-	missing := e.sched.missing(keys)
-	runParallel(len(missing), e.jobs(), func(i int) {
-		e.sched.store(missing[i], e.runOne(missing[i]))
-	})
+// prefetch brings every given run spec into the memo cache, executing the
+// uncached ones on up to e.jobs() concurrent engines. Tables and sweeps
+// call it with their full spec set before formatting anything; because
+// formatting then reads only the cache, the output is byte-identical
+// whether the runs happened here in parallel or lazily in sequential
+// order.
+func (e *Experiments) prefetch(specs []runSpec) {
+	missing := e.sched.missing(specs)
+	runParallel(len(missing), e.jobs(), func(i int) { e.outcome(missing[i]) })
 }
 
 // runParallel executes fn(0..n-1) on up to jobs workers and waits for all
-// of them: the one worker pool, behind prefetch and behind the drivers
-// whose runs are not memoizable (Speedup varies the machine shape, so its
-// results bypass the key cache and land in caller-indexed slots instead).
+// of them: the one worker pool, behind prefetch.
 func runParallel(n, jobs int, fn func(i int)) {
 	if jobs > n {
 		jobs = n

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"aecdsm/internal/trace"
@@ -19,8 +18,8 @@ func renderAt(jobs int, scale float64, render func(e *Experiments, buf *bytes.Bu
 }
 
 // TestParallelOutputIdentical pins the scheduler's core contract: every
-// table and figure renders byte-identical output whether the runs execute
-// strictly sequentially (Jobs=1) or on an 8-worker pool (Jobs=8).
+// table, figure and sweep renders byte-identical output whether the runs
+// execute strictly sequentially (Jobs=1) or on an 8-worker pool (Jobs=8).
 func TestParallelOutputIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table suite")
@@ -43,6 +42,8 @@ func TestParallelOutputIdentical(t *testing.T) {
 		{"ScalingSweep", func(e *Experiments, b *bytes.Buffer) { e.ScalingSweep(b, "Ocean", []int{16, 64}) }},
 		{"RecoverySweep", func(e *Experiments, b *bytes.Buffer) { e.RecoverySweep(b, "IS") }},
 		{"Timeline", func(e *Experiments, b *bytes.Buffer) { e.TimelineSweep(b, "Raytrace") }},
+		{"LockLab", func(e *Experiments, b *bytes.Buffer) { e.LockLab(b) }},
+		{"Speedup", func(e *Experiments, b *bytes.Buffer) { e.Speedup(b, "Ocean") }},
 	}
 	for _, sec := range sections {
 		sec := sec
@@ -55,20 +56,6 @@ func TestParallelOutputIdentical(t *testing.T) {
 					sec.name, seq, par)
 			}
 		})
-	}
-}
-
-// TestParallelSpeedupOutputIdentical covers the non-memoized fan-out path
-// (Speedup varies the machine shape, bypassing the key cache).
-func TestParallelSpeedupOutputIdentical(t *testing.T) {
-	if testing.Short() || os.Getenv("AEC_FULL") == "" {
-		t.Skip("multi-machine sweep (set AEC_FULL=1)")
-	}
-	render := func(e *Experiments, b *bytes.Buffer) { e.Speedup(b, "Ocean") }
-	seq := renderAt(1, 0.1, render)
-	par := renderAt(8, 0.1, render)
-	if !bytes.Equal(seq, par) {
-		t.Errorf("Speedup differs between -jobs=1 and -jobs=8:\n--- jobs=1 ---\n%s--- jobs=8 ---\n%s", seq, par)
 	}
 }
 

@@ -19,8 +19,8 @@ func TestSpeedup(t *testing.T) {
 	// The per-protocol ordering must hold at every machine size.
 	params := e.Params
 	params.MeshW, params.MeshH, params.NumProcs = 4, 2, 8
-	a := MustRun(params, e.protocol(ProtoAEC, 2), appsFactory("Ocean")(apps.Config{Scale: 0.1}))
-	tmr := MustRun(params, e.protocol(ProtoTM, 2), appsFactory("Ocean")(apps.Config{Scale: 0.1}))
+	a := Run(params, NewProtocol(ProtoAEC, 2), appsFactory("Ocean")(apps.Config{Scale: 0.1})).Must()
+	tmr := Run(params, NewProtocol(ProtoTM, 2), appsFactory("Ocean")(apps.Config{Scale: 0.1})).Must()
 	if a.Cycles() >= tmr.Cycles() {
 		t.Errorf("AEC (%d) did not beat TM (%d) at 8 procs", a.Cycles(), tmr.Cycles())
 	}

@@ -5,26 +5,25 @@ import (
 	"io"
 	"strings"
 
-	"aecdsm/internal/apps"
 	"aecdsm/internal/stats"
 )
 
-// keysFor builds the (app, protocol, ns) cross product a table submits
+// specsFor builds the (app, protocol, ns) cross product a table submits
 // to the prefetching scheduler before formatting (ns defaults to 2 when
 // none is given).
-func keysFor(appsList []string, kinds []ProtocolKind, nss ...int) []runKey {
+func (e *Experiments) specsFor(appsList []string, kinds []ProtocolKind, nss ...int) []runSpec {
 	if len(nss) == 0 {
 		nss = []int{2}
 	}
-	keys := make([]runKey, 0, len(appsList)*len(kinds)*len(nss))
+	specs := make([]runSpec, 0, len(appsList)*len(kinds)*len(nss))
 	for _, app := range appsList {
 		for _, k := range kinds {
 			for _, ns := range nss {
-				keys = append(keys, runKey{app: app, proto: k, ns: ns})
+				specs = append(specs, e.spec(app, k, ns))
 			}
 		}
 	}
-	return keys
+	return specs
 }
 
 // Table1 prints the system parameter table (Table 1 of the paper).
@@ -60,20 +59,20 @@ func (e *Experiments) Table1(w io.Writer) {
 // Table2 prints the synchronization event counts per application (Table 2
 // of the paper), measured under AEC.
 func (e *Experiments) Table2(w io.Writer) {
-	e.prefetch(keysFor(AllApps(), []ProtocolKind{ProtoAEC}))
+	e.prefetch(e.specsFor(AllApps(), []ProtocolKind{ProtoAEC}))
 	fmt.Fprintln(w, "Table 2: Synchronization events in our applications.")
 	fmt.Fprintf(w, "  %-10s %8s %12s %15s\n", "Appl", "# locks", "# acq events", "# barrier events")
 	for _, app := range AllApps() {
-		res := e.Run(app, ProtoAEC)
+		out := e.outcome(e.spec(app, ProtoAEC, 2))
 		fmt.Fprintf(w, "  %-10s %8d %12d %15d\n",
-			app, res.Program.NumLocks(), res.Run.LockAcquires(), res.Run.BarrierEvents())
+			app, out.numLocks, out.run.LockAcquires(), out.run.BarrierEvents())
 	}
 }
 
 // Table3 prints the LAP success rates per lock-variable group for Ns=2
 // (Table 3 of the paper).
 func (e *Experiments) Table3(w io.Writer) {
-	e.prefetch(keysFor(AllApps(), []ProtocolKind{ProtoAEC}))
+	e.prefetch(e.specsFor(AllApps(), []ProtocolKind{ProtoAEC}))
 	fmt.Fprintln(w, "Table 3: LAP Success Rates for Ns = 2 (percent).")
 	fmt.Fprintf(w, "  %-10s %-28s %8s %7s %6s %7s %8s %8s\n",
 		"Appl", "lock group", "# events", "% total", "LAP", "waitQ", "+affin", "+virtQ")
@@ -91,7 +90,7 @@ func (e *Experiments) Table3(w io.Writer) {
 // Figure3 prints the normalized memory access fault overhead under AEC
 // without LAP (100) and AEC, for the lock-intensive applications.
 func (e *Experiments) Figure3(w io.Writer) {
-	e.prefetch(keysFor(LockApps(), []ProtocolKind{ProtoAECNoLAP, ProtoAEC}))
+	e.prefetch(e.specsFor(LockApps(), []ProtocolKind{ProtoAECNoLAP, ProtoAEC}))
 	fmt.Fprintln(w, "Figure 3: Access Fault Overheads Under AEC without LAP (noLAP=100) and AEC (LAP).")
 	fmt.Fprintf(w, "  %-10s %14s %14s %8s\n", "Appl", "noLAP (cycles)", "LAP (cycles)", "LAP (%)")
 	for _, app := range LockApps() {
@@ -113,7 +112,7 @@ func breakdownRow(w io.Writer, label string, b stats.Breakdown, norm uint64) {
 
 // figureBreakdown renders a paper-style two-bar comparison figure.
 func (e *Experiments) figureBreakdown(w io.Writer, title string, appsList []string, left, right ProtocolKind) {
-	e.prefetch(keysFor(appsList, []ProtocolKind{left, right}))
+	e.prefetch(e.specsFor(appsList, []ProtocolKind{left, right}))
 	fmt.Fprintln(w, title)
 	for _, app := range appsList {
 		lb := e.Run(app, left).Run.TotalBreakdown()
@@ -135,7 +134,7 @@ func (e *Experiments) Figure4(w io.Writer) {
 
 // Table4 prints the diff statistics under AEC (Table 4 of the paper).
 func (e *Experiments) Table4(w io.Writer) {
-	e.prefetch(keysFor(AllApps(), []ProtocolKind{ProtoAEC}))
+	e.prefetch(e.specsFor(AllApps(), []ProtocolKind{ProtoAEC}))
 	fmt.Fprintln(w, "Table 4: Diff statistics in AEC.")
 	fmt.Fprintf(w, "  %-10s %6s %8s %8s %12s %8s\n",
 		"Appl", "Size", "MrgSize", "Merged", "Create(cy)", "Hidden")
@@ -165,7 +164,7 @@ func (e *Experiments) Figure6(w io.Writer) {
 // NsSweep prints the LAP accuracy and runtime for update-set sizes 1-3
 // (the robustness study of §5.1: Ns=2 is the sweet spot).
 func (e *Experiments) NsSweep(w io.Writer) {
-	e.prefetch(keysFor(LockApps(), []ProtocolKind{ProtoAEC}, 1, 2, 3))
+	e.prefetch(e.specsFor(LockApps(), []ProtocolKind{ProtoAEC}, 1, 2, 3))
 	fmt.Fprintln(w, "Ns sweep (update set size 1-3): LAP success rate / normalized runtime.")
 	fmt.Fprintf(w, "  %-10s", "Appl")
 	for ns := 1; ns <= 3; ns++ {
@@ -177,19 +176,7 @@ func (e *Experiments) NsSweep(w io.Writer) {
 		base := e.RunNs(app, ProtoAEC, 1).Cycles()
 		for ns := 1; ns <= 3; ns++ {
 			res := e.RunNs(app, ProtoAEC, ns)
-			rows := e.LAP(app, ns)
-			// Weighted overall rate across groups.
-			var hits, ev float64
-			for _, r := range rows {
-				if r.Evaluated > 0 && r.Full >= 0 {
-					hits += r.Full * float64(r.Evaluated)
-					ev += float64(r.Evaluated)
-				}
-			}
-			rate := -1.0
-			if ev > 0 {
-				rate = hits / ev
-			}
+			rate := OverallLAPRate(e.LAP(app, ns))
 			fmt.Fprintf(w, "   %8s%%  %8.1f%%", fmtRate(rate), pct(res.Cycles(), base))
 		}
 		fmt.Fprintln(w)
@@ -200,7 +187,7 @@ func (e *Experiments) NsSweep(w io.Writer) {
 // for the lock-intensive applications measured under AEC and, passively,
 // under TreadMarks — the paper finds they differ by no more than ~10%.
 func (e *Experiments) LAPRobustness(w io.Writer) {
-	e.prefetch(keysFor(LockApps(), []ProtocolKind{ProtoAEC, ProtoTM}))
+	e.prefetch(e.specsFor(LockApps(), []ProtocolKind{ProtoAEC, ProtoTM}))
 	fmt.Fprintln(w, "LAP robustness (§5.1): overall success rate under AEC vs TreadMarks.")
 	fmt.Fprintf(w, "  %-10s %10s %10s %8s\n", "Appl", "under AEC", "under TM", "delta")
 	for _, app := range LockApps() {
@@ -215,11 +202,11 @@ func (e *Experiments) LAPRobustness(w io.Writer) {
 // pushed at releases), at the cost of page refetches by invalidated
 // sharers.
 func (e *Experiments) MuninTraffic(w io.Writer) {
-	e.prefetch(keysFor([]string{"IS", "Raytrace", "Water-ns"}, []ProtocolKind{ProtoMunin, ProtoMuninLAP}))
+	e.prefetch(e.specsFor(LockApps(), []ProtocolKind{ProtoMunin, ProtoMuninLAP}))
 	fmt.Fprintln(w, "Munin update-traffic restriction via LAP (§1 proposal).")
 	fmt.Fprintf(w, "  %-10s %14s %14s %9s %14s %14s\n",
 		"Appl", "Munin upd (B)", "+LAP upd (B)", "upd %", "Munin tot (B)", "+LAP tot (B)")
-	for _, app := range []string{"IS", "Raytrace", "Water-ns"} {
+	for _, app := range LockApps() {
 		base := e.Run(app, ProtoMunin)
 		lapRes := e.Run(app, ProtoMuninLAP)
 		upd := func(r *Result) uint64 {
@@ -234,14 +221,21 @@ func (e *Experiments) MuninTraffic(w io.Writer) {
 	}
 }
 
+// overviewKinds is Kinds with the ideal lower bound leading:
+// ProtocolsOverview's column order, and the order All submits its runs in.
+func overviewKinds() []ProtocolKind {
+	all := Kinds()
+	return append([]ProtocolKind{ProtoIdeal}, all[:len(all)-1]...)
+}
+
 // ProtocolsOverview prints one normalized-runtime row per application for
 // every protocol in the repository — the related-work landscape of §6
 // (ideal lower bound, AEC with and without LAP, TreadMarks and its Lazy
 // Hybrid variation, Munin with and without LAP-restricted updates),
 // normalized to TreadMarks = 100.
 func (e *Experiments) ProtocolsOverview(w io.Writer) {
-	kinds := []ProtocolKind{ProtoIdeal, ProtoAEC, ProtoAECNoLAP, ProtoTM, ProtoTMLH, ProtoMunin, ProtoMuninLAP}
-	e.prefetch(keysFor(AllApps(), kinds))
+	kinds := overviewKinds()
+	e.prefetch(e.specsFor(AllApps(), kinds))
 	fmt.Fprintln(w, "Protocol overview: parallel execution time normalized to TM = 100.")
 	fmt.Fprintf(w, "  %-10s", "Appl")
 	for _, k := range kinds {
@@ -260,52 +254,48 @@ func (e *Experiments) ProtocolsOverview(w io.Writer) {
 
 // Speedup prints parallel speedup (T1/Tp) for 1-32 processors under AEC
 // and TreadMarks — not a paper figure, but the natural scalability view of
-// the same simulations (the mesh grows with the processor count). The
-// machine shape varies per run, so these runs bypass the memo cache: they
-// fan out through runParallel into an ordered result grid instead, and
-// the grid is formatted sequentially.
+// the same simulations (the mesh grows with the processor count). Each
+// cell is the table spec on another machine shape, so the 16-processor row
+// shares its runs with the paper's tables.
 func (e *Experiments) Speedup(w io.Writer, app string) {
 	shapes := []struct{ w, h int }{{1, 1}, {2, 1}, {2, 2}, {4, 2}, {4, 4}, {8, 4}}
 	kinds := []ProtocolKind{ProtoAEC, ProtoTM}
-	results := make([]*Result, len(shapes)*len(kinds))
-	runParallel(len(results), e.jobs(), func(i int) {
-		sh := shapes[i/len(kinds)]
-		k := kinds[i%len(kinds)]
-		params := e.Params
-		params.MeshW, params.MeshH = sh.w, sh.h
-		params.NumProcs = sh.w * sh.h
-		results[i] = MustRun(params, e.protocol(k, 2), appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed}))
-	})
+	at := func(w, h int, k ProtocolKind) runSpec {
+		spec := e.spec(app, k, 2)
+		spec.params.MeshW, spec.params.MeshH, spec.params.NumProcs = w, h, w*h
+		return spec
+	}
+	var specs []runSpec
+	for _, sh := range shapes {
+		for _, k := range kinds {
+			specs = append(specs, at(sh.w, sh.h, k))
+		}
+	}
+	e.prefetch(specs)
 
 	fmt.Fprintf(w, "Speedup for %s (T1/Tp).\n  %-6s", app, "procs")
 	for _, k := range kinds {
 		fmt.Fprintf(w, " %10s", k)
 	}
 	fmt.Fprintln(w)
-	base := map[ProtocolKind]uint64{}
-	for si, sh := range shapes {
+	for _, sh := range shapes {
 		fmt.Fprintf(w, "  %-6d", sh.w*sh.h)
-		for ki, k := range kinds {
-			res := results[si*len(kinds)+ki]
-			if sh.w*sh.h == 1 {
-				base[k] = res.Cycles()
-			}
-			fmt.Fprintf(w, " %9.2fx", float64(base[k])/float64(res.Cycles()))
+		for _, k := range kinds {
+			t1 := e.outcome(at(1, 1, k)).run.Cycles
+			tp := e.outcome(at(sh.w, sh.h, k)).run.Cycles
+			fmt.Fprintf(w, " %9.2fx", float64(t1)/float64(tp))
 		}
 		fmt.Fprintln(w)
 	}
 }
 
 // All renders every table and figure in paper order. The union of every
-// table's key set is submitted to the scheduler up front, so the worker
+// table's spec set is submitted to the scheduler up front, so the worker
 // pool drains the whole suite at maximum width instead of per-table
 // batches.
 func (e *Experiments) All(w io.Writer) {
-	all := []ProtocolKind{ProtoIdeal, ProtoAEC, ProtoAECNoLAP, ProtoTM, ProtoTMLH, ProtoMunin, ProtoMuninLAP}
-	var keys []runKey
-	keys = append(keys, keysFor(AllApps(), all)...)
-	keys = append(keys, keysFor(LockApps(), []ProtocolKind{ProtoAEC}, 1, 2, 3)...)
-	e.prefetch(keys)
+	e.prefetch(append(e.specsFor(AllApps(), overviewKinds()),
+		e.specsFor(LockApps(), []ProtocolKind{ProtoAEC}, 1, 2, 3)...))
 	sep := strings.Repeat("-", 78)
 	e.Table1(w)
 	fmt.Fprintln(w, sep)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"aecdsm/internal/apps"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
@@ -22,22 +21,17 @@ import (
 // stacks stay live.
 type Session struct {
 	eng     *sim.Engine
-	run     *stats.Run
-	pr      proto.Protocol
+	res     *Result
 	prog    proto.Program
 	started bool
 	more    bool
 }
 
 // NewSession composes (but does not start) a run. It panics when the
-// program's splitter refuses the processor count, mirroring MustRun.
+// program's splitter refuses the processor count (Result.Must).
 func NewSession(params memsys.Params, pr proto.Protocol, prog proto.Program) *Session {
-	eng, run, split := compose(params, pr, prog, nil, nil)
-	if split != nil {
-		panic(fmt.Sprintf("harness: %s cannot run on %d processors: %v",
-			prog.Name(), params.NumProcs, split.SplitErr))
-	}
-	return &Session{eng: eng, run: run, pr: pr, prog: prog, more: true}
+	eng, res := compose(params, pr, prog, nil, nil)
+	return &Session{eng: eng, res: res.Must(), prog: prog, more: true}
 }
 
 // RunUntil advances the session to the given virtual-time horizon
@@ -58,7 +52,7 @@ func (s *Session) RunUntil(horizon uint64) bool {
 
 // Snapshot deep-copies the session's statistics as of the current pause
 // point.
-func (s *Session) Snapshot() *stats.Run { return s.run.Clone() }
+func (s *Session) Snapshot() *stats.Run { return s.res.Run.Clone() }
 
 // Close ends the session where it stands, releasing every processor
 // stack still parked in the engine. Idempotent.
@@ -67,8 +61,8 @@ func (s *Session) Close() {
 	s.eng.Close()
 }
 
-// Finish runs the session to completion with MustRun's failure checks
-// and returns the result.
+// Finish runs the session to completion and returns the result, which
+// must have verified (Result.Must).
 func (s *Session) Finish() *Result {
 	defer s.Close()
 	if !s.started {
@@ -77,21 +71,8 @@ func (s *Session) Finish() *Result {
 	} else {
 		s.eng.Finish()
 	}
-	r := &Result{
-		Run:        s.run,
-		Protocol:   s.pr,
-		Program:    s.prog,
-		VerifyErr:  s.prog.Err(),
-		Deadlocked: s.eng.Deadlocked,
-	}
-	if r.Deadlocked {
-		panic(fmt.Sprintf("harness: %s under %s deadlocked", s.prog.Name(), s.pr.Name()))
-	}
-	if r.VerifyErr != nil {
-		panic(fmt.Sprintf("harness: %s under %s failed verification: %v",
-			s.prog.Name(), s.pr.Name(), r.VerifyErr))
-	}
-	return r
+	s.res.VerifyErr, s.res.Deadlocked = s.prog.Err(), s.eng.Deadlocked
+	return s.res.Must()
 }
 
 // timelineSteps is the number of horizon samples per protocol.
@@ -101,16 +82,16 @@ const timelineSteps = 6
 func timelineKinds() []ProtocolKind { return []ProtocolKind{ProtoAEC, ProtoTM} }
 
 // timelineSnapshots samples one protocol's statistics at sixths of its own
-// runtime: one cold run to completion fixes the total, then one paused
-// engine walks the horizons, each snapshot costing only the events since
-// the previous one. The cold replay — a fresh engine per horizon — survives
-// as the reference inside TestTimelineWarmMatchesCold.
+// runtime: the memoized (and, with a Tracer, traced) table run fixes the
+// total, then one paused engine replays it — untraced, the events are
+// already in the stream — and walks the horizons, each snapshot costing
+// only the events since the previous one. The cold replay — a fresh engine
+// per horizon — survives as the reference inside
+// TestTimelineWarmMatchesCold.
 func (e *Experiments) timelineSnapshots(app string, kind ProtocolKind) (total uint64, snaps []*stats.Run) {
-	prog := func() proto.Program {
-		return appsFactory(app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-	}
-	total = MustRun(e.Params, e.protocol(kind, 2), prog()).Cycles()
-	sess := NewSession(e.Params, e.protocol(kind, 2), prog())
+	spec := e.spec(app, kind, 2)
+	total = e.outcome(spec).run.Cycles
+	sess := NewSession(spec.params, NewProtocol(spec.proto, spec.ns), e.program(spec))
 	for i := 1; i < timelineSteps; i++ {
 		sess.RunUntil(total * uint64(i) / timelineSteps)
 		snaps = append(snaps, sess.Snapshot())
@@ -122,6 +103,7 @@ func (e *Experiments) timelineSnapshots(app string, kind ProtocolKind) (total ui
 // cumulative machine-wide cycle breakdown sampled at sixths of each
 // protocol's own runtime.
 func (e *Experiments) TimelineSweep(w io.Writer, app string) {
+	e.prefetch(e.specsFor([]string{app}, timelineKinds()))
 	fmt.Fprintf(w, "Execution timeline: %s at scale %.2f.\n", app, e.Scale)
 	fmt.Fprintf(w, "Cumulative machine-wide cycle breakdown sampled at sixths of each protocol's\n")
 	fmt.Fprintf(w, "own runtime. Warm and cold sampling render identical bytes (docs/PERFORMANCE.md).\n\n")

@@ -23,7 +23,7 @@ func TestTimelineWarmMatchesCold(t *testing.T) {
 		total, warm := e.timelineSnapshots("Raytrace", kind)
 		for i, snap := range warm {
 			prog := appsFactory("Raytrace")(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
-			cold := NewSession(e.Params, e.protocol(kind, 2), prog)
+			cold := NewSession(e.Params, NewProtocol(kind, 2), prog)
 			if i+1 < timelineSteps {
 				cold.RunUntil(total * uint64(i+1) / timelineSteps)
 			} else {

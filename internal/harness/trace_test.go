@@ -36,7 +36,7 @@ func TestTraceDeterministic(t *testing.T) {
 		emit := func() []byte {
 			var buf bytes.Buffer
 			j := trace.NewJSONL(&buf)
-			res := RunTraced(params, mk(), apps.NewCounter(4, 64, 8), j)
+			res := RunFaultTraced(params, mk(), apps.NewCounter(4, 64, 8), j, nil)
 			if res.Deadlocked || res.VerifyErr != nil {
 				t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
 			}
@@ -61,10 +61,10 @@ func TestTraceDoesNotPerturbCycles(t *testing.T) {
 		func() proto.Protocol { return munin.New(munin.Options{UseLAP: true, Ns: 2}) },
 	} {
 		plain := Run(params, mk(), apps.NewCounter(4, 64, 8))
-		traced := RunTraced(params, mk(), apps.NewCounter(4, 64, 8), trace.NewRing(1024))
+		traced := RunFaultTraced(params, mk(), apps.NewCounter(4, 64, 8), trace.NewRing(1024), nil)
 		if plain.Cycles() != traced.Cycles() {
 			t.Errorf("%s: tracing changed the run: %d vs %d cycles",
-				plain.Protocol.Name(), plain.Cycles(), traced.Cycles())
+				plain.Run.Protocol, plain.Cycles(), traced.Cycles())
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestTraceEventStream(t *testing.T) {
 		pr := pr
 		t.Run(pr.Name(), func(t *testing.T) {
 			ring := trace.NewRing(1 << 20)
-			res := RunTraced(params, pr, apps.NewCounter(4, 64, 8), ring)
+			res := RunFaultTraced(params, pr, apps.NewCounter(4, 64, 8), ring, nil)
 			if res.Deadlocked || res.VerifyErr != nil {
 				t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
 			}
@@ -124,7 +124,7 @@ func TestTraceEventStream(t *testing.T) {
 func TestTraceMetricsEndToEnd(t *testing.T) {
 	params := memsys.Default()
 	m := trace.NewMetrics()
-	res := RunTraced(params, aec.New(aec.DefaultOptions()), apps.NewCounter(4, 64, 8), m)
+	res := RunFaultTraced(params, aec.New(aec.DefaultOptions()), apps.NewCounter(4, 64, 8), m, nil)
 	if res.Deadlocked || res.VerifyErr != nil {
 		t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
 	}
@@ -155,7 +155,7 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 	params := memsys.Default()
 	var buf bytes.Buffer
 	c := trace.NewChrome(&buf)
-	res := RunTraced(params, aec.New(aec.DefaultOptions()), apps.NewCounter(4, 64, 8), c)
+	res := RunFaultTraced(params, aec.New(aec.DefaultOptions()), apps.NewCounter(4, 64, 8), c, nil)
 	if res.Deadlocked || res.VerifyErr != nil {
 		t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
 	}

@@ -66,10 +66,10 @@ func TestMuninAllApps(t *testing.T) {
 // small-diff workloads can exceed the update savings; the test logs both.)
 func TestLAPRestrictsUpdateTraffic(t *testing.T) {
 	for _, app := range []string{"IS", "Water-ns"} {
-		base := harness.MustRun(memsys.Default(), munin.New(munin.Options{}),
-			apps.Registry[app](apps.Config{Scale: 0.1}))
-		withLAP := harness.MustRun(memsys.Default(), munin.New(munin.Options{UseLAP: true, Ns: 2}),
-			apps.Registry[app](apps.Config{Scale: 0.1}))
+		base := harness.Run(memsys.Default(), munin.New(munin.Options{}),
+			apps.Registry[app](apps.Config{Scale: 0.1})).Must()
+		withLAP := harness.Run(memsys.Default(), munin.New(munin.Options{UseLAP: true, Ns: 2}),
+			apps.Registry[app](apps.Config{Scale: 0.1})).Must()
 
 		updates := func(r *harness.Result) uint64 {
 			return r.Run.Sum(func(p *stats.Proc) uint64 { return p.UpdateBytesPushed })

@@ -41,8 +41,8 @@ func TestLazyHybridCorrectness(t *testing.T) {
 // piggybacked diffs remove remote diff fetches on the lock-transfer path.
 func TestLazyHybridReducesDiffFetches(t *testing.T) {
 	app := "Water-ns"
-	base := harness.MustRun(memsys.Default(), tm.New(), apps.Registry[app](apps.Config{Scale: 0.1}))
-	lh := harness.MustRun(memsys.Default(), tm.NewLazyHybrid(), apps.Registry[app](apps.Config{Scale: 0.1}))
+	base := harness.Run(memsys.Default(), tm.New(), apps.Registry[app](apps.Config{Scale: 0.1})).Must()
+	lh := harness.Run(memsys.Default(), tm.NewLazyHybrid(), apps.Registry[app](apps.Config{Scale: 0.1})).Must()
 	fetches := func(r *harness.Result) uint64 {
 		return r.Run.Sum(func(p *stats.Proc) uint64 { return p.DiffRequests })
 	}

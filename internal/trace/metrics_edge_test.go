@@ -38,8 +38,8 @@ func TestMetricsZeroEvents(t *testing.T) {
 // run markers — no locks, no diffs, no twins, no messages.
 func TestMetricsIdealRunIsEmpty(t *testing.T) {
 	m := trace.NewMetrics()
-	harness.MustRunTraced(memsys.Default(), harness.NewProtocol(harness.ProtoIdeal, 2),
-		apps.NewCounter(2, 16, 4), m)
+	harness.RunFaultTraced(memsys.Default(), harness.NewProtocol(harness.ProtoIdeal, 2),
+		apps.NewCounter(2, 16, 4), m, nil).Must()
 	s := m.Summary()
 	if len(s.Locks) != 0 {
 		t.Errorf("ideal protocol produced lock records: %+v", s.Locks)
@@ -132,8 +132,8 @@ func TestMetricsSingleProcessorRun(t *testing.T) {
 	p := memsys.Default()
 	p.NumProcs = 1
 	p.MeshW, p.MeshH = 1, 1
-	harness.MustRunTraced(p, harness.NewProtocol(harness.ProtoAEC, 2),
-		apps.NewCounter(2, 16, 4), m)
+	harness.RunFaultTraced(p, harness.NewProtocol(harness.ProtoAEC, 2),
+		apps.NewCounter(2, 16, 4), m, nil).Must()
 
 	s := m.Summary()
 	if s.Events == 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 // Tracer receives protocol events during a simulation run. Attach one via
-// Config.TraceSink (or harness.RunTraced). Implementations in this package:
+// Config.TraceSink (or harness.RunFaultTraced). Implementations in this package:
 // the ring buffer, the JSONL stream writer, the Chrome trace_event exporter
 // and the metrics aggregator — combine several with MultiTracer.
 type Tracer = trace.Tracer
