@@ -34,6 +34,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMakeDiff|BenchmarkMergeDiffs' -benchmem -json . \
 		| $(GO) run ./cmd/benchsum | tee BENCH_kernels.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff' -benchmem -json ./internal/sim/ \
-		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$' | tee BENCH_engine.json
+		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkScheduleDeep$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$' | tee BENCH_engine.json
 	$(GO) test -run '^$$' -bench 'BenchmarkScaling' -timeout 30m -json . \
 		| $(GO) run ./cmd/benchsum | tee BENCH_scaling.json

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"aecdsm"
 	"aecdsm/internal/profutil"
@@ -26,7 +27,7 @@ import (
 func main() {
 	var (
 		app       = flag.String("app", "IS", "application to run (see -list)")
-		protocol  = flag.String("protocol", "AEC", "protocol: AEC, AEC-noLAP, TM, ideal")
+		protocol  = flag.String("protocol", "AEC", "protocol: "+strings.Join(aecdsm.Protocols(), ", "))
 		scale     = flag.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
 		ns        = flag.Int("ns", 2, "LAP update set size (AEC only)")
 		list      = flag.Bool("list", false, "list applications and protocols")

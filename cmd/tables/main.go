@@ -71,7 +71,7 @@ func main() {
 	var (
 		scale  = flag.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
 		jobs   = flag.Int("jobs", 0, "simulations to run concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at every value)")
-		table  = flag.String("table", "", "regenerate one table: 1, 2, 3, 4 or ns")
+		table  = flag.String("table", "", "regenerate one table: 1, 2, 3, 4, ns, robustness, munin, overview or speedup")
 		figure = flag.String("figure", "", "regenerate one figure: 3, 4, 5 or 6")
 
 		scaling      = flag.Bool("scaling", false, "run the scaling-architecture sweep (docs/SCALING.md)")

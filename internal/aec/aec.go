@@ -68,9 +68,6 @@ type Options struct {
 	// NoAcquireOverlap disables the acquire-time overlap window (apply
 	// pushed diffs / create outside diffs while waiting for the grant).
 	NoAcquireOverlap bool
-	// AffinityFactor overrides LAP's affinity-set threshold multiplier
-	// (0 = the paper's 1.6; the §2.1 footnote's sensitivity study).
-	AffinityFactor float64
 }
 
 // DefaultOptions returns the paper's configuration: LAP on, Ns=2.
@@ -148,11 +145,6 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	}
 	pr.InitLocks(e, nsz, kRepLog, pr)
 	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
-	if pr.opt.AffinityFactor > 0 {
-		for i := 0; i < pr.NumLocks(); i++ {
-			pr.Lock(i).Pred.SetAffinityFactor(pr.opt.AffinityFactor)
-		}
-	}
 	pr.bar = barrierState{
 		arrivals: make([]*arriveMsg, pr.nprocs),
 		copyset:  make([]bitset.Set, pages),

@@ -1,7 +1,6 @@
 package aec
 
 import (
-	"fmt"
 	"sort"
 
 	"aecdsm/internal/mem"
@@ -197,7 +196,7 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 		steps := byWriter[w]
 		sort.Ints(steps)
 		c.P.Stats.DiffRequests++
-		c.P.WaitTag = fmt.Sprintf("wnreq pg %d writer %d", page, w)
+		c.P.WaitTag = "wnreq"
 		diffs := c.Call(stats.Data, w, kWNDiffReq, 8+8*len(steps),
 			wnDiffReq{page: page, steps: steps}, pr.handleWNDiffReq).([]*mem.Diff)
 		for i, d := range diffs {

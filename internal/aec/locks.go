@@ -40,7 +40,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		}
 	}
 	if st.grant == nil {
-		c.P.WaitTag = fmt.Sprintf("grant lock %d", lock)
+		c.P.WaitTag = "grant"
 		c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	}
 	g := st.grant
@@ -91,7 +91,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 				p.Wake(deadline)
 			})
 		}
-		c.P.WaitTag = fmt.Sprintf("push lock %d from %d count %d", lock, g.lastReleaser, g.lastCount)
+		c.P.WaitTag = "push"
 		c.P.WaitUntil(func() bool { return isFresh() || timedOut }, stats.Synch)
 		buf = st.recv[lock]
 		fresh = isFresh()
@@ -460,7 +460,7 @@ func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 // release top-up).
 func (pr *AEC) fetchLockDiffs(c *proto.Ctx, lock, owner int, pages []int, cat stats.Category) []*mem.Diff {
 	c.P.Stats.DiffRequests++
-	c.P.WaitTag = fmt.Sprintf("diffreq lock %d owner %d", lock, owner)
+	c.P.WaitTag = "diffreq"
 	return c.Call(cat, owner, kDiffReq, 8+8*len(pages),
 		diffReq{lock: lock, pages: pages}, pr.handleDiffReq).([]*mem.Diff)
 }

@@ -584,8 +584,9 @@ func (in *Injector) Cut(now uint64, from, to int) bool {
 // either endpoint crashed, or a partition between them — and counts the
 // hit. These drops bypass the MaxAttempts floor: a crashed node is
 // physically disconnected. Liveness survives because every outage window
-// is finite (ParseSpec validation) and retransmission resumes at
-// OutageEnd.
+// is finite (ParseSpec validation) and the sender's retransmission timers
+// (sim/reliable.go) keep firing through it, with capped backoff, until an
+// attempt lands after the window ends.
 func (in *Injector) Outage(now uint64, from, to int) bool {
 	if in.Down(now, from) || in.Down(now, to) || in.Cut(now, from, to) {
 		in.counts.OutageDrops++
@@ -594,37 +595,9 @@ func (in *Injector) Outage(now uint64, from, to int) bool {
 	return false
 }
 
-// OutageEnd returns the first cycle at or after now at which the
-// (from, to) path is clear of every outage window covering it (now itself
-// when the path is clear). Retransmission timers re-arm here rather than
-// burning attempts into a dead link.
-func (in *Injector) OutageEnd(now uint64, from, to int) uint64 {
-	end := now
-	for changed := true; changed; {
-		changed = false
-		for _, cr := range in.cfg.Crashes {
-			if (cr.Node == from || cr.Node == to) && end >= cr.At && end < cr.At+cr.Down {
-				end = cr.At + cr.Down
-				changed = true
-			}
-		}
-		for i := range in.cfg.Partitions {
-			if p := &in.cfg.Partitions[i]; p.covers(end, from, to) {
-				end = p.Until
-				changed = true
-			}
-		}
-	}
-	return end
-}
-
 // HasCrashes reports whether the schedule destroys node state at all —
 // the switch that arms the replication layer in the protocols.
 func (in *Injector) HasCrashes() bool { return len(in.cfg.Crashes) > 0 }
-
-// CrashSchedule returns the configured crash windows (shared slice; do
-// not mutate).
-func (in *Injector) CrashSchedule() []Crash { return in.cfg.Crashes }
 
 // Counts returns a snapshot of the injector's decision counters.
 func (in *Injector) Counts() Counts { return in.counts }

@@ -269,7 +269,7 @@ func TestBurstCorrelation(t *testing.T) {
 	}
 }
 
-// TestOutageQueries: Down/Cut/OutageEnd are pure schedule lookups — no
+// TestOutageQueries: Down/Cut are pure schedule lookups — no
 // RNG draws — so they can be consulted from the delivery path without
 // perturbing the fault decision stream.
 func TestOutageQueries(t *testing.T) {
@@ -292,35 +292,11 @@ func TestOutageQueries(t *testing.T) {
 	if in.Cut(2300, 0, 5) {
 		t.Fatal("partition did not heal")
 	}
-	if got := in.OutageEnd(1200, 2, 7); got != 1500 {
-		t.Fatalf("OutageEnd during crash = %d, want 1500", got)
-	}
-	if got := in.OutageEnd(2100, 0, 5); got != 2300 {
-		t.Fatalf("OutageEnd during partition = %d, want 2300", got)
-	}
-	if got := in.OutageEnd(50, 0, 5); got != 50 {
-		t.Fatalf("OutageEnd clear path = %d, want 50", got)
-	}
-	if !in.HasCrashes() || len(in.CrashSchedule()) != 1 {
-		t.Fatal("crash schedule not exposed")
+	if !in.HasCrashes() {
+		t.Fatal("crash schedule not reported")
 	}
 	if in.rng != rng {
 		t.Fatal("outage queries drew randomness")
-	}
-}
-
-// TestOutageEndChained: back-to-back windows are walked through to the
-// true end of the outage, not just the first window's.
-func TestOutageEndChained(t *testing.T) {
-	cfg, err := ParseSpec("crash=1@1000:500,partition=1.2@1400:400")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(cfg, 16)
-	// Node 1 is down 1000-1500; then partitioned from node 3... no wait,
-	// the partition separates {1,2} from everyone else until 1800.
-	if got := in.OutageEnd(1100, 1, 3); got != 1800 {
-		t.Fatalf("chained OutageEnd = %d, want 1800", got)
 	}
 }
 

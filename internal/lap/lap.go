@@ -21,14 +21,13 @@ import (
 // the affinity set when its transfer count is at least 60% greater than
 // the releaser's average affinity for other processors. The paper's
 // authors call the value "admittedly arbitrary" and plan a threshold
-// study; SetAffinityFactor enables exactly that experiment.
+// study; this reproduction does not vary it.
 const DefaultAffinityFactor = 1.6
 
 // Predictor tracks one lock variable at its manager.
 type Predictor struct {
 	nprocs int
 	ns     int
-	factor float64
 
 	// queue is the lock's waiting queue under the configured grant
 	// discipline (internal/lockpolicy). The default is the FIFO policy,
@@ -113,7 +112,6 @@ func New(nprocs, ns int) *Predictor {
 	p := &Predictor{
 		nprocs: nprocs,
 		ns:     ns,
-		factor: DefaultAffinityFactor,
 		aff:    make([]uint32, nprocs*nprocs),
 	}
 	p.queue = lockpolicy.New(lockpolicy.FIFO, p)
@@ -134,16 +132,6 @@ func (p *Predictor) Policy() lockpolicy.Kind { return p.queue.Kind() }
 // predictor computed, i.e. the processors the releaser's merged diffs
 // were eagerly pushed to (their copies are warm).
 func (p *Predictor) Predicted() []int { return p.pendFull }
-
-// SetAffinityFactor overrides the affinity-set threshold multiplier (the
-// §2.1 footnote's planned sensitivity study). Values <= 0 restore the
-// default.
-func (p *Predictor) SetAffinityFactor(f float64) {
-	if f <= 0 {
-		f = DefaultAffinityFactor
-	}
-	p.factor = f
-}
 
 // Ns returns the configured update-set size.
 func (p *Predictor) Ns() int { return p.ns }
@@ -315,9 +303,9 @@ func (p *Predictor) removeNotice(proc int) {
 }
 
 // AffinitySet returns the processors whose affinity with holder (for this
-// lock) is at least AffinityFactor times the holder's average affinity for
-// other processors, ordered by descending affinity then ascending id.
-// An empty history yields an empty set.
+// lock) is at least DefaultAffinityFactor times the holder's average
+// affinity for other processors, ordered by descending affinity then
+// ascending id. An empty history yields an empty set.
 func (p *Predictor) AffinitySet(holder int) []int {
 	row := p.aff[holder*p.nprocs : (holder+1)*p.nprocs]
 	var sum uint64
@@ -330,7 +318,7 @@ func (p *Predictor) AffinitySet(holder int) []int {
 		return nil
 	}
 	avg := float64(sum) / float64(p.nprocs-1)
-	thresh := p.factor * avg
+	thresh := DefaultAffinityFactor * avg
 	var set []int
 	for q, v := range row {
 		if q != holder && v > 0 && float64(v) >= thresh {

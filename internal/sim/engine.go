@@ -38,7 +38,7 @@ type Engine struct {
 
 	now      Time
 	seq      uint64
-	events   timerWheel
+	events   eventQueue
 	finished int
 
 	// msgFree/svcFree are the engine's message and service-context free
@@ -129,7 +129,7 @@ func (e *Engine) step(p *Proc) {
 	if p.done {
 		return
 	}
-	p.horizon = e.nextEventTime()
+	p.horizon = e.events.peek()
 	if _, running := p.next(); !running {
 		p.done = true // the body returned
 		e.finished++

@@ -1,96 +1,72 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// refHeap is the pop-order oracle for the timer wheel: a plain binary
-// heap ordered by (at, seq), semantically the container/heap-based
-// eventHeap the wheel replaced.
-type refHeap []event
+// pendingSet is the pop-order oracle for the event queue: the pending
+// events in arrival order, searched linearly for the least (at, seq).
+// It shares no logic with a heap — no tree shape, no sifting.
+type pendingSet []event
 
-func (h refHeap) less(i, j int) bool {
-	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+func (s pendingSet) min() int {
+	best := 0
+	for i, ev := range s {
+		if ev.at < s[best].at || ev.at == s[best].at && ev.seq < s[best].seq {
+			best = i
+		}
+	}
+	return best
 }
 
-func (h *refHeap) push(ev event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *refHeap) pop() event {
-	old := *h
-	ev := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && old.less(c+1, c) {
-			c++
-		}
-		if !(*h).less(c, i) {
-			break
-		}
-		(*h)[i], (*h)[c] = (*h)[c], (*h)[i]
-		i = c
-	}
+func (s *pendingSet) pop() event {
+	i := s.min()
+	ev := (*s)[i]
+	*s = append((*s)[:i], (*s)[i+1:]...)
 	return ev
 }
 
-func (h refHeap) peekMin() Time {
-	if len(h) == 0 {
+func (s pendingSet) peek() Time {
+	if len(s) == 0 {
 		return Forever
 	}
-	return h[0].at
+	return s[s.min()].at
 }
 
-// TestWheelMatchesHeapOracle drives the timer wheel and the reference
-// heap with identical randomized push/pop/peek streams and demands
-// bit-identical behavior. The push deltas cover every placement path:
-// same-cycle bursts (seq tie-break within one level-0 slot), level-0/1/2
-// distances, overflow-pool distances, and Forever-adjacent timestamps
-// (where a naive base+span comparison would overflow uint64). Pushes
-// respect the engine invariant that no event is scheduled before the
-// last popped timestamp, and peeks are interleaved mid-stream because
-// the engine peeks while dispatching (the bug class this guards against
-// is a peek that restructures the wheel and corrupts later pushes).
-func TestWheelMatchesHeapOracle(t *testing.T) {
+// TestQueuePopOrder drives the event queue and the linear-scan oracle
+// with identical randomized push/pop/peek streams and demands
+// bit-identical behavior. The push deltas mix same-cycle bursts (the
+// seq tie-break), near, far-future and Forever-adjacent timestamps
+// (where arithmetic on the key would overflow uint64). Pushes respect
+// the engine invariant that no event is scheduled before the last
+// popped timestamp, and peeks are interleaved mid-stream because the
+// engine peeks while dispatching.
+func TestQueuePopOrder(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		var w timerWheel
-		var h refHeap
+		var q eventQueue
+		var ref pendingSet
 		var seq uint64
 		var last Time
 		for op := 0; op < 5000; op++ {
 			r := rng.Intn(10)
 			switch {
-			case r < 5 || len(h) == 0:
+			case r < 5 || len(ref) == 0:
 				var at Time
 				switch rng.Intn(7) {
 				case 0: // same-cycle burst fodder
 					at = last
 				case 1:
-					at = last + Time(rng.Intn(wheelSlots))
+					at = last + Time(rng.Intn(1<<8))
 				case 2:
-					at = last + Time(rng.Intn(1<<(2*wheelBits)))
+					at = last + Time(rng.Intn(1<<16))
 				case 3:
-					at = last + Time(rng.Intn(int(wheelSpan)))
-				case 4: // straight to the overflow pool
-					at = last + wheelSpan + Time(rng.Intn(1<<30))
+					at = last + Time(rng.Intn(1<<24))
+				case 4: // far future
+					at = last + 1<<24 + Time(rng.Intn(1<<30))
 				case 5: // Forever-adjacent
 					at = Forever - Time(rng.Intn(4))
 				case 6:
@@ -101,77 +77,105 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 				}
 				seq++
 				ev := event{at: at, seq: seq}
-				w.push(ev)
-				h.push(ev)
+				q.push(ev)
+				ref = append(ref, ev)
 			case r < 8:
-				we, he := w.pop(), h.pop()
-				if we.at != he.at || we.seq != he.seq {
+				qe, re := q.pop(), ref.pop()
+				if qe.at != re.at || qe.seq != re.seq {
 					t.Fatalf("trial %d op %d: pop (at %d, seq %d), oracle (at %d, seq %d)",
-						trial, op, we.at, we.seq, he.at, he.seq)
+						trial, op, qe.at, qe.seq, re.at, re.seq)
 				}
-				last = we.at
+				last = qe.at
 			default:
-				if got, want := w.peek(), h.peekMin(); got != want {
+				if got, want := q.peek(), ref.peek(); got != want {
 					t.Fatalf("trial %d op %d: peek %d, oracle %d", trial, op, got, want)
 				}
 			}
-			if w.Len() != len(h) {
-				t.Fatalf("trial %d op %d: Len %d, oracle %d", trial, op, w.Len(), len(h))
+			if q.Len() != len(ref) {
+				t.Fatalf("trial %d op %d: Len %d, oracle %d", trial, op, q.Len(), len(ref))
 			}
 		}
-		for len(h) > 0 {
-			we, he := w.pop(), h.pop()
-			if we.at != he.at || we.seq != he.seq {
+		for len(ref) > 0 {
+			qe, re := q.pop(), ref.pop()
+			if qe.at != re.at || qe.seq != re.seq {
 				t.Fatalf("trial %d drain: pop (at %d, seq %d), oracle (at %d, seq %d)",
-					trial, we.at, we.seq, he.at, he.seq)
+					trial, qe.at, qe.seq, re.at, re.seq)
 			}
 		}
-		if w.Len() != 0 || w.peek() != Forever {
-			t.Fatalf("trial %d: drained wheel Len %d peek %d", trial, w.Len(), w.peek())
+		if q.Len() != 0 || q.peek() != Forever {
+			t.Fatalf("trial %d: drained queue Len %d peek %d", trial, q.Len(), q.peek())
 		}
 	}
 }
 
-// TestWheelPeekStable: peeking must not perturb the wheel. The engine
+// TestQueuePeekStable: peeking must not perturb the queue. The engine
 // peeks between a pop and the pushes that dispatching the popped event
 // produces, so a push below the peeked horizon (but at or above the
 // last popped time) must still land in order.
-func TestWheelPeekStable(t *testing.T) {
-	var w timerWheel
+func TestQueuePeekStable(t *testing.T) {
+	var q eventQueue
 	// Next pending event far away; peek it, then push nearer events the
 	// way an in-flight dispatch does.
-	w.push(event{at: 1 << 20, seq: 1})
-	if got := w.peek(); got != 1<<20 {
+	q.push(event{at: 1 << 20, seq: 1})
+	if got := q.peek(); got != 1<<20 {
 		t.Fatalf("peek = %d", got)
 	}
-	w.push(event{at: 5, seq: 2})
-	w.push(event{at: 3, seq: 3})
-	if got := w.peek(); got != 3 {
+	q.push(event{at: 5, seq: 2})
+	q.push(event{at: 3, seq: 3})
+	if got := q.peek(); got != 3 {
 		t.Fatalf("peek after near push = %d", got)
 	}
 	for i, want := range []Time{3, 5, 1 << 20} {
-		if ev := w.pop(); ev.at != want {
+		if ev := q.pop(); ev.at != want {
 			t.Fatalf("pop %d: at %d, want %d", i, ev.at, want)
 		}
 	}
 }
 
-// BenchmarkSchedule measures the steady-state push/peek/pop cycle of
-// the event queue — the hot loop under every simulated cycle. Must be
-// 0 allocs/op once slot capacities are warm (asserted in CI).
-func BenchmarkSchedule(b *testing.B) {
-	var w timerWheel
+// TestPastEventStops: an event scheduled before now is a diagnosed stop
+// naming both cycles, not a silently rewritten timestamp; Engine.At, the
+// documented exception, clamps to now.
+func TestPastEventStops(t *testing.T) {
+	e, _ := testEngine(1)
+	e.now = 100
+	e.At(40, func() {})
+	if got := e.events.peek(); got != 100 {
+		t.Fatalf("At(40) at cycle 100 queued for cycle %d, want 100", got)
+	}
+	defer func() {
+		const want = "event scheduled for cycle 99, before now (cycle 100)"
+		if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("schedule(99) at cycle 100: recovered %v, want a panic containing %q", r, want)
+		}
+	}()
+	e.schedule(99, func() {})
+}
+
+// benchSchedule measures the steady-state pop/push/peek cycle of the
+// event queue — the hot loop under every simulated cycle — with the
+// given number of events pending. Must be 0 allocs/op (asserted in CI).
+func benchSchedule(b *testing.B, pending int) {
+	var q eventQueue
 	var seq uint64
-	for i := 0; i < 64; i++ {
+	for i := 0; i < pending; i++ {
 		seq++
-		w.push(event{at: Time(i * 37 % 250), seq: seq})
+		q.push(event{at: Time(i * 37 % 250), seq: seq})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := w.pop()
+		ev := q.pop()
 		seq++
-		w.push(event{at: ev.at + Time(i%97) + 1, seq: seq})
-		_ = w.peek()
+		q.push(event{at: ev.at + Time(i%97) + 1, seq: seq})
+		_ = q.peek()
 	}
 }
+
+// BenchmarkSchedule holds 64 events pending: one resume per processor
+// of a 64-node machine.
+func BenchmarkSchedule(b *testing.B) { benchSchedule(b, 64) }
+
+// BenchmarkScheduleDeep holds 4096 pending — a 1024-node machine with
+// its messages and retransmission timers in flight — so the heap's
+// log-n cost is on record.
+func BenchmarkScheduleDeep(b *testing.B) { benchSchedule(b, 4096) }

@@ -80,7 +80,7 @@ func txIsReset(tx *pendingTx) bool { return tx.m == nil && tx.h == nil && tx.ref
 
 // TestPooledSendDeliverSteadyState: a full send→deliver round trip in
 // steady state allocates nothing — the pools absorb message and service
-// context, the event rides the wheel unboxed, and no closure is built.
+// context, the event rides the queue unboxed, and no closure is built.
 func TestPooledSendDeliverSteadyState(t *testing.T) {
 	e, _ := testEngine(2)
 	h := func(s *Svc, m *Msg) {}
@@ -91,10 +91,7 @@ func TestPooledSendDeliverSteadyState(t *testing.T) {
 		e.now = ev.at
 		e.deliver(ev.m, ev.h)
 	}
-	// Warm the pools and every wheel slot's backing array: the first
-	// event to land in a slot allocates its slice, and virtual time
-	// advances through fresh slots for a while before wrapping.
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < 4; i++ { // warm the pools and the queue's backing array
 		roundTrip()
 	}
 	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
@@ -125,7 +122,7 @@ func BenchmarkSendDeliver(b *testing.B) {
 // a send, its tracked delivery (dedup window, handler), the ack's flight
 // back, and the retransmission timer firing as a no-op. Pending entries
 // and all four message records are pooled and the three transport events
-// ride the wheel unboxed, so this too is 0 allocs/op once warm (asserted
+// ride the queue unboxed, so this too is 0 allocs/op once warm (asserted
 // in CI).
 func BenchmarkSendDeliverReliable(b *testing.B) {
 	e, _ := testEngine(2)
@@ -140,9 +137,7 @@ func BenchmarkSendDeliverReliable(b *testing.B) {
 			e.transportEvent(ev.m, ev.h)
 		}
 	}
-	// The timer lands one RTO ahead, so virtual time strides through the
-	// wheel; warm every slot's backing array before counting.
-	for i := 0; i < 1<<16; i++ {
+	for i := 0; i < 4; i++ { // warm the pools and the queue's backing array
 		op()
 	}
 	b.ReportAllocs()
