@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fuzz bench
+.PHONY: all build test lint fuzz results bench
 
 all: build lint test
 
@@ -25,6 +25,28 @@ lint:
 # Quick differential-checker pass (see docs/TESTING.md for deeper runs).
 fuzz:
 	$(GO) run ./cmd/fuzzdsm -iters 50
+
+# The committed sweeps reproduce byte for byte (CI's "Results" step).
+# Two sub-second sweeps that drive manager failover in all three protocols
+# and every grant policy through the shared lock-manager service
+# (internal/proto/lockmgr.go), then a 16- and 64-processor scaling sweep
+# rendered sequentially and on the worker pool: the radix-16 path of the
+# shared barrier relay (internal/proto/relay.go) must produce the same
+# bytes at every job count. The recovery sweep runs a second time traced:
+# sweeps go through the same scheduler as the paper's tables, so the trace
+# must be non-empty and the render unperturbed. The timeline (about two
+# seconds at its committed full scale) pins the warm-start sampling session.
+results:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; set -x; \
+	$(GO) build -o "$$tmp/tables" ./cmd/tables; \
+	"$$tmp/tables" -recovery -scale 0.25 | cmp - results/recovery_sweep.txt; \
+	"$$tmp/tables" -recovery -scale 0.25 -trace "$$tmp/rec.jsonl" | cmp - results/recovery_sweep.txt; \
+	test -s "$$tmp/rec.jsonl"; \
+	"$$tmp/tables" -locklab | cmp - results/locklab.txt; \
+	"$$tmp/tables" -timeline | cmp - results/timeline.txt; \
+	"$$tmp/tables" -scaling -scaling-procs 16,64 -scale 0.05 -jobs 1 > "$$tmp/scaling-jobs1.txt"; \
+	"$$tmp/tables" -scaling -scaling-procs 16,64 -scale 0.05 > "$$tmp/scaling-jobsN.txt"; \
+	cmp "$$tmp/scaling-jobs1.txt" "$$tmp/scaling-jobsN.txt"
 
 # Kernel and engine microbenchmarks plus the scaling-sweep timing,
 # condensed by cmd/benchsum into one sorted {benchmark, ns/op, B/op,

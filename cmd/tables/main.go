@@ -41,9 +41,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,88 +70,121 @@ func parseProcs(spec string) ([]int, error) {
 	return procs, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command without its process: it parses args, renders the
+// selection on out, reports on errw and returns the exit code — 2 for a
+// flag value or selection it does not know, before any simulation starts
+// or output file is opened; 1 for an output the environment refused.
+func run(args []string, out, errw io.Writer) (code int) {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		scale  = flag.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
-		jobs   = flag.Int("jobs", 0, "simulations to run concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at every value)")
-		table  = flag.String("table", "", "regenerate one table: 1, 2, 3, 4, ns, robustness, munin, overview or speedup")
-		figure = flag.String("figure", "", "regenerate one figure: 3, 4, 5 or 6")
+		scale  = fs.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
+		jobs   = fs.Int("jobs", 0, "simulations to run concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at every value)")
+		table  = fs.String("table", "", "regenerate one table: 1, 2, 3, 4, ns, robustness, munin, overview or speedup")
+		figure = fs.String("figure", "", "regenerate one figure: 3, 4, 5 or 6")
 
-		scaling      = flag.Bool("scaling", false, "run the scaling-architecture sweep (docs/SCALING.md)")
-		scalingProcs = flag.String("scaling-procs", "16,64,256", "comma-separated machine sizes for -scaling")
-		scalingApp   = flag.String("scaling-app", "Ocean", "application for -scaling")
+		scaling      = fs.Bool("scaling", false, "run the scaling-architecture sweep (docs/SCALING.md)")
+		scalingProcs = fs.String("scaling-procs", "16,64,256", "comma-separated machine sizes for -scaling")
+		scalingApp   = fs.String("scaling-app", "Ocean", "application for -scaling")
 
-		locklab = flag.Bool("locklab", false, "run the lock-policy lab: MVA prediction vs simulation for all four grant disciplines (docs/LOCKING.md)")
+		locklab = fs.Bool("locklab", false, "run the lock-policy lab: MVA prediction vs simulation for all four grant disciplines (docs/LOCKING.md)")
 
-		recovery    = flag.Bool("recovery", false, "run the crash-tolerance sweep: fault schedules x DSM protocols (docs/ROBUSTNESS.md)")
-		recoveryApp = flag.String("recovery-app", "IS", "application for -recovery")
+		recovery    = fs.Bool("recovery", false, "run the crash-tolerance sweep: fault schedules x DSM protocols (docs/ROBUSTNESS.md)")
+		recoveryApp = fs.String("recovery-app", "IS", "application for -recovery")
 
-		timeline    = flag.Bool("timeline", false, "run the execution-timeline sweep: cycle breakdown sampled at sixths of each protocol's runtime")
-		timelineApp = flag.String("timeline-app", "Raytrace", "application for -timeline")
+		timeline    = fs.Bool("timeline", false, "run the execution-timeline sweep: cycle breakdown sampled at sixths of each protocol's runtime")
+		timelineApp = fs.String("timeline-app", "Raytrace", "application for -timeline")
 	)
-	obs := profutil.Register(flag.CommandLine, " (pins -jobs to 1)")
-	flag.Parse()
+	obs := profutil.Register(fs, " (pins -jobs to 1)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// Resolve the selection first: an unknown one must not cost a sweep,
+	// or leave a half-written trace behind.
+	type experiments = aecdsm.Experiments
+	var render func(*experiments, io.Writer)
+	var err error
+	switch {
+	case *scaling:
+		var procs []int
+		if procs, err = parseProcs(*scalingProcs); err == nil {
+			err = knownApp("-scaling-app", *scalingApp)
+		}
+		render = func(e *experiments, w io.Writer) { e.ScalingSweep(w, *scalingApp, procs) }
+	case *locklab:
+		render = (*experiments).LockLab
+	case *recovery:
+		err = knownApp("-recovery-app", *recoveryApp)
+		render = func(e *experiments, w io.Writer) { e.RecoverySweep(w, *recoveryApp) }
+	case *timeline:
+		err = knownApp("-timeline-app", *timelineApp)
+		render = func(e *experiments, w io.Writer) { e.TimelineSweep(w, *timelineApp) }
+	case *table == "" && *figure == "":
+		render = (*experiments).All
+	case *table == "1":
+		render = (*experiments).Table1
+	case *table == "2":
+		render = (*experiments).Table2
+	case *table == "3":
+		render = (*experiments).Table3
+	case *table == "4":
+		render = (*experiments).Table4
+	case *table == "ns":
+		render = (*experiments).NsSweep
+	case *table == "robustness":
+		render = (*experiments).LAPRobustness
+	case *table == "munin":
+		render = (*experiments).MuninTraffic
+	case *table == "overview":
+		render = (*experiments).ProtocolsOverview
+	case *table == "speedup":
+		render = func(e *experiments, w io.Writer) { e.Speedup(w, "Ocean") }
+	case *figure == "3":
+		render = (*experiments).Figure3
+	case *figure == "4":
+		render = (*experiments).Figure4
+	case *figure == "5":
+		render = (*experiments).Figure5
+	case *figure == "6":
+		render = (*experiments).Figure6
+	default:
+		err = fmt.Errorf("unknown selection -table=%q -figure=%q", *table, *figure)
+	}
+	if err != nil {
+		fmt.Fprintln(errw, "tables:", err)
+		return 2
+	}
 
 	tracer, closeObs, err := obs.Open()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(profutil.ExitCode(err))
+		fmt.Fprintln(errw, "tables:", err)
+		return profutil.ExitCode(err)
 	}
+	// Deferred, so a run that panics (Result.Must) still leaves its trace.
 	defer func() {
 		if err := closeObs(); err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
+			fmt.Fprintln(errw, "tables:", err)
+			code = 1
 		}
 	}()
-
 	e := aecdsm.NewExperiments(*scale)
 	e.Jobs = obs.Pin(*jobs)
 	e.Tracer = tracer
-	w := os.Stdout
+	render(e, out)
+	return 0
+}
 
-	switch {
-	case *scaling:
-		procs, err := parseProcs(*scalingProcs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(2)
-		}
-		e.ScalingSweep(w, *scalingApp, procs)
-	case *locklab:
-		e.LockLab(w)
-	case *recovery:
-		e.RecoverySweep(w, *recoveryApp)
-	case *timeline:
-		e.TimelineSweep(w, *timelineApp)
-	case *table == "" && *figure == "":
-		e.All(w)
-	case *table == "1":
-		e.Table1(w)
-	case *table == "2":
-		e.Table2(w)
-	case *table == "3":
-		e.Table3(w)
-	case *table == "4":
-		e.Table4(w)
-	case *table == "ns":
-		e.NsSweep(w)
-	case *table == "robustness":
-		e.LAPRobustness(w)
-	case *table == "munin":
-		e.MuninTraffic(w)
-	case *table == "overview":
-		e.ProtocolsOverview(w)
-	case *table == "speedup":
-		e.Speedup(w, "Ocean")
-	case *figure == "3":
-		e.Figure3(w)
-	case *figure == "4":
-		e.Figure4(w)
-	case *figure == "5":
-		e.Figure5(w)
-	case *figure == "6":
-		e.Figure6(w)
-	default:
-		fmt.Fprintf(os.Stderr, "tables: unknown selection -table=%q -figure=%q\n", *table, *figure)
-		os.Exit(2)
+// knownApp rejects an application name the sweeps would only discover
+// missing deep inside their first run.
+func knownApp(flagName, app string) error {
+	if apps := aecdsm.Apps(); !slices.Contains(apps, app) {
+		return fmt.Errorf("unknown %s %q (want one of %s)", flagName, app, strings.Join(apps, ", "))
 	}
+	return nil
 }

@@ -23,6 +23,7 @@ import (
 
 	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
+	"aecdsm/internal/pool"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
@@ -99,11 +100,11 @@ type AEC struct {
 	// hot path free of page-sized allocations.
 	merger *mem.Merger
 
-	// wnFree pools the write-notice snapshot a page home ships with each
+	// wns pools the write-notice snapshot a page home ships with each
 	// base copy. The snapshot rides exactly one page reply and the
 	// requester copies its entries into pendingWN by value, so the
 	// requester recycles the slice there. Entries are pointer-free.
-	wnFree [][]mem.WriteNotice
+	wns pool.Slices[mem.WriteNotice]
 }
 
 // New builds an AEC protocol with the given options.

@@ -135,26 +135,7 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
 	// may include notices naming us, replayed from the local archive.
 	delete(st.pendingWN, page)
 	st.pendingWN[page] = append(st.pendingWN[page], wns...)
-	pr.freeWNs(wns)
-}
-
-// takeWNs hands out a write-notice slice from the page-reply pool.
-func (pr *AEC) takeWNs() []mem.WriteNotice {
-	if n := len(pr.wnFree); n > 0 {
-		s := pr.wnFree[n-1]
-		pr.wnFree = pr.wnFree[:n-1]
-		return s
-	}
-	return nil
-}
-
-// freeWNs recycles a page reply's notice snapshot once its entries have
-// been copied into the requester's pending set.
-func (pr *AEC) freeWNs(wns []mem.WriteNotice) {
-	if cap(wns) == 0 {
-		return
-	}
-	pr.wnFree = append(pr.wnFree, wns[:0])
+	pr.wns.Put(wns) // the reply's snapshot, its entries now copied by value
 }
 
 // pageDelta implements proto.PageDelta: a base copy travels with the
@@ -163,7 +144,7 @@ func (pr *AEC) freeWNs(wns []mem.WriteNotice) {
 func (pr *AEC) pageDelta(home, page, from int) (any, int) {
 	st := pr.ps[home]
 	st.reqSeen[page] = true
-	wns := append(pr.takeWNs(), st.pendingWN[page]...)
+	wns := append(pr.wns.Get(), st.pendingWN[page]...)
 	return wns, 16 * len(wns)
 }
 

@@ -50,7 +50,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	st.curLock = lock
 	st.dirtyInside = make(map[int]bool)
 	st.lockLastOwner[lock] = g.lastReleaser
-	st.lockLastCount[lock] = g.lastCount
 	st.lockPages[lock] = g.invPages
 	st.lockUS[lock] = g.us
 	st.lockMyCount[lock] = g.myCount

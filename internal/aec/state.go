@@ -67,7 +67,6 @@ type procState struct {
 	inherited     map[int]map[int]*mem.Diff // lock -> page -> inherited merged diffs
 	myMerged      map[int]map[int]*mem.Diff // lock -> page -> my last released merged diffs
 	lockLastOwner map[int]int
-	lockLastCount map[int]int
 	lockPages     map[int][]int // lock -> cumulative page set (from grant)
 	lockUS        map[int][]int // lock -> update set given to me at grant
 	lockMyCount   map[int]int   // lock -> acquire counter of my grant
@@ -120,7 +119,6 @@ func newProcState(id, pages int, space *mem.Space) *procState {
 		inherited:     make(map[int]map[int]*mem.Diff),
 		myMerged:      make(map[int]map[int]*mem.Diff),
 		lockLastOwner: make(map[int]int),
-		lockLastCount: make(map[int]int),
 		lockPages:     make(map[int][]int),
 		lockUS:        make(map[int][]int),
 		lockMyCount:   make(map[int]int),

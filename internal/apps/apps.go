@@ -84,9 +84,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
 }
 
-// verifier accumulates verification errors from SPMD bodies. Multiple
-// simulated processors run on separate goroutines, but never concurrently;
-// the mutex is belt-and-braces for the Err reader.
+// verifier accumulates verification errors from SPMD bodies. A run's
+// simulated processors are coroutines of its engine's goroutine and never
+// run concurrently; the mutex is belt-and-braces for the Err reader, since
+// parallel engines share the process.
 type verifier struct {
 	mu  sync.Mutex
 	err error

@@ -129,10 +129,6 @@ func (w waterParams) serialWaterNSTrace() ([]vec3, float64, [][]vec3, [][]vec3) 
 	return pos, totalPot, stepForces, stepPos
 }
 
-// cellOf maps a molecule index to its static spatial cell (one cell per
-// lattice site group); used by Water-spatial's owner-computes partition.
-func (w waterParams) cellOf(i int) int { return i }
-
 // serialWaterSP runs the owner-computes reference: every molecule's force
 // is computed fully (both directions), so each molecule's accumulation
 // order is independent of the partitioning — parallel results match

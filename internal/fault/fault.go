@@ -380,6 +380,12 @@ func (c Config) String() string {
 		}
 		parts = append(parts, fmt.Sprintf("partition=%s@%d:%d", strings.Join(group, "."), p.At, p.Until-p.At))
 	}
+	if c.RTO > 0 {
+		parts = append(parts, fmt.Sprintf("rto=%d", c.RTO))
+	}
+	if c.MaxAttempts > 0 {
+		parts = append(parts, fmt.Sprintf("maxattempts=%d", c.MaxAttempts))
+	}
 	if len(parts) == 0 {
 		return "none"
 	}

@@ -57,16 +57,20 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestStringRoundTrip(t *testing.T) {
-	orig, err := ParseSpec("light")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseSpec(orig.String())
-	if err != nil {
-		t.Fatalf("re-parsing %q: %v", orig.String(), err)
-	}
-	if !reflect.DeepEqual(back, orig) {
-		t.Fatalf("round trip changed the schedule: %+v vs %+v", orig, back)
+	// The second spec sets the transport's timeout and attempt bound: a
+	// reproduce line that dropped them would run a different schedule.
+	for _, spec := range []string{"light", "drop=0.01,rto=5000,maxattempts=3"} {
+		orig, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(orig.String())
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", orig.String(), err)
+		}
+		if !reflect.DeepEqual(back, orig) {
+			t.Fatalf("%q round trip through %q changed the schedule:\n%#v\nvs\n%#v", spec, orig.String(), orig, back)
+		}
 	}
 	var zero Config
 	if zero.String() != "none" {

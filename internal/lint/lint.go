@@ -28,7 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 		Chargeflow,
 		Tracedisc,
 		Chargecat,
-		Poolreset,
 	}
 }
 
@@ -168,7 +167,7 @@ func inRepoScope(path string, bases ...string) bool {
 
 // protocolScope is the single-runner core: every package that executes on
 // simulated processors' coroutines or in message-service context.
-var protocolScope = []string{"sim", "proto", "aec", "lap", "lockpolicy", "tm", "munin", "mem", "memsys", "network", "fault"}
+var protocolScope = []string{"sim", "proto", "aec", "lap", "lockpolicy", "tm", "munin", "mem", "memsys", "network", "fault", "pool"}
 
 // calleeOf resolves the called function or method of a call expression,
 // returning nil for calls through function-typed variables and built-ins.
@@ -233,70 +232,6 @@ func blockingPrim(fn *types.Func) bool {
 		return ast.IsExported(fn.Name())
 	}
 	return false
-}
-
-// blockingFuncs computes, by intra-package fixed point, the set of
-// functions in the package that (transitively) call a blocking primitive.
-func blockingFuncs(pass *analysis.Pass) map[*types.Func]bool {
-	// calls[f] = package-local functions f calls directly.
-	calls := make(map[*types.Func][]*types.Func)
-	blocking := make(map[*types.Func]bool)
-	var decls []*types.Func
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			decls = append(decls, fn)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeOf(pass.TypesInfo, call)
-				if callee == nil {
-					return true
-				}
-				if blockingPrim(callee) {
-					blocking[fn] = true
-				} else if callee.Pkg() == pass.Pkg {
-					calls[fn] = append(calls[fn], callee)
-				}
-				return true
-			})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range decls {
-			if blocking[fn] {
-				continue
-			}
-			for _, callee := range calls[fn] {
-				if blocking[callee] {
-					blocking[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return blocking
-}
-
-// isBlockingCall reports whether the call advances virtual time, directly
-// or through a package-local helper (per the blocking set).
-func isBlockingCall(pass *analysis.Pass, blocking map[*types.Func]bool, call *ast.CallExpr) bool {
-	callee := calleeOf(pass.TypesInfo, call)
-	if callee == nil {
-		return false
-	}
-	return blockingPrim(callee) || blocking[callee]
 }
 
 // parentMap records each node's syntactic parent within a file.

@@ -69,10 +69,6 @@ func TestChargecat(t *testing.T) {
 	analysistest.Run(t, "testdata", "chargecat", lint.Chargecat)
 }
 
-func TestPoolreset(t *testing.T) {
-	analysistest.Run(t, "testdata", "poolreset", lint.Poolreset)
-}
-
 // TestLockpolicyLayer pins the lockpolicy layer contract from PR 7: the
 // grant-discipline policies never charge cycles themselves (empty
 // allowed-category list), and grant decisions must not leak map iteration

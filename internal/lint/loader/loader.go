@@ -81,23 +81,6 @@ func decodeList(out []byte) ([]listPkg, error) {
 	return pkgs, nil
 }
 
-// ExportData returns ImportPath -> export data file for the patterns and
-// all their dependencies (used by analysistest to resolve standard library
-// imports inside fixtures).
-func ExportData(dir string, patterns ...string) (map[string]string, error) {
-	pkgs, err := GoList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
 // GCImporter builds a types.Importer that resolves import paths through the
 // given export data map.
 func GCImporter(fset *token.FileSet, exports map[string]string) types.Importer {

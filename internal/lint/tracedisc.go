@@ -150,14 +150,14 @@ func checkGuarded(pass *analysis.Pass, parents map[ast.Node]ast.Node, n ast.Node
 		}
 		return
 	}
-	// Zero-perturbation: no cycle charges inside the tracing block.
-	blocking := map[*types.Func]bool{} // primitives only; helpers charge too but guards are tiny
+	// Zero-perturbation: no cycle charges inside the tracing block
+	// (primitives only; helpers charge too but guards are tiny).
 	ast.Inspect(guard.Body, func(gn ast.Node) bool {
 		call, ok := gn.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if isBlockingCall(pass, blocking, call) {
+		if callee := calleeOf(pass.TypesInfo, call); callee != nil && blockingPrim(callee) {
 			pass.Reportf(call.Pos(), "cycle charge inside a tracer nil-check block: tracing must never charge simulated cycles (zero-perturbation rule), so enabling it cannot change a run")
 		}
 		return true

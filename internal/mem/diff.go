@@ -31,9 +31,9 @@ type Diff struct {
 }
 
 // diffIDs hands out process-unique diff identities. Atomic because
-// simulated processors run on separate goroutines (serialized by the
-// engine, but the race detector cannot know that across runs in parallel
-// tests).
+// parallel engines (the sweep scheduler's workers, parallel tests) share
+// the process; within one engine the simulated processors are coroutines
+// of a single goroutine.
 //
 //dsmvet:allow singlethread process-global ID counter shared by parallel test runs; serialized per engine, atomic only for the race detector
 var diffIDs atomic.Uint64

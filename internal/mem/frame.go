@@ -1,6 +1,9 @@
 package mem
 
-import "aecdsm/internal/trace"
+import (
+	"aecdsm/internal/pool"
+	"aecdsm/internal/trace"
+)
 
 // Frame is one processor's copy of one shared page, with the software
 // MMU bits a SW-DSM keeps per page. With no page-fault hardware available,
@@ -31,12 +34,11 @@ type ProcMem struct {
 	frames []Frame
 	proc   int
 
-	// twinFree recycles page-sized twin buffers between intervals:
-	// MakeTwin fully overwrites the buffer, so only capacity survives a
-	// round trip (buffers are recycled at length zero per the poolreset
-	// contract). Twins a protocol steals (f.Twin = nil without DropTwin,
-	// as TreadMarks does for lazy diffing) simply never return here.
-	twinFree [][]byte
+	// twins recycles page-sized twin buffers between intervals: MakeTwin
+	// fully overwrites the buffer, so only capacity survives a round trip.
+	// Twins a protocol steals (f.Twin = nil without DropTwin, as
+	// TreadMarks does for lazy diffing) simply never return here.
+	twins pool.Slices[byte]
 
 	// Tracer and Clock, when both non-nil, emit twin-create and
 	// invalidate events stamped with the owning processor's virtual time.
@@ -133,9 +135,8 @@ func (m *ProcMem) Write(a Addr, src []byte) {
 func (m *ProcMem) MakeTwin(page int) {
 	f := m.Frame(page)
 	if f.Twin == nil {
-		if n := len(m.twinFree); n > 0 && cap(m.twinFree[n-1]) >= len(f.Data) {
-			f.Twin = m.twinFree[n-1][:len(f.Data)]
-			m.twinFree = m.twinFree[:n-1]
+		if tw := m.twins.Get(); cap(tw) >= len(f.Data) {
+			f.Twin = tw[:len(f.Data)]
 		} else {
 			f.Twin = make([]byte, len(f.Data))
 		}
@@ -154,7 +155,7 @@ func (m *ProcMem) MakeTwin(page int) {
 func (m *ProcMem) DropTwin(page int) {
 	f := &m.frames[page]
 	if f.Twin != nil {
-		m.twinFree = append(m.twinFree, f.Twin[:0])
+		m.twins.Put(f.Twin)
 		f.Twin = nil
 	}
 }

@@ -152,9 +152,16 @@ func TestTwinLifecycle(t *testing.T) {
 	if f.Twin[0] != 1 || f.Data[0] != 2 {
 		t.Fatal("twin should snapshot pre-write state")
 	}
+	first := &f.Twin[0]
 	m.DropTwin(0)
 	if m.Frame(0).Twin != nil {
 		t.Fatal("twin not dropped")
+	}
+	// The next twin reuses the dropped buffer and snapshots afresh.
+	m.MakeTwin(0)
+	if &f.Twin[0] != first || len(f.Twin) != 4096 || f.Twin[0] != 2 {
+		t.Fatalf("second twin: reused %v, len %d, first byte %d; want the dropped buffer holding the current page",
+			&f.Twin[0] == first, len(f.Twin), f.Twin[0])
 	}
 }
 

@@ -15,21 +15,12 @@ import "fmt"
 // Addr is a byte offset into the global shared address space.
 type Addr = int
 
-// Region describes one named allocation in the shared space.
-type Region struct {
-	Name string
-	Base Addr
-	Size int
-	Home int // processor holding the initial valid copy
-}
-
 // Space is the global shared address space: a deterministic bump allocator
 // plus the initial memory image written by application init code.
 type Space struct {
 	pageSize  int
 	pageShift uint
 	size      int
-	regions   []Region
 	init      []byte
 	homes     []int // per page initial home
 }
@@ -81,7 +72,6 @@ func (s *Space) allocAt(name string, size, home int) Addr {
 	}
 	base := s.size
 	s.size += size
-	s.regions = append(s.regions, Region{Name: name, Base: base, Size: size, Home: home})
 	if need := pageCeil(s.size, s.pageSize); need > len(s.init) {
 		// append grows the backing array geometrically, so a run of
 		// allocations copies O(final size) bytes, not the whole image
@@ -94,9 +84,6 @@ func (s *Space) allocAt(name string, size, home int) Addr {
 	}
 	return base
 }
-
-// Regions returns the allocation table.
-func (s *Space) Regions() []Region { return s.regions }
 
 // InitHome returns the processor holding the initial copy of a page.
 func (s *Space) InitHome(page int) int {

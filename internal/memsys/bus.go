@@ -43,6 +43,3 @@ func (b *Bus) Transfer(now uint64, words int) (done uint64) {
 func (b *Bus) Cost(now uint64, words int) uint64 {
 	return b.Transfer(now, words) - now
 }
-
-// NextFree reports when the bus becomes idle.
-func (b *Bus) NextFree() uint64 { return b.nextFree }

@@ -5,7 +5,6 @@ package memsys
 // model; instructions and private data are assumed to take one cycle, as
 // in the paper's methodology.
 type Cache struct {
-	lineBytes int
 	lineShift uint
 	lines     int
 	tags      []int64 // tags[index] = line address, -1 if empty
@@ -20,7 +19,6 @@ type Cache struct {
 func NewCache(totalBytes, lineBytes int) *Cache {
 	n := totalBytes / lineBytes
 	c := &Cache{
-		lineBytes: lineBytes,
 		lineShift: shiftFor(lineBytes),
 		lines:     n,
 		tags:      make([]int64, n),
@@ -78,12 +76,6 @@ func (c *Cache) InvalidateRange(addr, n int) {
 		}
 	}
 }
-
-// LineBytes reports the cache line size in bytes.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// Lines reports the number of cache lines.
-func (c *Cache) Lines() int { return c.lines }
 
 func shiftFor(v int) uint {
 	var s uint

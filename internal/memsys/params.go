@@ -32,10 +32,8 @@ type Params struct {
 	CacheBytes int
 	// CacheLineBytes is the cache line size.
 	CacheLineBytes int
-	// WriteBufEntries is the size of the write buffer. The write buffer
-	// is modeled as absorbing all write latency unless more than
-	// WriteBufEntries cache misses are outstanding in one access burst,
-	// in which case the surplus misses stall.
+	// WriteBufEntries is the paper's write-buffer size. No code models
+	// write-buffer stalls; the value is only printed in Table 1.
 	WriteBufEntries int
 	// MemSetupCycles is the memory setup time.
 	MemSetupCycles uint64

@@ -34,10 +34,6 @@ type Ctx struct {
 	// initially-valid pages trap on first write.
 	Epoch uint64
 
-	// InFault is true while the protocol's fault handler is running on
-	// this context (protocols and tests can consult it).
-	InFault bool
-
 	// The landing zone of Call (call.go): the reply, whether it is in,
 	// the handler that lands it and the predicate Call waits on.
 	reply   any
@@ -132,9 +128,7 @@ func (c *Ctx) fault(pg int, write bool) {
 	// Fault trap: interrupt-class overhead, charged like other
 	// interrupts to the "others" category.
 	c.P.Advance(c.E.Params.InterruptCycles, stats.Others)
-	c.InFault = true
 	c.Pr.Fault(c, pg, write)
-	c.InFault = false
 	c.P.Stats.FaultCycles += c.P.Clock - start
 }
 

@@ -8,6 +8,7 @@ import (
 	"aecdsm/internal/fault"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/network"
+	"aecdsm/internal/pool"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
 )
@@ -41,14 +42,12 @@ type Engine struct {
 	events   eventQueue
 	finished int
 
-	// msgFree/svcFree are the engine's message and service-context free
-	// lists (plain slices: the engine core is single-threaded). Every
-	// recycled object is field-reset before it goes back on the list —
-	// the pool-hygiene contract dsmvet's poolreset rule enforces. msgsMade
-	// counts the messages ever allocated: msgFree's length when none is live.
-	msgFree  []*Msg
-	svcFree  []*Svc
-	msgsMade int
+	// msgs and svcs recycle messages and service contexts (plain slices:
+	// the engine core is single-threaded). pool.Of's Put zeroes a record
+	// before keeping it, so nothing a message or context held can reach
+	// its next user.
+	msgs pool.Of[Msg]
+	svcs pool.Of[Svc]
 
 	// Deadlocked is set if the event queue drained while processors were
 	// still blocked.

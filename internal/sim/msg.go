@@ -11,7 +11,6 @@ type Msg struct {
 	Kind     int
 	Bytes    int // payload bytes (header added by the engine)
 	Payload  any
-	SentAt   Time
 	ArriveAt Time
 
 	// Reliable-transport bookkeeping, used only when fault injection is
@@ -25,34 +24,16 @@ type Msg struct {
 	op      uint8
 }
 
-// reset clears every field so a recycled message carries nothing — no
-// payload reference, no stale transport bookkeeping — into its next use.
-func (m *Msg) reset() { *m = Msg{} }
-
-// allocMsg takes a message from the free list (or allocates the pool's
-// next one). The returned message is always field-reset.
-func (e *Engine) allocMsg() *Msg {
-	if n := len(e.msgFree); n > 0 {
-		m := e.msgFree[n-1]
-		e.msgFree = e.msgFree[:n-1]
-		return m
-	}
-	e.msgsMade++
-	return &Msg{}
-}
-
 // freeMsg recycles a message once its last reader has returned, dropping
 // its reference on the sender's pending entry, which follows it into its
 // own pool when this was the last one.
 func (e *Engine) freeMsg(m *Msg) {
 	if tx := m.tx; tx != nil {
 		if tx.refs--; tx.refs == 0 {
-			tx.reset()
-			e.rel.txFree = append(e.rel.txFree, tx)
+			e.rel.txs.Put(tx)
 		}
 	}
-	m.reset()
-	e.msgFree = append(e.msgFree, m)
+	e.msgs.Put(m)
 }
 
 // Handler services a delivered message on the destination node. It runs in
@@ -68,28 +49,6 @@ type Svc struct {
 	P   *Proc // the processor doing the servicing
 	Now Time  // service-local current time
 	m   *Msg
-}
-
-// reset clears every field so a recycled service context carries no
-// engine, processor or message reference into its next delivery.
-func (s *Svc) reset() { *s = Svc{} }
-
-// allocSvc takes a service context from the free list (or allocates).
-func (e *Engine) allocSvc() *Svc {
-	if n := len(e.svcFree); n > 0 {
-		s := e.svcFree[n-1]
-		e.svcFree = e.svcFree[:n-1]
-		return s
-	}
-	return &Svc{}
-}
-
-// freeSvc recycles a service context after its handler has returned.
-// Handlers run synchronously inside deliver and never retain s (replies
-// get a fresh context at their own delivery), so the recycle is safe.
-func (e *Engine) freeSvc(s *Svc) {
-	s.reset()
-	e.svcFree = append(e.svcFree, s)
 }
 
 // Charge advances service time by the given cycles.
@@ -160,9 +119,8 @@ func (e *Engine) sendOpt(from *Proc, now Time, to, kind, bytes int, payload any,
 		// DMA the message across the sender's I/O bus.
 		senderDone = from.IOBus.Transfer(senderDone, pp.Words(size))
 	}
-	m := e.allocMsg()
-	m.From, m.To, m.Kind, m.Bytes = from.ID, to, kind, bytes
-	m.Payload, m.SentAt = payload, now
+	m := e.msgs.Get()
+	m.From, m.To, m.Kind, m.Bytes, m.Payload = from.ID, to, kind, bytes, payload
 	if e.rel != nil && to != from.ID {
 		e.relSend(m, h, size, senderDone, reliable)
 		return senderDone
@@ -181,7 +139,7 @@ func (e *Engine) deliver(m *Msg, h Handler) {
 	if p.svcBusyUntil > start {
 		start = p.svcBusyUntil
 	}
-	s := e.allocSvc()
+	s := e.svcs.Get()
 	s.E, s.P, s.Now, s.m = e, p, start, m
 	// Interrupt dispatch plus pulling the message across the I/O bus.
 	if m.From != m.To {
@@ -191,7 +149,9 @@ func (e *Engine) deliver(m *Msg, h Handler) {
 	h(s, m)
 	p.svcBusyUntil = s.Now
 	svc := s.Now - start
-	e.freeSvc(s)
+	// Handlers run synchronously and never retain s (replies get a fresh
+	// context at their own delivery), so the recycle is safe.
+	e.svcs.Put(s)
 	if e.Tracer != nil {
 		ev := trace.Ev(start, m.To, trace.KindMsgDeliver)
 		ev.Arg, ev.Arg2 = int64(m.From), int64(svc)

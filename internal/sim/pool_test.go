@@ -6,36 +6,50 @@ import (
 	"aecdsm/internal/fault"
 )
 
-// TestMsgPoolRecycleReset: a freed message returns to the pool fully
-// field-reset, and the next alloc reuses it (identity, not a copy).
+// TestMsgPoolRecycleReset: freeMsg returns a message to the pool with
+// nothing of its previous life left, and the next Get reuses it (identity,
+// not a copy). That Put zeroes is pool's own test; this pins that sim
+// recycles through it.
 func TestMsgPoolRecycleReset(t *testing.T) {
 	e, _ := testEngine(2)
-	m := e.allocMsg()
+	m := e.msgs.Get()
 	m.From, m.To, m.Kind, m.Bytes = 1, 0, 7, 64
-	m.Payload, m.SentAt, m.ArriveAt = "payload", 10, 20
+	m.Payload, m.ArriveAt = "payload", 20
 	m.seq, m.attempt, m.op = 3, 2, opTracked
 	e.freeMsg(m)
 	if *m != (Msg{}) {
 		t.Fatalf("freed message not reset: %+v", *m)
 	}
-	if got := e.allocMsg(); got != m {
-		t.Fatal("alloc after free should reuse the pooled message")
-	} else if *got != (Msg{}) {
-		t.Fatalf("pooled message not reset at alloc: %+v", *got)
+	if e.msgs.Made() != 1 || e.msgs.Idle() != 1 {
+		t.Fatalf("pool made %d, idle %d; want 1, 1", e.msgs.Made(), e.msgs.Idle())
+	}
+	if got := e.msgs.Get(); got != m {
+		t.Fatal("Get after free should reuse the pooled message")
 	}
 }
 
-// TestSvcPoolRecycleReset: same contract for service contexts.
+// TestSvcPoolRecycleReset: deliver recycles its service context, and the
+// next delivery's handler sees that same context carrying only its own
+// delivery.
 func TestSvcPoolRecycleReset(t *testing.T) {
 	e, _ := testEngine(2)
-	s := e.allocSvc()
-	s.E, s.P, s.Now, s.m = e, e.Procs[1], 42, &Msg{}
-	e.freeSvc(s)
-	if *s != (Svc{}) {
-		t.Fatalf("freed service context not reset: %+v", *s)
+	var seen []*Svc
+	h := func(s *Svc, m *Msg) {
+		if s.E != e || s.P != e.Procs[m.To] || s.m != m {
+			t.Errorf("service context %+v does not describe its own delivery", *s)
+		}
+		seen = append(seen, s)
 	}
-	if got := e.allocSvc(); got != s {
-		t.Fatal("alloc after free should reuse the pooled context")
+	for to := 0; to < 2; to++ {
+		m := e.msgs.Get()
+		m.From, m.To = 0, to
+		e.deliver(m, h)
+		if *seen[to] != (Svc{}) {
+			t.Fatalf("recycled service context not reset: %+v", *seen[to])
+		}
+	}
+	if seen[0] != seen[1] || e.svcs.Made() != 1 || e.svcs.Idle() != 1 {
+		t.Fatalf("context not reused: %p then %p, made %d, idle %d", seen[0], seen[1], e.svcs.Made(), e.svcs.Idle())
 	}
 }
 
@@ -48,31 +62,32 @@ func TestDeliverRecycles(t *testing.T) {
 	e.EnableFaults(fault.Config{})
 	h := func(s *Svc, m *Msg) {}
 
-	m := e.allocMsg()
+	m := e.msgs.Get()
 	m.From, m.To = 0, 0
 	e.deliver(m, h)
-	if len(e.msgFree) != 1 {
-		t.Fatalf("untracked message not recycled: pool size %d", len(e.msgFree))
+	if e.msgs.Idle() != 1 {
+		t.Fatalf("untracked message not recycled: %d idle", e.msgs.Idle())
 	}
-	if len(e.svcFree) != 1 {
-		t.Fatalf("service context not recycled: pool size %d", len(e.svcFree))
+	if e.svcs.Idle() != 1 {
+		t.Fatalf("service context not recycled: %d idle", e.svcs.Idle())
 	}
 
-	tx := &pendingTx{h: h, refs: 2} // the original's reference and the copy's
-	cp := e.allocMsg()
+	tx := e.rel.txs.Get()
+	tx.h, tx.refs = h, 2 // the original's reference and the copy's
+	cp := e.msgs.Get()
 	cp.From, cp.To, cp.op, cp.tx = 0, 1, opTracked, tx
 	e.deliver(cp, h)
-	if len(e.msgFree) != 1 || *cp != (Msg{}) {
-		t.Fatalf("tracked copy not recycled and reset: pool size %d, %+v", len(e.msgFree), *cp)
+	if e.msgs.Idle() != 1 || *cp != (Msg{}) {
+		t.Fatalf("tracked copy not recycled and reset: %d idle, %+v", e.msgs.Idle(), *cp)
 	}
-	if tx.refs != 1 || len(e.rel.txFree) != 0 {
-		t.Fatalf("pending entry: refs %d, pool %d; want the original's reference left", tx.refs, len(e.rel.txFree))
+	if tx.refs != 1 || e.rel.txs.Idle() != 0 {
+		t.Fatalf("pending entry: refs %d, %d idle; want the original's reference left", tx.refs, e.rel.txs.Idle())
 	}
-	orig := e.allocMsg()
+	orig := e.msgs.Get()
 	orig.tx = tx
 	e.freeMsg(orig)
-	if len(e.rel.txFree) != 1 || !txIsReset(tx) {
-		t.Fatalf("last reference gone, entry not recycled and reset: pool %d, %+v", len(e.rel.txFree), *tx)
+	if e.rel.txs.Idle() != 1 || !txIsReset(tx) {
+		t.Fatalf("last reference gone, entry not recycled and reset: %d idle, %+v", e.rel.txs.Idle(), *tx)
 	}
 }
 
@@ -96,6 +111,10 @@ func TestPooledSendDeliverSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
 		t.Fatalf("send+deliver allocates %v objects/op, want 0", n)
+	}
+	if e.msgs.Made() != 1 || e.msgs.Idle() != 1 || e.svcs.Made() != 1 || e.svcs.Idle() != 1 {
+		t.Fatalf("steady state should cycle one message and one context: msgs %d/%d idle, svcs %d/%d idle",
+			e.msgs.Idle(), e.msgs.Made(), e.svcs.Idle(), e.svcs.Made())
 	}
 }
 

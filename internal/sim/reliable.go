@@ -40,6 +40,7 @@ package sim
 
 import (
 	"aecdsm/internal/bitset"
+	"aecdsm/internal/pool"
 	"aecdsm/internal/trace"
 )
 
@@ -58,7 +59,7 @@ const (
 // pendingTx is one reliable message at its sender. refs counts the Msgs
 // whose tx points here — the retained original until its ack lands, and
 // every queued delivery copy, timer and ack record — and freeMsg returns
-// the entry to txFree when the last of them goes. So an entry is recycled
+// the entry to rel.txs when the last of them goes. So an entry is recycled
 // only once acked and past its last armed timer, and neither a stale timer
 // nor the ack of a late duplicate can ever reach a recycled one.
 type pendingTx struct {
@@ -66,8 +67,6 @@ type pendingTx struct {
 	h    Handler
 	refs int
 }
-
-func (tx *pendingTx) reset() { *tx = pendingTx{} }
 
 // pair is the transport state of one directed (sender, receiver) pair: the
 // sender's sequence counter and the receiver's dedup window. Every sequence
@@ -101,8 +100,8 @@ func (p *pair) firstSeen(seq uint64) bool {
 
 // reliability is the per-run transport state.
 type reliability struct {
-	pairs  [][]pair // [from][to]; a sender's row is allocated at its first send
-	txFree []*pendingTx
+	pairs [][]pair // [from][to]; a sender's row is allocated at its first send
+	txs   pool.Of[pendingTx]
 }
 
 // relSend enters a freshly sent remote message into the transport:
@@ -117,11 +116,7 @@ func (e *Engine) relSend(m *Msg, h Handler, size int, ready Time, reliable bool)
 	row[m.To].nextSeq++
 	m.seq, m.attempt = row[m.To].nextSeq, 1
 	if reliable {
-		if n := len(e.rel.txFree); n > 0 {
-			m.tx, e.rel.txFree = e.rel.txFree[n-1], e.rel.txFree[:n-1]
-		} else {
-			m.tx = &pendingTx{}
-		}
+		m.tx = e.rel.txs.Get()
 		m.tx.m, m.tx.h, m.tx.refs = m, h, 1
 	}
 	e.transmit(m, h, size, ready)
@@ -156,7 +151,7 @@ func (e *Engine) transmit(m *Msg, h Handler, size int, ready Time) {
 	}
 	for i := 0; i < copies; i++ {
 		arrive := e.Net.Transfer(ready+dec.ExtraDelay, m.From, m.To, size)
-		cp := e.allocMsg()
+		cp := e.msgs.Get()
 		*cp = *m
 		cp.op, cp.ArriveAt = opTracked, arrive
 		if cp.tx != nil {
@@ -181,7 +176,7 @@ func (e *Engine) traceDrop(at Time, src, dst int, seq uint64) {
 // retransmission timer of m's attempt, or the arrival of m's ack — as a
 // pooled Msg on the delivery path: no closure, the entry rides by pointer.
 func (e *Engine) queueTx(op uint8, m *Msg, at Time) {
-	r := e.allocMsg()
+	r := e.msgs.Get()
 	r.op, r.tx, r.attempt, r.ArriveAt = op, m.tx, m.attempt, at
 	r.tx.refs++
 	e.scheduleDeliver(at, r, nil)
@@ -226,7 +221,6 @@ func (e *Engine) retransmit(m *Msg, h Handler, at Time) {
 	e.chargeRecovery(from, done-start)
 
 	m.attempt++
-	m.SentAt = start
 	from.Stats.Retransmits++
 	from.Stats.MsgsSent++
 	from.Stats.BytesSent += uint64(size)

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"aecdsm/internal/fault"
+	"aecdsm/internal/pool"
 	"aecdsm/internal/stats"
 )
 
@@ -465,11 +467,28 @@ func TestSeenWindowMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// allIdleOnce checks that every record p ever made is idle, and that
+// draining p hands each out once and zeroed: none leaked, none freed twice.
+func allIdleOnce[T any](t *testing.T, what string, p *pool.Of[T], isZero func(*T) bool) {
+	t.Helper()
+	if p.Idle() != p.Made() {
+		t.Fatalf("%s: %d of %d back in the pool", what, p.Idle(), p.Made())
+	}
+	seen := map[*T]bool{}
+	for p.Idle() > 0 {
+		x := p.Get()
+		if seen[x] || !isZero(x) {
+			t.Fatalf("%s %p freed twice or not reset: %+v", what, x, *x)
+		}
+		seen[x] = true
+	}
+}
+
 // TestTrackedMessagesRecycled: after faulted runs with drops, duplicates,
 // delays, stalls, a crash window and a partition have run to completion —
 // every retransmission loop finished, the event queue empty — every Msg
-// the engine ever allocated is back on msgFree exactly once and
-// field-reset, and so is every pending entry on txFree: delivery copies
+// the engine ever allocated is idle in its pool exactly once and
+// field-reset, and so is every pending entry: delivery copies
 // (handled, dropped at arrival, or suppressed as duplicates), best-effort
 // originals, acked reliable originals, timer and ack records.
 func TestTrackedMessagesRecycled(t *testing.T) {
@@ -514,28 +533,10 @@ func TestTrackedMessagesRecycled(t *testing.T) {
 		if sum.Retransmits == 0 || sum.MsgsDropped == 0 || sum.DupMsgsSuppressed == 0 || handled < 4*perProc*3/4 {
 			t.Fatalf("seed %d: schedule too quiet to prove anything: %+v, %d handled", seed, sum, handled)
 		}
-		if len(e.msgFree) != e.msgsMade {
-			t.Fatalf("seed %d: %d of %d messages back on the free list", seed, len(e.msgFree), e.msgsMade)
+		if e.rel.txs.Made() == 0 {
+			t.Fatalf("seed %d: no pending entry was ever made", seed)
 		}
-		onList := map[*Msg]bool{}
-		for _, m := range e.msgFree {
-			if onList[m] {
-				t.Fatalf("seed %d: message %p freed twice", seed, m)
-			}
-			onList[m] = true
-			if *m != (Msg{}) {
-				t.Fatalf("seed %d: pooled message not reset: %+v", seed, *m)
-			}
-		}
-		if len(e.rel.txFree) == 0 {
-			t.Fatalf("seed %d: no pending entry was recycled", seed)
-		}
-		txOnList := map[*pendingTx]bool{}
-		for _, tx := range e.rel.txFree {
-			if txOnList[tx] || !txIsReset(tx) {
-				t.Fatalf("seed %d: pending entry %p freed twice or not reset: %+v", seed, tx, *tx)
-			}
-			txOnList[tx] = true
-		}
+		allIdleOnce(t, fmt.Sprintf("seed %d: message", seed), &e.msgs, func(m *Msg) bool { return *m == Msg{} })
+		allIdleOnce(t, fmt.Sprintf("seed %d: pending entry", seed), &e.rel.txs, txIsReset)
 	}
 }

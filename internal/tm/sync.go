@@ -36,7 +36,9 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	} else {
 		pr.applyWNs(c, st, g.wns)
 	}
-	pr.freeWNs(g.wns)
+	// Only a grant's slice goes back: barrier notice sets are shared
+	// across release messages and stay unpooled.
+	pr.wns.Put(g.wns)
 	mergeVC(st.vc, g.vc)
 	c.Epoch++
 }

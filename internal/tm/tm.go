@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"aecdsm/internal/mem"
+	"aecdsm/internal/pool"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
@@ -329,12 +330,12 @@ type TM struct {
 	// and the sort never yields.
 	topoSc topoScratch
 
-	// wnFree pools grant write-notice slices. A slice is built by the
+	// wns pools grant write-notice slices. A slice is built by the
 	// releaser in collectWNs, rides exactly one grant, and is consumed
 	// by value in the acquirer's applyWNs — nothing retains it, so the
 	// acquirer recycles it at the end of Acquire. Entries are pointer-
 	// free (wnRef is three ints), so truncation is a full reset.
-	wnFree [][]wnRef
+	wns pool.Slices[wnRef]
 }
 
 // New builds a TreadMarks protocol instance.
@@ -521,29 +522,8 @@ func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 // collectWNs gathers the write notices for all intervals the target (with
 // vector clock tvc) has not seen, from the perspective of a processor
 // whose knowledge is svc.
-// takeWNs hands out a write-notice slice from the grant pool (length 0,
-// capacity whatever its last trip accumulated).
-func (pr *TM) takeWNs() []wnRef {
-	if n := len(pr.wnFree); n > 0 {
-		s := pr.wnFree[n-1]
-		pr.wnFree = pr.wnFree[:n-1]
-		return s
-	}
-	return nil
-}
-
-// freeWNs recycles a grant's write-notice slice once the acquirer has
-// consumed it. Only the grant path may call this: barrier notice sets
-// are shared across release messages and stay unpooled.
-func (pr *TM) freeWNs(wns []wnRef) {
-	if cap(wns) == 0 {
-		return
-	}
-	pr.wnFree = append(pr.wnFree, wns[:0])
-}
-
 func (pr *TM) collectWNs(svc, tvc []int) []wnRef {
-	out := pr.takeWNs()
+	out := pr.wns.Get()
 	for p := 0; p < pr.nprocs; p++ {
 		for seq := tvc[p] + 1; seq <= svc[p]; seq++ {
 			rec := pr.ps[p].ivals[seq]
