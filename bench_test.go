@@ -259,16 +259,30 @@ func BenchmarkScaling(b *testing.B) {
 }
 
 // BenchmarkMakeDiff measures the twin-compare kernel on the three page
-// shapes at the default 4-byte word granularity.
+// shapes at the default 4-byte word granularity: through the package
+// function, which grows a buffer per diff, and (procmem/) through
+// ProcMem.MakeDiff, the entry point the protocols use, which encodes into
+// the processor's scratch and allocates the diff at exact size.
 func BenchmarkMakeDiff(b *testing.B) {
 	for _, kind := range []string{"clean", "sparse", "dense"} {
 		kind := kind
+		twin, cur := benchPagePair(kind)
 		b.Run(kind, func(b *testing.B) {
-			twin, cur := benchPagePair(kind)
 			b.ReportAllocs()
 			b.SetBytes(benchPageSize)
 			for i := 0; i < b.N; i++ {
 				mem.MakeDiff(0, twin, cur, 4)
+			}
+		})
+		b.Run("procmem/"+kind, func(b *testing.B) {
+			space := mem.NewSpace(benchPageSize)
+			space.Alloc("page", benchPageSize, 0)
+			pm := mem.NewProcMem(space, 0)
+			pm.Write(0, cur)
+			b.ReportAllocs()
+			b.SetBytes(benchPageSize)
+			for i := 0; i < b.N; i++ {
+				pm.MakeDiff(0, twin, 4)
 			}
 		})
 	}

@@ -17,6 +17,7 @@
 //	fuzzdsm -faults drop=0.05,dup=0.02 -fault-seed 7
 //	fuzzdsm -crash-seed 5            # layer 1-2 seeded node crashes per workload
 //	fuzzdsm -jobs 8                  # 8 workloads in flight (same output)
+//	fuzzdsm -memprofile mem.prof     # profile the checker itself (pins -jobs to 1)
 //
 // With -policy listing several grant disciplines (docs/LOCKING.md), each
 // seed runs the full protocol comparison once per policy, the auditor
@@ -48,8 +49,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -60,44 +63,75 @@ import (
 	"aecdsm/internal/fault"
 	"aecdsm/internal/harness"
 	"aecdsm/internal/lockpolicy"
+	"aecdsm/internal/profutil"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command without its process: it parses args, prints the
+// verdicts on out, reports on errw and returns the exit code — 2 for a
+// flag value it does not know, before any workload runs or profile is
+// opened; 1 when a workload failed or the environment refused a profile.
+func run(args []string, out, errw io.Writer) (code int) {
+	fs := flag.NewFlagSet("fuzzdsm", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		seed      = flag.Uint64("seed", 1, "first workload seed")
-		jobs      = flag.Int("jobs", 0, "workloads to run concurrently (0 = GOMAXPROCS, 1 = sequential; output order is identical at every value)")
-		iters     = flag.Int("iters", 25, "number of seeded workloads to run")
-		procs     = flag.Int("procs", 0, "force processor count (0 = derive 2-16 from seed)")
-		protocols = flag.String("protocols", "AEC,TM,Munin,ideal",
+		seed      = fs.Uint64("seed", 1, "first workload seed")
+		jobs      = fs.Int("jobs", 0, "workloads to run concurrently (0 = GOMAXPROCS, 1 = sequential; output order is identical at every value)")
+		iters     = fs.Int("iters", 25, "number of seeded workloads to run")
+		procs     = fs.Int("procs", 0, "force processor count (0 = derive 2-16 from seed)")
+		protocols = fs.String("protocols", "AEC,TM,Munin,ideal",
 			"comma-separated protocols to compare (AEC, AEC-noLAP, TM, TM-LH, Munin, Munin+LAP, ideal)")
-		policy = flag.String("policy", "",
+		policy = fs.String("policy", "",
 			"comma-separated lock grant disciplines to sweep (fifo, mcs, affinity, lease; \"all\" = every one; empty = the fifo default)")
-		faults    = flag.String("faults", "", "fault schedule: a preset (light, heavy) or clauses like drop=0.05,dup=0.02,delay=0.05:8000 (empty = no faults)")
-		faultSeed = flag.Uint64("fault-seed", 0, "base seed for the fault schedule (per-workload seed is fault-seed + workload seed)")
-		crashSeed = flag.Int64("crash-seed", -1, "derive 1-2 node crashes per workload from this seed and layer them onto -faults (-1 = none)")
-		verbose   = flag.Bool("v", false, "print every workload verdict, not just failures")
+		faults    = fs.String("faults", "", "fault schedule: a preset (light, heavy) or clauses like drop=0.05,dup=0.02,delay=0.05:8000 (empty = no faults)")
+		faultSeed = fs.Uint64("fault-seed", 0, "base seed for the fault schedule (per-workload seed is fault-seed + workload seed)")
+		crashSeed = fs.Int64("crash-seed", -1, "derive 1-2 node crashes per workload from this seed and layer them onto -faults (-1 = none)")
+		verbose   = fs.Bool("v", false, "print every workload verdict, not just failures")
 	)
-	flag.Parse()
+	prof := profutil.RegisterProfiles(fs, " (pins -jobs to 1)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	kinds, err := parseProtocols(*protocols)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fuzzdsm:", err)
-		os.Exit(2)
+		fmt.Fprintln(errw, "fuzzdsm:", err)
+		return 2
 	}
 	policies, err := parsePolicies(*policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fuzzdsm:", err)
-		os.Exit(2)
+		fmt.Fprintln(errw, "fuzzdsm:", err)
+		return 2
 	}
 	var baseFaults *fault.Config
 	if *faults != "" {
 		fc, err := fault.ParseSpec(*faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fuzzdsm:", err)
-			os.Exit(2)
+			fmt.Fprintln(errw, "fuzzdsm:", err)
+			return 2
 		}
 		baseFaults = &fc
 	}
+	if *iters < 0 {
+		fmt.Fprintf(errw, "fuzzdsm: -iters must not be negative, got %d\n", *iters)
+		return 2
+	}
+
+	_, closeProf, err := prof.Open()
+	if err != nil {
+		fmt.Fprintln(errw, "fuzzdsm:", err)
+		return profutil.ExitCode(err)
+	}
+	defer func() {
+		if err := closeProf(); err != nil {
+			fmt.Fprintln(errw, "fuzzdsm:", err)
+			code = 1
+		}
+	}()
 
 	// Phase 1: run every seeded workload, up to -jobs at a time. Each
 	// workload is a fully isolated set of engines, so they compose across
@@ -129,7 +163,7 @@ func main() {
 		return &fc
 	}
 	reports := make([]*check.Report, *iters*len(policies))
-	runParallel(len(reports), *jobs, func(i int) {
+	runParallel(len(reports), prof.Pin(*jobs), func(i int) {
 		s := *seed + uint64(i/len(policies))
 		w := check.Generate(s, *procs)
 		w.Policy = policies[i%len(policies)]
@@ -146,20 +180,20 @@ func main() {
 		for _, rep := range perPolicy {
 			if rep.Failed() {
 				failures++
-				fmt.Printf("seed %d: FAIL\n%s", s, rep)
+				fmt.Fprintf(out, "seed %d: FAIL\n%s", s, rep)
 				small, spent := check.ShrinkFault(rep.Workload, kinds, 64, fcfg)
 				if small.Workload != rep.Workload {
-					fmt.Printf("shrunk after %d replays:\n%s", spent, small)
+					fmt.Fprintf(out, "shrunk after %d replays:\n%s", spent, small)
 				}
 			} else if *verbose {
-				fmt.Printf("seed %d: ok\n%s", s, rep)
+				fmt.Fprintf(out, "seed %d: ok\n%s", s, rep)
 			} else {
 				w := rep.Workload
 				pol := ""
 				if len(policies) > 1 {
 					pol = " policy=" + w.Policy
 				}
-				fmt.Printf("seed %d: ok (procs=%d locks=%d phases=%d ops=%d%s final=%016x)\n",
+				fmt.Fprintf(out, "seed %d: ok (procs=%d locks=%d phases=%d ops=%d%s final=%016x)\n",
 					s, w.Procs, w.Cfg.Locks, w.Cfg.Phases, w.Cfg.OpsPerPhase, pol, rep.Runs[0].Final)
 			}
 		}
@@ -168,19 +202,20 @@ func main() {
 		// same barrier-phase checksums for the seed.
 		for _, d := range crossPolicyDiffs(perPolicy) {
 			failures++
-			fmt.Printf("seed %d: FAIL (cross-policy)\n  %s\n", s, d)
+			fmt.Fprintf(out, "seed %d: FAIL (cross-policy)\n  %s\n", s, d)
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("fuzzdsm: %d of %d workloads failed\n", failures, *iters*len(policies))
-		os.Exit(1)
+		fmt.Fprintf(out, "fuzzdsm: %d of %d workloads failed\n", failures, *iters*len(policies))
+		return 1
 	}
 	if len(policies) > 1 {
-		fmt.Printf("fuzzdsm: %d workloads, %d protocols x %d policies each, all agree\n",
+		fmt.Fprintf(out, "fuzzdsm: %d workloads, %d protocols x %d policies each, all agree\n",
 			*iters, len(kinds), len(policies))
-		return
+		return 0
 	}
-	fmt.Printf("fuzzdsm: %d workloads, %d protocols each, all agree\n", *iters, len(kinds))
+	fmt.Fprintf(out, "fuzzdsm: %d workloads, %d protocols each, all agree\n", *iters, len(kinds))
+	return 0
 }
 
 // crossPolicyDiffs compares the per-policy reports of one seed: the

@@ -278,8 +278,17 @@ func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hi
 // applyDiffData patches a diff into the local frame (the mutation switch
 // drops its last run).
 func (pr *AEC) applyDiffData(c *proto.Ctx, d *mem.Diff) {
-	if MutateDiffApply && len(d.Runs) > 0 {
-		d = &mem.Diff{Page: d.Page, Runs: d.Runs[:len(d.Runs)-1]}
+	if MutateDiffApply {
+		short := &mem.Diff{Page: d.Page}
+		var off int
+		var last []byte
+		for o, data := range d.Runs() {
+			if last != nil {
+				short.AppendRun(off, last)
+			}
+			off, last = o, data
+		}
+		d = short
 	}
 	c.PatchDiff(d)
 }

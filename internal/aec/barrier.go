@@ -145,7 +145,7 @@ func (pr *AEC) makeOutsideDiff(c *proto.Ctx, st *procState, pg int, cat stats.Ca
 		delete(st.dirtyOutside, pg)
 		return
 	}
-	d := mem.MakeDiff(pg, f.Twin, f.Data, pr.e.Params.WordBytes)
+	d := c.M.MakeDiff(pg, f.Twin, pr.e.Params.WordBytes)
 	pr.chargeDiffCreate(c, d, cat, hidden)
 	d = pr.merge2(st.outsideDiff[pg], d)
 	st.archiveOutside(pr, pg, st.twinStep[pg], d)
@@ -166,7 +166,7 @@ func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 		return
 	}
 	pp := &pr.e.Params
-	d := mem.MakeDiff(pg, f.Twin, f.Data, pp.WordBytes)
+	d := ctx.M.MakeDiff(pg, f.Twin, pp.WordBytes)
 	cost := pp.DiffCycles(pr.pageSize)
 	s.Charge(cost)
 	s.ChargeMem(pr.pageSize)

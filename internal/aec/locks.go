@@ -191,7 +191,7 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
 			continue
 		}
 		f := c.M.Frame(pg)
-		d := mem.MakeDiff(pg, f.Twin, f.Data, pr.e.Params.WordBytes)
+		d := c.M.MakeDiff(pg, f.Twin, pr.e.Params.WordBytes)
 		pr.chargeDiffCreateOpt(c, d, stats.Synch, true, true)
 		if d == nil {
 			// Page was re-written with identical contents; treat as
@@ -319,7 +319,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		if f.Twin == nil {
 			continue
 		}
-		d := mem.MakeDiff(pg, f.Twin, f.Data, pr.e.Params.WordBytes)
+		d := c.M.MakeDiff(pg, f.Twin, pr.e.Params.WordBytes)
 		pr.chargeDiffCreate(c, d, stats.Synch, false)
 		if d != nil {
 			m := pr.merge2(merged[pg], d)

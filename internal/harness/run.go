@@ -122,6 +122,9 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 	}
 
 	eng := sim.New(params, run)
+	if err := params.ValidateSpace(space.Pages() * params.PageSize); err != nil {
+		panic(fmt.Sprintf("harness: %s: %v", prog.Name(), err))
+	}
 	if fcfg != nil {
 		eng.EnableFaults(*fcfg)
 	}

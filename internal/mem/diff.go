@@ -3,31 +3,29 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"iter"
 	"sync/atomic"
 )
 
-// DiffRun is one contiguous range of modified bytes within a page.
-type DiffRun struct {
-	Off  int
-	Data []byte
-}
-
-// Diff is the encoded set of modifications made to one page: the classic
-// SW-DSM diff produced by comparing a page against its twin at word
-// granularity and run-length encoding the changed ranges.
+// Diff is the set of modifications made to one page: the classic SW-DSM
+// diff produced by comparing a page against its twin at word granularity
+// and run-length encoding the changed ranges. It is held in the form the
+// simulated wire carries, so the host pays for a diff what the simulated
+// network does: one buffer, run after run, each an 8-byte header (offset
+// within the page, then length, little-endian uint32) followed by the
+// run's bytes. MakeDiff and the Merger emit runs ordered by offset,
+// non-empty and neither overlapping nor adjacent. The zero value with a
+// Page is the empty diff.
 type Diff struct {
 	Page int
-	Runs []DiffRun
 	// ID is a process-local identity assigned at creation, letting the
 	// tracing/auditing layer recognize the same diff across protocol
 	// events (e.g. to detect a diff applied twice). It is not part of the
 	// simulated wire format and not reproducible across runs.
 	ID uint64
 
-	// data is the reusable backing buffer behind Runs when the diff was
-	// produced by Merger.MergeInto; nil otherwise.
-	data []byte
+	enc  []byte
+	runs int
 }
 
 // diffIDs hands out process-unique diff identities. Atomic because
@@ -44,28 +42,69 @@ func nextDiffID() uint64 { return diffIDs.Add(1) }
 // runHeaderBytes is the encoded size of a run header (offset + length).
 const runHeaderBytes = 8
 
+// appendRun encodes one run at the end of enc.
+func appendRun(enc []byte, off int, data []byte) []byte {
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(off))
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(data)))
+	return append(enc, data...)
+}
+
+// Runs iterates over the diff's runs in encoding order, yielding each
+// run's offset within the page and its bytes (which alias the diff). It is
+// the one decoder: Apply, the Merger and the protocols' patch all range
+// over it, and the compiler inlines the loop into each.
+func (d *Diff) Runs() iter.Seq2[int, []byte] {
+	return func(yield func(int, []byte) bool) {
+		for enc := d.enc; len(enc) > 0; {
+			off := int(binary.LittleEndian.Uint32(enc))
+			end := runHeaderBytes + int(binary.LittleEndian.Uint32(enc[4:]))
+			if !yield(off, enc[runHeaderBytes:end]) {
+				return
+			}
+			enc = enc[end:]
+		}
+	}
+}
+
+// AppendRun adds a run to a diff built by hand rather than by MakeDiff or
+// a Merger; data is copied.
+func (d *Diff) AppendRun(off int, data []byte) {
+	d.enc = appendRun(d.enc, off, data)
+	d.runs++
+}
+
 // MakeDiff compares cur against twin at the given word granularity and
 // returns the diff, or nil if the page is unchanged. The two slices must
-// be the same length (one page).
+// be the same length (one page). The protocols diff through
+// ProcMem.MakeDiff, which encodes into the processor's scratch; this entry
+// grows a buffer of its own and hands it to the diff.
+func MakeDiff(page int, twin, cur []byte, wordBytes int) *Diff {
+	enc, runs := appendRuns(nil, twin, cur, wordBytes)
+	if runs == 0 {
+		return nil
+	}
+	return &Diff{Page: page, ID: nextDiffID(), enc: enc, runs: runs}
+}
+
+// appendRuns is the twin-compare kernel: one scan of the page that appends
+// the encoding of every modified run to enc and counts them.
 //
 // The hot path (word sizes dividing 8 and a page that is a multiple of 8
 // bytes — every real configuration) skips clean regions eight bytes at a
-// time with uint64 loads and backs all run data with one allocation; the
-// generic fallback handles odd geometries.
-func MakeDiff(page int, twin, cur []byte, wordBytes int) *Diff {
+// time with uint64 loads; the generic fallback handles odd geometries.
+func appendRuns(enc, twin, cur []byte, wordBytes int) ([]byte, int) {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("mem: diff size mismatch %d vs %d", len(twin), len(cur)))
 	}
-	if wordBytes <= 0 || 8%wordBytes != 0 || len(cur)%8 != 0 {
-		return makeDiffGeneric(page, twin, cur, wordBytes)
+	if wordBytes <= 0 {
+		panic(fmt.Sprintf("mem: diff word size %d, want a positive byte count", wordBytes))
+	}
+	if 8%wordBytes != 0 || len(cur)%8 != 0 {
+		return appendRunsGeneric(enc, twin, cur, wordBytes)
 	}
 
-	// Single scan: record each run as a view into cur, then relocate all
-	// run data into one backing buffer (runs must not alias the live page,
-	// which keeps changing).
 	n := len(cur)
-	var runs []DiffRun
-	total := 0
+	runs := 0
 	i := 0
 	for i < n {
 		// Skip clean regions 8 bytes at a time. i is always word-aligned
@@ -103,19 +142,10 @@ func MakeDiff(page int, twin, cur []byte, wordBytes int) *Diff {
 		for i < n && !wordEqual(twin, cur, i, wordBytes) {
 			i += wordBytes
 		}
-		runs = append(runs, DiffRun{Off: start, Data: cur[start:i:i]})
-		total += i - start
+		enc = appendRun(enc, start, cur[start:i])
+		runs++
 	}
-	if len(runs) == 0 {
-		return nil
-	}
-	backing := make([]byte, 0, total)
-	for r := range runs {
-		off := len(backing)
-		backing = append(backing, runs[r].Data...)
-		runs[r].Data = backing[off:len(backing):len(backing)]
-	}
-	return &Diff{Page: page, ID: nextDiffID(), Runs: runs}
+	return enc, runs
 }
 
 // wordEqual compares one word at offset i. w divides 8 here, so a word
@@ -133,17 +163,15 @@ func wordEqual(twin, cur []byte, i, w int) bool {
 	}
 }
 
-// makeDiffGeneric is the original word-by-word comparison, kept for word
-// sizes that do not divide 8 or pages that are not multiples of 8.
-func makeDiffGeneric(page int, twin, cur []byte, wordBytes int) *Diff {
-	var d *Diff
+// appendRunsGeneric is the original word-by-word comparison, kept for word
+// sizes that do not divide 8 or pages that are not multiples of 8, and as
+// the reference the fast path is tested against.
+func appendRunsGeneric(enc, twin, cur []byte, wordBytes int) ([]byte, int) {
 	n := len(cur)
+	runs := 0
 	i := 0
 	for i < n {
-		w := wordBytes
-		if i+w > n {
-			w = n - i
-		}
+		w := min(wordBytes, n-i)
 		if bytesEqual(twin[i:i+w], cur[i:i+w]) {
 			i += w
 			continue
@@ -151,68 +179,30 @@ func makeDiffGeneric(page int, twin, cur []byte, wordBytes int) *Diff {
 		// Extend the run over consecutive modified words.
 		start := i
 		for i < n {
-			w = wordBytes
-			if i+w > n {
-				w = n - i
-			}
+			w = min(wordBytes, n-i)
 			if bytesEqual(twin[i:i+w], cur[i:i+w]) {
 				break
 			}
 			i += w
 		}
-		if d == nil {
-			d = &Diff{Page: page, ID: nextDiffID()}
-		}
-		run := DiffRun{Off: start, Data: make([]byte, i-start)}
-		copy(run.Data, cur[start:i])
-		d.Runs = append(d.Runs, run)
+		enc = appendRun(enc, start, cur[start:i])
+		runs++
 	}
-	return d
+	return enc, runs
 }
 
 // Apply patches the diff into dst (one page of bytes).
 func (d *Diff) Apply(dst []byte) {
-	for _, r := range d.Runs {
-		copy(dst[r.Off:r.Off+len(r.Data)], r.Data)
+	for off, data := range d.Runs() {
+		copy(dst[off:off+len(data)], data)
 	}
 }
 
 // DataBytes returns the number of modified bytes carried.
-func (d *Diff) DataBytes() int {
-	n := 0
-	for _, r := range d.Runs {
-		n += len(r.Data)
-	}
-	return n
-}
+func (d *Diff) DataBytes() int { return len(d.enc) - d.runs*runHeaderBytes }
 
 // EncodedBytes returns the wire size of the diff (run headers + data).
-func (d *Diff) EncodedBytes() int {
-	return len(d.Runs)*runHeaderBytes + d.DataBytes()
-}
-
-// Covers reports whether the diff modifies the byte at off. Runs are
-// ordered by offset and disjoint (MakeDiff and MergeDiffs both emit them
-// that way), so this is a binary search for the last run starting at or
-// before off.
-func (d *Diff) Covers(off int) bool {
-	// First run strictly past off; the candidate is its predecessor.
-	i := sort.Search(len(d.Runs), func(i int) bool { return d.Runs[i].Off > off })
-	if i == 0 {
-		return false
-	}
-	r := d.Runs[i-1]
-	return off < r.Off+len(r.Data)
-}
-
-// Clone returns a deep copy of the diff (with a fresh identity).
-func (d *Diff) Clone() *Diff {
-	c := &Diff{Page: d.Page, ID: nextDiffID(), Runs: make([]DiffRun, len(d.Runs))}
-	for i, r := range d.Runs {
-		c.Runs[i] = DiffRun{Off: r.Off, Data: append([]byte(nil), r.Data...)}
-	}
-	return c
-}
+func (d *Diff) EncodedBytes() int { return len(d.enc) }
 
 // MergeDiffs folds a sequence of diffs for the same page (oldest first)
 // into a single diff, later writes overriding earlier ones — the merged
@@ -223,8 +213,12 @@ func (d *Diff) Clone() *Diff {
 // this convenience wrapper pays two page-sized scratch allocations per
 // call.
 func MergeDiffs(pageSize int, diffs ...*Diff) *Diff {
-	m := NewMerger(pageSize)
-	return m.Merge(diffs...)
+	// A one-shot merger has no scratch to keep: the buffer MergeInto
+	// grows is the diff's own.
+	if d, ok := NewMerger(pageSize).MergeInto(nil, diffs...); ok {
+		return d
+	}
+	return nil
 }
 
 // Merger merges page diffs using reusable scratch, so the per-interval
@@ -235,6 +229,7 @@ func MergeDiffs(pageSize int, diffs ...*Diff) *Diff {
 type Merger struct {
 	present []bool
 	buf     []byte
+	enc     []byte // Merge encodes here, then copies out at exact size
 }
 
 // NewMerger builds a merger for one page size.
@@ -249,28 +244,17 @@ func (m *Merger) Merge(diffs ...*Diff) *Diff {
 	if page == -1 {
 		return nil
 	}
-	total, runs := 0, 0
-	m.scanPresent(lo, hi, func(start, end int) {
-		runs++
-		total += end - start
-	})
-	out := &Diff{Page: page, ID: nextDiffID(), Runs: make([]DiffRun, 0, runs)}
-	backing := make([]byte, 0, total)
-	m.scanPresent(lo, hi, func(start, end int) {
-		off := len(backing)
-		backing = append(backing, m.buf[start:end]...)
-		out.Runs = append(out.Runs, DiffRun{Off: start, Data: backing[off:len(backing):len(backing)]})
-	})
-	m.reset(lo, hi)
-	return out
+	var runs int
+	m.enc, runs = m.appendPresent(m.enc[:0], lo, hi)
+	return &Diff{Page: page, ID: nextDiffID(), enc: append([]byte(nil), m.enc...), runs: runs}
 }
 
-// MergeInto is Merge with the output written into dst, reusing dst's run
-// and data capacity — the zero-allocation steady-state path. The returned
-// diff's run data aliases dst's backing storage and is valid until the
-// next MergeInto with the same dst; callers that retain merged diffs
-// (protocols archiving update sets) must use Merge instead. A nil dst is
-// allocated on first use. Returns (dst, false) when nothing was modified.
+// MergeInto is Merge with the output encoded into dst, reusing dst's
+// capacity — the zero-allocation steady-state path. The returned diff is
+// valid until the next MergeInto with the same dst; callers that retain
+// merged diffs (protocols archiving update sets) must use Merge instead.
+// A nil dst is allocated on first use. Returns (dst, false) when nothing
+// was modified.
 func (m *Merger) MergeInto(dst *Diff, diffs ...*Diff) (*Diff, bool) {
 	page, lo, hi := m.fold(diffs)
 	if page == -1 {
@@ -281,15 +265,7 @@ func (m *Merger) MergeInto(dst *Diff, diffs ...*Diff) (*Diff, bool) {
 	}
 	dst.Page = page
 	dst.ID = nextDiffID()
-	dst.Runs = dst.Runs[:0]
-	backing := dst.data[:0]
-	m.scanPresent(lo, hi, func(start, end int) {
-		off := len(backing)
-		backing = append(backing, m.buf[start:end]...)
-		dst.Runs = append(dst.Runs, DiffRun{Off: start, Data: backing[off:len(backing):len(backing)]})
-	})
-	dst.data = backing
-	m.reset(lo, hi)
+	dst.enc, dst.runs = m.appendPresent(dst.enc[:0], lo, hi)
 	return dst, true
 }
 
@@ -307,17 +283,14 @@ func (m *Merger) fold(diffs []*Diff) (page, lo, hi int) {
 		} else if d.Page != page {
 			panic(fmt.Sprintf("mem: merging diffs of pages %d and %d", page, d.Page))
 		}
-		for _, r := range d.Runs {
-			copy(m.buf[r.Off:r.Off+len(r.Data)], r.Data)
-			for i := r.Off; i < r.Off+len(r.Data); i++ {
-				m.present[i] = true
+		for off, data := range d.Runs() {
+			end := off + len(data)
+			copy(m.buf[off:end], data)
+			present := m.present[off:end]
+			for i := range present {
+				present[i] = true
 			}
-			if r.Off < lo {
-				lo = r.Off
-			}
-			if r.Off+len(r.Data) > hi {
-				hi = r.Off + len(r.Data)
-			}
+			lo, hi = min(lo, off), max(hi, end)
 		}
 	}
 	if page != -1 && lo >= hi {
@@ -327,29 +300,26 @@ func (m *Merger) fold(diffs []*Diff) (page, lo, hi int) {
 	return page, lo, hi
 }
 
-// scanPresent calls emit(start, end) for every maximal present range
-// within [lo, hi).
-func (m *Merger) scanPresent(lo, hi int, emit func(start, end int)) {
-	i := lo
-	for i < hi {
-		if !m.present[i] {
+// appendPresent appends the encoding of every maximal present range within
+// [lo, hi) to enc and counts them, clearing the window as it goes so the
+// scratch is clean for the next merge without a page-sized wipe.
+func (m *Merger) appendPresent(enc []byte, lo, hi int) ([]byte, int) {
+	runs := 0
+	present := m.present[:hi]
+	for i := lo; i < hi; {
+		if !present[i] {
 			i++
 			continue
 		}
 		start := i
-		for i < hi && m.present[i] {
+		for i < hi && present[i] {
+			present[i] = false
 			i++
 		}
-		emit(start, i)
+		enc = appendRun(enc, start, m.buf[start:i])
+		runs++
 	}
-}
-
-// reset clears the [lo, hi) window of present bytes, leaving the scratch
-// clean for the next merge without a page-sized wipe.
-func (m *Merger) reset(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		m.present[i] = false
-	}
+	return enc, runs
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -21,29 +21,65 @@ func randomPagePair(ps int, mods []byte) (twin, cur []byte) {
 	return twin, cur
 }
 
-// TestCoversBitmapOracle: Covers must agree with a bitmap oracle built by
-// applying the diff onto a presence map, for arbitrary diffs and every
-// byte offset of the page.
+// run is one decoded run of a diff.
+type run struct {
+	off  int
+	data []byte
+}
+
+// runsOf collects what the run iterator yields.
+func runsOf(d *Diff) []run {
+	var out []run
+	for off, data := range d.Runs() {
+		out = append(out, run{off, data})
+	}
+	return out
+}
+
+// coverage marks the bytes of a ps-byte page the diff's runs rewrite, as
+// the run iterator reports them, and fails if two runs claim one byte. A
+// nil diff covers nothing.
+func coverage(t *testing.T, d *Diff, ps int) []bool {
+	t.Helper()
+	cov := make([]bool, ps)
+	if d == nil {
+		return cov
+	}
+	for off, data := range d.Runs() {
+		for i := off; i < off+len(data); i++ {
+			if cov[i] {
+				t.Fatalf("byte %d is in two runs", i)
+			}
+			cov[i] = true
+		}
+	}
+	return cov
+}
+
+// modifiedWords is the bitmap oracle: the bytes of every 4-byte word in
+// which the two pages differ.
+func modifiedWords(a, b []byte) []bool {
+	mod := make([]bool, len(a))
+	for w := 0; w < len(a); w += 4 {
+		if !bytes.Equal(a[w:w+4], b[w:w+4]) {
+			mod[w], mod[w+1], mod[w+2], mod[w+3] = true, true, true, true
+		}
+	}
+	return mod
+}
+
+// TestCoversBitmapOracle: the run iterator must report exactly the bytes a
+// bitmap oracle marks modified, for arbitrary diffs and every byte offset
+// of the page.
 func TestCoversBitmapOracle(t *testing.T) {
 	f := func(mods []byte) bool {
 		const ps = 256
 		twin, cur := randomPagePair(ps, mods)
-		d := MakeDiff(0, twin, cur, 4)
-		oracle := make([]bool, ps)
-		if d != nil {
-			for _, r := range d.Runs {
-				for i := r.Off; i < r.Off+len(r.Data); i++ {
-					oracle[i] = true
-				}
-			}
-		}
+		cov := coverage(t, MakeDiff(0, twin, cur, 4), ps)
+		oracle := modifiedWords(twin, cur)
 		for off := 0; off < ps; off++ {
-			got := false
-			if d != nil {
-				got = d.Covers(off)
-			}
-			if got != oracle[off] {
-				t.Logf("Covers(%d) = %v, oracle %v", off, got, oracle[off])
+			if cov[off] != oracle[off] {
+				t.Logf("byte %d covered = %v, oracle %v", off, cov[off], oracle[off])
 				return false
 			}
 		}
@@ -55,7 +91,8 @@ func TestCoversBitmapOracle(t *testing.T) {
 }
 
 // TestCoversMergedDiff runs the oracle over merged diffs too, whose runs
-// come from the Merger's present-scan rather than MakeDiff.
+// come from the Merger's present-scan rather than MakeDiff: a byte is
+// covered when either step modified its word.
 func TestCoversMergedDiff(t *testing.T) {
 	f := func(mods1, mods2 []byte) bool {
 		const ps = 256
@@ -64,21 +101,10 @@ func TestCoversMergedDiff(t *testing.T) {
 		for i, b := range mods2 {
 			v2[(int(b)*17+i*5)%ps] = byte(i + 200)
 		}
-		d := MergeDiffs(ps, MakeDiff(0, base, v1, 4), MakeDiff(0, v1, v2, 4))
-		oracle := make([]bool, ps)
-		if d != nil {
-			for _, r := range d.Runs {
-				for i := r.Off; i < r.Off+len(r.Data); i++ {
-					oracle[i] = true
-				}
-			}
-		}
+		cov := coverage(t, MergeDiffs(ps, MakeDiff(0, base, v1, 4), MakeDiff(0, v1, v2, 4)), ps)
+		first, second := modifiedWords(base, v1), modifiedWords(v1, v2)
 		for off := 0; off < ps; off++ {
-			got := false
-			if d != nil {
-				got = d.Covers(off)
-			}
-			if got != oracle[off] {
+			if cov[off] != (first[off] || second[off]) {
 				return false
 			}
 		}
@@ -89,6 +115,24 @@ func TestCoversMergedDiff(t *testing.T) {
 	}
 }
 
+// sameEncoding reports whether two diffs (either may be nil) carry the same
+// runs, byte for byte.
+func sameEncoding(a, b *Diff) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.runs == b.runs && bytes.Equal(a.enc, b.enc)
+}
+
+// genericDiff is MakeDiff through the word-by-word reference kernel.
+func genericDiff(twin, cur []byte, wordBytes int) *Diff {
+	enc, runs := appendRunsGeneric(nil, twin, cur, wordBytes)
+	if runs == 0 {
+		return nil
+	}
+	return &Diff{enc: enc, runs: runs}
+}
+
 // TestMakeDiffFastMatchesGeneric pins the uint64 fast path to the generic
 // word-by-word reference for every supported word size.
 func TestMakeDiffFastMatchesGeneric(t *testing.T) {
@@ -97,24 +141,7 @@ func TestMakeDiffFastMatchesGeneric(t *testing.T) {
 		f := func(mods []byte) bool {
 			const ps = 128
 			twin, cur := randomPagePair(ps, mods)
-			fast := MakeDiff(0, twin, cur, wordBytes)
-			ref := makeDiffGeneric(0, twin, cur, wordBytes)
-			if (fast == nil) != (ref == nil) {
-				return false
-			}
-			if fast == nil {
-				return true
-			}
-			if len(fast.Runs) != len(ref.Runs) {
-				return false
-			}
-			for i := range fast.Runs {
-				if fast.Runs[i].Off != ref.Runs[i].Off ||
-					!bytes.Equal(fast.Runs[i].Data, ref.Runs[i].Data) {
-					return false
-				}
-			}
-			return true
+			return sameEncoding(MakeDiff(0, twin, cur, wordBytes), genericDiff(twin, cur, wordBytes))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatalf("wordBytes=%d: %v", wordBytes, err)
@@ -151,24 +178,7 @@ func TestMergerMatchesMergeDiffs(t *testing.T) {
 		}
 		d1 := MakeDiff(0, base, v1, 4)
 		d2 := MakeDiff(0, v1, v2, 4)
-		got := m.Merge(d1, d2)
-		want := MergeDiffs(ps, d1, d2)
-		if (got == nil) != (want == nil) {
-			return false
-		}
-		if got == nil {
-			return true
-		}
-		if len(got.Runs) != len(want.Runs) {
-			return false
-		}
-		for i := range got.Runs {
-			if got.Runs[i].Off != want.Runs[i].Off ||
-				!bytes.Equal(got.Runs[i].Data, want.Runs[i].Data) {
-				return false
-			}
-		}
-		return true
+		return sameEncoding(m.Merge(d1, d2), MergeDiffs(ps, d1, d2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

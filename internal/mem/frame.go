@@ -36,9 +36,14 @@ type ProcMem struct {
 
 	// twins recycles page-sized twin buffers between intervals: MakeTwin
 	// fully overwrites the buffer, so only capacity survives a round trip.
-	// Twins a protocol steals (f.Twin = nil without DropTwin, as
-	// TreadMarks does for lazy diffing) simply never return here.
+	// A protocol that steals a twin (f.Twin = nil without DropTwin, as
+	// TreadMarks does for lazy diffing) hands it back with RecycleTwin once
+	// the diff is made.
 	twins pool.Slices[byte]
+
+	// diffEnc is MakeDiff's encoding scratch: the twin compare appends
+	// runs here in one scan and the diff gets a copy at exact size.
+	diffEnc []byte
 
 	// Tracer and Clock, when both non-nil, emit twin-create and
 	// invalidate events stamped with the owning processor's virtual time.
@@ -94,9 +99,6 @@ func (m *ProcMem) Pages() int { return len(m.frames) }
 // Proc returns the owning processor id this memory was built for.
 func (m *ProcMem) Proc() int { return m.proc }
 
-// Space returns the global space this memory views.
-func (m *ProcMem) Space() *Space { return m.space }
-
 // Read copies shared memory [a, a+len(dst)) into dst. The caller (the DSM
 // context) is responsible for having made the pages valid first.
 func (m *ProcMem) Read(a Addr, dst []byte) {
@@ -135,11 +137,7 @@ func (m *ProcMem) Write(a Addr, src []byte) {
 func (m *ProcMem) MakeTwin(page int) {
 	f := m.Frame(page)
 	if f.Twin == nil {
-		if tw := m.twins.Get(); cap(tw) >= len(f.Data) {
-			f.Twin = tw[:len(f.Data)]
-		} else {
-			f.Twin = make([]byte, len(f.Data))
-		}
+		f.Twin = m.twins.Sized(len(f.Data))
 	}
 	copy(f.Twin, f.Data)
 	if m.Tracer != nil {
@@ -149,15 +147,29 @@ func (m *ProcMem) MakeTwin(page int) {
 	}
 }
 
-// DropTwin discards the page's twin, recycling its buffer. Safe because
-// diffs never alias the twin (MakeDiff relocates run data) and the next
-// MakeTwin fully overwrites whatever it pops.
+// DropTwin discards the page's twin, recycling its buffer.
 func (m *ProcMem) DropTwin(page int) {
 	f := &m.frames[page]
-	if f.Twin != nil {
-		m.twins.Put(f.Twin)
-		f.Twin = nil
+	m.RecycleTwin(f.Twin)
+	f.Twin = nil
+}
+
+// RecycleTwin takes back a twin buffer nobody reads any more: the frame's
+// own (DropTwin) or one a protocol stole from it. Safe because diffs never
+// alias the twin (MakeDiff copies run data) and the next MakeTwin fully
+// overwrites whatever it pops.
+func (m *ProcMem) RecycleTwin(twin []byte) { m.twins.Put(twin) }
+
+// MakeDiff compares the page's current contents against twin — the frame's
+// own or one stolen from it — and returns the diff, or nil if the page is
+// unchanged (see the package-level MakeDiff).
+func (m *ProcMem) MakeDiff(page int, twin []byte, wordBytes int) *Diff {
+	enc, runs := appendRuns(m.diffEnc[:0], twin, m.Frame(page).Data, wordBytes)
+	m.diffEnc = enc
+	if runs == 0 {
+		return nil
 	}
+	return &Diff{Page: page, ID: nextDiffID(), enc: append([]byte(nil), enc...), runs: runs}
 }
 
 // Invalidate marks the page unreadable here.
@@ -168,12 +180,4 @@ func (m *ProcMem) Invalidate(page int) {
 		ev.Page = page
 		m.Tracer.Trace(ev)
 	}
-}
-
-// Validate marks the page readable, replacing its contents.
-func (m *ProcMem) Validate(page int, contents []byte) {
-	f := m.Frame(page)
-	copy(f.Data, contents)
-	f.Valid = true
-	f.EverValid = true
 }

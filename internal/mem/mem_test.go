@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -163,22 +165,32 @@ func TestTwinLifecycle(t *testing.T) {
 		t.Fatalf("second twin: reused %v, len %d, first byte %d; want the dropped buffer holding the current page",
 			&f.Twin[0] == first, len(f.Twin), f.Twin[0])
 	}
+	// A stolen twin (TreadMarks' lazy diffing) comes back through
+	// RecycleTwin once its diff is made, and the diff does not alias it.
+	stolen := f.Twin
+	f.Twin = nil
+	m.Write(0, []byte{3})
+	d := m.MakeDiff(0, stolen, 4)
+	m.RecycleTwin(stolen)
+	m.MakeTwin(0)
+	if &f.Twin[0] != first || f.Twin[0] != 3 {
+		t.Fatalf("third twin: reused %v, first byte %d; want the recycled stolen buffer holding the current page",
+			&f.Twin[0] == first, f.Twin[0])
+	}
+	out := make([]byte, 4096)
+	d.Apply(out)
+	if got := runsOf(d); len(got) != 1 || got[0].off != 0 || out[0] != 3 {
+		t.Fatalf("diff against the stolen twin: runs %+v, byte 0 patched to %d; want one run at 0 carrying 3", got, out[0])
+	}
 }
 
-func TestInvalidateValidate(t *testing.T) {
+func TestInvalidate(t *testing.T) {
 	s := NewSpace(4096)
 	s.Alloc("x", 4096, 0)
 	m := NewProcMem(s, 0)
 	m.Invalidate(0)
 	if m.Peek(0).Valid {
 		t.Fatal("invalidate failed")
-	}
-	contents := make([]byte, 4096)
-	contents[7] = 42
-	m.Validate(0, contents)
-	f := m.Frame(0)
-	if !f.Valid || f.Data[7] != 42 {
-		t.Fatal("validate failed")
 	}
 }
 
@@ -200,20 +212,69 @@ func TestMakeDiffRuns(t *testing.T) {
 	if d == nil || d.Page != 3 {
 		t.Fatal("diff missing")
 	}
-	if len(d.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(d.Runs))
+	runs := runsOf(d)
+	if len(runs) != 2 {
+		t.Fatalf("runs = %d, want 2", len(runs))
 	}
-	if d.Runs[0].Off != 0 || len(d.Runs[0].Data) != 8 {
-		t.Fatalf("run0 = %+v", d.Runs[0])
+	if runs[0].off != 0 || len(runs[0].data) != 8 {
+		t.Fatalf("run0 = %+v", runs[0])
 	}
-	if d.Runs[1].Off != 20 || len(d.Runs[1].Data) != 4 {
-		t.Fatalf("run1 = %+v", d.Runs[1])
+	if runs[1].off != 20 || len(runs[1].data) != 4 {
+		t.Fatalf("run1 = %+v", runs[1])
 	}
 	if d.DataBytes() != 12 || d.EncodedBytes() != 12+2*8 {
 		t.Fatalf("sizes: %d %d", d.DataBytes(), d.EncodedBytes())
 	}
-	if !d.Covers(5) || d.Covers(10) || !d.Covers(20) {
-		t.Fatal("Covers wrong")
+	if cov := coverage(t, d, 64); !cov[5] || cov[10] || !cov[20] {
+		t.Fatal("coverage wrong")
+	}
+}
+
+// TestMakeDiffBadWordSize: a word size the kernel cannot step by is a
+// diagnosed panic, not a scan that never advances (zero) or a slice bound
+// (negative).
+func TestMakeDiffBadWordSize(t *testing.T) {
+	twin, cur := make([]byte, 64), make([]byte, 64)
+	cur[9] = 1
+	for _, w := range []int{0, -4} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("mem: diff word size %d", w)) {
+					t.Errorf("wordBytes %d: panic %q, want one naming the word size", w, msg)
+				}
+			}()
+			MakeDiff(0, twin, cur, w)
+			t.Errorf("wordBytes %d: MakeDiff returned", w)
+		}()
+	}
+}
+
+// TestProcMemMakeDiff: the entry point the protocols use yields the package
+// function's encoding, and a diff owns its bytes — the next compare reuses
+// the processor's scratch without disturbing it.
+func TestProcMemMakeDiff(t *testing.T) {
+	s := NewSpace(256)
+	s.Alloc("x", 256, 0)
+	m := NewProcMem(s, 0)
+	m.MakeTwin(0)
+	twin := m.Frame(0).Twin
+	if d := m.MakeDiff(0, twin, 4); d != nil {
+		t.Fatalf("clean page gave %d runs", d.runs)
+	}
+	m.Write(8, []byte{1, 2, 3, 4, 5})
+	m.Write(100, []byte{6})
+	d1 := m.MakeDiff(0, twin, 4)
+	want := MakeDiff(0, twin, m.Frame(0).Data, 4)
+	if d1.runs != 2 || !bytes.Equal(d1.enc, want.enc) || d1.Page != want.Page {
+		t.Fatalf("ProcMem.MakeDiff = %d runs %v, package MakeDiff = %d runs %v", d1.runs, d1.enc, want.runs, want.enc)
+	}
+	m.Write(8, []byte{9, 9, 9, 9, 9, 9, 9, 9})
+	d2 := m.MakeDiff(0, twin, 4)
+	if !bytes.Equal(d1.enc, want.enc) {
+		t.Fatal("a later MakeDiff rewrote an earlier diff: the diff aliases the scratch")
+	}
+	if d2.ID == d1.ID || bytes.Equal(d2.enc, d1.enc) {
+		t.Fatal("second diff is not its own")
 	}
 }
 
@@ -281,22 +342,14 @@ func TestMergeDiffsNil(t *testing.T) {
 }
 
 func TestMergeDiffsLaterWins(t *testing.T) {
-	d1 := &Diff{Page: 0, Runs: []DiffRun{{Off: 0, Data: []byte{1, 1, 1, 1}}}}
-	d2 := &Diff{Page: 0, Runs: []DiffRun{{Off: 0, Data: []byte{2, 2, 2, 2}}}}
+	d1, d2 := &Diff{Page: 0}, &Diff{Page: 0}
+	d1.AppendRun(0, []byte{1, 1, 1, 1})
+	d2.AppendRun(0, []byte{2, 2, 2, 2})
 	m := MergeDiffs(16, d1, d2)
 	out := make([]byte, 16)
 	m.Apply(out)
 	if out[0] != 2 {
 		t.Fatal("later diff should win")
-	}
-}
-
-func TestDiffClone(t *testing.T) {
-	d := &Diff{Page: 1, Runs: []DiffRun{{Off: 4, Data: []byte{9, 9, 9, 9}}}}
-	c := d.Clone()
-	c.Runs[0].Data[0] = 1
-	if d.Runs[0].Data[0] != 9 {
-		t.Fatal("clone shares storage")
 	}
 }
 

@@ -7,7 +7,12 @@ package memsys
 type Cache struct {
 	lineShift uint
 	lines     int
-	tags      []int64 // tags[index] = line address, -1 if empty
+	// A line's tag is its address plus one in 32 bits, zero being an
+	// empty slot, so a new cache is one zeroed allocation; the slot is the
+	// tag's low bits (the line's own, rotated by one: the same lines
+	// conflict). Params.ValidateSpace refuses a space whose lines such a
+	// tag cannot tell apart.
+	tags []uint32
 
 	// Statistics.
 	Hits   uint64
@@ -18,21 +23,11 @@ type Cache struct {
 // Both must be powers of two with totalBytes a multiple of lineBytes.
 func NewCache(totalBytes, lineBytes int) *Cache {
 	n := totalBytes / lineBytes
-	c := &Cache{
-		lineShift: shiftFor(lineBytes),
-		lines:     n,
-		tags:      make([]int64, n),
-	}
-	c.Reset()
-	return c
+	return &Cache{lineShift: shiftFor(lineBytes), lines: n, tags: make([]uint32, n)}
 }
 
 // Reset empties the cache.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-}
+func (c *Cache) Reset() { clear(c.tags) }
 
 // Access touches the byte range [addr, addr+n) and returns the number of
 // line misses it caused. The lines are brought into the cache.
@@ -40,15 +35,15 @@ func (c *Cache) Access(addr, n int) (misses int) {
 	if n <= 0 {
 		return 0
 	}
-	first := int64(addr) >> c.lineShift
-	last := int64(addr+n-1) >> c.lineShift
-	for line := first; line <= last; line++ {
-		idx := int(line) & (c.lines - 1)
-		if c.tags[idx] == line {
+	first := addr>>c.lineShift + 1
+	last := (addr+n-1)>>c.lineShift + 1
+	for tag := first; tag <= last; tag++ {
+		idx := tag & (c.lines - 1)
+		if c.tags[idx] == uint32(tag) {
 			c.Hits++
 			continue
 		}
-		c.tags[idx] = line
+		c.tags[idx] = uint32(tag)
 		c.Misses++
 		misses++
 	}
@@ -62,17 +57,16 @@ func (c *Cache) InvalidateRange(addr, n int) {
 	if n <= 0 {
 		return
 	}
-	first := int64(addr) >> c.lineShift
-	last := int64(addr+n-1) >> c.lineShift
+	first := addr>>c.lineShift + 1
+	last := (addr+n-1)>>c.lineShift + 1
 	// For very large ranges it is cheaper to walk the index space once.
-	if last-first+1 >= int64(c.lines) {
+	if last-first+1 >= c.lines {
 		c.Reset()
 		return
 	}
-	for line := first; line <= last; line++ {
-		idx := int(line) & (c.lines - 1)
-		if c.tags[idx] == line {
-			c.tags[idx] = -1
+	for tag := first; tag <= last; tag++ {
+		if idx := tag & (c.lines - 1); c.tags[idx] == uint32(tag) {
+			c.tags[idx] = 0
 		}
 	}
 }

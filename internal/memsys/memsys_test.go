@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +30,62 @@ func TestParamsValidateRejects(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// TestParamsValidatePowersOfTwo: the cache and the TLB index with
+// & (n-1), so a line size, line count or entry count that is not a power
+// of two would silently simulate a smaller structure (96 KB of 32-byte
+// lines touches 2048 of its 3072 slots); Validate refuses it by name.
+func TestParamsValidatePowersOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Params)
+		wantErr string // "" = valid
+	}{
+		{"default", func(*Params) {}, ""},
+		{"128KB cache", func(p *Params) { p.CacheBytes = 128 << 10 }, ""},
+		{"64B lines", func(p *Params) { p.CacheLineBytes = 64 }, ""},
+		{"one line", func(p *Params) { p.CacheBytes = p.CacheLineBytes }, ""},
+		{"64 TLB entries", func(p *Params) { p.TLBEntries = 64 }, ""},
+		{"one TLB entry", func(p *Params) { p.TLBEntries = 1 }, ""},
+		{"96KB cache", func(p *Params) { p.CacheBytes = 96 << 10 }, "power-of-two number of 32B lines"},
+		{"no lines", func(p *Params) { p.CacheBytes = 0 }, "power-of-two number of 32B lines"},
+		{"ragged cache", func(p *Params) { p.CacheBytes = 256<<10 + 8 }, "power-of-two number of 32B lines"},
+		{"24B lines", func(p *Params) { p.CacheLineBytes, p.CacheBytes = 24, 24*8192 }, "CacheLineBytes must be a positive power of two, got 24"},
+		{"negative lines", func(p *Params) { p.CacheLineBytes = -32 }, "CacheLineBytes must be a positive power of two, got -32"},
+		{"100 TLB entries", func(p *Params) { p.TLBEntries = 100 }, "TLBEntries must be a positive power of two, got 100"},
+		{"negative TLB", func(p *Params) { p.TLBEntries = -128 }, "TLBEntries must be a positive power of two, got -128"},
+	} {
+		p := Default()
+		tc.mutate(&p)
+		err := p.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestValidateSpaceBoundary: the cache model tags lines in 32 bits with
+// zero reserved for an empty slot, so 2^32-1 lines is the largest space it
+// indexes and one byte more is refused.
+func TestValidateSpaceBoundary(t *testing.T) {
+	for _, lineBytes := range []int{32, 128} {
+		p := Default()
+		p.CacheLineBytes = lineBytes
+		limit := int(uint64(math.MaxUint32) * uint64(lineBytes))
+		for _, ok := range []int{0, 1, 4096, limit - 1, limit} {
+			if err := p.ValidateSpace(ok); err != nil {
+				t.Errorf("%dB lines: %d bytes refused: %v", lineBytes, ok, err)
+			}
+		}
+		err := p.ValidateSpace(limit + 1)
+		if err == nil || !strings.Contains(err.Error(), "4294967296 cache lines") {
+			t.Errorf("%dB lines: %d bytes: err = %v, want a refusal naming 4294967296 cache lines", lineBytes, limit+1, err)
 		}
 	}
 }
@@ -140,6 +198,63 @@ func TestCacheInvalidateRange(t *testing.T) {
 	c.InvalidateRange(0, 1<<20)
 	if m := c.Access(0, 1024); m != 32 {
 		t.Errorf("after full invalidation want 32 misses, got %d", m)
+	}
+}
+
+// TestCacheMatchesWideTagOracle: the 32-bit, zero-is-empty tags behave as
+// full-width tags with an explicit empty marker do, over random accesses
+// and invalidations spread across everything ValidateSpace admits — line
+// 0 in a fresh cache and the last indexable line included.
+func TestCacheMatchesWideTagOracle(t *testing.T) {
+	const lines, lineBytes = 64, 32
+	top := int(uint64(math.MaxUint32)*lineBytes) - 1 // the last admitted byte
+	f := func(ops []uint32, ranges []uint8) bool {
+		c := NewCache(lines*lineBytes, lineBytes)
+		oracle := make([]int, lines) // line+1, 0 = empty, at full width
+		for i, op := range ops {
+			// Low, conflicting and top-of-space addresses in turn.
+			addr := int(op) % (4 * lines * lineBytes)
+			switch i % 3 {
+			case 1:
+				addr = int(op) * lineBytes
+			case 2:
+				addr = top - int(op)%(2*lines*lineBytes)
+			}
+			n := 1
+			if i < len(ranges) {
+				n += int(ranges[i])
+			}
+			n = min(n, top+1-addr)
+			first, last := addr/lineBytes, (addr+n-1)/lineBytes
+			if op%5 == 0 {
+				c.InvalidateRange(addr, n)
+				for line := first; line <= last; line++ {
+					if oracle[line%lines] == line+1 {
+						oracle[line%lines] = 0
+					}
+				}
+				continue
+			}
+			want := 0
+			for line := first; line <= last; line++ {
+				if oracle[line%lines] != line+1 {
+					oracle[line%lines] = line + 1
+					want++
+				}
+			}
+			if got := c.Access(addr, n); got != want {
+				t.Logf("op %d: Access(%d, %d) = %d misses, oracle %d", i, addr, n, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(lines*lineBytes, lineBytes)
+	if c.Access(0, 1) != 1 || c.Access(top, 1) != 1 || c.Access(0, 1) != 0 || c.Access(top, 1) != 0 {
+		t.Fatal("line 0 and the last line must each miss once in a fresh cache, then hit")
 	}
 }
 

@@ -10,6 +10,7 @@ package memsys
 
 import (
 	"fmt"
+	"math"
 
 	"aecdsm/internal/lockpolicy"
 )
@@ -186,19 +187,37 @@ func (p Params) Validate() error {
 		return errf("mesh %dx%d does not cover %d processors", p.MeshW, p.MeshH, p.NumProcs)
 	case p.BarrierRadix < 0:
 		return errf("BarrierRadix must be non-negative, got %d", p.BarrierRadix)
-	case p.PageSize <= 0 || p.PageSize&(p.PageSize-1) != 0:
+	case !powerOfTwo(p.PageSize):
 		return errf("PageSize must be a positive power of two, got %d", p.PageSize)
-	case p.CacheLineBytes <= 0 || p.CacheBytes%p.CacheLineBytes != 0:
-		return errf("cache %dB not divisible into %dB lines", p.CacheBytes, p.CacheLineBytes)
+	case !powerOfTwo(p.CacheLineBytes):
+		return errf("CacheLineBytes must be a positive power of two, got %d", p.CacheLineBytes)
+	case p.CacheBytes%p.CacheLineBytes != 0 || !powerOfTwo(p.CacheBytes/p.CacheLineBytes):
+		// The direct-mapped cache indexes with & (lines-1).
+		return errf("cache %dB does not hold a power-of-two number of %dB lines", p.CacheBytes, p.CacheLineBytes)
 	case p.WordBytes <= 0:
 		return errf("WordBytes must be positive, got %d", p.WordBytes)
 	case p.NetPathWidthBits <= 0 || p.NetPathWidthBits%8 != 0:
 		return errf("NetPathWidthBits must be a positive multiple of 8, got %d", p.NetPathWidthBits)
-	case p.TLBEntries <= 0:
-		return errf("TLBEntries must be positive, got %d", p.TLBEntries)
+	case !powerOfTwo(p.TLBEntries):
+		// The direct-mapped TLB indexes with & (entries-1).
+		return errf("TLBEntries must be a positive power of two, got %d", p.TLBEntries)
 	}
 	if _, err := lockpolicy.Parse(p.LockPolicy); err != nil {
 		return err
+	}
+	return nil
+}
+
+func powerOfTwo(v int) bool { return v > 0 && v&(v-1) == 0 }
+
+// ValidateSpace reports whether the cache model can index a shared space
+// of the given size: a cache tag is the line address plus one in 32 bits
+// (zero is an empty slot), so the space may hold at most 2^32-1 lines.
+func (p Params) ValidateSpace(bytes int) error {
+	line := uint64(p.CacheLineBytes)
+	if lines := (uint64(bytes) + line - 1) / line; lines > math.MaxUint32 {
+		return errf("shared space of %d bytes is %d cache lines of %dB; the cache model's 32-bit tags index at most %d",
+			bytes, lines, p.CacheLineBytes, uint32(math.MaxUint32))
 	}
 	return nil
 }

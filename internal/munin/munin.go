@@ -192,7 +192,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 		pp := &pr.e.Params
 		var local *mem.Diff
 		if st.dirty[page] && f.Twin != nil {
-			local = mem.MakeDiff(page, f.Twin, f.Data, pp.WordBytes)
+			local = c.M.MakeDiff(page, f.Twin, pp.WordBytes)
 			cost := pp.DiffCycles(pr.pageSize)
 			c.P.Stats.DiffCreateCycles += cost
 			c.P.Advance(cost, stats.Data)
@@ -351,7 +351,7 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 		if f.Twin == nil {
 			continue
 		}
-		d := mem.MakeDiff(pg, f.Twin, f.Data, pp.WordBytes)
+		d := c.M.MakeDiff(pg, f.Twin, pp.WordBytes)
 		cost := pp.DiffCycles(pr.pageSize)
 		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
 		c.P.Stats.DiffCreateCycles += cost

@@ -29,10 +29,18 @@ type Flags struct {
 // -memprofile on fs. profileNote is appended to the two profile flags'
 // usage text (the sweep driver says there that profiling pins -jobs).
 func Register(fs *flag.FlagSet, profileNote string) *Flags {
-	f := &Flags{}
+	f := RegisterProfiles(fs, profileNote)
 	fs.StringVar(&f.trace, "trace", "", "write the protocol event trace to this file")
 	fs.StringVar(&f.traceFormat, "trace-format", "jsonl", "trace format: jsonl or chrome (Perfetto)")
 	fs.StringVar(&f.metrics, "metrics", "", "write the per-lock/per-page metrics summary (JSON) to this file")
+	return f
+}
+
+// RegisterProfiles declares only -cpuprofile and -memprofile, for a driver
+// that attaches its own tracer (the differential checker's auditor); Open
+// then returns a nil tracer.
+func RegisterProfiles(fs *flag.FlagSet, profileNote string) *Flags {
+	f := &Flags{}
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file"+profileNote)
 	fs.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile to this file"+profileNote)
 	return f

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"aecdsm/internal/mem"
+	"aecdsm/internal/pool"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
@@ -23,6 +24,10 @@ type PageHome struct {
 	reqKind, repKind int
 	delta            PageDelta
 	serve            sim.Handler
+
+	// snaps recycles the page snapshots replies carry: servePage takes
+	// one, FetchPage puts it back once it is copied into the frame.
+	snaps pool.Slices[byte]
 }
 
 // pageReply is the payload of a page reply.
@@ -56,6 +61,13 @@ func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	c.P.Advance(c.P.MemBus.Cost(c.P.Clock, c.E.Params.Words(size)), stats.Data)
 	copy(c.M.Frame(page).Data, rep.data)
 	c.P.Cache.InvalidateRange(c.S.PageBase(page), size)
+	// Nobody reads the snapshot again: a reply is delivered to its parked
+	// caller once — the reliable transport's dedup drops duplicates before
+	// the handler, and a retransmission's payload is never read if the
+	// first copy landed. A crash does not abort the requester's
+	// computation (sim/crash.go), so it still collects its reply; a run
+	// abandoned mid-fetch leaves the snapshot to the GC.
+	h.snaps.Put(rep.data)
 	return rep.extra
 }
 
@@ -63,7 +75,7 @@ func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 func (h *PageHome) servePage(s *sim.Svc, m *sim.Msg) {
 	page := m.Payload.(int)
 	home := h.ctxs[m.To]
-	rep := pageReply{data: make([]byte, home.S.PageSize())}
+	rep := pageReply{data: h.snaps.Sized(home.S.PageSize())}
 	copy(rep.data, home.M.Frame(page).Data)
 	s.ChargeMem(len(rep.data))
 	bytes := len(rep.data)
@@ -91,7 +103,7 @@ func (c *Ctx) ChargeTwin(cat stats.Category) {
 func (c *Ctx) PatchDiff(d *mem.Diff) {
 	d.Apply(c.M.Frame(d.Page).Data)
 	base := c.S.PageBase(d.Page)
-	for _, r := range d.Runs {
-		c.P.Cache.InvalidateRange(base+r.Off, len(r.Data))
+	for off, data := range d.Runs() {
+		c.P.Cache.InvalidateRange(base+off, len(data))
 	}
 }

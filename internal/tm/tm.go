@@ -427,8 +427,7 @@ func (pr *TM) forceDiff(c *proto.Ctx, st *tmProc, pg int, cat stats.Category) {
 	if rec == nil {
 		return
 	}
-	f := c.M.Frame(pg)
-	d := mem.MakeDiff(pg, rec.twins[pg], f.Data, pr.e.Params.WordBytes)
+	d := c.M.MakeDiff(pg, rec.twins[pg], pr.e.Params.WordBytes)
 	pp := &pr.e.Params
 	cost := pp.DiffCycles(pr.pageSize)
 	cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
@@ -452,6 +451,7 @@ func (pr *TM) forceDiff(c *proto.Ctx, st *tmProc, pg int, cat stats.Category) {
 	// cached — re-diffing the interval would consume its twin twice and
 	// ship a redundant duplicate.
 	rec.diffs[pg] = d
+	c.M.RecycleTwin(rec.twins[pg])
 	delete(rec.twins, pg)
 	delete(st.undiffed, pg)
 	c.P.Advance(cost, cat)
@@ -468,9 +468,8 @@ func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 		return nil
 	}
 	ctx := pr.ctxs[st.id]
-	f := ctx.M.Frame(pg)
 	pp := &pr.e.Params
-	d := mem.MakeDiff(pg, twin, f.Data, pp.WordBytes)
+	d := ctx.M.MakeDiff(pg, twin, pp.WordBytes)
 	cost := pp.DiffCycles(pr.pageSize)
 	ctx.P.Stats.DiffCreateCycles += cost
 	if d == nil {
@@ -489,6 +488,7 @@ func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 	// Publish before charging, mirroring forceDiff: a concurrent local
 	// fault on the same page must reuse this diff, not re-diff the twin.
 	rec.diffs[pg] = d
+	ctx.M.RecycleTwin(twin)
 	delete(rec.twins, pg)
 	if st.undiffed[pg] == rec {
 		delete(st.undiffed, pg)

@@ -5,6 +5,10 @@ import (
 	"testing/quick"
 
 	"aecdsm/internal/mem"
+	"aecdsm/internal/memsys"
+	"aecdsm/internal/proto"
+	"aecdsm/internal/sim"
+	"aecdsm/internal/stats"
 )
 
 func iv(proc, seq int, vc ...int) ivalDiff {
@@ -250,4 +254,57 @@ func TestLazyHybridName(t *testing.T) {
 	if NewLazyHybrid().Name() != "TM-LH" {
 		t.Fatal("LH name")
 	}
+}
+
+// TestConsumedTwinsRecycled: closeInterval steals an interval's twins for
+// lazy diffing; once forceDiff (the generator's own re-twin) or svcDiff (a
+// remote diff request) has made the diff, the twin is the buffer the next
+// MakeTwin on that processor gets, and the diff does not alias it.
+func TestConsumedTwinsRecycled(t *testing.T) {
+	p := memsys.Default().ForProcs(2)
+	e := sim.New(p, stats.NewRun("t", "TM", p.NumProcs))
+	space := mem.NewSpace(p.PageSize)
+	space.Alloc("data", 2*p.PageSize, 0)
+	pr := New()
+	ctxs := make([]*proto.Ctx, p.NumProcs)
+	for i := range ctxs {
+		ctxs[i] = proto.NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, pr, i, p.NumProcs)
+	}
+	pr.Attach(e, space, ctxs)
+	e.Spawn(1, func(*sim.Proc) {})
+	e.Spawn(0, func(*sim.Proc) {
+		c, st := ctxs[0], pr.ps[0]
+		c.WriteI32(0, 7)
+		c.WriteI32(p.PageSize, 9)
+		frames := []*mem.Frame{c.M.Frame(0), c.M.Frame(1)}
+		twins := []*byte{&frames[0].Twin[0], &frames[1].Twin[0]}
+		pr.closeInterval(c, st)
+		rec := st.undiffed[1]
+		if frames[0].Twin != nil || frames[1].Twin != nil || rec == nil || len(rec.twins) != 2 {
+			t.Errorf("closeInterval left twins %v, %v and interval %+v; want both stolen into it", frames[0].Twin != nil, frames[1].Twin != nil, rec)
+			return
+		}
+		pr.forceDiff(c, st, 0, stats.Data)
+		svc := &sim.Svc{E: e, P: c.P, Now: c.P.Clock}
+		diffs := []*mem.Diff{rec.diffs[0], pr.svcDiff(svc, st, rec, 1)}
+		if len(rec.twins) != 0 {
+			t.Errorf("%d twins left in the interval after both diffs were made", len(rec.twins))
+		}
+		// LIFO: page 1's twin went back last.
+		for _, pg := range []int{1, 0} {
+			c.M.MakeTwin(pg)
+			if &frames[pg].Twin[0] != twins[pg] {
+				t.Errorf("page %d: the next twin is a new buffer, want the consumed one back", pg)
+			}
+			c.WriteI32(pg*p.PageSize, 0) // the page and its new twin move on; the diff must not follow
+		}
+		for pg, want := range []byte{7, 9} {
+			out := make([]byte, p.PageSize)
+			diffs[pg].Apply(out)
+			if diffs[pg].DataBytes() != 4 || out[0] != want {
+				t.Errorf("page %d: diff carries %d bytes, first %d; want the 4-byte write of %d", pg, diffs[pg].DataBytes(), out[0], want)
+			}
+		}
+	})
+	e.Start()
 }
