@@ -13,14 +13,18 @@ build:
 test:
 	$(GO) test ./...
 
-# Static gates: vet, formatting, and the repo's invariant lint suite
-# (dsmvet; see docs/LINTING.md). staticcheck/govulncheck run in CI where
-# the tools are installed.
+# Static gates: vet, formatting, the repo's invariant lint suite (dsmvet;
+# see docs/LINTING.md) and the tracing guards' inline budget: "one branch
+# per site when tracing is off" is a property of trace.Emitter's five
+# emitting methods, so the gate fails when the compiler reports that one
+# of them no longer inlines. staticcheck/govulncheck run in CI where the
+# tools are installed.
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$fmt" >&2; exit 1; fi
 	$(GO) run ./cmd/dsmvet ./...
+	! $(GO) build -gcflags=-m=2 ./internal/trace 2>&1 | grep -E 'cannot inline Emitter\.(Event|Lock|LockNote|Page|Diff):'
 
 # Quick differential-checker pass (see docs/TESTING.md for deeper runs).
 fuzz:

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	go run ./cmd/dsmvet ./...
-//	go run ./cmd/dsmvet -run blockingcharge,tracedisc ./internal/tm
+//	go run ./cmd/dsmvet -run blockingcharge,chargeflow ./internal/tm
 //	go run ./cmd/dsmvet -json ./...
 //	go run ./cmd/dsmvet -unused-directives ./...
 //	go run ./cmd/dsmvet -list

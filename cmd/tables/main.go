@@ -51,6 +51,7 @@ import (
 	"strings"
 
 	"aecdsm"
+	"aecdsm/internal/apps"
 	"aecdsm/internal/profutil"
 )
 
@@ -74,8 +75,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command without its process: it parses args, renders the
 // selection on out, reports on errw and returns the exit code — 2 for a
-// flag value or selection it does not know, before any simulation starts
-// or output file is opened; 1 for an output the environment refused.
+// flag value, selection or argument it does not accept, before any
+// simulation starts or output file is opened; 1 for an output the
+// environment refused.
 func run(args []string, out, errw io.Writer) (code int) {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -109,8 +111,11 @@ func run(args []string, out, errw io.Writer) (code int) {
 	// or leave a half-written trace behind.
 	type experiments = aecdsm.Experiments
 	var render func(*experiments, io.Writer)
-	var err error
+	err := apps.CheckScale(*scale)
 	switch {
+	case err != nil: // reported below, like every other refusal
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	case *scaling:
 		var procs []int
 		if procs, err = parseProcs(*scalingProcs); err == nil {

@@ -9,11 +9,11 @@ import (
 	"aecdsm"
 )
 
-// TestRunExitCodes drives the command at its boundary: a selection, app or
-// machine list it does not know is a usage error (2) reported before any
-// simulation starts, an output the environment refuses is a failure (1),
-// and a table renders on stdout with exit 0. Table 1 runs no simulation,
-// so every row is instant.
+// TestRunExitCodes drives the command at its boundary: a selection, app,
+// scale, machine list or argument it does not accept is a usage error (2)
+// reported before any simulation starts, an output the environment refuses
+// is a failure (1), and a table renders on stdout with exit 0. Table 1 runs
+// no simulation, so every row is instant.
 func TestRunExitCodes(t *testing.T) {
 	apps := strings.Join(aecdsm.Apps(), ", ")
 	unwritable := filepath.Join(t.TempDir(), "missing", "m.json")
@@ -29,6 +29,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown scaling app", []string{"-scaling", "-scaling-app", "Nope"}, 2, "", `-scaling-app "Nope" (want one of ` + apps},
 		{"unknown recovery app", []string{"-recovery", "-recovery-app", "Nope"}, 2, "", `-recovery-app "Nope" (want one of ` + apps},
 		{"unknown timeline app", []string{"-timeline", "-timeline-app", "Nope"}, 2, "", `-timeline-app "Nope" (want one of ` + apps},
+		{"negative scale", []string{"-table", "1", "-scale", "-3"}, 2, "", "scale -3 is outside (0, 1]"},
+		{"scale above one", []string{"-table", "1", "-scale", "1.5"}, 2, "", "scale 1.5 is outside (0, 1]"},
+		{"stray argument", []string{"-table", "1", "3"}, 2, "", `unexpected argument "3"`},
 		{"bad machine list", []string{"-scaling", "-scaling-procs", "12x"}, 2, "", `bad -scaling-procs entry "12x"`},
 		{"bad trace format", []string{"-table", "1", "-trace", filepath.Join(t.TempDir(), "t"), "-trace-format", "xml"}, 2, "", "unknown -trace-format"},
 		{"unwritable metrics", []string{"-table", "1", "-metrics", unwritable}, 1, "Table 1:", "writing metrics:"},

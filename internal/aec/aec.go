@@ -228,19 +228,8 @@ func (pr *AEC) chargeDiffCreateOpt(c *proto.Ctx, d *mem.Diff, cat stats.Category
 	if d != nil {
 		c.P.Stats.DiffsCreated++
 		c.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffCreate)
-			ev.Page = d.Page
-			ev.Ref = d.ID
-			ev.Arg = int64(d.EncodedBytes())
-			if hidden {
-				ev.Arg2 |= 1
-			}
-			if savedTwin {
-				ev.Arg2 |= 2
-			}
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffCreate, d.Page, d.ID,
+			int64(d.EncodedBytes()), trace.Flag(hidden)|trace.Flag(savedTwin)<<1)
 	}
 	c.P.Advance(cost, cat)
 }
@@ -259,18 +248,9 @@ func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hi
 	}
 	c.P.Stats.DiffsApplied++
 	c.P.Stats.DiffBytesApplied += uint64(d.DataBytes())
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffApply)
-		ev.Page = d.Page
-		ev.Ref = d.ID
-		ev.Arg = int64(d.DataBytes())
-		if hidden {
-			ev.Arg2 = 1
-		}
-		pr.e.Tracer.Trace(ev)
-		if MutateDiffApply {
-			pr.e.Tracer.Trace(ev)
-		}
+	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))
+	if MutateDiffApply {
+		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))
 	}
 	c.P.Advance(cost, cat)
 }

@@ -20,11 +20,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	if st.inCS > 0 {
 		panic("aec: barrier reached while holding a lock")
 	}
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindBarrierArrive)
-		ev.Arg = int64(st.step)
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, int64(st.step), 0)
 
 	// Build the arrival lists.
 	var owned []ownedLock
@@ -97,12 +93,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	for _, ws := range instr.wnSends {
 		for _, q := range ws.targets {
 			c.P.Stats.WriteNoticesSent++
-			if pr.e.Tracer != nil {
-				ev := trace.Ev(c.P.Clock, c.ID, trace.KindWriteNotice)
-				ev.Page = ws.page
-				ev.Arg = int64(q)
-				pr.e.Tracer.Trace(ev)
-			}
+			pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindWriteNotice, ws.page, int64(q), 0)
 			pr.e.SendFrom(c.P, stats.Synch, q, kBarWN, 16,
 				barWNMsg{wn: mem.WriteNotice{Page: ws.page, Writer: c.ID, Step: st.step}},
 				pr.handleBarWN)
@@ -433,13 +424,7 @@ func (pr *AEC) handleBarDiff(s *sim.Svc, m *sim.Msg) {
 		ctx.P.Stats.DiffApplyHidden += cost
 		ctx.P.Stats.DiffsApplied++
 		ctx.P.Stats.DiffBytesApplied += uint64(bd.diff.DataBytes())
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(s.Now, m.To, trace.KindDiffApply)
-			ev.Page = bd.page
-			ev.Ref = bd.diff.ID
-			ev.Arg, ev.Arg2 = int64(bd.diff.DataBytes()), 1
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, bd.page, bd.diff.ID, int64(bd.diff.DataBytes()), 1)
 		ctx.PatchDiff(bd.diff)
 	}
 	st.barDiffsGot++
@@ -496,11 +481,7 @@ func (pr *AEC) handleBarComplete(s *sim.Svc, m *sim.Msg) {
 
 // finalizeStep moves a processor into the next barrier step.
 func (pr *AEC) finalizeStep(c *proto.Ctx, st *procState) {
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindBarrierDepart)
-		ev.Arg = int64(st.step)
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierDepart, int64(st.step), 0)
 	// Re-protect pages that a release left writable: the first write of
 	// the new step must trap so the previous step's accumulated diff is
 	// archived, the twin renewed, and the page reported in the next

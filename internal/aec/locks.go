@@ -20,12 +20,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	}
 	pp := &pr.e.Params
 
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
-		ev.Lock = lock
-		ev.Arg = int64(pr.MgrOf(lock))
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
 		acqReq{lock: lock}, pr.handleAcqReq)
 
@@ -96,12 +91,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		fresh = isFresh()
 		if !fresh {
 			c.P.Stats.LAPFallbacks++
-			if pr.e.Tracer != nil {
-				ev := trace.Ev(c.P.Clock, c.ID, trace.KindLAPFallback)
-				ev.Lock = lock
-				ev.Arg = int64(g.lastReleaser)
-				pr.e.Tracer.Trace(ev)
-			}
+			pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLAPFallback, lock, int64(g.lastReleaser), 0)
 		}
 	}
 	if g.inUS && len(g.invPages) == 0 {
@@ -259,12 +249,7 @@ func (pr *AEC) handleGrant(s *sim.Svc, m *sim.Msg) {
 	g := m.Payload.(grantMsg)
 	st := pr.ps[m.To]
 	st.grant = &g
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(s.Now, m.To, trace.KindLockGrant)
-		ev.Lock = g.lock
-		ev.Arg, ev.Arg2 = int64(g.lastReleaser), int64(g.myCount)
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(g.lastReleaser), int64(g.myCount))
 	s.Wake(s.P)
 }
 
@@ -278,12 +263,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	if st.inCS == 0 || st.curLock != lock {
 		panic(fmt.Sprintf("aec: release of lock %d not held (cur %d)", lock, st.curLock))
 	}
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRelease)
-		ev.Lock = lock
-		ev.Arg = int64(st.lockMyCount[lock])
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRelease, lock, int64(st.lockMyCount[lock]), 0)
 
 	// Top up the inherited chain: any cumulative pages we never faulted
 	// on must be fetched now so the chain stays complete.
@@ -327,13 +307,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 			if inherited[pg] != nil {
 				c.P.Stats.DiffsMerged++
 				c.P.Stats.MergedBytes += uint64(m.EncodedBytes())
-				if pr.e.Tracer != nil {
-					ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffMerge)
-					ev.Page = pg
-					ev.Ref = m.ID
-					ev.Arg = int64(m.EncodedBytes())
-					pr.e.Tracer.Trace(ev)
-				}
+				pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffMerge, pg, m.ID, int64(m.EncodedBytes()), 0)
 			}
 		}
 		c.M.DropTwin(pg)
@@ -359,12 +333,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 			}
 			c.P.Stats.UpdatesPushed++
 			c.P.Stats.UpdateBytesPushed += uint64(bytes)
-			if pr.e.Tracer != nil {
-				ev := trace.Ev(c.P.Clock, c.ID, trace.KindLAPPush)
-				ev.Lock = lock
-				ev.Arg, ev.Arg2 = int64(q), int64(bytes)
-				pr.e.Tracer.Trace(ev)
-			}
+			pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLAPPush, lock, int64(q), int64(bytes))
 			// Best effort: a push is an optimization, not a protocol
 			// obligation. Under fault injection a lost push is never
 			// retransmitted — the predicted acquirer times out and

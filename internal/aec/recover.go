@@ -91,11 +91,7 @@ func (pr *AEC) Crashed(node int) uint64 {
 		delete(st.accessedPrev, pg)
 		delete(st.accessedCur, pg)
 		inval++
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(pr.e.Now(), node, trace.KindOrphanInval)
-			ev.Page = pg
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Page(pr.e.Now(), node, trace.KindOrphanInval, pg, 0, 0)
 	}
 	ctx.P.Stats.OrphanInvalidations += uint64(inval)
 	return pr.e.Params.ListCycles(inval)

@@ -153,6 +153,16 @@ func contains(s []string, v string) bool {
 	return false
 }
 
+// CheckScale rejects a problem scale that arrives from outside the program
+// (a command's -scale) and lies outside (0, 1]: the factories would clamp
+// it to 1.0 and silently run the paper-size problem.
+func CheckScale(s float64) error {
+	if !(s > 0 && s <= 1) {
+		return fmt.Errorf("scale %v is outside (0, 1]", s)
+	}
+	return nil
+}
+
 func clampScale(s float64) float64 {
 	if s <= 0 || s > 1 {
 		return 1

@@ -73,8 +73,8 @@ func Run(params memsys.Params, pr proto.Protocol, prog proto.Program) *Result {
 // deterministic fault injection: a non-nil fcfg arms the injector and the
 // reliable transport before the protocol attaches (see
 // aecdsm/internal/fault and docs/ROBUSTNESS.md). A nil tracer and a nil
-// fcfg are exactly Run — the hooks stay dormant behind their nil checks
-// and the simulated cycle counts are byte-identical; tracing never charges
+// fcfg are exactly Run — the emitters stay off, the injector absent, and
+// the simulated cycle counts are byte-identical; tracing never charges
 // simulated time.
 func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) *Result {
 	eng, res := compose(params, pr, prog, tr, fcfg)
@@ -128,10 +128,12 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 	if fcfg != nil {
 		eng.EnableFaults(*fcfg)
 	}
-	// The tracer must be in place before Attach so protocols can wire
-	// their per-lock predictors (and any other sub-tracers) off it.
-	eng.Tracer = tr
-	eng.Net.Tracer = tr
+	// The one place a sink is wrapped for the emitting layers. It must be
+	// in place before Attach so protocols can wire their per-lock
+	// predictors off it.
+	em := trace.To(tr)
+	eng.Tracer = em
+	eng.Net.Tracer = em
 
 	ms, ok := pr.(memorySharer)
 	shared := ok && ms.SharesMemory()
@@ -146,9 +148,9 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 		if !shared {
 			m = mem.NewProcMem(space, i)
 		}
-		if tr != nil && m.Tracer == nil {
+		if em.On() && !m.Tracer.On() {
 			p := eng.Procs[m.Proc()]
-			m.Tracer = tr
+			m.Tracer = em
 			m.Clock = func() uint64 { return p.Clock }
 		}
 		ctxs[i] = proto.NewCtx(eng.Procs[i], eng, m, space, pr, i, params.NumProcs)

@@ -3,13 +3,16 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"aecdsm/internal/aec"
 	"aecdsm/internal/apps"
+	"aecdsm/internal/fault"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/munin"
 	"aecdsm/internal/proto"
+	"aecdsm/internal/stats"
 	"aecdsm/internal/tm"
 	"aecdsm/internal/trace"
 )
@@ -50,21 +53,69 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
+// sinkFunc adapts a function to trace.Tracer, for a test that folds the
+// stream instead of keeping it.
+type sinkFunc func(trace.Event)
+
+func (f sinkFunc) Trace(ev trace.Event) { f(ev) }
+
 // TestTraceDoesNotPerturbCycles checks the zero-cost guarantee from the
 // other side: attaching a tracer must not change the measured simulation
-// (tracing never charges simulated time).
+// (tracing never charges simulated time). Since trace.Emitter replaced the
+// hand-written guards this is the one check of that rule, so it compares
+// every counter of every processor, for every protocol kind, fault-free,
+// under the light fault preset and under light plus a manager crash, with
+// an order-preserving and a reordering grant policy — and demands that
+// the grid reaches every kind of event an emitting layer can produce.
+// Its sink also checks, on what runs, the one rule no signature can carry
+// for a diff built elsewhere: a diff-lifecycle event whose diff has bytes
+// names that diff.
 func TestTraceDoesNotPerturbCycles(t *testing.T) {
-	params := memsys.Default()
-	for _, mk := range []func() proto.Protocol{
-		func() proto.Protocol { return aec.New(aec.DefaultOptions()) },
-		func() proto.Protocol { return tm.New() },
-		func() proto.Protocol { return munin.New(munin.Options{UseLAP: true, Ns: 2}) },
-	} {
-		plain := Run(params, mk(), apps.NewCounter(4, 64, 8))
-		traced := RunFaultTraced(params, mk(), apps.NewCounter(4, 64, 8), trace.NewRing(1024), nil)
-		if plain.Cycles() != traced.Cycles() {
-			t.Errorf("%s: tracing changed the run: %d vs %d cycles",
-				plain.Run.Protocol, plain.Cycles(), traced.Cycles())
+	cfg := apps.SynthConfig{Seed: 11, Locks: 3, CellsPerLock: 4, Phases: 3, OpsPerPhase: 5, PadWords: 24, Notices: true}
+	light := fault.Presets["light"]
+	schedules := []*fault.Config{nil}
+	for _, spec := range []string{light, light + ",crash=0@1600000:200000"} {
+		fc, err := fault.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.Seed = 5
+		schedules = append(schedules, &fc)
+	}
+	counts := map[trace.Kind]int{}
+	sink := sinkFunc(func(ev trace.Event) {
+		counts[ev.Kind]++
+		switch ev.Kind {
+		case trace.KindDiffCreate, trace.KindDiffApply, trace.KindDiffMerge:
+			if ev.Arg != 0 && ev.Ref == 0 {
+				t.Errorf("%v of %d bytes carries no diff identity: %+v", ev.Kind, ev.Arg, ev)
+			}
+		}
+	})
+	for _, kind := range Kinds() {
+		for _, fc := range schedules {
+			for _, policy := range []string{"fifo", "lease"} {
+				params := memsys.Default().ForProcs(8)
+				params.LockPolicy = policy
+				plain := RunFaultTraced(params, NewProtocol(kind, 2), apps.NewSynth(cfg), nil, fc).Must()
+				traced := RunFaultTraced(params, NewProtocol(kind, 2), apps.NewSynth(cfg), sink, fc).Must()
+				if reflect.DeepEqual(plain.Run, traced.Run) {
+					continue
+				}
+				t.Errorf("%s, faults %v, policy %s: tracing changed the run: %d vs %d cycles",
+					kind, fc, policy, plain.Cycles(), traced.Cycles())
+				for i := range plain.Run.Procs {
+					if a, b := plain.Run.Procs[i], traced.Run.Procs[i]; a != b {
+						t.Logf("first at processor %d:\nuntraced %+v\ntraced   %+v", i, a, b)
+						break
+					}
+				}
+			}
+		}
+	}
+	for k := trace.KindLockRequest; k.String() != "unknown"; k++ {
+		if counts[k] == 0 {
+			t.Errorf("no %v event in the whole grid: its emission site is not covered", k)
 		}
 	}
 }
@@ -146,6 +197,47 @@ func TestTraceMetricsEndToEnd(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("summary JSON invalid")
+	}
+}
+
+// TestTraceMetricsMuninPushes: Munin's update-push names the page whose
+// diff it carries, not a lock, so the metrics count it on that page — the
+// summary used to open with a lock -1 holding every push of the run. The
+// pages account for every update-push event and byte of the stream; that
+// is fewer than stats.UpdatesPushed, which also counts the home's forwards
+// to the copyset, and those emit no event (ROADMAP item 1, finding (c)).
+func TestTraceMetricsMuninPushes(t *testing.T) {
+	for _, kind := range []ProtocolKind{ProtoMunin, ProtoMuninLAP} {
+		m := trace.NewMetrics()
+		var want, wantBytes uint64
+		stream := sinkFunc(func(ev trace.Event) {
+			if ev.Kind == trace.KindUpdatePush {
+				want++
+				wantBytes += uint64(ev.Arg2)
+			}
+		})
+		res := RunFaultTraced(memsys.Default(), NewProtocol(kind, 2), apps.NewCounter(4, 64, 8), trace.Multi(m, stream), nil).Must()
+		s := m.Summary()
+		for _, l := range s.Locks {
+			if l.Lock < 0 {
+				t.Errorf("%s: summary of a lock that does not exist: %+v", kind, l)
+			}
+		}
+		var pushes, pushBytes uint64
+		for _, p := range s.Pages {
+			if p.Page < 0 {
+				t.Errorf("%s: summary of a page that does not exist: %+v", kind, p)
+			}
+			pushes += p.Pushes
+			pushBytes += p.PushBytes
+		}
+		if want == 0 || pushes != want || pushBytes != wantBytes {
+			t.Errorf("%s: pages count %d pushes of %d bytes, the stream has %d of %d",
+				kind, pushes, pushBytes, want, wantBytes)
+		}
+		if counted := res.Run.Sum(func(p *stats.Proc) uint64 { return p.UpdatesPushed }); pushes > counted {
+			t.Errorf("%s: pages count %d pushes, the run only made %d", kind, pushes, counted)
+		}
 	}
 }
 

@@ -51,11 +51,11 @@ type Predictor struct {
 
 	Stats Stats
 
-	// Tracer, when non-nil, receives lap-notice, lap-predict and
-	// lap-hit/lap-miss events for this lock. The hosting protocol wires
-	// Lock (the lock id), Mgr (the managing processor, stamped as the
-	// event's Proc) and Clock (the manager-side time source).
-	Tracer trace.Tracer
+	// Tracer emits lap-notice, lap-predict and lap-hit/lap-miss events
+	// for this lock. The hosting protocol wires Lock (the lock id), Mgr
+	// (the managing processor, stamped as the event's Proc) and Clock
+	// (the manager-side time source).
+	Tracer trace.Emitter
 	Lock   int
 	Mgr    int
 	Clock  func() uint64
@@ -138,12 +138,7 @@ func (p *Predictor) Ns() int { return p.ns }
 
 // Enqueue appends a processor to the waiting queue (lock busy at request).
 func (p *Predictor) Enqueue(proc int) {
-	if p.Tracer != nil {
-		ev := trace.Ev(p.now(), p.Mgr, trace.KindLockEnqueue)
-		ev.Lock = p.Lock
-		ev.Arg = int64(proc)
-		p.Tracer.Trace(ev)
-	}
+	p.Tracer.Lock(p.now(), p.Mgr, trace.KindLockEnqueue, p.Lock, int64(proc), 0)
 	p.queue.Enqueue(proc)
 }
 
@@ -153,18 +148,12 @@ func (p *Predictor) Enqueue(proc int) {
 // and metrics can ride the event stream.
 func (p *Predictor) PickNext(releaser int) lockpolicy.Pick {
 	pk := p.queue.PickNext(releaser)
-	if p.Tracer != nil && pk.Proc >= 0 {
+	if pk.Proc >= 0 {
 		if pk.Bypassed > 0 {
-			ev := trace.Ev(p.now(), p.Mgr, trace.KindLockBypass)
-			ev.Lock = p.Lock
-			ev.Arg, ev.Arg2 = int64(pk.Proc), int64(pk.Bypassed)
-			p.Tracer.Trace(ev)
+			p.Tracer.Lock(p.now(), p.Mgr, trace.KindLockBypass, p.Lock, int64(pk.Proc), int64(pk.Bypassed))
 		}
 		if pk.Renewal {
-			ev := trace.Ev(p.now(), p.Mgr, trace.KindLeaseRenew)
-			ev.Lock = p.Lock
-			ev.Arg = int64(pk.Proc)
-			p.Tracer.Trace(ev)
+			p.Tracer.Lock(p.now(), p.Mgr, trace.KindLeaseRenew, p.Lock, int64(pk.Proc), 0)
 		}
 	}
 	return pk
@@ -214,12 +203,7 @@ func (p *Predictor) Waiters(dst []int) []int { return p.queue.Waiters(dst) }
 // Notice records an acquire notice: proc intends to take the lock soon.
 func (p *Predictor) Notice(proc int) {
 	p.Stats.NoticesSeen++
-	if p.Tracer != nil {
-		ev := trace.Ev(p.now(), p.Mgr, trace.KindLAPNotice)
-		ev.Lock = p.Lock
-		ev.Arg = int64(proc)
-		p.Tracer.Trace(ev)
-	}
+	p.Tracer.Lock(p.now(), p.Mgr, trace.KindLAPNotice, p.Lock, int64(proc), 0)
 	for _, q := range p.virtQ {
 		if q == proc {
 			return
@@ -241,15 +225,12 @@ func (p *Predictor) Granted(to, prev int) {
 	// the paper's success-rate accounting.
 	if p.pending && prev == p.pendHolder {
 		p.Stats.Evaluated++
-		if p.Tracer != nil {
+		if p.Tracer.On() {
 			kind := trace.KindLAPMiss
 			if to == prev || contains(p.pendFull, to) {
 				kind = trace.KindLAPHit
 			}
-			ev := trace.Ev(p.now(), p.Mgr, kind)
-			ev.Lock = p.Lock
-			ev.Arg, ev.Arg2 = int64(to), int64(prev)
-			p.Tracer.Trace(ev)
+			p.Tracer.Lock(p.now(), p.Mgr, kind, p.Lock, int64(to), int64(prev))
 		}
 		if to == prev {
 			p.Stats.SelfTransfers++
@@ -284,12 +265,8 @@ func (p *Predictor) Granted(to, prev int) {
 	p.pendWaitQ = p.queue.PeekNext(to)
 	p.pendWaitAff = p.techniqueWaitAff(to)
 	p.pendWaitVirt = p.techniqueWaitVirt(to)
-	if p.Tracer != nil {
-		ev := trace.Ev(p.now(), p.Mgr, trace.KindLAPPredict)
-		ev.Lock = p.Lock
-		ev.Arg = int64(to)
-		ev.Note = fmt.Sprint(p.pendFull)
-		p.Tracer.Trace(ev)
+	if p.Tracer.On() {
+		p.Tracer.LockNote(p.now(), p.Mgr, trace.KindLAPPredict, p.Lock, int64(to), fmt.Sprint(p.pendFull))
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package lint is dsmvet: a suite of static analyzers that enforce the
 // simulator's cross-cutting invariants at compile time — single-runner
-// cooperative scheduling, deterministic virtual time, zero-perturbation
-// tracing, blocking-charge state discipline and cycle-accounting category
-// hygiene. See docs/LINTING.md for the invariant catalogue and the
-// //dsmvet:allow escape hatch.
+// cooperative scheduling, deterministic virtual time, blocking-charge
+// state discipline and cycle-accounting category hygiene. See
+// docs/LINTING.md for the invariant catalogue and the //dsmvet:allow
+// escape hatch.
 package lint
 
 import (
@@ -26,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		Blockingcharge,
 		Lockdiscipline,
 		Chargeflow,
-		Tracedisc,
 		Chargecat,
 	}
 }
@@ -271,10 +270,4 @@ func baseIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// isNil reports whether the expression is the predeclared nil.
-func isNil(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.IsNil()
 }

@@ -61,10 +61,6 @@ func TestChargeflow(t *testing.T) {
 	analysistest.Run(t, "testdata", "chargeflow", lint.Chargeflow)
 }
 
-func TestTracedisc(t *testing.T) {
-	analysistest.Run(t, "testdata", "tracedisc", lint.Tracedisc)
-}
-
 func TestChargecat(t *testing.T) {
 	analysistest.Run(t, "testdata", "chargecat", lint.Chargecat)
 }

@@ -45,11 +45,11 @@ type ProcMem struct {
 	// runs here in one scan and the diff gets a copy at exact size.
 	diffEnc []byte
 
-	// Tracer and Clock, when both non-nil, emit twin-create and
-	// invalidate events stamped with the owning processor's virtual time.
-	// The harness wires them when tracing is enabled; the nil default
-	// keeps the hot path to one branch.
-	Tracer trace.Tracer
+	// Tracer emits twin-create and invalidate events stamped by Clock,
+	// the owning processor's virtual time. The harness wires both when
+	// tracing is enabled; Clock is nil otherwise, so it is read only
+	// behind Tracer.On().
+	Tracer trace.Emitter
 	Clock  func() uint64
 }
 
@@ -140,10 +140,8 @@ func (m *ProcMem) MakeTwin(page int) {
 		f.Twin = m.twins.Sized(len(f.Data))
 	}
 	copy(f.Twin, f.Data)
-	if m.Tracer != nil {
-		ev := trace.Ev(m.Clock(), m.proc, trace.KindTwinCreate)
-		ev.Page = page
-		m.Tracer.Trace(ev)
+	if m.Tracer.On() {
+		m.Tracer.Page(m.Clock(), m.proc, trace.KindTwinCreate, page, 0, 0)
 	}
 }
 
@@ -175,9 +173,7 @@ func (m *ProcMem) MakeDiff(page int, twin []byte, wordBytes int) *Diff {
 // Invalidate marks the page unreadable here.
 func (m *ProcMem) Invalidate(page int) {
 	m.frames[page].Valid = false
-	if m.Tracer != nil {
-		ev := trace.Ev(m.Clock(), m.proc, trace.KindInvalidate)
-		ev.Page = page
-		m.Tracer.Trace(ev)
+	if m.Tracer.On() {
+		m.Tracer.Page(m.Clock(), m.proc, trace.KindInvalidate, page, 0, 0)
 	}
 }

@@ -6,7 +6,7 @@
 //
 // When tracing is enabled (see aecdsm/internal/trace and
 // docs/OBSERVABILITY.md), ProcMem emits twin-create and invalidate events
-// through its Tracer hook; with the hook nil — the default — the cost is a
+// through its Tracer; with tracing off — the default — the cost is a
 // single branch per operation.
 package mem
 

@@ -247,12 +247,7 @@ func (pr *Munin) pageDelta(home, page, from int) (any, int) {
 func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
 	st.grant = false
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
-		ev.Lock = lock
-		ev.Arg = int64(pr.MgrOf(lock))
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
 		acqReq{lock: lock, from: c.ID}, pr.handleAcqReq)
 	c.P.WaitTag = "munin grant"
@@ -284,12 +279,7 @@ func (pr *Munin) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 func (pr *Munin) handleGrant(s *sim.Svc, m *sim.Msg) {
 	g := m.Payload.(grantMsg)
 	st := pr.ps[m.To]
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(s.Now, m.To, trace.KindLockGrant)
-		ev.Lock = g.lock
-		ev.Arg, ev.Arg2 = int64(m.From), int64(len(g.us))
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(m.From), int64(len(g.us)))
 	st.grant = true
 	st.usForLock(g.lock, g.us)
 	s.Wake(s.P)
@@ -306,11 +296,7 @@ func (st *procState) usForLock(lock int, us []int) {
 // the rest), wait until they are applied, then hand the lock back.
 func (pr *Munin) Release(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRelease)
-		ev.Lock = lock
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRelease, lock, 0, 0)
 	pr.flush(c, st, st.curLockUS, pr.opt.UseLAP)
 	st.inCS--
 	st.curLock = -1
@@ -362,22 +348,11 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 		}
 		c.P.Stats.DiffsCreated++
 		c.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffCreate)
-			ev.Page = pg
-			ev.Ref = d.ID
-			ev.Arg = int64(d.EncodedBytes())
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
 		sent++
 		c.P.Stats.UpdatesPushed++
 		c.P.Stats.UpdateBytesPushed += uint64(d.EncodedBytes())
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(c.P.Clock, c.ID, trace.KindUpdatePush)
-			ev.Page = pg
-			ev.Arg, ev.Arg2 = int64(pr.homeOf(pg)), int64(d.EncodedBytes())
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindUpdatePush, pg, int64(pr.homeOf(pg)), int64(d.EncodedBytes()))
 		pr.e.SendFrom(c.P, stats.Synch, pr.homeOf(pg), kUpdate, d.EncodedBytes(),
 			updateMsg{page: pg, diff: d, releaser: c.ID, us: us, restrict: restrict},
 			pr.handleUpdate)
@@ -408,13 +383,7 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 		s.ChargeMem(u.diff.DataBytes())
 		ctx.P.Stats.DiffsApplied++
 		ctx.P.Stats.DiffApplyCycles += cost
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(s.Now, m.To, trace.KindDiffApply)
-			ev.Page = u.page
-			ev.Ref = u.diff.ID
-			ev.Arg = int64(u.diff.DataBytes())
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, u.page, u.diff.ID, int64(u.diff.DataBytes()), 0)
 		ctx.PatchDiff(u.diff)
 	}
 
@@ -481,13 +450,7 @@ func (pr *Munin) handleFwdUpdate(s *sim.Svc, m *sim.Msg) {
 		s.ChargeMem(u.diff.DataBytes())
 		ctx.P.Stats.DiffsApplied++
 		ctx.P.Stats.DiffApplyCycles += cost
-		if pr.e.Tracer != nil {
-			ev := trace.Ev(s.Now, m.To, trace.KindDiffApply)
-			ev.Page = u.page
-			ev.Ref = u.diff.ID
-			ev.Arg = int64(u.diff.DataBytes())
-			pr.e.Tracer.Trace(ev)
-		}
+		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, u.page, u.diff.ID, int64(u.diff.DataBytes()), 0)
 		ctx.PatchDiff(u.diff)
 	}
 	s.Send(u.releaser, kMemberAck, 8, nil, func(s2 *sim.Svc, m2 *sim.Msg) {
@@ -521,16 +484,12 @@ func (pr *Munin) handleFwdInval(s *sim.Svc, m *sim.Msg) {
 func (pr *Munin) Barrier(c *proto.Ctx) {
 	st := pr.ps[c.ID]
 	pr.flush(c, st, nil, false)
-	if pr.e.Tracer != nil {
-		pr.e.Tracer.Trace(trace.Ev(c.P.Clock, c.ID, trace.KindBarrierArrive))
-	}
+	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, 0, 0)
 	st.barOut = false
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.handleBarArrive)
 	c.P.WaitTag = "munin barrier"
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
-	if pr.e.Tracer != nil {
-		pr.e.Tracer.Trace(trace.Ev(c.P.Clock, c.ID, trace.KindBarrierDepart))
-	}
+	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierDepart, 0, 0)
 	c.Epoch++
 }
 

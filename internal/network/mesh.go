@@ -43,9 +43,9 @@ type Mesh struct {
 	// link-degradation windows (zero unless fault injection is on).
 	DegradedCycles uint64
 
-	// Tracer, when non-nil, receives one KindNetTransfer event per
-	// message with the link-contention wait it suffered.
-	Tracer trace.Tracer
+	// Tracer emits one KindNetTransfer event per message with the
+	// link-contention wait it suffered.
+	Tracer trace.Emitter
 
 	// Faults, when non-nil, injects transient link degradation: a
 	// degraded (source, destination) pair pays extra cycles per transfer
@@ -159,11 +159,7 @@ func (m *Mesh) Transfer(now uint64, from, to, bytes int) uint64 {
 		m.linkFree[l] = t + bodyCy
 	}
 	m.WaitCycles += waited
-	if m.Tracer != nil {
-		ev := trace.Ev(now, from, trace.KindNetTransfer)
-		ev.Arg, ev.Arg2 = int64(to), int64(waited)
-		m.Tracer.Trace(ev)
-	}
+	m.Tracer.Event(now, from, trace.KindNetTransfer, int64(to), int64(waited))
 	// Tail arrival: header arrival plus the pipelined body.
 	return t + bodyCy
 }

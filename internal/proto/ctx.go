@@ -116,14 +116,7 @@ func (c *Ctx) fault(pg int, write bool) {
 	if !c.M.Peek(pg).EverValid {
 		c.P.Stats.ColdFaults++
 	}
-	if c.E.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindPageFault)
-		ev.Page = pg
-		if write {
-			ev.Arg = 1
-		}
-		c.E.Tracer.Trace(ev)
-	}
+	c.E.Tracer.Page(c.P.Clock, c.ID, trace.KindPageFault, pg, trace.Flag(write), 0)
 	start := c.P.Clock
 	// Fault trap: interrupt-class overhead, charged like other
 	// interrupts to the "others" category.

@@ -95,7 +95,7 @@ func (m *LockMgr) InitLocks(e *sim.Engine, ns, repKind int, coh LockCoherence) {
 	for i := range m.locks {
 		p := lap.New(m.nprocs, ns)
 		p.SetPolicy(pol)
-		if e.Tracer != nil {
+		if e.Tracer.On() {
 			p.Tracer, p.Lock, p.Mgr, p.Clock = e.Tracer, i, m.MgrOf(i), e.Now
 		}
 		m.locks[i] = ManagedLock{Pred: p, Image: recover.Image{Holder: -1, LastReleaser: -1}}

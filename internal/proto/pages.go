@@ -50,12 +50,7 @@ func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	c.P.WaitTag = "pagereq"
 	rep := c.Call(stats.Data, home, h.reqKind, 8, page, h.serve).(pageReply)
 	c.P.Stats.PageFetchBytes += uint64(len(rep.data))
-	if c.E.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindPageFetch)
-		ev.Page = page
-		ev.Arg, ev.Arg2 = int64(home), int64(len(rep.data))
-		c.E.Tracer.Trace(ev)
-	}
+	c.E.Tracer.Page(c.P.Clock, c.ID, trace.KindPageFetch, page, int64(home), int64(len(rep.data)))
 	// Copy the page in across the memory bus.
 	size := c.S.PageSize()
 	c.P.Advance(c.P.MemBus.Cost(c.P.Clock, c.E.Params.Words(size)), stats.Data)

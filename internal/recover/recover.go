@@ -182,12 +182,7 @@ func (r *Replicator) Ship(s *sim.Svc, nprocs, kind int, rec Record) {
 	s.P.Stats.ReplicaLogBytes += uint64(n)
 	s.ChargeList(1)
 	backup := memsys.BackupOf(mgr, nprocs)
-	if t := s.E.Tracer; t != nil {
-		ev := trace.Ev(s.Now, mgr, trace.KindReplicaLog)
-		ev.Lock = rec.Lock
-		ev.Arg, ev.Arg2 = int64(backup), int64(n)
-		t.Trace(ev)
-	}
+	s.E.Tracer.Lock(s.Now, mgr, trace.KindReplicaLog, rec.Lock, int64(backup), int64(n))
 	if backup != mgr {
 		s.Send(backup, kind, n, rec, HandleShip)
 	}

@@ -60,11 +60,7 @@ func (e *Engine) scheduleOutages(cfg fault.Config) {
 func (e *Engine) crashNode(cr fault.Crash) {
 	p := e.Procs[cr.Node]
 	p.Stats.NodeCrashes++
-	if e.Tracer != nil {
-		ev := trace.Ev(e.now, cr.Node, trace.KindNodeCrash)
-		ev.Arg = int64(cr.Down)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(e.now, cr.Node, trace.KindNodeCrash, int64(cr.Down), 0)
 	for _, fn := range e.crashFns {
 		fn(cr.Node)
 	}
@@ -88,9 +84,5 @@ func (e *Engine) restartNode(cr fault.Crash) {
 		p.svcBusyUntil = start + cycles
 		e.chargeRecovery(p, cycles)
 	}
-	if e.Tracer != nil {
-		ev := trace.Ev(e.now, cr.Node, trace.KindNodeRestart)
-		ev.Arg = int64(cycles)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(e.now, cr.Node, trace.KindNodeRestart, int64(cycles), 0)
 }

@@ -24,11 +24,10 @@ type Engine struct {
 	Procs  []*Proc
 	Run    *stats.Run
 
-	// Tracer receives protocol events when non-nil. Emission never
-	// charges simulated cycles, so tracing cannot perturb the run;
-	// protocols nil-check before building events so the disabled path
-	// costs one branch.
-	Tracer trace.Tracer
+	// Tracer emits protocol events; the zero value is tracing off, one
+	// branch per site. Emission never charges simulated cycles, so
+	// tracing cannot perturb the run.
+	Tracer trace.Emitter
 
 	// Faults, when non-nil, injects deterministic message/node faults and
 	// switches the message path onto the reliable transport (sequence

@@ -108,11 +108,7 @@ func (e *Engine) sendOpt(from *Proc, now Time, to, kind, bytes int, payload any,
 	size := bytes + pp.MsgHeaderBytes
 	from.Stats.MsgsSent++
 	from.Stats.BytesSent += uint64(size)
-	if e.Tracer != nil {
-		ev := trace.Ev(now, from.ID, trace.KindMsgSend)
-		ev.Arg, ev.Arg2 = int64(to), int64(size)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(now, from.ID, trace.KindMsgSend, int64(to), int64(size))
 
 	senderDone := now + pp.MsgOverheadCycles
 	if to != from.ID {
@@ -152,11 +148,7 @@ func (e *Engine) deliver(m *Msg, h Handler) {
 	// Handlers run synchronously and never retain s (replies get a fresh
 	// context at their own delivery), so the recycle is safe.
 	e.svcs.Put(s)
-	if e.Tracer != nil {
-		ev := trace.Ev(start, m.To, trace.KindMsgDeliver)
-		ev.Arg, ev.Arg2 = int64(m.From), int64(svc)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(start, m.To, trace.KindMsgDeliver, int64(m.From), int64(svc))
 	// Handlers extract the payload synchronously and never retain the
 	// message; a tracked one is its own copy, the transport resends from
 	// the original.

@@ -165,11 +165,7 @@ func (e *Engine) transmit(m *Msg, h Handler, size int, ready Time) {
 // at (injected loss at send, or an outage at either end).
 func (e *Engine) traceDrop(at Time, src, dst int, seq uint64) {
 	e.Procs[src].Stats.MsgsDropped++
-	if e.Tracer != nil {
-		ev := trace.Ev(at, src, trace.KindMsgDrop)
-		ev.Arg, ev.Arg2 = int64(dst), int64(seq)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(at, src, trace.KindMsgDrop, int64(dst), int64(seq))
 }
 
 // queueTx schedules a transport record about m's pending entry — the
@@ -224,11 +220,7 @@ func (e *Engine) retransmit(m *Msg, h Handler, at Time) {
 	from.Stats.Retransmits++
 	from.Stats.MsgsSent++
 	from.Stats.BytesSent += uint64(size)
-	if e.Tracer != nil {
-		ev := trace.Ev(start, m.From, trace.KindMsgRetry)
-		ev.Arg, ev.Arg2 = int64(m.To), int64(m.attempt)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(start, m.From, trace.KindMsgRetry, int64(m.To), int64(m.attempt))
 	e.transmit(m, h, size, done)
 }
 
@@ -254,11 +246,7 @@ func (e *Engine) deliverTracked(m *Msg, h Handler) {
 			p.svcBusyUntil = end
 		}
 		p.Stats.FaultStallCycles += stall
-		if e.Tracer != nil {
-			ev := trace.Ev(m.ArriveAt, m.To, trace.KindFaultStall)
-			ev.Arg = int64(stall)
-			e.Tracer.Trace(ev)
-		}
+		e.Tracer.Event(m.ArriveAt, m.To, trace.KindFaultStall, int64(stall), 0)
 	}
 	if !e.rel.pairs[m.From][m.To].firstSeen(m.seq) {
 		// Duplicate: the node still takes the interrupt and pulls the
@@ -275,11 +263,7 @@ func (e *Engine) deliverTracked(m *Msg, h Handler) {
 		p.svcBusyUntil = done
 		e.chargeRecovery(p, done-start)
 		p.Stats.DupMsgsSuppressed++
-		if e.Tracer != nil {
-			ev := trace.Ev(start, m.To, trace.KindMsgDup)
-			ev.Arg, ev.Arg2 = int64(m.From), int64(m.seq)
-			e.Tracer.Trace(ev)
-		}
+		e.Tracer.Event(start, m.To, trace.KindMsgDup, int64(m.From), int64(m.seq))
 		if m.tx != nil {
 			e.sendAck(m)
 		}
@@ -310,11 +294,7 @@ func (e *Engine) sendAck(m *Msg) {
 	p.svcBusyUntil = done
 	e.chargeRecovery(p, done-start)
 	p.Stats.AcksSent++
-	if e.Tracer != nil {
-		ev := trace.Ev(start, m.To, trace.KindMsgAck)
-		ev.Arg, ev.Arg2 = int64(m.From), int64(m.seq)
-		e.Tracer.Trace(ev)
-	}
+	e.Tracer.Event(start, m.To, trace.KindMsgAck, int64(m.From), int64(m.seq))
 
 	dec := e.Faults.OnSend(done, m.To, m.From, m.attempt, true)
 	if !dec.Drop && e.Faults.Outage(done, m.To, m.From) {

@@ -115,13 +115,7 @@ func (pr *TM) applyDiff(c *proto.Ctx, fd ivalDiff, cost uint64, cat stats.Catego
 	c.P.Stats.DiffsApplied++
 	c.P.Stats.DiffBytesApplied += uint64(fd.d.DataBytes())
 	c.P.Advance(cost, cat)
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffApply)
-		ev.Page = fd.d.Page
-		ev.Ref = fd.d.ID
-		ev.Arg, ev.Arg2 = int64(fd.d.DataBytes()), int64(fd.proc)
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, fd.d.Page, fd.d.ID, int64(fd.d.DataBytes()), int64(fd.proc))
 	c.PatchDiff(fd.d)
 }
 

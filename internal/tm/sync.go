@@ -17,12 +17,7 @@ import (
 func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
 	st.grant = nil
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
-		ev.Lock = lock
-		ev.Arg = int64(pr.MgrOf(lock))
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	vc := append([]int(nil), st.vc...)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs,
 		acqReq{lock: lock, vc: vc, from: c.ID}, pr.handleAcqReq)
@@ -163,12 +158,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 // handleGrant lands the grant at the acquirer.
 func (pr *TM) handleGrant(s *sim.Svc, m *sim.Msg) {
 	g := m.Payload.(grantMsg)
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(s.Now, m.To, trace.KindLockGrant)
-		ev.Lock = g.lock
-		ev.Arg, ev.Arg2 = int64(m.From), int64(len(g.wns))
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(m.From), int64(len(g.wns)))
 	pr.ps[m.To].grant = &g
 	s.Wake(s.P)
 }
@@ -178,11 +168,7 @@ func (pr *TM) handleGrant(s *sim.Svc, m *sim.Msg) {
 // acquire.
 func (pr *TM) Release(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRelease)
-		ev.Lock = lock
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRelease, lock, 0, 0)
 	pr.closeInterval(c, st)
 	c.Epoch++
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
@@ -216,11 +202,7 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 	st.lastBarSeq = st.vc[st.id]
 	c.P.Advance(pr.e.Params.ListCycles(len(wns)), stats.Synch)
 
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindBarrierArrive)
-		ev.Arg = int64(len(wns))
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, int64(len(wns)), 0)
 	st.barOut = false
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive,
 		16+16*len(wns)+4*pr.nprocs,
@@ -281,11 +263,7 @@ func (pr *TM) handleBarRelease(s *sim.Svc, m *sim.Msg) {
 	fresh := pr.applyWNs(ctx, st, r.wns)
 	s.ChargeList(fresh)
 	mergeVC(st.vc, r.vc)
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(s.Now, m.To, trace.KindBarrierDepart)
-		ev.Arg = int64(fresh)
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Event(s.Now, m.To, trace.KindBarrierDepart, int64(fresh), 0)
 	st.barOut = true
 	s.Wake(s.P)
 }

@@ -11,7 +11,7 @@
 //     the requester, the overhead AEC's eager overlapped diffing removes.
 //
 // Like every protocol here, TM emits lock, barrier, fault and diff trace
-// events through the engine's nil-checked Tracer (see
+// events through the engine's trace.Emitter (see
 // aecdsm/internal/trace and docs/OBSERVABILITY.md), which makes the
 // lazy-diff critical-path costs directly comparable with AEC's in one
 // merged Perfetto timeline.
@@ -439,13 +439,7 @@ func (pr *TM) forceDiff(c *proto.Ctx, st *tmProc, pg int, cat stats.Category) {
 	if d == nil {
 		d = &mem.Diff{Page: pg}
 	}
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(c.P.Clock, c.ID, trace.KindDiffCreate)
-		ev.Page = pg
-		ev.Ref = d.ID
-		ev.Arg = int64(d.EncodedBytes())
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
 	// Publish before charging the creation cost: Advance blocks, and a
 	// remote diff request serviced during the charge must find this diff
 	// cached — re-diffing the interval would consume its twin twice and
@@ -478,13 +472,7 @@ func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 		ctx.P.Stats.DiffsCreated++
 		ctx.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
 	}
-	if pr.e.Tracer != nil {
-		ev := trace.Ev(s.Now, st.id, trace.KindDiffCreate)
-		ev.Page = pg
-		ev.Ref = d.ID
-		ev.Arg = int64(d.EncodedBytes())
-		pr.e.Tracer.Trace(ev)
-	}
+	pr.e.Tracer.Diff(s.Now, st.id, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
 	// Publish before charging, mirroring forceDiff: a concurrent local
 	// fault on the same page must reuse this diff, not re-diff the twin.
 	rec.diffs[pg] = d

@@ -66,6 +66,8 @@ type pageAgg struct {
 	diffBytes   uint64
 	diffsUsed   uint64
 	usedBytes   uint64
+	pushes      uint64
+	pushBytes   uint64
 }
 
 // NewMetrics builds an empty metrics sink.
@@ -81,7 +83,13 @@ func NewMetrics() *Metrics {
 	}
 }
 
+// lock returns the aggregate of lock id. An event that names no lock
+// (id < 0) is folded into a throwaway, so the summary never lists a lock
+// that does not exist; page does the same for pages.
 func (m *Metrics) lock(id int) *lockAgg {
+	if id < 0 {
+		return new(lockAgg)
+	}
 	l := m.locks[id]
 	if l == nil {
 		l = &lockAgg{}
@@ -91,6 +99,9 @@ func (m *Metrics) lock(id int) *lockAgg {
 }
 
 func (m *Metrics) page(id int) *pageAgg {
+	if id < 0 {
+		return new(pageAgg)
+	}
 	p := m.pages[id]
 	if p == nil {
 		p = &pageAgg{}
@@ -152,10 +163,16 @@ func (m *Metrics) Trace(ev Event) {
 		m.lock(ev.Lock).hits++
 	case KindLAPMiss:
 		m.lock(ev.Lock).misses++
-	case KindLAPPush, KindUpdatePush:
+	case KindLAPPush:
 		l := m.lock(ev.Lock)
 		l.pushes++
 		l.pushByte += uint64(ev.Arg2)
+	case KindUpdatePush:
+		// Munin pushes a page's diff to its home: the event names the
+		// page, not the lock being released.
+		p := m.page(ev.Page)
+		p.pushes++
+		p.pushBytes += uint64(ev.Arg2)
 	case KindPageFault:
 		p := m.page(ev.Page)
 		p.faults++
@@ -254,6 +271,10 @@ type PageSummary struct {
 	DiffBytes   uint64 `json:"diffBytesCreated"`
 	DiffsUsed   uint64 `json:"diffsApplied"`
 	UsedBytes   uint64 `json:"diffBytesApplied"`
+	// Pushes and PushBytes count eager update pushes of this page's diffs
+	// (update-push; per-lock LAP pushes are in LockSummary).
+	Pushes    uint64 `json:"updatePushes"`
+	PushBytes uint64 `json:"updatePushBytes"`
 }
 
 // Summary is the full exported metrics document.
@@ -308,6 +329,7 @@ func (m *Metrics) Summary() Summary {
 			Fetches: p.fetches, Twins: p.twins, Invals: p.invals,
 			DiffsMade: p.diffsMade, DiffBytes: p.diffBytes,
 			DiffsUsed: p.diffsUsed, UsedBytes: p.usedBytes,
+			Pushes: p.pushes, PushBytes: p.pushBytes,
 		})
 	}
 	s.ActivePages = len(s.Pages)

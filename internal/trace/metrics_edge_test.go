@@ -100,6 +100,23 @@ func TestMetricsReleaseWithoutGrant(t *testing.T) {
 	}
 }
 
+// TestMetricsUnnamedLockOrPage: an event of a lock or page kind that names
+// none (the id Ev leaves at -1) is counted in the run totals and produces no
+// lock or page record — the summary never lists an id that does not exist.
+func TestMetricsUnnamedLockOrPage(t *testing.T) {
+	m := trace.NewMetrics()
+	for _, k := range []trace.Kind{
+		trace.KindLockRequest, trace.KindLockEnqueue, trace.KindLockGrant, trace.KindLockRelease,
+		trace.KindLAPNotice, trace.KindLAPHit, trace.KindLAPPush, trace.KindUpdatePush,
+		trace.KindPageFault, trace.KindTwinCreate, trace.KindDiffCreate, trace.KindDiffApply,
+	} {
+		m.Trace(trace.Ev(100, 1, k))
+	}
+	if s := m.Summary(); s.Events != 12 || len(s.Locks) != 0 || len(s.Pages) != 0 {
+		t.Errorf("summary = %+v, want 12 events and no lock or page records", s)
+	}
+}
+
 // TestHistogramEmptyAndBuckets pins Histogram edge behaviour: Mean of an
 // empty histogram is 0 (not NaN), and bucket boundaries put 0 and 1 in
 // bucket 0, 2..3 in bucket 1, and so on.

@@ -4,13 +4,15 @@
 // internal/munin), the LAP predictor (internal/lap), the shared-memory
 // substrate (internal/mem) and the interconnect (internal/network).
 //
-// Every emission site holds a Tracer interface value that is nil by
-// default: with tracing disabled the whole subsystem costs one predictable
-// branch per site and zero allocations, and — crucially — tracing never
-// charges simulated cycles, so enabling it cannot perturb the simulation.
-// Two runs with identical configurations produce identical event streams
-// (the simulator is deterministic and emission order follows execution
-// order).
+// The package has two sides. An emitting layer holds an Emitter, a value
+// type whose zero value is tracing off, and each emission site is one call
+// of one of its methods: with tracing disabled the whole subsystem costs
+// one predictable branch per site and zero allocations, and — crucially —
+// tracing never charges simulated cycles, so enabling it cannot perturb the
+// simulation. Whoever owns a run wraps a sink — any Tracer — with To and
+// hands the Emitter down. Two runs with identical configurations produce
+// identical event streams (the simulator is deterministic and emission
+// order follows execution order).
 //
 // Sinks provided:
 //
@@ -259,6 +261,14 @@ type Event struct {
 // fill in the fields their kind defines.
 func Ev(cycle uint64, proc int, kind Kind) Event {
 	return Event{Cycle: cycle, Proc: proc, Kind: kind, Lock: -1, Page: -1}
+}
+
+// Flag is the Arg encoding of a boolean payload: 1 or 0.
+func Flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Tracer consumes protocol events. Implementations must not assume events
