@@ -92,6 +92,14 @@ type AEC struct {
 	bar   barrierState
 	relay proto.Relay // barrier fan-in/fan-out; arrive and ready share it
 
+	// h is the message handlers, bound once in Attach: a method value
+	// written at a send site is a fresh closure per message.
+	h struct {
+		acqReq, grant, push, rel, diffReq, wnDiffReq sim.Handler
+		barArrive, barDiff, barWN, barReady          sim.Handler
+		barInstr, barInstrBatch, barComplete         sim.Handler
+	}
+
 	nprocs   int
 	pageSize int
 
@@ -135,6 +143,10 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
 	pr.merger = mem.NewMerger(pr.pageSize)
+	pr.h.acqReq, pr.h.grant, pr.h.push, pr.h.rel = pr.handleAcqReq, pr.handleGrant, pr.handlePush, pr.handleRel
+	pr.h.diffReq, pr.h.wnDiffReq = pr.handleDiffReq, pr.handleWNDiffReq
+	pr.h.barArrive, pr.h.barDiff, pr.h.barWN, pr.h.barReady = pr.handleBarArrive, pr.handleBarDiff, pr.handleBarWN, pr.handleBarReady
+	pr.h.barInstr, pr.h.barInstrBatch, pr.h.barComplete = pr.handleBarInstr, pr.handleBarInstrBatch, pr.handleBarComplete
 	pages := s.Pages()
 	pr.ps = make([]*procState, pr.nprocs)
 	for i := range pr.ps {

@@ -53,7 +53,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 16+8*elems,
 		&arriveBatch{arr: []*arriveMsg{
 			{proc: c.ID, owned: owned, outside: outside, newValid: newValid}}},
-		pr.handleBarArrive)
+		pr.h.barArrive)
 
 	// Overlap outside-diff creation with the barrier wait (§3.3): only
 	// pages some other processor has requested before are worth diffing
@@ -87,7 +87,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 		}
 		for _, q := range ds.targets {
 			pr.e.SendFrom(c.P, stats.Synch, q, kBarDiff, d.EncodedBytes(),
-				barDiffMsg{page: ds.page, lock: ds.lock, diff: d}, pr.handleBarDiff)
+				barDiffMsg{page: ds.page, lock: ds.lock, diff: d}, pr.h.barDiff)
 		}
 	}
 	for _, ws := range instr.wnSends {
@@ -96,7 +96,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 			pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindWriteNotice, ws.page, int64(q), 0)
 			pr.e.SendFrom(c.P, stats.Synch, q, kBarWN, 16,
 				barWNMsg{wn: mem.WriteNotice{Page: ws.page, Writer: c.ID, Step: st.step}},
-				pr.handleBarWN)
+				pr.h.barWN)
 		}
 	}
 
@@ -106,7 +106,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	c.P.WaitUntil(func() bool {
 		return st.barDiffsGot >= instr.expDiffs && st.barWNsGot >= instr.expWNs
 	}, stats.Synch)
-	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarReady, 8, 1, pr.handleBarReady)
+	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarReady, 8, 1, pr.h.barReady)
 	c.P.WaitTag = "barcomplete"
 	c.P.WaitUntil(func() bool { return st.barComplete }, stats.Synch)
 
@@ -208,7 +208,7 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		size += 8 * a.elems()
 	}
 	s.ChargeList(len(st.combArr))
-	pr.relay.Up(s, m.To, kBarArrive, size, &arriveBatch{arr: st.combArr}, pr.handleBarArrive)
+	pr.relay.Up(s, m.To, kBarArrive, size, &arriveBatch{arr: st.combArr}, pr.h.barArrive)
 	st.combArr = nil
 }
 
@@ -376,14 +376,14 @@ func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []*barInstr) {
 	if len(ins) == 1 {
 		in := ins[0]
 		size := 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
-		pr.relay.Send(s, c, kBarInstr, size, in, pr.handleBarInstr)
+		pr.relay.Send(s, c, kBarInstr, size, in, pr.h.barInstr)
 		return
 	}
 	size := 16 * (len(ins) - 1)
 	for _, in := range ins {
 		size += 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
 	}
-	pr.relay.Send(s, c, kBarInstrBatch, size, &instrBatch{ins: ins}, pr.handleBarInstrBatch)
+	pr.relay.Send(s, c, kBarInstrBatch, size, &instrBatch{ins: ins}, pr.h.barInstrBatch)
 }
 
 // handleBarInstrBatch lands a subtree's instructions at its
@@ -459,7 +459,7 @@ func (pr *AEC) handleBarReady(s *sim.Svc, m *sim.Msg) {
 		return
 	}
 	if m.To != proto.BarMgr {
-		pr.relay.Up(s, m.To, kBarReady, 8, ready, pr.handleBarReady)
+		pr.relay.Up(s, m.To, kBarReady, 8, ready, pr.h.barReady)
 		return
 	}
 	// Episode over: reset manager state and release everyone.
@@ -467,13 +467,13 @@ func (pr *AEC) handleBarReady(s *sim.Svc, m *sim.Msg) {
 	for i := range b.arrivals {
 		b.arrivals[i] = nil
 	}
-	pr.relay.Broadcast(s, kBarComplete, 8, b.seq, pr.handleBarComplete)
+	pr.relay.Broadcast(s, kBarComplete, 8, b.seq, pr.h.barComplete)
 }
 
 // handleBarComplete releases a processor from the barrier, relaying the
 // completion to its tree children first.
 func (pr *AEC) handleBarComplete(s *sim.Svc, m *sim.Msg) {
-	pr.relay.Down(s, m, pr.handleBarComplete)
+	pr.relay.Down(s, m, pr.h.barComplete)
 	st := pr.ps[m.To]
 	st.barComplete = true
 	s.Wake(s.P)

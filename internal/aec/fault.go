@@ -1,7 +1,8 @@
 package aec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
@@ -149,66 +150,58 @@ func (pr *AEC) pageDelta(home, page, from int) (any, int) {
 }
 
 // applyWriteNotices fetches and applies the outside diffs named by the
-// write notices pending on a page.
+// write notices pending on a page, sorting them in place by (writer, step).
 func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []mem.WriteNotice) {
-	// Group requested steps by writer. Notices naming ourselves (adopted
-	// from a home that had not applied our diff yet) replay from the
-	// local archive without network traffic.
-	byWriter := map[int][]int{}
-	var own []mem.WriteNotice
-	for _, wn := range wns {
-		if wn.Writer == c.ID {
-			own = append(own, wn)
+	slices.SortFunc(wns, func(a, b mem.WriteNotice) int {
+		return cmp.Or(cmp.Compare(a.Writer, b.Writer), cmp.Compare(a.Step, b.Step))
+	})
+	// One request per writer, ascending. The server appends what it holds
+	// to st.wnGot, in step order.
+	req := &st.wnReq
+	req.page = page
+	for i := 0; i < len(wns); {
+		w := wns[i].Writer
+		req.steps = req.steps[:0]
+		for ; i < len(wns) && wns[i].Writer == w; i++ {
+			req.steps = append(req.steps, wns[i].Step)
+		}
+		if w == c.ID {
 			continue
 		}
-		byWriter[wn.Writer] = append(byWriter[wn.Writer], wn.Step)
-	}
-	writers := make([]int, 0, len(byWriter))
-	for w := range byWriter {
-		writers = append(writers, w)
-	}
-	sort.Ints(writers)
-	type fetched struct {
-		step int
-		d    *mem.Diff
-	}
-	var all []fetched
-	for _, w := range writers {
-		steps := byWriter[w]
-		sort.Ints(steps)
 		c.P.Stats.DiffRequests++
 		c.P.WaitTag = "wnreq"
-		diffs := c.Call(stats.Data, w, kWNDiffReq, 8+8*len(steps),
-			wnDiffReq{page: page, steps: steps}, pr.handleWNDiffReq).([]*mem.Diff)
-		for i, d := range diffs {
-			if d != nil && i < len(steps) {
-				all = append(all, fetched{step: steps[i], d: d})
-			}
-		}
+		c.Call(stats.Data, w, kWNDiffReq, 8+8*len(req.steps), req, pr.h.wnDiffReq)
 	}
-	for _, wn := range own {
+	// Notices naming ourselves (adopted from a home that had not applied
+	// our diff yet) replay from the local archive without network traffic,
+	// after the fetched ones.
+	for _, wn := range wns {
+		if wn.Writer != c.ID {
+			continue
+		}
 		if d := st.diffStore[page][wn.Step]; d != nil {
-			all = append(all, fetched{step: wn.Step, d: d})
+			st.wnGot = append(st.wnGot, stepDiff{step: wn.Step, d: d})
 		}
 	}
 	// Apply in step order for cross-step correctness (same-step writers
 	// touch disjoint words in race-free programs).
-	sort.SliceStable(all, func(i, j int) bool { return all[i].step < all[j].step })
-	for _, fd := range all {
+	slices.SortStableFunc(st.wnGot, func(a, b stepDiff) int { return cmp.Compare(a.step, b.step) })
+	for _, fd := range st.wnGot {
 		pr.chargeDiffApply(c, fd.d, stats.Data, false)
 		pr.applyDiffData(c, fd.d)
 	}
+	st.wnGot = st.wnGot[:0]
 }
 
-// handleWNDiffReq serves archived (or lazily created) outside diffs.
+// handleWNDiffReq serves archived (or lazily created) outside diffs into
+// the requester's buffer; the reply carries their size.
 func (pr *AEC) handleWNDiffReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(wnDiffReq)
-	st := pr.ps[m.To]
+	req := m.Payload.(*wnDiffReq)
+	st, rq := pr.ps[m.To], pr.ps[m.From]
 	st.reqSeen[req.page] = true
 	s.ChargeList(len(req.steps))
-	out := make([]*mem.Diff, len(req.steps)) // aligned with req.steps
 	bytes := 0
-	for i, step := range req.steps {
+	for _, step := range req.steps {
 		store := st.diffStore[req.page]
 		d := store[step]
 		if d == nil && st.dirtyOutside[req.page] && st.twinStep[req.page] == step {
@@ -218,11 +211,11 @@ func (pr *AEC) handleWNDiffReq(s *sim.Svc, m *sim.Msg) {
 			d = st.diffStore[req.page][step]
 		}
 		if d != nil {
-			out[i] = d
+			rq.wnGot = append(rq.wnGot, stepDiff{step: step, d: d})
 			bytes += d.EncodedBytes()
 		}
 	}
-	pr.ctxs[m.From].Reply(s, kWNDiffRep, bytes, out)
+	pr.ctxs[m.From].Reply(s, kWNDiffRep, bytes, nil)
 }
 
 // writeFault grants write permission for the current epoch, creating the

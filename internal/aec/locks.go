@@ -22,7 +22,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
-		acqReq{lock: lock}, pr.handleAcqReq)
+		acqReq{lock: lock}, pr.h.acqReq)
 
 	// Overlap window: apply pushed diffs for this lock to valid pages,
 	// then create outside diffs, until the grant arrives (§3.2). Work
@@ -241,7 +241,7 @@ func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		size += 8 * len(g.invPages)
 		s.ChargeList(len(g.invPages))
 	}
-	s.Send(to, kAcqGrant, size, g, pr.handleGrant)
+	s.Send(to, kAcqGrant, size, g, pr.h.grant)
 }
 
 // handleGrant lands the manager's reply at the acquirer.
@@ -340,13 +340,13 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 			// falls back to explicit fetches (degraded-mode LAP).
 			pr.e.SendFromBestEffort(c.P, stats.Synch, q, kPush, bytes,
 				pushMsg{lock: lock, from: c.ID, count: myCount, step: st.step, diffs: diffs},
-				pr.handlePush)
+				pr.h.push)
 		}
 	}
 
 	// Tell the manager we are giving up ownership.
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8+8*len(pages),
-		relMsg{lock: lock, count: myCount, step: st.step, pages: pages}, pr.handleRel)
+		relMsg{lock: lock, count: myCount, step: st.step, pages: pages}, pr.h.rel)
 
 	// Unprotect pages modified outside the CS and not inside it; their
 	// speculative outside diffs are discarded and twins reutilized. Only
@@ -430,7 +430,7 @@ func (pr *AEC) fetchLockDiffs(c *proto.Ctx, lock, owner int, pages []int, cat st
 	c.P.Stats.DiffRequests++
 	c.P.WaitTag = "diffreq"
 	return c.Call(cat, owner, kDiffReq, 8+8*len(pages),
-		diffReq{lock: lock, pages: pages}, pr.handleDiffReq).([]*mem.Diff)
+		diffReq{lock: lock, pages: pages}, pr.h.diffReq).([]*mem.Diff)
 }
 
 // handleDiffReq serves merged CS diffs from the last owner's store.

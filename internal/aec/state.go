@@ -75,7 +75,12 @@ type procState struct {
 	recv map[int]*recvBuf
 
 	// Write notices pending per page, and why pages were invalidated.
-	pendingWN   map[int][]mem.WriteNotice
+	pendingWN map[int][]mem.WriteNotice
+	// The write-notice fetch of the fault in progress: the request in
+	// flight (sent by pointer) and what the writers served.
+	wnReq wnDiffReq
+	wnGot []stepDiff
+
 	reason      map[int]invalReason
 	invalLockID map[int]int // page -> lock whose grant invalidated it
 
@@ -248,6 +253,11 @@ type diffReq struct { // fetch merged CS diffs from last owner
 type wnDiffReq struct { // fetch outside diffs named by write notices
 	page  int
 	steps []int
+}
+
+type stepDiff struct { // one fetched outside diff and the step that orders it
+	step int
+	d    *mem.Diff
 }
 
 type barDiffMsg struct {

@@ -75,6 +75,13 @@ type Munin struct {
 	pages []pageState // per-page home-side state (lives at InitHome)
 	relay proto.Relay // barrier fan-in/fan-out
 
+	// h is the message handlers, bound once in Attach: a method value or
+	// closure written at a send site is a fresh allocation per message.
+	h struct {
+		acqReq, grant, rel, update, fwdUpdate, fwdInval sim.Handler
+		homeAck, memberAck, barArrive, barComplete      sim.Handler
+	}
+
 	nprocs   int
 	pageSize int
 }
@@ -153,6 +160,10 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.nprocs = len(ctxs)
 	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
+	pr.h.acqReq, pr.h.grant, pr.h.rel = pr.handleAcqReq, pr.handleGrant, pr.handleRel
+	pr.h.update, pr.h.fwdUpdate, pr.h.fwdInval = pr.handleUpdate, pr.handleFwdUpdate, pr.handleFwdInval
+	pr.h.homeAck, pr.h.memberAck = pr.handleHomeAck, pr.handleMemberAck
+	pr.h.barArrive, pr.h.barComplete = pr.handleBarArrive, pr.handleBarComplete
 	pr.ps = make([]*procState, pr.nprocs)
 	for i := range pr.ps {
 		pr.ps[i] = &procState{id: i, dirty: map[int]bool{},
@@ -249,7 +260,7 @@ func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	st.grant = false
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
-		acqReq{lock: lock, from: c.ID}, pr.handleAcqReq)
+		acqReq{lock: lock, from: c.ID}, pr.h.acqReq)
 	c.P.WaitTag = "munin grant"
 	c.P.WaitUntil(func() bool { return st.grant }, stats.Synch)
 	st.inCS++
@@ -272,7 +283,7 @@ func (pr *Munin) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		s.ChargeList(len(us) + 1)
 	}
 	pr.CommitGrant(s, lock, to, fromQueue, 0, us)
-	s.Send(to, kGrant, 16+8*len(us), grantMsg{lock: lock, us: us}, pr.handleGrant)
+	s.Send(to, kGrant, 16+8*len(us), grantMsg{lock: lock, us: us}, pr.h.grant)
 }
 
 // handleGrant lands the grant at the acquirer.
@@ -302,7 +313,7 @@ func (pr *Munin) Release(c *proto.Ctx, lock int) {
 	st.curLock = -1
 	c.Epoch++
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
-		relMsg{lock: lock}, pr.handleRel)
+		relMsg{lock: lock}, pr.h.rel)
 }
 
 // handleRel lands a release at the lock's manager; the flush already made
@@ -355,7 +366,7 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 		pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindUpdatePush, pg, int64(pr.homeOf(pg)), int64(d.EncodedBytes()))
 		pr.e.SendFrom(c.P, stats.Synch, pr.homeOf(pg), kUpdate, d.EncodedBytes(),
 			updateMsg{page: pg, diff: d, releaser: c.ID, us: us, restrict: restrict},
-			pr.handleUpdate)
+			pr.h.update)
 	}
 	st.dirty = map[int]bool{}
 	if sent == 0 {
@@ -411,7 +422,7 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 			ctx.P.Stats.UpdateBytesPushed += uint64(u.diff.EncodedBytes())
 			s.Send(q, kFwdUpdate, u.diff.EncodedBytes(),
 				fwdMsg{page: u.page, diff: u.diff, releaser: u.releaser},
-				pr.handleFwdUpdate)
+				pr.h.fwdUpdate)
 		} else {
 			// LAP-restricted: invalidate instead of updating. The
 			// invalidation is acknowledged like an update — release
@@ -421,17 +432,28 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 			forwards++
 			pr.pages[u.page].copyset.Remove(q)
 			s.Send(q, kFwdInval, 8,
-				fwdMsg{page: u.page, releaser: u.releaser}, pr.handleFwdInval)
+				fwdMsg{page: u.page, releaser: u.releaser}, pr.h.fwdInval)
 		}
 	}
 	s.ChargeList(pr.nprocs)
 	// Tell the releaser how many member acks this page contributes.
-	s.Send(u.releaser, kHomeAck, 8, forwards, func(s2 *sim.Svc, m2 *sim.Msg) {
-		st := pr.ps[m2.To]
-		st.homeAcks++
-		st.memWanted += m2.Payload.(int)
-		s2.Wake(s2.P)
-	})
+	s.Send(u.releaser, kHomeAck, 8, forwards, pr.h.homeAck)
+}
+
+// handleHomeAck lands a home's flush ack at the releaser, with the number
+// of member acks the page contributes.
+func (pr *Munin) handleHomeAck(s *sim.Svc, m *sim.Msg) {
+	st := pr.ps[m.To]
+	st.homeAcks++
+	st.memWanted += m.Payload.(int)
+	s.Wake(s.P)
+}
+
+// handleMemberAck lands a sharer's ack of a forwarded update or
+// invalidation at the releaser.
+func (pr *Munin) handleMemberAck(s *sim.Svc, m *sim.Msg) {
+	pr.ps[m.To].memAcks++
+	s.Wake(s.P)
 }
 
 // handleFwdUpdate applies a forwarded update at a sharer and acks the
@@ -453,10 +475,7 @@ func (pr *Munin) handleFwdUpdate(s *sim.Svc, m *sim.Msg) {
 		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, u.page, u.diff.ID, int64(u.diff.DataBytes()), 0)
 		ctx.PatchDiff(u.diff)
 	}
-	s.Send(u.releaser, kMemberAck, 8, nil, func(s2 *sim.Svc, m2 *sim.Msg) {
-		pr.ps[m2.To].memAcks++
-		s2.Wake(s2.P)
-	})
+	s.Send(u.releaser, kMemberAck, 8, nil, pr.h.memberAck)
 }
 
 // handleFwdInval invalidates a sharer outside the update set and acks the
@@ -473,10 +492,7 @@ func (pr *Munin) handleFwdInval(s *sim.Svc, m *sim.Msg) {
 		ctx.P.Stats.Invalidations++
 	}
 	//dsmvet:allow chargecat bare ack; the home charged the forward on the update path and the releaser pays the wait, so the ack itself carries no billable work
-	s.Send(u.releaser, kMemberAck, 8, nil, func(s2 *sim.Svc, m2 *sim.Msg) {
-		pr.ps[m2.To].memAcks++
-		s2.Wake(s2.P)
-	})
+	s.Send(u.releaser, kMemberAck, 8, nil, pr.h.memberAck)
 }
 
 // Barrier implements proto.Protocol: flush everything (to all sharers —
@@ -486,7 +502,7 @@ func (pr *Munin) Barrier(c *proto.Ctx) {
 	pr.flush(c, st, nil, false)
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, 0, 0)
 	st.barOut = false
-	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.handleBarArrive)
+	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.h.barArrive)
 	c.P.WaitTag = "munin barrier"
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierDepart, 0, 0)
@@ -503,16 +519,16 @@ func (pr *Munin) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		return
 	}
 	if m.To != proto.BarMgr {
-		pr.relay.Up(s, m.To, kBarArrive, 8, arrived, pr.handleBarArrive)
+		pr.relay.Up(s, m.To, kBarArrive, 8, arrived, pr.h.barArrive)
 		return
 	}
-	pr.relay.Broadcast(s, kBarComplete, 8, nil, pr.handleBarComplete)
+	pr.relay.Broadcast(s, kBarComplete, 8, nil, pr.h.barComplete)
 }
 
 // handleBarComplete releases a processor, relaying the completion to its
 // tree children first.
 func (pr *Munin) handleBarComplete(s *sim.Svc, m *sim.Msg) {
-	pr.relay.Down(s, m, pr.handleBarComplete)
+	pr.relay.Down(s, m, pr.h.barComplete)
 	pr.ps[m.To].barOut = true
 	s.Wake(s.P)
 }

@@ -1,0 +1,82 @@
+package tm
+
+import (
+	"fmt"
+	"testing"
+
+	"aecdsm/internal/mem"
+	"aecdsm/internal/sim"
+	"aecdsm/internal/stats"
+)
+
+// BenchmarkTMFault is the allocation gate of the fault path (CI's
+// bench-smoke asserts 0 allocs/op on every case): at steady state a fault
+// runs on the faulting processor's scratch and the machine's one log, and
+// a notice for a page never valid here is counted and dropped.
+//
+//   - refault/writers=k: processor 0 receives one notice from each of k
+//     writers for a page it holds, and faults on it: the pending list is
+//     sorted and consumed, k requests go out by pointer, the servers fill
+//     the requester's buffer from their cached diffs, the k diffs are
+//     ordered and applied.
+//   - barrier-notices: a barrier release's notices for 64 pages the
+//     processor never touched.
+func BenchmarkTMFault(b *testing.B) {
+	for _, k := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("refault/writers=%d", k), func(b *testing.B) {
+			e, pr, ctxs := rig(k+1, 1)
+			c, st := ctxs[0], pr.ps[0]
+			// Every writer closes one interval on the page; page 0 is homed
+			// at processor 0, so its first access there is no fault.
+			for w := 1; w <= k; w++ {
+				e.Spawn(w, func(*sim.Proc) {
+					ctxs[w].WriteI32(mem.Addr(4*w), int32(w))
+					pr.closeInterval(ctxs[w], pr.ps[w])
+				})
+			}
+			wns := make([]wnRef, k)
+			for i := range wns {
+				wns[i] = wnRef{proc: k - i, seq: 1, page: 0} // descending: the sort has work to do
+			}
+			e.Spawn(0, func(p *sim.Proc) {
+				p.Advance(10_000_000, stats.Busy) // the writers are done
+				round := func() {
+					clear(st.vc) // the notices are fresh again
+					pr.applyWNs(c, st, wns)
+					c.ReadI32(0)
+				}
+				round() // first diffs made and cached, scratch grown
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					round()
+				}
+				b.StopTimer()
+				if got := c.ReadI32(mem.Addr(4 * k)); got != int32(k) {
+					b.Errorf("word of writer %d reads %d", k, got)
+				}
+				if want := uint64(k) * uint64(b.N+1); c.P.Stats.DiffsApplied != want {
+					b.Errorf("%d diffs applied, want %d", c.P.Stats.DiffsApplied, want)
+				}
+			})
+			e.Start()
+		})
+	}
+	b.Run("barrier-notices", func(b *testing.B) {
+		const pages = 64
+		_, pr, ctxs := rig(2, pages)
+		c, st := ctxs[1], pr.ps[1] // homed at processor 0: never valid at 1
+		wns := make([]wnRef, pages)
+		for pg := range wns {
+			wns[pg] = wnRef{proc: 0, seq: 1, page: pg}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.vc[0] = 0
+			if fresh := pr.applyWNs(c, st, wns); fresh != pages {
+				b.Fatalf("%d fresh notices, want %d", fresh, pages)
+			}
+		}
+	})
+}

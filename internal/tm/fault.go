@@ -1,7 +1,8 @@
 package tm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
@@ -23,7 +24,7 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 		// writers' values stamped with an old interval — a regression
 		// when applied elsewhere out of order. (Real TreadMarks creates
 		// pending diffs before applying incoming ones for this reason.)
-		if st.undiffed[page] != nil {
+		if st.pages[page].undiffed != nil {
 			pr.forceDiff(c, st, page, stats.Data)
 		}
 		if !f.EverValid {
@@ -33,11 +34,11 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 			if home := pr.s.InitHome(page); home != c.ID {
 				pr.FetchPage(c, page, home)
 			}
-			pr.fetchAndApplyDiffs(c, st, page, st.history[page])
+			pr.fetchHistory(c, st, page)
 		} else {
-			pr.fetchAndApplyDiffs(c, st, page, st.pendingWN[page])
+			pr.fetchPending(c, st, page)
 		}
-		delete(st.pendingWN, page)
+		pr.applyFetched(c, st)
 		f.Valid = true
 		f.EverValid = true
 	}
@@ -45,65 +46,81 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 	if write {
 		// Re-twinning: any undiffed interval for this page must be
 		// diffed first so its snapshot survives.
-		if st.undiffed[page] != nil {
+		if st.pages[page].undiffed != nil {
 			pr.forceDiff(c, st, page, stats.Data)
 		}
 		c.ChargeTwin(stats.Data)
 		c.M.MakeTwin(page)
-		st.dirty[page] = true
+		st.dirty = append(st.dirty, page)
 		f.WriteEpoch = c.Epoch
 	}
 }
 
-// fetchAndApplyDiffs fetches the diffs for the given write notices from
-// their writers and applies them in interval order.
-func (pr *TM) fetchAndApplyDiffs(c *proto.Ctx, st *tmProc, page int, wns []wnRef) {
-	if len(wns) == 0 {
-		return
-	}
-	// Group by writer, dedupe sequences.
-	byWriter := map[int]map[int]bool{}
-	for _, wn := range wns {
-		if wn.proc == c.ID {
-			continue
+// fetchHistory fetches every diff of a page this processor's clock covers:
+// each other writer's row of the log, cut at vc[writer]. That is exactly
+// the set of notices the processor has received for the page (DESIGN.md
+// has the argument), so nothing per-processor needs to remember them.
+//
+// The log grows while the fault is parked in a call — a writer closing its
+// first interval on the page inserts a row and shifts the rest — so the
+// walk goes by writer id and searches again after each call. A row that
+// appears mid-fault holds only seqs above vc (no notice reaches a faulting
+// processor) and is skipped by the prefix rule.
+func (pr *TM) fetchHistory(c *proto.Ctx, st *tmProc, page int) {
+	for w := 0; ; w++ {
+		rows := pr.log[page]
+		i, _ := rowOf(rows, w)
+		if i == len(rows) {
+			return
 		}
-		if byWriter[wn.proc] == nil {
-			byWriter[wn.proc] = map[int]bool{}
+		w = rows[i].writer
+		if seqs := rows[i].seenBy(st.vc); w != c.ID && len(seqs) > 0 {
+			pr.fetchFrom(c, st, page, w, seqs)
 		}
-		byWriter[wn.proc][wn.seq] = true
 	}
-	writers := make([]int, 0, len(byWriter))
-	for w := range byWriter {
-		writers = append(writers, w)
-	}
-	sort.Ints(writers)
+}
 
-	var all []ivalDiff
-	for _, w := range writers {
-		seqs := make([]int, 0, len(byWriter[w]))
-		for s := range byWriter[w] {
-			seqs = append(seqs, s)
+// fetchPending fetches the diffs named by the notices received since the
+// page was last valid here, writer by writer, and consumes the notices.
+func (pr *TM) fetchPending(c *proto.Ctx, st *tmProc, page int) {
+	pg := &st.pages[page]
+	slices.SortFunc(pg.pending, func(a, b wnRef) int {
+		return cmp.Or(cmp.Compare(a.proc, b.proc), cmp.Compare(a.seq, b.seq))
+	})
+	pend := slices.Compact(pg.pending)
+	for i := 0; i < len(pend); {
+		w := pend[i].proc
+		st.seqs = st.seqs[:0]
+		for ; i < len(pend) && pend[i].proc == w; i++ {
+			st.seqs = append(st.seqs, pend[i].seq)
 		}
-		sort.Ints(seqs)
-		c.P.Stats.DiffRequests++
-		diffs := c.Call(stats.Data, w, kDiffReq, 8+8*len(seqs),
-			diffReq{page: page, seqs: seqs}, pr.handleDiffReq).([]ivalDiff)
-		all = append(all, diffs...)
+		pr.fetchFrom(c, st, page, w, st.seqs)
 	}
-	// Apply in happens-before order (vector clock partial order).
-	// Same-chain intervals are totally ordered; truly concurrent ones
-	// modify disjoint words in race-free programs, so ties are broken
-	// deterministically.
-	all = pr.topoSc.order(all)
+	pg.pending = pend[:0]
+}
+
+// fetchFrom asks one writer for its diffs of the page in the given
+// intervals and parks until they are in st.fetched. One call per writer,
+// in sequence: ROADMAP item 3(b) replaces the callers' loops with a
+// fan-out.
+func (pr *TM) fetchFrom(c *proto.Ctx, st *tmProc, page, writer int, seqs []int) {
+	c.P.Stats.DiffRequests++
+	st.req = diffReq{page: page, seqs: seqs}
+	c.Call(stats.Data, writer, kDiffReq, 8+8*len(seqs), &st.req, pr.h.diffReq)
+}
+
+// applyFetched applies the fault's fetched diffs in happens-before order
+// (vector clock partial order). Same-chain intervals are totally ordered;
+// truly concurrent ones modify disjoint words in race-free programs, so
+// ties are broken deterministically.
+func (pr *TM) applyFetched(c *proto.Ctx, st *tmProc) {
 	pp := &pr.e.Params
-	for _, fd := range all {
-		if fd.d == nil {
-			continue
-		}
+	for _, fd := range pr.topoSc.order(st.fetched) {
 		cost := pp.DiffCycles(fd.d.DataBytes())
 		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(fd.d.DataBytes()))
 		pr.applyDiff(c, fd, cost, stats.Data)
 	}
+	st.fetched = st.fetched[:0]
 }
 
 // applyDiff charges c cost cycles for applying one fetched or piggybacked
@@ -119,22 +136,20 @@ func (pr *TM) applyDiff(c *proto.Ctx, fd ivalDiff, cost uint64, cat stats.Catego
 	c.PatchDiff(fd.d)
 }
 
-// handleDiffReq serves (and lazily creates) interval diffs at the writer.
+// handleDiffReq serves (and lazily creates) interval diffs at the writer,
+// straight into the requester's buffer: the reply carries their size, not
+// a copy of the list.
 func (pr *TM) handleDiffReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(diffReq)
-	st := pr.ps[m.To]
+	req := m.Payload.(*diffReq)
+	st, rq := pr.ps[m.To], pr.ps[m.From]
 	s.ChargeList(len(req.seqs))
-	out := make([]ivalDiff, 0, len(req.seqs))
 	bytes := 0
 	for _, seq := range req.seqs {
-		rec := st.ivals[seq]
-		if rec == nil {
-			continue
-		}
+		rec := pr.closed(m.To, seq, m.From, req.page)
 		if d := pr.svcDiff(s, st, rec, req.page); d != nil {
-			out = append(out, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
+			rq.fetched = append(rq.fetched, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
 			bytes += d.EncodedBytes() + 4*pr.nprocs
 		}
 	}
-	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, out)
+	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, nil)
 }

@@ -1,8 +1,9 @@
 package tm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
@@ -20,7 +21,7 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	vc := append([]int(nil), st.vc...)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs,
-		acqReq{lock: lock, vc: vc, from: c.ID}, pr.handleAcqReq)
+		acqReq{lock: lock, vc: vc, from: c.ID}, pr.h.acqReq)
 	c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	g := st.grant
 	st.grant = nil
@@ -43,58 +44,59 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 // notices (the Lazy Hybrid fast path); everything else falls back to the
 // usual invalidation.
 func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ivalDiff) {
-	covered := map[wnRef]*ivalDiff{}
-	for i := range piggy {
-		p := &piggy[i]
-		covered[wnRef{proc: p.proc, seq: p.seq, page: p.d.Page}] = p
-	}
-	// A page is hybrid-applicable if it is locally valid, has no pending
-	// notices, and every fresh notice for it is covered by a piggyback.
-	freshByPage := map[int][]wnRef{}
+	fresh := st.fresh[:0]
 	for _, wn := range wns {
-		if wn.proc == st.id || wn.seq <= st.vc[wn.proc] {
-			continue
+		if wn.proc != st.id && wn.seq > st.vc[wn.proc] {
+			fresh = append(fresh, wn)
 		}
-		freshByPage[wn.page] = append(freshByPage[wn.page], wn)
 	}
-	pp := &pr.e.Params
-	var fallback []wnRef
-	pages := make([]int, 0, len(freshByPage))
-	for pg := range freshByPage {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	for _, pg := range pages {
-		refs := freshByPage[pg]
-		f := c.M.Peek(pg)
-		ok := f.Valid && len(st.pendingWN[pg]) == 0
-		if ok {
-			for _, wn := range refs {
-				if covered[wn] == nil {
-					ok = false
-					break
-				}
+	// Pages ascending, each page's notices in grant order.
+	slices.SortStableFunc(fresh, func(a, b wnRef) int { return cmp.Compare(a.page, b.page) })
+	covering := func(wn wnRef) *ivalDiff {
+		for i := range piggy {
+			if p := &piggy[i]; p.proc == wn.proc && p.seq == wn.seq && p.d.Page == wn.page {
+				return p
 			}
 		}
+		return nil
+	}
+	pp := &pr.e.Params
+	// Notices that fall back to invalidation are compacted to the front of
+	// the scratch, behind the read cursor.
+	fallback := 0
+	for i, j := 0, 0; i < len(fresh); i = j {
+		pg := fresh[i].page
+		for j = i; j < len(fresh) && fresh[j].page == pg; j++ {
+		}
+		refs := fresh[i:j]
+		// A page is hybrid-applicable if it is locally valid, has no pending
+		// notices, and every fresh notice for it is covered by a piggyback.
+		ok := c.M.Peek(pg).Valid && len(st.pages[pg].pending) == 0
+		for k := 0; ok && k < len(refs); k++ {
+			ok = covering(refs[k]) != nil
+		}
 		if !ok {
-			fallback = append(fallback, refs...)
+			fallback += copy(fresh[fallback:], refs)
 			continue
 		}
 		// Materialize any undiffed local interval first, exactly as
 		// the fault path does: foreign values landing in the page must
 		// not leak into our own lazy diffs.
-		if st.undiffed[pg] != nil {
+		if st.pages[pg].undiffed != nil {
 			pr.forceDiff(c, st, pg, stats.Synch)
 		}
 		// Apply the piggybacked diffs directly; the page stays valid
 		// and the later access fault (and diff fetch) never happens.
 		for _, wn := range refs {
-			d := covered[wn]
+			d := covering(wn)
 			pr.applyDiff(c, *d, pp.DiffCycles(d.d.DataBytes()), stats.Synch)
-			st.history[pg] = append(st.history[pg], wn)
+			if pr.noted != nil {
+				pr.noted(st.id, wn)
+			}
 		}
 	}
-	pr.applyWNs(c, st, fallback)
+	pr.applyWNs(c, st, fresh[:fallback])
+	st.fresh = fresh[:0]
 }
 
 // handleAcqReq lands an ownership request at the lock's manager. The
@@ -117,12 +119,12 @@ func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	if last := pr.Lock(lock).LastReleaser; last >= 0 && last != to {
 		//dsmvet:allow chargecat routing decision only; the acquire/release handlers charged the queue work and the grant body is costed at the releaser
 		s.Send(last, kGrantReq, 8+4*pr.nprocs,
-			grantReq{lock: lock, to: to, vc: vc}, pr.handleGrantReq)
+			grantReq{lock: lock, to: to, vc: vc}, pr.h.grantReq)
 		return
 	}
 	//dsmvet:allow chargecat routing decision only; the acquire/release handlers charged the queue work and the grant body is costed at the releaser
 	s.Send(to, kGrant, 8+4*pr.nprocs,
-		grantMsg{lock: lock, vc: append([]int(nil), vc...)}, pr.handleGrant)
+		grantMsg{lock: lock, vc: append([]int(nil), vc...)}, pr.h.grant)
 }
 
 // handleGrantReq runs at the last releaser: build the write-notice set and
@@ -132,7 +134,7 @@ func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 	req := m.Payload.(grantReq)
 	st := pr.ps[m.To]
-	wns := pr.collectWNs(st.vc, req.vc)
+	wns := pr.collectWNs(req.to, st.vc, req.vc)
 	s.ChargeList(len(wns))
 	g := grantMsg{lock: req.lock, wns: wns, vc: append([]int(nil), st.vc...)}
 	size := 8 + 16*len(wns) + 4*pr.nprocs
@@ -141,10 +143,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 			if wn.proc != st.id {
 				continue
 			}
-			rec := st.ivals[wn.seq]
-			if rec == nil {
-				continue
-			}
+			rec := st.ivals[wn.seq-1]
 			if d := pr.svcDiff(s, st, rec, wn.page); d != nil {
 				g.piggy = append(g.piggy,
 					ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
@@ -152,7 +151,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 			}
 		}
 	}
-	s.Send(req.to, kGrant, size, g, pr.handleGrant)
+	s.Send(req.to, kGrant, size, g, pr.h.grant)
 }
 
 // handleGrant lands the grant at the acquirer.
@@ -172,7 +171,7 @@ func (pr *TM) Release(c *proto.Ctx, lock int) {
 	pr.closeInterval(c, st)
 	c.Epoch++
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
-		relMsg{lock: lock}, pr.handleRel)
+		relMsg{lock: lock}, pr.h.rel)
 }
 
 // handleRel lands a release at the lock's manager; a lazy release leaves
@@ -190,13 +189,9 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 	pr.closeInterval(c, st)
 	// Summaries of own intervals created since the last barrier.
 	var wns []wnRef
-	for seq := st.lastBarSeq + 1; seq <= st.vc[st.id]; seq++ {
-		rec := st.ivals[seq]
-		if rec == nil {
-			continue
-		}
+	for _, rec := range st.ivals[st.lastBarSeq:] {
 		for _, pg := range rec.pages {
-			wns = append(wns, wnRef{proc: st.id, seq: seq, page: pg})
+			wns = append(wns, wnRef{proc: st.id, seq: rec.seq, page: pg})
 		}
 	}
 	st.lastBarSeq = st.vc[st.id]
@@ -207,7 +202,7 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive,
 		16+16*len(wns)+4*pr.nprocs,
 		barArrive{proc: c.ID, vc: append([]int(nil), st.vc...), wns: wns, count: 1},
-		pr.handleBarArrive)
+		pr.h.barArrive)
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
 	c.Epoch++
 }
@@ -243,13 +238,13 @@ func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 	if m.To != proto.BarMgr {
 		s.ChargeList(count)
 		pr.relay.Up(s, m.To, kBarArrive, 16+16*len(wns)+4*pr.nprocs+16*(count-1),
-			barArrive{proc: m.To, vc: vc, wns: wns, count: count}, pr.handleBarArrive)
+			barArrive{proc: m.To, vc: vc, wns: wns, count: count}, pr.h.barArrive)
 		return
 	}
 	clear(pr.barSeen)
 	s.ChargeList(len(wns))
 	pr.relay.Broadcast(s, kBarRelease, 16+16*len(wns)+4*pr.nprocs,
-		barRelease{wns: wns, vc: vc}, pr.handleBarRelease)
+		barRelease{wns: wns, vc: vc}, pr.h.barRelease)
 }
 
 // handleBarRelease applies the merged consistency information and releases
@@ -257,7 +252,7 @@ func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 // tree children first.
 func (pr *TM) handleBarRelease(s *sim.Svc, m *sim.Msg) {
 	r := m.Payload.(barRelease)
-	pr.relay.Down(s, m, pr.handleBarRelease)
+	pr.relay.Down(s, m, pr.h.barRelease)
 	st := pr.ps[m.To]
 	ctx := pr.ctxs[m.To]
 	fresh := pr.applyWNs(ctx, st, r.wns)

@@ -18,8 +18,9 @@
 package tm
 
 import (
+	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"aecdsm/internal/mem"
 	"aecdsm/internal/pool"
@@ -55,9 +56,40 @@ type wnRef struct {
 type interval struct {
 	proc, seq int
 	vc        []int
-	pages     []int
-	twins     map[int][]byte    // undiffed pages: twin snapshots
-	diffs     map[int]*mem.Diff // lazily created diffs
+	pages     []int       // ascending
+	twins     [][]byte    // parallel to pages: the twin while the page is undiffed
+	diffs     []*mem.Diff // parallel to pages: the lazily created diff
+}
+
+// slot returns the index of pg in the interval's parallel slices. Callers
+// name a page through the interval's own notices, so a page it did not
+// write is a protocol bug.
+func (rec *interval) slot(pg int) int {
+	i, ok := slices.BinarySearch(rec.pages, pg)
+	if !ok {
+		panic(fmt.Sprintf("tm: interval #%d of proc %d did not write page %d", rec.seq, rec.proc, pg))
+	}
+	return i
+}
+
+// tmPage is one processor's protocol state for one page.
+type tmPage struct {
+	undiffed *interval // own latest interval still holding the page's twin
+	// pending is the unapplied write notices of a page that has been valid
+	// here: what the next fault fetches. A page never valid here keeps
+	// none — its first fault reads TM.log instead. Truncated, not freed,
+	// when the fault consumes it.
+	pending []wnRef
+}
+
+// wnRow is one writer's line in the machine-wide write-notice log of a
+// page: the seqs of its intervals that modified the page, ascending.
+// seqs only ever grows by append, so a prefix of it may be aliased
+// across a blocking call; the row slice holding it may not (a writer
+// closing its first interval on the page inserts a row).
+type wnRow struct {
+	writer int
+	seqs   []int
 }
 
 // tmProc is the per-processor TreadMarks state.
@@ -65,11 +97,17 @@ type tmProc struct {
 	id int
 	vc []int // vc[p] = highest interval of processor p seen
 
-	dirty     map[int]bool      // pages written in the current interval
-	ivals     map[int]*interval // own closed intervals by seq
-	undiffed  map[int]*interval // page -> own latest undiffed interval
-	pendingWN map[int][]wnRef   // unapplied write notices per page
-	history   map[int][]wnRef   // every write notice ever seen per page
+	dirty []int       // pages written in the current interval, deduped at its close
+	ivals []*interval // own closed intervals; seq s is ivals[s-1]
+	pages []tmPage    // by page number
+
+	// Fault-path scratch. A processor is inside at most one fault, and no
+	// write notice reaches it there (it has neither arrived at a barrier
+	// nor asked for a lock), so one of each is enough.
+	req     diffReq    // the request in flight, sent by pointer
+	seqs    []int      // req.seqs for a re-fault, gathered from pending; never grown through req.seqs, which may alias the log
+	fetched []ivalDiff // filled by the serving handlers, then ordered and applied
+	fresh   []wnRef    // Lazy Hybrid: a grant's fresh notices, sorted by page
 
 	grant      *grantMsg
 	barOut     bool
@@ -104,6 +142,9 @@ type grantReq struct { // manager -> last releaser: build the grant
 
 type relMsg struct{ lock int }
 
+// diffReq asks one writer for its diffs of a page. It lives on the
+// requester's tmProc and travels by pointer; the server appends what it
+// serves to the requester's fetched buffer.
 type diffReq struct {
 	page int
 	seqs []int
@@ -319,6 +360,24 @@ type TM struct {
 	ctxs []*proto.Ctx
 	ps   []*tmProc
 
+	// log[page] is every write notice of the page, stored once for the
+	// machine: one row per writer, ascending by writer, appended as
+	// intervals close. A processor's view of it is the prefix its vector
+	// clock covers (DESIGN.md, "TreadMarks' write notices"), so nobody
+	// keeps a copy. Intervals are never collected; neither is the log.
+	log [][]wnRow
+
+	// h is the message handlers, bound once in Attach: a method value
+	// written at a send site is a fresh closure per message.
+	h struct {
+		acqReq, grantReq, grant, rel   sim.Handler
+		diffReq, barArrive, barRelease sim.Handler
+	}
+
+	// noted, set by tests only, sees every fresh write notice as it is
+	// received.
+	noted func(proc int, wn wnRef)
+
 	relay   proto.Relay // barrier fan-in/fan-out
 	barSeen []bool      // manager's duplicate-arrival guard
 
@@ -364,15 +423,14 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.ps = make([]*tmProc, pr.nprocs)
 	for i := range pr.ps {
 		pr.ps[i] = &tmProc{
-			id:        i,
-			vc:        make([]int, pr.nprocs),
-			dirty:     make(map[int]bool),
-			ivals:     make(map[int]*interval),
-			undiffed:  make(map[int]*interval),
-			pendingWN: make(map[int][]wnRef),
-			history:   make(map[int][]wnRef),
+			id:    i,
+			vc:    make([]int, pr.nprocs),
+			pages: make([]tmPage, s.Pages()),
 		}
 	}
+	pr.log = make([][]wnRow, s.Pages())
+	pr.h.acqReq, pr.h.grantReq, pr.h.grant, pr.h.rel = pr.handleAcqReq, pr.handleGrantReq, pr.handleGrant, pr.handleRel
+	pr.h.diffReq, pr.h.barArrive, pr.h.barRelease = pr.handleDiffReq, pr.handleBarArrive, pr.handleBarRelease
 	pr.InitLocks(e, 2, kRepLog, pr)
 	pr.InitPageHome(ctxs, kPageReq, kPageRep, nil)
 	pr.barSeen = make([]bool, pr.nprocs)
@@ -385,49 +443,86 @@ func (pr *TM) Done(c *proto.Ctx) {}
 func (pr *TM) Notice(c *proto.Ctx, lock int) {}
 
 // closeInterval ends the current interval if it modified anything,
-// recording the twins for lazy diffing.
+// recording the twins for lazy diffing and the interval's write notices in
+// the machine's log.
 func (pr *TM) closeInterval(c *proto.Ctx, st *tmProc) {
 	if len(st.dirty) == 0 {
 		return
 	}
 	st.vc[st.id]++
+	slices.Sort(st.dirty)
+	pages := slices.Clone(slices.Compact(st.dirty))
+	st.dirty = st.dirty[:0]
 	rec := &interval{
 		proc:  st.id,
 		seq:   st.vc[st.id],
-		vc:    append([]int(nil), st.vc...),
-		twins: make(map[int][]byte),
-		diffs: make(map[int]*mem.Diff),
+		vc:    slices.Clone(st.vc),
+		pages: pages,
+		twins: make([][]byte, len(pages)),
+		diffs: make([]*mem.Diff, len(pages)),
 	}
-	pages := make([]int, 0, len(st.dirty))
-	for pg := range st.dirty {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
-	rec.pages = pages
-	for _, pg := range pages {
+	for i, pg := range pages {
 		f := c.M.Frame(pg)
 		if f.Twin != nil {
-			rec.twins[pg] = f.Twin
+			rec.twins[i] = f.Twin
 			f.Twin = nil
-			st.undiffed[pg] = rec
+			st.pages[pg].undiffed = rec
 		}
 		writeProtect(f)
+		pr.logNotice(pg, st.id, rec.seq)
 	}
-	st.ivals[rec.seq] = rec
-	st.dirty = make(map[int]bool)
+	st.ivals = append(st.ivals, rec)
 	// Interval bookkeeping cost.
 	c.P.Advance(pr.e.Params.ListCycles(len(pages)), stats.Synch)
+}
+
+// rowOf returns the index of writer's row in rows, or where it would be
+// inserted.
+func rowOf(rows []wnRow, writer int) (int, bool) {
+	return slices.BinarySearchFunc(rows, writer, func(r wnRow, w int) int { return r.writer - w })
+}
+
+// logNotice appends (writer, seq) to the page's log.
+func (pr *TM) logNotice(pg, writer, seq int) {
+	i, ok := rowOf(pr.log[pg], writer)
+	if !ok {
+		pr.log[pg] = slices.Insert(pr.log[pg], i, wnRow{writer: writer})
+	}
+	row := &pr.log[pg][i]
+	row.seqs = append(row.seqs, seq)
+}
+
+// seenBy returns the prefix of the row its reader's clock covers.
+func (r wnRow) seenBy(vc []int) []int {
+	k, _ := slices.BinarySearch(r.seqs, vc[r.writer]+1)
+	return r.seqs[:k]
+}
+
+// closed returns holder's closed interval seq, wanted by asker for page
+// (-1: for all its pages). Every seq up to vc[holder] closed an interval
+// and intervals are never collected, so one that is asked for — by a
+// request derived from the log, or a clock that covers it — and not held
+// is a protocol bug; skipping it would leave a stale page behind a clean
+// checksum path.
+func (pr *TM) closed(holder, seq, asker, page int) *interval {
+	ivals := pr.ps[holder].ivals
+	if seq < 1 || seq > len(ivals) {
+		panic(fmt.Sprintf("tm: proc %d wants interval #%d of proc %d (page %d), which has closed only %d",
+			asker, seq, holder, page, len(ivals)))
+	}
+	return ivals[seq-1]
 }
 
 // forceDiff materializes the diff of an undiffed interval for a page, on
 // the generator's critical path. cat attributes the cost (Data when forced
 // by a local re-twin, reported by Svc-based callers separately).
 func (pr *TM) forceDiff(c *proto.Ctx, st *tmProc, pg int, cat stats.Category) {
-	rec := st.undiffed[pg]
+	rec := st.pages[pg].undiffed
 	if rec == nil {
 		return
 	}
-	d := c.M.MakeDiff(pg, rec.twins[pg], pr.e.Params.WordBytes)
+	i := rec.slot(pg)
+	d := c.M.MakeDiff(pg, rec.twins[i], pr.e.Params.WordBytes)
 	pp := &pr.e.Params
 	cost := pp.DiffCycles(pr.pageSize)
 	cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
@@ -444,22 +539,23 @@ func (pr *TM) forceDiff(c *proto.Ctx, st *tmProc, pg int, cat stats.Category) {
 	// remote diff request serviced during the charge must find this diff
 	// cached — re-diffing the interval would consume its twin twice and
 	// ship a redundant duplicate.
-	rec.diffs[pg] = d
-	c.M.RecycleTwin(rec.twins[pg])
-	delete(rec.twins, pg)
-	delete(st.undiffed, pg)
+	rec.diffs[i] = d
+	c.M.RecycleTwin(rec.twins[i])
+	rec.twins[i] = nil
+	st.pages[pg].undiffed = nil
 	c.P.Advance(cost, cat)
 }
 
 // svcDiff creates a requested diff in service context (the generator-side
 // critical path cost the paper calls out).
 func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
-	if d := rec.diffs[pg]; d != nil {
+	i := rec.slot(pg)
+	if d := rec.diffs[i]; d != nil {
 		return d
 	}
-	twin, ok := rec.twins[pg]
-	if !ok {
-		return nil
+	twin := rec.twins[i]
+	if twin == nil {
+		return nil // written without a twin to compare against: nothing to ship
 	}
 	ctx := pr.ctxs[st.id]
 	pp := &pr.e.Params
@@ -475,18 +571,20 @@ func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 	pr.e.Tracer.Diff(s.Now, st.id, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
 	// Publish before charging, mirroring forceDiff: a concurrent local
 	// fault on the same page must reuse this diff, not re-diff the twin.
-	rec.diffs[pg] = d
+	rec.diffs[i] = d
 	ctx.M.RecycleTwin(twin)
-	delete(rec.twins, pg)
-	if st.undiffed[pg] == rec {
-		delete(st.undiffed, pg)
+	rec.twins[i] = nil
+	if st.pages[pg].undiffed == rec {
+		st.pages[pg].undiffed = nil
 	}
 	s.Charge(cost)
 	s.ChargeMem(pr.pageSize)
 	return d
 }
 
-// applyWNs invalidates pages named by write notices and records them.
+// applyWNs invalidates pages named by write notices and records them as
+// pending where a fault will read them: on pages that have been valid
+// here. A page never valid here takes its first fault from the log.
 // Returns the number of fresh notices (not already seen).
 func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 	fresh := 0
@@ -496,9 +594,14 @@ func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 		}
 		fresh++
 		ctx.P.Stats.WriteNoticesReceived++
-		st.history[wn.page] = append(st.history[wn.page], wn)
-		st.pendingWN[wn.page] = append(st.pendingWN[wn.page], wn)
+		if pr.noted != nil {
+			pr.noted(st.id, wn)
+		}
 		f := ctx.M.Peek(wn.page)
+		if f.EverValid {
+			pg := &st.pages[wn.page]
+			pg.pending = append(pg.pending, wn)
+		}
 		if f.Valid {
 			ctx.M.Invalidate(wn.page)
 			ctx.P.Stats.Invalidations++
@@ -507,18 +610,14 @@ func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 	return fresh
 }
 
-// collectWNs gathers the write notices for all intervals the target (with
-// vector clock tvc) has not seen, from the perspective of a processor
+// collectWNs gathers the write notices for all intervals the target to
+// (with vector clock tvc) has not seen, from the perspective of a processor
 // whose knowledge is svc.
-func (pr *TM) collectWNs(svc, tvc []int) []wnRef {
+func (pr *TM) collectWNs(to int, svc, tvc []int) []wnRef {
 	out := pr.wns.Get()
 	for p := 0; p < pr.nprocs; p++ {
 		for seq := tvc[p] + 1; seq <= svc[p]; seq++ {
-			rec := pr.ps[p].ivals[seq]
-			if rec == nil {
-				continue
-			}
-			for _, pg := range rec.pages {
+			for _, pg := range pr.closed(p, seq, to, -1).pages {
 				out = append(out, wnRef{proc: p, seq: seq, page: pg})
 			}
 		}

@@ -220,17 +220,17 @@ func TestCollectWNsBounds(t *testing.T) {
 	// Minimal attach surrogate: 2 procs with intervals.
 	pr.nprocs = 2
 	pr.ps = []*tmProc{
-		{id: 0, vc: []int{2, 0}, ivals: map[int]*interval{
-			1: {proc: 0, seq: 1, pages: []int{3}},
-			2: {proc: 0, seq: 2, pages: []int{4, 5}},
+		{id: 0, vc: []int{2, 0}, ivals: []*interval{
+			{proc: 0, seq: 1, pages: []int{3}},
+			{proc: 0, seq: 2, pages: []int{4, 5}},
 		}},
-		{id: 1, vc: []int{0, 0}, ivals: map[int]*interval{}},
+		{id: 1, vc: []int{0, 0}},
 	}
-	wns := pr.collectWNs([]int{2, 0}, []int{0, 0})
+	wns := pr.collectWNs(1, []int{2, 0}, []int{0, 0})
 	if len(wns) != 3 {
 		t.Fatalf("got %d write notices, want 3", len(wns))
 	}
-	wns = pr.collectWNs([]int{2, 0}, []int{1, 0})
+	wns = pr.collectWNs(1, []int{2, 0}, []int{1, 0})
 	if len(wns) != 2 {
 		t.Fatalf("incremental: got %d, want 2", len(wns))
 	}
@@ -261,16 +261,8 @@ func TestLazyHybridName(t *testing.T) {
 // remote diff request) has made the diff, the twin is the buffer the next
 // MakeTwin on that processor gets, and the diff does not alias it.
 func TestConsumedTwinsRecycled(t *testing.T) {
-	p := memsys.Default().ForProcs(2)
-	e := sim.New(p, stats.NewRun("t", "TM", p.NumProcs))
-	space := mem.NewSpace(p.PageSize)
-	space.Alloc("data", 2*p.PageSize, 0)
-	pr := New()
-	ctxs := make([]*proto.Ctx, p.NumProcs)
-	for i := range ctxs {
-		ctxs[i] = proto.NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, pr, i, p.NumProcs)
-	}
-	pr.Attach(e, space, ctxs)
+	e, pr, ctxs := rig(2, 2)
+	p := e.Params
 	e.Spawn(1, func(*sim.Proc) {})
 	e.Spawn(0, func(*sim.Proc) {
 		c, st := ctxs[0], pr.ps[0]
@@ -279,16 +271,24 @@ func TestConsumedTwinsRecycled(t *testing.T) {
 		frames := []*mem.Frame{c.M.Frame(0), c.M.Frame(1)}
 		twins := []*byte{&frames[0].Twin[0], &frames[1].Twin[0]}
 		pr.closeInterval(c, st)
-		rec := st.undiffed[1]
-		if frames[0].Twin != nil || frames[1].Twin != nil || rec == nil || len(rec.twins) != 2 {
+		rec := st.pages[1].undiffed
+		held := func() (n int) {
+			for _, tw := range rec.twins {
+				if tw != nil {
+					n++
+				}
+			}
+			return n
+		}
+		if frames[0].Twin != nil || frames[1].Twin != nil || rec == nil || held() != 2 {
 			t.Errorf("closeInterval left twins %v, %v and interval %+v; want both stolen into it", frames[0].Twin != nil, frames[1].Twin != nil, rec)
 			return
 		}
 		pr.forceDiff(c, st, 0, stats.Data)
 		svc := &sim.Svc{E: e, P: c.P, Now: c.P.Clock}
-		diffs := []*mem.Diff{rec.diffs[0], pr.svcDiff(svc, st, rec, 1)}
-		if len(rec.twins) != 0 {
-			t.Errorf("%d twins left in the interval after both diffs were made", len(rec.twins))
+		diffs := []*mem.Diff{rec.diffs[rec.slot(0)], pr.svcDiff(svc, st, rec, 1)}
+		if held() != 0 {
+			t.Errorf("%d twins left in the interval after both diffs were made", held())
 		}
 		// LIFO: page 1's twin went back last.
 		for _, pg := range []int{1, 0} {
@@ -304,6 +304,69 @@ func TestConsumedTwinsRecycled(t *testing.T) {
 			if diffs[pg].DataBytes() != 4 || out[0] != want {
 				t.Errorf("page %d: diff carries %d bytes, first %d; want the 4-byte write of %d", pg, diffs[pg].DataBytes(), out[0], want)
 			}
+		}
+	})
+	e.Start()
+}
+
+// rig attaches a TreadMarks instance to a bare engine of nprocs processors
+// sharing pages pages, all homed at processor 0: what the harness builds,
+// without a program.
+func rig(nprocs, pages int) (*sim.Engine, *TM, []*proto.Ctx) {
+	p := memsys.Default().ForProcs(nprocs)
+	e := sim.New(p, stats.NewRun("t", "TM", p.NumProcs))
+	space := mem.NewSpace(p.PageSize)
+	space.Alloc("data", pages*p.PageSize, 0)
+	pr := New()
+	ctxs := make([]*proto.Ctx, p.NumProcs)
+	for i := range ctxs {
+		ctxs[i] = proto.NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, pr, i, p.NumProcs)
+	}
+	pr.Attach(e, space, ctxs)
+	return e, pr, ctxs
+}
+
+// TestLogRowInsertedMidFault: processor 2 takes its first fault on a page
+// written by processors 1 and 3. While it is parked in the request to
+// processor 1, processor 0's row is inserted at the head of the page's
+// log, shifting the others. The walk must go on to processor 3 — a walk
+// by row index would land on processor 1 again and apply its diff twice.
+func TestLogRowInsertedMidFault(t *testing.T) {
+	e, pr, ctxs := rig(4, 1)
+	write := func(id int, off mem.Addr, v int32) func(*sim.Proc) {
+		return func(*sim.Proc) {
+			ctxs[id].WriteI32(off, v)
+			pr.closeInterval(ctxs[id], pr.ps[id])
+		}
+	}
+	e.Spawn(1, write(1, 0, 11))
+	e.Spawn(3, write(3, 4, 33))
+	reqs := &ctxs[2].P.Stats.DiffRequests
+	e.Spawn(0, func(p *sim.Proc) {
+		for *reqs == 0 {
+			p.Advance(50, stats.Busy)
+		}
+		if *reqs != 1 {
+			t.Errorf("the row went in after %d requests, want inside the first", *reqs)
+		}
+		pr.logNotice(0, 0, 1)
+	})
+	e.Spawn(2, func(p *sim.Proc) {
+		p.Advance(1_000_000, stats.Busy) // both writers have closed their intervals
+		if len(pr.log[0]) != 2 {
+			t.Errorf("log has %d rows before the fault, want processors 1 and 3", len(pr.log[0]))
+		}
+		st := pr.ps[2]
+		st.vc[1], st.vc[3] = 1, 1 // as if a grant had delivered both notices
+		c := ctxs[2]
+		if a, b := c.ReadI32(0), c.ReadI32(4); a != 11 || b != 33 {
+			t.Errorf("read %d, %d after the fault; want 11, 33", a, b)
+		}
+		if got := c.P.Stats; got.DiffRequests != 2 || got.DiffsApplied != 2 {
+			t.Errorf("%d requests, %d diffs applied; want one of each per writer", got.DiffRequests, got.DiffsApplied)
+		}
+		if len(pr.log[0]) != 3 || pr.log[0][0].writer != 0 {
+			t.Errorf("log rows %+v: processor 0's row did not go in at the head", pr.log[0])
 		}
 	})
 	e.Start()
