@@ -59,7 +59,7 @@ results:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMakeDiff|BenchmarkMergeDiffs' -benchmem -json . \
 		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkMakeDiff/clean$$|BenchmarkMergeDiffs/.*/steady$$' | tee BENCH_kernels.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff|BenchmarkTMFault' -benchmem -json ./internal/sim/ ./internal/tm/ \
-		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkScheduleDeep$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$|BenchmarkTMFault/' | tee BENCH_engine.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff|BenchmarkTMFault|BenchmarkTopoOrder' -benchmem -json ./internal/sim/ ./internal/tm/ \
+		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkScheduleDeep$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$|BenchmarkTMFault/|BenchmarkTopoOrder/' | tee BENCH_engine.json
 	$(GO) test -run '^$$' -bench 'BenchmarkScaling' -timeout 30m -json . \
 		| $(GO) run ./cmd/benchsum | tee BENCH_scaling.json

@@ -135,7 +135,7 @@ func NewProtocol(kind ProtocolKind, ns int) proto.Protocol {
 	case ProtoMuninLAP:
 		return munin.New(munin.Options{UseLAP: true, Ns: ns})
 	case ProtoIdeal:
-		return proto.NewIdeal(4096)
+		return proto.NewIdeal(0) // sized by compose, through SetNumLocks
 	}
 	panic("harness: unknown protocol kind " + string(kind))
 }

@@ -122,8 +122,15 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 	}
 
 	eng := sim.New(params, run)
-	if err := params.ValidateSpace(space.Pages() * params.PageSize); err != nil {
+	spaceBytes := space.Pages() * params.PageSize
+	if err := params.ValidateSpace(spaceBytes); err != nil {
 		panic(fmt.Sprintf("harness: %s: %v", prog.Name(), err))
+	}
+	// Init has laid the space out and nothing allocates after it (the
+	// per-processor frame tables are sized from it just below), so the
+	// caches need tag slots for these lines only.
+	for _, p := range eng.Procs {
+		p.Cache.Bound(spaceBytes)
 	}
 	if fcfg != nil {
 		eng.EnableFaults(*fcfg)

@@ -56,3 +56,13 @@ func TestRunDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestIdealSizedByProgram: the ideal protocol's lock table comes from the
+// program through compose (proto.NumLocksProvider), not from a constant in
+// NewProtocol, so a program with more locks than any constant runs.
+func TestIdealSizedByProgram(t *testing.T) {
+	res := Run(memsys.Default().ForProcs(4), NewProtocol(ProtoIdeal, 2), apps.NewMicroRMW(5000, 1))
+	if res.Deadlocked || res.VerifyErr != nil {
+		t.Fatalf("micro-rmw with 5000 locks under ideal: deadlocked=%v, verify: %v", res.Deadlocked, res.VerifyErr)
+	}
+}

@@ -110,9 +110,19 @@ func appendRuns(enc, twin, cur []byte, wordBytes int) ([]byte, int) {
 		// Skip clean regions 8 bytes at a time. i is always word-aligned
 		// and wordBytes divides 8, so an equal 8-byte window means every
 		// word inside it is equal (the window itself need not be 8-aligned).
-		for i+8 <= n &&
-			binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
+		// One clean window usually opens a clean stretch, which is crossed
+		// a cache line at a time (the array compare is one memequal); the
+		// windows then find the word inside the line that stopped it. A
+		// dense page's windows differ, and it never gets here.
+		if i+8 <= n && binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
 			i += 8
+			for i+64 <= n && *(*[64]byte)(twin[i:]) == *(*[64]byte)(cur[i:]) {
+				i += 64
+			}
+			for i+8 <= n &&
+				binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
+				i += 8
+			}
 		}
 		if i >= n {
 			break

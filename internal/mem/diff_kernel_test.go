@@ -149,6 +149,51 @@ func TestMakeDiffFastMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestMakeDiffBlockSkipEdges: the clean-stretch skip crosses the page 64
+// bytes at a time from wherever a clean 8-byte window left it, so the
+// pages that could fool it are the ones whose only change sits at an edge
+// of that stride: the first word, the last word, and the word either side
+// of every 64-byte boundary, alone and together.
+func TestMakeDiffBlockSkipEdges(t *testing.T) {
+	const ps = 512
+	for _, wordBytes := range []int{1, 2, 4, 8} {
+		check := func(what string, offs ...int) {
+			t.Helper()
+			twin, cur := make([]byte, ps), make([]byte, ps)
+			for i := range twin {
+				twin[i] = byte(i * 31)
+			}
+			copy(cur, twin)
+			for _, off := range offs {
+				cur[off+wordBytes-1] ^= 0x80 // the word's last byte: a narrower compare would miss it
+			}
+			got, ref := MakeDiff(0, twin, cur, wordBytes), genericDiff(twin, cur, wordBytes)
+			if !sameEncoding(got, ref) {
+				t.Fatalf("%d-byte words, %s %v changed:\n got %v\nwant %v", wordBytes, what, offs, got, ref)
+			}
+			if got == nil || got.runs > len(offs) {
+				t.Fatalf("%d-byte words, %s %v changed: diff %v", wordBytes, what, offs, got)
+			}
+		}
+		check("first word", 0)
+		check("last word", ps-wordBytes)
+		check("first and last word", 0, ps-wordBytes)
+		for b := 64; b < ps; b += 64 {
+			check("word below the boundary", b-wordBytes)
+			check("word at the boundary", b)
+			check("words either side of the boundary", b-wordBytes, b)
+			// The skip starts 8 bytes past a clean window, not at a line:
+			// put the window at every word of the line before.
+			check("word at the boundary after a dirty one", b-64+wordBytes, b)
+		}
+		var every []int
+		for b := 64; b < ps; b += 64 {
+			every = append(every, b-wordBytes, b+wordBytes)
+		}
+		check("a word either side of every boundary", every...)
+	}
+}
+
 // TestMakeDiffOddGeometry exercises the generic fallback (word size not
 // dividing 8, page size not a multiple of 8) through the public entry.
 func TestMakeDiffOddGeometry(t *testing.T) {

@@ -27,7 +27,13 @@ func FuzzMakeDiff(f *testing.F) {
 	_, dense := page(256, func(i int) bool { return i%4 == 0 })
 	_, alternating := page(256, func(i int) bool { return i%8 < 4 })
 	_, tail := page(256, func(i int) bool { return i >= 250 })
+	// The clean-stretch skip's stride: nothing but the page's two end
+	// words, and a word either side of every 64-byte boundary.
+	_, ends := page(256, func(i int) bool { return i < 4 || i >= 252 })
+	_, lineEdges := page(256, func(i int) bool { return i >= 60 && i < 252 && (i%64 >= 60 || i%64 < 4) })
 	f.Add(clean, clean, clean, int8(4))
+	f.Add(clean, ends, lineEdges, int8(4))
+	f.Add(clean, lineEdges, ends, int8(8))
 	f.Add(clean, sparse, dense, int8(4))
 	f.Add(clean, dense, sparse, int8(8))
 	f.Add(clean, alternating, tail, int8(4))

@@ -1,5 +1,7 @@
 package memsys
 
+import "fmt"
+
 // Cache simulates a direct-mapped, write-allocate first-level data cache
 // over the shared address space. Only shared data goes through the cache
 // model; instructions and private data are assumed to take one cycle, as
@@ -12,7 +14,14 @@ type Cache struct {
 	// tag's low bits (the line's own, rotated by one: the same lines
 	// conflict). Params.ValidateSpace refuses a space whose lines such a
 	// tag cannot tell apart.
-	tags []uint32
+	//
+	// The slots are allocated by the first access, and only those the
+	// space can index: a space of S lines has tags 1..S, which fall in
+	// slots 1..S while S is below the cache's size (DESIGN.md, "Cache
+	// tags"). A simulation of a few pages does not zero 32 KB per
+	// processor for it.
+	tags  []uint32
+	bound int // lines of the space behind the cache; 0: not told, any line
 
 	// Statistics.
 	Hits   uint64
@@ -22,8 +31,34 @@ type Cache struct {
 // NewCache builds a cache of totalBytes capacity with the given line size.
 // Both must be powers of two with totalBytes a multiple of lineBytes.
 func NewCache(totalBytes, lineBytes int) *Cache {
-	n := totalBytes / lineBytes
-	return &Cache{lineShift: shiftFor(lineBytes), lines: n, tags: make([]uint32, n)}
+	return &Cache{lineShift: shiftFor(lineBytes), lines: totalBytes / lineBytes}
+}
+
+// Bound tells a cache not yet accessed that every address it will see lies
+// in [0, spaceBytes). Hits and misses are the unbounded cache's; an access
+// beyond the bound panics.
+func (c *Cache) Bound(spaceBytes int) {
+	if c.tags != nil {
+		panic("memsys: Cache.Bound after the first access")
+	}
+	c.bound = (spaceBytes + 1<<c.lineShift - 1) >> c.lineShift
+}
+
+// first is the access that finds a slot missing: a cache's first, which
+// makes the slots and starts over, or one that indexes a slot the bound
+// ruled out. Access calls it before it has counted anything and returns
+// what it returns, so that its own loop keeps nothing live across a call.
+func (c *Cache) first(addr, n int) int {
+	if c.tags != nil {
+		panic(fmt.Sprintf("memsys: cache access [%#x, %#x) is outside the %d lines (%#x bytes) the cache was bounded to",
+			addr, addr+n, c.bound, c.bound<<c.lineShift))
+	}
+	slots := c.lines
+	if c.bound > 0 {
+		slots = min(slots, c.bound+1)
+	}
+	c.tags = make([]uint32, slots)
+	return c.Access(addr, n)
 }
 
 // Reset empties the cache.
@@ -37,13 +72,19 @@ func (c *Cache) Access(addr, n int) (misses int) {
 	}
 	first := addr>>c.lineShift + 1
 	last := (addr+n-1)>>c.lineShift + 1
+	tags, mask := c.tags, uint(c.lines-1)
 	for tag := first; tag <= last; tag++ {
-		idx := tag & (c.lines - 1)
-		if c.tags[idx] == uint32(tag) {
+		idx := uint(tag) & mask
+		if idx >= uint(len(tags)) {
+			// No slots yet, so this is the range's first line; or the
+			// bound is broken, and first does not return.
+			return c.first(addr, n)
+		}
+		if tags[idx] == uint32(tag) {
 			c.Hits++
 			continue
 		}
-		c.tags[idx] = uint32(tag)
+		tags[idx] = uint32(tag)
 		c.Misses++
 		misses++
 	}
@@ -65,7 +106,8 @@ func (c *Cache) InvalidateRange(addr, n int) {
 		return
 	}
 	for tag := first; tag <= last; tag++ {
-		if idx := tag & (c.lines - 1); c.tags[idx] == uint32(tag) {
+		// A slot not allocated holds no line.
+		if idx := uint(tag & (c.lines - 1)); idx < uint(len(c.tags)) && c.tags[idx] == uint32(tag) {
 			c.tags[idx] = 0
 		}
 	}

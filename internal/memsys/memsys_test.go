@@ -1,7 +1,9 @@
 package memsys
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,6 +257,106 @@ func TestCacheMatchesWideTagOracle(t *testing.T) {
 	c := NewCache(lines*lineBytes, lineBytes)
 	if c.Access(0, 1) != 1 || c.Access(top, 1) != 1 || c.Access(0, 1) != 0 || c.Access(top, 1) != 0 {
 		t.Fatal("line 0 and the last line must each miss once in a fresh cache, then hit")
+	}
+}
+
+// TestBoundedCacheMatchesUnbounded: a cache told its space's extent and
+// one never told report the same misses, access by access, and the same
+// counters over random access, invalidate and reset streams inside the
+// bound — for spaces below, at and above the cache's size — while holding
+// only the slots the space can index. The stream opens with the calls a
+// cache must shrug off before its first access.
+func TestBoundedCacheMatchesUnbounded(t *testing.T) {
+	const lines, lineBytes = 64, 32
+	for _, spaceLines := range []int{1, 5, lines - 1, lines, lines + 1, 4 * lines} {
+		spaceBytes := spaceLines*lineBytes - 7 // the last line is partly outside: the bound rounds up
+		rng := rand.New(rand.NewSource(int64(spaceLines)))
+		bounded, plain := NewCache(lines*lineBytes, lineBytes), NewCache(lines*lineBytes, lineBytes)
+		bounded.Bound(spaceBytes)
+		for _, c := range []*Cache{bounded, plain} {
+			c.InvalidateRange(0, spaceBytes)
+			c.InvalidateRange(0, 1)
+			c.Reset()
+		}
+		if bounded.tags != nil || plain.tags != nil {
+			t.Fatalf("space of %d lines: tags allocated before the first access", spaceLines)
+		}
+		for op := 0; op < 4000; op++ {
+			addr := rng.Intn(spaceBytes)
+			n := min(1+rng.Intn(6*lineBytes), spaceBytes-addr)
+			switch k := rng.Intn(50); {
+			case k == 0:
+				bounded.Reset()
+				plain.Reset()
+			case k < 10:
+				bounded.InvalidateRange(addr, n)
+				plain.InvalidateRange(addr, n)
+			default:
+				if got, want := bounded.Access(addr, n), plain.Access(addr, n); got != want {
+					t.Fatalf("space of %d lines, op %d: Access(%d, %d) = %d misses bounded, %d unbounded",
+						spaceLines, op, addr, n, got, want)
+				}
+			}
+		}
+		if bounded.Hits != plain.Hits || bounded.Misses != plain.Misses {
+			t.Fatalf("space of %d lines: %d hits, %d misses bounded; %d, %d unbounded",
+				spaceLines, bounded.Hits, bounded.Misses, plain.Hits, plain.Misses)
+		}
+		if got, want := len(bounded.tags), min(lines, spaceLines+1); got != want || len(plain.tags) != lines {
+			t.Fatalf("space of %d lines: %d slots bounded, want %d; %d unbounded, want %d",
+				spaceLines, got, want, len(plain.tags), lines)
+		}
+	}
+}
+
+// TestBoundedCacheRefusesBeyondBound: an address past the space is a bug
+// in whoever bounded the cache; it is named, not absorbed — as a cache's
+// first access and after others.
+func TestBoundedCacheRefusesBeyondBound(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		c := NewCache(64*32, 32)
+		c.Bound(5 * 32)
+		if warm {
+			c.Access(0, 5*32)
+		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"[0xa0, 0xa4)", "5 lines"} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("warm=%v: panic %q does not name %q", warm, msg, want)
+					}
+				}
+			}()
+			c.Access(5*32, 4)
+			t.Errorf("warm=%v: access beyond the bound went through", warm)
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Bound after the first access went through")
+		}
+	}()
+	c := NewCache(64*32, 32)
+	c.Access(0, 1)
+	c.Bound(5 * 32)
+}
+
+// TestCacheAllocatesOnFirstAccess: building and bounding a cache costs the
+// record alone; the tags come with the first access, once.
+func TestCacheAllocatesOnFirstAccess(t *testing.T) {
+	var c *Cache
+	if n := testing.AllocsPerRun(100, func() {
+		c = NewCache(256*1024, 32)
+		c.Bound(3 * 4096)
+	}); n > 1 {
+		t.Errorf("NewCache + Bound: %v allocations, want the Cache itself", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Access(4096, 64) }); n != 0 {
+		t.Errorf("Access on a warm cache: %v allocations", n)
+	}
+	if got, want := len(c.tags), 3*4096/32+1; got != want {
+		t.Errorf("%d slots for a 3-page space, want %d", got, want)
 	}
 }
 

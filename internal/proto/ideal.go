@@ -28,9 +28,18 @@ type idealLock struct {
 	queue  []*Ctx
 }
 
-// NewIdeal builds the ideal protocol for the given number of locks.
+// NewIdeal builds the ideal protocol with at least numLocks locks; the
+// harness tells it the program's count through SetNumLocks.
 func NewIdeal(numLocks int) *Ideal {
 	return &Ideal{locks: make([]idealLock, numLocks)}
+}
+
+// SetNumLocks implements NumLocksProvider: the lock table grows to the
+// program's lock count. It must precede the first Acquire.
+func (pr *Ideal) SetNumLocks(n int) {
+	if n > len(pr.locks) {
+		pr.locks = make([]idealLock, n)
+	}
 }
 
 // Name implements Protocol.

@@ -206,3 +206,19 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal("barrier counter")
 	}
 }
+
+// TestIdealSetNumLocks: NewIdeal's count is a floor, the program's count
+// (NumLocksProvider) raises the table to what it will index.
+func TestIdealSetNumLocks(t *testing.T) {
+	var _ NumLocksProvider = (*Ideal)(nil)
+	pr := NewIdeal(2)
+	pr.SetNumLocks(1)
+	if len(pr.locks) != 2 {
+		t.Fatalf("%d locks after SetNumLocks(1) on NewIdeal(2), want 2", len(pr.locks))
+	}
+	pr.SetNumLocks(5000)
+	testRig(t, pr, func(c *Ctx) {
+		c.Acquire(4999)
+		c.Release(4999)
+	})
+}

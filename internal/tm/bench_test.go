@@ -2,6 +2,7 @@ package tm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"aecdsm/internal/mem"
@@ -79,4 +80,46 @@ func BenchmarkTMFault(b *testing.B) {
 			}
 		}
 	})
+}
+
+// topoShape builds the fetched diffs of one fault as production delivers
+// them — grouped by writer, ascending in seq — for writers × per
+// intervals. With per > 1 the intervals are one lock's hand-off chain
+// (round-robin over the writers, each covering all before it: one ready
+// interval at a time, the Water-nsquared regime); with per == 1 they are
+// mutually concurrent (Ocean's all-writer page at a barrier).
+func topoShape(writers, per int) []ivalDiff {
+	chains := make([][]ivalDiff, writers)
+	clock := make([]int, writers)
+	for s := 1; s <= per; s++ {
+		for w := range writers {
+			if per == 1 {
+				clear(clock)
+			}
+			clock[w] = s
+			chains[w] = append(chains[w], ivalDiff{proc: w, seq: s, vc: slices.Clone(clock), d: &mem.Diff{}})
+		}
+	}
+	return slices.Concat(chains...)
+}
+
+// BenchmarkTopoOrder is the happens-before order alone, scratch reused as
+// in the engine, over the shapes the tables produce: long hand-off chains
+// from a few writers (n ≫ k), and one interval from every writer (n = k).
+// CI asserts 0 allocs/op.
+func BenchmarkTopoOrder(b *testing.B) {
+	for _, sh := range [][2]int{{15, 40}, {4, 100}, {15, 10}, {63, 1}, {8, 1}, {2, 1}} {
+		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+			src := topoShape(sh[0], sh[1])
+			in := make([]ivalDiff, len(src))
+			var sc topoScratch
+			sc.order(append(in[:0], src...)) // scratch grown
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(in, src)
+				sc.order(in)
+			}
+		})
+	}
 }

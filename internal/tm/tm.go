@@ -18,9 +18,11 @@
 package tm
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
+	"strings"
 
 	"aecdsm/internal/mem"
 	"aecdsm/internal/pool"
@@ -160,7 +162,9 @@ type ivalDiff struct {
 
 // before reports whether interval a happens-before interval b: b's vector
 // clock already covers a. Distinct intervals can never mutually cover each
-// other, so this is a strict partial order.
+// other, so this is a strict partial order. It is the definition the diff
+// order answers to: the reference loop in tm_test.go applies it to every
+// pair, topoScratch.order to the heads of the per-writer chains.
 func (a ivalDiff) before(b ivalDiff) bool {
 	if a.proc == b.proc {
 		return a.seq < b.seq
@@ -168,50 +172,66 @@ func (a ivalDiff) before(b ivalDiff) bool {
 	return b.vc[a.proc] >= a.seq
 }
 
+// chain is one writer's fetched diffs of the page: a run of the (sorted)
+// input, of which only the head — the first not yet emitted — can be the
+// next interval applied. The head's seq and clock are kept here so that an
+// emission touches the chain records and nothing else.
+type chain struct {
+	proc int
+	seq  int   // head's seq; noSeq once the chain is spent
+	vc   []int // head's clock
+	// blocked counts the other chains whose head precedes this one's
+	// (vc[their proc] >= their seq). The head is ready at zero; a spent
+	// chain stays at zero and is never looked at again.
+	blocked   int32
+	next, end int32 // the unemitted run in[next:end]
+}
+
+// noSeq is the head seq of a spent chain: no clock reaches it, so the
+// chain blocks nobody.
+const noSeq = math.MaxInt
+
 // topoScratch holds the reusable working set of the happens-before sort:
-// successor bitset rows, in-degrees and the ready heap. One instance
-// lives on each TM protocol (the engine core is single-threaded, and the
-// sort never yields mid-run, so reuse across page faults is safe); the
-// zero value is ready to use.
+// the per-writer chain records, the heap of ready chains and the output
+// buffer. One instance lives on each TM protocol (the engine core is
+// single-threaded, and the sort never yields mid-run, so reuse across page
+// faults is safe); the zero value is ready to use.
 type topoScratch struct {
-	succ   []uint64 // n rows of w words: bit j*w+i set means j precedes i
-	indeg  []int32
-	ready  []int32 // binary heap of ready indices, keyed (seq, proc, idx)
+	chains []chain
+	ready  []int32 // binary heap of ready chains, keyed (head seq, proc)
 	sorted []ivalDiff
 }
 
 // topoOrder sorts fetched diffs into a happens-before-consistent order:
 // repeatedly emit an interval no remaining interval precedes, breaking
-// ties by (seq, proc) and then input position deterministically. The
-// recompute-readiness reference loop (topoOrderRef in tm_test.go, kept as
-// the property-test oracle) is O(n³) in the fetched diff count and
-// dominated whole-table runs; this computes the identical order as a Kahn
-// topological sort — O(n²) pairwise edge construction once, then an index
-// heap so every pick is the same (seq, proc, position)-minimal ready
-// interval the reference scan would have chosen.
+// ties by (seq, proc) and then input position deterministically. That
+// definition is the recompute-readiness loop topoOrderRef in tm_test.go,
+// O(n³) in the fetched diff count and kept as the property-test oracle;
+// this emits the identical sequence as a merge of the k per-writer chains
+// in O(n·k + n log k) — DESIGN.md, "TreadMarks' write notices", has the
+// argument.
 func topoOrder(in []ivalDiff) []ivalDiff {
 	var sc topoScratch
 	return sc.order(in)
 }
 
-// less orders ready candidates exactly as the reference loop's first-wins
-// minimum scan: by seq, then proc, then original input position.
-func (sc *topoScratch) less(in []ivalDiff, a, b int32) bool {
-	if in[a].seq != in[b].seq {
-		return in[a].seq < in[b].seq
+// less orders ready chains by their heads, exactly as the reference loop's
+// first-wins minimum scan: by seq, then proc. Two heads never share a
+// proc, and within a chain the input position has already decided.
+func (sc *topoScratch) less(a, b int32) bool {
+	ca, cb := &sc.chains[a], &sc.chains[b]
+	if ca.seq != cb.seq {
+		return ca.seq < cb.seq
 	}
-	if in[a].proc != in[b].proc {
-		return in[a].proc < in[b].proc
-	}
-	return a < b
+	return ca.proc < cb.proc
 }
 
-func (sc *topoScratch) push(in []ivalDiff, v int32) {
+func (sc *topoScratch) push(v int32) {
 	sc.ready = append(sc.ready, v)
 	i := len(sc.ready) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !sc.less(in, sc.ready[i], sc.ready[p]) {
+		if !sc.less(sc.ready[i], sc.ready[p]) {
 			break
 		}
 		sc.ready[i], sc.ready[p] = sc.ready[p], sc.ready[i]
@@ -219,7 +239,7 @@ func (sc *topoScratch) push(in []ivalDiff, v int32) {
 	}
 }
 
-func (sc *topoScratch) pop(in []ivalDiff) int32 {
+func (sc *topoScratch) pop() int32 {
 	h := sc.ready
 	top := h[0]
 	n := len(h) - 1
@@ -232,10 +252,10 @@ func (sc *topoScratch) pop(in []ivalDiff) int32 {
 			break
 		}
 		c := l
-		if r := l + 1; r < n && sc.less(in, h[r], h[l]) {
+		if r := l + 1; r < n && sc.less(h[r], h[l]) {
 			c = r
 		}
-		if !sc.less(in, h[c], h[i]) {
+		if !sc.less(h[c], h[i]) {
 			break
 		}
 		h[i], h[c] = h[c], h[i]
@@ -244,76 +264,97 @@ func (sc *topoScratch) pop(in []ivalDiff) int32 {
 	return top
 }
 
+// group cuts in into per-writer chains, sorting it first unless it already
+// is in (proc, seq) order — which is how both fetch paths deliver it. The
+// sort is stable, so entries naming one interval twice keep their input
+// order, the reference loop's last tie-break.
+func (sc *topoScratch) group(in []ivalDiff) []chain {
+	chains := sc.chains[:0]
+	for i := range in {
+		d := &in[i]
+		if k := len(chains) - 1; k >= 0 && chains[k].proc == d.proc && in[i-1].seq <= d.seq {
+			chains[k].end++
+		} else if k < 0 || chains[k].proc < d.proc {
+			chains = append(chains, chain{proc: d.proc, seq: d.seq, vc: d.vc, next: int32(i), end: int32(i + 1)})
+		} else {
+			slices.SortStableFunc(in, func(a, b ivalDiff) int {
+				return cmp.Or(cmp.Compare(a.proc, b.proc), cmp.Compare(a.seq, b.seq))
+			})
+			return sc.group(in)
+		}
+	}
+	sc.chains = chains
+	return chains
+}
+
+// blockers counts the chains other than c's own whose head precedes c's.
+func blockers(chains []chain, c *chain) int32 {
+	var n int32
+	vc := c.vc
+	for i := range chains {
+		if d := &chains[i]; vc[d.proc] >= d.seq && d != c {
+			n++
+		}
+	}
+	return n
+}
+
 func (sc *topoScratch) order(in []ivalDiff) []ivalDiff {
 	n := len(in)
 	if n <= 1 {
 		return in
 	}
-	w := (n + 63) / 64
-	if cap(sc.succ) < n*w {
-		sc.succ = make([]uint64, n*w)
-		sc.indeg = make([]int32, n)
-	}
-	succ := sc.succ[:n*w]
-	indeg := sc.indeg[:n]
-	for i := range succ {
-		succ[i] = 0
-	}
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && in[j].before(in[i]) {
-				succ[j*w+i/64] |= 1 << uint(i%64)
-				indeg[i]++
-			}
-		}
-	}
+	chains := sc.group(in)
 	sc.ready = sc.ready[:0]
-	for i := n - 1; i >= 0; i-- {
-		if indeg[i] == 0 {
-			sc.push(in, int32(i))
+	waiting := 0 // chains with a blocked head
+	for i := range chains {
+		c := &chains[i]
+		if c.blocked = blockers(chains, c); c.blocked == 0 {
+			sc.push(int32(i))
+		} else {
+			waiting++
 		}
 	}
 	if cap(sc.sorted) < n {
 		sc.sorted = make([]ivalDiff, 0, n)
 	}
 	out := sc.sorted[:0]
-	emitted := 0
-	// forced tracks nodes emitted by the cycle fallback so a later
-	// in-degree decrement cannot re-emit them. Consistent vector clocks
-	// cannot form a cycle, so the path is never taken in practice; it
-	// mirrors the reference loop's pick of the first remaining interval.
-	var forced []bool
-	next := 0 // scan cursor for the fallback
-	for emitted < n {
-		var v int32
-		if len(sc.ready) > 0 {
-			v = sc.pop(in)
-		} else {
-			if forced == nil {
-				forced = make([]bool, n)
-			}
-			for forced[next] || indeg[next] < 0 {
-				next++
-			}
-			v = int32(next)
-			forced[v] = true
+	for range n {
+		if len(sc.ready) == 0 {
+			panic(sc.cycle(in))
 		}
-		out = append(out, in[v])
-		emitted++
-		indeg[v] = -1 // emitted marker
-		row := succ[int(v)*w : int(v)*w+w]
-		for wi, word := range row {
-			for word != 0 {
-				b := word & -word
-				u := int32(wi*64 + bits.TrailingZeros64(word))
-				word &^= b
-				indeg[u]--
-				if indeg[u] == 0 && (forced == nil || !forced[u]) {
-					sc.push(in, u)
+		ei := sc.pop()
+		e := &chains[ei]
+		out = append(out, in[e.next])
+		e.next++
+		proc, was, now := e.proc, e.seq, noSeq
+		if e.next < e.end {
+			now, e.vc = in[e.next].seq, in[e.next].vc
+		}
+		e.seq = now
+		// A head's readiness changes only when a chain that blocked it
+		// moves on: release the heads e's old head preceded and its new
+		// one does not (none, when the new head names the same interval
+		// again). Ready and spent chains are blocked by nothing.
+		if waiting > 0 {
+			for i := range chains {
+				c := &chains[i]
+				if c.blocked == 0 {
+					continue
 				}
+				if v := c.vc[proc]; v >= was && v < now {
+					if c.blocked--; c.blocked == 0 {
+						waiting--
+						sc.push(int32(i))
+					}
+				}
+			}
+		}
+		if now != noSeq {
+			if e.blocked = blockers(chains, e); e.blocked == 0 {
+				sc.push(ei)
+			} else {
+				waiting++
 			}
 		}
 	}
@@ -323,6 +364,21 @@ func (sc *topoScratch) order(in []ivalDiff) []ivalDiff {
 	copy(in, out)
 	sc.sorted = out[:0]
 	return in
+}
+
+// cycle describes a sort that has stalled with every remaining head
+// preceded by another: vector clocks that cover each other, which no
+// execution produces — some interval carries a clock that is not its
+// creator's.
+func (sc *topoScratch) cycle(in []ivalDiff) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "tm: the write notices of page %d cannot be ordered; these intervals precede each other:", in[0].d.Page)
+	for i := range sc.chains {
+		if c := &sc.chains[i]; c.seq != noSeq {
+			fmt.Fprintf(&b, " #%d of proc %d (clock %v)", c.seq, c.proc, c.vc)
+		}
+	}
+	return b.String()
 }
 
 type barArrive struct {

@@ -1,6 +1,10 @@
 package tm
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -107,9 +111,9 @@ func TestTopoOrderProperty(t *testing.T) {
 }
 
 // topoOrderRef is the original recompute-readiness O(n³) sort, kept as
-// the oracle for the Kahn-with-index-heap implementation in tm.go: every
-// round it re-scans the remaining intervals for those with no remaining
-// predecessor and emits the (seq, proc)-minimal one, first-wins on ties.
+// the oracle for the chain merge in tm.go: every round it re-scans the
+// remaining intervals for those with no remaining predecessor and emits
+// the (seq, proc)-minimal one, first-wins on ties.
 func topoOrderRef(in []ivalDiff) []ivalDiff {
 	out := make([]ivalDiff, 0, len(in))
 	rest := append([]ivalDiff(nil), in...)
@@ -140,55 +144,130 @@ func topoOrderRef(in []ivalDiff) []ivalDiff {
 	return out
 }
 
-// TestTopoOrderMatchesRef: the optimized sort emits bit-for-bit the same
-// sequence as the reference loop, including duplicate (proc, seq) entries
-// (one interval's diffs for several pages share ordering metadata) and
-// concurrent intervals where only the deterministic tie-break orders the
-// output. Identity is checked on the diff pointers, not just the keys.
+// sameOrder reports the first position where got departs from want.
+// Identity is the diff pointer, not just the key: entries naming one
+// interval twice must come out in the reference's order too.
+func sameOrder(t *testing.T, what string, got, want []ivalDiff) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d diffs out, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].d != want[i].d || got[i].proc != want[i].proc || got[i].seq != want[i].seq {
+			t.Fatalf("%s: order[%d] = p%d#%d (%p), want p%d#%d (%p)", what, i,
+				got[i].proc, got[i].seq, got[i].d, want[i].proc, want[i].seq, want[i].d)
+		}
+	}
+}
+
+// randomHistory plays a causal history on procs processors — a few busy
+// ones handing a lock around, the rest closing an interval now and then —
+// and returns at most limit intervals of it in creation order, no writer
+// contributing more than 40.
+func randomHistory(rng *rand.Rand, procs, limit int) []ivalDiff {
+	clocks := make([][]int, procs)
+	for i := range clocks {
+		clocks[i] = make([]int, procs)
+	}
+	busy := rng.Perm(procs)[:1+rng.Intn(min(procs, 8))]
+	syncs := 1 + rng.Intn(4) // of 5 events: 1 is mostly concurrent, 4 nearly one chain
+	var all []ivalDiff
+	for len(all) < limit {
+		p := busy[rng.Intn(len(busy))]
+		if rng.Intn(10) == 0 {
+			p = rng.Intn(procs)
+		}
+		if rng.Intn(5) < syncs {
+			mergeVC(clocks[p], clocks[busy[rng.Intn(len(busy))]])
+		} else if clocks[p][p] < 40 {
+			clocks[p][p]++
+			all = append(all, iv(p, clocks[p][p], slices.Clone(clocks[p])...))
+		}
+	}
+	return all
+}
+
+// TestTopoOrderMatchesRef: the chain merge emits bit-for-bit the sequence
+// of the reference loop at 4, 16 and 64 processors, on any input: a
+// subset of a history (a page sees some of a writer's intervals), as
+// production delivers it (grouped by writer), in creation order, shuffled,
+// and with intervals named twice under fresh diff identities.
 func TestTopoOrderMatchesRef(t *testing.T) {
-	f := func(script []uint8, dup uint8) bool {
-		const n = 4
-		clocks := make([][]int, n)
-		for i := range clocks {
-			clocks[i] = make([]int, n)
+	for _, procs := range []int{4, 16, 64} {
+		rng := rand.New(rand.NewSource(int64(procs)))
+		for round := 0; round < 60; round++ {
+			all := randomHistory(rng, procs, 1+rng.Intn(160))
+			all = slices.DeleteFunc(all, func(ivalDiff) bool { return rng.Intn(4) == 0 })
+			what := fmt.Sprintf("%d procs, round %d", procs, round)
+
+			sameOrder(t, what+", creation order", topoOrder(slices.Clone(all)), topoOrderRef(all))
+
+			grouped := slices.Clone(all)
+			slices.SortStableFunc(grouped, func(a, b ivalDiff) int { return a.proc - b.proc })
+			sameOrder(t, what+", grouped", topoOrder(slices.Clone(grouped)), topoOrderRef(grouped))
+
+			for i, n := 0, rng.Intn(1+len(all)/3); i < n; i++ {
+				d := all[rng.Intn(len(all))]
+				d.d = &mem.Diff{Page: i + 1}
+				all = append(all, d)
+			}
+			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			sameOrder(t, what+", shuffled with duplicates", topoOrder(slices.Clone(all)), topoOrderRef(all))
 		}
-		var all []ivalDiff
-		for _, b := range script {
-			p := int(b) % n
-			if b%2 == 0 {
-				q := int(b/2) % n
-				for k := 0; k < n; k++ {
-					if clocks[q][k] > clocks[p][k] {
-						clocks[p][k] = clocks[q][k]
-					}
-				}
-			} else {
-				clocks[p][p]++
-				all = append(all, iv(p, clocks[p][p], append([]int(nil), clocks[p]...)...))
+	}
+}
+
+// TestTopoOrderShapes: the two shapes the tables produce at scale, and
+// the hand-built corners of the blocked counts.
+func TestTopoOrderShapes(t *testing.T) {
+	for _, sh := range [][2]int{{63, 1}, {15, 40}, {2, 1}} {
+		in := topoShape(sh[0], sh[1])
+		sameOrder(t, fmt.Sprintf("%dx%d", sh[0], sh[1]), topoOrder(slices.Clone(in)), topoOrderRef(in))
+	}
+
+	// p0's new head is still blocked when p0#1 goes: p0#2 saw p1#1, which
+	// p0#1 released. p2#1 waits for all three.
+	a1, a2 := iv(0, 1, 1, 0, 0), iv(0, 2, 2, 1, 0)
+	b1 := iv(1, 1, 1, 1, 0)
+	c1 := iv(2, 1, 2, 1, 1)
+	in := []ivalDiff{a1, a2, b1, c1}
+	want := []ivalDiff{a1, b1, a2, c1}
+	sameOrder(t, "new head blocked by a third chain", topoOrder(slices.Clone(in)), want)
+	sameOrder(t, "new head blocked by a third chain (ref)", topoOrderRef(in), want)
+
+	// p2#1 saw p0 up to #2 and p1#1: p0#1 going leaves it blocked by the
+	// same chain's next head, and it takes both chains to release it —
+	// beside p0#3, which loses to it on seq.
+	a1, a2, a3 := iv(0, 1, 1, 0, 0), iv(0, 2, 2, 0, 0), iv(0, 3, 3, 0, 0)
+	b1 = iv(1, 1, 0, 1, 0)
+	c1 = iv(2, 1, 2, 1, 1)
+	in = []ivalDiff{a1, a2, a3, b1, c1}
+	want = []ivalDiff{a1, b1, a2, c1, a3}
+	sameOrder(t, "blocked twice by one chain", topoOrder(slices.Clone(in)), want)
+	sameOrder(t, "blocked twice by one chain (ref)", topoOrderRef(in), want)
+}
+
+// TestTopoOrderCyclePanics: clocks that cover each other are no
+// execution's; the sort says which page and which intervals instead of
+// applying them in some order.
+func TestTopoOrderCyclePanics(t *testing.T) {
+	a, b, c := iv(0, 1, 1, 1, 0), iv(1, 1, 1, 1, 0), iv(2, 1, 0, 0, 1)
+	for _, d := range []ivalDiff{a, b, c} {
+		d.d.Page = 7
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"page 7", "#1 of proc 0", "#1 of proc 1"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
 			}
 		}
-		// Duplicate some intervals under fresh diff identities, the
-		// shape a multi-page interval produces.
-		for i := 0; i < len(all) && i < int(dup); i++ {
-			d := all[i]
-			d.d = &mem.Diff{Page: i + 1}
-			all = append(all, d)
+		if strings.Contains(msg, "proc 2") {
+			t.Errorf("panic %q names the interval that was applied", msg)
 		}
-		want := topoOrderRef(all)
-		got := topoOrder(all)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i].d != want[i].d || got[i].proc != want[i].proc || got[i].seq != want[i].seq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	}()
+	topoOrder([]ivalDiff{a, b, c})
+	t.Fatal("a clock cycle was ordered")
 }
 
 // TestTopoOrderScratchReuse: back-to-back sorts through one scratch (the
