@@ -26,9 +26,13 @@ lint:
 	$(GO) run ./cmd/dsmvet ./...
 	! $(GO) build -gcflags=-m=2 ./internal/trace 2>&1 | grep -E 'cannot inline Emitter\.(Event|Lock|LockNote|Page|Diff):'
 
-# Quick differential-checker pass (see docs/TESTING.md for deeper runs).
+# Quick differential-checker pass (see docs/TESTING.md for deeper runs),
+# then the two native fuzz targets on a short budget: the diff kernel and
+# the fault-spec parser.
 fuzz:
 	$(GO) run ./cmd/fuzzdsm -iters 50
+	$(GO) test -run '^$$' -fuzz FuzzMakeDiff -fuzztime 20s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/fault/
 
 # The committed sweeps reproduce byte for byte (CI's "Results" step).
 # Two sub-second sweeps that drive manager failover in all three protocols
@@ -55,11 +59,13 @@ results:
 # Kernel and engine microbenchmarks plus the scaling-sweep timing,
 # condensed by cmd/benchsum into one sorted {benchmark, ns/op, B/op,
 # allocs/op} record per line so the perf trajectory is diffable across
-# PRs (docs/PERFORMANCE.md, docs/SCALING.md).
+# PRs (docs/PERFORMANCE.md, docs/SCALING.md). BenchmarkRunRecycled is one
+# whole run per iteration on the region the one before gave back: its B/op
+# is what a run allocates besides its page memory.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMakeDiff|BenchmarkMergeDiffs' -benchmem -json . \
 		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkMakeDiff/clean$$|BenchmarkMergeDiffs/.*/steady$$' | tee BENCH_kernels.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff|BenchmarkTMFault|BenchmarkTopoOrder' -benchmem -json ./internal/sim/ ./internal/tm/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff|BenchmarkTMFault|BenchmarkTopoOrder|BenchmarkRunRecycled' -benchmem -json ./internal/sim/ ./internal/tm/ ./internal/harness/ \
 		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkScheduleDeep$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$|BenchmarkTMFault/|BenchmarkTopoOrder/' | tee BENCH_engine.json
 	$(GO) test -run '^$$' -bench 'BenchmarkScaling' -timeout 30m -json . \
 		| $(GO) run ./cmd/benchsum | tee BENCH_scaling.json

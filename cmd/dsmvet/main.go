@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -44,24 +45,33 @@ type jsonStep struct {
 	What string `json:"what"`
 }
 
-func main() {
-	listFlag := flag.Bool("list", false, "list the analyzers and exit")
-	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	unusedFlag := flag.Bool("unused-directives", false,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind its boundary: it parses args, prints findings
+// to out and diagnostics to errw, and returns the exit code — 0 clean, 1
+// findings, 2 a usage or loading error.
+func run(args []string, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("dsmvet", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	listFlag := fs.Bool("list", false, "list the analyzers and exit")
+	runFlag := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
+	jsonFlag := fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
+	unusedFlag := fs.Bool("unused-directives", false,
 		"report only directive hygiene: unused/malformed //dsmvet:allow and stale //dsmvet:crossengine markers")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dsmvet [-list] [-run names] [-json] [-unused-directives] [packages]\n")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintf(errw, "usage: dsmvet [-list] [-run names] [-json] [-unused-directives] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	all := lint.Analyzers()
 	if *listFlag {
 		for _, a := range all {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(out, "%-15s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	analyzers := all
@@ -74,22 +84,22 @@ func main() {
 		for _, name := range strings.Split(*runFlag, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "dsmvet: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
+				fmt.Fprintf(errw, "dsmvet: unknown analyzer %q (try -list)\n", name)
+				return 2
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	pkgs, err := loader.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsmvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(errw, "dsmvet: %v\n", err)
+		return 2
 	}
 
 	var allFindings []lint.Finding
@@ -102,14 +112,14 @@ func main() {
 			findings, err = lint.RunPackage(pkg, analyzers)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsmvet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(errw, "dsmvet: %v\n", err)
+			return 2
 		}
 		allFindings = append(allFindings, findings...)
 	}
 
 	if *jsonFlag {
-		out := make([]jsonFinding, 0, len(allFindings))
+		js := make([]jsonFinding, 0, len(allFindings))
 		for _, f := range allFindings {
 			jf := jsonFinding{
 				File:     f.Pos.Filename,
@@ -121,20 +131,21 @@ func main() {
 			for _, s := range f.Path {
 				jf.Path = append(jf.Path, jsonStep{File: s.Pos.Filename, Line: s.Pos.Line, What: s.What})
 			}
-			out = append(out, jf)
+			js = append(js, jf)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "dsmvet: %v\n", err)
-			os.Exit(2)
+		if err := enc.Encode(js); err != nil {
+			fmt.Fprintf(errw, "dsmvet: %v\n", err)
+			return 2
 		}
 	} else {
 		for _, f := range allFindings {
-			fmt.Println(f)
+			fmt.Fprintln(out, f)
 		}
 	}
 	if len(allFindings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -166,10 +166,16 @@ var Presets = map[string]string{
 // later restart/heal clause closes them; a spec that leaves any outage
 // open is rejected, which keeps every schedule finite (the liveness
 // arguments in docs/ROBUSTNESS.md depend on outages ending).
+// "none" — what Config.String renders the empty schedule as — and the
+// empty string are the empty schedule.
 // The returned Config has Seed zero; callers set it from their -fault-seed.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
-	if p, ok := Presets[strings.ToLower(strings.TrimSpace(spec))]; ok {
+	name := strings.ToLower(strings.TrimSpace(spec))
+	if name == "none" {
+		return c, nil
+	}
+	if p, ok := Presets[name]; ok {
 		spec = p
 	}
 	for _, clause := range strings.Split(spec, ",") {
@@ -184,7 +190,7 @@ func ParseSpec(spec string) (Config, error) {
 		parts := strings.Split(val, ":")
 		prob := func() (float64, error) {
 			p, err := strconv.ParseFloat(parts[0], 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN is in no interval
 				return 0, fmt.Errorf("fault: %s wants a probability in [0,1], got %q", key, parts[0])
 			}
 			return p, nil

@@ -44,6 +44,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"bogus",             // not key=value and not a preset
 		"drop=2",            // probability out of range
 		"drop=x",            // not a number
+		"drop=NaN",          // a float, and in no interval
 		"delay=0.5",         // missing cycle bound
 		"stall=0.5:0",       // zero cycle bound
 		"degrade=0.5:100",   // missing extra cycles
@@ -75,6 +76,9 @@ func TestStringRoundTrip(t *testing.T) {
 	var zero Config
 	if zero.String() != "none" {
 		t.Fatalf("zero schedule renders %q", zero.String())
+	}
+	if back, err := ParseSpec("none"); err != nil || !reflect.DeepEqual(back, zero) {
+		t.Fatalf("the empty schedule's own rendering parses to %+v, %v", back, err)
 	}
 }
 

@@ -22,8 +22,9 @@ type memorySharer interface {
 }
 
 // Result bundles everything measured in one run. It holds no reference
-// to the protocol or program instance, so keeping a Result does not keep
-// a finished run's page images alive.
+// to the protocol or program instance and none into the run's region:
+// the page images it was measured on are another run's by the time the
+// caller reads it.
 type Result struct {
 	Run *stats.Run
 	// VerifyErr is the application's self-check outcome.
@@ -77,7 +78,7 @@ func Run(params memsys.Params, pr proto.Protocol, prog proto.Program) *Result {
 // the simulated cycle counts are byte-identical; tracing never charges
 // simulated time.
 func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) *Result {
-	eng, res := compose(params, pr, prog, tr, fcfg)
+	eng, rg, res := compose(params, pr, prog, tr, fcfg)
 	if eng == nil {
 		return res
 	}
@@ -94,24 +95,31 @@ func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program,
 		tr.Trace(ev)
 	}
 	res.VerifyErr, res.Deadlocked = prog.Err(), eng.Deadlocked
+	// Harvested: the program has checked its results against the shared
+	// memory, and nothing reads the run's pages from here on. No defer — a
+	// run that panics leaves its region to the collector.
+	releaseRegion(rg)
 	return res
 }
 
 // compose assembles the full simulation stack — space, engine, contexts,
 // protocol, bodies — without starting it, so callers can either run it
 // to completion (RunFaultTraced) or drive it in horizon slices
-// (Session), and returns it with the Result the run will fill in. A nil
-// engine is a split refusal, reported in the Result: the configuration
-// cannot run and the engine was never built.
-func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*sim.Engine, *Result) {
+// (Session), and returns it with the Result the run will fill in and the
+// region its page memory comes from, which the caller gives back
+// (releaseRegion) once the run is harvested or abandoned. A nil engine is
+// a split refusal, reported in the Result: the configuration cannot run,
+// and neither engine nor region was taken.
+func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*sim.Engine, *mem.Region, *Result) {
 	run := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
 	res := &Result{Run: run, faults: fcfg}
 	if sc, ok := prog.(proto.SplitChecker); ok {
 		if res.SplitErr = sc.CheckSplit(params.NumProcs); res.SplitErr != nil {
-			return nil, res
+			return nil, nil, res
 		}
 	}
-	space := mem.NewSpace(params.PageSize)
+	rg := takeRegion()
+	space := mem.NewSpaceIn(rg, params.PageSize)
 	prog.Init(space, params.NumProcs)
 	if params.ShardHomes {
 		// Rehome before Attach: protocols capture their home maps there.
@@ -128,9 +136,12 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 	}
 	// Init has laid the space out and nothing allocates after it (the
 	// per-processor frame tables are sized from it just below), so the
-	// caches need tag slots for these lines only.
+	// caches need tag slots for these lines only, and take them from the
+	// run's region.
+	tags := rg.Tags
 	for _, p := range eng.Procs {
 		p.Cache.Bound(spaceBytes)
+		p.Cache.TagsFrom(tags)
 	}
 	if fcfg != nil {
 		eng.EnableFaults(*fcfg)
@@ -171,5 +182,5 @@ func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr tra
 			pr.Done(c)
 		})
 	}
-	return eng, res
+	return eng, rg, res
 }

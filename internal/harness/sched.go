@@ -16,16 +16,73 @@ import (
 	"runtime"
 	"sync"
 
+	"aecdsm/internal/mem"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
 )
 
+// regions is the free list of idle run regions: the page memory of the
+// simulations this process has finished, waiting for the next ones. A run
+// takes one when it is composed and gives it back when it has been
+// harvested, so a sweep's second and later runs allocate no page; engines
+// on several goroutines (-jobs N) each hold their own, and the list is as
+// long as the most that ever ran at once.
+var regions struct {
+	mu   sync.Mutex
+	idle []*mem.Region
+}
+
+// regionKeepBytes bounds what a region keeps between runs. A quarter-scale
+// table sweep's largest run needs 11.3 MB and the 64-processor sweep
+// 3.6 MB; a paper-size run needs 40.8 MB, and letting every worker keep
+// that read the full-scale sweep's peak RSS at 1.5 × the parent's at the
+// default -jobs for no user time (docs/PERFORMANCE.md, round ten). Beyond
+// the bound a run's memory goes back to the collector when it ends, as
+// all of it did before.
+const regionKeepBytes = 16 << 20
+
+// poisonReleased makes releaseRegion poison what it takes back; only the
+// lifetime tests set it (export_test.go).
+var poisonReleased bool
+
+// takeRegion returns an idle region, or a new one, held for the caller's
+// run.
+func takeRegion() *mem.Region {
+	regions.mu.Lock()
+	var r *mem.Region
+	if n := len(regions.idle); n > 0 {
+		r, regions.idle = regions.idle[n-1], regions.idle[:n-1]
+	}
+	regions.mu.Unlock()
+	if r == nil {
+		r = new(mem.Region)
+	}
+	r.Acquire()
+	return r
+}
+
+// releaseRegion takes back the region of a run that has been harvested:
+// from here on nothing may read what the run drew from it. A run that
+// panicked does not come here; its region goes to the collector with it.
+func releaseRegion(r *mem.Region) {
+	r.Release()
+	r.Trim(regionKeepBytes)
+	if poisonReleased {
+		r.Poison()
+	}
+	regions.mu.Lock()
+	regions.idle = append(regions.idle, r)
+	regions.mu.Unlock()
+}
+
 // runOutcome is what one completed run contributes to the memo cache —
-// only what a renderer reads, so a finished run's protocol and program
-// (page images, twins, diffs) are garbage as soon as it is harvested: the
-// statistics, the program's lock count, the LAP rows harvested from the
-// protocol instance (nil when it records none) and, for a spec with
-// metrics set, the per-lock summaries of its metrics sink.
+// only what a renderer reads: the statistics, the program's lock count,
+// the LAP rows harvested from the protocol instance (nil when it records
+// none) and, for a spec with metrics set, the per-lock summaries of its
+// metrics sink. Nothing in it points into the run's region (page images,
+// twins, tags), which by then serves another run, and the protocol and
+// program instances (diffs, write notices) are garbage as soon as the run
+// is harvested.
 type runOutcome struct {
 	run      *stats.Run
 	numLocks int

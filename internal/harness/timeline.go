@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
@@ -18,9 +19,10 @@ import (
 // sequence is deterministic and the pause point (next pending event at
 // or beyond the horizon) is a pure function of the horizon. A session
 // that is not run to Finish must be Closed, or its parked processor
-// stacks stay live.
+// stacks stay live and its region never serves another run.
 type Session struct {
 	eng     *sim.Engine
+	region  *mem.Region // the run's page memory; nil once given back
 	res     *Result
 	prog    proto.Program
 	started bool
@@ -30,8 +32,8 @@ type Session struct {
 // NewSession composes (but does not start) a run. It panics when the
 // program's splitter refuses the processor count (Result.Must).
 func NewSession(params memsys.Params, pr proto.Protocol, prog proto.Program) *Session {
-	eng, res := compose(params, pr, prog, nil, nil)
-	return &Session{eng: eng, res: res.Must(), prog: prog, more: true}
+	eng, rg, res := compose(params, pr, prog, nil, nil)
+	return &Session{eng: eng, region: rg, res: res.Must(), prog: prog, more: true}
 }
 
 // RunUntil advances the session to the given virtual-time horizon
@@ -55,15 +57,24 @@ func (s *Session) RunUntil(horizon uint64) bool {
 func (s *Session) Snapshot() *stats.Run { return s.res.Run.Clone() }
 
 // Close ends the session where it stands, releasing every processor
-// stack still parked in the engine. Idempotent.
+// stack still parked in the engine and then the session's region.
+// Idempotent.
 func (s *Session) Close() {
 	s.more = false
 	s.eng.Close()
+	if s.region != nil {
+		releaseRegion(s.region)
+		s.region = nil
+	}
 }
 
 // Finish runs the session to completion and returns the result, which
 // must have verified (Result.Must).
 func (s *Session) Finish() *Result {
+	// Until the run has verified, Close must not give the region back: a
+	// panic below leaves it to the collector.
+	rg := s.region
+	s.region = nil
 	defer s.Close()
 	if !s.started {
 		s.started = true
@@ -72,7 +83,9 @@ func (s *Session) Finish() *Result {
 		s.eng.Finish()
 	}
 	s.res.VerifyErr, s.res.Deadlocked = s.prog.Err(), s.eng.Deadlocked
-	return s.res.Must()
+	s.res.Must()
+	s.region = rg
+	return s.res
 }
 
 // timelineSteps is the number of horizon samples per protocol.

@@ -70,14 +70,16 @@ func NewProcMem(space *Space, proc int) *ProcMem {
 	return m
 }
 
+// freshCopy returns a new frame holding the page's initial contents. The
+// buffer arrives dirty: the image overwrites it, and what the image does
+// not reach is cleared.
 func (m *ProcMem) freshCopy(page int) []byte {
-	ps := m.space.PageSize()
-	b := make([]byte, ps)
-	base := m.space.PageBase(page)
-	img := m.space.InitImage()
-	if base < len(img) {
-		copy(b, img[base:])
+	b := m.space.region.page(m.space.pageSize)
+	n := 0
+	if base, img := m.space.PageBase(page), m.space.InitImage(); base < len(img) {
+		n = copy(b, img[base:])
 	}
+	clear(b[n:])
 	return b
 }
 
@@ -88,6 +90,21 @@ func (m *ProcMem) Frame(page int) *Frame {
 		f.Data = m.freshCopy(page)
 	}
 	return f
+}
+
+// Install makes data — a page-sized buffer the caller gives up, such as a
+// page reply's snapshot — this processor's copy of the page. A page never
+// touched here adopts the buffer as its frame, saving the initial-image
+// copy Frame would make only to have it overwritten; otherwise data is
+// copied into the frame. It reports whether it kept the buffer.
+func (m *ProcMem) Install(page int, data []byte) (kept bool) {
+	f := &m.frames[page]
+	if f.Data == nil {
+		f.Data = data
+		return true
+	}
+	copy(f.Data, data)
+	return false
 }
 
 // Peek returns the frame without materializing it (may have nil Data).
@@ -137,7 +154,7 @@ func (m *ProcMem) Write(a Addr, src []byte) {
 func (m *ProcMem) MakeTwin(page int) {
 	f := m.Frame(page)
 	if f.Twin == nil {
-		f.Twin = m.twins.Sized(len(f.Data))
+		f.Twin = m.space.PageFrom(&m.twins)
 	}
 	copy(f.Twin, f.Data)
 	if m.Tracer.On() {

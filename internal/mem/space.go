@@ -10,7 +10,11 @@
 // single branch per operation.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"aecdsm/internal/pool"
+)
 
 // Addr is a byte offset into the global shared address space.
 type Addr = int
@@ -23,15 +27,39 @@ type Space struct {
 	size      int
 	init      []byte
 	homes     []int // per page initial home
+
+	// region is where the image and every page-sized buffer of the run
+	// come from; nil is the heap.
+	region *Region
 }
 
-// NewSpace builds an empty space with the given page size (a power of two).
-func NewSpace(pageSize int) *Space {
-	s := &Space{pageSize: pageSize}
+// NewSpace builds an empty space with the given page size (a power of
+// two), its image and pages on the heap.
+func NewSpace(pageSize int) *Space { return NewSpaceIn(nil, pageSize) }
+
+// NewSpaceIn is NewSpace for a space that draws its image and pages from
+// region, which the caller holds (Acquire) for as long as anything reads
+// the space or a ProcMem built on it.
+func NewSpaceIn(region *Region, pageSize int) *Space {
+	s := &Space{pageSize: pageSize, region: region}
+	if region != nil {
+		s.init = region.image
+	}
 	for 1<<s.pageShift < pageSize {
 		s.pageShift++
 	}
 	return s
+}
+
+// PageFrom returns a page-sized buffer for a user that overwrites all of
+// it (a twin, a reply snapshot): the one most recently Put to idle, or a
+// new one from the space's region, each holding whatever its last user
+// left there.
+func (s *Space) PageFrom(idle *pool.Slices[byte]) []byte {
+	if b := idle.Get(); b != nil {
+		return b[:s.pageSize]
+	}
+	return s.region.page(s.pageSize)
 }
 
 // PageSize returns the coherence unit in bytes.
@@ -73,11 +101,11 @@ func (s *Space) allocAt(name string, size, home int) Addr {
 	base := s.size
 	s.size += size
 	if need := pageCeil(s.size, s.pageSize); need > len(s.init) {
-		// append grows the backing array geometrically, so a run of
-		// allocations copies O(final size) bytes, not the whole image
-		// each time; the length stays the page-ceiled extent, and the
-		// extension is zeroed.
-		s.init = append(s.init, make([]byte, need-len(s.init))...)
+		// The backing array grows geometrically, so a run of allocations
+		// copies O(final size) bytes, not the whole image each time; the
+		// length stays the page-ceiled extent, and the extension is
+		// cleared here, whatever the capacity it grew into held.
+		s.init = s.region.growImage(s.init, need)
 	}
 	for len(s.homes) < s.Pages() {
 		s.homes = append(s.homes, home)
@@ -106,8 +134,8 @@ func (s *Space) Rehome(f func(page int) int) {
 }
 
 // InitImage exposes the initial memory contents for bootstrapping frames,
-// capped at their length: the spare capacity behind it must stay zero for
-// allocAt to grow into.
+// capped at their length: the spare capacity behind it is not the
+// caller's, and not zero (allocAt clears what it grows into).
 func (s *Space) InitImage() []byte { return s.init[:len(s.init):len(s.init)] }
 
 // WriteInit stores initial contents at the given address; used by

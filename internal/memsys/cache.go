@@ -22,6 +22,9 @@ type Cache struct {
 	// processor for it.
 	tags  []uint32
 	bound int // lines of the space behind the cache; 0: not told, any line
+	// alloc supplies the slots in place of make (TagsFrom); what it
+	// returns may hold anything.
+	alloc func(words int) []uint32
 
 	// Statistics.
 	Hits   uint64
@@ -44,6 +47,15 @@ func (c *Cache) Bound(spaceBytes int) {
 	c.bound = (spaceBytes + 1<<c.lineShift - 1) >> c.lineShift
 }
 
+// TagsFrom makes a cache not yet accessed take its tag slots from alloc —
+// a run's region, in the harness — instead of the heap.
+func (c *Cache) TagsFrom(alloc func(words int) []uint32) {
+	if c.tags != nil {
+		panic("memsys: Cache.TagsFrom after the first access")
+	}
+	c.alloc = alloc
+}
+
 // first is the access that finds a slot missing: a cache's first, which
 // makes the slots and starts over, or one that indexes a slot the bound
 // ruled out. Access calls it before it has counted anything and returns
@@ -57,7 +69,13 @@ func (c *Cache) first(addr, n int) int {
 	if c.bound > 0 {
 		slots = min(slots, c.bound+1)
 	}
-	c.tags = make([]uint32, slots)
+	if c.alloc == nil {
+		c.tags = make([]uint32, slots)
+	} else {
+		// Dirty memory: an earlier run's tags, which would read as hits.
+		c.tags = c.alloc(slots)
+		clear(c.tags)
+	}
 	return c.Access(addr, n)
 }
 

@@ -392,6 +392,48 @@ func TestTLB(t *testing.T) {
 	}
 }
 
+// TestTagsFromDirtyMemory: a cache that takes its tags from a supplier
+// clears them — the slots it gets here hold exactly the tags of the lines
+// about to be accessed, which unclear would all hit — takes them once, at
+// the first access, and behaves as its heap-backed twin from then on.
+func TestTagsFromDirtyMemory(t *testing.T) {
+	var asked []int
+	dirty := func(words int) []uint32 {
+		asked = append(asked, words)
+		tags := make([]uint32, words)
+		for i := range tags {
+			tags[i] = uint32(i) // slot i holding tag i: line i-1
+		}
+		return tags
+	}
+	c, plain := NewCache(64*32, 32), NewCache(64*32, 32)
+	c.Bound(40 * 32)
+	c.TagsFrom(dirty)
+	if len(asked) != 0 {
+		t.Fatalf("tags taken before the first access: %v", asked)
+	}
+	for round := 0; round < 2; round++ {
+		for addr := 0; addr < 40*32; addr += 48 {
+			n := min(40, 40*32-addr)
+			if got, want := c.Access(addr, n), plain.Access(addr, n); got != want {
+				t.Fatalf("round %d: Access(%d, %d) = %d misses on dirty tags, %d on fresh ones", round, addr, n, got, want)
+			}
+		}
+	}
+	if c.Hits != plain.Hits || c.Misses != plain.Misses {
+		t.Fatalf("counters diverged: %d/%d vs %d/%d", c.Hits, c.Misses, plain.Hits, plain.Misses)
+	}
+	if len(asked) != 1 || asked[0] != 41 {
+		t.Fatalf("supplier asked for %v words, want the cache's 41 slots, once", asked)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TagsFrom after the first access went through")
+		}
+	}()
+	c.TagsFrom(dirty)
+}
+
 func TestBusFIFO(t *testing.T) {
 	b := NewBus(10, 2)
 	done1 := b.Transfer(100, 5) // occupies 10+10=20 -> done 120

@@ -52,16 +52,6 @@ func (p *Slices[T]) Get() []T {
 	return s
 }
 
-// Sized returns a buffer of length n for a user that overwrites all of it
-// (a page snapshot, a twin): the recycled one when it is large enough,
-// holding whatever its last user left, or a new one.
-func (p *Slices[T]) Sized(n int) []T {
-	if s := p.Get(); cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
 // Put keeps s's backing array, truncated to length 0; a slice without
 // capacity has nothing to keep.
 func (p *Slices[T]) Put(s []T) {

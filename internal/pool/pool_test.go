@@ -90,25 +90,6 @@ func TestSlices(t *testing.T) {
 	}
 }
 
-// TestSlicesSized: Sized hands a recycled buffer out at the length asked
-// for, over the same backing array, and makes a new one when the pool is
-// empty or its buffer too small.
-func TestSlicesSized(t *testing.T) {
-	var p Slices[byte]
-	if s := p.Sized(4); len(s) != 4 {
-		t.Fatalf("empty pool: len %d, want a new buffer of 4", len(s))
-	}
-	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	p.Put(buf)
-	if s := p.Sized(6); len(s) != 6 || &s[0] != &buf[0] {
-		t.Fatalf("len %d, recycled %v; want the Put buffer at length 6", len(s), &s[0] == &buf[0])
-	}
-	p.Put(buf[:2:2])
-	if s := p.Sized(4); len(s) != 4 || &s[0] == &buf[0] {
-		t.Fatal("a recycled buffer that is too small must not be stretched")
-	}
-}
-
 // TestWarmRoundTripAllocatesNothing: once a pool holds a record and its
 // list has grown, Get/Put is allocation-free — the zero-alloc message
 // path rests on this.

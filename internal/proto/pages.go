@@ -26,7 +26,8 @@ type PageHome struct {
 	serve            sim.Handler
 
 	// snaps recycles the page snapshots replies carry: servePage takes
-	// one, FetchPage puts it back once it is copied into the frame.
+	// one (a new one comes from the space's region), FetchPage puts it
+	// back once it is copied into the frame — or keeps it as the frame.
 	snaps pool.Slices[byte]
 }
 
@@ -54,15 +55,18 @@ func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	// Copy the page in across the memory bus.
 	size := c.S.PageSize()
 	c.P.Advance(c.P.MemBus.Cost(c.P.Clock, c.E.Params.Words(size)), stats.Data)
-	copy(c.M.Frame(page).Data, rep.data)
-	c.P.Cache.InvalidateRange(c.S.PageBase(page), size)
 	// Nobody reads the snapshot again: a reply is delivered to its parked
 	// caller once — the reliable transport's dedup drops duplicates before
 	// the handler, and a retransmission's payload is never read if the
 	// first copy landed. A crash does not abort the requester's
 	// computation (sim/crash.go), so it still collects its reply; a run
-	// abandoned mid-fetch leaves the snapshot to the GC.
-	h.snaps.Put(rep.data)
+	// abandoned mid-fetch leaves the snapshot to its region. So a page
+	// never touched here takes the snapshot as its frame, and only a
+	// snapshot copied into an existing frame goes back to the home.
+	if !c.M.Install(page, rep.data) {
+		h.snaps.Put(rep.data)
+	}
+	c.P.Cache.InvalidateRange(c.S.PageBase(page), size)
 	return rep.extra
 }
 
@@ -70,7 +74,7 @@ func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 func (h *PageHome) servePage(s *sim.Svc, m *sim.Msg) {
 	page := m.Payload.(int)
 	home := h.ctxs[m.To]
-	rep := pageReply{data: h.snaps.Sized(home.S.PageSize())}
+	rep := pageReply{data: home.S.PageFrom(&h.snaps)}
 	copy(rep.data, home.M.Frame(page).Data)
 	s.ChargeMem(len(rep.data))
 	bytes := len(rep.data)

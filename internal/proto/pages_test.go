@@ -54,7 +54,7 @@ func idle(*PageHome, *Ctx) {}
 func TestFetchPageAllocatesNoPage(t *testing.T) {
 	var allocs float64
 	pageRig(t, "", nil, idle, func(h *PageHome, c *Ctx) {
-		h.FetchPage(c, 1, 0) // warm-up: the first snapshot, the message pool
+		h.FetchPage(c, 1, 0) // warm-up: the frame (the first snapshot, adopted), the message pool
 		allocs = testing.AllocsPerRun(100, func() { h.FetchPage(c, 1, 0) })
 		if got := c.M.Frame(1).Data; !bytes.Equal(got, bytes.Repeat([]byte{64}, len(got))) {
 			t.Error("fetched page does not hold the home's bytes")
@@ -63,6 +63,34 @@ func TestFetchPageAllocatesNoPage(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("a warm fetch round trip makes %v allocations, want at most the reply record", allocs)
 	}
+}
+
+// TestFetchPageAdoptsColdSnapshot: the first fetch of a page never touched
+// here makes the reply's snapshot the frame — no initial-image copy made
+// only to be overwritten, nothing handed back to the home — and a later
+// fetch copies into that frame and returns its snapshot for the next reply.
+func TestFetchPageAdoptsColdSnapshot(t *testing.T) {
+	pageRig(t, "", nil, idle, func(h *PageHome, c *Ctx) {
+		if c.M.Peek(2).Data != nil {
+			t.Fatal("page 2 materialised before it was fetched")
+		}
+		h.FetchPage(c, 2, 0)
+		frame := c.M.Peek(2).Data
+		if !bytes.Equal(frame, bytes.Repeat([]byte{128}, c.S.PageSize())) {
+			t.Fatal("cold fetch: the frame does not hold the home's bytes")
+		}
+		if s := h.snaps.Get(); s != nil {
+			t.Fatal("cold fetch: the snapshot went back to the home although the frame adopted it")
+		}
+		c.M.Write(c.S.PageBase(2), []byte{1, 2, 3})
+		h.FetchPage(c, 2, 0)
+		if got := c.M.Peek(2).Data; &got[0] != &frame[0] || got[0] != 128 {
+			t.Fatalf("warm fetch: frame replaced %v, first byte %d; want the same frame holding the home's copy again", &got[0] != &frame[0], got[0])
+		}
+		if s := h.snaps.Get(); s == nil || &s[:1][0] == &frame[0] {
+			t.Fatal("warm fetch: the snapshot must come back to the home, and must not be the frame")
+		}
+	})
 }
 
 // TestFetchPageSnapshots: a reply carries the page as it stood when the
