@@ -27,12 +27,13 @@ lint:
 	! $(GO) build -gcflags=-m=2 ./internal/trace 2>&1 | grep -E 'cannot inline Emitter\.(Event|Lock|LockNote|Page|Diff):'
 
 # Quick differential-checker pass (see docs/TESTING.md for deeper runs),
-# then the two native fuzz targets on a short budget: the diff kernel and
-# the fault-spec parser.
+# then the three native fuzz targets on a short budget: the diff kernel,
+# the fault-spec parser and benchsum's reader of `go test -json` streams.
 fuzz:
 	$(GO) run ./cmd/fuzzdsm -iters 50
 	$(GO) test -run '^$$' -fuzz FuzzMakeDiff -fuzztime 20s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime 20s ./cmd/benchsum/
 
 # The committed sweeps reproduce byte for byte (CI's "Results" step).
 # Two sub-second sweeps that drive manager failover in all three protocols
@@ -61,10 +62,11 @@ results:
 # allocs/op} record per line so the perf trajectory is diffable across
 # PRs (docs/PERFORMANCE.md, docs/SCALING.md). BenchmarkRunRecycled is one
 # whole run per iteration on the region the one before gave back: its B/op
-# is what a run allocates besides its page memory.
+# is what a run allocates besides its page memory. BenchmarkMakeTransientDiff
+# makes and recycles a diff on the encoding the iteration before handed back.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMakeDiff|BenchmarkMergeDiffs' -benchmem -json . \
-		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkMakeDiff/clean$$|BenchmarkMergeDiffs/.*/steady$$' | tee BENCH_kernels.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMakeDiff|BenchmarkMakeTransientDiff|BenchmarkMergeDiffs' -benchmem -json . \
+		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkMakeDiff/clean$$|BenchmarkMakeTransientDiff/|BenchmarkMergeDiffs/.*/steady$$' | tee BENCH_kernels.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff|BenchmarkTMFault|BenchmarkTopoOrder|BenchmarkRunRecycled' -benchmem -json ./internal/sim/ ./internal/tm/ ./internal/harness/ \
 		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkScheduleDeep$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$|BenchmarkTMFault/|BenchmarkTopoOrder/' | tee BENCH_engine.json
 	$(GO) test -run '^$$' -bench 'BenchmarkScaling' -timeout 30m -json . \

@@ -288,6 +288,28 @@ func BenchmarkMakeDiff(b *testing.B) {
 	}
 }
 
+// BenchmarkMakeTransientDiff measures the twin compare through
+// ProcMem.MakeTransientDiff and the RecycleDiff that hands the encoding
+// back — the protocols' path for a diff that is merged, discarded or
+// shipped once. In steady state the encoding is the one the iteration
+// before recycled: 0 allocs/op.
+func BenchmarkMakeTransientDiff(b *testing.B) {
+	for _, kind := range []string{"clean", "sparse", "dense"} {
+		twin, cur := benchPagePair(kind)
+		b.Run(kind, func(b *testing.B) {
+			space := mem.NewSpace(benchPageSize)
+			space.Alloc("page", benchPageSize, 0)
+			pm := mem.NewProcMem(space, 0)
+			pm.Write(0, cur)
+			b.ReportAllocs()
+			b.SetBytes(benchPageSize)
+			for i := 0; i < b.N; i++ {
+				pm.RecycleDiff(pm.MakeTransientDiff(0, twin, 4))
+			}
+		})
+	}
+}
+
 // benchDiffPair builds two overlapping diffs of one page for the merge
 // benchmarks.
 func benchDiffPair(kind string) (*mem.Diff, *mem.Diff) {

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -158,8 +159,10 @@ func parseBenchLine(line string) (record, bool) {
 	r := record{Benchmark: name}
 	seen := false
 	for i := 2; i+1 < len(f); i += 2 {
+		// A measurement JSON cannot carry (NaN, ±Inf) makes the line
+		// noise, like one that is not a number at all.
 		v, err := strconv.ParseFloat(f[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return record{}, false
 		}
 		switch f[i+1] {

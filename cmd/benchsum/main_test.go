@@ -32,6 +32,11 @@ func TestParseBenchLine(t *testing.T) {
 		{line: "=== RUN   BenchmarkSchedule", ok: false},
 		{line: "ok  \taecdsm\t12.3s", ok: false},
 		{line: "BenchmarkBroken\tnot-a-number ns/op", ok: false},
+		// Values JSON cannot carry are not results either.
+		{line: "BenchmarkA-8 1 NaN ns/op 0 B/op 0 allocs/op", ok: false},
+		{line: "BenchmarkA-8 1 5 ns/op +Inf B/op 0 allocs/op", ok: false},
+		{line: "BenchmarkA-8 1 5 ns/op 0 B/op -inf allocs/op", ok: false},
+		{line: "BenchmarkA-8 1 1e999 ns/op", ok: false},
 	}
 	for _, tc := range tests {
 		got, ok := parseBenchLine(tc.line)
@@ -58,14 +63,29 @@ func eq(a, b *float64) bool {
 	return a == nil || *a == *b
 }
 
+// event wraps one result line in a `go test -json` output event.
+func event(line string) string {
+	b, _ := json.Marshal(testEvent{Action: "output", Package: "aecdsm/internal/sim", Output: line + "\n"})
+	return string(b) + "\n"
+}
+
+// TestNonFiniteLineIsNoise: one result line with a NaN among good ones is
+// dropped; it used to fail the encoder and take every record with it.
+func TestNonFiniteLineIsNoise(t *testing.T) {
+	in := event("BenchmarkA-8 1 NaN ns/op 0 B/op 0 allocs/op") + event("BenchmarkB-8 10 5 ns/op 0 B/op 0 allocs/op")
+	var out, errw bytes.Buffer
+	if code := run(strings.NewReader(in), &out, &errw, nil); code != 0 || errw.Len() > 0 {
+		t.Fatalf("exit %d, stderr %q", code, errw.String())
+	}
+	if got := out.String(); got != `{"benchmark":"BenchmarkB","package":"aecdsm/internal/sim","ns_op":5,"b_op":0,"allocs_op":0}`+"\n" {
+		t.Fatalf("records: %q", got)
+	}
+}
+
 // TestAssertZeroAllocsGate: the gate fails on a nonzero allocs/op, on a
 // match without -benchmem, and — the vacuous pass it used to allow — when
 // results were seen but the regexp matched none of them.
 func TestAssertZeroAllocsGate(t *testing.T) {
-	event := func(line string) string {
-		b, _ := json.Marshal(testEvent{Action: "output", Package: "aecdsm/internal/sim", Output: line + "\n"})
-		return string(b) + "\n"
-	}
 	zero := event("BenchmarkSchedule-8 \t20000000\t 55.2 ns/op\t 0 B/op\t 0 allocs/op")
 	leaky := event("BenchmarkSendDeliver-8 \t1000000\t 122 ns/op\t 96 B/op\t 1 allocs/op")
 	nomem := event("BenchmarkHandoff-8 \t1000000\t 196 ns/op")

@@ -136,15 +136,12 @@ func (pr *AEC) makeOutsideDiff(c *proto.Ctx, st *procState, pg int, cat stats.Ca
 		delete(st.dirtyOutside, pg)
 		return
 	}
-	d := c.M.MakeDiff(pg, f.Twin, pr.e.Params.WordBytes)
+	d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
 	pr.chargeDiffCreate(c, d, cat, hidden)
-	d = pr.merge2(st.outsideDiff[pg], d)
-	st.archiveOutside(pr, pg, st.twinStep[pg], d)
-	delete(st.outsideDiff, pg)
-	delete(st.dirtyOutside, pg)
-	delete(st.twinStep, pg)
-	c.M.DropTwin(pg)
-	writeProtect(f)
+	// The speculative diff is read after the charge: a lazyOutsideDiff
+	// serviced meanwhile may have merged and recycled it already, and
+	// then it is gone from outsideDiff (ROADMAP item 1(a)).
+	pr.archiveTwinStep(c.M, st, pg, f, d)
 }
 
 // lazyOutsideDiff is the service-context version used when a write-notice
@@ -157,7 +154,7 @@ func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 		return
 	}
 	pp := &pr.e.Params
-	d := ctx.M.MakeDiff(pg, f.Twin, pp.WordBytes)
+	d := ctx.M.MakeTransientDiff(pg, f.Twin, pp.WordBytes)
 	cost := pp.DiffCycles(pr.pageSize)
 	s.Charge(cost)
 	s.ChargeMem(pr.pageSize)
@@ -166,12 +163,22 @@ func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 		ctx.P.Stats.DiffsCreated++
 		ctx.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
 	}
-	d = pr.merge2(st.outsideDiff[pg], d)
-	st.archiveOutside(pr, pg, st.twinStep[pg], d)
+	pr.archiveTwinStep(ctx.M, st, pg, f, d)
+}
+
+// archiveTwinStep ends the page's twin step: the step's outside diff — d
+// merged over the speculative one, if any — is archived, both transient
+// diffs go back to the processor's memory m that made them, and the page
+// loses its twin and is write-protected (its next write re-twins).
+func (pr *AEC) archiveTwinStep(m *mem.ProcMem, st *procState, pg int, f *mem.Frame, d *mem.Diff) {
+	spec := st.outsideDiff[pg]
+	st.archiveOutside(pr, pg, st.twinStep[pg], pr.merge2(spec, d))
+	m.RecycleDiff(spec)
+	m.RecycleDiff(d)
 	delete(st.outsideDiff, pg)
 	delete(st.dirtyOutside, pg)
 	delete(st.twinStep, pg)
-	ctx.M.DropTwin(pg)
+	m.DropTwin(pg)
 	writeProtect(f)
 }
 
@@ -493,9 +500,9 @@ func (pr *AEC) finalizeStep(c *proto.Ctx, st *procState) {
 		}
 	}
 	st.step++
-	st.accessedPrev = st.accessedCur
-	st.accessedCur = make(map[int]bool)
-	st.newValid = make(map[int]bool)
+	st.accessedPrev, st.accessedCur = st.accessedCur, st.accessedPrev
+	clear(st.accessedCur)
+	clear(st.newValid)
 	st.barDiffsGot = 0
 	st.barWNsGot = 0
 	for lock, buf := range st.recv {
@@ -505,9 +512,12 @@ func (pr *AEC) finalizeStep(c *proto.Ctx, st *procState) {
 		c.P.Stats.UselessUpdates += uint64(len(buf.diffs))
 		delete(st.recv, lock)
 	}
-	st.myMerged = make(map[int]map[int]*mem.Diff)
-	st.inherited = make(map[int]map[int]*mem.Diff)
-	st.lockPages = make(map[int][]int)
-	st.lockUS = make(map[int][]int)
+	// The per-interval sets are emptied in place. Only the outer maps: a
+	// lock's chain map may be shared (inherited[lock] = myMerged[lock])
+	// and lives on in whoever holds it.
+	clear(st.myMerged)
+	clear(st.inherited)
+	clear(st.lockPages)
+	clear(st.lockUS)
 	c.Epoch++
 }

@@ -43,7 +43,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 
 	st.inCS++
 	st.curLock = lock
-	st.dirtyInside = make(map[int]bool)
+	clear(st.dirtyInside)
 	st.lockLastOwner[lock] = g.lastReleaser
 	st.lockPages[lock] = g.invPages
 	st.lockUS[lock] = g.us
@@ -181,7 +181,9 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
 			continue
 		}
 		f := c.M.Frame(pg)
-		d := c.M.MakeDiff(pg, f.Twin, pr.e.Params.WordBytes)
+		// Transient: recycled when it leaves outsideDiff, discarded at
+		// Release or merged into the step's final diff.
+		d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
 		pr.chargeDiffCreateOpt(c, d, stats.Synch, true, true)
 		if d == nil {
 			// Page was re-written with identical contents; treat as
@@ -299,10 +301,11 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		if f.Twin == nil {
 			continue
 		}
-		d := c.M.MakeDiff(pg, f.Twin, pr.e.Params.WordBytes)
+		d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
 		pr.chargeDiffCreate(c, d, stats.Synch, false)
 		if d != nil {
 			m := pr.merge2(merged[pg], d)
+			c.M.RecycleDiff(d)
 			merged[pg] = m
 			if inherited[pg] != nil {
 				c.P.Stats.DiffsMerged++
@@ -358,16 +361,15 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		if st.dirtyInside[pg] || st.twinStep[pg] != st.step {
 			continue
 		}
-		if st.outsideDiff[pg] != nil {
-			delete(st.outsideDiff, pg)
-		}
+		c.M.RecycleDiff(st.outsideDiff[pg])
+		delete(st.outsideDiff, pg)
 		f := c.M.Peek(pg)
 		if f.Data != nil {
 			f.WriteEpoch = c.Epoch + 1 // writable again in the new epoch
 		}
 	}
 
-	st.dirtyInside = make(map[int]bool)
+	clear(st.dirtyInside)
 	st.inCS--
 	st.curLock = -1
 	c.Epoch++

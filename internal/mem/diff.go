@@ -42,6 +42,15 @@ func nextDiffID() uint64 { return diffIDs.Add(1) }
 // runHeaderBytes is the encoded size of a run header (offset + length).
 const runHeaderBytes = 8
 
+// maxEncodedBytes is the largest encoding a diff of one page can have:
+// runs are neither empty nor adjacent, so there are at most ⌈words/2⌉ of
+// them (every other word modified), and together they carry at most the
+// page.
+func maxEncodedBytes(pageSize, wordBytes int) int {
+	wordBytes = max(wordBytes, 1) // the compare diagnoses a bad word size
+	return pageSize + runHeaderBytes*((pageSize+2*wordBytes-1)/(2*wordBytes))
+}
+
 // appendRun encodes one run at the end of enc.
 func appendRun(enc []byte, off int, data []byte) []byte {
 	enc = binary.LittleEndian.AppendUint32(enc, uint32(off))

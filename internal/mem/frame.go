@@ -45,6 +45,13 @@ type ProcMem struct {
 	// runs here in one scan and the diff gets a copy at exact size.
 	diffEnc []byte
 
+	// encs recycles the encodings of transient diffs between
+	// MakeTransientDiff and RecycleDiff. A buffer is drawn from the
+	// space's region at a page's worst-case encoded size, so the compare
+	// never outgrows it, and is handed back as soon as its diff dies: the
+	// list holds at most as many as were ever live at once.
+	encs pool.Slices[byte]
+
 	// Tracer emits twin-create and invalidate events stamped by Clock,
 	// the owning processor's virtual time. The harness wires both when
 	// tracing is enabled; Clock is nil otherwise, so it is read only
@@ -186,6 +193,58 @@ func (m *ProcMem) MakeDiff(page int, twin []byte, wordBytes int) *Diff {
 	}
 	return &Diff{Page: page, ID: nextDiffID(), enc: append([]byte(nil), enc...), runs: runs}
 }
+
+// MakeTransientDiff is MakeDiff for a diff that dies inside the protocol —
+// merged, discarded or shipped once — and that its maker hands back with
+// RecycleDiff after its last reader. The diff encodes into a recycled
+// buffer instead of getting a copy of its own.
+//
+// It inlines, so a caller that does not keep the diff keeps it on its
+// stack: make and recycle then allocate nothing at all, which
+// BenchmarkMakeTransientDiff's zero-alloc gate holds it to.
+func (m *ProcMem) MakeTransientDiff(page int, twin []byte, wordBytes int) *Diff {
+	d := m.encodeTransient(page, twin, wordBytes)
+	if d.runs == 0 {
+		return nil
+	}
+	return &d
+}
+
+// encodeTransient runs the twin compare into a recycled buffer, or into
+// one drawn from the space's region that holds the worst-case diff of a
+// page. A clean page's buffer goes straight back to the free list.
+func (m *ProcMem) encodeTransient(page int, twin []byte, wordBytes int) Diff {
+	enc := m.encs.Get()
+	if enc == nil {
+		enc = m.space.region.page(maxEncodedBytes(m.space.pageSize, wordBytes))[:0]
+	}
+	enc, runs := appendRuns(enc, twin, m.Frame(page).Data, wordBytes)
+	if runs == 0 {
+		m.encs.Put(enc)
+		return Diff{}
+	}
+	return Diff{Page: page, ID: nextDiffID(), enc: enc, runs: runs}
+}
+
+// RecycleDiff takes back the encoding of a diff made by MakeTransientDiff
+// on this ProcMem, once nothing reads the diff any more, and empties the
+// diff, so a second recycle of it does nothing. A nil or empty diff is
+// ignored.
+func (m *ProcMem) RecycleDiff(d *Diff) {
+	if d == nil || d.enc == nil {
+		return
+	}
+	if poisonRecycled {
+		fill(d.enc[:cap(d.enc)], regionPoison)
+	}
+	m.encs.Put(d.enc)
+	d.enc, d.runs = nil, 0
+}
+
+// poisonRecycled makes RecycleDiff fill what it takes back with 0xA5, so
+// that a reader of a recycled diff's bytes reads garbage; only tests set it
+// (export_test.go).
+var poisonRecycled bool
 
 // Invalidate marks the page unreadable here.
 func (m *ProcMem) Invalidate(page int) {

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzMakeDiff drives the twin-compare kernel and the merger from three
-// fuzzed versions of one page (a, then b, then c) and a fuzzed word size,
-// unusable sizes included. The seed corpus is the f.Add list below plus
+// FuzzMakeDiff drives the twin-compare kernel — through MakeDiff and
+// ProcMem.MakeTransientDiff — and the merger from three fuzzed versions of
+// one page (a, then b, then c) and a fuzzed word size, unusable sizes
+// included. The seed corpus is the f.Add list below plus
 // testdata/fuzz/FuzzMakeDiff; CI gives it a short budget
 // (`go test -fuzz FuzzMakeDiff ./internal/mem`).
 func FuzzMakeDiff(f *testing.F) {
@@ -65,6 +66,23 @@ func FuzzMakeDiff(f *testing.F) {
 			t.Fatalf("diff is nil = %v, pages equal = %v", d1 == nil, bytes.Equal(a, b))
 		}
 		d2 := MakeDiff(0, b, c, wordBytes)
+
+		// The transient entry point encodes the same diffs, the first into
+		// a buffer full of garbage, the second into the one the first
+		// recycled.
+		pm := &ProcMem{space: &Space{pageSize: n}, frames: []Frame{{Data: b}}}
+		pm.encs.Put(bytes.Repeat([]byte{regionPoison}, maxEncodedBytes(n, wordBytes)))
+		for _, step := range []struct {
+			twin, cur []byte
+			want      *Diff
+		}{{a, b, d1}, {b, c, d2}} {
+			pm.frames[0].Data = step.cur
+			got := pm.MakeTransientDiff(0, step.twin, wordBytes)
+			if !sameEncoding(got, step.want) {
+				t.Fatalf("transient diff %v, MakeDiff %v", got, step.want)
+			}
+			pm.RecycleDiff(got)
+		}
 
 		for _, d := range []*Diff{d1, d2} {
 			if d == nil {

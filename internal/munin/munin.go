@@ -109,6 +109,9 @@ type procState struct {
 	// Per-processor, not per-protocol: a flush blocks on acks, and other
 	// processors flush while it waits.
 	flushPages []int
+	// flushDiffs are the diffs of the flush in progress, recycled once its
+	// acks are in.
+	flushDiffs []*mem.Diff
 }
 
 type pageState struct {
@@ -203,7 +206,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 		pp := &pr.e.Params
 		var local *mem.Diff
 		if st.dirty[page] && f.Twin != nil {
-			local = c.M.MakeDiff(page, f.Twin, pp.WordBytes)
+			local = c.M.MakeTransientDiff(page, f.Twin, pp.WordBytes)
 			cost := pp.DiffCycles(pr.pageSize)
 			c.P.Stats.DiffCreateCycles += cost
 			c.P.Advance(cost, stats.Data)
@@ -231,6 +234,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 			cost := pp.DiffCycles(local.DataBytes())
 			c.P.Advance(cost, stats.Data)
 			c.PatchDiff(local)
+			c.M.RecycleDiff(local)
 		}
 		f.Valid = true
 		f.EverValid = true
@@ -348,7 +352,7 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 		if f.Twin == nil {
 			continue
 		}
-		d := c.M.MakeDiff(pg, f.Twin, pp.WordBytes)
+		d := c.M.MakeTransientDiff(pg, f.Twin, pp.WordBytes)
 		cost := pp.DiffCycles(pr.pageSize)
 		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
 		c.P.Stats.DiffCreateCycles += cost
@@ -361,6 +365,7 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 		c.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
 		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
 		sent++
+		st.flushDiffs = append(st.flushDiffs, d)
 		c.P.Stats.UpdatesPushed++
 		c.P.Stats.UpdateBytesPushed += uint64(d.EncodedBytes())
 		pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindUpdatePush, pg, int64(pr.homeOf(pg)), int64(d.EncodedBytes()))
@@ -377,6 +382,14 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 	c.P.WaitUntil(func() bool {
 		return st.homeAcks >= want && st.memAcks >= st.memWanted
 	}, stats.Synch)
+	// Every reader of the flush's diffs has run: the home's handleUpdate
+	// before its home ack, each sharer's handleFwdUpdate before its member
+	// ack, and a retransmitted or duplicated copy is dropped by the
+	// transport's dedup before any handler reads its payload.
+	for _, d := range st.flushDiffs {
+		c.M.RecycleDiff(d)
+	}
+	st.flushDiffs = st.flushDiffs[:0]
 }
 
 // handleUpdate runs at a page's home: apply the diff, forward it to the
