@@ -1,14 +1,14 @@
 // Command dsmvet runs the repo's invariant lint suite (internal/lint) over
 // the given package patterns, printing one line per finding and exiting
-// nonzero when anything is flagged. It is the static half of the protocol
-// checking story: the differential checker (cmd/fuzzdsm) rejects invariant
-// violations at run time; dsmvet rejects the code shapes that cause them
-// at compile time. See docs/LINTING.md.
+// nonzero when anything is flagged. The tests and the differential checker
+// (cmd/fuzzdsm) reject invariant violations a run shows; dsmvet rejects the
+// two kinds a deterministic run shows only by chance — real concurrency in
+// the single-runner core and nondeterminism sources. See docs/LINTING.md.
 //
 // Usage:
 //
 //	go run ./cmd/dsmvet ./...
-//	go run ./cmd/dsmvet -run blockingcharge,chargeflow ./internal/tm
+//	go run ./cmd/dsmvet -run determinism ./internal/aec
 //	go run ./cmd/dsmvet -json ./...
 //	go run ./cmd/dsmvet -unused-directives ./...
 //	go run ./cmd/dsmvet -list
@@ -30,19 +30,11 @@ import (
 // jsonFinding is the machine-readable shape of one finding, consumed by
 // the GitHub Actions problem matcher and any editor integration.
 type jsonFinding struct {
-	File     string     `json:"file"`
-	Line     int        `json:"line"`
-	Col      int        `json:"col"`
-	Analyzer string     `json:"analyzer"`
-	Message  string     `json:"message"`
-	Path     []jsonStep `json:"path,omitempty"`
-}
-
-// jsonStep is one point on a dataflow finding's witness path.
-type jsonStep struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	What string `json:"what"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -121,17 +113,13 @@ func run(args []string, out, errw io.Writer) int {
 	if *jsonFlag {
 		js := make([]jsonFinding, 0, len(allFindings))
 		for _, f := range allFindings {
-			jf := jsonFinding{
+			js = append(js, jsonFinding{
 				File:     f.Pos.Filename,
 				Line:     f.Pos.Line,
 				Col:      f.Pos.Column,
 				Analyzer: f.Analyzer,
 				Message:  f.Message,
-			}
-			for _, s := range f.Path {
-				jf.Path = append(jf.Path, jsonStep{File: s.Pos.Filename, Line: s.Pos.Line, What: s.What})
-			}
-			js = append(js, jf)
+			})
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")

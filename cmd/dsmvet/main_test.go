@@ -10,9 +10,11 @@ import (
 	"aecdsm/internal/lint"
 )
 
-// TestRunExitCodes drives the command at its boundary: -list names every
-// analyzer and exits 0, an analyzer or flag it does not know is a usage
-// error (2) before any package is loaded, a clean package exits 0 in
+// TestRunExitCodes drives the command at its boundary: -list names the two
+// analyzers and exits 0, an analyzer or flag it does not know is a usage
+// error (2) before any package is loaded — a deleted analyzer's name
+// included, so a stale -run is rejected, not silently ignored — a clean
+// package exits 0 in
 // silence, and a package with one finding exits 1 with that finding — as
 // a text line, or under -json as a valid JSON array holding it.
 func TestRunExitCodes(t *testing.T) {
@@ -32,8 +34,8 @@ func TestRunExitCodes(t *testing.T) {
 			t.Errorf("-list does not name %s:\n%s", a.Name, out)
 		}
 	}
-	if got, want := strings.Count(out, "\n"), len(lint.Analyzers()); got != want {
-		t.Errorf("-list printed %d lines for %d analyzers", got, want)
+	if got := strings.Count(out, "\n"); got != 2 || len(lint.Analyzers()) != 2 {
+		t.Errorf("-list printed %d lines for %d analyzers; want singlethread and determinism", got, len(lint.Analyzers()))
 	}
 
 	for _, tc := range []struct {
@@ -42,6 +44,7 @@ func TestRunExitCodes(t *testing.T) {
 		errw string
 	}{
 		{"unknown analyzer", []string{"-run", "determinism,nope", "./clean"}, `unknown analyzer "nope" (try -list)`},
+		{"deleted analyzer", []string{"-run", "blockingcharge", "./clean"}, `unknown analyzer "blockingcharge" (try -list)`},
 		{"unknown flag", []string{"-nope"}, "flag provided but not defined"},
 		{"no such package", []string{"./missing"}, "dsmvet:"},
 	} {

@@ -119,7 +119,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 				// even if handlePush swaps st.recv[lock] during the apply
 				// charge, the applied flags belong to the buffer this
 				// iteration's diff was read from, not the replacement.
-				//dsmvet:allow blockingcharge applied flags must mark the buffer the diff came from, not a replacement
 				buf.applied[pg] = true
 				pr.chargeDiffApply(c, d, stats.Synch, false)
 				pr.applyDiffData(c, d)

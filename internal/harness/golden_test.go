@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +11,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_short.txt from the current code")
+	"rewrite the testdata/golden_*.txt snapshot of each golden test that runs")
 
 const goldenScale = 0.1
 
@@ -24,25 +25,54 @@ const goldenScale = 0.1
 func TestGoldenKeyStats(t *testing.T) {
 	var buf bytes.Buffer
 	NewExperiments(goldenScale).KeyStats(&buf)
+	checkGolden(t, "golden_short.txt", buf.Bytes())
+}
 
-	path := filepath.Join("testdata", "golden_short.txt")
+// TestGoldenBreakdown diffs the execution-time breakdown of every paper
+// application under every protocol kind against the checked-in snapshot:
+// each bar as Figures 4-6 render it (AEC = 100), then its cycles per
+// category, since a small charge billed to the wrong category moves no
+// rounded percentage. A charge miscategorised or not billed at all fails
+// here whichever protocol and application it is in. Regenerate
+// deliberately with:
+//
+//	go test ./internal/harness -run TestGoldenBreakdown -update-golden
+func TestGoldenBreakdown(t *testing.T) {
+	e := NewExperiments(goldenScale)
+	e.prefetch(e.specsFor(AllApps(), Kinds()))
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "Execution-time breakdown at scale %g (AEC=100), then cycles per category:\n", e.Scale)
+	for _, app := range AllApps() {
+		aec := e.Run(app, ProtoAEC).Run.TotalBreakdown()
+		norm := aec.Total()
+		fmt.Fprintf(&buf, " %s\n", app)
+		for _, kind := range Kinds() {
+			b := e.Run(app, kind).Run.TotalBreakdown()
+			breakdownRow(&buf, "  "+string(kind), b, norm)
+			fmt.Fprintf(&buf, "  %-18s %v\n", "", b)
+		}
+	}
+	checkGolden(t, "golden_breakdown.txt", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden snapshot (run with -update-golden): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("key statistics diverged from golden snapshot:\n%s",
-			diffLines(string(want), buf.String()))
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged from the golden snapshot:\n%s", name, diffLines(string(want), string(got)))
 	}
 }
 

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -47,22 +45,7 @@ func TestGoldenTimeline(t *testing.T) {
 	var buf bytes.Buffer
 	NewExperiments(goldenScale).TimelineSweep(&buf, "Raytrace")
 
-	path := filepath.Join("testdata", "golden_timeline.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden snapshot (run with -update-golden): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("timeline diverged from golden snapshot:\n%s",
-			diffLines(string(want), buf.String()))
-	}
+	checkGolden(t, "golden_timeline.txt", buf.Bytes())
 }
 
 // TestSessionMatchesRun checks that a session driven to completion in

@@ -53,18 +53,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
 }
 
-// Diagnostic is one finding at one position. Dataflow analyzers may
-// attach the execution path that proves the finding (e.g. blockingcharge
-// v2's load → blocking charge → publish chain) as Steps; drivers render
-// it in -json output and human diagnostics.
+// Diagnostic is one finding at one position.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	Steps   []Step
-}
-
-// Step is one point on a diagnostic's witness path.
-type Step struct {
-	Pos  token.Pos
-	What string
 }

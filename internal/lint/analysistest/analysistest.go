@@ -5,7 +5,7 @@
 //
 // Fixtures live under testdata/src/<dir>. Imports inside a fixture are
 // resolved against testdata/src as well, so fixtures import stub packages
-// with bare paths ("sim", "stats", "trace", ...) instead of the real
+// with bare paths ("sim", "stats") instead of the real
 // simulator layers — including stand-ins for the standard-library packages
 // the analyzers recognize by path ("time", "sync", "math/rand", "sort").
 // Nothing outside testdata is ever loaded, which keeps the fixtures
@@ -33,9 +33,8 @@ import (
 // Run loads the fixture package testdata/src/<dir>, executes the analyzers
 // through lint.RunPackage (so //dsmvet:allow filtering and directive
 // auditing apply exactly as in cmd/dsmvet), and fails the test unless the
-// findings line up one-to-one with the fixture's `// want` comments. It
-// returns the findings for any extra assertions the caller wants to make.
-func Run(t *testing.T, testdata, dir string, analyzers ...*analysis.Analyzer) []lint.Finding {
+// findings line up one-to-one with the fixture's `// want` comments.
+func Run(t *testing.T, testdata, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	pkg := Load(t, testdata, dir)
 	findings, err := lint.RunPackage(pkg, analyzers)
@@ -43,7 +42,6 @@ func Run(t *testing.T, testdata, dir string, analyzers ...*analysis.Analyzer) []
 		t.Fatalf("running analyzers over %s: %v", dir, err)
 	}
 	checkWants(t, pkg, findings)
-	return findings
 }
 
 // Load parses and type-checks the fixture package testdata/src/<dir>

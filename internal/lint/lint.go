@@ -1,9 +1,8 @@
-// Package lint is dsmvet: a suite of static analyzers that enforce the
-// simulator's cross-cutting invariants at compile time — single-runner
-// cooperative scheduling, deterministic virtual time, blocking-charge
-// state discipline and cycle-accounting category hygiene. See
-// docs/LINTING.md for the invariant catalogue and the //dsmvet:allow
-// escape hatch.
+// Package lint is dsmvet: static analyzers for the two simulator
+// invariants a deterministic run cannot check for itself — single-runner
+// cooperative scheduling and reproducible virtual time. See
+// docs/LINTING.md for the invariants, the mutation evidence that keeps the
+// suite this small, and the //dsmvet:allow escape hatch.
 package lint
 
 import (
@@ -23,10 +22,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Singlethread,
 		Determinism,
-		Blockingcharge,
-		Lockdiscipline,
-		Chargeflow,
-		Chargecat,
 	}
 }
 
@@ -35,16 +30,6 @@ type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Path is the witness path a dataflow analyzer attached (load →
-	// blocking charge → publish, say), in execution order. Empty for
-	// syntactic findings.
-	Path []PathStep
-}
-
-// PathStep is one resolved point on a finding's witness path.
-type PathStep struct {
-	Pos  token.Position
-	What string
 }
 
 func (f Finding) String() string {
@@ -86,19 +71,14 @@ func RunPackage(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Finding,
 				al.Used = true
 				continue
 			}
-			// An analyzer may visit one site along several paths (e.g. the
-			// guard-body scan fires per construct in the guard); report each
-			// distinct diagnostic once.
+			// A call inside nested map ranges is visited once per enclosing
+			// range; report each distinct diagnostic once.
 			key := fmt.Sprintf("%s:%d:%d:%s", pos.Filename, pos.Line, pos.Column, d.Message)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			f := Finding{Analyzer: a.Name, Pos: pos, Message: d.Message}
-			for _, s := range d.Steps {
-				f.Path = append(f.Path, PathStep{Pos: pkg.Fset.Position(s.Pos), What: s.What})
-			}
-			out = append(out, f)
+			out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 		}
 	}
 
@@ -139,7 +119,7 @@ const repoModule = "aecdsm"
 
 // pkgIs reports whether p is the repo layer with the given base name.
 // Fixture stubs under internal/lint/testdata use the bare base name as the
-// import path ("sim", "trace"), so both spellings match.
+// import path ("sim", "stats"), so both spellings match.
 func pkgIs(p *types.Package, base string) bool {
 	if p == nil {
 		return false
@@ -201,38 +181,6 @@ func recvNamed(fn *types.Func) *types.Named {
 	return n
 }
 
-// blockingPrim reports whether fn is one of the simulator primitives that
-// advance virtual time (and therefore let other runners or service handlers
-// interleave, in simulated time, with the caller): Proc.Advance/Block/
-// WaitUntil/Checkpoint, every Svc charge/send, Engine.SendFrom, and every
-// proto.Ctx accessor or protocol operation (they all charge cycles).
-func blockingPrim(fn *types.Func) bool {
-	n := recvNamed(fn)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	switch {
-	case pkgIs(obj.Pkg(), "sim") && obj.Name() == "Proc":
-		switch fn.Name() {
-		case "Advance", "Block", "WaitUntil", "Checkpoint":
-			return true
-		}
-	case pkgIs(obj.Pkg(), "sim") && obj.Name() == "Svc":
-		switch fn.Name() {
-		case "Charge", "ChargeList", "ChargeMem", "Send":
-			return true
-		}
-	case pkgIs(obj.Pkg(), "sim") && obj.Name() == "Engine":
-		return fn.Name() == "SendFrom"
-	case pkgIs(obj.Pkg(), "proto") && (obj.Name() == "Ctx" || obj.Name() == "Protocol"):
-		// Every exported Ctx method charges simulated cycles on its way
-		// through the MMU/cost model; every Protocol operation may block.
-		return ast.IsExported(fn.Name())
-	}
-	return false
-}
-
 // parentMap records each node's syntactic parent within a file.
 func parentMap(file *ast.File) map[ast.Node]ast.Node {
 	parents := make(map[ast.Node]ast.Node)
@@ -249,25 +197,4 @@ func parentMap(file *ast.File) map[ast.Node]ast.Node {
 		return true
 	})
 	return parents
-}
-
-// baseIdent peels selectors, indexes and parens off an expression and
-// returns the root identifier, or nil.
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -49,44 +49,10 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", "determinism", lint.Determinism)
 }
 
-func TestBlockingcharge(t *testing.T) {
-	analysistest.Run(t, "testdata", "blockingcharge", lint.Blockingcharge)
-}
-
-func TestLockdiscipline(t *testing.T) {
-	analysistest.Run(t, "testdata", "lockdiscipline", lint.Lockdiscipline)
-}
-
-func TestChargeflow(t *testing.T) {
-	analysistest.Run(t, "testdata", "chargeflow", lint.Chargeflow)
-}
-
-func TestChargecat(t *testing.T) {
-	analysistest.Run(t, "testdata", "chargecat", lint.Chargecat)
-}
-
-// TestLockpolicyLayer pins the lockpolicy layer contract from PR 7: the
-// grant-discipline policies never charge cycles themselves (empty
-// allowed-category list), and grant decisions must not leak map iteration
-// order — so the fixture runs both chargecat and determinism.
+// TestLockpolicyLayer pins the half of the lockpolicy layer contract a
+// run cannot see: grant decisions must not leak map iteration order.
 func TestLockpolicyLayer(t *testing.T) {
-	analysistest.Run(t, "testdata", "lockpolicy", lint.Chargecat, lint.Determinism)
-}
-
-// TestPR2RegressionShape pins the acceptance criterion that re-introducing
-// the TreadMarks double-diff race (diff published through a reference that
-// went stale across a blocking charge) fails dsmvet: the fixture function
-// doubleDiffRace reproduces tm.forceDiff as it looked before the PR 2 fix,
-// and blockingcharge must flag its publication line.
-func TestPR2RegressionShape(t *testing.T) {
-	findings := analysistest.Run(t, "testdata", "blockingcharge", lint.Blockingcharge)
-	for _, f := range findings {
-		if strings.HasSuffix(f.Pos.Filename, "pr2regression.go") &&
-			strings.Contains(f.Message, "after a blocking charge") {
-			return
-		}
-	}
-	t.Fatalf("no blockingcharge finding in pr2regression.go; findings: %v", findings)
+	analysistest.Run(t, "testdata", "lockpolicy", lint.Determinism)
 }
 
 // TestAllowDirectives exercises the //dsmvet:allow escape hatch: a

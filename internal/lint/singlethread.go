@@ -156,7 +156,7 @@ func checkCrossengineFile(pass *analysis.Pass, file *ast.File) {
 			return true
 		}
 		callee := calleeOf(pass.TypesInfo, call)
-		if callee == nil || !blockingPrim(callee) {
+		if callee == nil || !engineInternal(callee) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
@@ -164,4 +164,35 @@ func checkCrossengineFile(pass *analysis.Pass, file *ast.File) {
 			recvNamed(callee).Obj().Name(), callee.Name())
 		return true
 	})
+}
+
+// engineInternal reports whether fn steps inside one engine's cooperative
+// schedule: the Proc primitives that advance or yield a processor
+// (Advance/Block/WaitUntil/Checkpoint), Engine.SendFrom, every exported
+// proto.Ctx or proto.Protocol method (they run on a processor), and the
+// Svc charges and sends. Those last only add to s.Now and never yield, but
+// a Svc exists only inside a handler the engine is dispatching.
+func engineInternal(fn *types.Func) bool {
+	n := recvNamed(fn)
+	if n == nil {
+		return false
+	}
+	obj := n.Obj()
+	switch {
+	case pkgIs(obj.Pkg(), "sim") && obj.Name() == "Proc":
+		switch fn.Name() {
+		case "Advance", "Block", "WaitUntil", "Checkpoint":
+			return true
+		}
+	case pkgIs(obj.Pkg(), "sim") && obj.Name() == "Svc":
+		switch fn.Name() {
+		case "Charge", "ChargeList", "ChargeMem", "Send":
+			return true
+		}
+	case pkgIs(obj.Pkg(), "sim") && obj.Name() == "Engine":
+		return fn.Name() == "SendFrom"
+	case pkgIs(obj.Pkg(), "proto") && (obj.Name() == "Ctx" || obj.Name() == "Protocol"):
+		return ast.IsExported(fn.Name())
+	}
+	return false
 }

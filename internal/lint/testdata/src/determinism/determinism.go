@@ -43,6 +43,17 @@ func unsortedAppend(m map[int]int) []int {
 	return pages
 }
 
+// The barrier-arrival shape: lock IDs gathered from a map into a list
+// that goes out in a message. A receiver that re-sorts the list hides the
+// missing sort from every run.
+func arrivalLocks(merged map[int]map[int]bool) []int {
+	lockIDs := make([]int, 0, len(merged))
+	for lock := range merged {
+		lockIDs = append(lockIDs, lock) // want `append to "lockIDs" inside range over a map records map iteration order`
+	}
+	return lockIDs
+}
+
 func sortedAppendOK(m map[int]int) []int {
 	var pages []int
 	for pg := range m {

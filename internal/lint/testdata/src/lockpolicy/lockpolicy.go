@@ -1,14 +1,9 @@
 // Fixture for the lockpolicy layer contract: grant-discipline policies
-// are pure queue computations, so they may never charge cycles with a
-// literal category (the lock manager that consults them does all the
-// charging), and their queue state must never leak map iteration order
-// into grant decisions.
+// are pure queue computations whose queue state must never leak map
+// iteration order into grant decisions.
 package lockpolicy
 
-import (
-	"sim"
-	"stats"
-)
+import "sim"
 
 // pickNextOK is the clean shape: a pure scoring pass over the waiting
 // queue in deterministic slice order, map reads keyed by that order.
@@ -22,21 +17,9 @@ func pickNextOK(queue []int, affinity map[int]int) int {
 	return best
 }
 
-func chargesDirectly(p *sim.Proc) {
-	p.Advance(6, stats.Synch) // want `stats\.Synch is not a category this layer may charge \(allowed: none`
-}
-
-func blocksDirectly(p *sim.Proc) {
-	p.Block(stats.Data) // want `stats\.Data is not a category this layer may charge \(allowed: none`
-}
-
 func grantsInMapOrder(s *sim.Svc, waiting map[int]bool) {
 	s.ChargeList(len(waiting))
 	for p := range waiting {
 		s.Send(p, 1, 8, nil, nil) // want `Svc\.Send inside range over a map sends a message in map order`
 	}
-}
-
-func passThroughVariableOK(p *sim.Proc, cat stats.Category) {
-	p.Advance(6, cat)
 }

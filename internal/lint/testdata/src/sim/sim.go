@@ -1,36 +1,14 @@
 // Package sim is the fixture stand-in for aecdsm/internal/sim: the
-// blocking primitives and service surface the analyzers key on, with
-// empty bodies.
+// processor and service surface the fixtures call, with empty bodies.
 package sim
 
-import (
-	"stats"
-	"trace"
-)
-
-// Time is virtual time in cycles.
-type Time uint64
-
-// ProcStats counts per-processor protocol activity.
-type ProcStats struct {
-	DiffsCreated uint64
-}
+import "stats"
 
 // Proc is a simulated processor.
-type Proc struct {
-	ID    int
-	Clock Time
-	Stats *ProcStats
-}
+type Proc struct{}
 
 // Advance charges cost cycles to cat.
 func (p *Proc) Advance(cost uint64, cat stats.Category) {}
-
-// Block parks the processor until woken.
-func (p *Proc) Block(cat stats.Category) uint64 { return 0 }
-
-// WaitUntil blocks until ready holds.
-func (p *Proc) WaitUntil(ready func() bool, cat stats.Category) {}
 
 // Checkpoint yields to the engine.
 func (p *Proc) Checkpoint() {}
@@ -45,36 +23,10 @@ type Msg struct {
 type Handler func(*Svc, *Msg)
 
 // Svc is the service context a handler runs in.
-type Svc struct {
-	P   *Proc
-	Now Time
-}
-
-// Charge bills n fixed service cycles.
-func (s *Svc) Charge(n int) {}
+type Svc struct{}
 
 // ChargeList bills a list walk of n entries.
 func (s *Svc) ChargeList(n int) {}
 
-// ChargeMem bills a memory copy of n bytes.
-func (s *Svc) ChargeMem(n int) {}
-
 // Send queues a message from service context.
 func (s *Svc) Send(to, kind, size int, payload any, h Handler) {}
-
-// Wake unblocks a parked processor.
-func (s *Svc) Wake(p *Proc) {}
-
-// Engine drives the event loop.
-type Engine struct {
-	Tracer trace.Tracer
-}
-
-// SendFrom sends a message from processor context, charging cat.
-func (e *Engine) SendFrom(p *Proc, cat stats.Category, to, kind, size int, payload any, h Handler) {
-}
-
-// SendFromBestEffort is SendFrom for loss-tolerant traffic: no ack, no
-// retransmission under fault injection.
-func (e *Engine) SendFromBestEffort(p *Proc, cat stats.Category, to, kind, size int, payload any, h Handler) {
-}

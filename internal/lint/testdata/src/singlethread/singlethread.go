@@ -47,6 +47,19 @@ func locked() {
 	defer mu.Unlock() // want `use of sync\.Unlock in the single-runner core`
 }
 
+// A mutex around a protocol operation is never contended, because only
+// one runner exists: every run passes with it, so only the ban sees it.
+type tmLocks struct {
+	mu   sync.Mutex // want `use of sync\.Mutex in the single-runner core`
+	held map[int]bool
+}
+
+func (t *tmLocks) Acquire(lock int) {
+	t.mu.Lock()         // want `use of sync\.Lock in the single-runner core`
+	defer t.mu.Unlock() // want `use of sync\.Unlock in the single-runner core`
+	t.held[lock] = true
+}
+
 func plainCodeIsFine(xs []int) int {
 	total := 0
 	for _, x := range xs {

@@ -1,6 +1,5 @@
 // Package stats is the fixture stand-in for aecdsm/internal/stats: just
-// enough surface for the analyzers to resolve Category constants and
-// Breakdown.Add call sites.
+// enough surface for the fixtures to name a charge's category.
 package stats
 
 // Category mirrors the real execution-time breakdown categories.
@@ -10,17 +9,4 @@ const (
 	Busy Category = iota
 	Data
 	Synch
-	IPC
-	Others
-	Recovery
 )
-
-// Breakdown accumulates cycles per category.
-type Breakdown struct {
-	Cycles [6]uint64
-}
-
-// Add charges n cycles to cat.
-func (b *Breakdown) Add(cat Category, n uint64) {
-	b.Cycles[cat] += n
-}

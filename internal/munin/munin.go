@@ -504,7 +504,7 @@ func (pr *Munin) handleFwdInval(s *sim.Svc, m *sim.Msg) {
 		ctx.M.Invalidate(u.page)
 		ctx.P.Stats.Invalidations++
 	}
-	//dsmvet:allow chargecat bare ack; the home charged the forward on the update path and the releaser pays the wait, so the ack itself carries no billable work
+	// A bare ack: the home charged the forward, and the releaser pays the wait.
 	s.Send(u.releaser, kMemberAck, 8, nil, pr.h.memberAck)
 }
 

@@ -36,6 +36,5 @@ func (c *Ctx) landReply(s *sim.Svc, m *sim.Msg) {
 // svcSend is the one place the substrate sends on a handler's behalf: a
 // reply to a blocked caller, or barrier traffic relayed along the tree.
 func svcSend(s *sim.Svc, to, kind, bytes int, payload any, h sim.Handler) {
-	//dsmvet:allow chargecat forwarding wrapper; the handler it serves charges the work before the send
 	s.Send(to, kind, bytes, payload, h)
 }

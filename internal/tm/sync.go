@@ -116,13 +116,13 @@ func (pr *TM) handleAcqReq(s *sim.Svc, m *sim.Msg) {
 func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	pr.CommitGrant(s, lock, to, fromQueue, 0, nil)
 	vc := pr.ps[to].stashVC
+	// Neither send charges: the acquire and release handlers charged the
+	// queue work, and the grant body is costed at the releaser.
 	if last := pr.Lock(lock).LastReleaser; last >= 0 && last != to {
-		//dsmvet:allow chargecat routing decision only; the acquire/release handlers charged the queue work and the grant body is costed at the releaser
 		s.Send(last, kGrantReq, 8+4*pr.nprocs,
 			grantReq{lock: lock, to: to, vc: vc}, pr.h.grantReq)
 		return
 	}
-	//dsmvet:allow chargecat routing decision only; the acquire/release handlers charged the queue work and the grant body is costed at the releaser
 	s.Send(to, kGrant, 8+4*pr.nprocs,
 		grantMsg{lock: lock, vc: append([]int(nil), vc...)}, pr.h.grant)
 }

@@ -111,7 +111,7 @@ func (c *Chrome) Trace(ev Event) {
 		ev.Kind, ev.Kind.Category(), usec(ev.Cycle), proc,
 		ev.Lock, ev.Page, ev.Arg, ev.Arg2)
 	if ev.Note != "" {
-		fmt.Fprintf(c.w, `,"note":%q`, ev.Note)
+		fmt.Fprintf(c.w, `,"note":%s`, appendJSONString(nil, ev.Note))
 	}
 	fmt.Fprint(c.w, "}}")
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"strconv"
+	"unicode/utf8"
 )
 
 // JSONL streams events as one JSON object per line. The encoding is
@@ -46,7 +47,7 @@ func (j *JSONL) Trace(ev Event) {
 	b = strconv.AppendInt(b, ev.Arg2, 10)
 	if ev.Note != "" {
 		b = append(b, `,"n":`...)
-		b = strconv.AppendQuote(b, ev.Note)
+		b = appendJSONString(b, ev.Note)
 	}
 	b = append(b, "}\n"...)
 	j.buf = b
@@ -58,3 +59,36 @@ func (j *JSONL) Flush() error { return j.w.Flush() }
 
 // Close flushes the stream. The underlying writer is not closed.
 func (j *JSONL) Close() error { return j.Flush() }
+
+// appendJSONString appends s to b as a JSON string: quote and backslash
+// escaped, control characters and DEL as \u00XX, each byte of invalid
+// UTF-8 as \ufffd (what encoding/json decodes it to), the rest verbatim.
+// Both sinks quote notes with it; strconv.Quote and %q are Go syntax
+// (\x00, \a), which JSON rejects.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				b = append(b, `\ufffd`...)
+			} else {
+				b = append(b, s[i:i+size]...)
+			}
+			i += size
+			continue
+		}
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20 || c == 0x7f:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
+		}
+		i++
+	}
+	return append(b, '"')
+}
