@@ -71,10 +71,13 @@ func Protocols() []string {
 // Apps lists the registered application names (the paper's six first).
 func Apps() []string { return apps.Names() }
 
-// NewProtocol builds a protocol by name. ns is the LAP update-set size
-// (only meaningful for AEC; the paper uses 2).
+// NewProtocol builds a protocol by name. ns is the LAP update-set size of
+// AEC and Munin+LAP (0 = the paper's 2); a negative size is an error.
 func NewProtocol(name string, ns int) (Protocol, error) {
-	if ns <= 0 {
+	if ns < 0 {
+		return nil, fmt.Errorf("aecdsm: update-set size %d is negative", ns)
+	}
+	if ns == 0 {
 		ns = 2
 	}
 	kind, err := harness.ParseKind(name)
@@ -110,7 +113,8 @@ type Config struct {
 	App string
 	// Scale shrinks the problem size ((0,1]; default 1.0).
 	Scale float64
-	// Ns is the LAP update-set size (default 2).
+	// Ns is the LAP update-set size of AEC and Munin+LAP (0 = default 2;
+	// negative is an error).
 	Ns int
 	// TraceSink, when non-nil, receives every protocol event of the run
 	// (see the Tracer type and NewTraceRing / NewJSONLTracer /

@@ -2,6 +2,7 @@ package aecdsm_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,6 +39,15 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := aecdsm.NewProtocol("bogus", 2); err == nil {
 		t.Fatal("NewProtocol accepted bogus name")
+	}
+	if _, err := aecdsm.NewProtocol("AEC", -3); err == nil {
+		t.Fatal("NewProtocol accepted a negative update-set size")
+	}
+	if _, err := aecdsm.Run(aecdsm.Config{Protocol: "Munin+LAP", Ns: -1, Scale: 0.05}); err == nil {
+		t.Fatal("Run accepted a negative update-set size")
+	}
+	if pr, err := aecdsm.NewProtocol("AEC", 0); err != nil || pr.(fmt.Stringer).String() != "AEC(Ns=2)" {
+		t.Fatalf("NewProtocol with size 0 = %v, %v; want the default AEC(Ns=2)", pr, err)
 	}
 	if _, err := aecdsm.NewApp("bogus", 1); err == nil {
 		t.Fatal("NewApp accepted bogus name")

@@ -33,9 +33,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command without its process: it parses args, prints the
 // measurements on out, reports on errw and returns the exit code — 2 for
-// an application, protocol, scale, fault clause or argument it does not
-// accept, before any output file is opened or simulation started; 1 for a
-// run that failed or an output the environment refused.
+// an application, protocol, scale, update-set size, fault clause or
+// argument it does not accept, before any output file is opened or
+// simulation started; 1 for a run that failed or an output the
+// environment refused.
 func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("aecsim", flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -43,7 +44,7 @@ func run(args []string, out, errw io.Writer) int {
 		app       = fs.String("app", "IS", "application to run (see -list)")
 		protocol  = fs.String("protocol", "AEC", "protocol: "+strings.Join(aecdsm.Protocols(), ", "))
 		scale     = fs.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = paper sizes")
-		ns        = fs.Int("ns", 2, "LAP update set size (AEC only)")
+		ns        = fs.Int("ns", 2, "LAP update set size (AEC, Munin+LAP); at least 1")
 		list      = fs.Bool("list", false, "list applications and protocols")
 		perProc   = fs.Bool("procs", false, "print the per-processor breakdown")
 		faults    = fs.String("faults", "", "fault schedule: a preset (light, heavy) or clauses like drop=0.05,dup=0.02 (empty = no faults)")
@@ -71,6 +72,8 @@ func run(args []string, out, errw io.Writer) int {
 		err = fmt.Errorf("unknown -app %q (want one of %s)", *app, strings.Join(aecdsm.Apps(), ", "))
 	case !slices.Contains(aecdsm.Protocols(), *protocol):
 		err = fmt.Errorf("unknown -protocol %q (want one of %s)", *protocol, strings.Join(aecdsm.Protocols(), ", "))
+	case *ns < 1:
+		err = fmt.Errorf("-ns %d is below 1", *ns)
 	default:
 		if err = apps.CheckScale(*scale); err == nil {
 			_, err = fault.ParseSpec(*faults)

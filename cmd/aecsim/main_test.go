@@ -35,6 +35,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"negative scale", []string{"-scale", "-3", "-trace", traceFile}, 2, "", "scale -3 is outside (0, 1]"},
 		{"zero scale", []string{"-scale", "0"}, 2, "", "scale 0 is outside (0, 1]"},
 		{"scale above one", []string{"-scale", "2"}, 2, "", "scale 2 is outside (0, 1]"},
+		{"negative ns", []string{"-ns", "-3", "-trace", traceFile}, 2, "", "-ns -3 is below 1"},
+		{"zero ns", []string{"-protocol", "Munin+LAP", "-ns", "0", "-trace", traceFile}, 2, "", "-ns 0 is below 1"},
 		{"stray argument", []string{"-app", "IS", "Ocean"}, 2, "", `unexpected argument "Ocean"`},
 		{"bad trace format", []string{"-scale", "0.05", "-trace", traceFile, "-trace-format", "xml"}, 2, "", "unknown -trace-format"},
 		{"list", []string{"-list"}, 0, "applications: [" + strings.Join(aecdsm.Apps(), " ") + "]\n", ""},

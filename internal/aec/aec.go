@@ -19,6 +19,7 @@ package aec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aecdsm/internal/bitset"
@@ -197,20 +198,19 @@ func (pr *AEC) merge2(a, b *mem.Diff) *mem.Diff {
 	return pr.merger.Merge(a, b)
 }
 
-// archiveOutside stores a finalized outside diff for (page, step).
+// archiveOutside stores a finalized outside diff for (page, step), merged
+// over the one already archived for that step.
 func (st *procState) archiveOutside(pr *AEC, page, step int, d *mem.Diff) {
 	if d == nil {
 		return
 	}
-	m := st.diffStore[page]
-	if m == nil {
-		m = make(map[int]*mem.Diff)
-		st.diffStore[page] = m
+	p := &st.pages[page]
+	i, ok := slices.BinarySearchFunc(p.archive, step, byStep)
+	if ok {
+		p.archive[i].d = pr.merge2(p.archive[i].d, d)
+		return
 	}
-	if prev := m[step]; prev != nil {
-		d = pr.merge2(prev, d)
-	}
-	m[step] = d
+	p.archive = slices.Insert(p.archive, i, stepDiff{step: step, d: d})
 }
 
 // chargeDiffCreate charges the processor-side cost of creating a diff for
@@ -288,16 +288,6 @@ func (pr *AEC) applyDiffData(c *proto.Ctx, d *mem.Diff) {
 // writeProtect forces the next write to this frame to trap.
 func writeProtect(f *mem.Frame) { f.WriteEpoch = 0 }
 
-// sortedPages returns the keys of a page set in deterministic order.
-func sortedPages(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for pg := range set {
-		out = append(out, pg)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // sortedDiffPages returns the keys of a page->diff map in order.
 func sortedDiffPages(m map[int]*mem.Diff) []int {
 	out := make([]int, 0, len(m))
@@ -322,8 +312,14 @@ func (pr *AEC) DumpState() {
 		}
 	}
 	for _, st := range pr.ps {
+		recv := 0
+		for _, lc := range st.locks {
+			if lc.recv != nil {
+				recv++
+			}
+		}
 		fmt.Printf("p%d: step=%d inCS=%d curLock=%d grant=%v recvLocks=%d blocked=%v wait=%q\n",
-			st.id, st.step, st.inCS, st.curLock, st.grant != nil, len(st.recv),
+			st.id, st.step, st.inCS, st.curLock, st.grant != nil, recv,
 			pr.ctxs[st.id].P.Blocked(), pr.ctxs[st.id].P.WaitTag)
 	}
 }

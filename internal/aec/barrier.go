@@ -24,27 +24,27 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 
 	// Build the arrival lists.
 	var owned []ownedLock
-	lockIDs := make([]int, 0, len(st.myMerged))
-	for lock := range st.myMerged {
-		lockIDs = append(lockIDs, lock)
+	lockIDs := make([]int, 0, len(st.locks))
+	for lock, lc := range st.locks {
+		if len(lc.myMerged) > 0 {
+			lockIDs = append(lockIDs, lock)
+		}
 	}
 	sort.Ints(lockIDs)
 	elems := 0
 	for _, lock := range lockIDs {
-		pages := sortedDiffPages(st.myMerged[lock])
-		if len(pages) == 0 {
-			continue
-		}
-		owned = append(owned, ownedLock{lock: lock, count: st.lockMyCount[lock], pages: pages})
+		lc := st.locks[lock]
+		pages := sortedDiffPages(lc.myMerged)
+		owned = append(owned, ownedLock{lock: lock, count: lc.myCount, pages: pages})
 		elems += 1 + len(pages)
 	}
 	var outside []int
-	for _, pg := range sortedPages(st.dirtyOutside) {
-		if st.twinStep[pg] == st.step {
+	for _, pg := range st.snapshot(st.dirtyOutside) {
+		if st.pages[pg].twinStep == st.step {
 			outside = append(outside, pg)
 		}
 	}
-	newValid := sortedPages(st.newValid)
+	newValid := st.newValid.AppendBits(make([]int, 0, st.newValid.Count()))
 	elems += len(outside) + len(newValid)
 	c.P.Advance(pr.e.Params.ListCycles(elems), stats.Synch)
 
@@ -73,15 +73,15 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	// Home reassignments first, so faults after the barrier go to the
 	// right place.
 	for _, h := range instr.homes {
-		st.homes[h.page] = h.home
+		st.pages[h.page].home = h.home
 	}
 	for _, pg := range instr.sharedPages {
-		st.sharedHint[pg] = true
+		st.pages[pg].sharedHint = true
 	}
 
 	// Send merged CS diffs and write notices as instructed.
 	for _, ds := range instr.diffSends {
-		d := st.myMerged[ds.lock][ds.page]
+		d := st.lock(ds.lock).myMerged[ds.page]
 		if d == nil {
 			continue
 		}
@@ -116,8 +116,8 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 // barrierOverlapUnit creates one eager outside diff; reports whether any
 // work was done.
 func (pr *AEC) barrierOverlapUnit(c *proto.Ctx, st *procState) bool {
-	for _, pg := range sortedPages(st.dirtyOutside) {
-		if !st.reqSeen[pg] && !st.sharedHint[pg] {
+	for _, pg := range st.snapshot(st.dirtyOutside) {
+		if p := &st.pages[pg]; !p.reqSeen && !p.sharedHint {
 			continue
 		}
 		pr.makeOutsideDiff(c, st, pg, stats.Synch, true)
@@ -133,7 +133,7 @@ func (pr *AEC) barrierOverlapUnit(c *proto.Ctx, st *procState) bool {
 func (pr *AEC) makeOutsideDiff(c *proto.Ctx, st *procState, pg int, cat stats.Category, hidden bool) {
 	f := c.M.Frame(pg)
 	if f.Twin == nil {
-		delete(st.dirtyOutside, pg)
+		st.dirtyOutside.Remove(pg)
 		return
 	}
 	d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
@@ -171,13 +171,13 @@ func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 // diffs go back to the processor's memory m that made them, and the page
 // loses its twin and is write-protected (its next write re-twins).
 func (pr *AEC) archiveTwinStep(m *mem.ProcMem, st *procState, pg int, f *mem.Frame, d *mem.Diff) {
-	spec := st.outsideDiff[pg]
-	st.archiveOutside(pr, pg, st.twinStep[pg], pr.merge2(spec, d))
+	p := &st.pages[pg]
+	spec := p.outsideDiff
+	st.archiveOutside(pr, pg, p.twinStep, pr.merge2(spec, d))
 	m.RecycleDiff(spec)
 	m.RecycleDiff(d)
-	delete(st.outsideDiff, pg)
-	delete(st.dirtyOutside, pg)
-	delete(st.twinStep, pg)
+	p.outsideDiff, p.twinStep = nil, 0
+	st.dirtyOutside.Remove(pg)
 	m.DropTwin(pg)
 	writeProtect(f)
 }
@@ -450,8 +450,9 @@ func (pr *AEC) handleBarWN(s *sim.Svc, m *sim.Msg) {
 		ctx.M.Invalidate(w.wn.Page)
 		ctx.P.Stats.Invalidations++
 	}
-	st.reason[w.wn.Page] = invalWN
-	st.pendingWN[w.wn.Page] = append(st.pendingWN[w.wn.Page], w.wn)
+	p := &st.pages[w.wn.Page]
+	p.reason = invalWN
+	p.pendingWN = append(p.pendingWN, w.wn)
 	st.barWNsGot++
 	s.Wake(s.P)
 }
@@ -494,30 +495,24 @@ func (pr *AEC) finalizeStep(c *proto.Ctx, st *procState) {
 	// archived, the twin renewed, and the page reported in the next
 	// barrier's outside list. Without this, writes go silent across the
 	// step boundary and their write notices are never generated.
-	for pg := range st.dirtyOutside {
+	for _, pg := range st.snapshot(st.dirtyOutside) {
 		if f := c.M.Peek(pg); f.Data != nil {
 			writeProtect(f)
 		}
 	}
 	st.step++
-	st.accessedPrev, st.accessedCur = st.accessedCur, st.accessedPrev
-	clear(st.accessedCur)
 	clear(st.newValid)
 	st.barDiffsGot = 0
 	st.barWNsGot = 0
-	for lock, buf := range st.recv {
-		if buf.step >= st.step {
-			continue // push from the step we are entering; keep it
+	for _, lc := range st.locks {
+		// A push from the step we are entering is kept.
+		if buf := lc.recv; buf != nil && buf.step < st.step {
+			c.P.Stats.UselessUpdates += uint64(len(buf.diffs))
+			lc.recv = nil
 		}
-		c.P.Stats.UselessUpdates += uint64(len(buf.diffs))
-		delete(st.recv, lock)
+		// The chains restart. A chain map may be shared (an inherited
+		// map is a myMerged or a push's) and lives on in whoever holds it.
+		lc.pages, lc.us, lc.inherited, lc.myMerged = nil, nil, nil, nil
 	}
-	// The per-interval sets are emptied in place. Only the outer maps: a
-	// lock's chain map may be shared (inherited[lock] = myMerged[lock])
-	// and lives on in whoever holds it.
-	clear(st.myMerged)
-	clear(st.inherited)
-	clear(st.lockPages)
-	clear(st.lockUS)
 	c.Epoch++
 }

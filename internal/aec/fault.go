@@ -26,20 +26,20 @@ func (pr *AEC) Fault(c *proto.Ctx, page int, write bool) {
 	if write {
 		pr.writeFault(c, st, page, f)
 	}
-	st.accessedCur[page] = true
+	st.pages[page].lastAccess = st.step
 	st.faultPage = -1
 }
 
 // validateFault brings an invalid page back to a valid state.
 func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
+	p := &st.pages[page]
 	// The paper's §3.4 rule: a processor that did not access the page on
 	// the previous (or current) step cannot reconstruct it independently
 	// — its pending write notices may be incomplete, since only valid-
 	// copy holders receive notices. It must ask the page's home for a
 	// base copy, which arrives together with the home's own pending
 	// write notices and supersedes any stale local ones.
-	needBase := !f.EverValid ||
-		(!st.accessedPrev[page] && !st.accessedCur[page])
+	needBase := !f.EverValid || p.lastAccess < st.step-1
 	if needBase {
 		pr.fetchPage(c, st, page)
 	}
@@ -49,19 +49,16 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 	// update set, or fetched from the last owner otherwise.
 	if st.inCS > 0 {
 		lock := st.curLock
-		if pr.pageInChain(st, lock, page) {
-			if d := st.inherited[lock][page]; d != nil {
+		if lc := st.lock(lock); lc.has(page) {
+			if d := lc.inherited[page]; d != nil {
 				pr.chargeDiffApply(c, d, stats.Data, false)
 				pr.applyDiffData(c, d)
-			} else if owner := st.lockLastOwner[lock]; owner >= 0 && owner != c.ID {
+			} else if owner := lc.lastOwner; owner >= 0 && owner != c.ID {
 				diffs := pr.fetchLockDiffs(c, lock, owner, []int{page}, stats.Data)
 				for _, d := range diffs {
-					if d == nil {
-						continue
-					}
 					pr.chargeDiffApply(c, d, stats.Data, false)
 					pr.applyDiffData(c, d)
-					st.inherited[lock][d.Page] = d
+					lc.inherited[d.Page] = d
 				}
 			}
 		}
@@ -71,16 +68,13 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 	// lock's critical section (Entry Consistency programs should not do
 	// this, but cold restarts after releases can): fetch the merged
 	// diffs from the lock's last owner directly.
-	if st.reason[page] == invalLock {
-		lock := st.invalLockID[page]
+	if p.reason == invalLock {
+		lock := p.invalLock
 		inCur := st.inCS > 0 && st.curLock == lock
 		if !inCur {
-			if owner, ok := st.lockLastOwner[lock]; ok && owner >= 0 && owner != c.ID {
+			if owner := st.lock(lock).lastOwner; owner >= 0 && owner != c.ID {
 				diffs := pr.fetchLockDiffs(c, lock, owner, []int{page}, stats.Data)
 				for _, d := range diffs {
-					if d == nil {
-						continue
-					}
 					pr.chargeDiffApply(c, d, stats.Data, false)
 					pr.applyDiffData(c, d)
 				}
@@ -89,34 +83,21 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 	}
 
 	// Collect the outside diffs named by pending write notices.
-	if wns := st.pendingWN[page]; len(wns) > 0 {
-		pr.applyWriteNotices(c, st, page, wns)
-		delete(st.pendingWN, page)
+	if len(p.pendingWN) > 0 {
+		pr.applyWriteNotices(c, st, page, p.pendingWN)
+		p.pendingWN = p.pendingWN[:0]
 	}
 
 	f.Valid = true
 	f.EverValid = true
-	st.reason[page] = invalNone
-	st.newValid[page] = true
-}
-
-// pageInChain reports whether the page belongs to the lock's cumulative
-// modified set (so CS diffs exist for it).
-func (pr *AEC) pageInChain(st *procState, lock, page int) bool {
-	if _, ok := st.inherited[lock][page]; ok {
-		return true
-	}
-	for _, pg := range st.lockPages[lock] {
-		if pg == page {
-			return true
-		}
-	}
-	return false
+	p.reason = invalNone
+	st.newValid = st.newValid.Add(page)
 }
 
 // fetchPage asks the page's home node for a base copy.
 func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
-	home := st.homes[page]
+	p := &st.pages[page]
+	home := p.home
 	if home == c.ID {
 		// We are the home: our copy is the base (degenerate case after
 		// racing reassignments); pending WNs still apply below.
@@ -126,7 +107,7 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
 	// overwrites the frame: the home may not have applied our diff yet,
 	// in which case its notice list names us and we replay the archived
 	// diff locally.
-	if st.dirtyOutside[page] {
+	if st.dirtyOutside.Has(page) {
 		pr.makeOutsideDiff(c, st, page, stats.Data, false)
 	}
 	wns := pr.FetchPage(c, page, home).([]mem.WriteNotice)
@@ -134,8 +115,7 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
 	// modifications are already in the home's copy); what remains to be
 	// applied is exactly the home's own unresolved notice set — which
 	// may include notices naming us, replayed from the local archive.
-	delete(st.pendingWN, page)
-	st.pendingWN[page] = append(st.pendingWN[page], wns...)
+	p.pendingWN = append(p.pendingWN[:0], wns...)
 	pr.wns.Put(wns) // the reply's snapshot, its entries now copied by value
 }
 
@@ -143,9 +123,9 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
 // home's pending write notices for the page, and the home remembers that
 // the page is wanted elsewhere (worth diffing eagerly at the next barrier).
 func (pr *AEC) pageDelta(home, page, from int) (any, int) {
-	st := pr.ps[home]
-	st.reqSeen[page] = true
-	wns := append(pr.wns.Get(), st.pendingWN[page]...)
+	p := &pr.ps[home].pages[page]
+	p.reqSeen = true
+	wns := append(pr.wns.Get(), p.pendingWN...)
 	return wns, 16 * len(wns)
 }
 
@@ -179,7 +159,7 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 		if wn.Writer != c.ID {
 			continue
 		}
-		if d := st.diffStore[page][wn.Step]; d != nil {
+		if d := st.pages[page].archived(wn.Step); d != nil {
 			st.wnGot = append(st.wnGot, stepDiff{step: wn.Step, d: d})
 		}
 	}
@@ -198,17 +178,17 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 func (pr *AEC) handleWNDiffReq(s *sim.Svc, m *sim.Msg) {
 	req := m.Payload.(*wnDiffReq)
 	st, rq := pr.ps[m.To], pr.ps[m.From]
-	st.reqSeen[req.page] = true
+	p := &st.pages[req.page]
+	p.reqSeen = true
 	s.ChargeList(len(req.steps))
 	bytes := 0
 	for _, step := range req.steps {
-		store := st.diffStore[req.page]
-		d := store[step]
-		if d == nil && st.dirtyOutside[req.page] && st.twinStep[req.page] == step {
+		d := p.archived(step)
+		if d == nil && st.dirtyOutside.Has(req.page) && p.twinStep == step {
 			// Never eagerly diffed: create it now, on the writer's
 			// critical path (the lazy fallback).
 			pr.lazyOutsideDiff(s, st, req.page)
-			d = st.diffStore[req.page][step]
+			d = p.archived(step)
 		}
 		if d != nil {
 			rq.wnGot = append(rq.wnGot, stepDiff{step: step, d: d})
@@ -226,31 +206,31 @@ func (pr *AEC) writeFault(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 		// un-diffed outside modifications, their diff must be created
 		// first and the old twin eliminated, so inside and outside
 		// modifications stay separable.
-		if st.dirtyOutside[page] {
+		if st.dirtyOutside.Has(page) {
 			pr.makeOutsideDiff(c, st, page, stats.Data, false)
 		}
 		c.ChargeTwin(stats.Data)
 		c.M.MakeTwin(page)
-		st.dirtyInside[page] = true
+		st.dirtyInside = st.dirtyInside.Add(page)
 	} else {
 		// Writing outside any critical section.
-		if st.dirtyOutside[page] {
-			if st.twinStep[page] != st.step {
+		if st.dirtyOutside.Has(page) {
+			if st.pages[page].twinStep != st.step {
 				// Twin belongs to a previous step whose diff was
 				// never archived: archive it before re-twinning.
 				pr.makeOutsideDiff(c, st, page, stats.Data, false)
 				c.ChargeTwin(stats.Data)
 				c.M.MakeTwin(page)
-				st.dirtyOutside[page] = true
-				st.twinStep[page] = st.step
+				st.dirtyOutside = st.dirtyOutside.Add(page)
+				st.pages[page].twinStep = st.step
 			}
 			// Same-step re-protection (e.g. after a speculative
 			// acquire-time diff): keep accumulating on the twin.
 		} else {
 			c.ChargeTwin(stats.Data)
 			c.M.MakeTwin(page)
-			st.dirtyOutside[page] = true
-			st.twinStep[page] = st.step
+			st.dirtyOutside = st.dirtyOutside.Add(page)
+			st.pages[page].twinStep = st.step
 		}
 	}
 	f.WriteEpoch = c.Epoch

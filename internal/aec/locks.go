@@ -3,6 +3,7 @@ package aec
 import (
 	"fmt"
 
+	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
@@ -29,8 +30,9 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	// performed before the grant is hidden behind the synchronization
 	// delay (Table 4). Application status lives in the push buffer
 	// itself: a fresher push replacing the buffer must be re-applied.
+	lc := st.lock(lock)
 	for st.grant == nil && !pr.opt.NoAcquireOverlap {
-		if !pr.overlapUnit(c, st, lock) {
+		if !pr.overlapUnit(c, st, lc) {
 			break
 		}
 	}
@@ -44,10 +46,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	st.inCS++
 	st.curLock = lock
 	clear(st.dirtyInside)
-	st.lockLastOwner[lock] = g.lastReleaser
-	st.lockPages[lock] = g.invPages
-	st.lockUS[lock] = g.us
-	st.lockMyCount[lock] = g.myCount
+	lc.lastOwner, lc.myCount, lc.pages, lc.us = g.lastReleaser, g.myCount, g.invPages, g.us
 
 	// Bump the write epoch so first writes inside the CS trap and twin.
 	c.Epoch++
@@ -56,16 +55,16 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		// First acquisition, or we were the last releaser ourselves:
 		// nothing to bring in; our merged chain continues.
 		if g.lastReleaser == c.ID {
-			st.inherited[lock] = st.myMerged[lock]
+			lc.inherited = lc.myMerged
 		} else {
-			st.inherited[lock] = make(map[int]*mem.Diff)
+			lc.inherited = make(map[int]*mem.Diff)
 		}
 		return
 	}
 
-	buf := st.recv[lock]
+	buf := lc.recv
 	isFresh := func() bool {
-		b := st.recv[lock]
+		b := lc.recv
 		return b != nil && b.from == g.lastReleaser && b.count == g.lastCount
 	}
 	fresh := isFresh()
@@ -87,7 +86,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		}
 		c.P.WaitTag = "push"
 		c.P.WaitUntil(func() bool { return isFresh() || timedOut }, stats.Synch)
-		buf = st.recv[lock]
+		buf = lc.recv
 		fresh = isFresh()
 		if !fresh {
 			c.P.Stats.LAPFallbacks++
@@ -96,35 +95,35 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	}
 	if g.inUS && len(g.invPages) == 0 {
 		// Nothing to bring in for an empty chain.
-		st.inherited[lock] = make(map[int]*mem.Diff)
+		lc.inherited = make(map[int]*mem.Diff)
 		return
 	}
 	if fresh {
 		// Continue applying the pushed diffs (now exposed): valid pages
 		// get patched; diffs for invalid pages wait for access faults.
-		st.inherited[lock] = buf.diffs
+		lc.inherited = buf.diffs
 		for _, pg := range sortedDiffPages(buf.diffs) {
-			if buf.applied[pg] {
+			if buf.applied.Has(pg) {
 				continue
 			}
 			f := c.M.Peek(pg)
 			if f.Valid {
 				d := buf.diffs[pg]
 				// Publish before the apply charge: handlePush may
-				// replace st.recv[lock] while virtual time advances,
-				// and the flags must land in the buffer the diff was
-				// read from (the PR 2 double-diff lesson).
-				st.accessedCur[pg] = true
+				// replace lc.recv while virtual time advances, and the
+				// flags must land in the buffer the diff was read from,
+				// whichever buffer lc.recv names by then.
+				st.pages[pg].lastAccess = st.step
 				// The loop-carried write below lands in buf on purpose:
-				// even if handlePush swaps st.recv[lock] during the apply
+				// even if handlePush swaps lc.recv during the apply
 				// charge, the applied flags belong to the buffer this
 				// iteration's diff was read from, not the replacement.
-				buf.applied[pg] = true
+				buf.applied = buf.applied.Add(pg)
 				pr.chargeDiffApply(c, d, stats.Synch, false)
 				pr.applyDiffData(c, d)
 			}
 		}
-		delete(st.recv, lock)
+		lc.recv = nil
 		return
 	}
 
@@ -134,20 +133,19 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	// pushed diffs are wasted (§2: misprediction cost).
 	if buf != nil {
 		c.P.Stats.UselessUpdates += uint64(len(buf.diffs))
-		delete(st.recv, lock)
+		lc.recv = nil
 	}
-	st.inherited[lock] = make(map[int]*mem.Diff)
+	lc.inherited = make(map[int]*mem.Diff)
 	inval := 0
 	for _, pg := range g.invPages {
+		p := &st.pages[pg]
 		f := c.M.Peek(pg)
 		if f.Valid {
 			c.M.Invalidate(pg)
-			st.reason[pg] = invalLock
-			st.invalLockID[pg] = lock
+			p.reason, p.invalLock = invalLock, lock
 			inval++
-		} else if st.reason[pg] == invalNone && f.EverValid {
-			st.reason[pg] = invalLock
-			st.invalLockID[pg] = lock
+		} else if p.reason == invalNone && f.EverValid {
+			p.reason, p.invalLock = invalLock, lock
 		}
 	}
 	c.P.Stats.Invalidations += uint64(inval)
@@ -157,17 +155,17 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 // overlapUnit performs one unit of overlappable work during an acquire
 // wait: apply one pushed diff, or create one outside diff. Reports whether
 // any work was done.
-func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
+func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lc *lockChain) bool {
 	// 1: apply a pushed diff for this lock to a currently valid page.
-	if buf := st.recv[lock]; buf != nil {
+	if buf := lc.recv; buf != nil {
 		for _, pg := range sortedDiffPages(buf.diffs) {
-			if buf.applied[pg] || !c.M.Peek(pg).Valid {
+			if buf.applied.Has(pg) || !c.M.Peek(pg).Valid {
 				continue
 			}
 			d := buf.diffs[pg]
 			// Publish before the apply charge (see the grant path).
-			st.accessedCur[pg] = true
-			buf.applied[pg] = true
+			st.pages[pg].lastAccess = st.step
+			buf.applied = buf.applied.Add(pg)
 			pr.chargeDiffApply(c, d, stats.Synch, true)
 			pr.applyDiffData(c, d)
 			return true
@@ -175,8 +173,9 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
 	}
 	// 2: create an outside diff for a modified page (speculative; saved
 	// twins and write protection per §3.2).
-	for _, pg := range sortedPages(st.dirtyOutside) {
-		if st.outsideDiff[pg] != nil {
+	for _, pg := range st.snapshot(st.dirtyOutside) {
+		p := &st.pages[pg]
+		if p.outsideDiff != nil {
 			continue
 		}
 		f := c.M.Frame(pg)
@@ -187,9 +186,9 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
 		if d == nil {
 			// Page was re-written with identical contents; treat as
 			// clean for this interval.
-			st.outsideDiff[pg] = &mem.Diff{Page: pg}
+			p.outsideDiff = &mem.Diff{Page: pg}
 		} else {
-			st.outsideDiff[pg] = d
+			p.outsideDiff = d
 		}
 		// The twin stays at its step-start snapshot (it is "saved", per
 		// §3.2): the speculative diff can then be discarded at release
@@ -264,14 +263,15 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	if st.inCS == 0 || st.curLock != lock {
 		panic(fmt.Sprintf("aec: release of lock %d not held (cur %d)", lock, st.curLock))
 	}
-	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRelease, lock, int64(st.lockMyCount[lock]), 0)
+	lc := st.lock(lock)
+	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRelease, lock, int64(lc.myCount), 0)
 
 	// Top up the inherited chain: any cumulative pages we never faulted
 	// on must be fetched now so the chain stays complete.
-	inherited := st.inherited[lock]
-	if owner := st.lockLastOwner[lock]; owner >= 0 && owner != c.ID {
+	inherited := lc.inherited
+	if owner := lc.lastOwner; owner >= 0 && owner != c.ID {
 		var missing []int
-		for _, pg := range st.lockPages[lock] {
+		for _, pg := range lc.pages {
 			if _, ok := inherited[pg]; !ok {
 				missing = append(missing, pg)
 			}
@@ -281,21 +281,19 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 			// Reload after the fetch round-trip: virtual time advanced
 			// while we waited, so the chain reference must be refreshed
 			// before publishing into it.
-			inherited = st.inherited[lock]
+			inherited = lc.inherited
 			for _, d := range diffs {
-				if d != nil {
-					inherited[d.Page] = d
-				}
+				inherited[d.Page] = d
 			}
 		}
 	}
 
 	// Create the inside diffs and merge with the inherited chain.
-	merged := make(map[int]*mem.Diff, len(inherited)+len(st.dirtyInside))
+	merged := make(map[int]*mem.Diff, len(inherited)+st.dirtyInside.Count())
 	for pg, d := range inherited {
 		merged[pg] = d
 	}
-	for _, pg := range sortedPages(st.dirtyInside) {
+	for _, pg := range st.snapshot(st.dirtyInside) {
 		f := c.M.Frame(pg)
 		if f.Twin == nil {
 			continue
@@ -315,21 +313,21 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		c.M.DropTwin(pg)
 		writeProtect(f)
 	}
-	st.myMerged[lock] = merged
-	delete(st.inherited, lock)
+	lc.myMerged = merged
+	lc.inherited = nil
 
 	// Push the merged diffs to the update set the manager computed for
 	// us at grant time.
-	myCount := st.lockMyCount[lock]
+	myCount := lc.myCount
 	pages := sortedDiffPages(merged)
-	if pr.opt.UseLAP && len(st.lockUS[lock]) > 0 && len(merged) > 0 {
+	if pr.opt.UseLAP && len(lc.us) > 0 && len(merged) > 0 {
 		diffs := make([]*mem.Diff, 0, len(merged))
 		bytes := 0
 		for _, pg := range pages {
 			diffs = append(diffs, merged[pg])
 			bytes += merged[pg].EncodedBytes()
 		}
-		for _, q := range st.lockUS[lock] {
+		for _, q := range lc.us {
 			if q == c.ID {
 				continue
 			}
@@ -356,12 +354,13 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	// belongs to an earlier step must trap on its next write so the old
 	// step's diff is archived and the twin renewed (otherwise its write
 	// notices for the new step are never generated).
-	for _, pg := range sortedPages(st.dirtyOutside) {
-		if st.dirtyInside[pg] || st.twinStep[pg] != st.step {
+	for _, pg := range st.snapshot(st.dirtyOutside) {
+		p := &st.pages[pg]
+		if st.dirtyInside.Has(pg) || p.twinStep != st.step {
 			continue
 		}
-		c.M.RecycleDiff(st.outsideDiff[pg])
-		delete(st.outsideDiff, pg)
+		c.M.RecycleDiff(p.outsideDiff)
+		p.outsideDiff = nil
 		f := c.M.Peek(pg)
 		if f.Data != nil {
 			f.WriteEpoch = c.Epoch + 1 // writable again in the new epoch
@@ -388,7 +387,8 @@ func (pr *AEC) handlePush(s *sim.Svc, m *sim.Msg) {
 		pr.ctxs[m.To].P.Stats.UselessUpdates += uint64(len(p.diffs))
 		return
 	}
-	old := st.recv[p.lock]
+	lc := st.lock(p.lock)
+	old := lc.recv
 	if old != nil && (old.step > p.step || (old.step == p.step && old.count > p.count)) {
 		pr.ctxs[m.To].P.Stats.UselessUpdates += uint64(len(p.diffs))
 		return
@@ -397,11 +397,11 @@ func (pr *AEC) handlePush(s *sim.Svc, m *sim.Msg) {
 		pr.ctxs[m.To].P.Stats.UselessUpdates += uint64(len(old.diffs))
 	}
 	buf := &recvBuf{from: p.from, count: p.count, step: p.step,
-		diffs: make(map[int]*mem.Diff, len(p.diffs)), applied: make(map[int]bool)}
+		diffs: make(map[int]*mem.Diff, len(p.diffs)), applied: bitset.New(len(st.pages))}
 	for _, d := range p.diffs {
 		buf.diffs[d.Page] = d
 	}
-	st.recv[p.lock] = buf
+	lc.recv = buf
 	// The acquirer may be waiting for exactly this push.
 	s.Wake(s.P)
 }
@@ -426,7 +426,7 @@ func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 
 // fetchLockDiffs synchronously fetches merged diffs for the given pages
 // from the last owner of the lock (the lazy path used on faults and at
-// release top-up).
+// release top-up). The reply holds the diffs the owner has, none nil.
 func (pr *AEC) fetchLockDiffs(c *proto.Ctx, lock, owner int, pages []int, cat stats.Category) []*mem.Diff {
 	c.P.Stats.DiffRequests++
 	c.P.WaitTag = "diffreq"
@@ -439,11 +439,11 @@ func (pr *AEC) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 	req := m.Payload.(diffReq)
 	st := pr.ps[m.To]
 	s.ChargeList(len(req.pages))
-	merged := st.myMerged[req.lock]
+	merged := st.lock(req.lock).myMerged
 	var out []*mem.Diff
 	bytes := 0
 	for _, pg := range req.pages {
-		st.reqSeen[pg] = true
+		st.pages[pg].reqSeen = true
 		if d := merged[pg]; d != nil {
 			out = append(out, d)
 			bytes += d.EncodedBytes()

@@ -52,10 +52,10 @@ import "aecdsm/internal/trace"
 //     delivers them anyway — so the invalidation perturbs timing only,
 //     the fault-injection contract.
 //
-// Diff stores (myMerged, diffStore) and the last-releaser role survive a
-// crash: remote processors fetch from them, and destroying them would
-// change results, not timing. They ride the same stable-storage fiction
-// as the replication journal.
+// Diff stores (myMerged, the pages' outside-diff archives) and the
+// last-releaser role survive a crash: remote processors fetch from them,
+// and destroying them would change results, not timing. They ride the
+// same stable-storage fiction as the replication journal.
 //
 // All failover work is costed: the manager service adds the orphan
 // sweep's cost to the log replay's and surrenders the sum at restart, where
@@ -67,29 +67,28 @@ import "aecdsm/internal/trace"
 // locks were already failed over), returning the sweep's cost.
 func (pr *AEC) Crashed(node int) uint64 {
 	st := pr.ps[node]
-	for lock, buf := range st.recv {
-		if anyApplied(buf) {
-			continue
+	for _, lc := range st.locks {
+		if lc.recv != nil && lc.recv.applied.None() {
+			lc.recv = nil
 		}
-		delete(st.recv, lock)
 	}
 
 	ctx := pr.ctxs[node]
 	inval := 0
-	for pg := 0; pg < pr.s.Pages(); pg++ {
+	for pg := range st.pages {
+		p := &st.pages[pg]
 		f := ctx.M.Peek(pg)
 		if !f.Valid || !f.EverValid || f.Twin != nil {
 			continue
 		}
-		if st.dirtyOutside[pg] || st.dirtyInside[pg] || st.homes[pg] == node {
+		if st.dirtyOutside.Has(pg) || st.dirtyInside.Has(pg) || p.home == node {
 			continue
 		}
 		if pg == st.faultPage || st.hasChainDiffs(pg) {
 			continue
 		}
 		ctx.M.Invalidate(pg)
-		delete(st.accessedPrev, pg)
-		delete(st.accessedCur, pg)
+		p.lastAccess = noAccess
 		inval++
 		pr.e.Tracer.Page(pr.e.Now(), node, trace.KindOrphanInval, pg, 0, 0)
 	}
@@ -97,40 +96,18 @@ func (pr *AEC) Crashed(node int) uint64 {
 	return pr.e.Params.ListCycles(inval)
 }
 
-// anyApplied reports whether any diff of a push buffer has been applied.
-func anyApplied(buf *recvBuf) bool {
-	for _, ok := range buf.applied {
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
 // hasChainDiffs reports whether this processor's copy of the page may
-// hold critical-section diffs of the current step; every map it consults
-// is emptied when the step is finalized.
+// hold critical-section diffs of the current step; every chain it
+// consults restarts when the step is finalized.
 func (st *procState) hasChainDiffs(pg int) bool {
-	for _, m := range st.myMerged {
-		if _, ok := m[pg]; ok {
+	for _, lc := range st.locks {
+		if _, ok := lc.myMerged[pg]; ok || lc.has(pg) {
 			return true
 		}
-	}
-	for _, m := range st.inherited {
-		if _, ok := m[pg]; ok {
-			return true
-		}
-	}
-	for _, pages := range st.lockPages {
-		for _, p := range pages {
-			if p == pg {
+		if lc.recv != nil {
+			if _, ok := lc.recv.diffs[pg]; ok {
 				return true
 			}
-		}
-	}
-	for _, buf := range st.recv {
-		if _, ok := buf.diffs[pg]; ok {
-			return true
 		}
 	}
 	return false

@@ -1,6 +1,9 @@
 package aec
 
 import (
+	"cmp"
+	"slices"
+
 	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
 )
@@ -28,7 +31,7 @@ type recvBuf struct {
 	count   int
 	step    int
 	diffs   map[int]*mem.Diff // page -> merged diff
-	applied map[int]bool      // pages of THIS push already applied locally
+	applied bitset.Set        // pages of THIS push already applied locally
 }
 
 // grantMsg is the lock manager's reply to an acquire request.
@@ -42,61 +45,95 @@ type grantMsg struct {
 	us           []int // update set computed for the acquirer's release
 }
 
+// noAccess is the lastAccess of a page not accessed since the run began or
+// the processor last crashed: older than any step's predecessor.
+const noAccess = -2
+
+// aecPage is one processor's protocol state for one page.
+type aecPage struct {
+	home int // the page's home, as the last barrier assigned it
+	// twinStep is the step the live outside twin belongs to while the page
+	// is in dirtyOutside, and 0 once that twin's diff is archived.
+	twinStep  int
+	invalLock int // the lock whose grant invalidated the page (reason invalLock)
+	// lastAccess is the last step that accessed the page (the §3.4
+	// home/fault decision), noAccess if none.
+	lastAccess int
+	// outsideDiff is the current interval's speculative eager outside
+	// diff (§3.2), nil if none.
+	outsideDiff *mem.Diff
+	archive     []stepDiff        // finalized outside diffs, ascending by step
+	pendingWN   []mem.WriteNotice // write notices not yet applied
+	reason      invalReason
+	reqSeen     bool // some remote processor requested the page
+	// sharedHint: the barrier manager reported the page held by other
+	// processors, so it is worth diffing eagerly at the next barrier.
+	sharedHint bool
+}
+
+// archived returns the page's outside diff of step, nil if none.
+func (p *aecPage) archived(step int) *mem.Diff {
+	if i, ok := slices.BinarySearchFunc(p.archive, step, byStep); ok {
+		return p.archive[i].d
+	}
+	return nil
+}
+
+func byStep(e stepDiff, step int) int { return cmp.Compare(e.step, step) }
+
+// lockChain is one processor's state for one lock: what its latest grant
+// said, the merged-diff chains of §3.2 and the latest push received.
+type lockChain struct {
+	lastOwner int   // the last releaser my latest grant named; -1 if none
+	myCount   int   // acquire counter of my latest grant
+	pages     []int // the chain's cumulative page set, from the grant
+	us        []int // update set given to me at grant
+	// inherited holds the merged diffs (page -> diff) inherited from the
+	// last owner during my tenure, myMerged those of my last release. They
+	// are shared by reference: an owner that reacquires inherits its own
+	// myMerged, and a fresh push's diffs become the acquirer's inherited.
+	inherited, myMerged map[int]*mem.Diff
+	recv                *recvBuf // latest update-set push received (LAP)
+}
+
+// has reports whether the page belongs to the chain's cumulative modified
+// set (so critical-section diffs exist for it).
+func (lc *lockChain) has(page int) bool {
+	_, ok := lc.inherited[page]
+	return ok || slices.Contains(lc.pages, page)
+}
+
 // procState is the per-processor AEC protocol state.
 type procState struct {
 	id   int
 	step int
 
-	// Outside-of-critical-section modification tracking.
-	dirtyOutside map[int]bool              // page -> has live twin with outside mods
-	twinStep     map[int]int               // page -> step its live twin belongs to
-	outsideDiff  map[int]*mem.Diff         // speculative eager outside diffs (current interval)
-	diffStore    map[int]map[int]*mem.Diff // page -> step -> archived outside diff
-	reqSeen      map[int]bool              // pages some remote processor requested
+	pages []aecPage // by page number
+
+	// The page sets the protocol walks, in ascending page order: pages
+	// with a live twin holding outside modifications, pages modified
+	// inside the current critical section, and pages that became valid
+	// here since the last barrier (reported to the barrier manager for
+	// copyset maintenance).
+	dirtyOutside, dirtyInside, newValid bitset.Set
+	snap                                []int // snapshot's scratch
 
 	// faultPage is the page whose access fault is being serviced, -1
 	// outside the fault handler.
 	faultPage int
 
 	// Critical-section state.
-	inCS        int
-	curLock     int
-	dirtyInside map[int]bool // pages modified inside the current CS
+	inCS    int
+	curLock int
 
-	// Per-lock diff chains.
-	inherited     map[int]map[int]*mem.Diff // lock -> page -> inherited merged diffs
-	myMerged      map[int]map[int]*mem.Diff // lock -> page -> my last released merged diffs
-	lockLastOwner map[int]int
-	lockPages     map[int][]int // lock -> cumulative page set (from grant)
-	lockUS        map[int][]int // lock -> update set given to me at grant
-	lockMyCount   map[int]int   // lock -> acquire counter of my grant
+	// locks holds a record per lock this processor acquired or was
+	// pushed to, created at first use (lock).
+	locks map[int]*lockChain
 
-	// Update pushes received (LAP).
-	recv map[int]*recvBuf
-
-	// Write notices pending per page, and why pages were invalidated.
-	pendingWN map[int][]mem.WriteNotice
 	// The write-notice fetch of the fault in progress: the request in
 	// flight (sent by pointer) and what the writers served.
 	wnReq wnDiffReq
 	wnGot []stepDiff
-
-	reason      map[int]invalReason
-	invalLockID map[int]int // page -> lock whose grant invalidated it
-
-	// sharedHint marks pages the barrier manager reported as held by
-	// other processors (worth diffing eagerly at the next barrier).
-	sharedHint map[int]bool
-
-	// Step access sets for the home/fault decision.
-	accessedPrev map[int]bool
-	accessedCur  map[int]bool
-	// Pages that became valid here since the last barrier (reported to
-	// the barrier manager for copyset maintenance).
-	newValid map[int]bool
-
-	// Per-page home assignments (updated by barrier instructions).
-	homes []int
 
 	// Landing zones for in-flight replies.
 	grant    *grantMsg
@@ -114,35 +151,39 @@ type procState struct {
 
 func newProcState(id, pages int, space *mem.Space) *procState {
 	st := &procState{
-		id:            id,
-		dirtyOutside:  make(map[int]bool),
-		twinStep:      make(map[int]int),
-		outsideDiff:   make(map[int]*mem.Diff),
-		diffStore:     make(map[int]map[int]*mem.Diff),
-		reqSeen:       make(map[int]bool),
-		dirtyInside:   make(map[int]bool),
-		inherited:     make(map[int]map[int]*mem.Diff),
-		myMerged:      make(map[int]map[int]*mem.Diff),
-		lockLastOwner: make(map[int]int),
-		lockPages:     make(map[int][]int),
-		lockUS:        make(map[int][]int),
-		lockMyCount:   make(map[int]int),
-		recv:          make(map[int]*recvBuf),
-		pendingWN:     make(map[int][]mem.WriteNotice),
-		reason:        make(map[int]invalReason),
-		invalLockID:   make(map[int]int),
-		sharedHint:    make(map[int]bool),
-		accessedPrev:  make(map[int]bool),
-		accessedCur:   make(map[int]bool),
-		newValid:      make(map[int]bool),
-		homes:         make([]int, pages),
-		curLock:       -1,
-		faultPage:     -1,
+		id:           id,
+		pages:        make([]aecPage, pages),
+		dirtyOutside: bitset.New(pages),
+		dirtyInside:  bitset.New(pages),
+		newValid:     bitset.New(pages),
+		locks:        make(map[int]*lockChain),
+		curLock:      -1,
+		faultPage:    -1,
 	}
-	for pg := range st.homes {
-		st.homes[pg] = space.InitHome(pg)
+	for pg := range st.pages {
+		st.pages[pg] = aecPage{home: space.InitHome(pg), lastAccess: noAccess}
 	}
 	return st
+}
+
+// lock returns the processor's record for a lock, creating it at first
+// use. A record a push creates before the first acquire names no owner.
+func (st *procState) lock(id int) *lockChain {
+	lc := st.locks[id]
+	if lc == nil {
+		lc = &lockChain{lastOwner: -1}
+		st.locks[id] = lc
+	}
+	return lc
+}
+
+// snapshot returns the pages of set in ascending order, in a scratch slice
+// that the next call overwrites. A loop whose body can yield walks a
+// snapshot, not the live set: handlers that run during a charge change
+// the sets (lazyOutsideDiff clears a dirtyOutside bit).
+func (st *procState) snapshot(set bitset.Set) []int {
+	st.snap = set.AppendBits(st.snap[:0])
+	return st.snap
 }
 
 // ownedLock is one entry in a barrier arrival message: a lock whose merged

@@ -265,7 +265,7 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 	c.Barrier()
 }
 
-// boolKeys adapts a vec3 map to the sortedPages helper.
+// boolKeys adapts a vec3 map to the sortedKeys helper.
 func boolKeys(m map[int]vec3) map[int]bool {
 	out := make(map[int]bool, len(m))
 	for k := range m {

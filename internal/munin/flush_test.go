@@ -63,57 +63,89 @@ func (pr *Munin) wrap(n *rigCounts) {
 	}
 }
 
-// runFlushRig runs the rig under the named fault schedule ("" for none)
-// and checks the release's flush from inside the releaser, the moment it
-// returns, and the pages once the run is over.
-func runFlushRig(t *testing.T, faults string, seed uint64, lap bool) *stats.Run {
-	p := memsys.Default().ForProcs(rigProcs)
+// machine is a Munin machine of procs processors sharing one page per
+// entry of homes, page i homed at homes[i], under the named fault schedule
+// ("" for none).
+type machine struct {
+	pr     *Munin
+	e      *sim.Engine
+	run    *stats.Run
+	ctxs   []*proto.Ctx
+	addrs  []mem.Addr
+	region *mem.Region
+}
+
+func newMachine(t *testing.T, procs int, homes []int, lap bool, faults string, seed uint64) *machine {
+	t.Helper()
+	p := memsys.Default().ForProcs(procs)
 	p.LockPolicy = "fifo"
-	run := stats.NewRun("rig", "Munin", rigProcs)
-	e := sim.New(p, run)
+	m := &machine{run: stats.NewRun("rig", "Munin", procs), region: new(mem.Region)}
+	m.e = sim.New(p, m.run)
 	if faults != "" {
 		fc, err := fault.ParseSpec(faults)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fc.Seed = seed
-		e.EnableFaults(fc)
+		m.e.EnableFaults(fc)
 	}
-	region := new(mem.Region)
-	region.Acquire()
-	space := mem.NewSpaceIn(region, p.PageSize)
-	var addrs [2]mem.Addr
-	for pg, home := range rigHomes {
-		addrs[pg] = space.Alloc(fmt.Sprint("page", pg), p.PageSize, home)
+	m.region.Acquire()
+	space := mem.NewSpaceIn(m.region, p.PageSize)
+	for pg, home := range homes {
+		m.addrs = append(m.addrs, space.Alloc(fmt.Sprint("page", pg), p.PageSize, home))
 	}
-	pr := New(Options{UseLAP: lap})
-	ctxs := make([]*proto.Ctx, rigProcs)
-	for i := range ctxs {
-		ctxs[i] = proto.NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, pr, i, rigProcs)
+	m.pr = New(Options{UseLAP: lap})
+	m.ctxs = make([]*proto.Ctx, procs)
+	for i := range m.ctxs {
+		m.ctxs[i] = proto.NewCtx(m.e.Procs[i], m.e, mem.NewProcMem(space, i), space, m.pr, i, procs)
 	}
-	pr.Attach(e, space, ctxs)
-	var n rigCounts
-	pr.wrap(&n)
+	m.pr.Attach(m.e, space, m.ctxs)
+	return m
+}
 
-	for i := range ctxs {
-		c := ctxs[i]
-		e.Spawn(i, func(*sim.Proc) {
-			for _, a := range addrs {
-				c.ReadI32(a)
-			}
-			n.sharing++
-			if i == rigReleaser {
-				release(t, pr, c, addrs, region, &n, lap)
-			}
-		})
+// start runs body on every processor to the end of the run.
+func (m *machine) start(t *testing.T, body func(c *proto.Ctx)) {
+	t.Helper()
+	for i, c := range m.ctxs {
+		m.e.Spawn(i, func(*sim.Proc) { body(c) })
 	}
-	e.Start()
-	if e.Deadlocked {
+	m.e.Start()
+	if m.e.Deadlocked {
 		t.Fatal("rig deadlocked")
 	}
+}
+
+// waitFor spins c until another processor's body makes cond true.
+func waitFor(t *testing.T, c *proto.Ctx, cond func() bool, what string) bool {
+	for spins := 0; !cond(); spins++ {
+		if spins == 100_000 {
+			t.Errorf("processor %d waited for %s in vain", c.ID, what)
+			return false
+		}
+		c.P.Advance(1000, stats.Busy)
+	}
+	return true
+}
+
+// runFlushRig runs the rig under the named fault schedule ("" for none)
+// and checks the release's flush from inside the releaser, the moment it
+// returns, and the pages once the run is over.
+func runFlushRig(t *testing.T, faults string, seed uint64, lap bool) *stats.Run {
+	m := newMachine(t, rigProcs, rigHomes[:], lap, faults, seed)
+	var n rigCounts
+	m.pr.wrap(&n)
+	m.start(t, func(c *proto.Ctx) {
+		for _, a := range m.addrs {
+			c.ReadI32(a)
+		}
+		n.sharing++
+		if c.ID == rigReleaser {
+			release(t, m.pr, c, m.addrs, m.region, &n, lap)
+		}
+	})
 
 	for pg, home := range rigHomes {
-		for q, c := range ctxs {
+		for q, c := range m.ctxs {
 			f := c.M.Peek(pg)
 			got := int32(-1)
 			if f.Valid {
@@ -129,20 +161,16 @@ func runFlushRig(t *testing.T, faults string, seed uint64, lap bool) *stats.Run 
 			}
 		}
 	}
-	return run
+	return m.run
 }
 
 // release is the releaser's part: wait until every processor holds both
 // pages — no fetch in flight, which an invalidation could cross and which
 // would then fetch again — write them, release lock 0 twice and check what
 // each flush left behind.
-func release(t *testing.T, pr *Munin, c *proto.Ctx, addrs [2]mem.Addr, region *mem.Region, n *rigCounts, lap bool) {
-	for spins := 0; n.sharing < rigProcs; spins++ {
-		if spins == 100_000 {
-			t.Error("the sharers never fetched both pages")
-			return
-		}
-		c.P.Advance(1000, stats.Busy)
+func release(t *testing.T, pr *Munin, c *proto.Ctx, addrs []mem.Addr, region *mem.Region, n *rigCounts, lap bool) {
+	if !waitFor(t, c, func() bool { return n.sharing == rigProcs }, "the sharers to fetch both pages") {
+		return
 	}
 	st := pr.ps[rigReleaser]
 	for round := 0; round < 2; round++ {
@@ -232,5 +260,69 @@ func TestFlushForwardsAndAcks(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFaultReplaysUncommittedWrites: a sharer writes a word of the page and,
+// before it flushes, loses its copy to the invalidation of another
+// processor's LAP-restricted release. Its next read refetches the base and
+// replays its own word over it, and its own release then ships that word
+// alone, which lands at the home beside the other release's.
+func TestFaultReplaysUncommittedWrites(t *testing.T) {
+	m := newMachine(t, 3, []int{0}, true, "", 0)
+	a := m.addrs[0]
+	var written, released bool
+	var shipped [][]int // the runs of each diff the sharer's flushes ship
+	update := m.pr.h.update
+	m.pr.h.update = func(s *sim.Svc, msg *sim.Msg) {
+		if u := msg.Payload.(updateMsg); u.releaser == 2 {
+			var runs []int
+			for off := range u.diff.Runs() {
+				runs = append(runs, off)
+			}
+			shipped = append(shipped, runs)
+		}
+		update(s, msg)
+	}
+	m.start(t, func(c *proto.Ctx) {
+		switch c.ID {
+		case 1:
+			if !waitFor(t, c, func() bool { return written }, "the sharer's write") {
+				return
+			}
+			m.pr.Acquire(c, 0)
+			m.pr.ps[1].curLockUS = nil // the sharer is not a predicted acquirer
+			c.WriteI32(a, 100)
+			m.pr.Release(c, 0)
+			released = true
+		case 2:
+			c.WriteI32(a+64, 7)
+			written = true
+			if !waitFor(t, c, func() bool { return released }, "the other release") {
+				return
+			}
+			if c.M.Peek(0).Valid {
+				t.Error("the release left the sharer's copy valid")
+			}
+			fetches := c.P.Stats.PageFetches
+			if got := c.ReadI32(a); got != 100 {
+				t.Errorf("the sharer reads %d written by the release, want 100", got)
+			}
+			if got := c.ReadI32(a + 64); got != 7 {
+				t.Errorf("the sharer reads %d written by itself, want 7", got)
+			}
+			if n := c.P.Stats.PageFetches - fetches; n != 1 {
+				t.Errorf("the sharer's read fetched %d pages, want 1", n)
+			}
+			c.Acquire(0)
+			c.Release(0)
+		}
+	})
+	if fmt.Sprint(shipped) != "[[64]]" {
+		t.Errorf("the sharer's flushes shipped diffs with runs at %v, want one at [64]", shipped)
+	}
+	home := m.ctxs[0].M.Peek(0).Data
+	if w0, w64 := binary.LittleEndian.Uint32(home), binary.LittleEndian.Uint32(home[64:]); w0 != 100 || w64 != 7 {
+		t.Errorf("the home holds %d and %d, want 100 and 7", w0, w64)
 	}
 }

@@ -20,8 +20,6 @@
 package munin
 
 import (
-	"sort"
-
 	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
@@ -88,12 +86,13 @@ type Munin struct {
 
 type procState struct {
 	id    int
-	dirty map[int]bool // pages with live twins since the last flush
-	// fetching marks pages with an in-flight base fetch; stale marks
-	// fetches crossed by an invalidation or update (the reply data
-	// serialized before that event at the home, so it must be refetched).
-	fetching map[int]bool
-	stale    map[int]bool
+	dirty bitset.Set // pages with live twins since the last flush
+	// fetching is the page whose base fetch is in flight, -1 if none: the
+	// fetch is synchronous, so there is at most one. stale marks a fetch
+	// crossed by an invalidation or update (the reply data serialized
+	// before that event at the home, so it must be refetched).
+	fetching int
+	stale    bool
 
 	inCS    int
 	curLock int
@@ -169,8 +168,7 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.h.barArrive, pr.h.barComplete = pr.handleBarArrive, pr.handleBarComplete
 	pr.ps = make([]*procState, pr.nprocs)
 	for i := range pr.ps {
-		pr.ps[i] = &procState{id: i, dirty: map[int]bool{},
-			fetching: map[int]bool{}, stale: map[int]bool{}, curLock: -1}
+		pr.ps[i] = &procState{id: i, dirty: bitset.New(s.Pages()), fetching: -1, curLock: -1}
 	}
 	pr.InitLocks(e, pr.opt.Ns, kRepLog, pr)
 	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
@@ -205,7 +203,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 	if !f.Valid {
 		pp := &pr.e.Params
 		var local *mem.Diff
-		if st.dirty[page] && f.Twin != nil {
+		if st.dirty.Has(page) && f.Twin != nil {
 			local = c.M.MakeTransientDiff(page, f.Twin, pp.WordBytes)
 			cost := pp.DiffCycles(pr.pageSize)
 			c.P.Stats.DiffCreateCycles += cost
@@ -217,11 +215,10 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 			// fetch: a reply whose data was serialized at the home
 			// before a coherence event we observed is stale.
 			for {
-				st.fetching[page] = true
-				st.stale[page] = false
+				st.fetching, st.stale = page, false
 				pr.FetchPage(c, page, home)
-				st.fetching[page] = false
-				if !st.stale[page] {
+				st.fetching = -1
+				if !st.stale {
 					break
 				}
 			}
@@ -244,7 +241,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 		if f.Twin == nil {
 			c.M.MakeTwin(page)
 		}
-		st.dirty[page] = true
+		st.dirty = st.dirty.Add(page)
 		f.WriteEpoch = c.Epoch
 	}
 }
@@ -296,14 +293,8 @@ func (pr *Munin) handleGrant(s *sim.Svc, m *sim.Msg) {
 	st := pr.ps[m.To]
 	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(m.From), int64(len(g.us)))
 	st.grant = true
-	st.usForLock(g.lock, g.us)
+	st.curLockUS = g.us
 	s.Wake(s.P)
-}
-
-// usForLock stashes the grant's update set (a tiny per-proc map would be
-// overkill: only the currently held lock's set is ever needed).
-func (st *procState) usForLock(lock int, us []int) {
-	st.curLockUS = us
 }
 
 // Release implements proto.Protocol: flush all modifications eagerly to
@@ -332,15 +323,12 @@ func (pr *Munin) handleRel(s *sim.Svc, m *sim.Msg) {
 // consistency requires the updates to be performed before the release
 // completes).
 func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
-	if len(st.dirty) == 0 {
+	if st.dirty.None() {
 		return
 	}
-	pages := st.flushPages[:0]
-	for pg := range st.dirty {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
+	pages := st.dirty.AppendBits(st.flushPages[:0])
 	st.flushPages = pages[:0]
+	clear(st.dirty)
 
 	st.homeAcks = 0
 	st.memWanted = 0
@@ -373,7 +361,6 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 			updateMsg{page: pg, diff: d, releaser: c.ID, us: us, restrict: restrict},
 			pr.h.update)
 	}
-	st.dirty = map[int]bool{}
 	if sent == 0 {
 		return
 	}
@@ -476,8 +463,8 @@ func (pr *Munin) handleFwdUpdate(s *sim.Svc, m *sim.Msg) {
 	ctx := pr.ctxs[m.To]
 	pp := &pr.e.Params
 	f := ctx.M.Frame(u.page)
-	if !f.Valid && pr.ps[m.To].fetching[u.page] {
-		pr.ps[m.To].stale[u.page] = true
+	if st := pr.ps[m.To]; !f.Valid && st.fetching == u.page {
+		st.stale = true
 	}
 	if f.Valid {
 		cost := pp.DiffCycles(u.diff.DataBytes())
@@ -497,8 +484,8 @@ func (pr *Munin) handleFwdInval(s *sim.Svc, m *sim.Msg) {
 	u := m.Payload.(fwdMsg)
 	ctx := pr.ctxs[m.To]
 	f := ctx.M.Peek(u.page)
-	if !f.Valid && pr.ps[m.To].fetching[u.page] {
-		pr.ps[m.To].stale[u.page] = true
+	if st := pr.ps[m.To]; !f.Valid && st.fetching == u.page {
+		st.stale = true
 	}
 	if f.Valid {
 		ctx.M.Invalidate(u.page)
