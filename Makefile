@@ -16,16 +16,20 @@ test:
 # The blocks of the protocol packages that no test executes, one
 # file:start,end line each: the first check for a change of representation
 # (docs/TESTING.md). The profile repeats a block once per test binary, so a
-# block counts as executed if any binary ran it. It lists; it never fails
-# on what it finds.
+# block counts as executed if any binary ran it. The count is a ratchet: it
+# fails above COVER_MAX, the committed count, whose blocks docs/TESTING.md
+# argues one by one. A new block no test runs gets a test, goes, or is
+# argued there with COVER_MAX raised in the same change.
 COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto
+COVER_MAX = 14
 cover:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) test -coverpkg=$(COVERPKG) -coverprofile="$$tmp/cover.out" ./... > "$$tmp/test.log" \
 		|| { cat "$$tmp/test.log"; exit 1; }; \
 	awk 'NR > 1 { sub(/^aecdsm\//, "", $$1); if (!($$1 in ran)) order[++n] = $$1; ran[$$1] += $$3 } \
 		END { for (i = 1; i <= n; i++) if (!ran[order[i]]) { print order[i]; left++ } \
-		printf "%d blocks of %s never executed\n", left, "$(COVERPKG)" > "/dev/stderr" }' "$$tmp/cover.out"
+		printf "%d blocks of %s never executed (at most %d allowed)\n", left, "$(COVERPKG)", $(COVER_MAX) > "/dev/stderr"; \
+		exit left > $(COVER_MAX) }' "$$tmp/cover.out"
 
 # Static gates: vet, formatting, the repo's invariant lint suite (dsmvet;
 # see docs/LINTING.md) and the tracing guards' inline budget: "one branch

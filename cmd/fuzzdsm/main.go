@@ -55,6 +55,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -116,8 +117,17 @@ func run(args []string, out, errw io.Writer) (code int) {
 		}
 		baseFaults = &fc
 	}
-	if *iters < 0 {
-		fmt.Fprintf(errw, "fuzzdsm: -iters must not be negative, got %d\n", *iters)
+	for _, n := range []struct {
+		flag string
+		v    int
+	}{{"iters", *iters}, {"procs", *procs}, {"jobs", *jobs}} {
+		if n.v < 0 {
+			fmt.Fprintf(errw, "fuzzdsm: -%s must not be negative, got %d\n", n.flag, n.v)
+			return 2
+		}
+	}
+	if *crashSeed < -1 {
+		fmt.Fprintf(errw, "fuzzdsm: -crash-seed must be a seed >= 0 or -1 for none, got %d\n", *crashSeed)
 		return 2
 	}
 
@@ -259,7 +269,8 @@ func orFIFO(policy string) string {
 }
 
 // parsePolicies expands the -policy flag into the workload policy sweep;
-// the empty flag is a single run under the fifo default.
+// the empty flag is a single run under the fifo default. Empty entries are
+// skipped; a policy named twice is refused.
 func parsePolicies(list string) ([]string, error) {
 	if list == "" {
 		return []string{""}, nil
@@ -274,9 +285,15 @@ func parsePolicies(list string) ([]string, error) {
 	var out []string
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
 		k, err := lockpolicy.Parse(name)
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, string(k)) {
+			return nil, fmt.Errorf("policy %q listed twice", k)
 		}
 		out = append(out, string(k))
 	}

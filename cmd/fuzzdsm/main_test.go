@@ -30,6 +30,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown policy", []string{"-policy", "bogus"}, 2, "", "bogus"},
 		{"bad fault clause", []string{"-faults", "drop=2"}, 2, "", "drop"},
 		{"negative iters", []string{"-iters", "-1"}, 2, "", "-iters must not be negative"},
+		{"negative procs", []string{"-procs", "-5"}, 2, "", "-procs must not be negative, got -5"},
+		{"negative jobs", []string{"-jobs", "-3"}, 2, "", "-jobs must not be negative, got -3"},
+		{"crash seed below none", []string{"-crash-seed", "-7"}, 2, "", "-crash-seed must be a seed >= 0 or -1 for none, got -7"},
+		{"empty policy list", []string{"-policy", ","}, 2, "", "no policies selected"},
+		{"repeated policy", []string{"-policy", "fifo,mcs,fifo"}, 2, "", `policy "fifo" listed twice`},
 		{"bad value before profile", []string{"-protocols", "Nope", "-cpuprofile", unwritable}, 2, "", "unknown protocol"},
 		{"unwritable cpuprofile", []string{"-iters", "1", "-cpuprofile", unwritable}, 1, "", "missing"},
 		{"unwritable memprofile", []string{"-iters", "1", "-procs", "2", "-memprofile", unwritable}, 1, "all agree", "writing profile:"},

@@ -246,11 +246,10 @@ func (pr *AEC) chargeDiffCreateOpt(c *proto.Ctx, d *mem.Diff, cat stats.Category
 	c.P.Advance(cost, cat)
 }
 
-// chargeDiffApply charges applying a diff to a local page.
+// chargeDiffApply charges applying a diff to a local page. Every caller
+// holds a diff: chains, pushes, fetch replies and write-notice replies
+// carry no nil entry.
 func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden bool) {
-	if d == nil {
-		return
-	}
 	pp := &pr.e.Params
 	cost := pp.DiffCycles(d.DataBytes())
 	cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(d.DataBytes()))
@@ -300,26 +299,4 @@ func sortedDiffPages(m map[int]*mem.Diff) []int {
 
 func (pr *AEC) String() string {
 	return fmt.Sprintf("%s(Ns=%d)", pr.Name(), pr.opt.Ns)
-}
-
-// DumpState prints the lock manager and per-processor wait state; used by
-// tests to diagnose deadlocks.
-func (pr *AEC) DumpState() {
-	for i := 0; i < pr.NumLocks(); i++ {
-		if l := pr.Lock(i); l.Held || l.Pred.QueueLen() > 0 {
-			fmt.Printf("lock %d: held=%v holder=%d queue=%d lastRel=%d lastCount=%d cum=%d\n",
-				i, l.Held, l.Holder, l.Pred.QueueLen(), l.LastReleaser, l.LastCount, len(l.CumPages))
-		}
-	}
-	for _, st := range pr.ps {
-		recv := 0
-		for _, lc := range st.locks {
-			if lc.recv != nil {
-				recv++
-			}
-		}
-		fmt.Printf("p%d: step=%d inCS=%d curLock=%d grant=%v recvLocks=%d blocked=%v wait=%q\n",
-			st.id, st.step, st.inCS, st.curLock, st.grant != nil, recv,
-			pr.ctxs[st.id].P.Blocked(), pr.ctxs[st.id].P.WaitTag)
-	}
 }

@@ -258,16 +258,6 @@ func TestWriteNoticePathSteadyReader(t *testing.T) {
 	}
 }
 
-// TestDumpStateSmoke keeps the diagnostic surface compiling and panic-free.
-func TestDumpStateSmoke(t *testing.T) {
-	pr := aec.New(aec.DefaultOptions())
-	res := harness.Run(memsys.Default(), pr, apps.NewCounter(2, 16, 2))
-	if res.VerifyErr != nil {
-		t.Fatal(res.VerifyErr)
-	}
-	pr.DumpState() // all locks idle: prints only processor lines
-}
-
 // TestBarrier64Procs is the regression test for the former
 // "aec: barrier copysets support at most 32 processors" panic: barrier
 // copysets are growable bitsets now, so the same barrier-heavy chain

@@ -44,6 +44,12 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 			outside = append(outside, pg)
 		}
 	}
+	if !st.writtenOutside.None() {
+		for _, pg := range outside {
+			st.writtenOutside = st.writtenOutside.Add(pg)
+		}
+		outside = st.writtenOutside.AppendBits(outside[:0])
+	}
 	newValid := st.newValid.AppendBits(make([]int, 0, st.newValid.Count()))
 	elems += len(outside) + len(newValid)
 	c.P.Advance(pr.e.Params.ListCycles(elems), stats.Synch)
@@ -79,12 +85,11 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 		st.pages[pg].sharedHint = true
 	}
 
-	// Send merged CS diffs and write notices as instructed.
+	// Send merged CS diffs and write notices as instructed. The manager
+	// names only pages this processor's arrival listed from myMerged, which
+	// holds no nil diff and is not reset before finalizeStep.
 	for _, ds := range instr.diffSends {
 		d := st.lock(ds.lock).myMerged[ds.page]
-		if d == nil {
-			continue
-		}
 		for _, q := range ds.targets {
 			pr.e.SendFrom(c.P, stats.Synch, q, kBarDiff, d.EncodedBytes(),
 				barDiffMsg{page: ds.page, lock: ds.lock, diff: d}, pr.h.barDiff)
@@ -142,6 +147,18 @@ func (pr *AEC) makeOutsideDiff(c *proto.Ctx, st *procState, pg int, cat stats.Ca
 	// serviced meanwhile may have merged and recycled it already, and
 	// then it is gone from outsideDiff (ROADMAP item 1(a)).
 	pr.archiveTwinStep(c.M, st, pg, f, d)
+}
+
+// archiveEarly makes the outside diff of a dirty page before the barrier
+// would — a write fault in a critical section must separate the outside
+// modifications from the inside ones, and a base fetch must save them
+// before it overwrites the frame. A page twinned in the current step
+// stays on the barrier's outside list through writtenOutside.
+func (pr *AEC) archiveEarly(c *proto.Ctx, st *procState, pg int) {
+	if st.pages[pg].twinStep == st.step {
+		st.writtenOutside = st.writtenOutside.Add(pg)
+	}
+	pr.makeOutsideDiff(c, st, pg, stats.Data, false)
 }
 
 // lazyOutsideDiff is the service-context version used when a write-notice
@@ -318,8 +335,8 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	}
 
 	// Home reassignment: a processor guaranteed current after this
-	// barrier. Preference: CS owner, then lowest-id outside writer, then
-	// lowest-id surviving copy holder.
+	// barrier. Preference: the lowest-id outside writer, else the CS
+	// owner — a page is touched only through one of the two.
 	pages := make([]int, 0, len(touched))
 	for pg := range touched {
 		pages = append(pages, pg)
@@ -334,16 +351,9 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 			surviving = surviving.Add(w)
 		}
 		b.copyset[pg] = surviving
-		home := -1
-		if o, ok := csOwner[pg]; ok && len(writers[pg]) == 0 {
-			home = o
-		} else if ws := writers[pg]; len(ws) > 0 {
-			home = ws[0]
-		} else {
-			home = surviving.Min()
-		}
-		if home >= 0 && home != b.homes[pg] {
-			b.homes[pg] = home
+		b.homes[pg] = csOwner[pg]
+		if ws := writers[pg]; len(ws) > 0 {
+			b.homes[pg] = ws[0]
 		}
 		homes = append(homes, homeAssign{page: pg, home: b.homes[pg]})
 	}
@@ -502,6 +512,7 @@ func (pr *AEC) finalizeStep(c *proto.Ctx, st *procState) {
 	}
 	st.step++
 	clear(st.newValid)
+	clear(st.writtenOutside)
 	st.barDiffsGot = 0
 	st.barWNsGot = 0
 	for _, lc := range st.locks {

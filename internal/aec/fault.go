@@ -108,7 +108,7 @@ func (pr *AEC) fetchPage(c *proto.Ctx, st *procState, page int) {
 	// in which case its notice list names us and we replay the archived
 	// diff locally.
 	if st.dirtyOutside.Has(page) {
-		pr.makeOutsideDiff(c, st, page, stats.Data, false)
+		pr.archiveEarly(c, st, page)
 	}
 	wns := pr.FetchPage(c, page, home).([]mem.WriteNotice)
 	// The fresh base supersedes any stale local write notices (their
@@ -183,14 +183,14 @@ func (pr *AEC) handleWNDiffReq(s *sim.Svc, m *sim.Msg) {
 	s.ChargeList(len(req.steps))
 	bytes := 0
 	for _, step := range req.steps {
-		d := p.archived(step)
-		if d == nil && st.dirtyOutside.Has(req.page) && p.twinStep == step {
-			// Never eagerly diffed: create it now, on the writer's
-			// critical path (the lazy fallback).
+		if st.dirtyOutside.Has(req.page) && p.twinStep == step {
+			// The step's twin is still live — never eagerly diffed, or
+			// written again after a write fault in a critical section
+			// archived its first part: diff it now, on the writer's
+			// critical path (the lazy fallback), over the archived part.
 			pr.lazyOutsideDiff(s, st, req.page)
-			d = p.archived(step)
 		}
-		if d != nil {
+		if d := p.archived(step); d != nil {
 			rq.wnGot = append(rq.wnGot, stepDiff{step: step, d: d})
 			bytes += d.EncodedBytes()
 		}
@@ -207,7 +207,7 @@ func (pr *AEC) writeFault(c *proto.Ctx, st *procState, page int, f *mem.Frame) {
 		// first and the old twin eliminated, so inside and outside
 		// modifications stay separable.
 		if st.dirtyOutside.Has(page) {
-			pr.makeOutsideDiff(c, st, page, stats.Data, false)
+			pr.archiveEarly(c, st, page)
 		}
 		c.ChargeTwin(stats.Data)
 		c.M.MakeTwin(page)

@@ -293,11 +293,10 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	for pg, d := range inherited {
 		merged[pg] = d
 	}
+	// Every page in dirtyInside was twinned by its write fault in this
+	// critical section, and nothing drops an inside twin before here.
 	for _, pg := range st.snapshot(st.dirtyInside) {
 		f := c.M.Frame(pg)
-		if f.Twin == nil {
-			continue
-		}
 		d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
 		pr.chargeDiffCreate(c, d, stats.Synch, false)
 		if d != nil {
@@ -329,7 +328,8 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		}
 		for _, q := range lc.us {
 			if q == c.ID {
-				continue
+				// lap.UpdateSet leaves out the holder it is computed for.
+				panic(fmt.Sprintf("aec: lock %d's update set names its releaser %d", lock, q))
 			}
 			c.P.Stats.UpdatesPushed++
 			c.P.Stats.UpdateBytesPushed += uint64(bytes)

@@ -38,8 +38,9 @@ import "aecdsm/internal/trace"
 //     it does not hold what this step's critical sections did to it —
 //     homes learn lock-chain diffs at barriers. So these are kept:
 //     pages homed here (the home copy is modeled as stable storage, like
-//     the replication journal); pages with live twins or un-diffed local
-//     modifications; every page with critical-section diffs of the
+//     the replication journal); pages with live twins, un-diffed local
+//     modifications, or an outside diff of this step archived before the
+//     barrier has told anyone; every page with critical-section diffs of the
 //     current step, produced here (myMerged), inherited with a grant or
 //     fetched from the last owner (inherited, and the grant's cumulative
 //     page list, which also covers diffs fetched outside the critical
@@ -81,7 +82,7 @@ func (pr *AEC) Crashed(node int) uint64 {
 		if !f.Valid || !f.EverValid || f.Twin != nil {
 			continue
 		}
-		if st.dirtyOutside.Has(pg) || st.dirtyInside.Has(pg) || p.home == node {
+		if st.dirtyOutside.Has(pg) || st.writtenOutside.Has(pg) || st.dirtyInside.Has(pg) || p.home == node {
 			continue
 		}
 		if pg == st.faultPage || st.hasChainDiffs(pg) {

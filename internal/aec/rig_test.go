@@ -9,57 +9,29 @@ import (
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
-	"aecdsm/internal/stats"
 )
 
-// A scripted rig for the paths of AEC that the applications do not take: a
-// few processors, a page or two, lock 0, and a body written per processor.
+// Scripted machines for the paths of AEC that the applications do not take
+// and that only AEC's own state shows: three processors, a page or two,
+// lock 0, and a proto.Script whose body tells the processors apart.
 // Compute gaps of 10^5 cycles and more order the processors' steps; every
-// run is deterministic, so each case also checks a counter that shows its
-// path ran.
+// run is deterministic, so each case also checks a counter or a piece of
+// protocol state that shows its path ran. What these programs read is
+// checked under every protocol kind by internal/check's script table.
 
-// rig is one machine: nprocs processors sharing pages, page i homed at the
-// processor homes[i] names.
-type rig struct {
-	pr    *AEC
-	e     *sim.Engine
-	ctxs  []*proto.Ctx
-	pages []mem.Addr
+// assemble builds s under pr on three processors, under the fault
+// schedule fc (nil for none).
+func assemble(pr *AEC, s proto.Script, fc *fault.Config) *proto.Machine {
+	return proto.Assemble(memsys.Default().ForProcs(3), pr, s, nil, fc, nil)
 }
 
-func newRig(t *testing.T, nprocs int, homes []int, opt Options, fc *fault.Config) *rig {
+// run runs m to the end.
+func run(t *testing.T, m *proto.Machine) {
 	t.Helper()
-	p := memsys.Default().ForProcs(nprocs)
-	e := sim.New(p, stats.NewRun("rig", "AEC", nprocs))
-	if fc != nil {
-		e.EnableFaults(*fc)
-	}
-	space := mem.NewSpace(p.PageSize)
-	r := &rig{pr: New(opt), e: e, ctxs: make([]*proto.Ctx, nprocs)}
-	for pg, home := range homes {
-		r.pages = append(r.pages, space.Alloc(fmt.Sprint("page", pg), p.PageSize, home))
-	}
-	for i := range r.ctxs {
-		r.ctxs[i] = proto.NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, r.pr, i, nprocs)
-	}
-	r.pr.Attach(e, space, r.ctxs)
-	return r
-}
-
-// run gives every processor body and runs the machine to the end.
-func (r *rig) run(t *testing.T, body func(c *proto.Ctx)) {
-	t.Helper()
-	for i, c := range r.ctxs {
-		r.e.Spawn(i, func(*sim.Proc) { body(c) })
-	}
-	r.e.Start()
-	if r.e.Deadlocked {
-		t.Fatal("rig deadlocked")
+	if m.Run() {
+		t.Fatal("deadlocked")
 	}
 }
-
-// stats returns processor i's counters.
-func (r *rig) stats(i int) *stats.Proc { return r.ctxs[i].P.Stats }
 
 // read checks the value a processor reads at a.
 func read(t *testing.T, c *proto.Ctx, a mem.Addr, want int64, what string) {
@@ -80,10 +52,9 @@ var bothKinds = []Options{{UseLAP: true, Ns: 2}, {UseLAP: false, Ns: 2}}
 func TestRigGrantInvalidationFaultedOutside(t *testing.T) {
 	for _, opt := range bothKinds {
 		t.Run(New(opt).Name(), func(t *testing.T) {
-			r := newRig(t, 3, []int{0}, opt, nil)
-			x := r.pages[0]
 			var requests uint64
-			r.run(t, func(c *proto.Ctx) {
+			m := assemble(New(opt), proto.Script{Homes: []int{0}, Locks: 1, Do: func(c *proto.Ctx) {
+				x := c.S.PageBase(0)
 				switch c.ID {
 				case 1:
 					c.ReadI64(x)
@@ -99,15 +70,16 @@ func TestRigGrantInvalidationFaultedOutside(t *testing.T) {
 						t.Error("the grant left p2's copy of the chain page valid")
 					}
 					c.Release(0)
-					requests = r.stats(2).DiffRequests
+					requests = c.P.Stats.DiffRequests
 					read(t, c, x, 42, "after the critical section")
 				}
 				c.Barrier()
 				read(t, c, x, 42, "after the barrier")
-			})
-			if requests != 1 || r.stats(2).DiffRequests != 2 {
+			}}, nil)
+			run(t, m)
+			if all := m.Ctxs[2].P.Stats.DiffRequests; requests != 1 || all != 2 {
 				t.Errorf("p2 sent %d diff requests at its release and %d in all, want the release's top-up and the outside fault's: 1 and 2",
-					requests, r.stats(2).DiffRequests)
+					requests, all)
 			}
 		})
 	}
@@ -121,19 +93,19 @@ func TestRigGrantInvalidationFaultedOutside(t *testing.T) {
 func TestRigInsideWriteOverOutsideTwin(t *testing.T) {
 	for _, opt := range bothKinds {
 		t.Run(New(opt).Name(), func(t *testing.T) {
-			r := newRig(t, 3, []int{1}, opt, nil)
-			x := r.pages[0]
+			pr := New(opt)
 			var created uint64
-			r.run(t, func(c *proto.Ctx) {
+			run(t, assemble(pr, proto.Script{Homes: []int{1}, Locks: 1, Do: func(c *proto.Ctx) {
+				x := c.S.PageBase(0)
 				if c.ID == 1 {
 					c.WriteI64(x, 7)
 					c.Acquire(0)
-					before := r.stats(1).DiffsCreated
+					before := c.P.Stats.DiffsCreated
 					c.WriteI64(x+64, 9)
-					created = r.stats(1).DiffsCreated - before
+					created = c.P.Stats.DiffsCreated - before
 					c.Release(0)
 					var runs []int
-					if d := r.pr.ps[1].lock(0).myMerged[0]; d != nil {
+					if d := pr.ps[1].lock(0).myMerged[0]; d != nil {
 						for off := range d.Runs() {
 							runs = append(runs, off)
 						}
@@ -145,7 +117,7 @@ func TestRigInsideWriteOverOutsideTwin(t *testing.T) {
 				c.Barrier()
 				read(t, c, x, 7, "written outside the critical section")
 				read(t, c, x+64, 9, "written inside it")
-			})
+			}}, nil))
 			if created != 1 {
 				t.Errorf("the write inside the critical section created %d diffs, want the outside one", created)
 			}
@@ -163,10 +135,9 @@ func TestRigFetchSavesOutsideModifications(t *testing.T) {
 	for _, opt := range bothKinds {
 		opt.LazyBarrierDiffs = true
 		t.Run(New(opt).Name(), func(t *testing.T) {
-			r := newRig(t, 3, []int{0}, opt, nil)
-			x := r.pages[0]
 			var created, fetches uint64
-			r.run(t, func(c *proto.Ctx) {
+			run(t, assemble(New(opt), proto.Script{Homes: []int{0}, Do: func(c *proto.Ctx) {
+				x := c.S.PageBase(0)
 				switch c.ID {
 				case 1:
 					c.WriteI64(x, 11)
@@ -176,13 +147,13 @@ func TestRigFetchSavesOutsideModifications(t *testing.T) {
 				c.Barrier()
 				c.Barrier()
 				if c.ID == 2 {
-					created, fetches = r.stats(2).DiffsCreated, r.stats(2).PageFetches
+					created, fetches = c.P.Stats.DiffsCreated, c.P.Stats.PageFetches
 					read(t, c, x, 11, "written by p1")
 					read(t, c, x+64, 22, "written by itself two steps before")
-					created, fetches = r.stats(2).DiffsCreated-created, r.stats(2).PageFetches-fetches
+					created, fetches = c.P.Stats.DiffsCreated-created, c.P.Stats.PageFetches-fetches
 				}
 				c.Barrier()
-			})
+			}}, nil))
 			if created != 1 || fetches != 1 {
 				t.Errorf("p2's read created %d diffs and fetched %d pages, want 1 and 1", created, fetches)
 			}
@@ -198,27 +169,9 @@ func TestRigFetchSavesOutsideModifications(t *testing.T) {
 // counts each as a useless update and reads the third release's value
 // under the lock.
 func TestRigStalePushesDropped(t *testing.T) {
-	r := newRig(t, 3, []int{0}, DefaultOptions(), nil)
-	x := r.pages[0]
-	var pushes []pushMsg
-	var useless []uint64 // counted by p2 for each late push
-	push := r.pr.h.push
-	late := func(s *sim.Svc, m *sim.Msg) {
-		before := r.stats(2).UselessUpdates
-		push(s, m)
-		useless = append(useless, r.stats(2).UselessUpdates-before)
-	}
-	r.pr.h.push = func(s *sim.Svc, m *sim.Msg) {
-		push(s, m)
-		if m.To != 2 {
-			return
-		}
-		pushes = append(pushes, m.Payload.(pushMsg))
-		if n := len(pushes); n > 1 {
-			s.Send(2, kPush, 8, pushes[n-2], late)
-		}
-	}
-	r.run(t, func(c *proto.Ctx) {
+	pr := New(DefaultOptions())
+	m := assemble(pr, proto.Script{Homes: []int{0}, Locks: 1, Do: func(c *proto.Ctx) {
+		x := c.S.PageBase(0)
 		switch c.ID {
 		case 1:
 			c.Compute(100_000)
@@ -243,7 +196,28 @@ func TestRigStalePushesDropped(t *testing.T) {
 			c.Release(0)
 		}
 		c.Barrier()
-	})
+	}}, nil)
+	// Attach has bound the handlers: wrap the push handler before the run.
+	p2 := m.Ctxs[2].P.Stats
+	var pushes []pushMsg
+	var useless []uint64 // counted by p2 for each late push
+	push := pr.h.push
+	late := func(s *sim.Svc, msg *sim.Msg) {
+		before := p2.UselessUpdates
+		push(s, msg)
+		useless = append(useless, p2.UselessUpdates-before)
+	}
+	pr.h.push = func(s *sim.Svc, msg *sim.Msg) {
+		push(s, msg)
+		if msg.To != 2 {
+			return
+		}
+		pushes = append(pushes, msg.Payload.(pushMsg))
+		if n := len(pushes); n > 1 {
+			s.Send(2, kPush, 8, pushes[n-2], late)
+		}
+	}
+	run(t, m)
 	if len(pushes) != 3 || fmt.Sprint(useless) != "[1 1]" {
 		t.Errorf("p2 received %d pushes, want 3, and counted %v useless updates for the late ones, want [1 1]", len(pushes), useless)
 	}
@@ -265,13 +239,12 @@ func TestRigCrashKeepsChainPages(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fc := &fault.Config{Crashes: []fault.Crash{{Node: 2, At: tc.crashAt, Down: 100_000}}}
-			r := newRig(t, 3, []int{0, 0}, DefaultOptions(), fc)
-			x, y := r.pages[0], r.pages[1]
 			want := int64(1)
 			if tc.holder {
 				want = 2
 			}
-			r.run(t, func(c *proto.Ctx) {
+			m := assemble(New(DefaultOptions()), proto.Script{Homes: []int{0, 0}, Locks: 1, Do: func(c *proto.Ctx) {
+				x, y := c.S.PageBase(0), c.S.PageBase(1)
 				switch c.ID {
 				case 0:
 					if tc.holder {
@@ -298,8 +271,9 @@ func TestRigCrashKeepsChainPages(t *testing.T) {
 					c.Release(0)
 				}
 				c.Barrier()
-			})
-			if n := r.stats(2).OrphanInvalidations; n != 1 {
+			}}, fc)
+			run(t, m)
+			if n := m.Ctxs[2].P.Stats.OrphanInvalidations; n != 1 {
 				t.Errorf("the crash orphaned %d of p2's pages, want y alone", n)
 			}
 		})

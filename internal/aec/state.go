@@ -116,7 +116,12 @@ type procState struct {
 	// here since the last barrier (reported to the barrier manager for
 	// copyset maintenance).
 	dirtyOutside, dirtyInside, newValid bitset.Set
-	snap                                []int // snapshot's scratch
+	// writtenOutside holds the pages written outside critical sections in
+	// the current step whose outside diff was archived before the barrier
+	// (archiveEarly). It is empty, and unallocated, in a run that never
+	// does that.
+	writtenOutside bitset.Set
+	snap           []int // snapshot's scratch
 
 	// faultPage is the page whose access fault is being serviced, -1
 	// outside the fault handler.
@@ -151,14 +156,15 @@ type procState struct {
 
 func newProcState(id, pages int, space *mem.Space) *procState {
 	st := &procState{
-		id:           id,
-		pages:        make([]aecPage, pages),
-		dirtyOutside: bitset.New(pages),
-		dirtyInside:  bitset.New(pages),
-		newValid:     bitset.New(pages),
-		locks:        make(map[int]*lockChain),
-		curLock:      -1,
-		faultPage:    -1,
+		id:             id,
+		pages:          make([]aecPage, pages),
+		dirtyOutside:   bitset.New(pages),
+		dirtyInside:    bitset.New(pages),
+		newValid:       bitset.New(pages),
+		writtenOutside: bitset.New(pages),
+		locks:          make(map[int]*lockChain),
+		curLock:        -1,
+		faultPage:      -1,
 	}
 	for pg := range st.pages {
 		st.pages[pg] = aecPage{home: space.InitHome(pg), lastAccess: noAccess}

@@ -10,16 +10,9 @@ import (
 	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
 )
-
-// memorySharer is implemented by protocols (the ideal one) under which all
-// processors view a single physical memory.
-type memorySharer interface {
-	SharesMemory() bool
-}
 
 // Result bundles everything measured in one run. It holds no reference
 // to the protocol or program instance and none into the run's region:
@@ -78,8 +71,8 @@ func Run(params memsys.Params, pr proto.Protocol, prog proto.Program) *Result {
 // the simulated cycle counts are byte-identical; tracing never charges
 // simulated time.
 func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) *Result {
-	eng, rg, res := compose(params, pr, prog, tr, fcfg)
-	if eng == nil {
+	m, rg, res := compose(params, pr, prog, tr, fcfg)
+	if m == nil {
 		return res
 	}
 	if tr != nil {
@@ -88,13 +81,13 @@ func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program,
 		ev.Note = prog.Name() + "/" + pr.Name()
 		tr.Trace(ev)
 	}
-	eng.Start()
+	res.Deadlocked = m.Run()
 	if tr != nil {
 		ev := trace.Ev(res.Run.Cycles, 0, trace.KindRunEnd)
 		ev.Note = prog.Name() + "/" + pr.Name()
 		tr.Trace(ev)
 	}
-	res.VerifyErr, res.Deadlocked = prog.Err(), eng.Deadlocked
+	res.VerifyErr = prog.Err()
 	// Harvested: the program has checked its results against the shared
 	// memory, and nothing reads the run's pages from here on. No defer — a
 	// run that panics leaves its region to the collector.
@@ -102,85 +95,22 @@ func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program,
 	return res
 }
 
-// compose assembles the full simulation stack — space, engine, contexts,
-// protocol, bodies — without starting it, so callers can either run it
-// to completion (RunFaultTraced) or drive it in horizon slices
-// (Session), and returns it with the Result the run will fill in and the
-// region its page memory comes from, which the caller gives back
-// (releaseRegion) once the run is harvested or abandoned. A nil engine is
+// compose is the harness's part of putting a run together: the split
+// check, a region from the free list and the Result the run will fill in,
+// around proto.Assemble, which builds the machine without starting it, so
+// callers can either run it to completion (RunFaultTraced) or drive it in
+// horizon slices (Session). The caller gives the region back
+// (releaseRegion) once the run is harvested or abandoned. A nil machine is
 // a split refusal, reported in the Result: the configuration cannot run,
-// and neither engine nor region was taken.
-func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*sim.Engine, *mem.Region, *Result) {
-	run := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
-	res := &Result{Run: run, faults: fcfg}
+// and neither machine nor region was taken.
+func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*proto.Machine, *mem.Region, *Result) {
 	if sc, ok := prog.(proto.SplitChecker); ok {
-		if res.SplitErr = sc.CheckSplit(params.NumProcs); res.SplitErr != nil {
-			return nil, nil, res
+		if err := sc.CheckSplit(params.NumProcs); err != nil {
+			run := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
+			return nil, nil, &Result{Run: run, SplitErr: err, faults: fcfg}
 		}
 	}
 	rg := takeRegion()
-	space := mem.NewSpaceIn(rg, params.PageSize)
-	prog.Init(space, params.NumProcs)
-	if params.ShardHomes {
-		// Rehome before Attach: protocols capture their home maps there.
-		space.Rehome(func(pg int) int { return memsys.ShardAssign(pg, params.NumProcs) })
-	}
-	if nl, ok := pr.(proto.NumLocksProvider); ok {
-		nl.SetNumLocks(prog.NumLocks())
-	}
-
-	eng := sim.New(params, run)
-	spaceBytes := space.Pages() * params.PageSize
-	if err := params.ValidateSpace(spaceBytes); err != nil {
-		panic(fmt.Sprintf("harness: %s: %v", prog.Name(), err))
-	}
-	// Init has laid the space out and nothing allocates after it (the
-	// per-processor frame tables are sized from it just below), so the
-	// caches need tag slots for these lines only, and take them from the
-	// run's region.
-	tags := rg.Tags
-	for _, p := range eng.Procs {
-		p.Cache.Bound(spaceBytes)
-		p.Cache.TagsFrom(tags)
-	}
-	if fcfg != nil {
-		eng.EnableFaults(*fcfg)
-	}
-	// The one place a sink is wrapped for the emitting layers. It must be
-	// in place before Attach so protocols can wire their per-lock
-	// predictors off it.
-	em := trace.To(tr)
-	eng.Tracer = em
-	eng.Net.Tracer = em
-
-	ms, ok := pr.(memorySharer)
-	shared := ok && ms.SharesMemory()
-	var sharedMem *mem.ProcMem
-	if shared {
-		sharedMem = mem.NewProcMem(space, 0)
-	}
-
-	ctxs := make([]*proto.Ctx, params.NumProcs)
-	for i := 0; i < params.NumProcs; i++ {
-		m := sharedMem
-		if !shared {
-			m = mem.NewProcMem(space, i)
-		}
-		if em.On() && !m.Tracer.On() {
-			p := eng.Procs[m.Proc()]
-			m.Tracer = em
-			m.Clock = func() uint64 { return p.Clock }
-		}
-		ctxs[i] = proto.NewCtx(eng.Procs[i], eng, m, space, pr, i, params.NumProcs)
-	}
-	pr.Attach(eng, space, ctxs)
-
-	for i := 0; i < params.NumProcs; i++ {
-		c := ctxs[i]
-		eng.Spawn(i, func(p *sim.Proc) {
-			prog.Body(c)
-			pr.Done(c)
-		})
-	}
-	return eng, rg, res
+	m := proto.Assemble(params, pr, prog, tr, fcfg, rg)
+	return m, rg, &Result{Run: m.E.Run, faults: fcfg}
 }

@@ -32,8 +32,9 @@ type Session struct {
 // NewSession composes (but does not start) a run. It panics when the
 // program's splitter refuses the processor count (Result.Must).
 func NewSession(params memsys.Params, pr proto.Protocol, prog proto.Program) *Session {
-	eng, rg, res := compose(params, pr, prog, nil, nil)
-	return &Session{eng: eng, region: rg, res: res.Must(), prog: prog, more: true}
+	m, rg, res := compose(params, pr, prog, nil, nil)
+	res.Must()
+	return &Session{eng: m.E, region: rg, res: res, prog: prog, more: true}
 }
 
 // RunUntil advances the session to the given virtual-time horizon

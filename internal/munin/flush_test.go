@@ -63,55 +63,11 @@ func (pr *Munin) wrap(n *rigCounts) {
 	}
 }
 
-// machine is a Munin machine of procs processors sharing one page per
-// entry of homes, page i homed at homes[i], under the named fault schedule
-// ("" for none).
-type machine struct {
-	pr     *Munin
-	e      *sim.Engine
-	run    *stats.Run
-	ctxs   []*proto.Ctx
-	addrs  []mem.Addr
-	region *mem.Region
-}
-
-func newMachine(t *testing.T, procs int, homes []int, lap bool, faults string, seed uint64) *machine {
+// run runs m to the end.
+func run(t *testing.T, m *proto.Machine) {
 	t.Helper()
-	p := memsys.Default().ForProcs(procs)
-	p.LockPolicy = "fifo"
-	m := &machine{run: stats.NewRun("rig", "Munin", procs), region: new(mem.Region)}
-	m.e = sim.New(p, m.run)
-	if faults != "" {
-		fc, err := fault.ParseSpec(faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.Seed = seed
-		m.e.EnableFaults(fc)
-	}
-	m.region.Acquire()
-	space := mem.NewSpaceIn(m.region, p.PageSize)
-	for pg, home := range homes {
-		m.addrs = append(m.addrs, space.Alloc(fmt.Sprint("page", pg), p.PageSize, home))
-	}
-	m.pr = New(Options{UseLAP: lap})
-	m.ctxs = make([]*proto.Ctx, procs)
-	for i := range m.ctxs {
-		m.ctxs[i] = proto.NewCtx(m.e.Procs[i], m.e, mem.NewProcMem(space, i), space, m.pr, i, procs)
-	}
-	m.pr.Attach(m.e, space, m.ctxs)
-	return m
-}
-
-// start runs body on every processor to the end of the run.
-func (m *machine) start(t *testing.T, body func(c *proto.Ctx)) {
-	t.Helper()
-	for i, c := range m.ctxs {
-		m.e.Spawn(i, func(*sim.Proc) { body(c) })
-	}
-	m.e.Start()
-	if m.e.Deadlocked {
-		t.Fatal("rig deadlocked")
+	if m.Run() {
+		t.Fatal("deadlocked")
 	}
 }
 
@@ -131,21 +87,34 @@ func waitFor(t *testing.T, c *proto.Ctx, cond func() bool, what string) bool {
 // and checks the release's flush from inside the releaser, the moment it
 // returns, and the pages once the run is over.
 func runFlushRig(t *testing.T, faults string, seed uint64, lap bool) *stats.Run {
-	m := newMachine(t, rigProcs, rigHomes[:], lap, faults, seed)
+	var fc *fault.Config
+	if faults != "" {
+		cfg, err := fault.ParseSpec(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seed = seed
+		fc = &cfg
+	}
+	pr := New(Options{UseLAP: lap})
+	region := new(mem.Region)
+	region.Acquire()
 	var n rigCounts
-	m.pr.wrap(&n)
-	m.start(t, func(c *proto.Ctx) {
-		for _, a := range m.addrs {
+	m := proto.Assemble(memsys.Default().ForProcs(rigProcs), pr, proto.Script{Homes: rigHomes[:], Locks: 1, Do: func(c *proto.Ctx) {
+		addrs := []mem.Addr{c.S.PageBase(0), c.S.PageBase(1)}
+		for _, a := range addrs {
 			c.ReadI32(a)
 		}
 		n.sharing++
 		if c.ID == rigReleaser {
-			release(t, m.pr, c, m.addrs, m.region, &n, lap)
+			release(t, pr, c, addrs, region, &n, lap)
 		}
-	})
+	}}, nil, fc, region)
+	pr.wrap(&n)
+	run(t, m)
 
 	for pg, home := range rigHomes {
-		for q, c := range m.ctxs {
+		for q, c := range m.Ctxs {
 			f := c.M.Peek(pg)
 			got := int32(-1)
 			if f.Valid {
@@ -161,7 +130,7 @@ func runFlushRig(t *testing.T, faults string, seed uint64, lap bool) *stats.Run 
 			}
 		}
 	}
-	return m.run
+	return m.E.Run
 }
 
 // release is the releaser's part: wait until every processor holds both
@@ -269,31 +238,19 @@ func TestFlushForwardsAndAcks(t *testing.T) {
 // replays its own word over it, and its own release then ships that word
 // alone, which lands at the home beside the other release's.
 func TestFaultReplaysUncommittedWrites(t *testing.T) {
-	m := newMachine(t, 3, []int{0}, true, "", 0)
-	a := m.addrs[0]
+	pr := New(Options{UseLAP: true})
 	var written, released bool
-	var shipped [][]int // the runs of each diff the sharer's flushes ship
-	update := m.pr.h.update
-	m.pr.h.update = func(s *sim.Svc, msg *sim.Msg) {
-		if u := msg.Payload.(updateMsg); u.releaser == 2 {
-			var runs []int
-			for off := range u.diff.Runs() {
-				runs = append(runs, off)
-			}
-			shipped = append(shipped, runs)
-		}
-		update(s, msg)
-	}
-	m.start(t, func(c *proto.Ctx) {
+	m := proto.Assemble(memsys.Default().ForProcs(3), pr, proto.Script{Homes: []int{0}, Locks: 1, Do: func(c *proto.Ctx) {
+		a := c.S.PageBase(0)
 		switch c.ID {
 		case 1:
 			if !waitFor(t, c, func() bool { return written }, "the sharer's write") {
 				return
 			}
-			m.pr.Acquire(c, 0)
-			m.pr.ps[1].curLockUS = nil // the sharer is not a predicted acquirer
+			pr.Acquire(c, 0)
+			pr.ps[1].curLockUS = nil // the sharer is not a predicted acquirer
 			c.WriteI32(a, 100)
-			m.pr.Release(c, 0)
+			pr.Release(c, 0)
 			released = true
 		case 2:
 			c.WriteI32(a+64, 7)
@@ -317,11 +274,24 @@ func TestFaultReplaysUncommittedWrites(t *testing.T) {
 			c.Acquire(0)
 			c.Release(0)
 		}
-	})
+	}}, nil, nil, nil)
+	var shipped [][]int // the runs of each diff the sharer's flushes ship
+	update := pr.h.update
+	pr.h.update = func(s *sim.Svc, msg *sim.Msg) {
+		if u := msg.Payload.(updateMsg); u.releaser == 2 {
+			var runs []int
+			for off := range u.diff.Runs() {
+				runs = append(runs, off)
+			}
+			shipped = append(shipped, runs)
+		}
+		update(s, msg)
+	}
+	run(t, m)
 	if fmt.Sprint(shipped) != "[[64]]" {
 		t.Errorf("the sharer's flushes shipped diffs with runs at %v, want one at [64]", shipped)
 	}
-	home := m.ctxs[0].M.Peek(0).Data
+	home := m.Ctxs[0].M.Peek(0).Data
 	if w0, w64 := binary.LittleEndian.Uint32(home), binary.LittleEndian.Uint32(home[64:]); w0 != 100 || w64 != 7 {
 		t.Errorf("the home holds %d and %d, want 100 and 7", w0, w64)
 	}

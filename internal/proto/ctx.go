@@ -137,12 +137,6 @@ func (c *Ctx) WriteBytes(a mem.Addr, src []byte) {
 	c.M.Write(a, src)
 }
 
-// Touch performs the access/coherence work for [a, a+n) without moving
-// data; used by apps that then operate on the region via Read*/Write*.
-func (c *Ctx) Touch(a mem.Addr, n int, write bool) {
-	c.access(a, n, write)
-}
-
 // ReadI32 reads a 32-bit integer.
 func (c *Ctx) ReadI32(a mem.Addr) int32 {
 	c.access(a, 4, false)

@@ -1,6 +1,10 @@
 package proto
 
-import "aecdsm/internal/mem"
+import (
+	"fmt"
+
+	"aecdsm/internal/mem"
+)
 
 // Program is an SPMD application runnable on the simulated DSM. Init runs
 // once before the simulation to lay out and fill shared memory; Body runs
@@ -31,3 +35,33 @@ type Program interface {
 type SplitChecker interface {
 	CheckSplit(nprocs int) error
 }
+
+// Script is a Program written inline, the shape of a test case: one page
+// per entry of Homes — page i at address i × the page size, homed at
+// processor Homes[i] — Locks lock variables, and Do run on every
+// processor, which tells them apart by c.ID. A script verifies nothing
+// itself (Err is nil): Do checks what it reads.
+type Script struct {
+	Homes []int
+	Locks int
+	Do    func(c *Ctx)
+}
+
+// Name implements Program.
+func (Script) Name() string { return "script" }
+
+// NumLocks implements Program.
+func (s Script) NumLocks() int { return s.Locks }
+
+// Init implements Program: one page-aligned page per home.
+func (s Script) Init(sp *mem.Space, nprocs int) {
+	for pg, home := range s.Homes {
+		sp.Alloc(fmt.Sprint("page", pg), sp.PageSize(), home)
+	}
+}
+
+// Body implements Program.
+func (s Script) Body(c *Ctx) { s.Do(c) }
+
+// Err implements Program.
+func (Script) Err() error { return nil }

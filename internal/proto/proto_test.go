@@ -5,7 +5,6 @@ import (
 
 	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
-	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 )
 
@@ -30,36 +29,20 @@ func (c *countingProto) Acquire(ctx *Ctx, lock int) {
 	c.Ideal.Acquire(ctx, lock)
 }
 
-// testRig builds a 2-proc engine with a shared ideal memory.
-func testRig(t *testing.T, pr Protocol, bodies ...func(c *Ctx)) *stats.Run {
+// runScript runs do on each of nprocs processors sharing four pages homed
+// at processor 0, under pr, which shares one memory among them.
+func runScript(t *testing.T, pr Protocol, nprocs int, do func(c *Ctx)) *stats.Run {
 	t.Helper()
-	p := memsys.Default()
-	p.NumProcs = len(bodies)
-	p.MeshW, p.MeshH = len(bodies), 1
-	run := stats.NewRun("t", "t", p.NumProcs)
-	e := sim.New(p, run)
-	space := mem.NewSpace(p.PageSize)
-	space.Alloc("data", 4*p.PageSize, 0)
-	m := mem.NewProcMem(space, 0)
-	ctxs := make([]*Ctx, p.NumProcs)
-	for i := range ctxs {
-		ctxs[i] = NewCtx(e.Procs[i], e, m, space, pr, i, p.NumProcs)
+	m := Assemble(memsys.Default().ForProcs(nprocs), pr, Script{Homes: make([]int, 4), Do: do}, nil, nil, nil)
+	if m.Run() {
+		t.Fatal("deadlocked")
 	}
-	pr.Attach(e, space, ctxs)
-	for i, body := range bodies {
-		i, body := i, body
-		e.Spawn(i, func(*sim.Proc) { body(ctxs[i]) })
-	}
-	e.Start()
-	if e.Deadlocked {
-		t.Fatal("rig deadlocked")
-	}
-	return run
+	return m.E.Run
 }
 
 func TestCtxTypedAccessors(t *testing.T) {
 	pr := &countingProto{Ideal: *NewIdeal(1)}
-	testRig(t, pr, func(c *Ctx) {
+	runScript(t, pr, 1, func(c *Ctx) {
 		c.WriteI32(0, -7)
 		if got := c.ReadI32(0); got != -7 {
 			t.Errorf("ReadI32 = %d", got)
@@ -104,7 +87,7 @@ func TestCtxTypedAccessors(t *testing.T) {
 
 func TestFastPathAvoidsFaults(t *testing.T) {
 	pr := &countingProto{Ideal: *NewIdeal(1)}
-	testRig(t, pr, func(c *Ctx) {
+	runScript(t, pr, 1, func(c *Ctx) {
 		c.ReadI32(0) // page 0 is home-valid: read should not fault
 		before := pr.faults
 		for i := 0; i < 10; i++ {
@@ -126,7 +109,7 @@ func TestFastPathAvoidsFaults(t *testing.T) {
 func TestAccessSpansPages(t *testing.T) {
 	pr := &countingProto{Ideal: *NewIdeal(1)}
 	ps := memsys.Default().PageSize
-	testRig(t, pr, func(c *Ctx) {
+	runScript(t, pr, 1, func(c *Ctx) {
 		buf := make([]byte, 64)
 		c.WriteBytes(ps-32, buf) // spans pages 0 and 1
 		if pr.writes < 2 {
@@ -137,7 +120,7 @@ func TestAccessSpansPages(t *testing.T) {
 
 func TestComputeChargesBusy(t *testing.T) {
 	pr := NewIdeal(1)
-	run := testRig(t, pr, func(c *Ctx) { c.Compute(12345) })
+	run := runScript(t, pr, 1, func(c *Ctx) { c.Compute(12345) })
 	if run.Procs[0].Breakdown[stats.Busy] != 12345 {
 		t.Fatalf("busy = %d", run.Procs[0].Breakdown[stats.Busy])
 	}
@@ -146,18 +129,13 @@ func TestComputeChargesBusy(t *testing.T) {
 func TestIdealLockFIFO(t *testing.T) {
 	pr := NewIdeal(1)
 	var order []int
-	bodies := make([]func(c *Ctx), 4)
-	for i := range bodies {
-		i := i
-		bodies[i] = func(c *Ctx) {
-			c.Compute(uint64(1000 * (i + 1))) // staggered arrival
-			c.Acquire(0)
-			order = append(order, i)
-			c.Compute(5000) // hold the lock so others queue
-			c.Release(0)
-		}
-	}
-	testRig(t, pr, bodies...)
+	runScript(t, pr, 4, func(c *Ctx) {
+		c.Compute(uint64(1000 * (c.ID + 1))) // staggered arrival
+		c.Acquire(0)
+		order = append(order, c.ID)
+		c.Compute(5000) // hold the lock so others queue
+		c.Release(0)
+	})
 	for i := 1; i < len(order); i++ {
 		if order[i] != order[i-1]+1 {
 			t.Fatalf("lock order = %v, want FIFO by arrival", order)
@@ -168,16 +146,11 @@ func TestIdealLockFIFO(t *testing.T) {
 func TestIdealBarrierJoinsAll(t *testing.T) {
 	pr := NewIdeal(1)
 	var after []uint64
-	bodies := make([]func(c *Ctx), 3)
-	for i := range bodies {
-		i := i
-		bodies[i] = func(c *Ctx) {
-			c.Compute(uint64(100 * (i + 1)))
-			c.Barrier()
-			after = append(after, c.P.Clock)
-		}
-	}
-	testRig(t, pr, bodies...)
+	runScript(t, pr, 3, func(c *Ctx) {
+		c.Compute(uint64(100 * (c.ID + 1)))
+		c.Barrier()
+		after = append(after, c.P.Clock)
+	})
 	for _, clk := range after {
 		if clk != 300 {
 			t.Fatalf("barrier departures = %v, want all at 300", after)
@@ -187,15 +160,14 @@ func TestIdealBarrierJoinsAll(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	pr := NewIdeal(2)
-	run := testRig(t, pr,
-		func(c *Ctx) {
+	run := runScript(t, pr, 2, func(c *Ctx) {
+		if c.ID == 0 {
 			c.Acquire(0)
 			c.Release(0)
 			c.Notice(1)
-			c.Barrier()
-		},
-		func(c *Ctx) { c.Barrier() },
-	)
+		}
+		c.Barrier()
+	})
 	if run.Procs[0].LockAcquires != 1 || run.Procs[0].LockReleases != 1 {
 		t.Fatal("lock counters")
 	}
@@ -217,7 +189,7 @@ func TestIdealSetNumLocks(t *testing.T) {
 		t.Fatalf("%d locks after SetNumLocks(1) on NewIdeal(2), want 2", len(pr.locks))
 	}
 	pr.SetNumLocks(5000)
-	testRig(t, pr, func(c *Ctx) {
+	runScript(t, pr, 1, func(c *Ctx) {
 		c.Acquire(4999)
 		c.Release(4999)
 	})

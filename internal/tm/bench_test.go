@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"aecdsm/internal/mem"
-	"aecdsm/internal/sim"
+	"aecdsm/internal/proto"
 	"aecdsm/internal/stats"
 )
 
@@ -25,22 +25,22 @@ import (
 func BenchmarkTMFault(b *testing.B) {
 	for _, k := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("refault/writers=%d", k), func(b *testing.B) {
-			e, pr, ctxs := rig(k+1, 1)
-			c, st := ctxs[0], pr.ps[0]
-			// Every writer closes one interval on the page; page 0 is homed
-			// at processor 0, so its first access there is no fault.
-			for w := 1; w <= k; w++ {
-				e.Spawn(w, func(*sim.Proc) {
-					ctxs[w].WriteI32(mem.Addr(4*w), int32(w))
-					pr.closeInterval(ctxs[w], pr.ps[w])
-				})
-			}
+			pr := New()
 			wns := make([]wnRef, k)
 			for i := range wns {
 				wns[i] = wnRef{proc: k - i, seq: 1, page: 0} // descending: the sort has work to do
 			}
-			e.Spawn(0, func(p *sim.Proc) {
-				p.Advance(10_000_000, stats.Busy) // the writers are done
+			assemble(k+1, 1, pr, func(c *proto.Ctx) {
+				// Every writer closes one interval on the page; page 0 is
+				// homed at processor 0, so its first access there is no
+				// fault.
+				if w := c.ID; w > 0 {
+					c.WriteI32(mem.Addr(4*w), int32(w))
+					pr.closeInterval(c, pr.ps[w])
+					return
+				}
+				st := pr.ps[0]
+				c.P.Advance(10_000_000, stats.Busy) // the writers are done
 				round := func() {
 					clear(st.vc) // the notices are fresh again
 					pr.applyWNs(c, st, wns)
@@ -59,14 +59,14 @@ func BenchmarkTMFault(b *testing.B) {
 				if want := uint64(k) * uint64(b.N+1); c.P.Stats.DiffsApplied != want {
 					b.Errorf("%d diffs applied, want %d", c.P.Stats.DiffsApplied, want)
 				}
-			})
-			e.Start()
+			}).Run()
 		})
 	}
 	b.Run("barrier-notices", func(b *testing.B) {
 		const pages = 64
-		_, pr, ctxs := rig(2, pages)
-		c, st := ctxs[1], pr.ps[1] // homed at processor 0: never valid at 1
+		pr := New()
+		c := assemble(2, pages, pr, nil).Ctxs[1] // homed at processor 0: never valid at 1
+		st := pr.ps[1]
 		wns := make([]wnRef, pages)
 		for pg := range wns {
 			wns[pg] = wnRef{proc: 0, seq: 1, page: pg}

@@ -43,7 +43,10 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 		f.EverValid = true
 	}
 
-	if write {
+	// A page twinned in the open interval keeps its twin: an acquire bumps
+	// the epoch without closing the interval, and a second snapshot would
+	// drop the writes made before it from the interval's diff.
+	if write && f.Twin == nil {
 		// Re-twinning: any undiffed interval for this page must be
 		// diffed first so its snapshot survives.
 		if st.pages[page].undiffed != nil {
@@ -52,6 +55,8 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 		c.ChargeTwin(stats.Data)
 		c.M.MakeTwin(page)
 		st.dirty = append(st.dirty, page)
+	}
+	if write {
 		f.WriteEpoch = c.Epoch
 	}
 }

@@ -340,11 +340,12 @@ func TestLazyHybridName(t *testing.T) {
 // remote diff request) has made the diff, the twin is the buffer the next
 // MakeTwin on that processor gets, and the diff does not alias it.
 func TestConsumedTwinsRecycled(t *testing.T) {
-	e, pr, ctxs := rig(2, 2)
-	p := e.Params
-	e.Spawn(1, func(*sim.Proc) {})
-	e.Spawn(0, func(*sim.Proc) {
-		c, st := ctxs[0], pr.ps[0]
+	pr := New()
+	assemble(2, 2, pr, func(c *proto.Ctx) {
+		if c.ID != 0 {
+			return
+		}
+		p, st := c.E.Params, pr.ps[0]
 		c.WriteI32(0, 7)
 		c.WriteI32(p.PageSize, 9)
 		frames := []*mem.Frame{c.M.Frame(0), c.M.Frame(1)}
@@ -364,7 +365,7 @@ func TestConsumedTwinsRecycled(t *testing.T) {
 			return
 		}
 		pr.forceDiff(c, st, 0, stats.Data)
-		svc := &sim.Svc{E: e, P: c.P, Now: c.P.Clock}
+		svc := &sim.Svc{E: c.E, P: c.P, Now: c.P.Clock}
 		diffs := []*mem.Diff{rec.diffs[rec.slot(0)], pr.svcDiff(svc, st, rec, 1)}
 		if held() != 0 {
 			t.Errorf("%d twins left in the interval after both diffs were made", held())
@@ -384,25 +385,14 @@ func TestConsumedTwinsRecycled(t *testing.T) {
 				t.Errorf("page %d: diff carries %d bytes, first %d; want the 4-byte write of %d", pg, diffs[pg].DataBytes(), out[0], want)
 			}
 		}
-	})
-	e.Start()
+	}).Run()
 }
 
-// rig attaches a TreadMarks instance to a bare engine of nprocs processors
-// sharing pages pages, all homed at processor 0: what the harness builds,
-// without a program.
-func rig(nprocs, pages int) (*sim.Engine, *TM, []*proto.Ctx) {
-	p := memsys.Default().ForProcs(nprocs)
-	e := sim.New(p, stats.NewRun("t", "TM", p.NumProcs))
-	space := mem.NewSpace(p.PageSize)
-	space.Alloc("data", pages*p.PageSize, 0)
-	pr := New()
-	ctxs := make([]*proto.Ctx, p.NumProcs)
-	for i := range ctxs {
-		ctxs[i] = proto.NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, pr, i, p.NumProcs)
-	}
-	pr.Attach(e, space, ctxs)
-	return e, pr, ctxs
+// assemble builds pr on nprocs processors sharing pages pages, all homed
+// at processor 0, with do as every processor's body.
+func assemble(nprocs, pages int, pr *TM, do func(c *proto.Ctx)) *proto.Machine {
+	s := proto.Script{Homes: make([]int, pages), Do: do}
+	return proto.Assemble(memsys.Default().ForProcs(nprocs), pr, s, nil, nil, nil)
 }
 
 // TestLogRowInsertedMidFault: processor 2 takes its first fault on a page
@@ -411,42 +401,42 @@ func rig(nprocs, pages int) (*sim.Engine, *TM, []*proto.Ctx) {
 // log, shifting the others. The walk must go on to processor 3 — a walk
 // by row index would land on processor 1 again and apply its diff twice.
 func TestLogRowInsertedMidFault(t *testing.T) {
-	e, pr, ctxs := rig(4, 1)
-	write := func(id int, off mem.Addr, v int32) func(*sim.Proc) {
-		return func(*sim.Proc) {
-			ctxs[id].WriteI32(off, v)
-			pr.closeInterval(ctxs[id], pr.ps[id])
+	pr := New()
+	var reqs *uint64 // processor 2's diff requests
+	m := assemble(4, 1, pr, func(c *proto.Ctx) {
+		switch c.ID {
+		case 1:
+			c.WriteI32(0, 11)
+			pr.closeInterval(c, pr.ps[1])
+		case 3:
+			c.WriteI32(4, 33)
+			pr.closeInterval(c, pr.ps[3])
+		case 0:
+			for *reqs == 0 {
+				c.P.Advance(50, stats.Busy)
+			}
+			if *reqs != 1 {
+				t.Errorf("the row went in after %d requests, want inside the first", *reqs)
+			}
+			pr.logNotice(0, 0, 1)
+		case 2:
+			c.P.Advance(1_000_000, stats.Busy) // both writers have closed their intervals
+			if len(pr.log[0]) != 2 {
+				t.Errorf("log has %d rows before the fault, want processors 1 and 3", len(pr.log[0]))
+			}
+			st := pr.ps[2]
+			st.vc[1], st.vc[3] = 1, 1 // as if a grant had delivered both notices
+			if a, b := c.ReadI32(0), c.ReadI32(4); a != 11 || b != 33 {
+				t.Errorf("read %d, %d after the fault; want 11, 33", a, b)
+			}
+			if got := c.P.Stats; got.DiffRequests != 2 || got.DiffsApplied != 2 {
+				t.Errorf("%d requests, %d diffs applied; want one of each per writer", got.DiffRequests, got.DiffsApplied)
+			}
+			if len(pr.log[0]) != 3 || pr.log[0][0].writer != 0 {
+				t.Errorf("log rows %+v: processor 0's row did not go in at the head", pr.log[0])
+			}
 		}
-	}
-	e.Spawn(1, write(1, 0, 11))
-	e.Spawn(3, write(3, 4, 33))
-	reqs := &ctxs[2].P.Stats.DiffRequests
-	e.Spawn(0, func(p *sim.Proc) {
-		for *reqs == 0 {
-			p.Advance(50, stats.Busy)
-		}
-		if *reqs != 1 {
-			t.Errorf("the row went in after %d requests, want inside the first", *reqs)
-		}
-		pr.logNotice(0, 0, 1)
 	})
-	e.Spawn(2, func(p *sim.Proc) {
-		p.Advance(1_000_000, stats.Busy) // both writers have closed their intervals
-		if len(pr.log[0]) != 2 {
-			t.Errorf("log has %d rows before the fault, want processors 1 and 3", len(pr.log[0]))
-		}
-		st := pr.ps[2]
-		st.vc[1], st.vc[3] = 1, 1 // as if a grant had delivered both notices
-		c := ctxs[2]
-		if a, b := c.ReadI32(0), c.ReadI32(4); a != 11 || b != 33 {
-			t.Errorf("read %d, %d after the fault; want 11, 33", a, b)
-		}
-		if got := c.P.Stats; got.DiffRequests != 2 || got.DiffsApplied != 2 {
-			t.Errorf("%d requests, %d diffs applied; want one of each per writer", got.DiffRequests, got.DiffsApplied)
-		}
-		if len(pr.log[0]) != 3 || pr.log[0][0].writer != 0 {
-			t.Errorf("log rows %+v: processor 0's row did not go in at the head", pr.log[0])
-		}
-	})
-	e.Start()
+	reqs = &m.Ctxs[2].P.Stats.DiffRequests
+	m.Run()
 }
