@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fuzz results bench cover
+.PHONY: all build test lint fuzz results cover
 
 all: build lint test
 
@@ -13,14 +13,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The blocks of the protocol packages that no test executes, one
+# The blocks of the protocol packages, and of the lock predictor, the
+# crash journal, the grant disciplines and the engine, that no test
+# executes, one
 # file:start,end line each: the first check for a change of representation
 # (docs/TESTING.md). The profile repeats a block once per test binary, so a
 # block counts as executed if any binary ran it. The count is a ratchet: it
 # fails above COVER_MAX, the committed count, whose blocks docs/TESTING.md
 # argues one by one. A new block no test runs gets a test, goes, or is
 # argued there with COVER_MAX raised in the same change.
-COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto
+COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim
 COVER_MAX = 14
 cover:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -45,14 +47,12 @@ lint:
 	! $(GO) build -gcflags=-m=2 ./internal/trace 2>&1 | grep -E 'cannot inline Emitter\.(Event|Lock|LockNote|Page|Diff):'
 
 # Quick differential-checker pass (see docs/TESTING.md for deeper runs),
-# then the four native fuzz targets on a short budget: the diff kernel,
-# the fault-spec parser, benchsum's reader of `go test -json` streams and
-# the JSONL trace sink.
+# then the three native fuzz targets on a short budget: the diff kernel,
+# the fault-spec parser and the JSONL trace sink.
 fuzz:
 	$(GO) run ./cmd/fuzzdsm -iters 50
 	$(GO) test -run '^$$' -fuzz FuzzMakeDiff -fuzztime 20s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/fault/
-	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime 20s ./cmd/benchsum/
 	$(GO) test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/trace/
 
 # The committed sweeps reproduce byte for byte (CI's "Results" step).
@@ -76,18 +76,3 @@ results:
 	"$$tmp/tables" -scaling -scaling-procs 16,64 -scale 0.05 -jobs 1 > "$$tmp/scaling-jobs1.txt"; \
 	"$$tmp/tables" -scaling -scaling-procs 16,64 -scale 0.05 > "$$tmp/scaling-jobsN.txt"; \
 	cmp "$$tmp/scaling-jobs1.txt" "$$tmp/scaling-jobsN.txt"
-
-# Kernel and engine microbenchmarks plus the scaling-sweep timing,
-# condensed by cmd/benchsum into one sorted {benchmark, ns/op, B/op,
-# allocs/op} record per line so the perf trajectory is diffable across
-# PRs (docs/PERFORMANCE.md, docs/SCALING.md). BenchmarkRunRecycled is one
-# whole run per iteration on the region the one before gave back: its B/op
-# is what a run allocates besides its page memory. BenchmarkMakeTransientDiff
-# makes and recycles a diff on the encoding the iteration before handed back.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMakeDiff|BenchmarkMakeTransientDiff|BenchmarkMergeDiffs' -benchmem -json . \
-		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkMakeDiff/clean$$|BenchmarkMakeTransientDiff/|BenchmarkMergeDiffs/.*/steady$$' | tee BENCH_kernels.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkSendDeliver|BenchmarkSendDeliverReliable|BenchmarkHandoff|BenchmarkTMFault|BenchmarkTopoOrder|BenchmarkRunRecycled' -benchmem -json ./internal/sim/ ./internal/tm/ ./internal/harness/ \
-		| $(GO) run ./cmd/benchsum -assert-zero-allocs 'BenchmarkSchedule$$|BenchmarkScheduleDeep$$|BenchmarkSendDeliver$$|BenchmarkSendDeliverReliable$$|BenchmarkHandoff$$|BenchmarkTMFault/|BenchmarkTopoOrder/' | tee BENCH_engine.json
-	$(GO) test -run '^$$' -bench 'BenchmarkScaling' -timeout 30m -json . \
-		| $(GO) run ./cmd/benchsum | tee BENCH_scaling.json

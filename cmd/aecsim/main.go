@@ -58,16 +58,14 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	if *list {
-		fmt.Fprintln(out, "applications:", aecdsm.Apps())
-		fmt.Fprintln(out, "protocols:   ", aecdsm.Protocols())
-		return 0
-	}
-
 	var err error
 	switch {
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *list:
+		fmt.Fprintln(out, "applications:", aecdsm.Apps())
+		fmt.Fprintln(out, "protocols:   ", aecdsm.Protocols())
+		return 0
 	case !slices.Contains(aecdsm.Apps(), *app):
 		err = fmt.Errorf("unknown -app %q (want one of %s)", *app, strings.Join(aecdsm.Apps(), ", "))
 	case !slices.Contains(aecdsm.Protocols(), *protocol):

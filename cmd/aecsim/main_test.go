@@ -39,6 +39,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"zero ns", []string{"-protocol", "Munin+LAP", "-ns", "0", "-trace", traceFile}, 2, "", "-ns 0 is below 1"},
 		{"stray argument", []string{"-app", "IS", "Ocean"}, 2, "", `unexpected argument "Ocean"`},
 		{"bad trace format", []string{"-scale", "0.05", "-trace", traceFile, "-trace-format", "xml"}, 2, "", "unknown -trace-format"},
+		{"stray argument after -list", []string{"-list", "extra"}, 2, "", `unexpected argument "extra"`},
 		{"list", []string{"-list"}, 0, "applications: [" + strings.Join(aecdsm.Apps(), " ") + "]\n", ""},
 		{"unwritable trace", []string{"-scale", "0.05", "-trace", unwritable}, 1, "", "missing"},
 		{"unwritable metrics", []string{"-scale", "0.05", "-metrics", unwritable}, 1, "", "writing metrics:"},

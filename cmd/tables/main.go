@@ -112,10 +112,18 @@ func run(args []string, out, errw io.Writer) (code int) {
 	type experiments = aecdsm.Experiments
 	var render func(*experiments, io.Writer)
 	err := apps.CheckScale(*scale)
+	chosen := selections(*table != "", *figure != "", *scaling, *locklab, *recovery, *timeline)
+	stray := sweepFlagAlone(fs, *scaling, *recovery, *timeline)
 	switch {
 	case err != nil: // reported below, like every other refusal
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *jobs < 0:
+		err = fmt.Errorf("-jobs must not be negative, got %d", *jobs)
+	case len(chosen) > 1:
+		err = fmt.Errorf("%s select different outputs; choose one", strings.Join(chosen, " and "))
+	case stray != nil:
+		err = stray
 	case *scaling:
 		var procs []int
 		if procs, err = parseProcs(*scalingProcs); err == nil {
@@ -183,6 +191,35 @@ func run(args []string, out, errw io.Writer) (code int) {
 	e.Tracer = tracer
 	render(e, out)
 	return 0
+}
+
+// selections names the output-selecting flags that are set, in the order
+// -table, -figure, -scaling, -locklab, -recovery, -timeline.
+func selections(on ...bool) []string {
+	var chosen []string
+	for i, name := range []string{"-table", "-figure", "-scaling", "-locklab", "-recovery", "-timeline"} {
+		if on[i] {
+			chosen = append(chosen, name)
+		}
+	}
+	return chosen
+}
+
+// sweepFlagAlone rejects a sweep's own flag given without its sweep, which
+// would otherwise be ignored by whatever the selection renders.
+func sweepFlagAlone(fs *flag.FlagSet, scaling, recovery, timeline bool) error {
+	owner := map[string]bool{
+		"scaling-procs": scaling, "scaling-app": scaling,
+		"recovery-app": recovery, "timeline-app": timeline,
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if on, owned := owner[f.Name]; owned && !on && err == nil {
+			sweep, _, _ := strings.Cut(f.Name, "-")
+			err = fmt.Errorf("-%s is set without -%s", f.Name, sweep)
+		}
+	})
+	return err
 }
 
 // knownApp rejects an application name the sweeps would only discover

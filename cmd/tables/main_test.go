@@ -10,8 +10,10 @@ import (
 )
 
 // TestRunExitCodes drives the command at its boundary: a selection, app,
-// scale, machine list or argument it does not accept is a usage error (2)
-// reported before any simulation starts, an output the environment refuses
+// scale, machine list, job count or argument it does not accept — two
+// selections at once, or a sweep's flag without its sweep, included — is a
+// usage error (2) reported before any simulation starts, an output the
+// environment refuses
 // is a failure (1), and a table renders on stdout with exit 0. Table 1 runs
 // no simulation, so every row is instant.
 func TestRunExitCodes(t *testing.T) {
@@ -33,6 +35,14 @@ func TestRunExitCodes(t *testing.T) {
 		{"scale above one", []string{"-table", "1", "-scale", "1.5"}, 2, "", "scale 1.5 is outside (0, 1]"},
 		{"stray argument", []string{"-table", "1", "3"}, 2, "", `unexpected argument "3"`},
 		{"bad machine list", []string{"-scaling", "-scaling-procs", "12x"}, 2, "", `bad -scaling-procs entry "12x"`},
+		{"negative jobs", []string{"-jobs", "-3", "-table", "1"}, 2, "", "-jobs must not be negative, got -3"},
+		{"table and figure", []string{"-table", "1", "-figure", "5"}, 2, "", "-table and -figure select different outputs; choose one"},
+		{"locklab and table", []string{"-locklab", "-table", "1"}, 2, "", "-table and -locklab select different outputs"},
+		{"two sweeps", []string{"-recovery", "-timeline"}, 2, "", "-recovery and -timeline select different outputs"},
+		{"scaling app without the sweep", []string{"-table", "1", "-scaling-app", "Nope"}, 2, "", "-scaling-app is set without -scaling"},
+		{"machine list without the sweep", []string{"-scaling-procs", "16"}, 2, "", "-scaling-procs is set without -scaling"},
+		{"recovery app without the sweep", []string{"-timeline", "-recovery-app", "IS"}, 2, "", "-recovery-app is set without -recovery"},
+		{"timeline app without the sweep", []string{"-table", "1", "-timeline-app", "IS"}, 2, "", "-timeline-app is set without -timeline"},
 		{"bad trace format", []string{"-table", "1", "-trace", filepath.Join(t.TempDir(), "t"), "-trace-format", "xml"}, 2, "", "unknown -trace-format"},
 		{"unwritable metrics", []string{"-table", "1", "-metrics", unwritable}, 1, "Table 1:", "writing metrics:"},
 		{"unwritable trace", []string{"-table", "1", "-trace", unwritable}, 1, "", "missing"},

@@ -61,15 +61,12 @@ type Options struct {
 	// Ns is the update set size (the paper evaluates 1-3; 2 is best).
 	Ns int
 
-	// Ablation switches (all false in the paper's protocol):
-
-	// LazyBarrierDiffs disables eager outside-diff creation during the
-	// barrier wait; every outside diff is created on demand, on the
-	// writer's critical path (quantifies §5.3's hiding benefit).
+	// LazyBarrierDiffs (false in the paper's protocol) disables eager
+	// outside-diff creation during the barrier wait, so an outside twin
+	// outlives its barrier. It is the hook of
+	// TestRigFetchSavesOutsideModifications, the one way to reach the base
+	// fetch that archives a live outside twin first (fetchPage).
 	LazyBarrierDiffs bool
-	// NoAcquireOverlap disables the acquire-time overlap window (apply
-	// pushed diffs / create outside diffs while waiting for the grant).
-	NoAcquireOverlap bool
 }
 
 // DefaultOptions returns the paper's configuration: LAP on, Ns=2.

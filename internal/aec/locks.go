@@ -31,7 +31,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	// delay (Table 4). Application status lives in the push buffer
 	// itself: a fresher push replacing the buffer must be re-applied.
 	lc := st.lock(lock)
-	for st.grant == nil && !pr.opt.NoAcquireOverlap {
+	for st.grant == nil {
 		if !pr.overlapUnit(c, st, lc) {
 			break
 		}

@@ -125,16 +125,10 @@ func (p *Predictor) SetPolicy(k lockpolicy.Kind) {
 	p.queue = lockpolicy.New(k, p)
 }
 
-// Policy returns the active grant discipline.
-func (p *Predictor) Policy() lockpolicy.Kind { return p.queue.Kind() }
-
 // Predicted implements lockpolicy.Oracle: the last update set this
 // predictor computed, i.e. the processors the releaser's merged diffs
 // were eagerly pushed to (their copies are warm).
 func (p *Predictor) Predicted() []int { return p.pendFull }
-
-// Ns returns the configured update-set size.
-func (p *Predictor) Ns() int { return p.ns }
 
 // Enqueue appends a processor to the waiting queue (lock busy at request).
 func (p *Predictor) Enqueue(proc int) {

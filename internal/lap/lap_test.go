@@ -49,6 +49,17 @@ func TestAffinitySetEmptyHistory(t *testing.T) {
 	}
 }
 
+// TestUpdateSetSizeAtLeastOne: an update-set size below 1 is taken as 1,
+// so a predictor always pushes to someone when it has a candidate.
+func TestUpdateSetSizeAtLeastOne(t *testing.T) {
+	p := New(8, 0)
+	p.Notice(4)
+	p.Notice(5)
+	if us := p.UpdateSet(0); len(us) != 1 || us[0] != 4 {
+		t.Fatalf("UpdateSet with Ns 0 = %v, want [4] (Ns 1)", us)
+	}
+}
+
 func TestNoticeVirtualQueue(t *testing.T) {
 	p := New(8, 2)
 	p.Notice(4)

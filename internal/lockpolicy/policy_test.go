@@ -1,6 +1,7 @@
 package lockpolicy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -209,6 +210,30 @@ func TestLeaseBypassBound(t *testing.T) {
 	}
 	if bypasses > MaxBypass {
 		t.Fatalf("waiter 1 bypassed %d times, bound is %d", bypasses, MaxBypass)
+	}
+}
+
+// TestLeaseBypassBoundAcrossTenures: bypasses add up across leaseholders.
+// Waiter 2 is passed over three times by 0's tenure and once more by 1's,
+// so the bound grants it while 1's lease is still live.
+func TestLeaseBypassBoundAcrossTenures(t *testing.T) {
+	q := New(Lease, nil)
+	q.Enqueue(0)
+	q.PickNext(-1) // 0 takes the lease
+	q.Enqueue(1)
+	q.Enqueue(2)
+	var got []int
+	var last Pick
+	for holder := 0; len(got) < 3*LeaseLength && last.Proc != 2; holder = last.Proc {
+		q.Enqueue(holder) // the holder re-requests at once
+		last = q.PickNext(holder)
+		got = append(got, last.Proc)
+	}
+	if want := []int{0, 0, 0, 1, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("grants %v, want %v", got, want)
+	}
+	if last.Renewal {
+		t.Error("the forced grant is marked a renewal")
 	}
 }
 

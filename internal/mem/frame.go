@@ -201,7 +201,7 @@ func (m *ProcMem) MakeDiff(page int, twin []byte, wordBytes int) *Diff {
 //
 // It inlines, so a caller that does not keep the diff keeps it on its
 // stack: make and recycle then allocate nothing at all, which
-// BenchmarkMakeTransientDiff's zero-alloc gate holds it to.
+// TestTransientDiffDoesNotAllocate holds it to.
 func (m *ProcMem) MakeTransientDiff(page int, twin []byte, wordBytes int) *Diff {
 	d := m.encodeTransient(page, twin, wordBytes)
 	if d.runs == 0 {

@@ -162,11 +162,12 @@ func (e *Engine) Close() {
 }
 
 // launch creates every processor's coroutine and seeds the event queue
-// with their cycle-0 resume events. Idempotent: the first run call does
-// the launch, later continues skip it.
+// with their cycle-0 resume events. A run is launched once: a second
+// Start or StartUntil is a caller's bug (a paused run goes on with
+// ContinueUntil or Finish), and relaunching would run every body again.
 func (e *Engine) launch() {
 	if e.launched {
-		return
+		panic("sim: engine started twice; continue a paused run with ContinueUntil or Finish")
 	}
 	e.launched = true
 	for i, body := range e.bodies {

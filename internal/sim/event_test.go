@@ -151,31 +151,45 @@ func TestPastEventStops(t *testing.T) {
 	e.schedule(99, func() {})
 }
 
-// benchSchedule measures the steady-state pop/push/peek cycle of the
-// event queue — the hot loop under every simulated cycle — with the
-// given number of events pending. Must be 0 allocs/op (asserted in CI).
-func benchSchedule(b *testing.B, pending int) {
+// scheduleOp returns one steady-state pop/push/peek cycle of the event
+// queue — the hot loop under every simulated cycle — with the given number
+// of events pending.
+func scheduleOp(pending int) func() {
 	var q eventQueue
 	var seq uint64
 	for i := 0; i < pending; i++ {
 		seq++
 		q.push(event{at: Time(i * 37 % 250), seq: seq})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		ev := q.pop()
 		seq++
-		q.push(event{at: ev.at + Time(i%97) + 1, seq: seq})
+		q.push(event{at: ev.at + Time(seq%97) + 1, seq: seq})
 		_ = q.peek()
 	}
 }
 
-// BenchmarkSchedule holds 64 events pending: one resume per processor
-// of a 64-node machine.
+// TestScheduleDoesNotAllocate: the queue's cycle allocates nothing with 64
+// events pending (one resume per processor of a 64-node machine) or 4096
+// (a 1024-node machine with its messages and timers in flight).
+func TestScheduleDoesNotAllocate(t *testing.T) {
+	for _, pending := range []int{64, 4096} {
+		if n := testing.AllocsPerRun(1000, scheduleOp(pending)); n != 0 {
+			t.Errorf("pop/push/peek with %d pending allocates %v objects/op, want 0", pending, n)
+		}
+	}
+}
+
+func benchSchedule(b *testing.B, pending int) {
+	op := scheduleOp(pending)
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
+	}
+}
+
+// BenchmarkSchedule holds 64 events pending.
 func BenchmarkSchedule(b *testing.B) { benchSchedule(b, 64) }
 
-// BenchmarkScheduleDeep holds 4096 pending — a 1024-node machine with
-// its messages and retransmission timers in flight — so the heap's
-// log-n cost is on record.
+// BenchmarkScheduleDeep holds 4096 pending, so the heap's log-n cost shows.
 func BenchmarkScheduleDeep(b *testing.B) { benchSchedule(b, 4096) }

@@ -93,10 +93,11 @@ func TestDeliverRecycles(t *testing.T) {
 
 func txIsReset(tx *pendingTx) bool { return tx.m == nil && tx.h == nil && tx.refs == 0 }
 
-// TestPooledSendDeliverSteadyState: a full send→deliver round trip in
-// steady state allocates nothing — the pools absorb message and service
-// context, the event rides the queue unboxed, and no closure is built.
-func TestPooledSendDeliverSteadyState(t *testing.T) {
+// sendDeliverOp returns the pooled message path end to end on a
+// two-processor engine, warmed up: sendOpt (pool alloc, buses, network
+// reservation, unboxed delivery event) through pop and deliver (interrupt,
+// handler, recycle).
+func sendDeliverOp() (*Engine, func()) {
 	e, _ := testEngine(2)
 	h := func(s *Svc, m *Msg) {}
 	p0 := e.Procs[0]
@@ -109,6 +110,14 @@ func TestPooledSendDeliverSteadyState(t *testing.T) {
 	for i := 0; i < 4; i++ { // warm the pools and the queue's backing array
 		roundTrip()
 	}
+	return e, roundTrip
+}
+
+// TestPooledSendDeliverSteadyState: a full send→deliver round trip in
+// steady state allocates nothing — the pools absorb message and service
+// context, the event rides the queue unboxed, and no closure is built.
+func TestPooledSendDeliverSteadyState(t *testing.T) {
+	e, roundTrip := sendDeliverOp()
 	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
 		t.Fatalf("send+deliver allocates %v objects/op, want 0", n)
 	}
@@ -118,32 +127,11 @@ func TestPooledSendDeliverSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkSendDeliver measures the pooled message path end to end:
-// sendOpt (pool alloc, buses, network reservation, unboxed delivery
-// event) through pop and deliver (interrupt, handler, recycle). Must be
-// 0 allocs/op in steady state (asserted in CI).
-func BenchmarkSendDeliver(b *testing.B) {
-	e, _ := testEngine(2)
-	h := func(s *Svc, m *Msg) {}
-	p0 := e.Procs[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.sendOpt(p0, e.now, 1, 0, 64, nil, h, true)
-		ev := e.events.pop()
-		e.now = ev.at
-		e.deliver(ev.m, ev.h)
-	}
-}
-
-// BenchmarkSendDeliverReliable is BenchmarkSendDeliver through the
-// reliable transport, on a fault schedule that injects nothing: one op is
-// a send, its tracked delivery (dedup window, handler), the ack's flight
-// back, and the retransmission timer firing as a no-op. Pending entries
-// and all four message records are pooled and the three transport events
-// ride the queue unboxed, so this too is 0 allocs/op once warm (asserted
-// in CI).
-func BenchmarkSendDeliverReliable(b *testing.B) {
+// reliableOp returns sendDeliverOp's round trip through the reliable
+// transport, on a fault schedule that injects nothing, warmed up: a send,
+// its tracked delivery (dedup window, handler), the ack's flight back, and
+// the retransmission timer firing as a no-op.
+func reliableOp() func() {
 	e, _ := testEngine(2)
 	e.EnableFaults(fault.Config{})
 	h := func(s *Svc, m *Msg) {}
@@ -159,9 +147,33 @@ func BenchmarkSendDeliverReliable(b *testing.B) {
 	for i := 0; i < 4; i++ { // warm the pools and the queue's backing array
 		op()
 	}
+	return op
+}
+
+// TestReliableRoundTripDoesNotAllocate: pending entries and all four
+// message records of a reliable round trip are pooled and its three
+// transport events ride the queue unboxed, so it allocates nothing once
+// warm.
+func TestReliableRoundTripDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, reliableOp()); n != 0 {
+		t.Fatalf("reliable send+deliver+ack+timer allocates %v objects/op, want 0", n)
+	}
+}
+
+// BenchmarkSendDeliver times sendDeliverOp's round trip;
+// BenchmarkSendDeliverReliable times reliableOp's.
+func BenchmarkSendDeliver(b *testing.B) {
+	_, op := sendDeliverOp()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
+		op()
+	}
+}
+
+func BenchmarkSendDeliverReliable(b *testing.B) {
+	op := reliableOp()
+	b.ReportAllocs()
+	for b.Loop() {
 		op()
 	}
 }

@@ -312,9 +312,6 @@ func (e *Engine) sendAck(m *Msg) {
 // stolen from the running computation and lands in the Recovery category
 // at the node's next advance.
 func (e *Engine) chargeRecovery(p *Proc, cycles uint64) {
-	if cycles == 0 {
-		return
-	}
 	if p.Blocked() || p.done {
 		p.Stats.RecoveryHiddenCycles += cycles
 	} else {

@@ -342,6 +342,60 @@ func TestDeadlockReleasesCoroutines(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless f panics with a value containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("recovered %v, want a panic containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestEngineMisuse: invalid machine parameters, a processor without a
+// body and a second start are refused with a panic naming the mistake.
+func TestEngineMisuse(t *testing.T) {
+	p := memsys.Default()
+	p.CacheLineBytes = 48
+	mustPanic(t, "sim: invalid params", func() { New(p, stats.NewRun("test", "test", p.NumProcs)) })
+
+	e, _ := testEngine(2)
+	e.Spawn(0, func(p *Proc) {})
+	mustPanic(t, "processor 1 has no body", func() { e.Start() })
+	e.Close()
+
+	e, _ = testEngine(2)
+	for i := range e.Procs {
+		e.Spawn(i, func(p *Proc) { p.Advance(100, stats.Busy) })
+	}
+	e.StartUntil(50)
+	mustPanic(t, "engine started twice", func() { e.StartUntil(80) })
+	e.Close()
+}
+
+// TestClosedEngineStaysStopped: continuing a run after Close resumes no
+// body — the step events still queued find their processors done.
+func TestClosedEngineStaysStopped(t *testing.T) {
+	e, _ := testEngine(2)
+	steps := 0
+	for i := range e.Procs {
+		e.Spawn(i, func(p *Proc) {
+			for {
+				steps++
+				p.Advance(10, stats.Busy)
+			}
+		})
+	}
+	e.StartUntil(50)
+	e.Close()
+	before := steps
+	e.Finish()
+	if steps != before {
+		t.Errorf("bodies ran %d more steps after Close", steps-before)
+	}
+}
+
 // TestBodyPanicSurfaces: a panic inside a processor body reaches the
 // caller of Start on its own goroutine — recoverable — and still says
 // which processor, at what clock, with the body's own stack; the other
@@ -374,21 +428,42 @@ func TestBodyPanicSurfaces(t *testing.T) {
 	}
 }
 
-// BenchmarkHandoff measures the coroutine hand-off: two processors in
-// lockstep, so every Advance(1) reaches the horizon, yields to the
-// engine and is resumed by a step event — one op is one such round
-// (schedule, pop, switch in, switch out). Must be 0 allocs/op (asserted
-// in CI).
-func BenchmarkHandoff(b *testing.B) {
+// handoffOp returns one simulated cycle of two processors in lockstep, on
+// a launched engine that t closes at cleanup: each processor's Advance(1)
+// reaches the horizon, yields to the engine and is resumed by a step event,
+// so the op is two hand-offs (schedule, pop, switch in, switch out) and
+// the warm-start pause between dispatches.
+func handoffOp(t testing.TB) func() {
 	e, _ := testEngine(2)
 	for i := range e.Procs {
 		e.Spawn(i, func(p *Proc) {
-			for n := b.N / 2; n > 0; n-- {
+			for {
 				p.Advance(1, stats.Busy)
 			}
 		})
 	}
+	t.Cleanup(e.Close)
+	horizon := Time(1)
+	e.StartUntil(horizon)
+	return func() {
+		horizon++
+		e.ContinueUntil(horizon)
+	}
+}
+
+// TestHandoffDoesNotAllocate: switching into a processor's coroutine and
+// back allocates nothing.
+func TestHandoffDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, handoffOp(t)); n != 0 {
+		t.Fatalf("one lockstep cycle of two processors allocates %v objects/op, want 0", n)
+	}
+}
+
+// BenchmarkHandoff times handoffOp: one op is two hand-offs.
+func BenchmarkHandoff(b *testing.B) {
+	op := handoffOp(b)
 	b.ReportAllocs()
-	b.ResetTimer()
-	e.Start()
+	for b.Loop() {
+		op()
+	}
 }
