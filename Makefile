@@ -14,15 +14,15 @@ test:
 	$(GO) test ./...
 
 # The blocks of the protocol packages, and of the lock predictor, the
-# crash journal, the grant disciplines and the engine, that no test
-# executes, one
-# file:start,end line each: the first check for a change of representation
-# (docs/TESTING.md). The profile repeats a block once per test binary, so a
-# block counts as executed if any binary ran it. The count is a ratchet: it
-# fails above COVER_MAX, the committed count, whose blocks docs/TESTING.md
-# argues one by one. A new block no test runs gets a test, goes, or is
-# argued there with COVER_MAX raised in the same change.
-COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim
+# crash journal, the grant disciplines, the engine, the fault injector and
+# the interconnect, that no test executes, one file:start,end line each:
+# the first check for a change of representation (docs/TESTING.md). The
+# profile repeats a block once per test binary, so a block counts as
+# executed if any binary ran it. The count is a ratchet: it fails above
+# COVER_MAX, the committed count, whose blocks docs/TESTING.md argues one
+# by one. A new block no test runs gets a test, goes, or is argued there
+# with COVER_MAX raised in the same change.
+COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim,./internal/fault,./internal/network
 COVER_MAX = 14
 cover:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -64,7 +64,8 @@ fuzz:
 # bytes at every job count. The recovery sweep runs a second time traced:
 # sweeps go through the same scheduler as the paper's tables, so the trace
 # must be non-empty and the render unperturbed. The timeline (about two
-# seconds at its committed full scale) pins the warm-start sampling session.
+# seconds at its committed full scale) pins the observer-sampled run
+# (sim.Engine.Observe).
 results:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; set -x; \
 	$(GO) build -o "$$tmp/tables" ./cmd/tables; \

@@ -54,10 +54,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"aecdsm/internal/apps"
 	"aecdsm/internal/check"
@@ -173,7 +171,7 @@ func run(args []string, out, errw io.Writer) (code int) {
 		return &fc
 	}
 	reports := make([]*check.Report, *iters*len(policies))
-	runParallel(len(reports), prof.Pin(*jobs), func(i int) {
+	harness.RunParallel(len(reports), prof.Pin(*jobs), func(i int) {
 		s := *seed + uint64(i/len(policies))
 		w := check.Generate(s, *procs)
 		w.Policy = policies[i%len(policies)]
@@ -303,42 +301,9 @@ func parsePolicies(list string) ([]string, error) {
 	return out, nil
 }
 
-// runParallel executes fn(0..n-1) on up to jobs workers (0 = GOMAXPROCS)
-// and waits for all of them.
-func runParallel(n, jobs int, fn func(i int)) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
-
 func parseProtocols(list string) ([]harness.ProtocolKind, error) {
 	known := map[string]harness.ProtocolKind{}
-	for _, k := range check.AllProtocols() {
+	for _, k := range harness.Kinds() {
 		known[strings.ToLower(string(k))] = k
 	}
 	var kinds []harness.ProtocolKind
@@ -349,7 +314,7 @@ func parseProtocols(list string) ([]harness.ProtocolKind, error) {
 		}
 		k, ok := known[strings.ToLower(name)]
 		if !ok {
-			return nil, fmt.Errorf("unknown protocol %q (known: %v)", name, check.AllProtocols())
+			return nil, fmt.Errorf("unknown protocol %q (known: %v)", name, harness.Kinds())
 		}
 		kinds = append(kinds, k)
 	}

@@ -19,7 +19,7 @@
 //	tables -locklab        # lock-policy lab: MVA prediction vs simulation
 //	tables -recovery       # crash-tolerance sweep: faults x protocols (docs/ROBUSTNESS.md)
 //	tables -recovery -recovery-app Ocean
-//	tables -timeline       # execution timeline via engine warm starts
+//	tables -timeline       # execution timeline sampled by an engine observer
 //
 // The -scaling sweep runs the machine with the scaling architecture
 // enabled (radix-16 barrier combining, hash-sharded homes and lock
@@ -32,8 +32,8 @@
 // a figure or any of the sweeps — is traced into one combined event
 // stream (see docs/OBSERVABILITY.md); a trace sink forces sequential
 // execution regardless of -jobs so the stream keeps its deterministic
-// order. The one untraced engine is -timeline's sampling session: it
-// replays, paused at each horizon, a run that is already in the stream.
+// order. The one untraced run is -timeline's sampling run: observed at
+// each horizon, it replays a run that is already in the stream.
 //
 // -jobs N runs up to N simulations concurrently on isolated engines
 // (default GOMAXPROCS). The rendered tables are byte-identical at every

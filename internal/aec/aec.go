@@ -177,9 +177,6 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 // outside tests.
 var MutateDiffApply = false
 
-// Done implements proto.Protocol.
-func (pr *AEC) Done(c *proto.Ctx) {}
-
 // Notice implements proto.Protocol: sends an acquire notice to the lock
 // manager, feeding the LAP virtual queue.
 func (pr *AEC) Notice(c *proto.Ctx, lock int) {
@@ -255,7 +252,6 @@ func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hi
 		c.P.Stats.DiffApplyHidden += cost
 	}
 	c.P.Stats.DiffsApplied++
-	c.P.Stats.DiffBytesApplied += uint64(d.DataBytes())
 	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))
 	if MutateDiffApply {
 		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))

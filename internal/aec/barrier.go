@@ -97,7 +97,6 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	}
 	for _, ws := range instr.wnSends {
 		for _, q := range ws.targets {
-			c.P.Stats.WriteNoticesSent++
 			pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindWriteNotice, ws.page, int64(q), 0)
 			pr.e.SendFrom(c.P, stats.Synch, q, kBarWN, 16,
 				barWNMsg{wn: mem.WriteNotice{Page: ws.page, Writer: c.ID, Step: st.step}},
@@ -440,7 +439,6 @@ func (pr *AEC) handleBarDiff(s *sim.Svc, m *sim.Msg) {
 		ctx.P.Stats.DiffApplyCycles += cost
 		ctx.P.Stats.DiffApplyHidden += cost
 		ctx.P.Stats.DiffsApplied++
-		ctx.P.Stats.DiffBytesApplied += uint64(bd.diff.DataBytes())
 		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, bd.page, bd.diff.ID, int64(bd.diff.DataBytes()), 1)
 		ctx.PatchDiff(bd.diff)
 	}

@@ -24,7 +24,7 @@ func TestAuditorCleanOnApps(t *testing.T) {
 			return apps.NewSynth(apps.SynthConfig{Seed: 9, Locks: 3, CellsPerLock: 4, Phases: 2, OpsPerPhase: 5, Notices: true})
 		},
 	}
-	kinds := AllProtocols()
+	kinds := harness.Kinds()
 	if testing.Short() {
 		kinds = DefaultProtocols()
 	}
@@ -157,7 +157,7 @@ func barDepartEv(proc int) trace.Event {
 // protocol kind, page-fetch events equal the PageFetches counters and
 // diff-apply events equal DiffsApplied, both read off one traced run.
 func TestTraceEventsMatchCounters(t *testing.T) {
-	for _, kind := range AllProtocols() {
+	for _, kind := range harness.Kinds() {
 		var fetches, applies uint64
 		for seed := uint64(1); seed <= 4; seed++ {
 			w := Generate(seed, 8)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aecdsm/internal/aec"
+	"aecdsm/internal/harness"
 )
 
 // TestDifferentialSeeds is the property test behind cmd/fuzzdsm: for every
@@ -18,9 +19,9 @@ func TestDifferentialSeeds(t *testing.T) {
 		seeds = 4
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		rep := RunSeed(seed, 0, DefaultProtocols())
+		rep := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), nil)
 		if rep.Failed() {
-			small, spent := Shrink(rep.Workload, DefaultProtocols(), 32)
+			small, spent := ShrinkFault(rep.Workload, DefaultProtocols(), 32, nil)
 			t.Fatalf("seed %d failed (shrunk in %d replays):\n%s", seed, spent, small)
 		}
 	}
@@ -47,7 +48,7 @@ func TestDifferentialVariants(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		if rep := RunSeed(seed, 0, AllProtocols()); rep.Failed() {
+		if rep := RunWorkloadFault(Generate(seed, 0), harness.Kinds(), nil); rep.Failed() {
 			t.Fatalf("seed %d failed:\n%s", seed, rep)
 		}
 	}
@@ -56,8 +57,8 @@ func TestDifferentialVariants(t *testing.T) {
 // TestDeterminism replays one seed twice and demands identical outcomes:
 // the whole checker rests on a failure being reproducible from its seed.
 func TestDeterminism(t *testing.T) {
-	a := RunSeed(3, 0, DefaultProtocols())
-	b := RunSeed(3, 0, DefaultProtocols())
+	a := RunWorkloadFault(Generate(3, 0), DefaultProtocols(), nil)
+	b := RunWorkloadFault(Generate(3, 0), DefaultProtocols(), nil)
 	if len(a.Runs) != len(b.Runs) {
 		t.Fatalf("run counts differ: %d vs %d", len(a.Runs), len(b.Runs))
 	}
@@ -85,7 +86,7 @@ func TestMutationCaught(t *testing.T) {
 
 	differential, invariant := false, false
 	for seed := uint64(1); seed <= 6; seed++ {
-		rep := RunSeed(seed, 0, DefaultProtocols())
+		rep := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), nil)
 		for _, run := range rep.Runs {
 			if run.Kind != "AEC" {
 				continue
@@ -124,7 +125,7 @@ func TestShrinkReduces(t *testing.T) {
 
 	var failing *Report
 	for seed := uint64(1); seed <= 10; seed++ {
-		if rep := RunSeed(seed, 0, DefaultProtocols()); rep.Failed() {
+		if rep := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), nil); rep.Failed() {
 			failing = rep
 			break
 		}
@@ -132,7 +133,7 @@ func TestShrinkReduces(t *testing.T) {
 	if failing == nil {
 		t.Skip("mutation produced no failing seed in 1..10")
 	}
-	small, spent := Shrink(failing.Workload, DefaultProtocols(), 40)
+	small, spent := ShrinkFault(failing.Workload, DefaultProtocols(), 40, nil)
 	if !small.Failed() {
 		t.Fatal("shrink returned a passing workload")
 	}

@@ -93,22 +93,13 @@ func DefaultProtocols() []harness.ProtocolKind {
 	}
 }
 
-// AllProtocols additionally covers the protocol variants (AEC without
-// LAP, the TreadMarks Lazy Hybrid, Munin with LAP-restricted updates).
-func AllProtocols() []harness.ProtocolKind { return harness.Kinds() }
-
-// RunWorkload executes one workload under every protocol kind with the
-// invariant auditor attached, then cross-checks the runs: no deadlocks,
-// no verification failures, no invariant violations, and bit-identical
-// checksums of all shared state at every barrier phase.
-func RunWorkload(w Workload, kinds []harness.ProtocolKind) *Report {
-	return RunWorkloadFault(w, kinds, nil)
-}
-
-// RunWorkloadFault is RunWorkload under an injected fault schedule: every
-// protocol runs with the same deterministic schedule, and the hardened
-// protocols must still produce bit-identical barrier-phase checksums. A
-// nil fcfg is exactly RunWorkload.
+// RunWorkloadFault executes one workload under every protocol kind with
+// the invariant auditor attached, then cross-checks the runs: no
+// deadlocks, no verification failures, no invariant violations, and
+// bit-identical checksums of all shared state at every barrier phase. A
+// non-nil fcfg runs every protocol under the same deterministic fault
+// schedule, and the hardened protocols must still produce the fault-free
+// run's barrier-phase checksums.
 func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Config) *Report {
 	rep := &Report{Workload: w, Faults: fcfg}
 	pol, err := lockpolicy.Parse(w.Policy)
@@ -207,29 +198,13 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 	return rep
 }
 
-// RunSeed generates and runs the workload for one seed. procs forces the
-// processor count when > 0.
-func RunSeed(seed uint64, procs int, kinds []harness.ProtocolKind) *Report {
-	return RunWorkload(Generate(seed, procs), kinds)
-}
-
-// RunSeedFault is RunSeed under an injected fault schedule (nil = none).
-func RunSeedFault(seed uint64, procs int, kinds []harness.ProtocolKind, fcfg *fault.Config) *Report {
-	return RunWorkloadFault(Generate(seed, procs), kinds, fcfg)
-}
-
-// Shrink replays reduced variants of a failing workload — same seed,
+// ShrinkFault replays reduced variants of a failing workload — same seed,
 // smaller shape — and returns the smallest variant that still fails
 // together with the number of replays spent. Shrinking by seed replay
 // keeps every repro a one-liner: the minimal workload is still fully
-// described by (seed, overridden shape).
-func Shrink(w Workload, kinds []harness.ProtocolKind, budget int) (*Report, int) {
-	return ShrinkFault(w, kinds, budget, nil)
-}
-
-// ShrinkFault is Shrink with the failing run's fault schedule replayed on
-// every reduced variant, so fault-dependent failures keep reproducing
-// while they shrink.
+// described by (seed, overridden shape). The failing run's fault schedule
+// (nil for none) is replayed on every reduced variant, so fault-dependent
+// failures keep reproducing while they shrink.
 func ShrinkFault(w Workload, kinds []harness.ProtocolKind, budget int, fcfg *fault.Config) (*Report, int) {
 	best := RunWorkloadFault(w, kinds, fcfg)
 	spent := 1

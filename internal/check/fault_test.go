@@ -31,7 +31,7 @@ func TestFaultedProtocolsAgree(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		fc := mustSpec(t, "light", 1000+seed)
-		rep := RunSeedFault(seed, 0, DefaultProtocols(), fc)
+		rep := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), fc)
 		if rep.Failed() {
 			small, spent := ShrinkFault(rep.Workload, DefaultProtocols(), 32, fc)
 			t.Fatalf("seed %d failed under faults (shrunk in %d replays):\n%s", seed, spent, small)
@@ -47,7 +47,7 @@ func TestHeavyFaultsStillAgree(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		if rep := RunSeedFault(seed, 0, AllProtocols(), mustSpec(t, "heavy", 55+seed)); rep.Failed() {
+		if rep := RunWorkloadFault(Generate(seed, 0), harness.Kinds(), mustSpec(t, "heavy", 55+seed)); rep.Failed() {
 			t.Fatalf("seed %d failed under heavy faults:\n%s", seed, rep)
 		}
 	}
@@ -62,8 +62,8 @@ func TestFaultedChecksumsMatchFaultFree(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		clean := RunSeed(seed, 0, DefaultProtocols())
-		faulty := RunSeedFault(seed, 0, DefaultProtocols(), mustSpec(t, "heavy", seed))
+		clean := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), nil)
+		faulty := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), mustSpec(t, "heavy", seed))
 		if clean.Failed() || faulty.Failed() {
 			t.Fatalf("seed %d: unexpected failure\nclean:\n%s\nfaulty:\n%s", seed, clean, faulty)
 		}
@@ -90,8 +90,8 @@ func TestFaultedChecksumsMatchFaultFree(t *testing.T) {
 // one run — replaying it reproduces every checksum exactly.
 func TestFaultedRunsDeterministic(t *testing.T) {
 	fc := mustSpec(t, "heavy", 17)
-	a := RunSeedFault(5, 0, DefaultProtocols(), fc)
-	b := RunSeedFault(5, 0, DefaultProtocols(), fc)
+	a := RunWorkloadFault(Generate(5, 0), DefaultProtocols(), fc)
+	b := RunWorkloadFault(Generate(5, 0), DefaultProtocols(), fc)
 	if a.Failed() || b.Failed() {
 		t.Fatalf("unexpected failure:\n%s\n%s", a, b)
 	}
@@ -122,9 +122,9 @@ func TestCrashSchedulesAgree(t *testing.T) {
 	}
 	for i, spec := range specs {
 		fc := mustSpec(t, spec, 40+uint64(i))
-		rep := RunSeedFault(2+uint64(i), 8, AllProtocols(), fc)
+		rep := RunWorkloadFault(Generate(2+uint64(i), 8), harness.Kinds(), fc)
 		if rep.Failed() {
-			small, spent := ShrinkFault(rep.Workload, AllProtocols(), 32, fc)
+			small, spent := ShrinkFault(rep.Workload, harness.Kinds(), 32, fc)
 			t.Fatalf("spec %q failed (shrunk in %d replays):\n%s", spec, spent, small)
 		}
 		if rep.Baseline == nil {
@@ -151,7 +151,7 @@ func TestOrphanSweepKeepsLockChainCopies(t *testing.T) {
 		{869, "crash=8@331718:98143,crash=3@1953228:71676"},
 	} {
 		kinds := []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoAECNoLAP, harness.ProtoIdeal}
-		if rep := RunSeedFault(c.seed, 0, kinds, mustSpec(t, c.spec, c.seed)); rep.Failed() {
+		if rep := RunWorkloadFault(Generate(c.seed, 0), kinds, mustSpec(t, c.spec, c.seed)); rep.Failed() {
 			t.Errorf("seed %d under %s:\n%s", c.seed, c.spec, rep)
 		}
 	}

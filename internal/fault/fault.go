@@ -343,9 +343,6 @@ func ParseSpec(spec string) (Config, error) {
 		if p.Until == 0 {
 			return c, fmt.Errorf("fault: partition at cycle %d is never healed (add :LENCY or a heal clause)", p.At)
 		}
-		if len(p.Nodes) == 0 {
-			return c, fmt.Errorf("fault: partition at cycle %d names no nodes", p.At)
-		}
 	}
 	return c, nil
 }
@@ -613,7 +610,3 @@ func (in *Injector) HasCrashes() bool { return len(in.cfg.Crashes) > 0 }
 
 // Counts returns a snapshot of the injector's decision counters.
 func (in *Injector) Counts() Counts { return in.counts }
-
-func (in *Injector) String() string {
-	return fmt.Sprintf("faults{%s seed=%#x}", in.cfg.String(), in.cfg.Seed)
-}

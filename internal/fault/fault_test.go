@@ -41,15 +41,19 @@ func TestParseSpecPresets(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"bogus",             // not key=value and not a preset
-		"drop=2",            // probability out of range
-		"drop=x",            // not a number
-		"drop=NaN",          // a float, and in no interval
-		"delay=0.5",         // missing cycle bound
-		"stall=0.5:0",       // zero cycle bound
-		"degrade=0.5:100",   // missing extra cycles
-		"wibble=0.5",        // unknown clause
-		"maxattempts=never", // not a count
+		"bogus",                   // not key=value and not a preset
+		"drop=2",                  // probability out of range
+		"drop=x",                  // not a number
+		"drop=NaN",                // a float, and in no interval
+		"delay=0.5",               // missing cycle bound
+		"stall=0.5:0",             // zero cycle bound
+		"degrade=0.5:100",         // missing extra cycles
+		"wibble=0.5",              // unknown clause
+		"maxattempts=never",       // not a count
+		"crash=1@x:100",           // crash cycle not a number
+		"partition=1.2:100",       // partition without @CYCLE
+		"partition=1.2@x:1",       // partition cycle not a number
+		"partition=1.2@10,heal=x", // heal cycle not a number
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", spec)
@@ -170,6 +174,19 @@ func TestSeedsDecorrelate(t *testing.T) {
 	if same == trials {
 		t.Fatal("adjacent seeds produced identical decision sequences")
 	}
+	// The one seed the splitmix scramble maps to zero would leave the
+	// xorshift state at zero for good, every draw 0 and every trial a hit.
+	cfg.Seed = 0x61c8864680b583eb
+	z := New(cfg, 16)
+	drops := 0
+	for i := 0; i < trials; i++ {
+		if z.OnSend(0, 0, 1, 1, false).Drop {
+			drops++
+		}
+	}
+	if drops == 0 || drops == trials {
+		t.Fatalf("the seed that scrambles to zero dropped %d of %d transmissions", drops, trials)
+	}
 }
 
 func TestProbabilityExtremes(t *testing.T) {
@@ -179,6 +196,15 @@ func TestProbabilityExtremes(t *testing.T) {
 		if !d.Drop || !d.Dup || d.ExtraDelay == 0 || d.ExtraDelay > 100 {
 			t.Fatalf("p=1 decision not forced: %+v", d)
 		}
+	}
+	// A delay or stall without a cycle bound (ParseSpec refuses one, a
+	// Config built in code need not) is drawn and counted, and lasts 0.
+	bare := New(Config{Seed: 3, Delay: 1, Stall: 1}, 16)
+	if d := bare.OnSend(0, 0, 1, 1, false); d.ExtraDelay != 0 || bare.Counts().Delays != 1 {
+		t.Fatalf("unbounded delay: %+v, %d counted", d, bare.Counts().Delays)
+	}
+	if c := bare.OnDeliver(0, 1); c != 0 || bare.Counts().Stalls != 1 {
+		t.Fatalf("unbounded stall lasted %d, %d counted", c, bare.Counts().Stalls)
 	}
 	quiet := New(Config{Seed: 3}, 16)
 	for i := 0; i < 100; i++ {

@@ -30,7 +30,7 @@ const (
 
 // Kinds lists every protocol kind: the DSM protocols in the paper's order,
 // the ideal machine last. It is the one list behind aecdsm.Protocols,
-// check.AllProtocols and the all-protocol tables.
+// the differential fuzzer's protocol names and the all-protocol tables.
 func Kinds() []ProtocolKind {
 	return []ProtocolKind{ProtoAEC, ProtoAECNoLAP, ProtoTM, ProtoTMLH, ProtoMunin, ProtoMuninLAP, ProtoIdeal}
 }
@@ -159,8 +159,8 @@ func (e *Experiments) RunNs(app string, kind ProtocolKind, ns int) *Result {
 }
 
 // program builds a fresh instance of the program a spec names; programs
-// keep per-run state, so every run (and every timeline session) needs its
-// own.
+// keep per-run state, so every run (and the timeline's sampling run)
+// needs its own.
 func (e *Experiments) program(spec runSpec) proto.Program {
 	if spec.app == "" {
 		return apps.NewSynth(spec.synth)

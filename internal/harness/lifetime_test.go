@@ -29,7 +29,7 @@ func TestLifetimePoisonedChecker(t *testing.T) {
 	}
 	harness.PoisonReleased(t)
 	for seed := uint64(1); seed <= clean; seed++ {
-		if rep := check.RunSeed(seed, 0, check.DefaultProtocols()); rep.Failed() {
+		if rep := check.RunWorkloadFault(check.Generate(seed, 0), check.DefaultProtocols(), nil); rep.Failed() {
 			t.Fatalf("seed %d, clean:\n%s", seed, rep)
 		}
 	}
@@ -39,7 +39,7 @@ func TestLifetimePoisonedChecker(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc.Seed = 7000 + seed
-		if rep := check.RunSeedFault(seed, 0, check.DefaultProtocols(), &fc); rep.Failed() {
+		if rep := check.RunWorkloadFault(check.Generate(seed, 0), check.DefaultProtocols(), &fc); rep.Failed() {
 			t.Fatalf("seed %d, light faults:\n%s", seed, rep)
 		}
 	}
@@ -129,7 +129,7 @@ func TestRegionsNeverShared(t *testing.T) {
 	const workers, seeds = 4, 6
 	want := make([]string, seeds)
 	for s := range want {
-		want[s] = check.RunSeed(uint64(s+1), 0, check.DefaultProtocols()).String()
+		want[s] = check.RunWorkloadFault(check.Generate(uint64(s+1), 0), check.DefaultProtocols(), nil).String()
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -3,13 +3,13 @@ package harness
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"aecdsm/internal/apps"
 	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
+	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 )
 
@@ -35,14 +35,14 @@ func idleRegions() []*mem.Region {
 }
 
 // TestLifetimePoisoned reruns the tests that compare one run against
-// another — traced against untraced, a warm session against cold replays,
-// one job against eight — with every region poisoned the moment its run
+// another — traced against untraced, an observed run against runs observed
+// at one mark, one job against eight — with every region poisoned the moment its run
 // is harvested: nothing they compare may have been read from a finished
 // run's memory.
 func TestLifetimePoisoned(t *testing.T) {
 	PoisonReleased(t)
 	t.Run("TraceDoesNotPerturbCycles", TestTraceDoesNotPerturbCycles)
-	t.Run("TimelineWarmMatchesCold", TestTimelineWarmMatchesCold)
+	t.Run("TimelineSnapshotsMatchOneMarkRuns", TestTimelineSnapshotsMatchOneMarkRuns)
 	t.Run("ParallelOutputIdentical", TestParallelOutputIdentical)
 }
 
@@ -114,70 +114,19 @@ func TestDirtyRegionBetweenPrograms(t *testing.T) {
 	}
 }
 
-// TestSessionRegionReturnsOnce: however a session ends — closed before it
-// starts, closed part-way, finished and then closed, closed twice — its
-// region comes back to the free list exactly once, and only when it ends;
-// a session whose run panics keeps its region off the list for good.
-func TestSessionRegionReturnsOnce(t *testing.T) {
+// TestRunRegionReturnsOnce: a run's region goes back to the free list
+// once, when the run is harvested, observed or not and failed verification
+// or not (the caller's Must comes after); not at all when a body panics.
+func TestRunRegionReturnsOnce(t *testing.T) {
 	e := NewExperiments(0.05)
-	session := func(prog proto.Program) *Session {
-		emptyFreeList(t)
-		s := NewSession(e.Params, NewProtocol(ProtoAEC, 2), prog)
-		if n := len(idleRegions()); n != 0 {
-			t.Fatalf("%d regions idle while a session holds the only one", n)
-		}
-		return s
-	}
 	is := func() proto.Program { return appsFactory("IS")(apps.Config{Scale: e.Scale}) }
-	ends := map[string]func(s *Session){
-		"closed before start": func(s *Session) { s.Close() },
-		"closed mid-run": func(s *Session) {
-			if !s.RunUntil(100000) {
-				t.Fatal("IS should still be running at cycle 100000")
-			}
-			if n := len(idleRegions()); n != 0 {
-				t.Fatalf("a paused session gave its region back (%d idle)", n)
-			}
-			s.Close()
-		},
-		"finished": func(s *Session) { s.Finish() },
-		"finished mid-run": func(s *Session) {
-			s.RunUntil(100000)
-			s.Finish()
-		},
-	}
-	for name, end := range ends {
-		s := session(is())
-		end(s)
-		held := idleRegions()
-		s.Close()
-		s.Close()
-		if after := idleRegions(); len(held) != 1 || len(after) != 1 || after[0] != held[0] {
-			t.Errorf("%s: %d regions idle when the session ended, %d after two more Closes; want the same one", name, len(held), len(after))
-		} else if got := after[0].Stats().Runs; got != 1 {
-			t.Errorf("%s: the region was released %d times", name, got)
+	for _, marks := range [][]sim.Time{nil, {100000}} {
+		emptyFreeList(t)
+		res, _ := run(e.Params, NewProtocol(ProtoAEC, 2), &brokenProgram{Program: is()}, nil, nil, marks)
+		if idle := idleRegions(); res.VerifyErr == nil || len(idle) != 1 || idle[0].Stats().Runs != 1 {
+			t.Errorf("marks %v, a run that fails verification: err %v, %d regions idle; want the error and the region back once",
+				marks, res.VerifyErr, len(idle))
 		}
-	}
-
-	for _, name := range []string{"verification failure", "body panic"} {
-		prog := &brokenProgram{Program: is(), panics: name == "body panic"}
-		s := session(prog)
-		if msg := panicMessage(func() { s.Finish() }); !strings.Contains(msg, "broken on purpose") {
-			t.Errorf("%s: Finish panicked with %q, want the program's failure", name, msg)
-		}
-		s.Close()
-		if n := len(idleRegions()); n != 0 {
-			t.Errorf("%s: a run that panicked put its region back on the free list", name)
-		}
-	}
-
-	// RunFaultTraced itself: released when the run is harvested, failed
-	// verification or not (the caller's Must comes after); not at all
-	// when a body panics.
-	emptyFreeList(t)
-	res := RunFaultTraced(e.Params, NewProtocol(ProtoAEC, 2), &brokenProgram{Program: is()}, nil, nil)
-	if res.VerifyErr == nil || len(idleRegions()) != 1 {
-		t.Errorf("a run that fails verification: err %v, %d regions idle; want the error and the region back", res.VerifyErr, len(idleRegions()))
 	}
 	emptyFreeList(t)
 	panicMessage(func() {

@@ -7,9 +7,9 @@ import (
 	"fmt"
 
 	"aecdsm/internal/fault"
-	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
+	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
 )
@@ -37,8 +37,8 @@ func (r *Result) Cycles() uint64 { return r.Run.Cycles }
 
 // Must returns r when its simulation ran to completion and verified, and
 // panics otherwise, naming the application, protocol, machine size and
-// fault schedule: the one failure policy of the experiment drivers and
-// sessions, where a failed run invalidates the whole table.
+// fault schedule: the one failure policy of the experiment drivers, where
+// a failed run invalidates the whole table.
 func (r *Result) Must() *Result {
 	what := fmt.Sprintf("harness: %s under %s on %d processors", r.Run.App, r.Run.Protocol, len(r.Run.Procs))
 	if r.faults != nil {
@@ -71,9 +71,29 @@ func Run(params memsys.Params, pr proto.Protocol, prog proto.Program) *Result {
 // the simulated cycle counts are byte-identical; tracing never charges
 // simulated time.
 func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) *Result {
-	m, rg, res := compose(params, pr, prog, tr, fcfg)
-	if m == nil {
-		return res
+	res, _ := run(params, pr, prog, tr, fcfg, nil)
+	return res
+}
+
+// run is the harness's one way to run a simulation: the split check, a
+// region from the free list, proto.Assemble, the run itself and the
+// region given back once the run is harvested. It also returns a copy of
+// the run's statistics at each of the ascending marks, taken by the
+// engine's observer (sim.Engine.Observe), which perturbs nothing. A split
+// refusal is reported in the Result: the configuration cannot run, and
+// no region was taken.
+func run(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config, marks []sim.Time) (res *Result, samples []*stats.Run) {
+	if sc, ok := prog.(proto.SplitChecker); ok {
+		if err := sc.CheckSplit(params.NumProcs); err != nil {
+			r := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
+			return &Result{Run: r, SplitErr: err, faults: fcfg}, nil
+		}
+	}
+	rg := takeRegion()
+	m := proto.Assemble(params, pr, prog, tr, fcfg, rg)
+	res = &Result{Run: m.E.Run, faults: fcfg}
+	if marks != nil {
+		m.E.Observe(marks, func(int) { samples = append(samples, res.Run.Clone()) })
 	}
 	if tr != nil {
 		ev := trace.Ev(0, 0, trace.KindRunStart)
@@ -92,25 +112,5 @@ func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program,
 	// memory, and nothing reads the run's pages from here on. No defer — a
 	// run that panics leaves its region to the collector.
 	releaseRegion(rg)
-	return res
-}
-
-// compose is the harness's part of putting a run together: the split
-// check, a region from the free list and the Result the run will fill in,
-// around proto.Assemble, which builds the machine without starting it, so
-// callers can either run it to completion (RunFaultTraced) or drive it in
-// horizon slices (Session). The caller gives the region back
-// (releaseRegion) once the run is harvested or abandoned. A nil machine is
-// a split refusal, reported in the Result: the configuration cannot run,
-// and neither machine nor region was taken.
-func compose(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config) (*proto.Machine, *mem.Region, *Result) {
-	if sc, ok := prog.(proto.SplitChecker); ok {
-		if err := sc.CheckSplit(params.NumProcs); err != nil {
-			run := stats.NewRun(prog.Name(), pr.Name(), params.NumProcs)
-			return nil, nil, &Result{Run: run, SplitErr: err, faults: fcfg}
-		}
-	}
-	rg := takeRegion()
-	m := proto.Assemble(params, pr, prog, tr, fcfg, rg)
-	return m, rg, &Result{Run: m.E.Run, faults: fcfg}
+	return res, samples
 }

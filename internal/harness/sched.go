@@ -157,12 +157,16 @@ func (e *Experiments) jobs() int {
 // order.
 func (e *Experiments) prefetch(specs []runSpec) {
 	missing := e.sched.missing(specs)
-	runParallel(len(missing), e.jobs(), func(i int) { e.outcome(missing[i]) })
+	RunParallel(len(missing), e.jobs(), func(i int) { e.outcome(missing[i]) })
 }
 
-// runParallel executes fn(0..n-1) on up to jobs workers and waits for all
-// of them: the one worker pool, behind prefetch.
-func runParallel(n, jobs int, fn func(i int)) {
+// RunParallel executes fn(0..n-1) on up to jobs workers (zero or less
+// means GOMAXPROCS) and waits for all of them: the one worker pool, behind
+// prefetch and the differential fuzzer.
+func RunParallel(n, jobs int, fn func(i int)) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	if jobs > n {
 		jobs = n
 	}

@@ -46,7 +46,7 @@ func poisonedChecker(t *testing.T) {
 		}
 	}
 	for seed := uint64(1); seed <= clean; seed++ {
-		fail(seed, "clean", check.RunSeed(seed, 0, kinds))
+		fail(seed, "clean", check.RunWorkloadFault(check.Generate(seed, 0), kinds, nil))
 	}
 	for seed := uint64(1); seed <= light; seed++ {
 		fc, err := fault.ParseSpec("light")
@@ -54,7 +54,7 @@ func poisonedChecker(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc.Seed = 7000 + seed
-		fail(seed, "light faults", check.RunSeedFault(seed, 0, kinds, &fc))
+		fail(seed, "light faults", check.RunWorkloadFault(check.Generate(seed, 0), kinds, &fc))
 	}
 	for seed := uint64(1); seed <= crash; seed++ {
 		w := check.Generate(seed, 0)
@@ -108,7 +108,7 @@ func poisonedTrace(t *testing.T) {
 }
 
 // poisonedGoldens: the harness's committed goldens — the key statistics of
-// every application under AEC and TreadMarks, and the warm-start timeline —
+// every application under AEC and TreadMarks, and the observed timeline —
 // reproduce byte for byte, the key statistics on one job and on four.
 func poisonedGoldens(t *testing.T) {
 	if testing.Short() {

@@ -180,9 +180,6 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 
 func (pr *Munin) homeOf(page int) int { return pr.s.InitHome(page) }
 
-// Done implements proto.Protocol.
-func (pr *Munin) Done(c *proto.Ctx) {}
-
 // Notice implements proto.Protocol: feeds the LAP virtual queue when LAP
 // is enabled.
 func (pr *Munin) Notice(c *proto.Ctx, lock int) {

@@ -84,7 +84,6 @@ func (c *Ctx) access(a mem.Addr, n int, write bool) {
 		}
 		// TLB lookup for this page.
 		if c.P.TLB.Access(pg) {
-			c.P.Stats.TLBMisses++
 			c.P.Advance(pp.TLBFillCycles, stats.Others)
 		}
 		pageEnd := c.S.PageBase(pg) + c.S.PageSize()
@@ -94,7 +93,6 @@ func (c *Ctx) access(a mem.Addr, n int, write bool) {
 		span := pageEnd - off
 		// Cache access; misses occupy the memory bus.
 		if misses := c.P.Cache.Access(off, span); misses > 0 {
-			c.P.Stats.CacheMisses += uint64(misses)
 			words := pp.Words(misses * pp.CacheLineBytes)
 			cost := c.P.MemBus.Cost(c.P.Clock, words)
 			c.P.Advance(cost, stats.Others)

@@ -101,15 +101,11 @@ func (pr *Ideal) Barrier(c *Ctx) {
 		waiters := pr.barWaiters
 		pr.barWaiters = nil
 		pr.barMax = 0
-		released := false
 		for _, w := range waiters {
 			if w != c {
 				w.P.Wake(at)
-			} else {
-				released = true
 			}
 		}
-		_ = released
 		return
 	}
 	me := c
@@ -125,6 +121,3 @@ func (pr *Ideal) Barrier(c *Ctx) {
 
 // Notice implements Protocol (no-op).
 func (pr *Ideal) Notice(c *Ctx, lock int) {}
-
-// Done implements Protocol (no-op).
-func (pr *Ideal) Done(c *Ctx) {}

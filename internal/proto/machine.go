@@ -29,10 +29,10 @@ type Machine struct {
 // from region rg (nil is the heap), laid out by prog.Init; the engine,
 // with fault injection armed when fcfg is non-nil and tr wired into every
 // emitting layer when it is non-nil; a memory and a context per processor;
-// pr attached; and one body per processor, prog.Body followed by pr.Done.
-// It is the one place a run is put together: the harness's runs and
-// sessions, and every scripted test machine, come from here. A nil tracer
-// and a nil fcfg leave the emitters off and the injector absent.
+// pr attached; and one body per processor, prog.Body. It is the one place
+// a run is put together: the harness's runs and every scripted test
+// machine come from here. A nil tracer and a nil fcfg leave the emitters
+// off and the injector absent.
 func Assemble(params memsys.Params, pr Protocol, prog Program, tr trace.Tracer, fcfg *fault.Config, rg *mem.Region) *Machine {
 	space := mem.NewSpaceIn(rg, params.PageSize)
 	prog.Init(space, params.NumProcs)
@@ -91,10 +91,7 @@ func Assemble(params memsys.Params, pr Protocol, prog Program, tr trace.Tracer, 
 	pr.Attach(eng, space, ctxs)
 
 	for i, c := range ctxs {
-		eng.Spawn(i, func(*sim.Proc) {
-			prog.Body(c)
-			pr.Done(c)
-		})
+		eng.Spawn(i, func(*sim.Proc) { prog.Body(c) })
 	}
 	return &Machine{E: eng, Ctxs: ctxs}
 }

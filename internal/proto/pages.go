@@ -50,7 +50,6 @@ func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	c.P.Stats.PageFetches++
 	c.P.WaitTag = "pagereq"
 	rep := c.Call(stats.Data, home, h.reqKind, 8, page, h.serve).(pageReply)
-	c.P.Stats.PageFetchBytes += uint64(len(rep.data))
 	c.E.Tracer.Page(c.P.Clock, c.ID, trace.KindPageFetch, page, int64(home), int64(len(rep.data)))
 	// Copy the page in across the memory bus.
 	size := c.S.PageSize()

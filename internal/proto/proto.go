@@ -30,8 +30,6 @@ type Protocol interface {
 	// Notice hints that the caller intends to acquire the lock soon
 	// (the LAP virtual-queue acquire notice). May be a no-op.
 	Notice(c *Ctx, lock int)
-	// Done is called when the processor's application body returns.
-	Done(c *Ctx)
 }
 
 // NumLocksProvider is implemented by protocols that need the lock count up

@@ -17,7 +17,7 @@ import (
 // network, and the processors, whose bodies are coroutines (iter.Pull) of
 // the engine's goroutine. Exactly one of {engine, some processor body}
 // executes at any instant, so no locking is needed anywhere in the
-// simulator or the protocols. An abandoned run must be Closed.
+// simulator or the protocols.
 type Engine struct {
 	Params memsys.Params
 	Net    *network.Mesh
@@ -54,6 +54,10 @@ type Engine struct {
 
 	bodies   []func(*Proc)
 	launched bool
+
+	// marks and observe are the observer (Observe).
+	marks   []Time
+	observe func(i int)
 
 	// rel is the reliable-transport state, allocated by EnableFaults.
 	rel *reliability
@@ -124,9 +128,6 @@ func (e *Engine) Spawn(id int, body func(*Proc)) {
 // step resumes processor p: grants it a horizon, switches into its body
 // until it yields, and reschedules it if it merely paused.
 func (e *Engine) step(p *Proc) {
-	if p.done {
-		return
-	}
 	p.horizon = e.events.peek()
 	if _, running := p.next(); !running {
 		p.done = true // the body returned
@@ -149,31 +150,28 @@ func (p *Proc) unwound() {
 	}
 }
 
-// Close unwinds every processor body that has not returned and releases its
-// coroutine. runUntil calls it whenever a run ends; the owner of a paused
-// run it will not continue must. Idempotent; a closed engine stays stopped.
-func (e *Engine) Close() {
+// close unwinds every processor body that has not returned and releases
+// its coroutine; run calls it however the run ends.
+func (e *Engine) close() {
 	for _, p := range e.Procs {
-		if p.stop != nil {
-			p.done = true
-			p.stop()
-		}
+		p.stop()
 	}
 }
 
 // launch creates every processor's coroutine and seeds the event queue
-// with their cycle-0 resume events. A run is launched once: a second
-// Start or StartUntil is a caller's bug (a paused run goes on with
-// ContinueUntil or Finish), and relaunching would run every body again.
+// with their cycle-0 resume events. A run is launched once: relaunching
+// would run every body again.
 func (e *Engine) launch() {
 	if e.launched {
-		panic("sim: engine started twice; continue a paused run with ContinueUntil or Finish")
+		panic("sim: engine started twice")
 	}
 	e.launched = true
 	for i, body := range e.bodies {
 		if body == nil {
 			panic(fmt.Sprintf("sim: processor %d has no body", i))
 		}
+	}
+	for i, body := range e.bodies {
 		p := e.Procs[i]
 		//dsmvet:allow singlethread the engine's coroutine hand-off: next/yield switch goroutines directly, so still only one runs
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -185,26 +183,42 @@ func (e *Engine) launch() {
 	}
 }
 
-// runUntil dispatches events until the run completes (returns false) or
-// the next pending event is at or beyond horizon (returns true: the run
-// is paused with every processor stack live and can be continued).
-// Pausing happens only between dispatches — no processor body is
-// mid-resume — so a paused engine is exactly the state a cold run
-// reaches after the same event prefix. Every other way out — finished,
-// deadlocked, a body's panic passing through — closes the engine.
-func (e *Engine) runUntil(horizon Time) (paused bool) {
-	defer func() {
-		if !paused {
-			e.Close()
-		}
-	}()
+// Observe sets the run's observer; call it before Start. The run calls
+// fn(i) once for each of the ascending marks, in order: before it
+// dispatches the first event at or after marks[i], after every event
+// before it. Dispatch is the only thing that moves the machine, so fn sees
+// exactly the state a run stopped at marks[i] would have. Marks the run
+// never reaches are observed when it stops. fn must not schedule events.
+func (e *Engine) Observe(marks []Time, fn func(i int)) {
+	e.marks, e.observe = marks, fn
+}
+
+// mark returns marks[i], or Forever past the last mark.
+func (e *Engine) mark(i int) Time {
+	if i < len(e.marks) {
+		return e.marks[i]
+	}
+	return Forever
+}
+
+// run dispatches events until every body has returned or the queue drains
+// with processors still blocked (Deadlocked), calling the observer at its
+// marks. However the run ends — finished, deadlocked, a body's panic
+// passing through — it closes the engine.
+func (e *Engine) run() {
+	defer e.close()
+	next := 0 // the next mark to observe
+	horizon := e.mark(next)
 	for e.finished < len(e.Procs) {
 		if e.events.Len() == 0 {
 			e.Deadlocked = true
-			return false
+			break
 		}
-		if horizon != Forever && e.events.peek() >= horizon {
-			return true
+		if e.events.peek() >= horizon && next < len(e.marks) {
+			e.observe(next)
+			next++
+			horizon = e.mark(next)
+			continue
 		}
 		ev := e.events.pop()
 		e.now = ev.at
@@ -219,7 +233,9 @@ func (e *Engine) runUntil(horizon Time) (paused bool) {
 			e.transportEvent(ev.m, ev.h)
 		}
 	}
-	return false
+	for ; next < len(e.marks); next++ {
+		e.observe(next)
+	}
 }
 
 // finalize records and returns the parallel execution time: the maximum
@@ -240,31 +256,6 @@ func (e *Engine) finalize() Time {
 // parallel execution time: the maximum processor clock.
 func (e *Engine) Start() Time {
 	e.launch()
-	e.runUntil(Forever)
-	return e.finalize()
-}
-
-// StartUntil launches the run and dispatches events up to (not
-// including) the given virtual-time horizon, then pauses. It returns
-// true while the run has more to do; continue with ContinueUntil or
-// Finish. Statistics read while paused are exactly those a fresh run
-// stopped at the same horizon would show — the event sequence is
-// deterministic and the pause point is a pure function of the horizon.
-func (e *Engine) StartUntil(horizon Time) bool {
-	e.launch()
-	return e.runUntil(horizon)
-}
-
-// ContinueUntil resumes a paused run up to a further horizon — a warm
-// start: no replay from cycle zero, the processor stacks never stopped
-// being live.
-func (e *Engine) ContinueUntil(horizon Time) bool {
-	return e.runUntil(horizon)
-}
-
-// Finish resumes a paused run to completion and returns the parallel
-// execution time.
-func (e *Engine) Finish() Time {
-	e.runUntil(Forever)
+	e.run()
 	return e.finalize()
 }

@@ -286,13 +286,14 @@ func TestSvcHelpersAndCheckpoint(t *testing.T) {
 }
 
 // TestDeadlockReleasesCoroutines: the engine owns its processors'
-// coroutines, so a run that cannot finish — deadlocked, or paused and
-// abandoned — must not leave their goroutines parked. Close is what
-// releases them, runs deferred calls on the way out, and is idempotent.
+// coroutines, so a run that cannot finish must not leave their goroutines
+// parked. The deadlock path releases them and runs deferred calls on the
+// way out.
 func TestDeadlockReleasesCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	unwound := 0
-	spawnStuck := func(e *Engine) {
+	for i := 0; i < 50; i++ {
+		e, _ := testEngine(4)
 		for i := range e.Procs {
 			e.Spawn(i, func(p *Proc) {
 				defer func() { unwound++ }()
@@ -300,45 +301,16 @@ func TestDeadlockReleasesCoroutines(t *testing.T) {
 				p.WaitUntil(func() bool { return false }, stats.Synch)
 			})
 		}
-	}
-	for i := 0; i < 50; i++ {
-		e, _ := testEngine(4)
-		spawnStuck(e)
 		e.Start()
 		if !e.Deadlocked {
 			t.Fatal("deadlock not detected")
 		}
-		e.Close() // the deadlock path already closed: a no-op
 	}
 	if unwound != 50*4 {
 		t.Errorf("%d bodies unwound by the deadlock path, want %d", unwound, 50*4)
 	}
-
-	// Paused mid-run and abandoned: two bodies blocked, two parked at
-	// their horizon.
-	e, _ := testEngine(4)
-	spawnStuck(e)
-	if !e.StartUntil(12) {
-		t.Fatal("run should be paused with events pending")
-	}
-	if n := runtime.NumGoroutine(); n <= before {
-		t.Fatalf("paused run holds %d goroutines, started with %d: the coroutines are not live", n, before)
-	}
-	e.Close()
-	e.Close()
-	if unwound != 51*4 {
-		t.Errorf("%d bodies unwound after closing the paused run, want %d", unwound, 51*4)
-	}
-
-	// Launched but paused before the first step: coroutines that were
-	// never entered have no stack to unwind, only a goroutine to release.
-	e, _ = testEngine(2)
-	spawnStuck(e)
-	e.StartUntil(0)
-	e.Close()
-
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines after closing every run, started with %d", after, before)
+		t.Errorf("%d goroutines after every deadlocked run, started with %d", after, before)
 	}
 }
 
@@ -363,36 +335,55 @@ func TestEngineMisuse(t *testing.T) {
 	e, _ := testEngine(2)
 	e.Spawn(0, func(p *Proc) {})
 	mustPanic(t, "processor 1 has no body", func() { e.Start() })
-	e.Close()
 
 	e, _ = testEngine(2)
 	for i := range e.Procs {
 		e.Spawn(i, func(p *Proc) { p.Advance(100, stats.Busy) })
 	}
-	e.StartUntil(50)
-	mustPanic(t, "engine started twice", func() { e.StartUntil(80) })
-	e.Close()
+	e.Start()
+	mustPanic(t, "engine started twice", func() { e.Start() })
 }
 
-// TestClosedEngineStaysStopped: continuing a run after Close resumes no
-// body — the step events still queued find their processors done.
-func TestClosedEngineStaysStopped(t *testing.T) {
+// TestObserverSeesMarks: the observer runs once per mark, in order, after
+// every event before the mark and before any event at or after it — with
+// two marks at one time, a mark at cycle 0 and a mark between two events —
+// and marks past the end of the run are observed when it stops.
+func TestObserverSeesMarks(t *testing.T) {
 	e, _ := testEngine(2)
-	steps := 0
+	var dispatched []Time // the times of the events At scheduled, as they ran
+	for _, at := range []Time{5, 25, 25, 60, 90} {
+		e.At(at, func() { dispatched = append(dispatched, e.Now()) })
+	}
 	for i := range e.Procs {
 		e.Spawn(i, func(p *Proc) {
-			for {
-				steps++
+			for p.Clock < 100 {
 				p.Advance(10, stats.Busy)
 			}
 		})
 	}
-	e.StartUntil(50)
-	e.Close()
-	before := steps
-	e.Finish()
-	if steps != before {
-		t.Errorf("bodies ran %d more steps after Close", steps-before)
+	marks := []Time{0, 25, 25, 26, 90, 1000, 2000}
+	var seen []int // how many At events had run at each observation
+	e.Observe(marks, func(i int) {
+		if i != len(seen) {
+			t.Errorf("observed mark %d after %d marks", i, len(seen))
+		}
+		seen = append(seen, len(dispatched))
+	})
+	e.Start()
+	if len(seen) != len(marks) || len(dispatched) != 5 {
+		t.Fatalf("%d of %d marks observed, %d of 5 events run", len(seen), len(marks), len(dispatched))
+	}
+	for i, n := range seen {
+		for _, at := range dispatched[:n] {
+			if at >= marks[i] {
+				t.Errorf("an event at %d ran before mark %d (%d)", at, i, marks[i])
+			}
+		}
+		for _, at := range dispatched[n:] {
+			if at < marks[i] {
+				t.Errorf("an event at %d ran after mark %d (%d)", at, i, marks[i])
+			}
+		}
 	}
 }
 
@@ -428,42 +419,67 @@ func TestBodyPanicSurfaces(t *testing.T) {
 	}
 }
 
-// handoffOp returns one simulated cycle of two processors in lockstep, on
-// a launched engine that t closes at cleanup: each processor's Advance(1)
-// reaches the horizon, yields to the engine and is resumed by a step event,
-// so the op is two hand-offs (schedule, pop, switch in, switch out) and
-// the warm-start pause between dispatches.
-func handoffOp(t testing.TB) func() {
+// TestClosedEngineStaysStopped: a run cut short by a panic on the engine's
+// own goroutine — here the observer's, with every body still runnable —
+// closes the engine on the way out. No body takes another step, not even
+// when the caller recovers and starts the engine again, and no coroutine
+// is left parked.
+func TestClosedEngineStaysStopped(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e, _ := testEngine(2)
+	steps := 0
 	for i := range e.Procs {
 		e.Spawn(i, func(p *Proc) {
 			for {
+				steps++
+				p.Advance(10, stats.Busy)
+			}
+		})
+	}
+	e.Observe([]Time{50}, func(int) { panic("observer gave up") })
+	mustPanic(t, "observer gave up", func() { e.Start() })
+	stopped := steps
+	if stopped == 0 {
+		t.Fatal("no body ran before the mark")
+	}
+	mustPanic(t, "engine started twice", func() { e.Start() })
+	if steps != stopped {
+		t.Errorf("bodies ran %d more steps after the engine closed", steps-stopped)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the engine closed, started with %d", after, before)
+	}
+}
+
+// lockstep runs two processors through the given number of simulated
+// cycles in lockstep: each processor's Advance(1) reaches the horizon,
+// yields to the engine and is resumed by a step event, so a cycle is two
+// hand-offs (schedule, pop, switch in, switch out).
+func lockstep(cycles int) {
+	e, _ := testEngine(2)
+	for i := range e.Procs {
+		e.Spawn(i, func(p *Proc) {
+			for range cycles {
 				p.Advance(1, stats.Busy)
 			}
 		})
 	}
-	t.Cleanup(e.Close)
-	horizon := Time(1)
-	e.StartUntil(horizon)
-	return func() {
-		horizon++
-		e.ContinueUntil(horizon)
-	}
+	e.Start()
 }
 
 // TestHandoffDoesNotAllocate: switching into a processor's coroutine and
-// back allocates nothing.
+// back allocates nothing, so a run's allocations do not grow with its
+// hand-off count.
 func TestHandoffDoesNotAllocate(t *testing.T) {
-	if n := testing.AllocsPerRun(100, handoffOp(t)); n != 0 {
-		t.Fatalf("one lockstep cycle of two processors allocates %v objects/op, want 0", n)
+	short := testing.AllocsPerRun(20, func() { lockstep(10) })
+	long := testing.AllocsPerRun(20, func() { lockstep(1010) })
+	if long != short {
+		t.Fatalf("a run of 1010 lockstep cycles allocates %v objects, one of 10 cycles %v: want the same", long, short)
 	}
 }
 
-// BenchmarkHandoff times handoffOp: one op is two hand-offs.
+// BenchmarkHandoff times lockstep: one op is one cycle, two hand-offs.
 func BenchmarkHandoff(b *testing.B) {
-	op := handoffOp(b)
 	b.ReportAllocs()
-	for b.Loop() {
-		op()
-	}
+	lockstep(b.N)
 }

@@ -81,13 +81,12 @@ type Proc struct {
 	Breakdown Breakdown
 
 	// Fault accounting (paper Figure 3).
-	ReadFaults     uint64
-	WriteFaults    uint64
-	FaultCycles    uint64 // total stall attributed to access faults
-	ColdFaults     uint64 // faults on pages never held locally
-	TwinCycles     uint64 // cycles spent twinning pages
-	PageFetches    uint64
-	PageFetchBytes uint64
+	ReadFaults  uint64
+	WriteFaults uint64
+	FaultCycles uint64 // total stall attributed to access faults
+	ColdFaults  uint64 // faults on pages never held locally
+	TwinCycles  uint64 // cycles spent twinning pages
+	PageFetches uint64
 
 	// Diff accounting (paper Table 4).
 	DiffsCreated      uint64
@@ -95,7 +94,6 @@ type Proc struct {
 	DiffCreateCycles  uint64
 	DiffCreateHidden  uint64 // portion overlapped with synchronization
 	DiffsApplied      uint64
-	DiffBytesApplied  uint64
 	DiffApplyCycles   uint64
 	DiffApplyHidden   uint64
 	DiffsMerged       uint64 // merged diffs produced at lock releases
@@ -141,9 +139,6 @@ type Proc struct {
 	OrphanInvalidations uint64 // page copies invalidated by a crash
 
 	// Memory system.
-	CacheMisses          uint64
-	TLBMisses            uint64
-	WriteNoticesSent     uint64
 	WriteNoticesReceived uint64
 	Invalidations        uint64
 }
@@ -165,7 +160,7 @@ func NewRun(app, protocol string, n int) *Run {
 
 // Clone deep-copies the run. Proc holds only scalar counters, so
 // copying the slice is a full snapshot — used by sweeps that sample a
-// live engine's statistics mid-run (harness warm starts).
+// live engine's statistics mid-run (sim.Engine.Observe).
 func (r *Run) Clone() *Run {
 	c := *r
 	c.Procs = append([]Proc(nil), r.Procs...)

@@ -135,7 +135,6 @@ func (pr *TM) applyFetched(c *proto.Ctx, st *tmProc) {
 func (pr *TM) applyDiff(c *proto.Ctx, fd ivalDiff, cost uint64, cat stats.Category) {
 	c.P.Stats.DiffApplyCycles += cost
 	c.P.Stats.DiffsApplied++
-	c.P.Stats.DiffBytesApplied += uint64(fd.d.DataBytes())
 	c.P.Advance(cost, cat)
 	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, fd.d.Page, fd.d.ID, int64(fd.d.DataBytes()), int64(fd.proc))
 	c.PatchDiff(fd.d)

@@ -124,7 +124,7 @@ func TestLogMatchesReceivedHistory(t *testing.T) {
 // on; TM and TM-LH must agree with the ideal machine.
 func TestMidFaultLogInsertion(t *testing.T) {
 	kinds := []harness.ProtocolKind{harness.ProtoTM, harness.ProtoTMLH, harness.ProtoIdeal}
-	if rep := check.RunWorkload(check.Generate(12, 6), kinds); rep.Failed() {
+	if rep := check.RunWorkloadFault(check.Generate(12, 6), kinds, nil); rep.Failed() {
 		t.Fatal(rep)
 	}
 }

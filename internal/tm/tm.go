@@ -492,9 +492,6 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.barSeen = make([]bool, pr.nprocs)
 }
 
-// Done implements proto.Protocol.
-func (pr *TM) Done(c *proto.Ctx) {}
-
 // Notice implements proto.Protocol: TreadMarks has no virtual queues.
 func (pr *TM) Notice(c *proto.Ctx, lock int) {}
 
