@@ -58,6 +58,8 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
+	seedSet := false
+	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "fault-seed" })
 	var err error
 	switch {
 	case fs.NArg() > 0:
@@ -72,6 +74,8 @@ func run(args []string, out, errw io.Writer) int {
 		err = fmt.Errorf("unknown -protocol %q (want one of %s)", *protocol, strings.Join(aecdsm.Protocols(), ", "))
 	case *ns < 1:
 		err = fmt.Errorf("-ns %d is below 1", *ns)
+	case seedSet && *faults == "":
+		err = fmt.Errorf("-fault-seed is set without -faults")
 	default:
 		if err = apps.CheckScale(*scale); err == nil {
 			_, err = fault.ParseSpec(*faults)

@@ -38,6 +38,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"negative ns", []string{"-ns", "-3", "-trace", traceFile}, 2, "", "-ns -3 is below 1"},
 		{"zero ns", []string{"-protocol", "Munin+LAP", "-ns", "0", "-trace", traceFile}, 2, "", "-ns 0 is below 1"},
 		{"stray argument", []string{"-app", "IS", "Ocean"}, 2, "", `unexpected argument "Ocean"`},
+		{"fault seed without faults", []string{"-fault-seed", "7", "-trace", traceFile}, 2, "", "-fault-seed is set without -faults"},
 		{"bad trace format", []string{"-scale", "0.05", "-trace", traceFile, "-trace-format", "xml"}, 2, "", "unknown -trace-format"},
 		{"stray argument after -list", []string{"-list", "extra"}, 2, "", `unexpected argument "extra"`},
 		{"list", []string{"-list"}, 0, "applications: [" + strings.Join(aecdsm.Apps(), " ") + "]\n", ""},

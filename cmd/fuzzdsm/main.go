@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -126,6 +127,16 @@ func run(args []string, out, errw io.Writer) (code int) {
 	}
 	if *crashSeed < -1 {
 		fmt.Fprintf(errw, "fuzzdsm: -crash-seed must be a seed >= 0 or -1 for none, got %d\n", *crashSeed)
+		return 2
+	}
+	if *iters > 0 && *seed > math.MaxUint64-uint64(*iters-1) {
+		fmt.Fprintf(errw, "fuzzdsm: -seed %d with -iters %d runs past the largest seed\n", *seed, *iters)
+		return 2
+	}
+	seedSet := false
+	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "fault-seed" })
+	if seedSet && baseFaults == nil && *crashSeed < 0 {
+		fmt.Fprintln(errw, "fuzzdsm: -fault-seed is set without -faults or -crash-seed")
 		return 2
 	}
 
@@ -315,6 +326,9 @@ func parseProtocols(list string) ([]harness.ProtocolKind, error) {
 		k, ok := known[strings.ToLower(name)]
 		if !ok {
 			return nil, fmt.Errorf("unknown protocol %q (known: %v)", name, harness.Kinds())
+		}
+		if slices.Contains(kinds, k) {
+			return nil, fmt.Errorf("protocol %q listed twice", k)
 		}
 		kinds = append(kinds, k)
 	}

@@ -27,6 +27,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-nope"}, 2, "", "flag provided but not defined"},
 		{"unknown protocol", []string{"-protocols", "AEC,Nope"}, 2, "", `unknown protocol "Nope" (known: `},
 		{"no protocols", []string{"-protocols", ","}, 2, "", "no protocols selected"},
+		{"repeated protocol", []string{"-protocols", "AEC,TM,aec"}, 2, "", `protocol "AEC" listed twice`},
+		{"seed range past the largest seed", []string{"-seed", "18446744073709551615", "-iters", "2"}, 2, "", "-seed 18446744073709551615 with -iters 2 runs past the largest seed"},
+		{"fault seed without a schedule", []string{"-fault-seed", "7"}, 2, "", "-fault-seed is set without -faults or -crash-seed"},
 		{"unknown policy", []string{"-policy", "bogus"}, 2, "", "bogus"},
 		{"bad fault clause", []string{"-faults", "drop=2"}, 2, "", "drop"},
 		{"negative iters", []string{"-iters", "-1"}, 2, "", "-iters must not be negative"},
@@ -39,6 +42,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"unwritable cpuprofile", []string{"-iters", "1", "-cpuprofile", unwritable}, 1, "", "missing"},
 		{"unwritable memprofile", []string{"-iters", "1", "-procs", "2", "-memprofile", unwritable}, 1, "all agree", "writing profile:"},
 		{"one seed", []string{"-seed", "3", "-iters", "1", "-procs", "4"}, 0, "final=8399bdb2286bb01b", ""},
+		{"the largest seed", []string{"-seed", "18446744073709551615", "-iters", "1", "-procs", "2"}, 0, "1 workloads, 4 protocols each, all agree", ""},
+		{"fault seed with crashes", []string{"-iters", "1", "-procs", "2", "-crash-seed", "0", "-fault-seed", "7"}, 0, "1 workloads, 4 protocols each, all agree", ""},
 		{"policy sweep", []string{"-iters", "1", "-procs", "2", "-policy", "fifo,lease"}, 0, "1 workloads, 4 protocols x 2 policies each, all agree", ""},
 		{"profiled", []string{"-iters", "2", "-procs", "2", "-jobs", "1", "-cpuprofile", cpuProf, "-memprofile", memProf}, 0, "2 workloads, 4 protocols each, all agree", ""},
 	} {

@@ -63,6 +63,9 @@ func parseProcs(spec string) ([]int, error) {
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("bad -scaling-procs entry %q", f)
 		}
+		if slices.Contains(procs, n) {
+			return nil, fmt.Errorf("-scaling-procs lists %d twice", n)
+		}
 		procs = append(procs, n)
 	}
 	if len(procs) == 0 {

@@ -35,6 +35,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"scale above one", []string{"-table", "1", "-scale", "1.5"}, 2, "", "scale 1.5 is outside (0, 1]"},
 		{"stray argument", []string{"-table", "1", "3"}, 2, "", `unexpected argument "3"`},
 		{"bad machine list", []string{"-scaling", "-scaling-procs", "12x"}, 2, "", `bad -scaling-procs entry "12x"`},
+		{"repeated machine size", []string{"-scaling", "-scaling-procs", "16,64,16"}, 2, "", "-scaling-procs lists 16 twice"},
 		{"negative jobs", []string{"-jobs", "-3", "-table", "1"}, 2, "", "-jobs must not be negative, got -3"},
 		{"table and figure", []string{"-table", "1", "-figure", "5"}, 2, "", "-table and -figure select different outputs; choose one"},
 		{"locklab and table", []string{"-locklab", "-table", "1"}, 2, "", "-table and -locklab select different outputs"},

@@ -20,7 +20,6 @@ package aec
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
@@ -145,26 +144,28 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.h.diffReq, pr.h.wnDiffReq = pr.handleDiffReq, pr.handleWNDiffReq
 	pr.h.barArrive, pr.h.barDiff, pr.h.barWN, pr.h.barReady = pr.handleBarArrive, pr.handleBarDiff, pr.handleBarWN, pr.handleBarReady
 	pr.h.barInstr, pr.h.barInstrBatch, pr.h.barComplete = pr.handleBarInstr, pr.handleBarInstrBatch, pr.handleBarComplete
-	pages := s.Pages()
-	pr.ps = make([]*procState, pr.nprocs)
-	for i := range pr.ps {
-		pr.ps[i] = newProcState(i, pages, s)
-	}
 	nsz := pr.opt.Ns
 	if !pr.opt.UseLAP {
 		nsz = 1 // predictor still sized, but never consulted for pushes
 	}
 	pr.InitLocks(e, nsz, kRepLog, pr)
 	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
+	// The lock records are sized by NumLocks, which InitLocks sets.
+	pages := s.Pages()
+	pr.ps = make([]*procState, pr.nprocs)
+	for i := range pr.ps {
+		pr.ps[i] = newProcState(i, pages, pr.NumLocks(), s)
+	}
 	pr.bar = barrierState{
 		arrivals: make([]*arriveMsg, pr.nprocs),
 		copyset:  make([]bitset.Set, pages),
-		homes:    make([]int, pages),
+		owner:    make([]ownedBy, pr.NumLocks()),
+		touched:  bitset.New(pages),
+		written:  bitset.New(pages),
+		csOwner:  make([]int, pages),
 	}
 	for pg := range pr.bar.copyset {
-		home := s.InitHome(pg)
-		pr.bar.copyset[pg] = bitset.With(pr.nprocs, home)
-		pr.bar.homes[pg] = home
+		pr.bar.copyset[pg] = bitset.With(pr.nprocs, s.InitHome(pg))
 	}
 }
 
@@ -279,16 +280,6 @@ func (pr *AEC) applyDiffData(c *proto.Ctx, d *mem.Diff) {
 
 // writeProtect forces the next write to this frame to trap.
 func writeProtect(f *mem.Frame) { f.WriteEpoch = 0 }
-
-// sortedDiffPages returns the keys of a page->diff map in order.
-func sortedDiffPages(m map[int]*mem.Diff) []int {
-	out := make([]int, 0, len(m))
-	for pg := range m {
-		out = append(out, pg)
-	}
-	sort.Ints(out)
-	return out
-}
 
 func (pr *AEC) String() string {
 	return fmt.Sprintf("%s(Ns=%d)", pr.Name(), pr.opt.Ns)

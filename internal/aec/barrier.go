@@ -1,9 +1,6 @@
 package aec
 
 import (
-	"sort"
-
-	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
@@ -24,19 +21,13 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 
 	// Build the arrival lists.
 	var owned []ownedLock
-	lockIDs := make([]int, 0, len(st.locks))
-	for lock, lc := range st.locks {
-		if len(lc.myMerged) > 0 {
-			lockIDs = append(lockIDs, lock)
-		}
-	}
-	sort.Ints(lockIDs)
 	elems := 0
-	for _, lock := range lockIDs {
-		lc := st.locks[lock]
-		pages := sortedDiffPages(lc.myMerged)
-		owned = append(owned, ownedLock{lock: lock, count: lc.myCount, pages: pages})
-		elems += 1 + len(pages)
+	for lock, lc := range st.locks {
+		if lc == nil || len(lc.myMerged) == 0 {
+			continue
+		}
+		owned = append(owned, ownedLock{lock: lock, count: lc.myCount, pages: chainPages(lc.myMerged)})
+		elems += 1 + len(lc.myMerged)
 	}
 	var outside []int
 	for _, pg := range st.snapshot(st.dirtyOutside) {
@@ -70,7 +61,6 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 		}
 	}
 	if st.barInstr == nil {
-		c.P.WaitTag = "barinstr"
 		c.P.WaitUntil(func() bool { return st.barInstr != nil }, stats.Synch)
 	}
 	instr := st.barInstr
@@ -89,7 +79,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	// names only pages this processor's arrival listed from myMerged, which
 	// holds no nil diff and is not reset before finalizeStep.
 	for _, ds := range instr.diffSends {
-		d := st.lock(ds.lock).myMerged[ds.page]
+		d := chainDiff(st.locks[ds.lock].myMerged, ds.page)
 		for _, q := range ds.targets {
 			pr.e.SendFrom(c.P, stats.Synch, q, kBarDiff, d.EncodedBytes(),
 				barDiffMsg{page: ds.page, lock: ds.lock, diff: d}, pr.h.barDiff)
@@ -106,12 +96,10 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 
 	// Wait until everything addressed to us has arrived, then report
 	// ready and wait for global completion.
-	c.P.WaitTag = "barexchange"
 	c.P.WaitUntil(func() bool {
 		return st.barDiffsGot >= instr.expDiffs && st.barWNsGot >= instr.expWNs
 	}, stats.Synch)
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarReady, 8, 1, pr.h.barReady)
-	c.P.WaitTag = "barcomplete"
 	c.P.WaitUntil(func() bool { return st.barComplete }, stats.Synch)
 
 	pr.finalizeStep(c, st)
@@ -254,36 +242,24 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	}
 
 	// Last owner per lock: highest acquire counter wins.
-	type ownerRec struct {
-		proc, count int
-		pages       []int
-	}
-	owners := map[int]ownerRec{}
-	lockIDs := []int{}
 	for _, a := range b.arrivals {
 		for _, o := range a.owned {
-			if cur, ok := owners[o.lock]; !ok || o.count > cur.count {
-				if !ok {
-					lockIDs = append(lockIDs, o.lock)
-				}
-				owners[o.lock] = ownerRec{proc: a.proc, count: o.count, pages: o.pages}
+			if cur := &b.owner[o.lock]; cur.pages == nil || o.count > cur.count {
+				*cur = ownedBy{proc: a.proc, count: o.count, pages: o.pages}
 			}
 		}
 	}
-	sort.Ints(lockIDs)
-
-	// Track pages touched this step for home reassignment.
-	touched := map[int]bool{}
-	csOwner := map[int]int{}   // page -> CS last owner
-	writers := map[int][]int{} // page -> outside writers (sorted by arrival order = proc id)
 
 	work := 0
 	// CS diffs: last owner sends to every other valid-copy holder.
-	for _, lock := range lockIDs {
-		rec := owners[lock]
+	for lock, rec := range b.owner {
+		if rec.pages == nil {
+			continue
+		}
+		b.owner[lock] = ownedBy{}
 		for _, pg := range rec.pages {
-			touched[pg] = true
-			csOwner[pg] = rec.proc
+			b.touched = b.touched.Add(pg)
+			b.csOwner[pg] = rec.proc
 			var targets []int
 			b.copyset[pg].ForEach(func(q int) {
 				if q != rec.proc {
@@ -303,12 +279,10 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	}
 
 	// Write notices: each outside writer notifies valid-copy holders.
-	invalidated := map[int]bitset.Set{} // page -> procs losing their copy
-	for pnum := 0; pnum < pr.nprocs; pnum++ {
-		a := b.arrivals[pnum]
+	for pnum, a := range b.arrivals {
 		for _, pg := range a.outside {
-			touched[pg] = true
-			writers[pg] = append(writers[pg], pnum)
+			b.touched = b.touched.Add(pg)
+			b.written = b.written.Add(pg)
 			var targets []int
 			b.copyset[pg].ForEach(func(q int) {
 				if q != pnum {
@@ -324,39 +298,34 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 			for _, q := range targets {
 				instr[q].expWNs++
 			}
-			inv := invalidated[pg]
-			for _, q := range targets {
-				inv = inv.Add(q)
-			}
-			invalidated[pg] = inv
 			work += len(targets)
+		}
+	}
+
+	// A page written outside a critical section ends the barrier valid
+	// at exactly its writers: every other holder got a write notice. A
+	// page touched only through a lock keeps its copyset.
+	b.written.ForEach(func(pg int) { clear(b.copyset[pg]) })
+	for _, a := range b.arrivals {
+		for _, pg := range a.outside {
+			b.copyset[pg] = b.copyset[pg].Add(a.proc)
 		}
 	}
 
 	// Home reassignment: a processor guaranteed current after this
 	// barrier. Preference: the lowest-id outside writer, else the CS
 	// owner — a page is touched only through one of the two.
-	pages := make([]int, 0, len(touched))
-	for pg := range touched {
-		pages = append(pages, pg)
-	}
-	sort.Ints(pages)
 	var homes []homeAssign
-	for _, pg := range pages {
-		surviving := b.copyset[pg].Clone()
-		surviving.AndNot(invalidated[pg])
-		// Writers never lose their own copy.
-		for _, w := range writers[pg] {
-			surviving = surviving.Add(w)
+	b.touched.ForEach(func(pg int) {
+		home := b.csOwner[pg]
+		if b.written.Has(pg) {
+			home = b.copyset[pg].Min()
 		}
-		b.copyset[pg] = surviving
-		b.homes[pg] = csOwner[pg]
-		if ws := writers[pg]; len(ws) > 0 {
-			b.homes[pg] = ws[0]
-		}
-		homes = append(homes, homeAssign{page: pg, home: b.homes[pg]})
-	}
-	s.ChargeList(work + len(pages))
+		homes = append(homes, homeAssign{page: pg, home: home})
+	})
+	clear(b.touched)
+	clear(b.written)
+	s.ChargeList(work + len(homes))
 
 	// Reset the per-lock diff chains: the barrier makes everyone
 	// coherent, so lock histories restart (affinity history persists).
@@ -514,13 +483,16 @@ func (pr *AEC) finalizeStep(c *proto.Ctx, st *procState) {
 	st.barDiffsGot = 0
 	st.barWNsGot = 0
 	for _, lc := range st.locks {
+		if lc == nil {
+			continue
+		}
 		// A push from the step we are entering is kept.
 		if buf := lc.recv; buf != nil && buf.step < st.step {
 			c.P.Stats.UselessUpdates += uint64(len(buf.diffs))
 			lc.recv = nil
 		}
-		// The chains restart. A chain map may be shared (an inherited
-		// map is a myMerged or a push's) and lives on in whoever holds it.
+		// The chains restart. A chain may be shared (an inherited chain
+		// is a myMerged or a push's) and lives on in whoever holds it.
 		lc.pages, lc.us, lc.inherited, lc.myMerged = nil, nil, nil, nil
 	}
 	c.Epoch++

@@ -50,7 +50,7 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 	if st.inCS > 0 {
 		lock := st.curLock
 		if lc := st.lock(lock); lc.has(page) {
-			if d := lc.inherited[page]; d != nil {
+			if d := chainDiff(lc.inherited, page); d != nil {
 				pr.chargeDiffApply(c, d, stats.Data, false)
 				pr.applyDiffData(c, d)
 			} else if owner := lc.lastOwner; owner >= 0 && owner != c.ID {
@@ -58,7 +58,7 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 				for _, d := range diffs {
 					pr.chargeDiffApply(c, d, stats.Data, false)
 					pr.applyDiffData(c, d)
-					lc.inherited[d.Page] = d
+					lc.inherited = withDiff(lc.inherited, d)
 				}
 			}
 		}
@@ -149,7 +149,6 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 			continue
 		}
 		c.P.Stats.DiffRequests++
-		c.P.WaitTag = "wnreq"
 		c.Call(stats.Data, w, kWNDiffReq, 8+8*len(req.steps), req, pr.h.wnDiffReq)
 	}
 	// Notices naming ourselves (adopted from a home that had not applied

@@ -2,6 +2,7 @@ package aec
 
 import (
 	"fmt"
+	"slices"
 
 	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
@@ -37,7 +38,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		}
 	}
 	if st.grant == nil {
-		c.P.WaitTag = "grant"
 		c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	}
 	g := st.grant
@@ -54,10 +54,9 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	if g.lastReleaser < 0 || g.lastReleaser == c.ID {
 		// First acquisition, or we were the last releaser ourselves:
 		// nothing to bring in; our merged chain continues.
+		lc.inherited = nil
 		if g.lastReleaser == c.ID {
 			lc.inherited = lc.myMerged
-		} else {
-			lc.inherited = make(map[int]*mem.Diff)
 		}
 		return
 	}
@@ -84,7 +83,6 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 				p.Wake(deadline)
 			})
 		}
-		c.P.WaitTag = "push"
 		c.P.WaitUntil(func() bool { return isFresh() || timedOut }, stats.Synch)
 		buf = lc.recv
 		fresh = isFresh()
@@ -95,20 +93,20 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	}
 	if g.inUS && len(g.invPages) == 0 {
 		// Nothing to bring in for an empty chain.
-		lc.inherited = make(map[int]*mem.Diff)
+		lc.inherited = nil
 		return
 	}
 	if fresh {
 		// Continue applying the pushed diffs (now exposed): valid pages
 		// get patched; diffs for invalid pages wait for access faults.
 		lc.inherited = buf.diffs
-		for _, pg := range sortedDiffPages(buf.diffs) {
+		for _, d := range buf.diffs {
+			pg := d.Page
 			if buf.applied.Has(pg) {
 				continue
 			}
 			f := c.M.Peek(pg)
 			if f.Valid {
-				d := buf.diffs[pg]
 				// Publish before the apply charge: handlePush may
 				// replace lc.recv while virtual time advances, and the
 				// flags must land in the buffer the diff was read from,
@@ -135,7 +133,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 		c.P.Stats.UselessUpdates += uint64(len(buf.diffs))
 		lc.recv = nil
 	}
-	lc.inherited = make(map[int]*mem.Diff)
+	lc.inherited = nil
 	inval := 0
 	for _, pg := range g.invPages {
 		p := &st.pages[pg]
@@ -158,11 +156,11 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lc *lockChain) bool {
 	// 1: apply a pushed diff for this lock to a currently valid page.
 	if buf := lc.recv; buf != nil {
-		for _, pg := range sortedDiffPages(buf.diffs) {
+		for _, d := range buf.diffs {
+			pg := d.Page
 			if buf.applied.Has(pg) || !c.M.Peek(pg).Valid {
 				continue
 			}
-			d := buf.diffs[pg]
 			// Publish before the apply charge (see the grant path).
 			st.pages[pg].lastAccess = st.step
 			buf.applied = buf.applied.Add(pg)
@@ -268,31 +266,23 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 
 	// Top up the inherited chain: any cumulative pages we never faulted
 	// on must be fetched now so the chain stays complete.
-	inherited := lc.inherited
 	if owner := lc.lastOwner; owner >= 0 && owner != c.ID {
 		var missing []int
 		for _, pg := range lc.pages {
-			if _, ok := inherited[pg]; !ok {
+			if chainDiff(lc.inherited, pg) == nil {
 				missing = append(missing, pg)
 			}
 		}
 		if len(missing) > 0 {
-			diffs := pr.fetchLockDiffs(c, lock, owner, missing, stats.Synch)
-			// Reload after the fetch round-trip: virtual time advanced
-			// while we waited, so the chain reference must be refreshed
-			// before publishing into it.
-			inherited = lc.inherited
-			for _, d := range diffs {
-				inherited[d.Page] = d
+			for _, d := range pr.fetchLockDiffs(c, lock, owner, missing, stats.Synch) {
+				lc.inherited = withDiff(lc.inherited, d)
 			}
 		}
 	}
 
-	// Create the inside diffs and merge with the inherited chain.
-	merged := make(map[int]*mem.Diff, len(inherited)+st.dirtyInside.Count())
-	for pg, d := range inherited {
-		merged[pg] = d
-	}
+	// Create the inside diffs and merge them into a copy of the inherited
+	// chain: the copy is both myMerged and the push.
+	merged := append(make([]*mem.Diff, 0, len(lc.inherited)+st.dirtyInside.Count()), lc.inherited...)
 	// Every page in dirtyInside was twinned by its write fault in this
 	// critical section, and nothing drops an inside twin before here.
 	for _, pg := range st.snapshot(st.dirtyInside) {
@@ -300,10 +290,14 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
 		pr.chargeDiffCreate(c, d, stats.Synch, false)
 		if d != nil {
-			m := pr.merge2(merged[pg], d)
+			i, ok := chainIndex(merged, pg)
+			if !ok {
+				merged = slices.Insert(merged, i, nil)
+			}
+			m := pr.merge2(merged[i], d)
+			merged[i] = m
 			c.M.RecycleDiff(d)
-			merged[pg] = m
-			if inherited[pg] != nil {
+			if ok {
 				c.P.Stats.DiffsMerged++
 				c.P.Stats.MergedBytes += uint64(m.EncodedBytes())
 				pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffMerge, pg, m.ID, int64(m.EncodedBytes()), 0)
@@ -318,13 +312,11 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	// Push the merged diffs to the update set the manager computed for
 	// us at grant time.
 	myCount := lc.myCount
-	pages := sortedDiffPages(merged)
+	pages := chainPages(merged)
 	if pr.opt.UseLAP && len(lc.us) > 0 && len(merged) > 0 {
-		diffs := make([]*mem.Diff, 0, len(merged))
 		bytes := 0
-		for _, pg := range pages {
-			diffs = append(diffs, merged[pg])
-			bytes += merged[pg].EncodedBytes()
+		for _, d := range merged {
+			bytes += d.EncodedBytes()
 		}
 		for _, q := range lc.us {
 			if q == c.ID {
@@ -339,7 +331,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 			// retransmitted — the predicted acquirer times out and
 			// falls back to explicit fetches (degraded-mode LAP).
 			pr.e.SendFromBestEffort(c.P, stats.Synch, q, kPush, bytes,
-				pushMsg{lock: lock, from: c.ID, count: myCount, step: st.step, diffs: diffs},
+				pushMsg{lock: lock, from: c.ID, count: myCount, step: st.step, diffs: merged},
 				pr.h.push)
 		}
 	}
@@ -396,12 +388,8 @@ func (pr *AEC) handlePush(s *sim.Svc, m *sim.Msg) {
 	if old != nil {
 		pr.ctxs[m.To].P.Stats.UselessUpdates += uint64(len(old.diffs))
 	}
-	buf := &recvBuf{from: p.from, count: p.count, step: p.step,
-		diffs: make(map[int]*mem.Diff, len(p.diffs)), applied: bitset.New(len(st.pages))}
-	for _, d := range p.diffs {
-		buf.diffs[d.Page] = d
-	}
-	lc.recv = buf
+	lc.recv = &recvBuf{from: p.from, count: p.count, step: p.step,
+		diffs: p.diffs, applied: bitset.New(len(st.pages))}
 	// The acquirer may be waiting for exactly this push.
 	s.Wake(s.P)
 }
@@ -429,7 +417,6 @@ func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 // release top-up). The reply holds the diffs the owner has, none nil.
 func (pr *AEC) fetchLockDiffs(c *proto.Ctx, lock, owner int, pages []int, cat stats.Category) []*mem.Diff {
 	c.P.Stats.DiffRequests++
-	c.P.WaitTag = "diffreq"
 	return c.Call(cat, owner, kDiffReq, 8+8*len(pages),
 		diffReq{lock: lock, pages: pages}, pr.h.diffReq).([]*mem.Diff)
 }
@@ -444,7 +431,7 @@ func (pr *AEC) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 	bytes := 0
 	for _, pg := range req.pages {
 		st.pages[pg].reqSeen = true
-		if d := merged[pg]; d != nil {
+		if d := chainDiff(merged, pg); d != nil {
 			out = append(out, d)
 			bytes += d.EncodedBytes()
 		}

@@ -69,7 +69,7 @@ import "aecdsm/internal/trace"
 func (pr *AEC) Crashed(node int) uint64 {
 	st := pr.ps[node]
 	for _, lc := range st.locks {
-		if lc.recv != nil && lc.recv.applied.None() {
+		if lc != nil && lc.recv != nil && lc.recv.applied.None() {
 			lc.recv = nil
 		}
 	}
@@ -102,13 +102,14 @@ func (pr *AEC) Crashed(node int) uint64 {
 // consults restarts when the step is finalized.
 func (st *procState) hasChainDiffs(pg int) bool {
 	for _, lc := range st.locks {
-		if _, ok := lc.myMerged[pg]; ok || lc.has(pg) {
+		if lc == nil {
+			continue
+		}
+		if chainDiff(lc.myMerged, pg) != nil || lc.has(pg) {
 			return true
 		}
-		if lc.recv != nil {
-			if _, ok := lc.recv.diffs[pg]; ok {
-				return true
-			}
+		if lc.recv != nil && chainDiff(lc.recv.diffs, pg) != nil {
+			return true
 		}
 	}
 	return false

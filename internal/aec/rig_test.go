@@ -105,7 +105,7 @@ func TestRigInsideWriteOverOutsideTwin(t *testing.T) {
 					created = c.P.Stats.DiffsCreated - before
 					c.Release(0)
 					var runs []int
-					if d := pr.ps[1].lock(0).myMerged[0]; d != nil {
+					if d := chainDiff(pr.ps[1].lock(0).myMerged, 0); d != nil {
 						for off := range d.Runs() {
 							runs = append(runs, off)
 						}
@@ -276,6 +276,58 @@ func TestRigCrashKeepsChainPages(t *testing.T) {
 			if n := m.Ctxs[2].P.Stats.OrphanInvalidations; n != 1 {
 				t.Errorf("the crash orphaned %d of p2's pages, want y alone", n)
 			}
+		})
+	}
+}
+
+// TestRigBarrierCopysetRule: every processor reads three pages, then p2
+// alone writes page 0 outside any critical section, p1 and p2 write page
+// 1 outside, and p1 writes page 2 under lock 0. The barrier leaves page 0
+// valid at p2 alone and page 1 at p1 and p2, each homed at its lowest
+// writer; page 2, touched only through the lock chain, keeps all three
+// holders and moves home to the chain's owner.
+func TestRigBarrierCopysetRule(t *testing.T) {
+	for _, opt := range bothKinds {
+		t.Run(New(opt).Name(), func(t *testing.T) {
+			pr := New(opt)
+			run(t, assemble(pr, proto.Script{Homes: []int{0, 0, 0}, Locks: 1, Do: func(c *proto.Ctx) {
+				p0, p1, p2 := c.S.PageBase(0), c.S.PageBase(1), c.S.PageBase(2)
+				for _, a := range []mem.Addr{p0, p1, p2} {
+					c.ReadI64(a)
+				}
+				c.Compute(100_000)
+				switch c.ID {
+				case 1:
+					c.WriteI64(p1, 11)
+					c.Acquire(0)
+					c.WriteI64(p2, 12)
+					c.Release(0)
+				case 2:
+					c.WriteI64(p0, 20)
+					c.WriteI64(p1+64, 21)
+				}
+				c.Barrier()
+				if c.ID != 0 {
+					return
+				}
+				for pg, want := range []struct {
+					holders string
+					home    int
+				}{{"[2]", 2}, {"[1 2]", 1}, {"[0 1 2]", 1}} {
+					if got := fmt.Sprint(pr.bar.copyset[pg].AppendBits(nil)); got != want.holders {
+						t.Errorf("page %d is valid at %s after the barrier, want %s", pg, got, want.holders)
+					}
+					for q, st := range pr.ps {
+						if st.pages[pg].home != want.home {
+							t.Errorf("p%d homes page %d at %d, want %d", q, pg, st.pages[pg].home, want.home)
+						}
+					}
+				}
+				read(t, c, p0, 20, "written by p2")
+				read(t, c, p1, 11, "written by p1")
+				read(t, c, p1+64, 21, "written by p2")
+				read(t, c, p2, 12, "written under the lock")
+			}}, nil))
 		})
 	}
 }

@@ -30,8 +30,8 @@ type recvBuf struct {
 	from    int
 	count   int
 	step    int
-	diffs   map[int]*mem.Diff // page -> merged diff
-	applied bitset.Set        // pages of THIS push already applied locally
+	diffs   []*mem.Diff // the push's merged diffs, as sent (a chain)
+	applied bitset.Set  // pages of THIS push already applied locally
 }
 
 // grantMsg is the lock manager's reply to an acquire request.
@@ -71,6 +71,44 @@ type aecPage struct {
 	sharedHint bool
 }
 
+// A chain is a set of merged diffs, one per page, in ascending page
+// order. Chains are shared by reference — a releaser's myMerged is the
+// payload of its push, every update-set member's push buffer and then the
+// next owner's inherited — so none is ever written in place: a diff is
+// added to a copy (withDiff).
+
+// chainIndex returns where page's diff is, or would be inserted, in
+// chain.
+func chainIndex(chain []*mem.Diff, page int) (int, bool) {
+	return slices.BinarySearchFunc(chain, page, byPage)
+}
+
+func byPage(d *mem.Diff, page int) int { return cmp.Compare(d.Page, page) }
+
+// chainDiff returns the chain's diff of page, nil if none.
+func chainDiff(chain []*mem.Diff, page int) *mem.Diff {
+	if i, ok := chainIndex(chain, page); ok {
+		return chain[i]
+	}
+	return nil
+}
+
+// withDiff returns a copy of chain with d, whose page chain lacks,
+// inserted; chain and its backing array are left as they were.
+func withDiff(chain []*mem.Diff, d *mem.Diff) []*mem.Diff {
+	i, _ := chainIndex(chain, d.Page)
+	return slices.Insert(slices.Clip(chain), i, d)
+}
+
+// chainPages returns the pages of chain, ascending.
+func chainPages(chain []*mem.Diff) []int {
+	pages := make([]int, len(chain))
+	for i, d := range chain {
+		pages[i] = d.Page
+	}
+	return pages
+}
+
 // archived returns the page's outside diff of step, nil if none.
 func (p *aecPage) archived(step int) *mem.Diff {
 	if i, ok := slices.BinarySearchFunc(p.archive, step, byStep); ok {
@@ -88,19 +126,18 @@ type lockChain struct {
 	myCount   int   // acquire counter of my latest grant
 	pages     []int // the chain's cumulative page set, from the grant
 	us        []int // update set given to me at grant
-	// inherited holds the merged diffs (page -> diff) inherited from the
-	// last owner during my tenure, myMerged those of my last release. They
-	// are shared by reference: an owner that reacquires inherits its own
-	// myMerged, and a fresh push's diffs become the acquirer's inherited.
-	inherited, myMerged map[int]*mem.Diff
+	// inherited holds the merged diffs inherited from the last owner
+	// during my tenure, myMerged those of my last release, both chains:
+	// an owner that reacquires inherits its own myMerged, and a fresh
+	// push's diffs become the acquirer's inherited.
+	inherited, myMerged []*mem.Diff
 	recv                *recvBuf // latest update-set push received (LAP)
 }
 
 // has reports whether the page belongs to the chain's cumulative modified
 // set (so critical-section diffs exist for it).
 func (lc *lockChain) has(page int) bool {
-	_, ok := lc.inherited[page]
-	return ok || slices.Contains(lc.pages, page)
+	return chainDiff(lc.inherited, page) != nil || slices.Contains(lc.pages, page)
 }
 
 // procState is the per-processor AEC protocol state.
@@ -131,9 +168,9 @@ type procState struct {
 	inCS    int
 	curLock int
 
-	// locks holds a record per lock this processor acquired or was
-	// pushed to, created at first use (lock).
-	locks map[int]*lockChain
+	// locks holds, by lock id, a record per lock this processor acquired
+	// or was pushed to, created at first use (lock); nil for the others.
+	locks []*lockChain
 
 	// The write-notice fetch of the fault in progress: the request in
 	// flight (sent by pointer) and what the writers served.
@@ -154,7 +191,7 @@ type procState struct {
 	combArr []*arriveMsg
 }
 
-func newProcState(id, pages int, space *mem.Space) *procState {
+func newProcState(id, pages, locks int, space *mem.Space) *procState {
 	st := &procState{
 		id:             id,
 		pages:          make([]aecPage, pages),
@@ -162,7 +199,7 @@ func newProcState(id, pages int, space *mem.Space) *procState {
 		dirtyInside:    bitset.New(pages),
 		newValid:       bitset.New(pages),
 		writtenOutside: bitset.New(pages),
-		locks:          make(map[int]*lockChain),
+		locks:          make([]*lockChain, locks),
 		curLock:        -1,
 		faultPage:      -1,
 	}
@@ -269,7 +306,21 @@ type barrierState struct {
 	seq      int
 	arrivals []*arriveMsg
 	copyset  []bitset.Set // per page set of processors with valid copies
-	homes    []int
+
+	// computeBarrierInstructions' scratch, clear between barriers: the
+	// last owner of each lock (the arrival with the highest acquire
+	// counter), the pages touched this step and those written outside
+	// critical sections, and each page's critical-section owner.
+	owner            []ownedBy
+	touched, written bitset.Set
+	csOwner          []int
+}
+
+// ownedBy is the arrival that names a lock's latest release; pages is nil
+// for a lock no arrival owns.
+type ownedBy struct {
+	proc, count int
+	pages       []int
 }
 
 // wire payload types.

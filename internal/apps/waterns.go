@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"aecdsm/internal/mem"
@@ -29,24 +28,6 @@ type WaterNS struct {
 	wantPos []vec3
 	wantPot float64
 	v       verifier
-
-	// check, when set, receives final positions (test hook).
-	check func(got []vec3)
-	// forceCheck, when set, receives each force read at integrate time
-	// (test hook).
-	forceCheck func(step, mol int, got vec3)
-	// traceMol, when >= 0, prints every critical section touching that
-	// molecule's force accumulator (test hook).
-	traceMol int
-	// posCheck, when set, receives each processor's view of the position
-	// array at the start of each step (test hook).
-	posCheck func(step, proc int, got []vec3)
-	// posWriteCheck, when set, receives each integrate-time position
-	// write (test hook).
-	posWriteCheck func(step, mol int, v vec3)
-	// velCheck, when set, receives integrate-time velocity reads and the
-	// position input (test hook).
-	velCheck func(step, mol int, vel, pos vec3)
 }
 
 // Global lock variables; per-molecule locks follow.
@@ -63,7 +44,7 @@ const (
 // NewWaterNS builds Water-nsquared; cfg.Scale 1.0 is the paper's
 // 512-molecule, 5-step configuration.
 func NewWaterNS(cfg Config) *WaterNS {
-	return &WaterNS{w: newWaterParams(cfg), traceMol: -1}
+	return &WaterNS{w: newWaterParams(cfg)}
 }
 
 // Name implements proto.Program.
@@ -139,9 +120,6 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 		for i := 0; i < n; i++ {
 			pos[i] = vec3{posBuf[3*i], posBuf[3*i+1], posBuf[3*i+2]}
 		}
-		if a.posCheck != nil {
-			a.posCheck(step, c.ID, pos)
-		}
 
 		// INTERF: compute pair forces for my half-shell block in small
 		// batches of molecules, flushing each batch's contributions
@@ -183,10 +161,6 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 				c.Acquire(a.MolLock(m))
 				c.ReadF64s(a.forceA+24*m, posBuf[:3])
 				c.WriteF64s(a.forceA+24*m, []float64{posBuf[0] + f.x, posBuf[1] + f.y, posBuf[2] + f.z})
-				if m == a.traceMol {
-					fmt.Printf("[t%d] s%d p%d FLUSH mol %d: read %.6f wrote %.6f (add %.6f)\n",
-						c.E.Now(), step, c.ID, m, posBuf[0], posBuf[0]+f.x, f.x)
-				}
 				c.Release(a.MolLock(m))
 			}
 		}
@@ -206,24 +180,12 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 			c.Acquire(a.MolLock(i))
 			f := a.readVec(c, a.forceA, i)
 			a.writeVec(c, a.forceA, i, vec3{})
-			if i == a.traceMol {
-				fmt.Printf("[t%d] s%d p%d INTEGRATE mol %d: read %.6f\n", c.E.Now(), step, c.ID, i, f.x)
-			}
 			c.Release(a.MolLock(i))
-			if a.forceCheck != nil {
-				a.forceCheck(step, i, f)
-			}
 			velPrev := a.readVec(c, a.velA, i)
 			v := velPrev.add(f.scale(a.w.dt))
 			a.writeVec(c, a.velA, i, v)
-			if a.velCheck != nil {
-				a.velCheck(step, i, velPrev, pos[i])
-			}
 			np := pos[i].add(v.scale(a.w.dt))
 			a.writeVec(c, a.posA, i, np)
-			if a.posWriteCheck != nil {
-				a.posWriteCheck(step, i, np)
-			}
 			localKin += 0.5 * v.norm() * v.norm()
 			c.Compute(30)
 		}
@@ -242,17 +204,11 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 
 	if c.ID == 0 {
 		maxErr := 0.0
-		got := make([]vec3, n)
 		for i := 0; i < n; i++ {
-			p := a.readVec(c, a.posA, i)
-			got[i] = p
-			d := p.sub(a.wantPos[i])
+			d := a.readVec(c, a.posA, i).sub(a.wantPos[i])
 			if e := d.norm(); e > maxErr {
 				maxErr = e
 			}
-		}
-		if a.check != nil {
-			a.check(got)
 		}
 		if maxErr > 1e-6 {
 			a.v.fail("Water-ns: max position error %g", maxErr)

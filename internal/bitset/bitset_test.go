@@ -88,6 +88,20 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestNewEmpty: a non-positive size yields the empty set, which grows on
+// Add like any other.
+func TestNewEmpty(t *testing.T) {
+	for _, n := range []int{0, -1, -100} {
+		s := New(n)
+		if !s.None() || s.Count() != 0 || s.Min() != -1 {
+			t.Fatalf("New(%d) = %v, want empty", n, s)
+		}
+		if s = s.Add(70); !s.Has(70) || s.Count() != 1 {
+			t.Fatalf("New(%d).Add(70) = %v", n, s)
+		}
+	}
+}
+
 // TestMirrorsMap checks the set against a map-of-bools oracle over random
 // operation sequences, covering growth across word boundaries.
 func TestMirrorsMap(t *testing.T) {

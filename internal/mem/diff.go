@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"iter"
@@ -191,7 +192,7 @@ func appendRunsGeneric(enc, twin, cur []byte, wordBytes int) ([]byte, int) {
 	i := 0
 	for i < n {
 		w := min(wordBytes, n-i)
-		if bytesEqual(twin[i:i+w], cur[i:i+w]) {
+		if bytes.Equal(twin[i:i+w], cur[i:i+w]) {
 			i += w
 			continue
 		}
@@ -199,7 +200,7 @@ func appendRunsGeneric(enc, twin, cur []byte, wordBytes int) ([]byte, int) {
 		start := i
 		for i < n {
 			w = min(wordBytes, n-i)
-			if bytesEqual(twin[i:i+w], cur[i:i+w]) {
+			if bytes.Equal(twin[i:i+w], cur[i:i+w]) {
 				break
 			}
 			i += w
@@ -339,18 +340,6 @@ func (m *Merger) appendPresent(enc []byte, lo, hi int) ([]byte, int) {
 		runs++
 	}
 	return enc, runs
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteNotice records that a processor modified a page outside of critical

@@ -249,6 +249,46 @@ func TestMakeDiffBadWordSize(t *testing.T) {
 	}
 }
 
+// TestMisuseIsDiagnosed: a twin and a page of different sizes, diffs of
+// two pages merged into one, and an allocation of no bytes are panics that
+// name the mistake, not a wrong diff or a zero-sized region.
+func TestMisuseIsDiagnosed(t *testing.T) {
+	cur := make([]byte, 64)
+	cur[3] = 1
+	for _, tc := range []struct {
+		what, want string
+		f          func()
+	}{
+		{"MakeDiff of a short twin", "mem: diff size mismatch 32 vs 64", func() { MakeDiff(0, make([]byte, 32), cur, 4) }},
+		{"Merge across pages", "mem: merging diffs of pages 0 and 1", func() {
+			NewMerger(64).Merge(MakeDiff(0, make([]byte, 64), cur, 4), MakeDiff(1, make([]byte, 64), cur, 4))
+		}},
+		{"Alloc of zero bytes", `mem: allocation "x" with non-positive size 0`, func() { NewSpace(64).Alloc("x", 0, 0) }},
+	} {
+		if msg := mustPanic(t, tc.what, tc.f); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: panic %q, want %q", tc.what, msg, tc.want)
+		}
+	}
+}
+
+// TestRunsStopsAtBreak: a range over Runs that breaks sees no further run
+// (the iterator honours yield's false, as range-over-func requires).
+func TestRunsStopsAtBreak(t *testing.T) {
+	twin, cur := make([]byte, 64), make([]byte, 64)
+	cur[0], cur[20], cur[40] = 1, 2, 3
+	d := MakeDiff(0, twin, cur, 4)
+	var offs []int
+	for off := range d.Runs() {
+		offs = append(offs, off)
+		if len(offs) == 2 {
+			break
+		}
+	}
+	if fmt.Sprint(offs) != "[0 20]" {
+		t.Errorf("runs seen before the break = %v, want [0 20]", offs)
+	}
+}
+
 // TestProcMemMakeDiff: the entry point the protocols use yields the package
 // function's encoding, and a diff owns its bytes — the next compare reuses
 // the processor's scratch without disturbing it.

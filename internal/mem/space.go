@@ -114,12 +114,7 @@ func (s *Space) allocAt(name string, size, home int) Addr {
 }
 
 // InitHome returns the processor holding the initial copy of a page.
-func (s *Space) InitHome(page int) int {
-	if page < len(s.homes) {
-		return s.homes[page]
-	}
-	return 0
-}
+func (s *Space) InitHome(page int) int { return s.homes[page] }
 
 // Rehome reassigns every allocated page's initial home to f(page). The
 // harness uses this after application init to shard homes across a

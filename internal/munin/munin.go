@@ -259,7 +259,6 @@ func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
 		acqReq{lock: lock, from: c.ID}, pr.h.acqReq)
-	c.P.WaitTag = "munin grant"
 	c.P.WaitUntil(func() bool { return st.grant }, stats.Synch)
 	st.inCS++
 	st.curLock = lock
@@ -362,7 +361,6 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 		return
 	}
 	want := sent
-	c.P.WaitTag = "munin flush acks"
 	c.P.WaitUntil(func() bool {
 		return st.homeAcks >= want && st.memAcks >= st.memWanted
 	}, stats.Synch)
@@ -500,7 +498,6 @@ func (pr *Munin) Barrier(c *proto.Ctx) {
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, 0, 0)
 	st.barOut = false
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.h.barArrive)
-	c.P.WaitTag = "munin barrier"
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierDepart, 0, 0)
 	c.Epoch++

@@ -58,9 +58,9 @@ type LockMgr struct {
 	// rep is the replication log, nil unless the fault schedule can crash
 	// a node: runs without crash faults carry no replication traffic.
 	rep *recover.Replicator
-	// failoverCost accumulates, per crashed node, the failover work done
+	// failoverCost accumulates, by crashed node, the failover work done
 	// at the crash instant; the engine charges it to the node at restart.
-	failoverCost map[int]uint64
+	failoverCost []uint64
 }
 
 // SetNumLocks implements NumLocksProvider; it must precede InitLocks.
@@ -101,8 +101,8 @@ func (m *LockMgr) InitLocks(e *sim.Engine, ns, repKind int, coh LockCoherence) {
 		m.locks[i] = ManagedLock{Pred: p, Image: recover.Image{Holder: -1, LastReleaser: -1}}
 	}
 	if e.Faults != nil && e.Faults.HasCrashes() {
-		m.rep = recover.NewReplicator()
-		m.failoverCost = map[int]uint64{}
+		m.rep = recover.NewReplicator(len(m.locks))
+		m.failoverCost = make([]uint64, m.nprocs)
 		e.OnCrash(m.onCrash)
 		e.OnRestart(m.onRestart)
 	}
@@ -243,6 +243,6 @@ func (m *LockMgr) onCrash(node int) {
 // failover cost, which the engine charges to the restarted node.
 func (m *LockMgr) onRestart(node int) uint64 {
 	c := m.failoverCost[node]
-	delete(m.failoverCost, node)
+	m.failoverCost[node] = 0
 	return c
 }

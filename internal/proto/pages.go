@@ -48,7 +48,6 @@ func (h *PageHome) InitPageHome(ctxs []*Ctx, reqKind, repKind int, delta PageDel
 // protocol's delta. It blocks for the round trip.
 func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	c.P.Stats.PageFetches++
-	c.P.WaitTag = "pagereq"
 	rep := c.Call(stats.Data, home, h.reqKind, 8, page, h.serve).(pageReply)
 	c.E.Tracer.Page(c.P.Clock, c.ID, trace.KindPageFetch, page, int64(home), int64(len(rep.data)))
 	// Copy the page in across the memory bus.

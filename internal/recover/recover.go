@@ -34,8 +34,6 @@
 package recover
 
 import (
-	"sort"
-
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/trace"
@@ -134,13 +132,13 @@ type Queue interface {
 // per protocol instance (authoritative, per the package comment) and
 // charges the shipping cost separately.
 type Replicator struct {
-	logs  map[int][]Record
+	logs  [][]Record // by lock id
 	bytes uint64
 }
 
-// NewReplicator returns an empty backup store.
-func NewReplicator() *Replicator {
-	return &Replicator{logs: map[int][]Record{}}
+// NewReplicator returns an empty backup store for lock ids below locks.
+func NewReplicator(locks int) *Replicator {
+	return &Replicator{logs: make([][]Record, locks)}
 }
 
 // Append logs one record and returns its modeled wire size, which the
@@ -155,17 +153,6 @@ func (r *Replicator) Append(rec Record) int {
 // Records returns the log of one lock in append order (shared slice —
 // callers replay, they do not mutate).
 func (r *Replicator) Records(lock int) []Record { return r.logs[lock] }
-
-// Locks lists every lock with a non-empty log, sorted for deterministic
-// failover iteration.
-func (r *Replicator) Locks() []int {
-	ls := make([]int, 0, len(r.logs))
-	for l := range r.logs {
-		ls = append(ls, l)
-	}
-	sort.Ints(ls)
-	return ls
-}
 
 // LoggedBytes is the total modeled wire volume appended so far.
 func (r *Replicator) LoggedBytes() uint64 { return r.bytes }

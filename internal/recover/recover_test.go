@@ -19,7 +19,7 @@ func (r *replayQueue) RecoverEnqueue(proc int)     { r.q.Enqueue(proc) }
 func (r *replayQueue) RecoverRemove(proc int) bool { return r.q.Remove(proc) }
 
 func TestReplayRebuildsQueueAndImage(t *testing.T) {
-	rep := NewReplicator()
+	rep := NewReplicator(8)
 	app := func(rec Record) {
 		if got := rep.Append(rec); got != rec.Bytes() {
 			t.Fatalf("Append returned %d, Bytes()=%d", got, rec.Bytes())
@@ -36,8 +36,11 @@ func TestReplayRebuildsQueueAndImage(t *testing.T) {
 	app(Record{Lock: 3, Op: OpGrant, Proc: 1, Count: 1})
 	app(Record{Lock: 3, Op: OpRelease, Proc: 1, Count: 1, US: []int{2}, Pages: []int{2}})
 
-	if got, want := rep.Locks(), []int{3, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Locks() = %v, want %v", got, want)
+	for lock := range 8 {
+		want := map[int]int{3: 2, 7: 5}[lock]
+		if got := len(rep.Records(lock)); got != want {
+			t.Fatalf("lock %d has %d records, want %d", lock, got, want)
+		}
 	}
 
 	q := &replayQueue{k: lockpolicy.FIFO}
@@ -83,7 +86,7 @@ func TestRecordBytes(t *testing.T) {
 	if got, want := r.Bytes(), 16+8*4; got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
-	rep := NewReplicator()
+	rep := NewReplicator(2)
 	rep.Append(r)
 	rep.Append(Record{Lock: 1, Op: OpEnqueue, Proc: 3})
 	if got, want := rep.LoggedBytes(), uint64(16+8*4+16); got != want {

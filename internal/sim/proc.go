@@ -54,10 +54,6 @@ type Proc struct {
 
 	// svcBusyUntil serializes back-to-back message service on this node.
 	svcBusyUntil Time
-
-	// WaitTag labels what the processor is currently blocked on
-	// (diagnostics only).
-	WaitTag string
 }
 
 // Advance charges cycles to the given category and moves the clock. If the

@@ -39,9 +39,6 @@ func New(n, radix int) Tree {
 // N returns the node count.
 func (t Tree) N() int { return t.n }
 
-// Radix returns the normalized radix (0 = flat).
-func (t Tree) Radix() int { return t.radix }
-
 // Flat reports whether the tree is single-level (every node a direct
 // child of the root).
 func (t Tree) Flat() bool { return t.radix == 0 }

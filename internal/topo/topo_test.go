@@ -10,15 +10,15 @@ func checkTree(t *testing.T, tr Tree) {
 	t.Helper()
 	n := tr.N()
 	if tr.Parent(0) != -1 {
-		t.Fatalf("n=%d radix=%d: root parent = %d", n, tr.Radix(), tr.Parent(0))
+		t.Fatalf("n=%d radix=%d: root parent = %d", n, tr.radix, tr.Parent(0))
 	}
 	if got := tr.SubtreeSize(0); got != n {
-		t.Fatalf("n=%d radix=%d: root subtree = %d", n, tr.Radix(), got)
+		t.Fatalf("n=%d radix=%d: root subtree = %d", n, tr.radix, got)
 	}
 	for i := 1; i < n; i++ {
 		p := tr.Parent(i)
 		if p < 0 || p >= n || p == i {
-			t.Fatalf("n=%d radix=%d: Parent(%d) = %d", n, tr.Radix(), i, p)
+			t.Fatalf("n=%d radix=%d: Parent(%d) = %d", n, tr.radix, i, p)
 		}
 		found := false
 		for _, c := range tr.Children(p) {
@@ -28,7 +28,7 @@ func checkTree(t *testing.T, tr Tree) {
 		}
 		if !found {
 			t.Fatalf("n=%d radix=%d: %d not in Children(%d) = %v",
-				n, tr.Radix(), i, p, tr.Children(p))
+				n, tr.radix, i, p, tr.Children(p))
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -37,18 +37,18 @@ func checkTree(t *testing.T, tr Tree) {
 		for _, c := range tr.Children(i) {
 			if c <= prev {
 				t.Fatalf("n=%d radix=%d: children of %d not ascending: %v",
-					n, tr.Radix(), i, tr.Children(i))
+					n, tr.radix, i, tr.Children(i))
 			}
 			prev = c
 			if tr.Parent(c) != i {
 				t.Fatalf("n=%d radix=%d: Parent(%d) = %d, want %d",
-					n, tr.Radix(), c, tr.Parent(c), i)
+					n, tr.radix, c, tr.Parent(c), i)
 			}
 			sum += tr.SubtreeSize(c)
 		}
 		if sum != tr.SubtreeSize(i) {
 			t.Fatalf("n=%d radix=%d: subtree of %d: children sum %d != size %d",
-				n, tr.Radix(), i, sum, tr.SubtreeSize(i))
+				n, tr.radix, i, sum, tr.SubtreeSize(i))
 		}
 	}
 }
