@@ -49,13 +49,14 @@ lint:
 	! $(GO) build -gcflags=-m=2 ./internal/trace 2>&1 | grep -E 'cannot inline Emitter\.(Event|Lock|LockNote|Page|Diff):'
 
 # Quick differential-checker pass (see docs/TESTING.md for deeper runs),
-# then the three native fuzz targets on a short budget: the diff kernel,
-# the fault-spec parser and the JSONL trace sink.
+# then the four native fuzz targets on a short budget: the diff kernel,
+# the fault-spec parser, the JSONL trace sink and the lap-predict note.
 fuzz:
 	$(GO) run ./cmd/fuzzdsm -iters 50
 	$(GO) test -run '^$$' -fuzz FuzzMakeDiff -fuzztime 20s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 20s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzJSONL -fuzztime 20s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzIntSetNote -fuzztime 20s ./internal/trace/
 
 # The committed sweeps reproduce byte for byte (CI's "Results" step).
 # Two sub-second sweeps that drive manager failover in all three protocols

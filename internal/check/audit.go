@@ -2,8 +2,7 @@ package check
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"aecdsm/internal/lockpolicy"
 	"aecdsm/internal/trace"
@@ -31,9 +30,10 @@ import (
 //     flight while the manager keeps serving requests), so only queued
 //     processors are held to the discipline.
 //  3. Virtual-queue / prediction consistency: a predicted update set
-//     never contains the holder it was computed for, names only real
-//     processors, and lap-hit / lap-miss verdicts agree with the most
-//     recently recorded prediction for the lock.
+//     parses (trace.ParseIntSet), never contains the holder it was
+//     computed for, names only real processors, and lap-hit / lap-miss
+//     verdicts agree with the most recently recorded prediction for the
+//     lock.
 //  4. Twin/diff lifecycle legality: a diff is only created by a
 //     processor with an outstanding twin of the page, which the creation
 //     consumes (TreadMarks banks twins in interval records and diffs
@@ -46,18 +46,41 @@ import (
 //     identity is never applied twice.
 //  6. Barrier phasing: a processor departs its n-th barrier only after
 //     every processor has arrived at it.
+//
+// The model is dense: per-lock and per-processor tables indexed by id
+// (a lock, twin or diff event naming a negative id is itself a
+// violation), grown the first time an id appears. Once they have grown
+// to a run's shape, auditing allocates nothing.
 type Auditor struct {
 	nprocs     int
 	policy     lockpolicy.Kind
 	violations []string
 
-	holder      map[int]int             // lock -> holder, -1 when free
-	queue       map[int][]queueEntry    // lock -> modeled manager waiting queue
-	lastPredict map[int][]int           // lock -> last predicted update set
-	openTwins   map[[2]int]int          // (proc, page) -> outstanding twins
-	applied     map[int]map[uint64]bool // proc -> refs applied this episode
-	arrives     []int
-	departs     []int
+	locks   []lockState // by lock id, grown when a lock is first seen
+	procs   []procState // by processor id, grown the same way
+	arrives []int
+	departs []int
+}
+
+// lockState is the auditor's model of one lock.
+type lockState struct {
+	holder  int          // the holding processor, lockFree or lockUnseen
+	queue   []queueEntry // modeled manager waiting queue
+	predict []int        // last predicted update set
+}
+
+// A lock no grant or release has named yet is unseen: a release of it is
+// out of scope (the stream may have started mid-tenure), while a second
+// release of a lock an earlier release freed is a violation.
+const (
+	lockFree   = -1
+	lockUnseen = -2
+)
+
+// procState is the auditor's model of one processor.
+type procState struct {
+	twins   []int    // by page: outstanding twins
+	applied []uint64 // diff refs applied in the open apply episode
 }
 
 // maxViolations caps the report; a broken protocol can violate thousands
@@ -75,15 +98,11 @@ type queueEntry struct {
 // modeled grant discipline defaults to FIFO; SetPolicy selects another.
 func NewAuditor(nprocs int) *Auditor {
 	return &Auditor{
-		nprocs:      nprocs,
-		policy:      lockpolicy.FIFO,
-		holder:      map[int]int{},
-		queue:       map[int][]queueEntry{},
-		lastPredict: map[int][]int{},
-		openTwins:   map[[2]int]int{},
-		applied:     map[int]map[uint64]bool{},
-		arrives:     make([]int, nprocs),
-		departs:     make([]int, nprocs),
+		nprocs:  nprocs,
+		policy:  lockpolicy.FIFO,
+		procs:   make([]procState, nprocs),
+		arrives: make([]int, nprocs),
+		departs: make([]int, nprocs),
 	}
 }
 
@@ -105,82 +124,34 @@ func (a *Auditor) failf(format string, args ...any) {
 
 // Trace implements trace.Tracer.
 func (a *Auditor) Trace(ev trace.Event) {
+	// Any non-apply event at a processor ends its apply episode: protocols
+	// may legitimately re-apply an inherited diff across separate grants,
+	// but between those applies the processor always observes other
+	// events (message delivery at the very least).
+	if ev.Kind != trace.KindDiffApply && ev.Proc >= 0 && ev.Proc < len(a.procs) {
+		a.procs[ev.Proc].applied = a.procs[ev.Proc].applied[:0]
+	}
 	switch ev.Kind {
-	case trace.KindLockEnqueue:
-		a.queue[ev.Lock] = append(a.queue[ev.Lock], queueEntry{proc: int(ev.Arg)})
-
-	case trace.KindLockGrant:
-		if h, ok := a.holder[ev.Lock]; ok && h >= 0 {
-			a.failf("t%d: lock %d granted to proc %d while held by proc %d",
-				ev.Cycle, ev.Lock, ev.Proc, h)
+	case trace.KindLockEnqueue, trace.KindLockGrant, trace.KindLockRelease,
+		trace.KindLAPPredict, trace.KindLAPHit, trace.KindLAPMiss:
+		if ev.Lock < 0 {
+			a.failf("t%d: %s event names lock %d", ev.Cycle, ev.Kind, ev.Lock)
+			return
 		}
-		a.holder[ev.Lock] = ev.Proc
-		a.auditGrantOrder(ev)
-
-	case trace.KindLockRelease:
-		if h, ok := a.holder[ev.Lock]; ok && h != ev.Proc {
-			a.failf("t%d: lock %d released by proc %d, holder is %d",
-				ev.Cycle, ev.Lock, ev.Proc, h)
+		for len(a.locks) <= ev.Lock {
+			a.locks = append(a.locks, lockState{holder: lockUnseen})
 		}
-		a.holder[ev.Lock] = -1
+		a.traceLock(ev, &a.locks[ev.Lock])
 
-	case trace.KindLAPPredict:
-		set := parseIntSet(ev.Note)
-		holder := int(ev.Arg)
-		for _, q := range set {
-			if q == holder {
-				a.failf("t%d: lock %d update set %v contains its own holder proc %d",
-					ev.Cycle, ev.Lock, set, holder)
-			}
-			if q < 0 || q >= a.nprocs {
-				a.failf("t%d: lock %d update set %v names unknown proc %d",
-					ev.Cycle, ev.Lock, set, q)
-			}
+	case trace.KindTwinCreate, trace.KindDiffCreate, trace.KindDiffApply:
+		if ev.Proc < 0 || ev.Page < 0 {
+			a.failf("t%d: %s event names proc %d, page %d", ev.Cycle, ev.Kind, ev.Proc, ev.Page)
+			return
 		}
-		a.lastPredict[ev.Lock] = set
-
-	case trace.KindLAPHit:
-		to, prev := int(ev.Arg), int(ev.Arg2)
-		if to != prev && !containsInt(a.lastPredict[ev.Lock], to) {
-			a.failf("t%d: lock %d lap-hit for proc %d but prediction was %v (prev holder %d)",
-				ev.Cycle, ev.Lock, to, a.lastPredict[ev.Lock], prev)
+		for len(a.procs) <= ev.Proc {
+			a.procs = append(a.procs, procState{})
 		}
-
-	case trace.KindLAPMiss:
-		to, prev := int(ev.Arg), int(ev.Arg2)
-		if to == prev || containsInt(a.lastPredict[ev.Lock], to) {
-			a.failf("t%d: lock %d lap-miss for proc %d but prediction %v covers it (prev holder %d)",
-				ev.Cycle, ev.Lock, to, a.lastPredict[ev.Lock], prev)
-		}
-
-	case trace.KindTwinCreate:
-		a.openTwins[[2]int{ev.Proc, ev.Page}]++
-
-	case trace.KindDiffCreate:
-		key := [2]int{ev.Proc, ev.Page}
-		if a.openTwins[key] <= 0 {
-			a.failf("t%d: proc %d created a diff of page %d without an outstanding twin",
-				ev.Cycle, ev.Proc, ev.Page)
-		} else if ev.Arg2&2 == 0 {
-			// Arg2 bit 1 marks a saved-twin creation (AEC's speculative
-			// outside diffs): the diff still requires a twin, but the twin
-			// survives for the page's canonical diff later.
-			a.openTwins[key]--
-		}
-
-	case trace.KindDiffApply:
-		if ev.Ref != 0 {
-			set := a.applied[ev.Proc]
-			if set == nil {
-				set = map[uint64]bool{}
-				a.applied[ev.Proc] = set
-			}
-			if set[ev.Ref] {
-				a.failf("t%d: proc %d applied diff #%d (page %d) twice in one episode",
-					ev.Cycle, ev.Proc, ev.Ref, ev.Page)
-			}
-			set[ev.Ref] = true
-		}
+		a.tracePage(ev, &a.procs[ev.Proc])
 
 	case trace.KindBarrierArrive:
 		if ev.Proc >= 0 && ev.Proc < a.nprocs {
@@ -199,20 +170,106 @@ func (a *Auditor) Trace(ev trace.Event) {
 			}
 		}
 	}
-	// Any non-apply event at a processor ends its apply episode: protocols
-	// may legitimately re-apply an inherited diff across separate grants,
-	// but between those applies the processor always observes other
-	// events (message delivery at the very least).
-	if ev.Kind != trace.KindDiffApply {
-		delete(a.applied, ev.Proc)
+}
+
+// traceLock audits one lock or LAP event against the lock's model
+// (invariants 1-3).
+func (a *Auditor) traceLock(ev trace.Event, l *lockState) {
+	switch ev.Kind {
+	case trace.KindLockEnqueue:
+		l.queue = append(l.queue, queueEntry{proc: int(ev.Arg)})
+
+	case trace.KindLockGrant:
+		if l.holder >= 0 {
+			a.failf("t%d: lock %d granted to proc %d while held by proc %d",
+				ev.Cycle, ev.Lock, ev.Proc, l.holder)
+		}
+		l.holder = ev.Proc
+		a.auditGrantOrder(ev, l)
+
+	case trace.KindLockRelease:
+		if l.holder != lockUnseen && l.holder != ev.Proc {
+			a.failf("t%d: lock %d released by proc %d, holder is %d",
+				ev.Cycle, ev.Lock, ev.Proc, l.holder)
+		}
+		l.holder = lockFree
+
+	case trace.KindLAPPredict:
+		set, err := trace.ParseIntSet(l.predict[:0], ev.Note)
+		l.predict = set
+		if err != nil {
+			a.failf("t%d: lock %d lap-predict: %v", ev.Cycle, ev.Lock, err)
+		}
+		holder := int(ev.Arg)
+		for _, q := range set {
+			if q == holder {
+				a.failf("t%d: lock %d update set %v contains its own holder proc %d",
+					ev.Cycle, ev.Lock, set, holder)
+			}
+			if q < 0 || q >= a.nprocs {
+				a.failf("t%d: lock %d update set %v names unknown proc %d",
+					ev.Cycle, ev.Lock, set, q)
+			}
+		}
+
+	case trace.KindLAPHit:
+		to, prev := int(ev.Arg), int(ev.Arg2)
+		if to != prev && !slices.Contains(l.predict, to) {
+			a.failf("t%d: lock %d lap-hit for proc %d but prediction was %v (prev holder %d)",
+				ev.Cycle, ev.Lock, to, l.predict, prev)
+		}
+
+	case trace.KindLAPMiss:
+		to, prev := int(ev.Arg), int(ev.Arg2)
+		if to == prev || slices.Contains(l.predict, to) {
+			a.failf("t%d: lock %d lap-miss for proc %d but prediction %v covers it (prev holder %d)",
+				ev.Cycle, ev.Lock, to, l.predict, prev)
+		}
+	}
+}
+
+// tracePage audits one twin or diff event against its processor's model
+// (invariants 4 and 5).
+func (a *Auditor) tracePage(ev trace.Event, p *procState) {
+	switch ev.Kind {
+	case trace.KindTwinCreate:
+		for len(p.twins) <= ev.Page {
+			p.twins = append(p.twins, 0)
+		}
+		p.twins[ev.Page]++
+
+	case trace.KindDiffCreate:
+		if ev.Page >= len(p.twins) || p.twins[ev.Page] <= 0 {
+			a.failf("t%d: proc %d created a diff of page %d without an outstanding twin",
+				ev.Cycle, ev.Proc, ev.Page)
+		} else if ev.Arg2&2 == 0 {
+			// Arg2 bit 1 marks a saved-twin creation (AEC's speculative
+			// outside diffs): the diff still requires a twin, but the twin
+			// survives for the page's canonical diff later.
+			p.twins[ev.Page]--
+		}
+
+	case trace.KindDiffApply:
+		if ev.Ref != 0 {
+			// A linear scan: on the fuzz seeds the longest episode is 96
+			// refs at 16 processors and 361 at 64 (TreadMarks; the means
+			// are 11 and 46), and the scan is 1 % of a 64-processor
+			// fuzzdsm profile.
+			if slices.Contains(p.applied, ev.Ref) {
+				a.failf("t%d: proc %d applied diff #%d (page %d) twice in one episode",
+					ev.Cycle, ev.Proc, ev.Ref, ev.Page)
+			} else {
+				p.applied = append(p.applied, ev.Ref)
+			}
+		}
 	}
 }
 
 // auditGrantOrder enforces invariant 2 on one grant event: strict
 // head-of-queue order for fifo/mcs, the MaxBypass starvation bound for
 // the reordering policies.
-func (a *Auditor) auditGrantOrder(ev trace.Event) {
-	q := a.queue[ev.Lock]
+func (a *Auditor) auditGrantOrder(ev trace.Event, l *lockState) {
+	q := l.queue
 	i := -1
 	for j, e := range q {
 		if e.proc == ev.Proc {
@@ -239,7 +296,7 @@ func (a *Auditor) auditGrantOrder(ev trace.Event) {
 			}
 		}
 	}
-	a.queue[ev.Lock] = append(q[:i], q[i+1:]...)
+	l.queue = append(q[:i], q[i+1:]...)
 }
 
 // queueProcs flattens a modeled queue to its processor ids for messages.
@@ -249,29 +306,4 @@ func queueProcs(q []queueEntry) []int {
 		out[i] = e.proc
 	}
 	return out
-}
-
-// parseIntSet parses the "[3 7]"-style update-set annotation of a
-// lap-predict event.
-func parseIntSet(note string) []int {
-	note = strings.Trim(note, "[]")
-	if note == "" {
-		return nil
-	}
-	var out []int
-	for _, f := range strings.Fields(note) {
-		if v, err := strconv.Atoi(f); err == nil {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -97,6 +97,107 @@ func TestAuditorFlagsBadStreams(t *testing.T) {
 			t.Fatalf("re-apply across episodes flagged: %v", a.Violations())
 		}
 	})
+	t.Run("release-of-freed-lock", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(grantEv(0, 1))
+		a.Trace(releaseEv(0, 1))
+		a.Trace(releaseEv(0, 1)) // the first release already freed it
+		if len(a.Violations()) == 0 {
+			t.Fatal("release of a freed lock not flagged")
+		}
+	})
+	t.Run("release-of-unseen-lock", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(releaseEv(0, 1)) // the stream may start mid-tenure
+		if vs := a.Violations(); len(vs) != 0 {
+			t.Fatalf("release of a lock no event named before flagged: %v", vs)
+		}
+	})
+	t.Run("predict-own-holder", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(predictEv(0, 2, "[1 2]"))
+		if len(a.Violations()) == 0 {
+			t.Fatal("update set naming its own holder not flagged")
+		}
+	})
+	t.Run("predict-unknown-proc", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(predictEv(0, 1, "[4]"))
+		if len(a.Violations()) == 0 {
+			t.Fatal("update set naming proc >= nprocs not flagged")
+		}
+	})
+	t.Run("hit-outside-prediction", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(predictEv(0, 1, "[2]"))
+		a.Trace(verdictEv(trace.KindLAPHit, 0, 3, 1))
+		if len(a.Violations()) == 0 {
+			t.Fatal("lap-hit outside the recorded prediction not flagged")
+		}
+	})
+	t.Run("miss-inside-prediction", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(predictEv(0, 1, "[3 2]"))
+		a.Trace(verdictEv(trace.KindLAPMiss, 0, 2, 1))
+		if len(a.Violations()) == 0 {
+			t.Fatal("lap-miss inside the recorded prediction not flagged")
+		}
+	})
+	t.Run("malformed-predict-note", func(t *testing.T) {
+		// The real set is [2 3]; a corrupted note must not read as [2],
+		// which would let the lap-miss for proc 3 pass.
+		a := NewAuditor(4)
+		a.Trace(predictEv(0, 1, "[2 3x]"))
+		a.Trace(verdictEv(trace.KindLAPMiss, 0, 3, 1))
+		if len(a.Violations()) == 0 {
+			t.Fatal("unparseable lap-predict note not flagged")
+		}
+	})
+	t.Run("empty-predict-note", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(predictEv(0, 1, "[]"))
+		a.Trace(verdictEv(trace.KindLAPMiss, 0, 3, 1))
+		if vs := a.Violations(); len(vs) != 0 {
+			t.Fatalf("empty update set and a miss flagged: %v", vs)
+		}
+	})
+	t.Run("saved-twin-survives", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(twinCreateEv(1, 5))
+		saved := diffCreateEv(1, 5, 1)
+		saved.Arg2 = 2 // saved-twin creation: the twin stays outstanding
+		a.Trace(saved)
+		a.Trace(diffCreateEv(1, 5, 2)) // the canonical diff consumes it
+		if vs := a.Violations(); len(vs) != 0 {
+			t.Fatalf("canonical diff after a saved-twin diff flagged: %v", vs)
+		}
+		a.Trace(diffCreateEv(1, 5, 3))
+		if len(a.Violations()) == 0 {
+			t.Fatal("diff after the canonical diff consumed the twin not flagged")
+		}
+	})
+	t.Run("double-apply-deep-in-episode", func(t *testing.T) {
+		a := NewAuditor(4)
+		for ref := uint64(1); ref <= 300; ref++ {
+			a.Trace(diffApplyEv(2, int(ref%7), ref))
+		}
+		if vs := a.Violations(); len(vs) != 0 {
+			t.Fatalf("300 distinct applies flagged: %v", vs)
+		}
+		a.Trace(diffApplyEv(2, 1, 1)) // the episode's first ref, 300 applies later
+		if len(a.Violations()) == 0 {
+			t.Fatal("double apply 300 applies deep into an episode not flagged")
+		}
+	})
+	t.Run("negative-ids", func(t *testing.T) {
+		for _, ev := range []trace.Event{grantEv(-1, 1), twinCreateEv(1, -1), diffApplyEv(-1, 0, 9)} {
+			a := NewAuditor(4)
+			a.Trace(ev)
+			if len(a.Violations()) == 0 {
+				t.Errorf("%s naming proc %d, lock %d, page %d not flagged", ev.Kind, ev.Proc, ev.Lock, ev.Page)
+			}
+		}
+	})
 	t.Run("early-barrier-depart", func(t *testing.T) {
 		a := NewAuditor(2)
 		a.Trace(barArriveEv(0))
@@ -126,6 +227,12 @@ func enqueueEv(lock, proc int) trace.Event {
 	return ev
 }
 
+func twinCreateEv(proc, page int) trace.Event {
+	ev := trace.Ev(0, proc, trace.KindTwinCreate)
+	ev.Page = page
+	return ev
+}
+
 func diffCreateEv(proc, page int, ref uint64) trace.Event {
 	ev := trace.Ev(0, proc, trace.KindDiffCreate)
 	ev.Page = page
@@ -137,6 +244,23 @@ func diffApplyEv(proc, page int, ref uint64) trace.Event {
 	ev := trace.Ev(0, proc, trace.KindDiffApply)
 	ev.Page = page
 	ev.Ref = ref
+	return ev
+}
+
+func predictEv(lock, holder int, note string) trace.Event {
+	ev := trace.Ev(0, 0, trace.KindLAPPredict)
+	ev.Lock = lock
+	ev.Arg = int64(holder)
+	ev.Note = note
+	return ev
+}
+
+// verdictEv is a lap-hit or lap-miss: the lock passed from prev to to.
+func verdictEv(kind trace.Kind, lock, to, prev int) trace.Event {
+	ev := trace.Ev(0, 0, kind)
+	ev.Lock = lock
+	ev.Arg = int64(to)
+	ev.Arg2 = int64(prev)
 	return ev
 }
 
@@ -182,5 +306,54 @@ func TestTraceEventsMatchCounters(t *testing.T) {
 		if kind != harness.ProtoIdeal && (fetches == 0 || applies == 0) {
 			t.Errorf("%s: workloads fetched %d pages and applied %d diffs; the comparison is vacuous", kind, fetches, applies)
 		}
+	}
+}
+
+// recording is a trace sink that keeps every event, for replay.
+type recording []trace.Event
+
+func (r *recording) Trace(ev trace.Event) { *r = append(*r, ev) }
+
+// TestAuditorDoesNotAllocate is the auditor's zero-allocation contract:
+// once its per-lock and per-processor tables have grown to a run's shape,
+// auditing that run's events again allocates nothing. The stream is
+// recorded once from a real audited synth run under each protocol that
+// emits one, then replayed into one auditor: the first replay sizes the
+// tables, the measured ones must report 0 allocations and no violation.
+func TestAuditorDoesNotAllocate(t *testing.T) {
+	w := Generate(3, 8)
+	for _, kind := range []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoTM, harness.ProtoMunin} {
+		t.Run(string(kind), func(t *testing.T) {
+			var rec recording
+			res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(kind, 2), apps.NewSynth(w.Cfg), &rec, nil)
+			if res.Deadlocked || res.VerifyErr != nil {
+				t.Fatalf("recording run: deadlocked %v, verify %v", res.Deadlocked, res.VerifyErr)
+			}
+			seen := map[trace.Kind]int{}
+			for _, ev := range rec {
+				seen[ev.Kind]++
+			}
+			for _, k := range []trace.Kind{
+				trace.KindLockEnqueue, trace.KindLockGrant, trace.KindLockRelease, trace.KindLAPPredict,
+				trace.KindTwinCreate, trace.KindDiffCreate, trace.KindDiffApply, trace.KindBarrierDepart,
+			} {
+				if seen[k] == 0 {
+					t.Fatalf("recorded %d events, none %s: the replay is vacuous", len(rec), k)
+				}
+			}
+			a := NewAuditor(w.Procs)
+			replay := func() {
+				for _, ev := range rec {
+					a.Trace(ev)
+				}
+			}
+			replay()
+			if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
+				t.Errorf("auditing %d events allocates %.0f times per replay, want 0", len(rec), allocs)
+			}
+			if vs := a.Violations(); len(vs) != 0 {
+				t.Errorf("replays flagged: %v", vs)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@
 package lap
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"aecdsm/internal/lockpolicy"
@@ -48,6 +48,7 @@ type Predictor struct {
 	pendWaitQ    int // -1 if the waiting queue offered no candidate
 	pendWaitAff  []int
 	pendWaitVirt []int
+	note         []byte // reused encoding of pendFull for lap-predict
 
 	Stats Stats
 
@@ -221,7 +222,7 @@ func (p *Predictor) Granted(to, prev int) {
 		p.Stats.Evaluated++
 		if p.Tracer.On() {
 			kind := trace.KindLAPMiss
-			if to == prev || contains(p.pendFull, to) {
+			if to == prev || slices.Contains(p.pendFull, to) {
 				kind = trace.KindLAPHit
 			}
 			p.Tracer.Lock(p.now(), p.Mgr, kind, p.Lock, int64(to), int64(prev))
@@ -233,16 +234,16 @@ func (p *Predictor) Granted(to, prev int) {
 			p.Stats.HitWaitAff++
 			p.Stats.HitWaitVirt++
 		} else {
-			if contains(p.pendFull, to) {
+			if slices.Contains(p.pendFull, to) {
 				p.Stats.HitFull++
 			}
 			if p.pendWaitQ == to {
 				p.Stats.HitWaitQ++
 			}
-			if p.pendWaitQ == to || contains(p.pendWaitAff, to) {
+			if p.pendWaitQ == to || slices.Contains(p.pendWaitAff, to) {
 				p.Stats.HitWaitAff++
 			}
-			if p.pendWaitQ == to || contains(p.pendWaitVirt, to) {
+			if p.pendWaitQ == to || slices.Contains(p.pendWaitVirt, to) {
 				p.Stats.HitWaitVirt++
 			}
 		}
@@ -260,7 +261,8 @@ func (p *Predictor) Granted(to, prev int) {
 	p.pendWaitAff = p.techniqueWaitAff(to)
 	p.pendWaitVirt = p.techniqueWaitVirt(to)
 	if p.Tracer.On() {
-		p.Tracer.LockNote(p.now(), p.Mgr, trace.KindLAPPredict, p.Lock, int64(to), fmt.Sprint(p.pendFull))
+		p.note = trace.AppendIntSet(p.note[:0], p.pendFull)
+		p.Tracer.LockNote(p.now(), p.Mgr, trace.KindLAPPredict, p.Lock, int64(to), string(p.note))
 	}
 }
 
@@ -315,7 +317,7 @@ func (p *Predictor) UpdateSet(holder int) []int {
 	row := p.aff[holder*p.nprocs : (holder+1)*p.nprocs]
 	us := make([]int, 0, p.ns)
 	add := func(q int) bool {
-		if q == holder || contains(us, q) {
+		if q == holder || slices.Contains(us, q) {
 			return len(us) < p.ns
 		}
 		us = append(us, q)
@@ -388,15 +390,6 @@ func (p *Predictor) techniqueWaitVirt(holder int) []int {
 // Affinity returns the transfer count from -> to.
 func (p *Predictor) Affinity(from, to int) uint32 {
 	return p.aff[from*p.nprocs+to]
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // sortByAffinity orders processor ids by descending affinity count,

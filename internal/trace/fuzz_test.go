@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,6 +71,58 @@ func FuzzJSONL(f *testing.F) {
 		c.Close()
 		if !json.Valid(buf.Bytes()) {
 			t.Fatalf("%+v: Chrome document is not JSON:\n%s", ev, buf.String())
+		}
+	})
+}
+
+// FuzzIntSetNote checks the lap-predict note format from both ends. The
+// ids varint-decoded from raw must encode to the bytes fmt.Sprint writes
+// and parse back to themselves after a prefix already in dst. An
+// arbitrary note must not panic ParseIntSet; if it parses, it is exactly
+// what AppendIntSet writes for the parsed ids, and if it does not, dst
+// comes back unchanged. The seed corpus is below plus
+// testdata/fuzz/FuzzIntSetNote; CI gives it a short budget
+// (`go test -fuzz FuzzIntSetNote ./internal/trace`).
+func FuzzIntSetNote(f *testing.F) {
+	for _, note := range []string{
+		"[]", "[3 7]", "[0]", "[-1 15]", "[9223372036854775807 -9223372036854775808]",
+		"", "[", "]", "[2 3x]", "[ 1]", "[1 ]", "[1  2]", "[+1]", "[-0]", "[01]", "[-]",
+		"[9223372036854775808]", "3 7", "[[3]]",
+	} {
+		f.Add(note, []byte{6, 14, 1})
+	}
+	f.Fuzz(func(t *testing.T, note string, raw []byte) {
+		var set []int
+		for len(raw) > 0 {
+			v, n := binary.Varint(raw)
+			if n <= 0 {
+				break
+			}
+			set = append(set, int(v))
+			raw = raw[n:]
+		}
+		enc := AppendIntSet(nil, set)
+		if want := fmt.Sprint(set); string(enc) != want {
+			t.Fatalf("AppendIntSet(%v) = %q, fmt.Sprint gives %q", set, enc, want)
+		}
+		prefix := []int{42}
+		got, err := ParseIntSet(prefix, string(enc))
+		if err != nil || !slices.Equal(got[1:], set) || got[0] != 42 {
+			t.Fatalf("%q parses to %v, %v; want [42] followed by %v", enc, got, err, set)
+		}
+
+		got, err = ParseIntSet([]int{42}, note)
+		if err != nil {
+			if !slices.Equal(got, prefix) {
+				t.Fatalf("rejected %q (%v) but dst became %v", note, err, got)
+			}
+			return
+		}
+		if got[0] != 42 {
+			t.Fatalf("%q overwrote dst: %v", note, got)
+		}
+		if back := AppendIntSet(nil, got[1:]); string(back) != note {
+			t.Fatalf("accepted %q as %v, which encodes to %q", note, got[1:], back)
 		}
 	})
 }

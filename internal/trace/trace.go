@@ -29,6 +29,12 @@
 // taxonomy and worked examples.
 package trace
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
 // Kind labels a protocol event. The taxonomy covers the paper's cost
 // attribution: lock protocol, LAP prediction, page faults and fetches,
 // twin/diff lifecycle, write notices, barriers, and messaging.
@@ -56,7 +62,9 @@ const (
 	// (virtual-queue insertion). Proc = manager, Arg = notifying processor.
 	KindLAPNotice
 	// KindLAPPredict: the manager computes an update set for a new holder.
-	// Proc = manager, Arg = holder, Note = the update set, e.g. "[3 7]".
+	// Proc = manager, Arg = holder, Note = the update set in the form
+	// fmt.Sprint gives an []int: the ids in brackets, one space apart, as
+	// in "[3 7]" or "[]" (AppendIntSet writes it, ParseIntSet reads it).
 	KindLAPPredict
 	// KindLAPHit: the recorded prediction named the actual next acquirer.
 	// Proc = manager, Arg = actual acquirer, Arg2 = previous holder.
@@ -153,6 +161,46 @@ const (
 
 	numKinds
 )
+
+// AppendIntSet appends the lap-predict note of set to b: the bytes
+// fmt.Sprint(set) would produce, without boxing the slice.
+func AppendIntSet(b []byte, set []int) []byte {
+	b = append(b, '[')
+	for i, v := range set {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+// ParseIntSet appends the ids of a lap-predict note to dst. It accepts
+// exactly what AppendIntSet writes; anything else — a missing bracket, a
+// stray space, a sign or leading zero AppendIntSet never writes, a number
+// out of range — is an error, and dst comes back unchanged, so a
+// corrupted note never reads as a smaller set.
+func ParseIntSet(dst []int, note string) ([]int, error) {
+	body, ok := strings.CutPrefix(note, "[")
+	if ok {
+		body, ok = strings.CutSuffix(body, "]")
+	}
+	if !ok {
+		return dst, fmt.Errorf("trace: int-set note %q is not bracketed", note)
+	}
+	n := len(dst)
+	for body != "" {
+		tok, rest, more := strings.Cut(body, " ")
+		v, err := strconv.Atoi(tok)
+		digits := strings.TrimPrefix(tok, "-")
+		if err != nil || digits[0] == '+' || digits[0] == '0' && tok != "0" || more && rest == "" {
+			return dst[:n], fmt.Errorf("trace: int-set note %q has a malformed element %q", note, tok)
+		}
+		dst = append(dst, v)
+		body = rest
+	}
+	return dst, nil
+}
 
 var kindNames = [numKinds]string{
 	KindRunStart:      "run-start",
