@@ -88,7 +88,8 @@ func NewProtocol(name string, ns int) (Protocol, error) {
 }
 
 // NewApp builds an application by name at the given problem scale
-// ((0,1]; 1.0 = the paper's configuration).
+// ((0,1]; 1.0 = the paper's configuration). A scale outside (0,1] is an
+// error.
 func NewApp(name string, scale float64) (Program, error) {
 	return NewAppSeeded(name, scale, 0)
 }
@@ -99,6 +100,9 @@ func NewAppSeeded(name string, scale float64, baseSeed uint64) (Program, error) 
 	factory, ok := apps.Registry[name]
 	if !ok {
 		return nil, fmt.Errorf("aecdsm: unknown app %q (have %v)", name, Apps())
+	}
+	if err := apps.CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("aecdsm: %w", err)
 	}
 	return factory(apps.Config{Scale: scale, BaseSeed: baseSeed}), nil
 }
@@ -111,7 +115,8 @@ type Config struct {
 	Protocol string
 	// App is one of Apps(); default "IS".
 	App string
-	// Scale shrinks the problem size ((0,1]; default 1.0).
+	// Scale shrinks the problem size ((0,1]; 0 means the default 1.0, any
+	// other value outside (0,1] is an error).
 	Scale float64
 	// Ns is the LAP update-set size of AEC and Munin+LAP (0 = default 2;
 	// negative is an error).

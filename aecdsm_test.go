@@ -3,6 +3,7 @@ package aecdsm_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +52,27 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := aecdsm.NewApp("bogus", 1); err == nil {
 		t.Fatal("NewApp accepted bogus name")
+	}
+}
+
+// TestFacadeScale holds the library to the CLIs' scale range: a scale
+// outside (0,1] is refused, not run at the paper's size.
+func TestFacadeScale(t *testing.T) {
+	for _, scale := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if _, err := aecdsm.NewApp("IS", scale); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Errorf("NewApp(IS, %v) error = %v, want the scale refused", scale, err)
+		}
+		if _, err := aecdsm.NewAppSeeded("IS", scale, 7); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Errorf("NewAppSeeded(IS, %v, 7) error = %v, want the scale refused", scale, err)
+		}
+	}
+	if _, err := aecdsm.Run(aecdsm.Config{Scale: 2}); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+		t.Errorf("Run(Scale: 2) error = %v, want the scale refused", err)
+	}
+	for _, scale := range []float64{0.05, 1} {
+		if _, err := aecdsm.NewApp("IS", scale); err != nil {
+			t.Errorf("NewApp(IS, %v): %v", scale, err)
+		}
 	}
 }
 

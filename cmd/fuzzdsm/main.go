@@ -258,8 +258,14 @@ func crossPolicyDiffs(perPolicy []*check.Report) []string {
 				orFIFO(ref.Workload.Policy), a.Final, orFIFO(rep.Workload.Policy), b.Final))
 			continue
 		}
+		if len(a.Phases) != len(b.Phases) {
+			diffs = append(diffs, fmt.Sprintf(
+				"phase count mismatch across policies: %s=%d vs %s=%d",
+				orFIFO(ref.Workload.Policy), len(a.Phases), orFIFO(rep.Workload.Policy), len(b.Phases)))
+			continue
+		}
 		for p := range a.Phases {
-			if p < len(b.Phases) && a.Phases[p] != b.Phases[p] {
+			if a.Phases[p] != b.Phases[p] {
 				diffs = append(diffs, fmt.Sprintf(
 					"phase %d checksum mismatch across policies: %s=%016x vs %s=%016x",
 					p, orFIFO(ref.Workload.Policy), a.Phases[p], orFIFO(rep.Workload.Policy), b.Phases[p]))

@@ -186,13 +186,6 @@ func (pr *AEC) Notice(c *proto.Ctx, lock int) {
 	}
 }
 
-// merge2 merges two diffs of one page (either may be nil). The result is
-// caller-owned (archived in diff stores), so this uses the allocating
-// Merge; only the page-sized scratch is reused.
-func (pr *AEC) merge2(a, b *mem.Diff) *mem.Diff {
-	return pr.merger.Merge(a, b)
-}
-
 // archiveOutside stores a finalized outside diff for (page, step), merged
 // over the one already archived for that step.
 func (st *procState) archiveOutside(pr *AEC, page, step int, d *mem.Diff) {
@@ -202,7 +195,7 @@ func (st *procState) archiveOutside(pr *AEC, page, step int, d *mem.Diff) {
 	p := &st.pages[page]
 	i, ok := slices.BinarySearchFunc(p.archive, step, byStep)
 	if ok {
-		p.archive[i].d = pr.merge2(p.archive[i].d, d)
+		p.archive[i].d = pr.merger.Merge(p.archive[i].d, d)
 		return
 	}
 	p.archive = slices.Insert(p.archive, i, stepDiff{step: step, d: d})
@@ -211,16 +204,11 @@ func (st *procState) archiveOutside(pr *AEC, page, step int, d *mem.Diff) {
 // chargeDiffCreate charges the processor-side cost of creating a diff for
 // one page (scan of the whole page plus memory traffic for the modified
 // words) and records Table 4 statistics. hidden marks work overlapped with
-// a synchronization stall.
-func (pr *AEC) chargeDiffCreate(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden bool) {
-	pr.chargeDiffCreateOpt(c, d, cat, hidden, false)
-}
-
-// chargeDiffCreateOpt is chargeDiffCreate plus the saved-twin marker:
-// speculative outside diffs (§3.2) keep the page's twin so they can be
-// discarded at release, and the trace event says so (Arg2 bit 1) so the
-// invariant auditor's twin/diff lifecycle model stays exact.
-func (pr *AEC) chargeDiffCreateOpt(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden, savedTwin bool) {
+// a synchronization stall. savedTwin marks a speculative outside diff
+// (§3.2), which keeps the page's twin so it can be discarded at release;
+// the trace event says so (Arg2 bit 1) so the invariant auditor's
+// twin/diff lifecycle model stays exact.
+func (pr *AEC) chargeDiffCreate(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden, savedTwin bool) {
 	pp := &pr.e.Params
 	cost := pp.DiffCycles(pr.pageSize)
 	dataBytes := 0
@@ -241,10 +229,12 @@ func (pr *AEC) chargeDiffCreateOpt(c *proto.Ctx, d *mem.Diff, cat stats.Category
 	c.P.Advance(cost, cat)
 }
 
-// chargeDiffApply charges applying a diff to a local page. Every caller
+// applyDiff charges this processor for applying a diff to a local page,
+// counts and traces the application, and patches the frame. Every caller
 // holds a diff: chains, pushes, fetch replies and write-notice replies
-// carry no nil entry.
-func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden bool) {
+// carry no nil entry. The mutation switch emits the event twice and drops
+// the diff's last run.
+func (pr *AEC) applyDiff(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden bool) {
 	pp := &pr.e.Params
 	cost := pp.DiffCycles(d.DataBytes())
 	cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(d.DataBytes()))
@@ -258,11 +248,6 @@ func (pr *AEC) chargeDiffApply(c *proto.Ctx, d *mem.Diff, cat stats.Category, hi
 		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))
 	}
 	c.P.Advance(cost, cat)
-}
-
-// applyDiffData patches a diff into the local frame (the mutation switch
-// drops its last run).
-func (pr *AEC) applyDiffData(c *proto.Ctx, d *mem.Diff) {
 	if MutateDiffApply {
 		short := &mem.Diff{Page: d.Page}
 		var off int

@@ -121,15 +121,12 @@ func (pr *AEC) barrierOverlapUnit(c *proto.Ctx, st *procState) bool {
 // makeOutsideDiff finalizes the outside diff of a dirty page for its twin
 // step, archiving it for later write-notice fetches. The page's twin is
 // released and the page write-protected (next write re-twins in the new
-// step).
+// step). Every caller finds pg in dirtyOutside, and a page is in
+// dirtyOutside exactly while its frame holds the outside twin.
 func (pr *AEC) makeOutsideDiff(c *proto.Ctx, st *procState, pg int, cat stats.Category, hidden bool) {
 	f := c.M.Frame(pg)
-	if f.Twin == nil {
-		st.dirtyOutside.Remove(pg)
-		return
-	}
 	d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
-	pr.chargeDiffCreate(c, d, cat, hidden)
+	pr.chargeDiffCreate(c, d, cat, hidden, false)
 	// The speculative diff is read after the charge: a lazyOutsideDiff
 	// serviced meanwhile may have merged and recycled it already, and
 	// then it is gone from outsideDiff (ROADMAP item 1(a)).
@@ -150,13 +147,11 @@ func (pr *AEC) archiveEarly(c *proto.Ctx, st *procState, pg int) {
 
 // lazyOutsideDiff is the service-context version used when a write-notice
 // diff request arrives for a page that was never eagerly diffed; the cost
-// lands on the servicing (writer) node.
+// lands on the servicing (writer) node. Its caller finds pg in
+// dirtyOutside, so the frame holds the outside twin.
 func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 	ctx := pr.ctxs[st.id]
 	f := ctx.M.Frame(pg)
-	if f.Twin == nil {
-		return
-	}
 	pp := &pr.e.Params
 	d := ctx.M.MakeTransientDiff(pg, f.Twin, pp.WordBytes)
 	cost := pp.DiffCycles(pr.pageSize)
@@ -177,7 +172,7 @@ func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 func (pr *AEC) archiveTwinStep(m *mem.ProcMem, st *procState, pg int, f *mem.Frame, d *mem.Diff) {
 	p := &st.pages[pg]
 	spec := p.outsideDiff
-	st.archiveOutside(pr, pg, p.twinStep, pr.merge2(spec, d))
+	st.archiveOutside(pr, pg, p.twinStep, pr.merger.Merge(spec, d))
 	m.RecycleDiff(spec)
 	m.RecycleDiff(d)
 	p.outsideDiff, p.twinStep = nil, 0
@@ -399,17 +394,8 @@ func (pr *AEC) handleBarDiff(s *sim.Svc, m *sim.Msg) {
 	bd := m.Payload.(barDiffMsg)
 	st := pr.ps[m.To]
 	ctx := pr.ctxs[m.To]
-	pp := &pr.e.Params
-	f := ctx.M.Frame(bd.page)
-	if f.Valid {
-		cost := pp.DiffCycles(bd.diff.DataBytes())
-		s.Charge(cost)
-		s.ChargeMem(bd.diff.DataBytes())
-		ctx.P.Stats.DiffApplyCycles += cost
-		ctx.P.Stats.DiffApplyHidden += cost
-		ctx.P.Stats.DiffsApplied++
-		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, bd.page, bd.diff.ID, int64(bd.diff.DataBytes()), 1)
-		ctx.PatchDiff(bd.diff)
+	if ctx.M.Frame(bd.page).Valid {
+		ctx.ServeDiff(s, bd.diff, true)
 	}
 	st.barDiffsGot++
 	s.Wake(s.P)

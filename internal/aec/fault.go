@@ -51,13 +51,11 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 		lock := st.curLock
 		if lc := st.lock(lock); lc.has(page) {
 			if d := chainDiff(lc.inherited, page); d != nil {
-				pr.chargeDiffApply(c, d, stats.Data, false)
-				pr.applyDiffData(c, d)
+				pr.applyDiff(c, d, stats.Data, false)
 			} else if owner := lc.lastOwner; owner >= 0 && owner != c.ID {
 				diffs := pr.fetchLockDiffs(c, lock, owner, []int{page}, stats.Data)
 				for _, d := range diffs {
-					pr.chargeDiffApply(c, d, stats.Data, false)
-					pr.applyDiffData(c, d)
+					pr.applyDiff(c, d, stats.Data, false)
 					lc.inherited = withDiff(lc.inherited, d)
 				}
 			}
@@ -75,8 +73,7 @@ func (pr *AEC) validateFault(c *proto.Ctx, st *procState, page int, f *mem.Frame
 			if owner := st.lock(lock).lastOwner; owner >= 0 && owner != c.ID {
 				diffs := pr.fetchLockDiffs(c, lock, owner, []int{page}, stats.Data)
 				for _, d := range diffs {
-					pr.chargeDiffApply(c, d, stats.Data, false)
-					pr.applyDiffData(c, d)
+					pr.applyDiff(c, d, stats.Data, false)
 				}
 			}
 		}
@@ -166,8 +163,7 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 	// touch disjoint words in race-free programs).
 	slices.SortStableFunc(st.wnGot, func(a, b stepDiff) int { return cmp.Compare(a.step, b.step) })
 	for _, fd := range st.wnGot {
-		pr.chargeDiffApply(c, fd.d, stats.Data, false)
-		pr.applyDiffData(c, fd.d)
+		pr.applyDiff(c, fd.d, stats.Data, false)
 	}
 	st.wnGot = st.wnGot[:0]
 }

@@ -117,8 +117,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 				// charge, the applied flags belong to the buffer this
 				// iteration's diff was read from, not the replacement.
 				buf.applied = buf.applied.Add(pg)
-				pr.chargeDiffApply(c, d, stats.Synch, false)
-				pr.applyDiffData(c, d)
+				pr.applyDiff(c, d, stats.Synch, false)
 			}
 		}
 		lc.recv = nil
@@ -164,8 +163,7 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lc *lockChain) bool {
 			// Publish before the apply charge (see the grant path).
 			st.pages[pg].lastAccess = st.step
 			buf.applied = buf.applied.Add(pg)
-			pr.chargeDiffApply(c, d, stats.Synch, true)
-			pr.applyDiffData(c, d)
+			pr.applyDiff(c, d, stats.Synch, true)
 			return true
 		}
 	}
@@ -180,7 +178,7 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lc *lockChain) bool {
 		// Transient: recycled when it leaves outsideDiff, discarded at
 		// Release or merged into the step's final diff.
 		d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
-		pr.chargeDiffCreateOpt(c, d, stats.Synch, true, true)
+		pr.chargeDiffCreate(c, d, stats.Synch, true, true)
 		if d == nil {
 			// Page was re-written with identical contents; treat as
 			// clean for this interval.
@@ -288,13 +286,13 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 	for _, pg := range st.snapshot(st.dirtyInside) {
 		f := c.M.Frame(pg)
 		d := c.M.MakeTransientDiff(pg, f.Twin, pr.e.Params.WordBytes)
-		pr.chargeDiffCreate(c, d, stats.Synch, false)
+		pr.chargeDiffCreate(c, d, stats.Synch, false, false)
 		if d != nil {
 			i, ok := chainIndex(merged, pg)
 			if !ok {
 				merged = slices.Insert(merged, i, nil)
 			}
-			m := pr.merge2(merged[i], d)
+			m := pr.merger.Merge(merged[i], d)
 			merged[i] = m
 			c.M.RecycleDiff(d)
 			if ok {

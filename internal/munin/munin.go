@@ -85,8 +85,10 @@ type Munin struct {
 }
 
 type procState struct {
-	id    int
-	dirty bitset.Set // pages with live twins since the last flush
+	id int
+	// dirty is the pages written since the last flush. Each was twinned
+	// by its write fault and keeps the twin until flush drops it.
+	dirty bitset.Set
 	// fetching is the page whose base fetch is in flight, -1 if none: the
 	// fetch is synchronous, so there is at most one. stale marks a fetch
 	// crossed by an invalidation or update (the reply data serialized
@@ -200,7 +202,7 @@ func (pr *Munin) Fault(c *proto.Ctx, page int, write bool) {
 	if !f.Valid {
 		pp := &pr.e.Params
 		var local *mem.Diff
-		if st.dirty.Has(page) && f.Twin != nil {
+		if st.dirty.Has(page) {
 			local = c.M.MakeTransientDiff(page, f.Twin, pp.WordBytes)
 			cost := pp.DiffCycles(pr.pageSize)
 			c.P.Stats.DiffCreateCycles += cost
@@ -332,11 +334,7 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 	sent := 0
 	pp := &pr.e.Params
 	for _, pg := range pages {
-		f := c.M.Frame(pg)
-		if f.Twin == nil {
-			continue
-		}
-		d := c.M.MakeTransientDiff(pg, f.Twin, pp.WordBytes)
+		d := c.M.MakeTransientDiff(pg, c.M.Frame(pg).Twin, pp.WordBytes)
 		cost := pp.DiffCycles(pr.pageSize)
 		cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
 		c.P.Stats.DiffCreateCycles += cost
@@ -380,17 +378,10 @@ func (pr *Munin) flush(c *proto.Ctx, st *procState, us []int, restrict bool) {
 func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 	u := m.Payload.(updateMsg)
 	ctx := pr.ctxs[m.To]
-	pp := &pr.e.Params
 
 	// Apply locally (the home always stays current).
 	if m.To != u.releaser {
-		cost := pp.DiffCycles(u.diff.DataBytes())
-		s.Charge(cost)
-		s.ChargeMem(u.diff.DataBytes())
-		ctx.P.Stats.DiffsApplied++
-		ctx.P.Stats.DiffApplyCycles += cost
-		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, u.page, u.diff.ID, int64(u.diff.DataBytes()), 0)
-		ctx.PatchDiff(u.diff)
+		ctx.ServeDiff(s, u.diff, false)
 	}
 
 	inUS := func(q int) bool {
@@ -456,19 +447,12 @@ func (pr *Munin) handleMemberAck(s *sim.Svc, m *sim.Msg) {
 func (pr *Munin) handleFwdUpdate(s *sim.Svc, m *sim.Msg) {
 	u := m.Payload.(fwdMsg)
 	ctx := pr.ctxs[m.To]
-	pp := &pr.e.Params
 	f := ctx.M.Frame(u.page)
 	if st := pr.ps[m.To]; !f.Valid && st.fetching == u.page {
 		st.stale = true
 	}
 	if f.Valid {
-		cost := pp.DiffCycles(u.diff.DataBytes())
-		s.Charge(cost)
-		s.ChargeMem(u.diff.DataBytes())
-		ctx.P.Stats.DiffsApplied++
-		ctx.P.Stats.DiffApplyCycles += cost
-		pr.e.Tracer.Diff(s.Now, m.To, trace.KindDiffApply, u.page, u.diff.ID, int64(u.diff.DataBytes()), 0)
-		ctx.PatchDiff(u.diff)
+		ctx.ServeDiff(s, u.diff, false)
 	}
 	s.Send(u.releaser, kMemberAck, 8, nil, pr.h.memberAck)
 }

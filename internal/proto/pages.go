@@ -104,3 +104,21 @@ func (c *Ctx) PatchDiff(d *mem.Diff) {
 		c.P.Cache.InvalidateRange(base+off, len(data))
 	}
 }
+
+// ServeDiff applies a diff to this processor's frame in service context:
+// the handler s pays for patching the diff's data and the memory traffic,
+// the cycles are counted as applied (hidden behind a synchronization stall
+// when hidden), and the diff-apply event is stamped at the service's clock.
+func (c *Ctx) ServeDiff(s *sim.Svc, d *mem.Diff, hidden bool) {
+	data := d.DataBytes()
+	cost := c.E.Params.DiffCycles(data)
+	s.Charge(cost)
+	s.ChargeMem(data)
+	c.P.Stats.DiffApplyCycles += cost
+	if hidden {
+		c.P.Stats.DiffApplyHidden += cost
+	}
+	c.P.Stats.DiffsApplied++
+	c.E.Tracer.Diff(s.Now, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(data), trace.Flag(hidden))
+	c.PatchDiff(d)
+}

@@ -45,6 +45,10 @@ func TestRunAggregation(t *testing.T) {
 	if r.FaultCycles() != 400 {
 		t.Fatal("fault cycles")
 	}
+	// A run with no processors has had no barrier, not a division by zero.
+	if n := NewRun("app", "proto", 0).BarrierEvents(); n != 0 {
+		t.Fatalf("barrier events of a run without processors = %d, want 0", n)
+	}
 }
 
 func TestDiffStats(t *testing.T) {

@@ -150,10 +150,9 @@ func (pr *TM) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 	bytes := 0
 	for _, seq := range req.seqs {
 		rec := pr.closed(m.To, seq, m.From, req.page)
-		if d := pr.svcDiff(s, st, rec, req.page); d != nil {
-			rq.fetched = append(rq.fetched, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
-			bytes += d.EncodedBytes() + 4*pr.nprocs
-		}
+		d := pr.svcDiff(s, st, rec, req.page)
+		rq.fetched = append(rq.fetched, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
+		bytes += d.EncodedBytes() + 4*pr.nprocs
 	}
 	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, nil)
 }

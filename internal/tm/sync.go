@@ -144,11 +144,9 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 				continue
 			}
 			rec := st.ivals[wn.seq-1]
-			if d := pr.svcDiff(s, st, rec, wn.page); d != nil {
-				g.piggy = append(g.piggy,
-					ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
-				size += d.EncodedBytes() + 4*pr.nprocs
-			}
+			d := pr.svcDiff(s, st, rec, wn.page)
+			g.piggy = append(g.piggy, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
+			size += d.EncodedBytes() + 4*pr.nprocs
 		}
 	}
 	s.Send(req.to, kGrant, size, g, pr.h.grant)

@@ -514,13 +514,13 @@ func (pr *TM) closeInterval(c *proto.Ctx, st *tmProc) {
 		twins: make([][]byte, len(pages)),
 		diffs: make([]*mem.Diff, len(pages)),
 	}
+	// Every dirty page was twinned by its write fault, and only here does
+	// its twin leave the frame: each page's twin moves into the interval.
 	for i, pg := range pages {
 		f := c.M.Frame(pg)
-		if f.Twin != nil {
-			rec.twins[i] = f.Twin
-			f.Twin = nil
-			st.pages[pg].undiffed = rec
-		}
+		rec.twins[i] = f.Twin
+		f.Twin = nil
+		st.pages[pg].undiffed = rec
 		writeProtect(f)
 		pr.logNotice(pg, st.id, rec.seq)
 	}
@@ -566,54 +566,42 @@ func (pr *TM) closed(holder, seq, asker, page int) *interval {
 	return ivals[seq-1]
 }
 
-// forceDiff materializes the diff of an undiffed interval for a page, on
-// the generator's critical path. cat attributes the cost (Data when forced
-// by a local re-twin, reported by Svc-based callers separately).
+// forceDiff materializes the diff of the page's undiffed interval, on the
+// generator's critical path; every caller checks undiffed first. cat
+// attributes the cost (Data when forced by a local re-twin).
 func (pr *TM) forceDiff(c *proto.Ctx, st *tmProc, pg int, cat stats.Category) {
-	rec := st.pages[pg].undiffed
-	if rec == nil {
-		return
-	}
-	i := rec.slot(pg)
-	d := c.M.MakeDiff(pg, rec.twins[i], pr.e.Params.WordBytes)
 	pp := &pr.e.Params
-	cost := pp.DiffCycles(pr.pageSize)
-	cost += c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
-	c.P.Stats.DiffCreateCycles += cost
-	if d != nil {
-		c.P.Stats.DiffsCreated++
-		c.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
-	}
-	if d == nil {
-		d = &mem.Diff{Page: pg}
-	}
-	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
-	// Publish before charging the creation cost: Advance blocks, and a
-	// remote diff request serviced during the charge must find this diff
-	// cached — re-diffing the interval would consume its twin twice and
-	// ship a redundant duplicate.
-	rec.diffs[i] = d
-	c.M.RecycleTwin(rec.twins[i])
-	rec.twins[i] = nil
-	st.pages[pg].undiffed = nil
+	cost := pp.DiffCycles(pr.pageSize) + c.P.MemBus.Cost(c.P.Clock, pp.Words(pr.pageSize))
+	pr.lazyDiff(st, st.pages[pg].undiffed, pg, c.P.Clock, cost)
 	c.P.Advance(cost, cat)
 }
 
-// svcDiff creates a requested diff in service context (the generator-side
-// critical path cost the paper calls out).
+// svcDiff returns the requested diff of an interval, creating it in
+// service context if it is still a twin (the generator-side critical path
+// cost the paper calls out).
 func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 	i := rec.slot(pg)
 	if d := rec.diffs[i]; d != nil {
 		return d
 	}
-	twin := rec.twins[i]
-	if twin == nil {
-		return nil // written without a twin to compare against: nothing to ship
-	}
+	cost := pr.e.Params.DiffCycles(pr.pageSize)
+	d := pr.lazyDiff(st, rec, pg, s.Now, cost)
+	s.Charge(cost)
+	s.ChargeMem(pr.pageSize)
+	return d
+}
+
+// lazyDiff encodes the diff of interval rec for page pg against the twin
+// the interval holds (closeInterval moved every dirty page's twin into
+// it), counts cost cycles of creation, emits the diff-create event at
+// cycle at, and publishes the diff in place of the twin. Callers charge
+// the cost after it returns: the charge can block, and a diff request
+// serviced meanwhile must find the diff published — re-diffing the
+// interval would consume its twin twice and ship a redundant duplicate.
+func (pr *TM) lazyDiff(st *tmProc, rec *interval, pg int, at, cost uint64) *mem.Diff {
 	ctx := pr.ctxs[st.id]
-	pp := &pr.e.Params
-	d := ctx.M.MakeDiff(pg, twin, pp.WordBytes)
-	cost := pp.DiffCycles(pr.pageSize)
+	i := rec.slot(pg)
+	d := ctx.M.MakeDiff(pg, rec.twins[i], pr.e.Params.WordBytes)
 	ctx.P.Stats.DiffCreateCycles += cost
 	if d == nil {
 		d = &mem.Diff{Page: pg}
@@ -621,17 +609,13 @@ func (pr *TM) svcDiff(s *sim.Svc, st *tmProc, rec *interval, pg int) *mem.Diff {
 		ctx.P.Stats.DiffsCreated++
 		ctx.P.Stats.DiffBytesCreated += uint64(d.EncodedBytes())
 	}
-	pr.e.Tracer.Diff(s.Now, st.id, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
-	// Publish before charging, mirroring forceDiff: a concurrent local
-	// fault on the same page must reuse this diff, not re-diff the twin.
+	pr.e.Tracer.Diff(at, st.id, trace.KindDiffCreate, pg, d.ID, int64(d.EncodedBytes()), 0)
 	rec.diffs[i] = d
-	ctx.M.RecycleTwin(twin)
+	ctx.M.RecycleTwin(rec.twins[i])
 	rec.twins[i] = nil
 	if st.pages[pg].undiffed == rec {
 		st.pages[pg].undiffed = nil
 	}
-	s.Charge(cost)
-	s.ChargeMem(pr.pageSize)
 	return d
 }
 
