@@ -170,6 +170,9 @@ func Run(cfg Config) (*Result, error) {
 		fcfg = &fc
 	}
 	res := harness.RunFaultTraced(cfg.Params, pr, prog, cfg.TraceSink, fcfg)
+	if res.SplitErr != nil {
+		return res, fmt.Errorf("aecdsm: %s cannot run on %d processors: %w", cfg.App, cfg.Params.NumProcs, res.SplitErr)
+	}
 	if res.Deadlocked {
 		return res, fmt.Errorf("aecdsm: %s under %s deadlocked", cfg.App, cfg.Protocol)
 	}
@@ -190,6 +193,9 @@ func RunProgram(params Params, protocol string, prog Program) (*Result, error) {
 		return nil, err
 	}
 	res := harness.Run(params, pr, prog)
+	if res.SplitErr != nil {
+		return res, fmt.Errorf("aecdsm: %s cannot run on %d processors: %w", prog.Name(), params.NumProcs, res.SplitErr)
+	}
 	if res.Deadlocked {
 		return res, fmt.Errorf("aecdsm: %s deadlocked", prog.Name())
 	}

@@ -158,3 +158,27 @@ func TestRunProgram(t *testing.T) {
 		t.Fatal("bogus protocol accepted")
 	}
 }
+
+// splitRefuser is miniProgram with a problem splitter that refuses every
+// processor count.
+type splitRefuser struct{ miniProgram }
+
+func (*splitRefuser) CheckSplit(nprocs int) error {
+	return fmt.Errorf("cannot split over %d processors", nprocs)
+}
+
+// TestSplitRefusalIsAnError: a configuration whose problem cannot be split
+// over the machine is an error, not a run of zero cycles.
+func TestSplitRefusalIsAnError(t *testing.T) {
+	cfg := aecdsm.Config{Params: aecdsm.DefaultParams().ForProcs(256), App: "FFT", Scale: 0.05}
+	if res, err := aecdsm.Run(cfg); err == nil || !strings.Contains(err.Error(), "FFT") || !strings.Contains(err.Error(), "256") {
+		t.Errorf("FFT on 256 processors at 0.05: error %v (%d cycles), want a refusal naming app and processor count", err, res.Cycles())
+	}
+	cfg.Params = aecdsm.DefaultParams().ForProcs(16)
+	if res, err := aecdsm.Run(cfg); err != nil || res.Cycles() == 0 {
+		t.Errorf("FFT on 16 processors at 0.05: %v, %d cycles", err, res.Cycles())
+	}
+	if _, err := aecdsm.RunProgram(aecdsm.DefaultParams(), "AEC", &splitRefuser{}); err == nil || !strings.Contains(err.Error(), "mini") {
+		t.Errorf("RunProgram with a refusing splitter: error %v, want a refusal naming the program", err)
+	}
+}

@@ -77,20 +77,20 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 
 	// Send merged CS diffs and write notices as instructed. The manager
 	// names only pages this processor's arrival listed from myMerged, which
-	// holds no nil diff and is not reset before finalizeStep.
+	// holds no nil diff and is not reset before finalizeStep. Each payload
+	// is boxed once for all its targets: a payload is read-only once sent.
 	for _, ds := range instr.diffSends {
 		d := chainDiff(st.locks[ds.lock].myMerged, ds.page)
+		var msg any = barDiffMsg{page: ds.page, lock: ds.lock, diff: d}
 		for _, q := range ds.targets {
-			pr.e.SendFrom(c.P, stats.Synch, q, kBarDiff, d.EncodedBytes(),
-				barDiffMsg{page: ds.page, lock: ds.lock, diff: d}, pr.h.barDiff)
+			pr.e.SendFrom(c.P, stats.Synch, q, kBarDiff, d.EncodedBytes(), msg, pr.h.barDiff)
 		}
 	}
 	for _, ws := range instr.wnSends {
+		var msg any = barWNMsg{wn: mem.WriteNotice{Page: ws.page, Writer: c.ID, Step: st.step}}
 		for _, q := range ws.targets {
 			pr.e.Tracer.Page(c.P.Clock, c.ID, trace.KindWriteNotice, ws.page, int64(q), 0)
-			pr.e.SendFrom(c.P, stats.Synch, q, kBarWN, 16,
-				barWNMsg{wn: mem.WriteNotice{Page: ws.page, Writer: c.ID, Step: st.step}},
-				pr.h.barWN)
+			pr.e.SendFrom(c.P, stats.Synch, q, kBarWN, 16, msg, pr.h.barWN)
 		}
 	}
 

@@ -144,12 +144,9 @@ func (a *Auditor) Trace(ev trace.Event) {
 		a.traceLock(ev, &a.locks[ev.Lock])
 
 	case trace.KindTwinCreate, trace.KindDiffCreate, trace.KindDiffApply:
-		if ev.Proc < 0 || ev.Page < 0 {
+		if ev.Proc < 0 || ev.Proc >= a.nprocs || ev.Page < 0 {
 			a.failf("t%d: %s event names proc %d, page %d", ev.Cycle, ev.Kind, ev.Proc, ev.Page)
 			return
-		}
-		for len(a.procs) <= ev.Proc {
-			a.procs = append(a.procs, procState{})
 		}
 		a.tracePage(ev, &a.procs[ev.Proc])
 

@@ -88,6 +88,15 @@ func TestAuditorFlagsBadStreams(t *testing.T) {
 			t.Fatal("double apply in one episode not flagged")
 		}
 	})
+	t.Run("ids-outside-the-machine", func(t *testing.T) {
+		a := NewAuditor(4)
+		a.Trace(diffApplyEv(4, 0, 9))
+		a.Trace(diffCreateEv(-1, 0, 9))
+		a.Trace(twinCreateEv(0, -1))
+		if n := len(a.Violations()); n != 3 {
+			t.Fatalf("%d violations for page events at procs 4 and -1 of four and at page -1, want 3: %v", n, a.Violations())
+		}
+	})
 	t.Run("apply-episodes-reset", func(t *testing.T) {
 		a := NewAuditor(4)
 		a.Trace(diffApplyEv(2, 0, 9))

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,6 +115,33 @@ func TestMutationCaught(t *testing.T) {
 	}
 	if !invariant {
 		t.Error("injected diff-application bug not caught by any runtime invariant")
+	}
+}
+
+// TestEveryMismatchReported: each way a comparison can fail has its line
+// in the report — an unknown grant policy runs nothing; with AEC's
+// diff-application bug injected under light faults, AEC's final and phase
+// checksums differ from the fault-free ideal run's, and its phase
+// checksums from the ideal run's under the same faults.
+func TestEveryMismatchReported(t *testing.T) {
+	w := Generate(5, 0)
+	w.Policy = "bogus"
+	if rep := RunWorkloadFault(w, DefaultProtocols(), nil); len(rep.Runs) != 0 || len(rep.Failures) != 1 || !strings.Contains(rep.Failures[0], "bogus") {
+		t.Errorf("unknown policy: %d runs, failures %q; want no run and the policy named", len(rep.Runs), rep.Failures)
+	}
+
+	aec.MutateDiffApply = true
+	defer func() { aec.MutateDiffApply = false }()
+	rep := RunWorkloadFault(Generate(5, 0), []harness.ProtocolKind{harness.ProtoIdeal, harness.ProtoAEC}, mustSpec(t, "light", 1005))
+	for _, want := range []string{
+		"AEC: verification failed",
+		"AEC: faulted final",
+		"AEC phase 0: faulted",
+		"phase 0 checksum mismatch: ideal=",
+	} {
+		if !slices.ContainsFunc(rep.Failures, func(f string) bool { return strings.HasPrefix(f, want) }) {
+			t.Errorf("no failure starts %q in:\n%s", want, rep)
+		}
 	}
 }
 

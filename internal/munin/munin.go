@@ -396,19 +396,23 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 		return false
 	}
 
+	// One boxed payload serves every target, boxed at the first: a payload
+	// is read-only once sent, and the invalidation handler ignores the diff.
+	var fwd any
 	forwards := 0
 	cs := pr.pages[u.page].copyset
 	for q := 0; q < pr.nprocs; q++ {
 		if !cs.Has(q) || q == u.releaser || q == m.To {
 			continue
 		}
+		if fwd == nil {
+			fwd = fwdMsg{page: u.page, diff: u.diff, releaser: u.releaser}
+		}
 		if inUS(q) {
 			forwards++
 			ctx.P.Stats.UpdatesPushed++
 			ctx.P.Stats.UpdateBytesPushed += uint64(u.diff.EncodedBytes())
-			s.Send(q, kFwdUpdate, u.diff.EncodedBytes(),
-				fwdMsg{page: u.page, diff: u.diff, releaser: u.releaser},
-				pr.h.fwdUpdate)
+			s.Send(q, kFwdUpdate, u.diff.EncodedBytes(), fwd, pr.h.fwdUpdate)
 		} else {
 			// LAP-restricted: invalidate instead of updating. The
 			// invalidation is acknowledged like an update — release
@@ -417,8 +421,7 @@ func (pr *Munin) handleUpdate(s *sim.Svc, m *sim.Msg) {
 			// stale copy.
 			forwards++
 			pr.pages[u.page].copyset.Remove(q)
-			s.Send(q, kFwdInval, 8,
-				fwdMsg{page: u.page, releaser: u.releaser}, pr.h.fwdInval)
+			s.Send(q, kFwdInval, 8, fwd, pr.h.fwdInval)
 		}
 	}
 	s.ChargeList(pr.nprocs)

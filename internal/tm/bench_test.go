@@ -39,10 +39,11 @@ func refaultRig(tb testing.TB, k int, measure func(round func())) {
 		}
 		st := pr.ps[0]
 		c.P.Advance(10_000_000, stats.Busy) // the writers are done
+		zero := make([]int, k+1)
 		var rounds uint64
 		round := func() {
 			rounds++
-			clear(st.vc) // the notices are fresh again
+			st.vc = zero // the notices are fresh again; a clock is replaced, never written
 			pr.applyWNs(c, st, wns)
 			c.ReadI32(0)
 		}
@@ -68,8 +69,9 @@ func barrierNoticesOp(tb testing.TB) func() {
 	for pg := range wns {
 		wns[pg] = wnRef{proc: 0, seq: 1, page: pg}
 	}
+	zero := make([]int, 2)
 	return func() {
-		st.vc[0] = 0
+		st.vc = zero
 		if fresh := pr.applyWNs(c, st, wns); fresh != pages {
 			tb.Fatalf("%d fresh notices, want %d", fresh, pages)
 		}

@@ -27,3 +27,26 @@ func (pr *TM) FirstTouchSet(proc, page int) []Notice {
 	}
 	return out
 }
+
+// Clocks calls f with every vector clock proc has published that is still
+// reachable: its current clock, the clock of each of its closed intervals
+// from the ivals-th on, the clock its lock request left at the manager, and
+// the clock of a grant that has landed but not been consumed. It returns
+// how many intervals proc has closed.
+func (pr *TM) Clocks(proc, ivals int, f func(vc []int)) int {
+	st := pr.ps[proc]
+	f(st.vc)
+	for _, rec := range st.ivals[ivals:] {
+		f(rec.vc)
+	}
+	if st.stashVC != nil {
+		f(st.stashVC)
+	}
+	if st.grant != nil {
+		f(st.grant.vc)
+	}
+	return len(st.ivals)
+}
+
+// Clock is proc's current vector clock.
+func (pr *TM) Clock(proc int) []int { return pr.ps[proc].vc }

@@ -19,9 +19,9 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
 	st.grant = nil
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
-	vc := append([]int(nil), st.vc...)
+	// Clocks travel by reference: st.vc is replaced, never written.
 	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs,
-		acqReq{lock: lock, vc: vc, from: c.ID}, pr.h.acqReq)
+		acqReq{lock: lock, vc: st.vc, from: c.ID}, pr.h.acqReq)
 	c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	g := st.grant
 	st.grant = nil
@@ -35,7 +35,7 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	// Only a grant's slice goes back: barrier notice sets are shared
 	// across release messages and stay unpooled.
 	pr.wns.Put(g.wns)
-	mergeVC(st.vc, g.vc)
+	st.vc = joinVC(st.vc, g.vc)
 	c.Epoch++
 }
 
@@ -124,7 +124,7 @@ func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		return
 	}
 	s.Send(to, kGrant, 8+4*pr.nprocs,
-		grantMsg{lock: lock, vc: append([]int(nil), vc...)}, pr.h.grant)
+		grantMsg{lock: lock, vc: vc}, pr.h.grant)
 }
 
 // handleGrantReq runs at the last releaser: build the write-notice set and
@@ -136,7 +136,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 	st := pr.ps[m.To]
 	wns := pr.collectWNs(req.to, st.vc, req.vc)
 	s.ChargeList(len(wns))
-	g := grantMsg{lock: req.lock, wns: wns, vc: append([]int(nil), st.vc...)}
+	g := grantMsg{lock: req.lock, wns: wns, vc: st.vc}
 	size := 8 + 16*len(wns) + 4*pr.nprocs
 	if pr.hybrid {
 		for _, wn := range wns {
@@ -199,7 +199,7 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 	st.barOut = false
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive,
 		16+16*len(wns)+4*pr.nprocs,
-		barArrive{proc: c.ID, vc: append([]int(nil), st.vc...), wns: wns, count: 1},
+		barArrive{proc: c.ID, vc: st.vc, wns: wns, count: 1},
 		pr.h.barArrive)
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
 	c.Epoch++
@@ -223,6 +223,8 @@ func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 	}
 	st := pr.ps[m.To]
 	if st.combVC == nil {
+		// Fresh per barrier, never pooled: the release makes it every
+		// processor's clock.
 		st.combVC = make([]int, pr.nprocs)
 	}
 	mergeVC(st.combVC, a.vc)
@@ -255,7 +257,9 @@ func (pr *TM) handleBarRelease(s *sim.Svc, m *sim.Msg) {
 	ctx := pr.ctxs[m.To]
 	fresh := pr.applyWNs(ctx, st, r.wns)
 	s.ChargeList(fresh)
-	mergeVC(st.vc, r.vc)
+	// The release clock covers the clock this processor arrived with, so
+	// joinVC adopts it: after a barrier every processor shares one clock.
+	st.vc = joinVC(st.vc, r.vc)
 	pr.e.Tracer.Event(s.Now, m.To, trace.KindBarrierDepart, int64(fresh), 0)
 	st.barOut = true
 	s.Wake(s.P)

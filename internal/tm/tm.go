@@ -97,7 +97,10 @@ type wnRow struct {
 // tmProc is the per-processor TreadMarks state.
 type tmProc struct {
 	id int
-	vc []int // vc[p] = highest interval of processor p seen
+	// vc[p] = highest interval of processor p seen. Published: messages,
+	// intervals and other processors share it, so it is replaced (by
+	// closeInterval's clone or joinVC), never written in place.
+	vc []int
 
 	dirty []int       // pages written in the current interval, deduped at its close
 	ivals []*interval // own closed intervals; seq s is ivals[s-1]
@@ -502,14 +505,18 @@ func (pr *TM) closeInterval(c *proto.Ctx, st *tmProc) {
 	if len(st.dirty) == 0 {
 		return
 	}
-	st.vc[st.id]++
+	// The one clock copy per interval: st.vc may be shared with messages,
+	// intervals and other processors, so it is replaced, never written.
+	vc := slices.Clone(st.vc)
+	vc[st.id]++
+	st.vc = vc
 	slices.Sort(st.dirty)
 	pages := slices.Clone(slices.Compact(st.dirty))
 	st.dirty = st.dirty[:0]
 	rec := &interval{
 		proc:  st.id,
-		seq:   st.vc[st.id],
-		vc:    slices.Clone(st.vc),
+		seq:   vc[st.id],
+		vc:    vc,
 		pages: pages,
 		twins: make([][]byte, len(pages)),
 		diffs: make([]*mem.Diff, len(pages)),
@@ -662,6 +669,36 @@ func (pr *TM) collectWNs(to int, svc, tvc []int) []wnRef {
 	return out
 }
 
+// joinVC returns the least upper bound of two clocks and writes neither:
+// b if it covers a (ties included, so a processor adopts the clock it
+// received), a if it covers b, and a fresh slice only when the two are
+// incomparable. A published clock is shared, never copied (DESIGN.md,
+// "TreadMarks' write notices"), so the result may alias an input.
+func joinVC(a, b []int) []int {
+	aCovers, bCovers := true, true
+	for i, v := range b {
+		if a[i] < v {
+			aCovers = false
+		} else if a[i] > v {
+			bCovers = false
+		}
+	}
+	switch {
+	case bCovers:
+		return b
+	case aCovers:
+		return a
+	}
+	out := make([]int, len(a))
+	for i := range out {
+		out[i] = max(a[i], b[i])
+	}
+	return out
+}
+
+// mergeVC raises dst to cover src in place. Its one caller merges a barrier
+// subtree's arrivals into tmProc.combVC, which nobody else holds until it
+// is sent.
 func mergeVC(dst, src []int) {
 	for i, v := range src {
 		if v > dst[i] {

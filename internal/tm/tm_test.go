@@ -326,6 +326,49 @@ func TestMergeVC(t *testing.T) {
 	}
 }
 
+// TestJoinVC: the join of two clocks writes neither. A clock that covers
+// the other is returned as it is, without allocating; only incomparable
+// clocks make a fresh one.
+func TestJoinVC(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		a, b    []int
+		want    []int
+		returns string // "a", "b" or "fresh"
+	}{
+		{"equal", []int{1, 2, 3}, []int{1, 2, 3}, []int{1, 2, 3}, "b"},
+		{"a covers b", []int{4, 2, 3}, []int{1, 2, 3}, []int{4, 2, 3}, "a"},
+		{"b covers a", []int{1, 2, 3}, []int{1, 5, 3}, []int{1, 5, 3}, "b"},
+		{"incomparable", []int{4, 2, 0}, []int{1, 5, 3}, []int{4, 5, 3}, "fresh"},
+	} {
+		a0, b0 := slices.Clone(tc.a), slices.Clone(tc.b)
+		got := joinVC(tc.a, tc.b)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: joinVC(%v, %v) = %v, want %v", tc.name, a0, b0, got, tc.want)
+		}
+		if !slices.Equal(tc.a, a0) || !slices.Equal(tc.b, b0) {
+			t.Errorf("%s: joinVC wrote an input: a %v -> %v, b %v -> %v", tc.name, a0, tc.a, b0, tc.b)
+		}
+		var returned string
+		switch &got[0] {
+		case &tc.a[0]:
+			returned = "a"
+		case &tc.b[0]:
+			returned = "b"
+		default:
+			returned = "fresh"
+		}
+		if returned != tc.returns {
+			t.Errorf("%s: joinVC returned %s, want %s", tc.name, returned, tc.returns)
+		}
+		if tc.returns != "fresh" {
+			if n := testing.AllocsPerRun(100, func() { joinVC(tc.a, tc.b) }); n != 0 {
+				t.Errorf("%s: joinVC allocates %v objects, want 0", tc.name, n)
+			}
+		}
+	}
+}
+
 func TestLazyHybridName(t *testing.T) {
 	if New().Name() != "TM" || !NewLazyHybrid().hybrid {
 		t.Fatal("constructors")
@@ -425,7 +468,7 @@ func TestLogRowInsertedMidFault(t *testing.T) {
 				t.Errorf("log has %d rows before the fault, want processors 1 and 3", len(pr.log[0]))
 			}
 			st := pr.ps[2]
-			st.vc[1], st.vc[3] = 1, 1 // as if a grant had delivered both notices
+			st.vc = []int{0, 1, 0, 1} // as if a grant had delivered both notices
 			if a, b := c.ReadI32(0), c.ReadI32(4); a != 11 || b != 33 {
 				t.Errorf("read %d, %d after the fault; want 11, 33", a, b)
 			}
