@@ -11,6 +11,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,11 +43,12 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Next() % uint64(n))
 }
 
-// Config carries the per-run construction parameters every application
-// factory receives. There is deliberately no process-global RNG state:
-// every random stream derives from the Config held by one program
-// instance, so fully isolated runs can execute concurrently (the parallel
-// experiment scheduler in internal/harness depends on this).
+// Config carries the construction parameters every application factory
+// receives. There is deliberately no process-global RNG state: every
+// random stream derives from the Config held by one program instance, so
+// runs can execute concurrently (the parallel experiment scheduler in
+// internal/harness depends on this); the one thing they may share, the
+// memo in Inputs, is built once and then only read.
 type Config struct {
 	// Scale shrinks problem sizes ((0,1]; 1.0 = the paper's
 	// configuration; out-of-range values are clamped to 1.0).
@@ -57,6 +59,10 @@ type Config struct {
 	// base perturbs all streams deterministically (determinism tests and
 	// fuzzing vary it instead of touching per-app code).
 	BaseSeed uint64
+	// Inputs is the memo the program's generated input comes from, shared
+	// with every other run of the same driver; nil generates it for this
+	// run alone.
+	Inputs *Inputs
 }
 
 // Stream is the single seedable source behind an application's
@@ -110,8 +116,9 @@ func (v *verifier) Err() error {
 
 // Registry maps application names to factories. A factory builds a fresh
 // program instance for one run from its Config (problem scale plus the
-// base seed of its random streams). Instances share no mutable state, so
-// distinct runs may execute on concurrent engines.
+// base seed of its random streams). Instances share no mutable state —
+// what they share through Config.Inputs is read-only — so distinct runs
+// may execute on concurrent engines.
 var Registry = map[string]func(cfg Config) proto.Program{}
 
 // Names returns the registered application names, sorted, paper order
@@ -126,31 +133,12 @@ func Names() []string {
 	}
 	var rest []string
 	for n := range Registry {
-		if !contains(out, n) {
+		if !slices.Contains(out, n) {
 			rest = append(rest, n)
 		}
 	}
 	sort.Strings(rest)
 	return append(out, rest...)
-}
-
-// sortedKeys returns a map's integer keys in ascending order.
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func contains(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckScale rejects a problem scale that arrives from outside the program

@@ -23,9 +23,8 @@ type FFT struct {
 	rootA mem.Addr // twiddle factor matrix (read-only)
 	idA   mem.Addr // processor id bookkeeping, under the lock
 
-	input []complex128
-	want  []complex128
-	v     verifier
+	in *fftInput
+	v  verifier
 
 	cfg Config
 }
@@ -63,14 +62,45 @@ func (a *FFT) NumLocks() int { return 1 }
 // Err implements proto.Program.
 func (a *FFT) Err() error { return a.v.Err() }
 
+// fftInput is FFT's generated input (Inputs): the initial images of the
+// data and twiddle matrices and the serial transform of the data.
+type fftInput struct {
+	mat, roots []byte
+	want       []complex128
+}
+
+// input returns the program's generated input from its memo.
+func (a *FFT) input() *fftInput {
+	return load(a.cfg.Inputs, paperKey("FFT", a.cfg), func() *fftInput {
+		n := a.N
+		rng := a.cfg.Stream(777)
+		data := make([]complex128, n*n)
+		for i := range data {
+			data[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+		}
+		in := &fftInput{mat: make([]byte, 16*n*n), roots: make([]byte, 16*n*n)}
+		for i, v := range data {
+			putF64(in.mat, 2*i, real(v))
+			putF64(in.mat, 2*i+1, imag(v))
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				w := twiddle(i*j, n*n)
+				putF64(in.roots, 2*(i*n+j), real(w))
+				putF64(in.roots, 2*(i*n+j)+1, imag(w))
+			}
+		}
+		// Serial reference: identical operation order, so results match
+		// bit-for-bit up to float associativity we do not disturb.
+		in.want = serialFFT(data, n)
+		return in
+	})
+}
+
 // Init implements proto.Program.
 func (a *FFT) Init(s *mem.Space, nprocs int) {
 	n := a.N
-	rng := a.cfg.Stream(777)
-	a.input = make([]complex128, n*n)
-	for i := range a.input {
-		a.input[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
-	}
+	a.in = a.input()
 	a.matA = s.Alloc("fft.mat", 16*n*n, 0)
 	a.tmpA = s.Alloc("fft.tmp", 16*n*n, 0)
 	a.rootA = s.Alloc("fft.roots", 16*n*n, 0)
@@ -84,25 +114,8 @@ func (a *FFT) Init(s *mem.Space, nprocs int) {
 		idBytes = need
 	}
 	a.idA = s.Alloc("fft.ids", idBytes, 0)
-
-	buf := make([]byte, 16*n*n)
-	for i, v := range a.input {
-		putF64(buf, 2*i, real(v))
-		putF64(buf, 2*i+1, imag(v))
-	}
-	s.WriteInit(a.matA, buf)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w := twiddle(i*j, n*n)
-			putF64(buf, 2*(i*n+j), real(w))
-			putF64(buf, 2*(i*n+j)+1, imag(w))
-		}
-	}
-	s.WriteInit(a.rootA, buf)
-
-	// Serial reference: identical operation order, so results match
-	// bit-for-bit up to float associativity we do not disturb.
-	a.want = serialFFT(append([]complex128(nil), a.input...), n)
+	s.WriteInit(a.matA, a.in.mat)
+	s.WriteInit(a.rootA, a.in.roots)
 }
 
 // Body implements proto.Program.
@@ -121,13 +134,14 @@ func (a *FFT) Body(c *proto.Ctx) {
 	row := make([]complex128, n)
 	col := make([]complex128, n)
 	tw := make([]complex128, n)
+	fl := make([]float64, 2*n) // the shared words of one row
 
 	// Step 1: FFT my rows in place.
 	for r := lo; r < hi; r++ {
-		a.readRow(c, a.matA, r, row)
+		a.readRow(c, a.matA, r, row, fl)
 		fftInPlace(row, false)
 		c.Compute(uint64(5 * n * log2(n)))
-		a.writeRow(c, a.matA, r, row)
+		a.writeRow(c, a.matA, r, row, fl)
 	}
 	c.Barrier()
 
@@ -135,21 +149,21 @@ func (a *FFT) Body(c *proto.Ctx) {
 	// W(rc). Column reads cross every other processor's rows.
 	for r := lo; r < hi; r++ {
 		a.readCol(c, a.matA, r, col)
-		a.readRow(c, a.rootA, r, tw)
+		a.readRow(c, a.rootA, r, tw, fl)
 		for j := 0; j < n; j++ {
 			col[j] *= tw[j]
 		}
 		c.Compute(uint64(6 * n))
-		a.writeRow(c, a.tmpA, r, col)
+		a.writeRow(c, a.tmpA, r, col, fl)
 	}
 	c.Barrier()
 
 	// Step 3: FFT the transposed rows.
 	for r := lo; r < hi; r++ {
-		a.readRow(c, a.tmpA, r, row)
+		a.readRow(c, a.tmpA, r, row, fl)
 		fftInPlace(row, false)
 		c.Compute(uint64(5 * n * log2(n)))
-		a.writeRow(c, a.tmpA, r, row)
+		a.writeRow(c, a.tmpA, r, row, fl)
 	}
 	c.Barrier()
 
@@ -157,16 +171,16 @@ func (a *FFT) Body(c *proto.Ctx) {
 	for r := lo; r < hi; r++ {
 		a.readCol(c, a.tmpA, r, col)
 		c.Compute(uint64(2 * n))
-		a.writeRow(c, a.matA, r, col)
+		a.writeRow(c, a.matA, r, col, fl)
 	}
 	c.Barrier()
 
 	if c.ID == 0 {
 		maxErr := 0.0
 		for r := 0; r < n; r++ {
-			a.readRow(c, a.matA, r, row)
+			a.readRow(c, a.matA, r, row, fl)
 			for j := 0; j < n; j++ {
-				d := row[j] - a.want[r*n+j]
+				d := row[j] - a.in.want[r*n+j]
 				if e := math.Hypot(real(d), imag(d)); e > maxErr {
 					maxErr = e
 				}
@@ -179,18 +193,18 @@ func (a *FFT) Body(c *proto.Ctx) {
 	c.Barrier()
 }
 
-func (a *FFT) readRow(c *proto.Ctx, base mem.Addr, r int, dst []complex128) {
+// readRow and writeRow move one row between shared memory and dst/src
+// through fl, the caller's scratch of 2n words.
+func (a *FFT) readRow(c *proto.Ctx, base mem.Addr, r int, dst []complex128, fl []float64) {
 	n := a.N
-	fl := make([]float64, 2*n)
 	c.ReadF64s(base+16*r*n, fl)
 	for j := 0; j < n; j++ {
 		dst[j] = complex(fl[2*j], fl[2*j+1])
 	}
 }
 
-func (a *FFT) writeRow(c *proto.Ctx, base mem.Addr, r int, src []complex128) {
+func (a *FFT) writeRow(c *proto.Ctx, base mem.Addr, r int, src []complex128, fl []float64) {
 	n := a.N
-	fl := make([]float64, 2*n)
 	for j := 0; j < n; j++ {
 		fl[2*j] = real(src[j])
 		fl[2*j+1] = imag(src[j])

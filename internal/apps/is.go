@@ -23,7 +23,7 @@ type IS struct {
 	bucketA mem.Addr // shared bucket counts (lock-protected)
 	rankA   mem.Addr // final key ranks (barrier data)
 
-	keys  []int32
+	in    *isInput
 	procs int
 	cfg   Config
 	v     verifier
@@ -50,22 +50,34 @@ func (a *IS) NumLocks() int { return 1 }
 // Err implements proto.Program.
 func (a *IS) Err() error { return a.v.Err() }
 
+// isInput is IS's generated input (Inputs): the keys, which the verifier
+// reads back, and their shared-memory image.
+type isInput struct {
+	keys  []int32
+	image []byte
+}
+
+// input returns the program's generated input from its memo.
+func (a *IS) input() *isInput {
+	return load(a.cfg.Inputs, paperKey("IS", a.cfg), func() *isInput {
+		rng := a.cfg.Stream(12345)
+		in := &isInput{keys: make([]int32, a.Keys), image: make([]byte, 4*a.Keys)}
+		for i := range in.keys {
+			in.keys[i] = int32(rng.Intn(a.MaxKey))
+			putI32(in.image, i, in.keys[i])
+		}
+		return in
+	})
+}
+
 // Init implements proto.Program.
 func (a *IS) Init(s *mem.Space, nprocs int) {
 	a.procs = nprocs
-	rng := a.cfg.Stream(12345)
-	a.keys = make([]int32, a.Keys)
-	for i := range a.keys {
-		a.keys[i] = int32(rng.Intn(a.MaxKey))
-	}
+	a.in = a.input()
 	a.keysA = s.Alloc("is.keys", 4*a.Keys, 0)
 	a.bucketA = s.Alloc("is.buckets", 4*a.MaxKey, 0)
 	a.rankA = s.Alloc("is.ranks", 4*a.Keys, 0)
-	buf := make([]byte, 4*a.Keys)
-	for i, k := range a.keys {
-		putI32(buf, i, k)
-	}
-	s.WriteInit(a.keysA, buf)
+	s.WriteInit(a.keysA, a.in.image)
 }
 
 // Body implements proto.Program.
@@ -75,14 +87,15 @@ func (a *IS) Body(c *proto.Ctx) {
 	local := make([]int32, a.MaxKey)
 	shared := make([]int32, a.MaxKey)
 	offsets := make([]int32, a.MaxKey)
+	starts := make([]int32, a.MaxKey)
+	next := make([]int32, a.MaxKey)
+	ranks := make([]int32, len(myKeys))
 
 	c.ReadI32s(a.keysA+4*lo, myKeys)
 
 	for rep := 0; rep < a.Repeats; rep++ {
 		// Phase 1: private bucket counting.
-		for i := range local {
-			local[i] = 0
-		}
+		clear(local)
 		for _, k := range myKeys {
 			local[k]++
 		}
@@ -108,14 +121,12 @@ func (a *IS) Body(c *proto.Ctx) {
 		// keys into the shared rank array.
 		c.ReadI32s(a.bucketA, shared)
 		var acc int32
-		starts := make([]int32, a.MaxKey)
 		for b := 0; b < a.MaxKey; b++ {
 			starts[b] = acc
 			acc += shared[b]
 		}
 		c.Compute(uint64(a.MaxKey) * 2)
-		ranks := make([]int32, len(myKeys))
-		next := make([]int32, a.MaxKey)
+		clear(next)
 		for i, k := range myKeys {
 			ranks[i] = starts[k] + offsets[k] + next[k]
 			next[k]++
@@ -124,12 +135,13 @@ func (a *IS) Body(c *proto.Ctx) {
 		c.Compute(uint64(len(myKeys)) * 3)
 		c.Barrier()
 
-		// Reset the shared buckets for the next repetition.
+		// Reset the shared buckets for the next repetition, writing
+		// zeros from next, which the next ranking clears anyway.
 		if rep != a.Repeats-1 {
 			if c.ID == 0 {
 				c.Acquire(0)
-				zero := make([]int32, a.MaxKey)
-				c.WriteI32s(a.bucketA, zero)
+				clear(next)
+				c.WriteI32s(a.bucketA, next)
 				c.Release(0)
 			}
 			c.Barrier()
@@ -153,7 +165,7 @@ func (a *IS) Body(c *proto.Ctx) {
 				break
 			}
 			seen[r] = true
-			sorted[r] = a.keys[i]
+			sorted[r] = a.in.keys[i]
 		}
 		if ok {
 			for i := 1; i < a.Keys; i++ {

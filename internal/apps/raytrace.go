@@ -19,7 +19,7 @@ type Raytrace struct {
 	Width, Height int
 	Tile          int
 
-	scene []sphere
+	in *rayInput
 
 	queueA mem.Addr // per-proc task queues (head, tail, entries)
 	imageA mem.Addr // output image (one float per pixel)
@@ -27,7 +27,6 @@ type Raytrace struct {
 
 	qcap  int
 	procs int
-	want  []float64
 	cfg   Config
 	v     verifier
 }
@@ -72,18 +71,38 @@ func (a *Raytrace) tilesX() int { return (a.Width + a.Tile - 1) / a.Tile }
 func (a *Raytrace) tilesY() int { return (a.Height + a.Tile - 1) / a.Tile }
 func (a *Raytrace) tiles() int  { return a.tilesX() * a.tilesY() }
 
+// rayInput is Raytrace's generated input (Inputs): the scene and the
+// serial reference image rendered from it.
+type rayInput struct {
+	scene []sphere
+	want  []float64
+}
+
+// input returns the program's generated input from its memo.
+func (a *Raytrace) input() *rayInput {
+	return load(a.cfg.Inputs, paperKey("Raytrace", a.cfg), func() *rayInput {
+		rng := a.cfg.Stream(31337)
+		in := &rayInput{scene: make([]sphere, 24), want: make([]float64, a.Width*a.Height)}
+		for i := range in.scene {
+			in.scene[i] = sphere{
+				center: vec3{rng.Float64()*4 - 2, rng.Float64()*4 - 2, 3 + rng.Float64()*4},
+				radius: 0.3 + rng.Float64()*0.7,
+				shade:  0.2 + rng.Float64()*0.8,
+			}
+		}
+		for y := 0; y < a.Height; y++ {
+			for x := 0; x < a.Width; x++ {
+				in.want[y*a.Width+x] = a.shadePixel(in.scene, x, y)
+			}
+		}
+		return in
+	})
+}
+
 // Init implements proto.Program.
 func (a *Raytrace) Init(s *mem.Space, nprocs int) {
 	a.procs = nprocs
-	rng := a.cfg.Stream(31337)
-	a.scene = make([]sphere, 24)
-	for i := range a.scene {
-		a.scene[i] = sphere{
-			center: vec3{rng.Float64()*4 - 2, rng.Float64()*4 - 2, 3 + rng.Float64()*4},
-			radius: 0.3 + rng.Float64()*0.7,
-			shade:  0.2 + rng.Float64()*0.8,
-		}
-	}
+	a.in = a.input()
 
 	// Queue space: per proc, 2 int64 (head, tail) + capacity entries.
 	a.qcap = a.tiles() // every queue can hold all tiles (steal headroom)
@@ -110,18 +129,10 @@ func (a *Raytrace) Init(s *mem.Space, nprocs int) {
 		}
 	}
 	s.WriteInit(a.queueA, buf)
-
-	// Serial reference image.
-	a.want = make([]float64, a.Width*a.Height)
-	for y := 0; y < a.Height; y++ {
-		for x := 0; x < a.Width; x++ {
-			a.want[y*a.Width+x] = a.shadePixel(x, y)
-		}
-	}
 }
 
-// shadePixel traces the primary ray for one pixel.
-func (a *Raytrace) shadePixel(x, y int) float64 {
+// shadePixel traces the primary ray for one pixel of the scene.
+func (a *Raytrace) shadePixel(scene []sphere, x, y int) float64 {
 	// Camera at origin looking down +z; pixel grid on the z=1 plane.
 	dx := (float64(x)+0.5)/float64(a.Width)*4 - 2
 	dy := (float64(y)+0.5)/float64(a.Height)*4 - 2
@@ -130,7 +141,7 @@ func (a *Raytrace) shadePixel(x, y int) float64 {
 	d = d.scale(inv)
 	best := math.Inf(1)
 	shade := 0.05 // background
-	for _, sp := range a.scene {
+	for _, sp := range scene {
 		// Ray-sphere intersection.
 		oc := sp.center
 		b := d.x*oc.x + d.y*oc.y + d.z*oc.z
@@ -192,6 +203,7 @@ func (a *Raytrace) Body(c *proto.Ctx) {
 	// victim until its queue drains (SPLASH-2 behaviour, and the source
 	// of the lock-transfer affinity LAP exploits on the queue locks).
 	victim := (c.ID + 1) % c.N
+	row := make([]float64, a.Tile) // one row of a tile
 	for {
 		// Take work from the own queue first.
 		c.Acquire(a.QueueLock(c.ID))
@@ -226,14 +238,13 @@ func (a *Raytrace) Body(c *proto.Ctx) {
 		// Render the tile.
 		ty, txi := tile/tx, tile%tx
 		x0, y0 := txi*a.Tile, ty*a.Tile
-		row := make([]float64, a.Tile)
 		for y := y0; y < y0+a.Tile && y < a.Height; y++ {
 			w := a.Tile
 			if x0+w > a.Width {
 				w = a.Width - x0
 			}
 			for x := x0; x < x0+w; x++ {
-				row[x-x0] = a.shadePixel(x, y)
+				row[x-x0] = a.shadePixel(a.in.scene, x, y)
 			}
 			c.Compute(uint64(90 * w))
 			c.WriteF64s(a.imageA+8*(y*a.Width+x0), row[:w])
@@ -252,8 +263,8 @@ func (a *Raytrace) Body(c *proto.Ctx) {
 		for y := 0; y < a.Height; y++ {
 			c.ReadF64s(a.imageA+8*y*a.Width, row)
 			for x := 0; x < a.Width; x++ {
-				if math.Abs(row[x]-a.want[y*a.Width+x]) > 1e-12 {
-					a.v.fail("Raytrace: pixel (%d,%d) = %g, want %g", x, y, row[x], a.want[y*a.Width+x])
+				if math.Abs(row[x]-a.in.want[y*a.Width+x]) > 1e-12 {
+					a.v.fail("Raytrace: pixel (%d,%d) = %g, want %g", x, y, row[x], a.in.want[y*a.Width+x])
 					y = a.Height
 					break
 				}

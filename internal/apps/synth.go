@@ -83,16 +83,30 @@ type Synth struct {
 	regionA []mem.Addr // base address of each lock's counter region
 	slotsA  mem.Addr   // one stencil slot per processor
 
-	sched    [][][]synthOp // [phase][proc] -> ops
-	expected [][]int64     // [phase][lock] -> total delta through that phase
+	inputs *Inputs     // the memo in comes from; nil builds it for this run
+	in     *synthInput // this run's schedule, shared read-only
 
 	v         verifier
 	phaseSums []uint64 // appended by proc 0 at each phase end
 }
 
-// NewSynth builds the workload for one config.
+// synthInput is Synth's generated input (Inputs): the op schedule and its
+// static model, both functions of (config, nprocs).
+type synthInput struct {
+	sched    [][][]synthOp // [phase][proc] -> ops
+	expected [][]int64     // [phase][lock] -> total delta through that phase
+}
+
+// NewSynth builds the workload for one config, generating its schedule for
+// its own run.
 func NewSynth(cfg SynthConfig) *Synth {
-	return &Synth{Cfg: cfg.norm()}
+	return NewSharedSynth(cfg, nil)
+}
+
+// NewSharedSynth builds the workload for one config, taking its schedule
+// from in, which may hold it from an earlier run of the same config.
+func NewSharedSynth(cfg SynthConfig, in *Inputs) *Synth {
+	return &Synth{Cfg: cfg.norm(), inputs: in}
 }
 
 // Name implements proto.Program.
@@ -104,8 +118,8 @@ func (a *Synth) NumLocks() int { return a.Cfg.Locks }
 // Err implements proto.Program.
 func (a *Synth) Err() error { return a.v.Err() }
 
-// Init implements proto.Program: lays out the counter regions and derives
-// the full op schedule and its static model from (seed, nprocs).
+// Init implements proto.Program: lays out the counter regions and takes the
+// full op schedule and its static model for (seed, nprocs) from the memo.
 func (a *Synth) Init(s *mem.Space, nprocs int) {
 	cfg := a.Cfg
 	a.n = nprocs
@@ -118,28 +132,37 @@ func (a *Synth) Init(s *mem.Space, nprocs int) {
 	}
 	a.slotsA = s.Alloc("synth.slots", 8*nprocs, 0)
 
-	rng := seedStream(cfg.BaseSeed, 0x53594e5448+cfg.Seed) // "SYNTH" + seed
-	a.sched = make([][][]synthOp, cfg.Phases)
-	a.expected = make([][]int64, cfg.Phases)
-	totals := make([]int64, cfg.Locks)
-	for p := 0; p < cfg.Phases; p++ {
-		a.sched[p] = make([][]synthOp, nprocs)
-		for q := 0; q < nprocs; q++ {
-			ops := make([]synthOp, cfg.OpsPerPhase)
-			for k := range ops {
-				ops[k] = synthOp{
-					lock:    rng.Intn(cfg.Locks),
-					delta:   1 + int64(rng.Intn(9)),
-					notice:  cfg.Notices && rng.Intn(4) == 0,
-					compute: uint64(rng.Intn(300)),
-				}
-				totals[ops[k].lock] += ops[k].delta
-			}
-			a.sched[p][q] = ops
-		}
-		a.expected[p] = append([]int64(nil), totals...)
-	}
+	a.in = a.input(nprocs)
 	a.phaseSums = nil
+}
+
+// input returns the program's generated input on nprocs processors from
+// its memo.
+func (a *Synth) input(nprocs int) *synthInput {
+	cfg := a.Cfg
+	return load(a.inputs, inputKey{procs: nprocs, synth: cfg}, func() *synthInput {
+		rng := seedStream(cfg.BaseSeed, 0x53594e5448+cfg.Seed) // "SYNTH" + seed
+		in := &synthInput{sched: make([][][]synthOp, cfg.Phases), expected: make([][]int64, cfg.Phases)}
+		totals := make([]int64, cfg.Locks)
+		for p := 0; p < cfg.Phases; p++ {
+			in.sched[p] = make([][]synthOp, nprocs)
+			for q := 0; q < nprocs; q++ {
+				ops := make([]synthOp, cfg.OpsPerPhase)
+				for k := range ops {
+					ops[k] = synthOp{
+						lock:    rng.Intn(cfg.Locks),
+						delta:   1 + int64(rng.Intn(9)),
+						notice:  cfg.Notices && rng.Intn(4) == 0,
+						compute: uint64(rng.Intn(300)),
+					}
+					totals[ops[k].lock] += ops[k].delta
+				}
+				in.sched[p][q] = ops
+			}
+			in.expected[p] = append([]int64(nil), totals...)
+		}
+		return in
+	})
 }
 
 // slotVal is the deterministic stencil value processor q publishes in
@@ -153,7 +176,7 @@ func (a *Synth) slotVal(p, q int) int64 {
 
 // cellWant is the static-model value of cell j of lock l after phase p.
 func (a *Synth) cellWant(p, l, j int) int64 {
-	t := a.expected[p][l]
+	t := a.in.expected[p][l]
 	if j == 1 {
 		return 2 * t
 	}
@@ -165,7 +188,7 @@ func (a *Synth) Body(c *proto.Ctx) {
 	cfg := a.Cfg
 	c.Barrier()
 	for p := 0; p < cfg.Phases; p++ {
-		for _, op := range a.sched[p][c.ID] {
+		for _, op := range a.in.sched[p][c.ID] {
 			if op.compute > 0 {
 				c.Compute(op.compute)
 			}
@@ -255,6 +278,6 @@ func init() {
 			PadWords:     24,
 			Notices:      true,
 		}
-		return NewSynth(sc)
+		return NewSharedSynth(sc, cfg.Inputs)
 	}
 }

@@ -22,7 +22,7 @@ type waterParams struct {
 	cutoff  float64 // interaction cutoff
 	dt      float64 // integration step
 	steps   int     // time steps (paper: 5)
-	cfg     Config  // per-run RNG base for the lattice perturbation
+	cfg     Config  // the RNG base for the lattice perturbation, and the memo
 }
 
 func newWaterParams(cfg Config) waterParams {
@@ -80,31 +80,13 @@ func (w waterParams) pairForce(pi, pj vec3) (f vec3, pot float64) {
 // serialWaterNS runs the half-shell O(n^2) reference simulation,
 // returning final positions and the summed potential across steps.
 func (w waterParams) serialWaterNS() ([]vec3, float64) {
-	pos, pot, _ := w.serialWaterNSForces()
-	return pos, pot
-}
-
-// serialWaterNSForces additionally returns the per-step force arrays (for
-// test diagnostics).
-func (w waterParams) serialWaterNSForces() ([]vec3, float64, [][]vec3) {
-	pos, pot, forces, _ := w.serialWaterNSTrace()
-	return pos, pot, forces
-}
-
-// serialWaterNSTrace also returns the positions at the START of each step.
-func (w waterParams) serialWaterNSTrace() ([]vec3, float64, [][]vec3, [][]vec3) {
-	var stepPos [][]vec3
-	var stepForces [][]vec3
 	pos := w.initialPositions()
 	vel := make([]vec3, w.mols)
 	var totalPot float64
 	n := w.mols
 	force := make([]vec3, n)
 	for s := 0; s < w.steps; s++ {
-		stepPos = append(stepPos, append([]vec3(nil), pos...))
-		for i := range force {
-			force[i] = vec3{}
-		}
+		clear(force)
 		for i := 0; i < n; i++ {
 			for dj := 1; dj <= n/2; dj++ {
 				j := (i + dj) % n
@@ -120,13 +102,12 @@ func (w waterParams) serialWaterNSTrace() ([]vec3, float64, [][]vec3, [][]vec3) 
 				totalPot += pot
 			}
 		}
-		stepForces = append(stepForces, append([]vec3(nil), force...))
 		for i := 0; i < n; i++ {
 			vel[i] = vel[i].add(force[i].scale(w.dt))
 			pos[i] = pos[i].add(vel[i].scale(w.dt))
 		}
 	}
-	return pos, totalPot, stepForces, stepPos
+	return pos, totalPot
 }
 
 // serialWaterSP runs the owner-computes reference: every molecule's force
@@ -156,4 +137,28 @@ func (w waterParams) serialWaterSP() ([]vec3, float64) {
 		pos = newPos
 	}
 	return pos, totalPot
+}
+
+// waterInput is a Water program's generated input (Inputs): the initial
+// positions' image and the serial reference's final positions and summed
+// potential.
+type waterInput struct {
+	pos     []byte
+	wantPos []vec3
+	wantPot float64
+}
+
+// input returns app's generated input from the memo; serial is its
+// reference simulation.
+func (w waterParams) input(app string, serial func() ([]vec3, float64)) *waterInput {
+	return load(w.cfg.Inputs, paperKey(app, w.cfg), func() *waterInput {
+		in := &waterInput{pos: make([]byte, 24*w.mols)}
+		for i, p := range w.initialPositions() {
+			putF64(in.pos, 3*i, p.x)
+			putF64(in.pos, 3*i+1, p.y)
+			putF64(in.pos, 3*i+2, p.z)
+		}
+		in.wantPos, in.wantPot = serial()
+		return in
+	})
 }

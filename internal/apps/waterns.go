@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
@@ -25,9 +26,8 @@ type WaterNS struct {
 	kinA   mem.Addr // global kinetic accumulator (lock waterLockKin)
 	idA    mem.Addr // processor ids (lock waterLockID)
 
-	wantPos []vec3
-	wantPot float64
-	v       verifier
+	in *waterInput
+	v  verifier
 }
 
 // Global lock variables; per-molecule locks follow.
@@ -66,6 +66,9 @@ func (a *WaterNS) MolLockRange() (lo, hi int) {
 // Err implements proto.Program.
 func (a *WaterNS) Err() error { return a.v.Err() }
 
+// input returns the program's generated input from its memo.
+func (a *WaterNS) input() *waterInput { return a.w.input("Water-ns", a.w.serialWaterNS) }
+
 // Init implements proto.Program.
 func (a *WaterNS) Init(s *mem.Space, nprocs int) {
 	n := a.w.mols
@@ -75,17 +78,8 @@ func (a *WaterNS) Init(s *mem.Space, nprocs int) {
 	a.potA = s.Alloc("water.pot", 8, 0)
 	a.kinA = s.Alloc("water.kin", 8, 0)
 	a.idA = s.Alloc("water.ids", 8*64, 0)
-
-	pos := a.w.initialPositions()
-	buf := make([]byte, 24*n)
-	for i, p := range pos {
-		putF64(buf, 3*i, p.x)
-		putF64(buf, 3*i+1, p.y)
-		putF64(buf, 3*i+2, p.z)
-	}
-	s.WriteInit(a.posA, buf)
-
-	a.wantPos, a.wantPot = a.w.serialWaterNS()
+	a.in = a.input()
+	s.WriteInit(a.posA, a.in.pos)
 }
 
 func (a *WaterNS) readVec(c *proto.Ctx, base mem.Addr, i int) vec3 {
@@ -109,6 +103,17 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 	lo, hi := block(n, c.ID, c.N)
 	pos := make([]vec3, n)
 	posBuf := make([]float64, 3*n)
+	// A batch's force contributions: contrib[m] accumulates in the order
+	// the pairs are visited, and touched lists each m it holds once.
+	contrib := make([]vec3, n)
+	touched := make([]int, 0, n)
+	inBatch := make([]bool, n)
+	touch := func(m int) {
+		if !inBatch[m] {
+			inBatch[m] = true
+			touched = append(touched, m)
+		}
+	}
 
 	for step := 0; step < a.w.steps; step++ {
 		// PREDIC phase: local integration bookkeeping.
@@ -124,9 +129,9 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 		// INTERF: compute pair forces for my half-shell block in small
 		// batches of molecules, flushing each batch's contributions
 		// into the shared accumulators before moving on — one critical
-		// section per touched molecule, as in SPLASH-2's per-molecule
-		// force updates. Acquire notices go out a little ahead of use
-		// (the paper's virtual queue).
+		// section per touched molecule, in ascending order, as in
+		// SPLASH-2's per-molecule force updates. Acquire notices go out a
+		// little ahead of use (the paper's virtual queue).
 		const batch = 8
 		const noticeAhead = 2
 		var localPot float64
@@ -135,7 +140,6 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 			if bHi > hi {
 				bHi = hi
 			}
-			contrib := map[int]vec3{}
 			for i := bLo; i < bHi; i++ {
 				for dj := 1; dj <= n/2; dj++ {
 					j := (i + dj) % n
@@ -146,13 +150,15 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 					if pot == 0 {
 						continue
 					}
+					touch(i)
+					touch(j)
 					contrib[i] = contrib[i].add(f)
 					contrib[j] = contrib[j].sub(f)
 					localPot += pot
 				}
 				c.Compute(uint64(n / 2 * 6))
 			}
-			touched := sortedKeys(boolKeys(contrib))
+			slices.Sort(touched)
 			for k, m := range touched {
 				if k+noticeAhead < len(touched) {
 					c.Notice(a.MolLock(touched[k+noticeAhead]))
@@ -162,7 +168,9 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 				c.ReadF64s(a.forceA+24*m, posBuf[:3])
 				c.WriteF64s(a.forceA+24*m, []float64{posBuf[0] + f.x, posBuf[1] + f.y, posBuf[2] + f.z})
 				c.Release(a.MolLock(m))
+				contrib[m], inBatch[m] = vec3{}, false
 			}
+			touched = touched[:0]
 		}
 		c.Barrier()
 
@@ -205,7 +213,7 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 	if c.ID == 0 {
 		maxErr := 0.0
 		for i := 0; i < n; i++ {
-			d := a.readVec(c, a.posA, i).sub(a.wantPos[i])
+			d := a.readVec(c, a.posA, i).sub(a.in.wantPos[i])
 			if e := d.norm(); e > maxErr {
 				maxErr = e
 			}
@@ -214,20 +222,11 @@ func (a *WaterNS) Body(c *proto.Ctx) {
 			a.v.fail("Water-ns: max position error %g", maxErr)
 		}
 		pot := c.ReadF64(a.potA)
-		if rel := math.Abs(pot-a.wantPot) / math.Max(1, math.Abs(a.wantPot)); rel > 1e-6 {
-			a.v.fail("Water-ns: potential %g, want %g", pot, a.wantPot)
+		if rel := math.Abs(pot-a.in.wantPot) / math.Max(1, math.Abs(a.in.wantPot)); rel > 1e-6 {
+			a.v.fail("Water-ns: potential %g, want %g", pot, a.in.wantPot)
 		}
 	}
 	c.Barrier()
-}
-
-// boolKeys adapts a vec3 map to the sortedKeys helper.
-func boolKeys(m map[int]vec3) map[int]bool {
-	out := make(map[int]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }
 
 func init() {

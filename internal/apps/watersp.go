@@ -27,9 +27,8 @@ type WaterSP struct {
 	maxA mem.Addr
 	idA  mem.Addr
 
-	wantPos []vec3
-	wantPot float64
-	v       verifier
+	in *waterInput
+	v  verifier
 }
 
 // NewWaterSP builds Water-spatial; cfg.Scale 1.0 is the paper's
@@ -47,6 +46,9 @@ func (a *WaterSP) NumLocks() int { return waterGlobalLocks }
 // Err implements proto.Program.
 func (a *WaterSP) Err() error { return a.v.Err() }
 
+// input returns the program's generated input from its memo.
+func (a *WaterSP) input() *waterInput { return a.w.input("Water-sp", a.w.serialWaterSP) }
+
 // Init implements proto.Program.
 func (a *WaterSP) Init(s *mem.Space, nprocs int) {
 	n := a.w.mols
@@ -62,17 +64,8 @@ func (a *WaterSP) Init(s *mem.Space, nprocs int) {
 	b8 := make([]byte, 8)
 	putF64(b8, 0, 1e308)
 	s.WriteInit(a.minA, b8)
-
-	pos := a.w.initialPositions()
-	buf := make([]byte, 24*n)
-	for i, p := range pos {
-		putF64(buf, 3*i, p.x)
-		putF64(buf, 3*i+1, p.y)
-		putF64(buf, 3*i+2, p.z)
-	}
-	s.WriteInit(a.posA, buf)
-
-	a.wantPos, a.wantPot = a.w.serialWaterSP()
+	a.in = a.input()
+	s.WriteInit(a.posA, a.in.pos)
 }
 
 func (a *WaterSP) readVec(c *proto.Ctx, base mem.Addr, i int) vec3 {
@@ -174,7 +167,7 @@ func (a *WaterSP) Body(c *proto.Ctx) {
 		maxErr := 0.0
 		for i := 0; i < n; i++ {
 			p := a.readVec(c, cur, i)
-			d := p.sub(a.wantPos[i])
+			d := p.sub(a.in.wantPos[i])
 			if e := d.norm(); e > maxErr {
 				maxErr = e
 			}
@@ -183,8 +176,8 @@ func (a *WaterSP) Body(c *proto.Ctx) {
 			a.v.fail("Water-sp: max position error %g", maxErr)
 		}
 		pot := c.ReadF64(a.potA)
-		if rel := math.Abs(pot-a.wantPot) / math.Max(1, math.Abs(a.wantPot)); rel > 1e-9 {
-			a.v.fail("Water-sp: potential %g, want %g", pot, a.wantPot)
+		if rel := math.Abs(pot-a.in.wantPot) / math.Max(1, math.Abs(a.in.wantPot)); rel > 1e-9 {
+			a.v.fail("Water-sp: potential %g, want %g", pot, a.in.wantPot)
 		}
 	}
 	c.Barrier()

@@ -107,8 +107,10 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 		rep.Failures = append(rep.Failures, err.Error())
 		return rep
 	}
+	// Every run reads the one schedule the first one generates.
+	var in apps.Inputs
 	for _, k := range kinds {
-		prog := apps.NewSynth(w.Cfg)
+		prog := apps.NewSharedSynth(w.Cfg, &in)
 		aud := NewAuditor(w.Procs)
 		aud.SetPolicy(pol)
 		res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(k, 2), prog, aud, fcfg)
@@ -138,7 +140,7 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 	// cross-protocol agreement, which a shared fault-induced divergence
 	// could in principle satisfy.
 	if fcfg != nil && len(kinds) > 0 {
-		prog := apps.NewSynth(w.Cfg)
+		prog := apps.NewSharedSynth(w.Cfg, &in)
 		res := harness.Run(w.Params(), harness.NewProtocol(kinds[0], 2), prog)
 		base := &ProtocolRun{
 			Kind:       kinds[0],

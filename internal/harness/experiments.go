@@ -95,6 +95,10 @@ type Experiments struct {
 	// goes through its mutex so Experiments methods may be called from
 	// concurrent goroutines (sched.go).
 	sched scheduler
+
+	// inputs holds the applications' generated inputs, built once and
+	// shared read-only by every run this driver makes (apps.Inputs).
+	inputs apps.Inputs
 }
 
 // lapRow is the Table 3 data for one lock group.
@@ -160,12 +164,12 @@ func (e *Experiments) RunNs(app string, kind ProtocolKind, ns int) *Result {
 
 // program builds a fresh instance of the program a spec names; programs
 // keep per-run state, so every run (and the timeline's sampling run)
-// needs its own.
+// needs its own. Their generated inputs come from the driver's memo.
 func (e *Experiments) program(spec runSpec) proto.Program {
 	if spec.app == "" {
-		return apps.NewSynth(spec.synth)
+		return apps.NewSharedSynth(spec.synth, &e.inputs)
 	}
-	return appsFactory(spec.app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed})
+	return appsFactory(spec.app)(apps.Config{Scale: e.Scale, BaseSeed: e.BaseSeed, Inputs: &e.inputs})
 }
 
 // runOne executes the simulation behind one run spec — a pure, isolated

@@ -3,7 +3,8 @@
 // deterministic unit — its own sim.Engine, mem.Space, protocol instance
 // and program instance, with all randomness derived from per-run
 // apps.Config state — so runs compose across OS threads without sharing
-// anything but the memo cache guarded here.
+// anything but the memo cache guarded here and the applications' generated
+// inputs, which apps.Inputs builds once and no run writes.
 //
 // The concurrency in this file is strictly *between* engines; inside one
 // engine the single-runner cooperative-scheduling contract still holds
