@@ -209,7 +209,9 @@ func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	l := pr.Lock(lock)
 	var us []int
 	if pr.opt.UseLAP {
-		us = l.Pred.UpdateSet(to)
+		// Granted computed the set a moment ago; the charge still models
+		// the manager computing it.
+		us = l.Pred.Predicted()
 		s.ChargeList(len(us) + 1)
 	}
 	// Grants and releases alternate, so the last release carries the
@@ -223,14 +225,14 @@ func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 			break
 		}
 	}
-	g := grantMsg{
+	g := &grantMsg{
 		lock:         lock,
 		lastReleaser: l.LastReleaser,
 		lastCount:    l.LastCount,
 		myCount:      l.Count,
 		inUS:         inUS,
 		us:           us,
-		invPages:     append([]int(nil), l.CumPages...),
+		invPages:     l.CumPages,
 	}
 	size := 24 + 8*len(us)
 	if !inUS && l.LastReleaser >= 0 && l.LastReleaser != to {
@@ -242,9 +244,9 @@ func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 
 // handleGrant lands the manager's reply at the acquirer.
 func (pr *AEC) handleGrant(s *sim.Svc, m *sim.Msg) {
-	g := m.Payload.(grantMsg)
+	g := m.Payload.(*grantMsg)
 	st := pr.ps[m.To]
-	st.grant = &g
+	st.grant = g
 	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(g.lastReleaser), int64(g.myCount))
 	s.Wake(s.P)
 }
@@ -316,6 +318,8 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 		for _, d := range merged {
 			bytes += d.EncodedBytes()
 		}
+		// One box for the whole fan-out: a sent payload is read-only.
+		var push any = pushMsg{lock: lock, from: c.ID, count: myCount, step: st.step, diffs: merged}
 		for _, q := range lc.us {
 			if q == c.ID {
 				// lap.UpdateSet leaves out the holder it is computed for.
@@ -328,9 +332,7 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 			// obligation. Under fault injection a lost push is never
 			// retransmitted — the predicted acquirer times out and
 			// falls back to explicit fetches (degraded-mode LAP).
-			pr.e.SendFromBestEffort(c.P, stats.Synch, q, kPush, bytes,
-				pushMsg{lock: lock, from: c.ID, count: myCount, step: st.step, diffs: merged},
-				pr.h.push)
+			pr.e.SendFromBestEffort(c.P, stats.Synch, q, kPush, bytes, push, pr.h.push)
 		}
 	}
 

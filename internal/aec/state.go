@@ -34,7 +34,9 @@ type recvBuf struct {
 	applied bitset.Set  // pages of THIS push already applied locally
 }
 
-// grantMsg is the lock manager's reply to an acquire request.
+// grantMsg is the lock manager's reply to an acquire request. Its lists
+// are the manager's own (the release's cumulative pages, the predictor's
+// published update set), shared and never written.
 type grantMsg struct {
 	lock         int
 	lastReleaser int   // -1 if first acquisition since reset

@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
+	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
 )
 
@@ -45,4 +47,54 @@ func PerturbReference(prog proto.Program) {
 	default:
 		panic("apps: no reference to perturb in " + prog.Name())
 	}
+}
+
+// PerturbPotential changes the reference potential of prog, Water-ns or
+// Water-sp, by a thousandth, leaving the reference positions alone. prog
+// must have been built with a memo, as for PerturbReference.
+func PerturbPotential(prog proto.Program) {
+	var in *waterInput
+	switch a := prog.(type) {
+	case *WaterNS:
+		in = a.input()
+	case *WaterSP:
+		in = a.input()
+	default:
+		panic("apps: no reference potential in " + prog.Name())
+	}
+	in.wantPot += 1e-3 * math.Max(1, math.Abs(in.wantPot))
+}
+
+// BreakInit wraps prog, one of the programs whose verifier checks its run
+// against an invariant instead of a serial reference, so that its Init
+// leaves one word of the shared memory's initial image at 1 instead of 0:
+// the first counter (Counter, MicroRMW), the first stencil slot
+// (MicroStencil), the first bucket count (IS, which the first ranking
+// reads; with more than one repetition the reset before the last one
+// hides it), the second cell of lock 0's pair (Synth) or the ray-packet
+// count (Raytrace).
+func BreakInit(prog proto.Program) proto.Program { return brokenInit{prog} }
+
+type brokenInit struct{ proto.Program }
+
+func (b brokenInit) Init(s *mem.Space, nprocs int) {
+	b.Program.Init(s, nprocs)
+	var at mem.Addr
+	switch a := b.Program.(type) {
+	case *Counter:
+		at = a.base
+	case *MicroRMW:
+		at = a.base
+	case *MicroStencil:
+		at = a.base
+	case *IS:
+		at = a.bucketA
+	case *Synth:
+		at = a.regionA[0] + 8
+	case *Raytrace:
+		at = a.memA
+	default:
+		panic("apps: no invariant to break in " + b.Name())
+	}
+	s.WriteInit(at, []byte{1, 0, 0, 0})
 }

@@ -10,8 +10,8 @@
 package lap
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"aecdsm/internal/lockpolicy"
 	"aecdsm/internal/trace"
@@ -41,7 +41,12 @@ type Predictor struct {
 	aff []uint32
 
 	// Outstanding prediction, recorded when the lock was granted to the
-	// current holder and evaluated when it next transfers.
+	// current holder and evaluated when it next transfers. pendFull is
+	// published — the grant message, the journal record, the manager's
+	// image and the affinity policy's oracle all read it — so every
+	// grant makes it a fresh slice and nothing writes it in place. The
+	// per-technique predictions are read only here and are rewritten in
+	// place at every grant.
 	pending      bool
 	pendHolder   int
 	pendFull     []int
@@ -49,6 +54,10 @@ type Predictor struct {
 	pendWaitAff  []int
 	pendWaitVirt []int
 	note         []byte // reused encoding of pendFull for lap-predict
+
+	// Scratch rewritten at every update-set computation: the set under
+	// construction, the affinity set, and step 4's remaining candidates.
+	us, affSet, rest []int
 
 	Stats Stats
 
@@ -81,8 +90,6 @@ type Stats struct {
 	Evaluated uint64
 	// Hits per technique combination.
 	HitFull, HitWaitQ, HitWaitAff, HitWaitVirt uint64
-	// NoticesSeen counts virtual-queue insertions.
-	NoticesSeen uint64
 }
 
 // Rate returns hits/evaluated as a percentage, or -1 if never evaluated.
@@ -126,9 +133,10 @@ func (p *Predictor) SetPolicy(k lockpolicy.Kind) {
 	p.queue = lockpolicy.New(k, p)
 }
 
-// Predicted implements lockpolicy.Oracle: the last update set this
-// predictor computed, i.e. the processors the releaser's merged diffs
-// were eagerly pushed to (their copies are warm).
+// Predicted implements lockpolicy.Oracle: the update set computed at
+// the last grant, i.e. the processors the releaser's merged diffs were
+// eagerly pushed to (their copies are warm). The hosting protocol sends
+// this same slice with the grant; it must not be written.
 func (p *Predictor) Predicted() []int { return p.pendFull }
 
 // Enqueue appends a processor to the waiting queue (lock busy at request).
@@ -197,7 +205,6 @@ func (p *Predictor) Waiters(dst []int) []int { return p.queue.Waiters(dst) }
 
 // Notice records an acquire notice: proc intends to take the lock soon.
 func (p *Predictor) Notice(proc int) {
-	p.Stats.NoticesSeen++
 	p.Tracer.Lock(p.now(), p.Mgr, trace.KindLAPNotice, p.Lock, int64(proc), 0)
 	for _, q := range p.virtQ {
 		if q == proc {
@@ -253,13 +260,14 @@ func (p *Predictor) Granted(to, prev int) {
 		p.aff[prev*p.nprocs+to]++
 	}
 	p.removeNotice(to)
-	// Record the prediction for the new holder's eventual release.
+	// Record the prediction for the new holder's eventual release. The
+	// update set is computed here, once per grant, and published.
 	p.pending = true
 	p.pendHolder = to
 	p.pendFull = p.UpdateSet(to)
 	p.pendWaitQ = p.queue.PeekNext(to)
-	p.pendWaitAff = p.techniqueWaitAff(to)
-	p.pendWaitVirt = p.techniqueWaitVirt(to)
+	p.pendWaitAff = p.appendWaitAff(p.pendWaitAff[:0], to)
+	p.pendWaitVirt = p.appendWaitVirt(p.pendWaitVirt[:0])
 	if p.Tracer.On() {
 		p.note = trace.AppendIntSet(p.note[:0], p.pendFull)
 		p.Tracer.LockNote(p.now(), p.Mgr, trace.KindLAPPredict, p.Lock, int64(to), string(p.note))
@@ -280,6 +288,12 @@ func (p *Predictor) removeNotice(proc int) {
 // affinity for other processors, ordered by descending affinity then
 // ascending id. An empty history yields an empty set.
 func (p *Predictor) AffinitySet(holder int) []int {
+	return append([]int(nil), p.affinitySet(holder)...)
+}
+
+// affinitySet computes AffinitySet into the predictor's scratch; the
+// result is valid until the next computation.
+func (p *Predictor) affinitySet(holder int) []int {
 	row := p.aff[holder*p.nprocs : (holder+1)*p.nprocs]
 	var sum uint64
 	for q, v := range row {
@@ -287,18 +301,18 @@ func (p *Predictor) AffinitySet(holder int) []int {
 			sum += uint64(v)
 		}
 	}
-	if sum == 0 {
-		return nil
-	}
-	avg := float64(sum) / float64(p.nprocs-1)
-	thresh := DefaultAffinityFactor * avg
-	var set []int
-	for q, v := range row {
-		if q != holder && v > 0 && float64(v) >= thresh {
-			set = append(set, q)
+	set := p.affSet[:0]
+	if sum > 0 {
+		avg := float64(sum) / float64(p.nprocs-1)
+		thresh := DefaultAffinityFactor * avg
+		for q, v := range row {
+			if q != holder && v > 0 && float64(v) >= thresh {
+				set = append(set, q)
+			}
 		}
+		sortByAffinity(set, row)
 	}
-	sortByAffinity(set, row)
+	p.affSet = set
 	return set
 }
 
@@ -308,14 +322,22 @@ func (p *Predictor) AffinitySet(holder int) []int {
 //  2. start from the affinity set;
 //  3. fill from (virtual queue ∩ positive affinity);
 //  4. fill from the virtual queue, then remaining positive-affinity procs.
+//
+// The result is a fresh slice; an empty set is nil.
 func (p *Predictor) UpdateSet(holder int) []int {
+	p.us = p.appendUpdateSet(p.us[:0], holder)
+	return append([]int(nil), p.us...)
+}
+
+// appendUpdateSet appends the holder's update set to us, working in the
+// predictor's scratch.
+func (p *Predictor) appendUpdateSet(us []int, holder int) []int {
 	if p.queue.Len() > 0 {
 		// The policy's would-be pick, not blindly the arrival-order head:
 		// the push must aim at the waiter that will actually win the lock.
-		return []int{p.queue.PeekNext(holder)}
+		return append(us, p.queue.PeekNext(holder))
 	}
 	row := p.aff[holder*p.nprocs : (holder+1)*p.nprocs]
-	us := make([]int, 0, p.ns)
 	add := func(q int) bool {
 		if q == holder || slices.Contains(us, q) {
 			return len(us) < p.ns
@@ -325,7 +347,7 @@ func (p *Predictor) UpdateSet(holder int) []int {
 	}
 	// Step 2: affinity set (may by itself exceed Ns; the paper caps the
 	// update set size at Ns, so we truncate by affinity order).
-	for _, q := range p.AffinitySet(holder) {
+	for _, q := range p.affinitySet(holder) {
 		if !add(q) {
 			return us
 		}
@@ -344,13 +366,14 @@ func (p *Predictor) UpdateSet(holder int) []int {
 			return us
 		}
 	}
-	rest := make([]int, 0, p.nprocs)
+	rest := p.rest[:0]
 	for q := 0; q < p.nprocs; q++ {
 		if q != holder && row[q] > 0 {
 			rest = append(rest, q)
 		}
 	}
 	sortByAffinity(rest, row)
+	p.rest = rest
 	for _, q := range rest {
 		if !add(q) {
 			return us
@@ -359,32 +382,24 @@ func (p *Predictor) UpdateSet(holder int) []int {
 	return us
 }
 
-// techniqueWaitAff is waitQ+affinity in isolation: queue head if any, else
-// the affinity set truncated to Ns.
-func (p *Predictor) techniqueWaitAff(holder int) []int {
+// appendWaitAff appends waitQ+affinity in isolation: nothing when the
+// queue is non-empty (its head is pendWaitQ), else the affinity set
+// truncated to Ns.
+func (p *Predictor) appendWaitAff(dst []int, holder int) []int {
 	if p.queue.Len() > 0 {
-		return nil // the waitQ component covers it
+		return dst
 	}
-	set := p.AffinitySet(holder)
-	if len(set) > p.ns {
-		set = set[:p.ns]
-	}
-	return set
+	set := p.affinitySet(holder)
+	return append(dst, set[:min(len(set), p.ns)]...)
 }
 
-// techniqueWaitVirt is waitQ+virtualQ in isolation: queue head if any,
-// else the first Ns virtual-queue entries.
-func (p *Predictor) techniqueWaitVirt(holder int) []int {
+// appendWaitVirt appends waitQ+virtualQ in isolation: nothing when the
+// queue is non-empty, else the first Ns virtual-queue entries.
+func (p *Predictor) appendWaitVirt(dst []int) []int {
 	if p.queue.Len() > 0 {
-		return nil
+		return dst
 	}
-	n := p.ns
-	if n > len(p.virtQ) {
-		n = len(p.virtQ)
-	}
-	out := make([]int, n)
-	copy(out, p.virtQ[:n])
-	return out
+	return append(dst, p.virtQ[:min(len(p.virtQ), p.ns)]...)
 }
 
 // Affinity returns the transfer count from -> to.
@@ -395,11 +410,10 @@ func (p *Predictor) Affinity(from, to int) uint32 {
 // sortByAffinity orders processor ids by descending affinity count,
 // breaking ties by ascending id, deterministically.
 func sortByAffinity(procs []int, row []uint32) {
-	sort.Slice(procs, func(i, j int) bool {
-		a, b := procs[i], procs[j]
-		if row[a] != row[b] {
-			return row[a] > row[b]
+	slices.SortFunc(procs, func(a, b int) int {
+		if c := cmp.Compare(row[b], row[a]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 }

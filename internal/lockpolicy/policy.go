@@ -167,8 +167,10 @@ func (f *fifoQueue) PickNext(releaser int) Pick {
 	if len(f.q) == 0 {
 		return Pick{Proc: -1}
 	}
+	// Copy down rather than reslice, so Enqueue reuses the backing
+	// array instead of regrowing it.
 	h := f.q[0]
-	f.q = f.q[1:]
+	f.q = f.q[:copy(f.q, f.q[1:])]
 	return Pick{Proc: h}
 }
 

@@ -414,3 +414,25 @@ func TestWaitersArrivalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueCycleDoesNotAllocate: a waiting queue keeps its backing array,
+// so filling it with every processor and draining it again allocates
+// nothing in steady state. The head-popping queues copy down on PickNext;
+// reslicing past the head would shrink the capacity and make Enqueue
+// regrow it.
+func TestQueueCycleDoesNotAllocate(t *testing.T) {
+	for _, k := range Kinds() {
+		q := New(k, &fakeOracle{})
+		cycle := func() {
+			for p := range 16 {
+				q.Enqueue(p)
+			}
+			for q.Len() > 0 {
+				q.PickNext(0)
+			}
+		}
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("%s: an Enqueue/PickNext cycle allocates %v objects/op, want 0", k, n)
+		}
+	}
+}

@@ -278,7 +278,9 @@ func (pr *Munin) handleAcqReq(s *sim.Svc, m *sim.Msg) {
 func (pr *Munin) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	var us []int
 	if pr.opt.UseLAP {
-		us = pr.Lock(lock).Pred.UpdateSet(to)
+		// Granted computed the set a moment ago; the charge still models
+		// the manager computing it.
+		us = pr.Lock(lock).Pred.Predicted()
 		s.ChargeList(len(us) + 1)
 	}
 	pr.CommitGrant(s, lock, to, fromQueue, 0, us)

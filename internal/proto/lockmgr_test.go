@@ -23,10 +23,7 @@ type grantLog struct {
 
 func (g *grantLog) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	l := g.m.Lock(lock)
-	us := l.Pred.UpdateSet(to)
-	if len(us) == 0 {
-		us = nil // the journal snapshots an empty set as nil
-	}
+	us := l.Pred.Predicted()
 	g.m.CommitGrant(s, lock, to, fromQueue, l.LastCount+1, us)
 	q := 0
 	if fromQueue {

@@ -124,7 +124,7 @@ func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		return
 	}
 	s.Send(to, kGrant, 8+4*pr.nprocs,
-		grantMsg{lock: lock, vc: vc}, pr.h.grant)
+		&grantMsg{lock: lock, vc: vc}, pr.h.grant)
 }
 
 // handleGrantReq runs at the last releaser: build the write-notice set and
@@ -136,7 +136,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 	st := pr.ps[m.To]
 	wns := pr.collectWNs(req.to, st.vc, req.vc)
 	s.ChargeList(len(wns))
-	g := grantMsg{lock: req.lock, wns: wns, vc: st.vc}
+	g := &grantMsg{lock: req.lock, wns: wns, vc: st.vc}
 	size := 8 + 16*len(wns) + 4*pr.nprocs
 	if pr.hybrid {
 		for _, wn := range wns {
@@ -154,9 +154,9 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 
 // handleGrant lands the grant at the acquirer.
 func (pr *TM) handleGrant(s *sim.Svc, m *sim.Msg) {
-	g := m.Payload.(grantMsg)
+	g := m.Payload.(*grantMsg)
 	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(m.From), int64(len(g.wns)))
-	pr.ps[m.To].grant = &g
+	pr.ps[m.To].grant = g
 	s.Wake(s.P)
 }
 
