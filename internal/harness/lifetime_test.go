@@ -3,10 +3,13 @@ package harness_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"aecdsm"
+	"aecdsm/internal/apps"
 	"aecdsm/internal/check"
 	"aecdsm/internal/fault"
 	"aecdsm/internal/harness"
@@ -117,6 +120,40 @@ func TestLifetimePoisonedFacade(t *testing.T) {
 		if !reflect.DeepEqual(mine.Run, mine2.Run) || prog.Err() != nil {
 			t.Errorf("%s: tally measured %d cycles then %d; its own check now says %v",
 				protocol, mine.Cycles(), mine2.Cycles(), prog.Err())
+		}
+	}
+}
+
+// TestIdleArenaKeepsNoRun: once a run is harvested nothing of it stays
+// reachable from the arena it goes back to, though the arena's engine
+// keeps its processors, pools and transport rows for the next run. Under
+// the light preset the first fuzz seeds end with messages unacknowledged,
+// whose pending entries and originals the pools once handed out; the
+// protocol instance must still be collectable after every run, under AEC,
+// TreadMarks, Munin and ideal.
+func TestIdleArenaKeepsNoRun(t *testing.T) {
+	light, err := fault.ParseSpec("light")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		w := check.Generate(seed, 0)
+		for _, kind := range check.DefaultProtocols() {
+			for _, fcfg := range []*fault.Config{nil, &light} {
+				var gone weak.Pointer[byte]
+				func() {
+					pr := harness.NewProtocol(kind, 2)
+					// A weak pointer to the protocol's first byte: its
+					// dynamic type differs per kind.
+					gone = weak.Make((*byte)(reflect.ValueOf(pr).UnsafePointer()))
+					harness.RunFaultTraced(w.Params(), pr, apps.NewSynth(w.Cfg), check.NewAuditor(w.Procs), fcfg)
+				}()
+				runtime.GC()
+				runtime.GC()
+				if gone.Value() != nil {
+					t.Errorf("seed %d, %s, faults %v: the harvested run's protocol is still reachable", seed, kind, fcfg)
+				}
+			}
 		}
 	}
 }

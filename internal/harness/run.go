@@ -15,9 +15,9 @@ import (
 )
 
 // Result bundles everything measured in one run. It holds no reference
-// to the protocol or program instance and none into the run's region:
-// the page images it was measured on are another run's by the time the
-// caller reads it.
+// to the protocol or program instance and none into the run's arena:
+// the page images it was measured on, and the engine that measured them,
+// are another run's by the time the caller reads it.
 type Result struct {
 	Run *stats.Run
 	// VerifyErr is the application's self-check outcome.
@@ -75,13 +75,13 @@ func RunFaultTraced(params memsys.Params, pr proto.Protocol, prog proto.Program,
 	return res
 }
 
-// run is the harness's one way to run a simulation: the split check, a
-// region from the free list, proto.Assemble, the run itself and the
-// region given back once the run is harvested. It also returns a copy of
+// run is the harness's one way to run a simulation: the split check, an
+// arena from the free list, proto.Assemble, the run itself and the arena
+// given back once the run is harvested. It also returns a copy of
 // the run's statistics at each of the ascending marks, taken by the
 // engine's observer (sim.Engine.Observe), which perturbs nothing. A split
 // refusal is reported in the Result: the configuration cannot run, and
-// no region was taken.
+// no arena was taken.
 func run(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.Tracer, fcfg *fault.Config, marks []sim.Time) (res *Result, samples []*stats.Run) {
 	if sc, ok := prog.(proto.SplitChecker); ok {
 		if err := sc.CheckSplit(params.NumProcs); err != nil {
@@ -89,8 +89,8 @@ func run(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.T
 			return &Result{Run: r, SplitErr: err, faults: fcfg}, nil
 		}
 	}
-	rg := takeRegion()
-	m := proto.Assemble(params, pr, prog, tr, fcfg, rg)
+	a := takeArena()
+	m := proto.Assemble(params, pr, prog, tr, fcfg, a)
 	res = &Result{Run: m.E.Run, faults: fcfg}
 	if marks != nil {
 		m.E.Observe(marks, func(int) { samples = append(samples, res.Run.Clone()) })
@@ -109,8 +109,8 @@ func run(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.T
 	}
 	res.VerifyErr = prog.Err()
 	// Harvested: the program has checked its results against the shared
-	// memory, and nothing reads the run's pages from here on. No defer — a
-	// run that panics leaves its region to the collector.
-	releaseRegion(rg)
+	// memory, and nothing reads the run's pages or its engine from here
+	// on. No defer — a run that panics leaves its arena to the collector.
+	releaseArena(a)
 	return res, samples
 }

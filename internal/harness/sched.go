@@ -18,19 +18,21 @@ import (
 	"sync"
 
 	"aecdsm/internal/mem"
+	"aecdsm/internal/proto"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
 )
 
-// regions is the free list of idle run regions: the page memory of the
-// simulations this process has finished, waiting for the next ones. A run
-// takes one when it is composed and gives it back when it has been
-// harvested, so a sweep's second and later runs allocate no page; engines
-// on several goroutines (-jobs N) each hold their own, and the list is as
-// long as the most that ever ran at once.
-var regions struct {
+// arenas is the free list of idle run arenas: the page memory and the
+// engine of the simulations this process has finished, waiting for the
+// next ones. A run takes one when it is composed and gives it back when
+// it has been harvested, so a sweep's second and later runs allocate no
+// page and build no engine; engines on several goroutines (-jobs N) each
+// hold their own arena, and the list is as long as the most that ever ran
+// at once.
+var arenas struct {
 	mu   sync.Mutex
-	idle []*mem.Region
+	idle []*proto.Arena
 }
 
 // regionKeepBytes bounds what a region keeps between runs. A quarter-scale
@@ -42,38 +44,62 @@ var regions struct {
 // all of it did before.
 const regionKeepBytes = 16 << 20
 
-// poisonReleased makes releaseRegion poison what it takes back; only the
+// engineKeepBytes bounds the engine an arena keeps between runs
+// (sim.Engine.Size): its processors and memory-system models, links, event
+// queue array, pooled records and transport rows. A 16-processor engine
+// keeps 31 KB after a clean run and 94 KB after a faulted one, a
+// 64-processor one 121 KB and 1.4 MB, a 1024-processor one 1.6 MB after a
+// barrier (TestIdleArenaBounded). What passes the bound is a high-water
+// mark no later run is likely to need — 224 201 messages in flight when
+// 1024 processors write one page, n² pair windows on a faulted
+// 1024-processor machine — and such an engine goes back to the collector
+// with its run; the next run builds one (docs/PERFORMANCE.md, round
+// sixteen).
+const engineKeepBytes = 8 << 20
+
+// poisonReleased makes releaseArena poison what it takes back; only the
 // lifetime tests set it (export_test.go).
 var poisonReleased bool
 
-// takeRegion returns an idle region, or a new one, held for the caller's
-// run.
-func takeRegion() *mem.Region {
-	regions.mu.Lock()
-	var r *mem.Region
-	if n := len(regions.idle); n > 0 {
-		r, regions.idle = regions.idle[n-1], regions.idle[:n-1]
+// takeArena returns an idle arena, or a new one with a region and no
+// engine yet, held for the caller's run.
+func takeArena() *proto.Arena {
+	arenas.mu.Lock()
+	var a *proto.Arena
+	if n := len(arenas.idle); n > 0 {
+		a, arenas.idle = arenas.idle[n-1], arenas.idle[:n-1]
 	}
-	regions.mu.Unlock()
-	if r == nil {
-		r = new(mem.Region)
+	arenas.mu.Unlock()
+	if a == nil {
+		a = &proto.Arena{Region: new(mem.Region)}
 	}
-	r.Acquire()
-	return r
+	a.Region.Acquire()
+	return a
 }
 
-// releaseRegion takes back the region of a run that has been harvested:
-// from here on nothing may read what the run drew from it. A run that
-// panicked does not come here; its region goes to the collector with it.
-func releaseRegion(r *mem.Region) {
-	r.Release()
-	r.Trim(regionKeepBytes)
-	if poisonReleased {
-		r.Poison()
+// releaseArena takes back the arena of a run that has been harvested:
+// from here on nothing may read what the run drew from its region or left
+// in its engine, and the engine, released, keeps none of the run alive. A
+// run that panicked does not come here; its region and its engine go to
+// the collector with it.
+func releaseArena(a *proto.Arena) {
+	a.Region.Release()
+	a.Region.Trim(regionKeepBytes)
+	if a.Engine != nil {
+		a.Engine.Release()
+		if a.Engine.Size() > engineKeepBytes {
+			a.Engine = nil
+		}
 	}
-	regions.mu.Lock()
-	regions.idle = append(regions.idle, r)
-	regions.mu.Unlock()
+	if poisonReleased {
+		a.Region.Poison()
+		if a.Engine != nil {
+			a.Engine.Poison()
+		}
+	}
+	arenas.mu.Lock()
+	arenas.idle = append(arenas.idle, a)
+	arenas.mu.Unlock()
 }
 
 // runOutcome is what one completed run contributes to the memo cache —

@@ -22,6 +22,12 @@ func NewBus(setup uint64, perWord float64) *Bus {
 	return &Bus{setup: setup, perWord: perWord}
 }
 
+// Renew makes b the bus NewBus(setup, perWord) returns, in place: free,
+// counters zero.
+func (b *Bus) Renew(setup uint64, perWord float64) {
+	*b = Bus{setup: setup, perWord: perWord}
+}
+
 // Transfer reserves the bus at time now for a transfer of the given number
 // of words. It returns the completion time; completion-now is the full cost
 // seen by the requester (queueing + occupancy).

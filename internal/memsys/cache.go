@@ -1,6 +1,9 @@
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Cache simulates a direct-mapped, write-allocate first-level data cache
 // over the shared address space. Only shared data goes through the cache
@@ -34,7 +37,17 @@ type Cache struct {
 // NewCache builds a cache of totalBytes capacity with the given line size.
 // Both must be powers of two with totalBytes a multiple of lineBytes.
 func NewCache(totalBytes, lineBytes int) *Cache {
-	return &Cache{lineShift: shiftFor(lineBytes), lines: totalBytes / lineBytes}
+	c := new(Cache)
+	c.Renew(totalBytes, lineBytes)
+	return c
+}
+
+// Renew makes c the cache NewCache(totalBytes, lineBytes) returns, in
+// place: empty, unbounded, not accessed, counters zero. It drops the tag
+// slots rather than keeping them, because they may be an ended run's
+// region memory (TagsFrom).
+func (c *Cache) Renew(totalBytes, lineBytes int) {
+	*c = Cache{lineShift: shiftFor(lineBytes), lines: totalBytes / lineBytes}
 }
 
 // Bound tells a cache not yet accessed that every address it will see lies
@@ -150,9 +163,21 @@ type TLB struct {
 
 // NewTLB builds a TLB with the given number of entries (a power of two).
 func NewTLB(entries int) *TLB {
-	t := &TLB{entries: make([]int64, entries), mask: entries - 1}
-	t.Reset()
+	t := new(TLB)
+	t.Renew(entries)
 	return t
+}
+
+// Renew makes t the TLB NewTLB(entries) returns, in place: empty, counters
+// zero. It keeps its entry array when that holds entries, so renewing for a
+// TLB no larger than the last allocates nothing.
+func (t *TLB) Renew(entries int) {
+	e := t.entries[:0]
+	if cap(e) < entries {
+		e = make([]int64, 0, entries)
+	}
+	*t = TLB{entries: e[:entries], mask: entries - 1}
+	t.Reset()
 }
 
 // Reset empties the TLB.
@@ -161,6 +186,9 @@ func (t *TLB) Reset() {
 		t.entries[i] = -1
 	}
 }
+
+// Bytes is the memory the TLB keeps: itself and its entry array.
+func (t *TLB) Bytes() int { return int(unsafe.Sizeof(*t)) + 8*cap(t.entries) }
 
 // Access touches the given virtual page and reports whether it missed.
 func (t *TLB) Access(page int) (miss bool) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,7 @@ func TestParamsValidateRejects(t *testing.T) {
 		func(p *Params) { p.TLBEntries = 0 },
 		func(p *Params) { p.MeshW, p.MeshH = -4, -4 },
 		func(p *Params) { p.BarrierRadix = -1 },
+		func(p *Params) { p.LockPolicy = "bogus" },
 	}
 	for i, mutate := range cases {
 		p := Default()
@@ -182,6 +184,26 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 	if m := c.Access(0, 32); m != 1 {
 		t.Fatalf("evicted line misses = %d, want 1", m)
+	}
+}
+
+// TestCacheEmptyRanges: an access or an invalidation of no bytes touches
+// nothing — no miss, no hit, no tag slots made.
+func TestCacheEmptyRanges(t *testing.T) {
+	c := NewCache(1024, 32)
+	for _, n := range []int{0, -8} {
+		if m := c.Access(64, n); m != 0 {
+			t.Errorf("Access(64, %d) = %d misses, want 0", n, m)
+		}
+		c.InvalidateRange(64, n)
+	}
+	if c.tags != nil || c.Hits != 0 || c.Misses != 0 {
+		t.Errorf("empty ranges made %d tag slots, %d hits, %d misses", len(c.tags), c.Hits, c.Misses)
+	}
+	c.Access(64, 32)
+	c.InvalidateRange(64, 0)
+	if m := c.Access(64, 32); m != 0 {
+		t.Errorf("an empty invalidation dropped a line: %d misses", m)
 	}
 }
 
@@ -392,6 +414,49 @@ func TestTLB(t *testing.T) {
 	}
 }
 
+// TestRenewIsNew: a cache, TLB and bus renewed in place after use — for a
+// larger structure, a smaller one and the same one — are the ones their
+// constructors return, and a TLB renewed no larger keeps its entry array.
+func TestRenewIsNew(t *testing.T) {
+	for _, size := range []struct{ cacheBytes, line, entries int }{
+		{2048, 32, 64},  // the same
+		{8192, 64, 256}, // larger
+		{1024, 16, 16},  // smaller
+	} {
+		c := NewCache(2048, 32)
+		c.TagsFrom(func(words int) []uint32 { return make([]uint32, words) })
+		c.Access(0, 4096)
+		c.Renew(size.cacheBytes, size.line)
+		if want := NewCache(size.cacheBytes, size.line); !reflect.DeepEqual(c, want) {
+			t.Errorf("renewed cache %+v, new %+v", *c, *want)
+		}
+
+		tlb := NewTLB(64)
+		for pg := 0; pg < 200; pg++ {
+			tlb.Access(pg)
+		}
+		was := &tlb.entries[0]
+		tlb.Renew(size.entries)
+		if want := NewTLB(size.entries); !reflect.DeepEqual(tlb, want) {
+			t.Errorf("TLB renewed for %d entries differs from a new one", size.entries)
+		}
+		if kept := &tlb.entries[0] == was; kept != (size.entries <= 64) {
+			t.Errorf("TLB renewed from 64 to %d entries: array kept %v", size.entries, kept)
+		}
+		if tlb.Bytes() < 8*size.entries {
+			t.Errorf("a %d-entry TLB reports %d bytes", size.entries, tlb.Bytes())
+		}
+
+		b := NewBus(10, 2)
+		b.Transfer(0, 100)
+		b.Transfer(0, 100)
+		b.Renew(uint64(size.line), 0.5)
+		if want := NewBus(uint64(size.line), 0.5); *b != *want {
+			t.Errorf("renewed bus %+v, new %+v", *b, *want)
+		}
+	}
+}
+
 // TestTagsFromDirtyMemory: a cache that takes its tags from a supplier
 // clears them — the slots it gets here hold exactly the tags of the lines
 // about to be accessed, which unclear would all hit — takes them once, at
@@ -470,6 +535,22 @@ func TestBusMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackupOf: a manager's replica is its ring successor, and itself on a
+// one-node machine, where there is nowhere else to replicate to.
+func TestBackupOf(t *testing.T) {
+	for _, tc := range []struct{ mgr, n, want int }{
+		{0, 1, 0},
+		{0, 2, 1},
+		{1, 2, 0},
+		{5, 16, 6},
+		{15, 16, 0},
+	} {
+		if got := BackupOf(tc.mgr, tc.n); got != tc.want {
+			t.Errorf("BackupOf(%d, %d) = %d, want %d", tc.mgr, tc.n, got, tc.want)
+		}
 	}
 }
 

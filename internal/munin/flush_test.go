@@ -109,7 +109,7 @@ func runFlushRig(t *testing.T, faults string, seed uint64, lap bool) *stats.Run 
 		if c.ID == rigReleaser {
 			release(t, pr, c, addrs, region, &n, lap)
 		}
-	}}, nil, fc, region)
+	}}, nil, fc, &proto.Arena{Region: region})
 	pr.wrap(&n)
 	run(t, m)
 

@@ -11,6 +11,7 @@ package network
 
 import (
 	"fmt"
+	"unsafe"
 
 	"aecdsm/internal/fault"
 	"aecdsm/internal/memsys"
@@ -28,11 +29,6 @@ type Mesh struct {
 
 	// linkFree[l] is the time unidirectional link l becomes free.
 	linkFree []uint64
-
-	// scratch is the reusable path buffer for route: Transfer is on the
-	// per-message hot path and must not allocate. Safe because the
-	// simulator's single-runner discipline serializes all Transfers.
-	scratch []int
 
 	// Statistics.
 	Messages   uint64
@@ -56,16 +52,32 @@ type Mesh struct {
 
 // NewMesh builds the mesh described by the parameter set.
 func NewMesh(p memsys.Params) *Mesh {
-	return &Mesh{
+	m := new(Mesh)
+	m.Renew(p)
+	return m
+}
+
+// Renew makes m the mesh NewMesh(p) returns, in place: every link free,
+// counters zero, no tracer, no injector. It keeps its link array when that
+// holds the new mesh's links, so renewing for a mesh no larger than the
+// last allocates nothing.
+func (m *Mesh) Renew(p memsys.Params) {
+	// Four outgoing directions per node is an upper bound on the number
+	// of unidirectional links we index.
+	links := p.MeshW * p.MeshH * 4
+	free := m.linkFree[:0]
+	if cap(free) < links {
+		free = make([]uint64, 0, links)
+	}
+	free = free[:links]
+	clear(free)
+	*m = Mesh{
 		w:         p.MeshW,
 		h:         p.MeshH,
 		flitBytes: p.NetPathWidthBits / 8,
 		switchCy:  p.SwitchCycles,
 		wireCy:    p.WireCycles,
-		// Four outgoing directions per node is an upper bound on the
-		// number of unidirectional links we index.
-		linkFree: make([]uint64, p.MeshW*p.MeshH*4),
-		scratch:  make([]int, 0, p.MeshW+p.MeshH),
+		linkFree:  free,
 	}
 }
 
@@ -84,35 +96,6 @@ func (m *Mesh) Hops(from, to int) int {
 	fx, fy := from%m.w, from/m.w
 	tx, ty := to%m.w, to/m.w
 	return abs(fx-tx) + abs(fy-ty)
-}
-
-// route appends the unidirectional link indices of the XY path from 'from'
-// to 'to' into dst and returns it.
-func (m *Mesh) route(dst []int, from, to int) []int {
-	x, y := from%m.w, from/m.w
-	tx, ty := to%m.w, to/m.w
-	node := from
-	for x != tx {
-		if x < tx {
-			dst = append(dst, m.linkIndex(node, dirEast))
-			x++
-		} else {
-			dst = append(dst, m.linkIndex(node, dirWest))
-			x--
-		}
-		node = y*m.w + x
-	}
-	for y != ty {
-		if y < ty {
-			dst = append(dst, m.linkIndex(node, dirSouth))
-			y++
-		} else {
-			dst = append(dst, m.linkIndex(node, dirNorth))
-			y--
-		}
-		node = y*m.w + x
-	}
-	return dst
 }
 
 // Flits returns the number of flits needed to carry the given payload.
@@ -143,11 +126,24 @@ func (m *Mesh) Transfer(now uint64, from, to, bytes int) uint64 {
 			t += extra
 		}
 	}
-	path := m.route(m.scratch[:0], from, to)
-	m.scratch = path
-	m.HopsTotal += uint64(len(path))
-	var waited uint64
-	for _, l := range path {
+	// The XY path, walked in place: x first, then y, each link reserved
+	// as the header reaches it.
+	x, y := from%m.w, from/m.w
+	tx, ty := to%m.w, to/m.w
+	var hops, waited uint64
+	for ; x != tx || y != ty; hops++ {
+		node, dir := y*m.w+x, dirEast
+		switch {
+		case x < tx:
+			x++
+		case x > tx:
+			dir, x = dirWest, x-1
+		case y < ty:
+			dir, y = dirSouth, y+1
+		default:
+			dir, y = dirNorth, y-1
+		}
+		l := m.linkIndex(node, dir)
 		start := t
 		if m.linkFree[l] > start {
 			waited += m.linkFree[l] - start
@@ -158,6 +154,7 @@ func (m *Mesh) Transfer(now uint64, from, to, bytes int) uint64 {
 		// The link is held until the tail flit has crossed it.
 		m.linkFree[l] = t + bodyCy
 	}
+	m.HopsTotal += hops
 	m.WaitCycles += waited
 	m.Tracer.Event(now, from, trace.KindNetTransfer, int64(to), int64(waited))
 	// Tail arrival: header arrival plus the pipelined body.
@@ -177,6 +174,9 @@ func (m *Mesh) Latency(from, to, bytes int) uint64 {
 
 // Size reports the number of nodes.
 func (m *Mesh) Size() int { return m.w * m.h }
+
+// Bytes is the memory the mesh keeps: itself and its link array.
+func (m *Mesh) Bytes() int { return int(unsafe.Sizeof(*m)) + 8*cap(m.linkFree) }
 
 func (m *Mesh) String() string {
 	return fmt.Sprintf("mesh %dx%d, %d-byte flits, switch %dcy, wire %dcy",

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -189,8 +190,8 @@ func TestContentionMonotoneInInjectionTime(t *testing.T) {
 	}
 }
 
-// TestTransferDoesNotAllocate pins the per-message scratch-buffer fix:
-// routing must reuse the mesh's path buffer, not allocate one per call.
+// TestTransferDoesNotAllocate: Transfer is on the per-message hot path and
+// walks its XY path in place, with no path buffer to allocate or keep.
 func TestTransferDoesNotAllocate(t *testing.T) {
 	m := testMesh()
 	now := uint64(0)
@@ -198,7 +199,7 @@ func TestTransferDoesNotAllocate(t *testing.T) {
 		m.Transfer(now, 0, 15, 4096)
 		now += 10
 	}); allocs != 0 {
-		t.Fatalf("Transfer allocates %.1f objects per call; the route scratch buffer must be reused", allocs)
+		t.Fatalf("Transfer allocates %.1f objects per call; the path must be walked in place", allocs)
 	}
 }
 
@@ -341,5 +342,38 @@ func TestMeshStats(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestRenewIsNew: a mesh renewed in place after traffic, a tracer and an
+// injector — for a larger machine, a smaller one and the same one — is
+// the mesh NewMesh returns, and times the same transfers the same; renewed
+// no larger, it keeps its link array.
+func TestRenewIsNew(t *testing.T) {
+	for _, n := range []int{64, 4, 16} {
+		m := testMesh()
+		m.Faults = fault.New(fault.Config{Seed: 1, Degrade: 1.0, DegradeWindow: 1 << 40, DegradeExtra: 500}, 16)
+		for i := 0; i < 40; i++ {
+			m.Transfer(uint64(i), i%16, (7*i)%16, 256)
+		}
+		was := &m.linkFree[0]
+		p := memsys.Default().ForProcs(n)
+		m.Renew(p)
+		want := NewMesh(p)
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("mesh renewed for %d nodes differs from a new one", n)
+		}
+		if kept := &m.linkFree[0] == was; kept != (n <= 16) {
+			t.Errorf("mesh renewed from 16 to %d nodes: link array kept %v", n, kept)
+		}
+		for i := 0; i < 3*n; i++ {
+			from, to := i%n, (5*i+1)%n
+			if got, want := m.Transfer(uint64(10*i), from, to, 512), want.Transfer(uint64(10*i), from, to, 512); got != want {
+				t.Fatalf("%d nodes, transfer %d: %d renewed, %d new", n, i, got, want)
+			}
+		}
+		if m.Bytes() < 8*4*n {
+			t.Errorf("a %d-node mesh reports %d bytes", n, m.Bytes())
+		}
 	}
 }

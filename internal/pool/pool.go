@@ -10,10 +10,14 @@ type Of[T any] struct {
 	made int
 }
 
-// Get returns a zero record: the one most recently Put, or a new one.
+// Get returns a zero record: the one most recently Put, or a new one. The
+// slot it leaves is cleared, so a pool that outlives its records' users
+// (an engine's, between runs) does not keep a record it handed out alive,
+// nor what the record's user hung on it.
 func (p *Of[T]) Get() *T {
 	if n := len(p.idle); n > 0 {
 		x := p.idle[n-1]
+		p.idle[n-1] = nil
 		p.idle = p.idle[:n-1]
 		return x
 	}

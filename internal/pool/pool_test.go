@@ -63,6 +63,23 @@ func TestOfLIFOAndCounts(t *testing.T) {
 	check(3, 0)
 }
 
+// TestOfGetForgetsRecord: the pool keeps no pointer to a record it has
+// handed out, so a pool that outlives its users (an engine's, between
+// runs) cannot keep a record that was never Put back alive, nor what its
+// user hung on it.
+func TestOfGetForgetsRecord(t *testing.T) {
+	var p Of[record]
+	a, b := p.Get(), p.Get()
+	p.Put(a)
+	p.Put(b)
+	held := p.Get()
+	for i, r := range p.idle[:cap(p.idle)] {
+		if r == held {
+			t.Fatalf("idle slot %d still points at the record handed out", i)
+		}
+	}
+}
+
 // TestSlices: Put keeps capacity and truncates — a full-length slice goes
 // in, length 0 comes out over the same backing array — ignores slices
 // with nothing to keep, and an empty pool hands out nil.

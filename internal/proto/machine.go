@@ -25,15 +25,43 @@ type Machine struct {
 	Ctxs []*Ctx
 }
 
+// Arena is the storage runs are assembled in, one run at a time: the
+// region a run's pages are drawn from and the engine the last run used,
+// which Assemble renews in place (DESIGN.md, "What outlives a run"). A nil
+// Region is the heap; a nil Engine is made by the next Assemble, which
+// leaves it here for the run after.
+type Arena struct {
+	Region *mem.Region
+	Engine *sim.Engine
+}
+
+// engine returns the arena's engine renewed for params and run, a new one
+// when it has none, or a new one it does not keep when a is nil.
+func (a *Arena) engine(params memsys.Params, run *stats.Run) *sim.Engine {
+	if a == nil {
+		return sim.New(params, run)
+	}
+	if a.Engine == nil {
+		a.Engine = sim.New(params, run)
+	} else {
+		a.Engine.Renew(params, run)
+	}
+	return a.Engine
+}
+
 // Assemble builds the machine that runs prog under pr: the shared space
-// from region rg (nil is the heap), laid out by prog.Init; the engine,
-// with fault injection armed when fcfg is non-nil and tr wired into every
+// from arena a's region, laid out by prog.Init; a's engine, renewed, with
+// fault injection armed when fcfg is non-nil and tr wired into every
 // emitting layer when it is non-nil; a memory and a context per processor;
-// pr attached; and one body per processor, prog.Body. It is the one place
-// a run is put together: the harness's runs and every scripted test
-// machine come from here. A nil tracer and a nil fcfg leave the emitters
-// off and the injector absent.
-func Assemble(params memsys.Params, pr Protocol, prog Program, tr trace.Tracer, fcfg *fault.Config, rg *mem.Region) *Machine {
+// pr attached; and one body per processor, prog.Body. A nil arena is the
+// heap and a new engine. It is the one place a run is put together: the
+// harness's runs and every scripted test machine come from here. A nil
+// tracer and a nil fcfg leave the emitters off and the injector absent.
+func Assemble(params memsys.Params, pr Protocol, prog Program, tr trace.Tracer, fcfg *fault.Config, a *Arena) *Machine {
+	var rg *mem.Region
+	if a != nil {
+		rg = a.Region
+	}
 	space := mem.NewSpaceIn(rg, params.PageSize)
 	prog.Init(space, params.NumProcs)
 	if params.ShardHomes {
@@ -44,7 +72,7 @@ func Assemble(params memsys.Params, pr Protocol, prog Program, tr trace.Tracer, 
 		nl.SetNumLocks(prog.NumLocks())
 	}
 
-	eng := sim.New(params, stats.NewRun(prog.Name(), pr.Name(), params.NumProcs))
+	eng := a.engine(params, stats.NewRun(prog.Name(), pr.Name(), params.NumProcs))
 	spaceBytes := space.Pages() * params.PageSize
 	if err := params.ValidateSpace(spaceBytes); err != nil {
 		panic(fmt.Sprintf("proto: %s: %v", prog.Name(), err))

@@ -42,9 +42,9 @@ type Engine struct {
 	finished int
 
 	// msgs and svcs recycle messages and service contexts (plain slices:
-	// the engine core is single-threaded). pool.Of's Put zeroes a record
-	// before keeping it, so nothing a message or context held can reach
-	// its next user.
+	// the engine core is single-threaded), across runs too (Renew).
+	// pool.Of's Put zeroes a record before keeping it, so nothing a
+	// message or context held can reach its next user.
 	msgs pool.Of[Msg]
 	svcs pool.Of[Svc]
 
@@ -59,8 +59,11 @@ type Engine struct {
 	marks   []Time
 	observe func(i int)
 
-	// rel is the reliable-transport state, allocated by EnableFaults.
-	rel *reliability
+	// rel is the reliable-transport state: nil, or &transport once
+	// EnableFaults has armed it. transport outlives the run, like the
+	// pools: its pending-entry pool and its pair rows are kept.
+	rel       *reliability
+	transport reliability
 
 	// crashFns/restartFns are the protocols' failover hooks (crash.go),
 	// run in engine context at crash and restart instants.
@@ -71,27 +74,8 @@ type Engine struct {
 // New builds an engine for the given parameters. Run statistics are
 // recorded into run (which must have one Proc entry per processor).
 func New(p memsys.Params, run *stats.Run) *Engine {
-	if err := p.Validate(); err != nil {
-		panic(fmt.Sprintf("sim: invalid params: %v", err))
-	}
-	e := &Engine{
-		Params: p,
-		Net:    network.NewMesh(p),
-		Run:    run,
-		bodies: make([]func(*Proc), p.NumProcs),
-	}
-	for i := 0; i < p.NumProcs; i++ {
-		pr := &Proc{
-			ID:     i,
-			Eng:    e,
-			Stats:  &run.Procs[i],
-			Cache:  memsys.NewCache(p.CacheBytes, p.CacheLineBytes),
-			TLB:    memsys.NewTLB(p.TLBEntries),
-			MemBus: memsys.NewBus(p.MemSetupCycles, p.MemPerWordCycles),
-			IOBus:  memsys.NewBus(p.IOBusSetupCycles, p.IOBusPerWordCycles),
-		}
-		e.Procs = append(e.Procs, pr)
-	}
+	e := new(Engine)
+	e.Renew(p, run)
 	return e
 }
 
@@ -105,7 +89,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) EnableFaults(cfg fault.Config) {
 	e.Faults = fault.New(cfg, len(e.Procs))
 	e.Net.Faults = e.Faults
-	e.rel = &reliability{pairs: make([][]pair, len(e.Procs))}
+	e.rel = &e.transport
+	e.rel.arm(len(e.Procs))
 	e.scheduleOutages(cfg)
 }
 

@@ -98,10 +98,52 @@ func (p *pair) firstSeen(seq uint64) bool {
 	return true
 }
 
-// reliability is the per-run transport state.
+// reliability is the transport state. pairs is the run's; the pool and
+// the spare rows outlive it with the engine (Engine.Renew).
 type reliability struct {
-	pairs [][]pair // [from][to]; a sender's row is allocated at its first send
+	pairs [][]pair // [from][to]; a sender's row is taken at its first send
+	spare [][]pair // rows of ended runs, their pairs' windows kept
 	txs   pool.Of[pendingTx]
+}
+
+// renew ends a run's transport state: every row goes to spare.
+func (r *reliability) renew() {
+	for i, row := range r.pairs {
+		if row != nil {
+			r.spare = append(r.spare, row)
+			r.pairs[i] = nil
+		}
+	}
+	r.pairs = r.pairs[:0]
+}
+
+// arm readies the transport for a machine of n nodes, no row taken yet.
+func (r *reliability) arm(n int) {
+	if cap(r.pairs) < n {
+		r.pairs = make([][]pair, 0, n)
+	}
+	r.pairs = r.pairs[:n]
+	clear(r.pairs)
+}
+
+// row returns a sender's row of n pairs, every one at its first message: a
+// spare one when one is long enough, keeping its pairs' window arrays
+// (bitset.Add extends a window with zeroes), or a new one.
+func (r *reliability) row(n int) []pair {
+	for len(r.spare) > 0 {
+		last := len(r.spare) - 1
+		row := r.spare[last]
+		r.spare[last] = nil
+		r.spare = r.spare[:last]
+		if cap(row) >= n {
+			row = row[:n]
+			for j := range row {
+				row[j] = pair{bits: row[j].bits[:0]}
+			}
+			return row
+		}
+	}
+	return make([]pair, n)
 }
 
 // relSend enters a freshly sent remote message into the transport:
@@ -110,7 +152,7 @@ type reliability struct {
 func (e *Engine) relSend(m *Msg, h Handler, size int, ready Time, reliable bool) {
 	row := e.rel.pairs[m.From]
 	if row == nil {
-		row = make([]pair, len(e.Procs))
+		row = e.rel.row(len(e.Procs))
 		e.rel.pairs[m.From] = row
 	}
 	row[m.To].nextSeq++
