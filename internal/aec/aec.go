@@ -187,7 +187,9 @@ func (pr *AEC) Notice(c *proto.Ctx, lock int) {
 }
 
 // archiveOutside stores a finalized outside diff for (page, step), merged
-// over the one already archived for that step.
+// over the one already archived for that step. An archived diff lives
+// until the run ends, so both it and a same-step merge are carved from the
+// run's region; the diff a merge replaces stays there, unread, until then.
 func (st *procState) archiveOutside(pr *AEC, page, step int, d *mem.Diff) {
 	if d == nil {
 		return
@@ -195,7 +197,7 @@ func (st *procState) archiveOutside(pr *AEC, page, step int, d *mem.Diff) {
 	p := &st.pages[page]
 	i, ok := slices.BinarySearchFunc(p.archive, step, byStep)
 	if ok {
-		p.archive[i].d = pr.merger.Merge(p.archive[i].d, d)
+		p.archive[i].d = pr.merger.MergeIn(pr.s.Region(), p.archive[i].d, d)
 		return
 	}
 	p.archive = slices.Insert(p.archive, i, stepDiff{step: step, d: d})

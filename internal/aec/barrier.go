@@ -166,13 +166,14 @@ func (pr *AEC) lazyOutsideDiff(s *sim.Svc, st *procState, pg int) {
 }
 
 // archiveTwinStep ends the page's twin step: the step's outside diff — d
-// merged over the speculative one, if any — is archived, both transient
-// diffs go back to the processor's memory m that made them, and the page
-// loses its twin and is write-protected (its next write re-twins).
+// merged over the speculative one, if any — is archived in the run's
+// region, both transient diffs go back to the processor's memory m that
+// made them, and the page loses its twin and is write-protected (its next
+// write re-twins).
 func (pr *AEC) archiveTwinStep(m *mem.ProcMem, st *procState, pg int, f *mem.Frame, d *mem.Diff) {
 	p := &st.pages[pg]
 	spec := p.outsideDiff
-	st.archiveOutside(pr, pg, p.twinStep, pr.merger.Merge(spec, d))
+	st.archiveOutside(pr, pg, p.twinStep, pr.merger.MergeIn(pr.s.Region(), spec, d))
 	m.RecycleDiff(spec)
 	m.RecycleDiff(d)
 	p.outsideDiff, p.twinStep = nil, 0

@@ -249,7 +249,7 @@ func MergeDiffs(pageSize int, diffs ...*Diff) *Diff {
 type Merger struct {
 	present []bool
 	buf     []byte
-	enc     []byte // Merge encodes here, then copies out at exact size
+	enc     []byte // MergeIn encodes here, then copies out at exact size
 }
 
 // NewMerger builds a merger for one page size.
@@ -259,22 +259,28 @@ func NewMerger(pageSize int) *Merger {
 
 // Merge folds diffs (oldest first, nils skipped) into a freshly allocated
 // diff the caller owns, or nil when nothing was modified.
-func (m *Merger) Merge(diffs ...*Diff) *Diff {
+func (m *Merger) Merge(diffs ...*Diff) *Diff { return m.MergeIn(nil, diffs...) }
+
+// MergeIn is Merge with the output's encoding carved from region at exact
+// size (nil: the heap), for a merged diff that lives until the run ends —
+// AEC's archive of outside diffs. A region frees nothing before Release,
+// so a diff that dies sooner belongs on the heap.
+func (m *Merger) MergeIn(region *Region, diffs ...*Diff) *Diff {
 	page, lo, hi := m.fold(diffs)
 	if page == -1 {
 		return nil
 	}
 	var runs int
 	m.enc, runs = m.appendPresent(m.enc[:0], lo, hi)
-	return &Diff{Page: page, ID: nextDiffID(), enc: append([]byte(nil), m.enc...), runs: runs}
+	return &Diff{Page: page, ID: nextDiffID(), enc: region.keep(m.enc), runs: runs}
 }
 
 // MergeInto is Merge with the output encoded into dst, reusing dst's
 // capacity — the zero-allocation steady-state path. The returned diff is
-// valid until the next MergeInto with the same dst; callers that retain
-// merged diffs (protocols archiving update sets) must use Merge instead.
-// A nil dst is allocated on first use. Returns (dst, false) when nothing
-// was modified.
+// valid until the next MergeInto with the same dst; a caller that keeps
+// merged diffs takes Merge (the heap) or MergeIn (the run's region)
+// instead. A nil dst is allocated on first use. Returns (dst, false) when
+// nothing was modified.
 func (m *Merger) MergeInto(dst *Diff, diffs ...*Diff) (*Diff, bool) {
 	page, lo, hi := m.fold(diffs)
 	if page == -1 {

@@ -42,7 +42,8 @@ type ProcMem struct {
 	twins pool.Slices[byte]
 
 	// diffEnc is MakeDiff's encoding scratch: the twin compare appends
-	// runs here in one scan and the diff gets a copy at exact size.
+	// runs here in one scan and the diff gets a copy at exact size, carved
+	// from the space's region.
 	diffEnc []byte
 
 	// encs recycles the encodings of transient diffs between
@@ -184,14 +185,16 @@ func (m *ProcMem) RecycleTwin(twin []byte) { m.twins.Put(twin) }
 
 // MakeDiff compares the page's current contents against twin — the frame's
 // own or one stolen from it — and returns the diff, or nil if the page is
-// unchanged (see the package-level MakeDiff).
+// unchanged (see the package-level MakeDiff). The diff is kept: its
+// encoding is copied out of the scratch into the space's region, where it
+// lives until the run ends (on the heap, for a space without one).
 func (m *ProcMem) MakeDiff(page int, twin []byte, wordBytes int) *Diff {
 	enc, runs := appendRuns(m.diffEnc[:0], twin, m.Frame(page).Data, wordBytes)
 	m.diffEnc = enc
 	if runs == 0 {
 		return nil
 	}
-	return &Diff{Page: page, ID: nextDiffID(), enc: append([]byte(nil), enc...), runs: runs}
+	return &Diff{Page: page, ID: nextDiffID(), enc: m.space.region.keep(enc), runs: runs}
 }
 
 // MakeTransientDiff is MakeDiff for a diff that dies inside the protocol —

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzMakeDiff drives the twin-compare kernel — through MakeDiff and
-// ProcMem.MakeTransientDiff — and the merger from three fuzzed versions of
-// one page (a, then b, then c) and a fuzzed word size, unusable sizes
-// included. The seed corpus is the f.Add list below plus
+// FuzzMakeDiff drives the twin-compare kernel — through MakeDiff,
+// ProcMem.MakeTransientDiff and the kept ProcMem.MakeDiff — and the merger,
+// Merge and the kept MergeIn, from three fuzzed versions of one page (a,
+// then b, then c) and a fuzzed word size, unusable sizes included. The
+// seed corpus is the f.Add list below plus
 // testdata/fuzz/FuzzMakeDiff; CI gives it a short budget
 // (`go test -fuzz FuzzMakeDiff ./internal/mem`).
 func FuzzMakeDiff(f *testing.F) {
@@ -82,6 +83,34 @@ func FuzzMakeDiff(f *testing.F) {
 				t.Fatalf("transient diff %v, MakeDiff %v", got, step.want)
 			}
 			pm.RecycleDiff(got)
+		}
+
+		// The kept entry points encode the same diffs into a region whose
+		// memory holds garbage: one chunk, filled with the poison, with room
+		// for both diffs and their merge. Each diff overwrites all of what
+		// it is handed, at exact size.
+		r := new(Region)
+		r.bytes.chunks = [][]byte{bytes.Repeat([]byte{regionPoison}, 3*maxEncodedBytes(n, wordBytes))}
+		r.Acquire()
+		kept := &ProcMem{space: &Space{pageSize: n, region: r}, frames: []Frame{{}}}
+		var keptDiffs []*Diff
+		for _, step := range []struct {
+			twin, cur []byte
+			want      *Diff
+		}{{a, b, d1}, {b, c, d2}} {
+			kept.frames[0].Data = step.cur
+			got := kept.MakeDiff(0, step.twin, wordBytes)
+			if !sameEncoding(got, step.want) || (got != nil && len(got.enc) != cap(got.enc)) {
+				t.Fatalf("kept diff %v, MakeDiff %v", got, step.want)
+			}
+			keptDiffs = append(keptDiffs, got)
+		}
+		keptMerged := NewMerger(n).MergeIn(r, keptDiffs...)
+		if want := NewMerger(n).Merge(d1, d2); !sameEncoding(keptMerged, want) || (keptMerged != nil && len(keptMerged.enc) != cap(keptMerged.enc)) {
+			t.Fatalf("MergeIn = %v, Merge = %v", keptMerged, want)
+		}
+		if made := r.Stats().BytesMade; made != 0 {
+			t.Fatalf("the kept diffs outgrew the garbage chunk: %d bytes made", made)
 		}
 
 		for _, d := range []*Diff{d1, d2} {

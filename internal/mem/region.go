@@ -3,8 +3,11 @@ package mem
 import "slices"
 
 // Region is the memory whose lifetime is exactly one simulation run: page
-// frames, twins, the space's initial image, page-home reply snapshots and
-// the caches' tag arrays. It frees nothing until Release, which
+// frames, twins, the space's initial image, page-home reply snapshots, the
+// caches' tag arrays, transient diffs' encoding buffers, and the encodings
+// of the diffs a protocol keeps until the run ends — TreadMarks' interval
+// diffs (ProcMem.MakeDiff) and AEC's archived outside diffs
+// (Merger.MergeIn). It frees nothing until Release, which
 // frees everything at once by rewinding, so the next run a region serves
 // is carved from the memory the last one used and allocates nothing
 // (DESIGN.md, "What outlives a run").
@@ -87,6 +90,21 @@ func (r *Region) page(n int) []byte {
 		return make([]byte, n)
 	}
 	return r.bytes.take(n, regionChunkBytes)
+}
+
+// keep returns a copy of enc carved from the region at exact size, its cap
+// its len, so that an append to it cannot reach the next slice; without a
+// region, a copy on the heap. The copy overwrites all of what it is
+// handed. It is for encodings that live as long as the run: a region frees
+// nothing before Release, so a diff that dies sooner stays where it was
+// until then.
+func (r *Region) keep(enc []byte) []byte {
+	if r == nil {
+		return append([]byte(nil), enc...)
+	}
+	b := r.bytes.take(len(enc), regionChunkBytes)
+	copy(b, enc)
+	return b
 }
 
 // Tags returns n tag words holding whatever their last user left (zeroes

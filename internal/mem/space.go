@@ -62,6 +62,9 @@ func (s *Space) PageFrom(idle *pool.Slices[byte]) []byte {
 	return s.region.page(s.pageSize)
 }
 
+// Region is the region the space draws from; nil is the heap.
+func (s *Space) Region() *Region { return s.region }
+
 // PageSize returns the coherence unit in bytes.
 func (s *Space) PageSize() int { return s.pageSize }
 

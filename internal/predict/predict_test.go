@@ -105,3 +105,38 @@ func TestHandoffClampsNegativeQueue(t *testing.T) {
 		t.Errorf("Handoff(q=-5) = %g, want the q=0 value %g", got, want)
 	}
 }
+
+// TestMVAClampsNegativeWait: the predicted wait R - H is never negative.
+// With a non-negative handoff it cannot be — R is at least s = H + O — so
+// only a negative handoff, which no measured histogram mean gives, reaches
+// the clamp; it reads as no wait, not as a credit.
+func TestMVAClampsNegativeWait(t *testing.T) {
+	out := MVA(Inputs{Procs: 1, HoldCycles: 1000, ThinkCycles: 9000, HandoffCycles: -400})
+	if out.WaitCycles != 0 {
+		t.Errorf("wait = %g with a handoff of -400 cycles, want the clamp's 0", out.WaitCycles)
+	}
+	if want := 1.0 / (600 + 9000); math.Abs(out.Throughput-want) > 1e-15 {
+		t.Errorf("throughput = %g, want %g: the clamp reaches only the wait", out.Throughput, want)
+	}
+}
+
+// TestMeanHopsDegenerateMesh: a mesh with no column or no row has no
+// distance to cross — the guard returns 0 rather than the formula's
+// division by zero or a negative distance — so a message across it costs
+// what one across a single node does.
+func TestMeanHopsDegenerateMesh(t *testing.T) {
+	for _, wh := range [][2]int{{0, 4}, {4, 0}, {-1, 2}, {1, 1}} {
+		if got := meanHops(wh[0], wh[1]); got != 0 {
+			t.Errorf("meanHops(%d, %d) = %g, want 0", wh[0], wh[1], got)
+		}
+	}
+	one, none := memsys.Default(), memsys.Default()
+	one.MeshW, one.MeshH = 1, 1
+	none.MeshW = 0
+	if got, want := Handoff(none, lockpolicy.FIFO, 1, 2), Handoff(one, lockpolicy.FIFO, 1, 2); got != want {
+		t.Errorf("handoff on a zero-width mesh = %g, want the single node's %g", got, want)
+	}
+	if got := meanHops(4, 4); math.Abs(got-2.5) > 1e-12 {
+		t.Errorf("meanHops(4, 4) = %g, want 2 × 15/12 = 2.5", got)
+	}
+}
