@@ -18,15 +18,16 @@ test:
 # the interconnect, the memory-system models, the diff kernels and page
 # space, the bitsets, the slice pools, the combining tree, the trace
 # layer, the statistics, the differential checker, the experiment drivers,
-# the applications and the lock lab's queueing model, that no test
-# executes, one file:start,end line each:
+# the applications, the lock lab's queueing model and the commands'
+# observability flags, that no test executes, one file:start,end line
+# each:
 # the first check for a change of representation (docs/TESTING.md). The
 # profile repeats a block once per test binary, so a block counts as
 # executed if any binary ran it. The count is a ratchet: it fails above
 # COVER_MAX, the committed count, whose blocks docs/TESTING.md argues one
 # by one. A new block no test runs gets a test, goes, or is argued there
 # with COVER_MAX raised in the same change.
-COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim,./internal/fault,./internal/network,./internal/memsys,./internal/mem,./internal/bitset,./internal/pool,./internal/topo,./internal/trace,./internal/stats,./internal/check,./internal/harness,./internal/apps,./internal/predict
+COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim,./internal/fault,./internal/network,./internal/memsys,./internal/mem,./internal/bitset,./internal/pool,./internal/topo,./internal/trace,./internal/stats,./internal/check,./internal/harness,./internal/apps,./internal/predict,./internal/profutil
 COVER_MAX = 14
 cover:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \

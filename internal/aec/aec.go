@@ -163,6 +163,8 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 		touched:  bitset.New(pages),
 		written:  bitset.New(pages),
 		csOwner:  make([]int, pages),
+		instrs:   make([]barInstr, pr.nprocs),
+		batches:  make([]instrBatch, pr.nprocs),
 	}
 	for pg := range pr.bar.copyset {
 		pr.bar.copyset[pg] = bitset.With(pr.nprocs, s.InitHome(pg))

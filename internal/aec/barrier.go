@@ -19,17 +19,25 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	}
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, int64(st.step), 0)
 
-	// Build the arrival lists.
-	var owned []ownedLock
+	// Build the arrival lists in the arrival's scratch: the manager read
+	// the last barrier's before anyone departed it.
+	a := &st.arrive
+	owned := proto.Reuse(a.owned, poisonOwned)
+	pages := proto.Reuse(st.ownedPages, proto.ScratchPoison)
 	elems := 0
 	for lock, lc := range st.locks {
 		if lc == nil || len(lc.myMerged) == 0 {
 			continue
 		}
-		owned = append(owned, ownedLock{lock: lock, count: lc.myCount, pages: chainPages(lc.myMerged)})
+		from := len(pages)
+		for _, d := range lc.myMerged {
+			pages = append(pages, d.Page)
+		}
+		owned = append(owned, ownedLock{lock: lock, count: lc.myCount, pages: pages[from:len(pages):len(pages)]})
 		elems += 1 + len(lc.myMerged)
 	}
-	var outside []int
+	st.ownedPages = pages
+	outside := proto.Reuse(a.outside, proto.ScratchPoison)
 	for _, pg := range st.snapshot(st.dirtyOutside) {
 		if st.pages[pg].twinStep == st.step {
 			outside = append(outside, pg)
@@ -41,16 +49,16 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 		}
 		outside = st.writtenOutside.AppendBits(outside[:0])
 	}
-	newValid := st.newValid.AppendBits(make([]int, 0, st.newValid.Count()))
+	newValid := st.newValid.AppendBits(proto.Reuse(a.newValid, proto.ScratchPoison))
 	elems += len(outside) + len(newValid)
 	c.P.Advance(pr.e.Params.ListCycles(elems), stats.Synch)
 
 	st.barInstr = nil
 	st.barComplete = false
+	*a = arriveMsg{proc: c.ID, owned: owned, outside: outside, newValid: newValid}
+	st.batch.arr = append(st.batch.arr[:0], a)
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 16+8*elems,
-		&arriveBatch{arr: []*arriveMsg{
-			{proc: c.ID, owned: owned, outside: outside, newValid: newValid}}},
-		pr.h.barArrive)
+		&st.batch, pr.h.barArrive)
 
 	// Overlap outside-diff creation with the barrier wait (§3.3): only
 	// pages some other processor has requested before are worth diffing
@@ -195,7 +203,7 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		elems += a.elems()
 	}
 	s.ChargeList(elems)
-	_, complete := pr.relay.Gather(m.To, len(batch.arr))
+	heard, complete := pr.relay.Gather(m.To, len(batch.arr))
 	if m.To == proto.BarMgr {
 		for _, a := range batch.arr {
 			pr.bar.arrivals[a.proc] = a
@@ -206,6 +214,11 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		return
 	}
 	st := pr.ps[m.To]
+	if heard == len(batch.arr) {
+		// The episode's first arrival here: the parent has copied the
+		// last episode's subtree.
+		st.combArr = proto.Reuse(st.combArr, nil)
+	}
 	st.combArr = append(st.combArr, batch.arr...)
 	if !complete {
 		return
@@ -215,8 +228,8 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		size += 8 * a.elems()
 	}
 	s.ChargeList(len(st.combArr))
-	pr.relay.Up(s, m.To, kBarArrive, size, &arriveBatch{arr: st.combArr}, pr.h.barArrive)
-	st.combArr = nil
+	st.comb.arr = st.combArr
+	pr.relay.Up(s, m.To, kBarArrive, size, &st.comb, pr.h.barArrive)
 }
 
 // computeBarrierInstructions is the barrier manager's core: determine, for
@@ -225,10 +238,16 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 // processor its instructions.
 func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	b := &pr.bar
-	instr := make([]*barInstr, pr.nprocs)
+	instr := b.instrs
 	for i := range instr {
-		instr[i] = &barInstr{}
+		in := &instr[i]
+		*in = barInstr{
+			diffSends:   proto.Reuse(in.diffSends, poisonDiffSend),
+			wnSends:     proto.Reuse(in.wnSends, poisonWNSend),
+			sharedPages: proto.Reuse(in.sharedPages, proto.ScratchPoison),
+		}
 	}
+	b.targets = proto.Reuse(b.targets, proto.ScratchPoison)
 
 	// Fold newly-valid pages into the copyset.
 	for _, a := range b.arrivals {
@@ -256,12 +275,7 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 		for _, pg := range rec.pages {
 			b.touched = b.touched.Add(pg)
 			b.csOwner[pg] = rec.proc
-			var targets []int
-			b.copyset[pg].ForEach(func(q int) {
-				if q != rec.proc {
-					targets = append(targets, q)
-				}
-			})
+			targets := b.appendTargets(pg, rec.proc)
 			if len(targets) == 0 {
 				continue
 			}
@@ -279,12 +293,7 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 		for _, pg := range a.outside {
 			b.touched = b.touched.Add(pg)
 			b.written = b.written.Add(pg)
-			var targets []int
-			b.copyset[pg].ForEach(func(q int) {
-				if q != pnum {
-					targets = append(targets, q)
-				}
-			})
+			targets := b.appendTargets(pg, pnum)
 			if len(targets) == 0 {
 				continue
 			}
@@ -311,7 +320,7 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	// Home reassignment: a processor guaranteed current after this
 	// barrier. Preference: the lowest-id outside writer, else the CS
 	// owner — a page is touched only through one of the two.
-	var homes []homeAssign
+	homes := proto.Reuse(b.homes, poisonHome)
 	b.touched.ForEach(func(pg int) {
 		home := b.csOwner[pg]
 		if b.written.Has(pg) {
@@ -319,6 +328,7 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 		}
 		homes = append(homes, homeAssign{page: pg, home: home})
 	})
+	b.homes = homes
 	clear(b.touched)
 	clear(b.written)
 	s.ChargeList(work + len(homes))
@@ -341,9 +351,22 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	pr.scatterInstr(s, proto.BarMgr, instr)
 }
 
+// appendTargets appends to the flat targets buffer the holders of a valid
+// copy of pg other than from, and returns them as a slice of it capped so
+// that the next page's cannot reach them.
+func (b *barrierState) appendTargets(pg, from int) []int {
+	start := len(b.targets)
+	b.copyset[pg].ForEach(func(q int) {
+		if q != from {
+			b.targets = append(b.targets, q)
+		}
+	})
+	return b.targets[start:len(b.targets):len(b.targets)]
+}
+
 // scatterInstr sends each tree child of node its subtree's slice of ins,
 // the instructions of node's own (contiguous) subtree.
-func (pr *AEC) scatterInstr(s *sim.Svc, node int, ins []*barInstr) {
+func (pr *AEC) scatterInstr(s *sim.Svc, node int, ins []barInstr) {
 	for _, c := range pr.relay.Children(node) {
 		lo := c - node
 		pr.sendInstrSubtree(s, c, ins[lo:lo+pr.relay.SubtreeSize(c)])
@@ -353,18 +376,21 @@ func (pr *AEC) scatterInstr(s *sim.Svc, node int, ins []*barInstr) {
 // sendInstrSubtree ships the instructions of the contiguous subtree
 // rooted at c: a plain kBarInstr when the subtree is a single processor,
 // a kBarInstrBatch for an interior representative to split further.
-func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []*barInstr) {
+func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []barInstr) {
 	if len(ins) == 1 {
-		in := ins[0]
+		in := &ins[0]
 		size := 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
 		pr.relay.Send(s, c, kBarInstr, size, in, pr.h.barInstr)
 		return
 	}
 	size := 16 * (len(ins) - 1)
-	for _, in := range ins {
+	for i := range ins {
+		in := &ins[i]
 		size += 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
 	}
-	pr.relay.Send(s, c, kBarInstrBatch, size, &instrBatch{ins: ins}, pr.h.barInstrBatch)
+	batch := &pr.bar.batches[c]
+	batch.ins = ins
+	pr.relay.Send(s, c, kBarInstrBatch, size, batch, pr.h.barInstrBatch)
 }
 
 // handleBarInstrBatch lands a subtree's instructions at its
@@ -373,7 +399,7 @@ func (pr *AEC) handleBarInstrBatch(s *sim.Svc, m *sim.Msg) {
 	batch := m.Payload.(*instrBatch)
 	s.ChargeList(len(batch.ins))
 	pr.scatterInstr(s, m.To, batch.ins)
-	in := batch.ins[0]
+	in := &batch.ins[0]
 	s.ChargeList(len(in.diffSends) + len(in.wnSends))
 	pr.ps[m.To].barInstr = in
 	s.Wake(s.P)

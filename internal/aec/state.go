@@ -6,6 +6,7 @@ import (
 
 	"aecdsm/internal/bitset"
 	"aecdsm/internal/mem"
+	"aecdsm/internal/proto"
 )
 
 // invalReason records why a page copy was invalidated, which determines the
@@ -187,10 +188,19 @@ type procState struct {
 	barDiffsGot, barWNsGot int
 	barComplete            bool
 
-	// combArr buffers the arrivals of this node's combining-tree subtree
-	// until the subtree is complete and one batched message goes
-	// upstream. Unused in the flat barrier.
-	combArr []*arriveMsg
+	// The barrier arrival's scratch: the message and its lists, the
+	// pages of its owned locks in one flat buffer, and the one-element
+	// batch that carries it. combArr buffers the arrivals of this node's
+	// combining-tree subtree until the subtree is complete and one batched
+	// message (comb) goes upstream; unused in the flat barrier. The
+	// manager reads what they hold before anyone departs the barrier, so
+	// the next episode reuses them (DESIGN.md, "A barrier episode's
+	// scratch").
+	arrive     arriveMsg
+	ownedPages []int
+	batch      arriveBatch
+	combArr    []*arriveMsg
+	comb       arriveBatch
 }
 
 func newProcState(id, pages, locks int, space *mem.Space) *procState {
@@ -268,7 +278,7 @@ type arriveBatch struct {
 // receiving node's contiguous subtree down the combining tree; ins[0] is
 // the receiver's own.
 type instrBatch struct {
-	ins []*barInstr
+	ins []barInstr
 }
 
 // sendDiffInstr instructs the last owner of a lock to send a page's merged
@@ -303,11 +313,30 @@ type barInstr struct {
 	sharedPages []int
 }
 
+// What reused barrier scratch is filled with under proto.PoisonScratch.
+var (
+	poisonOwned    = ownedLock{lock: proto.ScratchPoison, count: proto.ScratchPoison}
+	poisonDiffSend = sendDiffInstr{page: proto.ScratchPoison, lock: proto.ScratchPoison}
+	poisonWNSend   = sendWNInstr{page: proto.ScratchPoison}
+	poisonHome     = homeAssign{page: proto.ScratchPoison, home: proto.ScratchPoison}
+)
+
 // barrierState is the barrier manager's state (resident on processor 0).
 type barrierState struct {
 	seq      int
 	arrivals []*arriveMsg
 	copyset  []bitset.Set // per page set of processors with valid copies
+
+	// One episode's instructions, by processor, sent by pointer into
+	// instrs; the targets of every send, in one flat buffer; the home
+	// assignments every processor shares; and the batch that carries a
+	// subtree's instructions to its representative, by node. Every
+	// processor has read its instructions before the next episode
+	// computes them, so they are rebuilt in place.
+	instrs  []barInstr
+	targets []int
+	homes   []homeAssign
+	batches []instrBatch
 
 	// computeBarrierInstructions' scratch, clear between barriers: the
 	// last owner of each lock (the arrival with the highest acquire

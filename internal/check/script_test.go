@@ -8,6 +8,7 @@ import (
 	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
+	"aecdsm/internal/stats"
 )
 
 // scriptCase is a program of two to four processors, a page or two and a
@@ -238,8 +239,13 @@ var scriptCases = []scriptCase{
 // invariant auditor attached. A case written against one protocol checks
 // all seven, and ideal — one memory, no coherence — says what each read
 // must return.
-func TestScriptsUnderEveryProtocol(t *testing.T) {
+func TestScriptsUnderEveryProtocol(t *testing.T) { runScripts(t) }
+
+// runScripts is TestScriptsUnderEveryProtocol's body; it returns each
+// run's statistics by subtest name.
+func runScripts(t *testing.T) map[string]*stats.Run {
 	light := mustSpec(t, "light", 1)
+	runs := map[string]*stats.Run{}
 	for _, sc := range scriptCases {
 		for _, kind := range harness.Kinds() {
 			for _, fc := range []*fault.Config{nil, light} {
@@ -257,8 +263,10 @@ func TestScriptsUnderEveryProtocol(t *testing.T) {
 					for _, v := range aud.Violations() {
 						t.Error(v)
 					}
+					runs[name] = res.Run
 				})
 			}
 		}
 	}
+	return runs
 }

@@ -55,10 +55,14 @@ func TestLifetimePoisoned(t *testing.T) {
 // TestRecyclingChangesNoRun: runs made one after another through one
 // arena — 16, 2, 9 and 16 processors, the engine renewed larger, smaller
 // and to the size it had, a program that fails its verification in the
-// middle — each measure and trace exactly what they do on a new engine
-// from the heap (proto.Assemble with a nil arena), under AEC, TreadMarks,
-// Munin and ideal, clean, under the light preset and with a crash (which
-// the ideal protocol's runs end before).
+// middle, then a shorter program on 64 processors of the scaling
+// architecture (a radix-16 combining tree, sharded homes and managers),
+// whose interior nodes keep barrier scratch and whose region keeps
+// TreadMarks' interval clocks — each measure and trace exactly what they
+// do on a new engine from the heap (proto.Assemble with a nil arena),
+// under AEC, TreadMarks, Munin and ideal, clean, under the light preset
+// and, up to 16 processors, with a crash (which the ideal protocol's runs
+// end before).
 func TestRecyclingChangesNoRun(t *testing.T) {
 	light, err := fault.ParseSpec("light")
 	if err != nil {
@@ -73,16 +77,24 @@ func TestRecyclingChangesNoRun(t *testing.T) {
 	var eng *sim.Engine
 	for _, kind := range []ProtocolKind{ProtoAEC, ProtoTM, ProtoMunin, ProtoIdeal} {
 		for _, fcfg := range schedules {
-			for i, n := range []int{16, 2, 9, 16} {
+			for i, n := range []int{16, 2, 9, 16, 64} {
+				if n == 64 && fcfg == &crash {
+					continue
+				}
+				params, cfg := memsys.Default().ForProcs(n), synth
+				if n > 16 {
+					params.BarrierRadix, params.ShardHomes, params.ShardManagers = 16, true, true
+					cfg.Phases, cfg.OpsPerPhase = 2, 1
+				}
 				prog := func() proto.Program {
 					if i == 2 {
-						return &brokenProgram{Program: apps.NewSynth(synth)}
+						return &brokenProgram{Program: apps.NewSynth(cfg)}
 					}
-					return apps.NewSynth(synth)
+					return apps.NewSynth(cfg)
 				}
 				what := fmt.Sprintf("%s, faults %v, run %d on %d processors", kind, fcfg, i, n)
-				want := assembled(t, what, nil, kind, n, prog(), fcfg)
-				got := assembled(t, what, a, kind, n, prog(), fcfg)
+				want := assembled(t, what, nil, kind, params, prog(), fcfg)
+				got := assembled(t, what, a, kind, params, prog(), fcfg)
 				if eng == nil {
 					eng = a.Engine
 				}
@@ -112,14 +124,14 @@ type assembledRun struct {
 
 // assembled runs prog through proto.Assemble on arena a (nil: the heap and
 // a new engine), traced to JSONL, and returns what the run measured.
-func assembled(t *testing.T, what string, a *proto.Arena, kind ProtocolKind, n int, prog proto.Program, fcfg *fault.Config) assembledRun {
+func assembled(t *testing.T, what string, a *proto.Arena, kind ProtocolKind, params memsys.Params, prog proto.Program, fcfg *fault.Config) assembledRun {
 	var buf bytes.Buffer
 	tr := trace.NewJSONL(&buf)
 	if a != nil {
 		a.Region.Acquire()
 		defer a.Region.Release()
 	}
-	m := proto.Assemble(memsys.Default().ForProcs(n), NewProtocol(kind, 2), prog, tr, fcfg, a)
+	m := proto.Assemble(params, NewProtocol(kind, 2), prog, tr, fcfg, a)
 	if m.Run() {
 		t.Fatalf("%s: deadlocked", what)
 	}

@@ -36,12 +36,13 @@ var arenas struct {
 }
 
 // regionKeepBytes bounds what a region keeps between runs. A quarter-scale
-// table sweep's largest run needs 11.3 MB and the 64-processor sweep
-// 3.6 MB; a paper-size run needs 40.8 MB, and letting every worker keep
-// that read the full-scale sweep's peak RSS at 1.5 × the parent's at the
-// default -jobs for no user time (docs/PERFORMANCE.md, round ten). Beyond
-// the bound a run's memory goes back to the collector when it ends, as
-// all of it did before.
+// table sweep's largest run needs 14.0 MB and the 64-processor sweep at
+// scale 0.1 7.4 MB (docs/PERFORMANCE.md, round eighteen); a paper-size
+// run needs up to 246 MB, and letting every worker keep a paper-size
+// run's region (40.8 MB, when it held no diffs) read the full-scale
+// sweep's peak RSS at 1.5 × the parent's at the default -jobs for no user
+// time (round ten). Beyond the bound a run's memory goes back to the
+// collector when it ends, as all of it did before.
 const regionKeepBytes = 16 << 20
 
 // engineKeepBytes bounds the engine an arena keeps between runs

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -99,5 +100,57 @@ func TestKeptDiffAllocatesItsHeaderOnly(t *testing.T) {
 				t.Errorf("%s, region %v: %v objects/op, want %v", what, c.region != nil, n, c.want)
 			}
 		}
+	}
+}
+
+// TestKeptInts: a kept int list — TreadMarks' interval clocks and page
+// lists — is a copy carved from the region at exact size, capped so that
+// an append cannot reach the next one, over whatever an earlier run left
+// there; once the region is released and poisoned it reads 0xA5 bytes.
+// Size, Trim and Stats count the int chunks; without a region the copy
+// is the heap's.
+func TestKeptInts(t *testing.T) {
+	r := dirtyRegion()
+	before := r.Stats()
+	clock := []int{3, 0, 7, 1}
+	pages := []int{12}
+	kc, kp := r.KeepInts(clock), r.KeepInts(pages)
+	clock[0] = 99
+	if fmt.Sprint(kc, kp) != "[3 0 7 1] [12]" {
+		t.Fatalf("kept %v and %v, want copies of [3 0 7 1] and [12]", kc, kp)
+	}
+	if len(kc) != cap(kc) || len(kp) != cap(kp) {
+		t.Fatalf("kept lists have len/cap %d/%d and %d/%d, want capped", len(kc), cap(kc), len(kp), cap(kp))
+	}
+	if c := r.ints.chunks[0]; &c[0] != &kc[0] || &c[len(kc)] != &kp[0] {
+		t.Fatal("two kept lists are not carved one after the other from the region's int chunk")
+	}
+	after := r.Stats()
+	if after.IntsHanded-before.IntsHanded != 5 || after.IntsMade != regionChunkInts || after.BytesHanded != before.BytesHanded {
+		t.Fatalf("two kept lists of 5 ints in all: %+v after %+v", after, before)
+	}
+	if got, want := r.Size(), regionChunkBytes+intBytes*regionChunkInts; got != want {
+		t.Fatalf("Size = %d, want a byte chunk and an int chunk, %d", got, want)
+	}
+	r.Release()
+	r.Poison()
+	for _, k := range [][]int{kc, kp} {
+		for _, v := range k {
+			if uint(v) != ^uint(0)/0xFF*regionPoison {
+				t.Fatalf("a kept list reads %#x after the region was poisoned, want 0xA5 bytes", uint(v))
+			}
+		}
+	}
+	r.Trim(intBytes * regionChunkInts)
+	if len(r.bytes.chunks) != 0 || len(r.ints.chunks) != 1 {
+		t.Fatalf("Trim to the int chunk: %d byte chunks, %d int chunks left", len(r.bytes.chunks), len(r.ints.chunks))
+	}
+	if r.Trim(0); r.Size() != 0 {
+		t.Fatalf("Trim to nothing leaves %d bytes", r.Size())
+	}
+
+	var heap *Region
+	if h := heap.KeepInts(clock); fmt.Sprint(h) != "[99 0 7 1]" || &h[0] == &clock[0] {
+		t.Fatalf("a nil region kept %v, want a heap copy of %v", h, clock)
 	}
 }

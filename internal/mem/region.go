@@ -1,13 +1,17 @@
 package mem
 
-import "slices"
+import (
+	"slices"
+	"strconv"
+)
 
 // Region is the memory whose lifetime is exactly one simulation run: page
 // frames, twins, the space's initial image, page-home reply snapshots, the
-// caches' tag arrays, transient diffs' encoding buffers, and the encodings
-// of the diffs a protocol keeps until the run ends — TreadMarks' interval
+// caches' tag arrays, transient diffs' encoding buffers, and what a
+// protocol keeps until the run ends: the encodings of TreadMarks' interval
 // diffs (ProcMem.MakeDiff) and AEC's archived outside diffs
-// (Merger.MergeIn). It frees nothing until Release, which
+// (Merger.MergeIn), and TreadMarks' interval clocks and page lists
+// (KeepInts). It frees nothing until Release, which
 // frees everything at once by rewinding, so the next run a region serves
 // is carved from the memory the last one used and allocates nothing
 // (DESIGN.md, "What outlives a run").
@@ -26,6 +30,7 @@ import "slices"
 type Region struct {
 	bytes bump[byte]
 	tags  bump[uint32]
+	ints  bump[int]
 	// image is the buffer the space's initial image grows in, at length
 	// zero; it is one contiguous slice, so it cannot be carved from
 	// chunks and stands beside them.
@@ -34,11 +39,13 @@ type Region struct {
 	held  bool
 }
 
-// Chunk sizes: 256 pages of 4 KB, and the tag slots of seven default
-// caches. A request larger than a chunk gets a chunk of its own.
+// Chunk sizes: 256 pages of 4 KB, the tag slots of seven default caches,
+// and 512 KB of ints — the clocks of 128 intervals on a 512-processor
+// machine. A request larger than a chunk gets a chunk of its own.
 const (
 	regionChunkBytes = 1 << 20
 	regionChunkTags  = 1 << 16
+	regionChunkInts  = 1 << 16
 )
 
 // regionPoison is what Poison fills with: no valid page content, tag or
@@ -107,6 +114,19 @@ func (r *Region) keep(enc []byte) []byte {
 	return b
 }
 
+// KeepInts returns a copy of s carved from the region at exact size, its
+// cap its len; without a region, a copy on the heap. Like keep, it is for
+// lists that live as long as the run — TreadMarks' interval clocks and
+// page lists — and overwrites all of what it is handed.
+func (r *Region) KeepInts(s []int) []int {
+	if r == nil {
+		return slices.Clone(s)
+	}
+	k := r.ints.take(len(s), regionChunkInts)
+	copy(k, s)
+	return k
+}
+
 // Tags returns n tag words holding whatever their last user left (zeroes
 // from the heap, without a region); memsys.Cache clears them before its
 // first lookup.
@@ -153,34 +173,48 @@ func (r *Region) Release() {
 	r.runs++
 	r.bytes.rewind()
 	r.tags.rewind()
+	r.ints.rewind()
 }
 
 // Trim gives memory beyond keep bytes back to the collector — whole chunks
-// from the end, then the image buffer — so that one large run does not
-// stay resident behind a sequence of small ones. For a released region.
+// from the end, byte chunks before int chunks, then the image buffer — so
+// that one large run does not stay resident behind a sequence of small
+// ones. For a released region.
 func (r *Region) Trim(keep int) {
-	for have := r.Size(); have > keep && len(r.bytes.chunks) > 0; {
-		last := len(r.bytes.chunks) - 1
-		have -= len(r.bytes.chunks[last])
-		r.bytes.chunks[last] = nil
-		r.bytes.chunks = r.bytes.chunks[:last]
-	}
+	have := r.Size()
+	have = r.bytes.trim(have, keep, 1)
+	r.ints.trim(have, keep, intBytes)
 	if r.Size() > keep {
 		r.image = nil
 	}
 }
 
-// Size is the memory the region holds, in bytes: chunks, tag chunks and
-// the image buffer. After a run it is that run's high-water mark, unless
-// an earlier run's was higher.
-func (r *Region) Size() int {
-	return r.bytes.size() + 4*r.tags.size() + cap(r.image)
+// trim drops chunks from the end while the region's size have, of which
+// each element here is size bytes, exceeds keep, and returns what is left.
+func (b *bump[T]) trim(have, keep, size int) int {
+	for have > keep && len(b.chunks) > 0 {
+		last := len(b.chunks) - 1
+		have -= size * len(b.chunks[last])
+		b.chunks[last] = nil
+		b.chunks = b.chunks[:last]
+	}
+	return have
 }
 
-// Poison fills every byte and tag word the region holds, handed out or
-// not, with 0xA5. The lifetime tests poison a region as it is released, so
-// that a reader of a finished run's memory reads garbage rather than
-// plausible pages.
+// intBytes is the size of an int.
+const intBytes = strconv.IntSize / 8
+
+// Size is the memory the region holds, in bytes: chunks, tag and int
+// chunks and the image buffer. After a run it is that run's high-water
+// mark, unless an earlier run's was higher.
+func (r *Region) Size() int {
+	return r.bytes.size() + 4*r.tags.size() + intBytes*r.ints.size() + cap(r.image)
+}
+
+// Poison fills every byte, tag word and int the region holds, handed out
+// or not, with 0xA5 bytes. The lifetime tests poison a region as it is
+// released, so that a reader of a finished run's memory reads garbage
+// rather than plausible pages or clocks.
 func (r *Region) Poison() {
 	for _, c := range r.bytes.chunks {
 		fill(c, regionPoison)
@@ -188,8 +222,15 @@ func (r *Region) Poison() {
 	for _, c := range r.tags.chunks {
 		fill(c, regionPoison*0x01010101)
 	}
+	for _, c := range r.ints.chunks {
+		fill(c, poisonInt)
+	}
 	fill(r.image[:cap(r.image)], regionPoison)
 }
+
+// poisonInt is an int made of regionPoison bytes: the complement of one
+// made of 0x5A bytes.
+const poisonInt = ^int(^uint(0) / 0xFF * (0xFF ^ regionPoison))
 
 func fill[T any](s []T, v T) {
 	for i := range s {
@@ -204,6 +245,7 @@ func fill[T any](s []T, v T) {
 type RegionStats struct {
 	BytesMade, BytesHanded int
 	TagsMade, TagsHanded   int
+	IntsMade, IntsHanded   int
 	Runs                   int // runs served to Release
 }
 
@@ -212,6 +254,7 @@ func (r *Region) Stats() RegionStats {
 	return RegionStats{
 		BytesMade: r.bytes.made, BytesHanded: r.bytes.handed,
 		TagsMade: r.tags.made, TagsHanded: r.tags.handed,
+		IntsMade: r.ints.made, IntsHanded: r.ints.handed,
 		Runs: r.runs,
 	}
 }

@@ -126,8 +126,9 @@ func (f *Flags) Open() (tr trace.Tracer, close func() error, err error) {
 
 // startProfiles begins CPU profiling into cpuFile (when non-empty) and
 // arranges for a heap profile to be written to memFile (when non-empty).
-// It returns a stop function that must run before the process exits and
-// an error if the CPU profile cannot be started. Empty filenames are
+// It returns a stop function that must run before the process exits,
+// which finishes both profiles whatever fails and reports every failure,
+// and an error if the CPU profile cannot be started. Empty filenames are
 // ignored.
 func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
 	var cpuF *os.File
@@ -142,30 +143,28 @@ func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
 		}
 	}
 	return func() error {
+		var errs []error
 		if cpuF != nil {
 			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				return err
-			}
+			errs = append(errs, cpuF.Close())
 		}
 		if memFile != "" {
-			f, err := os.Create(memFile)
-			if err != nil {
-				return err
-			}
-			// Materialize the live heap before snapshotting allocation
-			// counters so the profile reflects steady state, not GC lag.
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+			errs = append(errs, writeHeapProfile(memFile))
 		}
-		return nil
+		return errors.Join(errs...)
 	}, nil
+}
+
+// writeHeapProfile writes the allocation profile to name.
+func writeHeapProfile(name string) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	// Materialize the live heap before snapshotting allocation counters so
+	// the profile reflects steady state, not GC lag.
+	runtime.GC()
+	return errors.Join(pprof.Lookup("allocs").WriteTo(f, 0), f.Close())
 }
 
 // Pin returns the job count to use when profiling: 1 if either profile

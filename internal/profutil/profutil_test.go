@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -98,5 +99,77 @@ func TestOpenWritesOutputs(t *testing.T) {
 	}
 	if tr, closeObs, err := parse(t).Open(); err != nil || tr != nil || closeObs() != nil {
 		t.Errorf("no flags: tracer %v, err %v; want a nil tracer and a clean close", tr, err)
+	}
+}
+
+// TestCloseFinishesEveryOutput: close writes the CPU and heap profiles
+// and, when an output fails — a trace written to a full device — still
+// finishes the rest and reports the failure with its phase. A heap profile
+// written to the same device reports nothing: runtime/pprof drops the
+// write errors of its compressed format.
+func TestCloseFinishesEveryOutput(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	_, closeObs, err := parse(t, "-cpuprofile", cpu, "-memprofile", heap).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closeObs(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, heap} {
+		if b, err := os.ReadFile(p); err != nil || len(b) == 0 {
+			t.Errorf("%s is missing or empty (%v)", p, err)
+		}
+	}
+
+	const full = "/dev/full"
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("no %s here: %v", full, err)
+	}
+	metrics := filepath.Join(dir, "metrics.json")
+	tr, closeObs, err := parse(t, "-trace", full, "-metrics", metrics, "-memprofile", full).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Trace(trace.Ev(1, 0, trace.KindBarrierArrive))
+	if err := closeObs(); err == nil || !strings.HasPrefix(err.Error(), "closing trace: ") || strings.Contains(err.Error(), "\n") {
+		t.Errorf("close error %v, want the trace's failure alone", err)
+	}
+	if b, err := os.ReadFile(metrics); err != nil || len(b) == 0 {
+		t.Errorf("a failed trace kept the metrics from being written: %v", err)
+	}
+}
+
+// TestCPUProfileInUse: a CPU profile cannot start while another runs, and
+// Open says so as an environment failure (exit 1).
+func TestCPUProfileInUse(t *testing.T) {
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("a CPU profile is already running: %v", err)
+	}
+	defer pprof.StopCPUProfile()
+	_, _, err := parse(t, "-cpuprofile", filepath.Join(t.TempDir(), "cpu.prof")).Open()
+	if err == nil || ExitCode(err) != 1 {
+		t.Fatalf("-cpuprofile while a CPU profile runs: error %v, exit %d; want an error and exit 1", err, ExitCode(err))
+	}
+}
+
+// TestPin: profiling pins the job count to 1; without a profile flag the
+// requested count stands.
+func TestPin(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		jobs []int // requested, then pinned, in pairs
+	}{
+		{nil, []int{0, 0, 1, 1, 4, 4}},
+		{[]string{"-cpuprofile", "x"}, []int{0, 1, 1, 1, 4, 1}},
+		{[]string{"-memprofile", "x"}, []int{0, 1, 1, 1, 4, 1}},
+	} {
+		f := parse(t, c.args...)
+		for i := 0; i < len(c.jobs); i += 2 {
+			if got := f.Pin(c.jobs[i]); got != c.jobs[i+1] {
+				t.Errorf("flags %v: Pin(%d) = %d, want %d", c.args, c.jobs[i], got, c.jobs[i+1])
+			}
+		}
 	}
 }

@@ -23,7 +23,7 @@ const BarMgr = 0
 type Relay struct {
 	topo.Tree
 	heard []int // per node: processors of its subtree heard from so far
-	kids  []int // fan-out scratch
+	kids  []int // fan-out scratch (Children, Broadcast, Down)
 }
 
 // InitRelay builds the tree over the engine's processors at Attach time.
@@ -43,6 +43,13 @@ func (r *Relay) Gather(node, n int) (heard int, complete bool) {
 	}
 	r.heard[node] = 0
 	return heard, true
+}
+
+// Children returns node's tree children in ascending order, in scratch
+// that the next Children, Broadcast or Down overwrites.
+func (r *Relay) Children(node int) []int {
+	r.kids = r.AppendChildren(r.kids[:0], node)
+	return r.kids
 }
 
 // Send ships one relay message from a handler that has charged for it.
@@ -81,4 +88,41 @@ func (r *Relay) Down(s *sim.Svc, m *sim.Msg, h sim.Handler) {
 	for _, q := range r.kids {
 		svcSend(s, q, m.Kind, m.Bytes, m.Payload, h)
 	}
+}
+
+// A barrier episode's scratch is a list a protocol rebuilds at every
+// barrier and keeps between them, because nothing reads the previous
+// episode's contents by the time it rebuilds it: AEC's instructions,
+// targets, homes and arrival lists, TreadMarks' arrival and interior
+// combining lists. Each protocol argues why (DESIGN.md, "A barrier
+// episode's scratch"); Reuse is where it starts over.
+
+// ScratchPoison is what PoisonScratch fills reused int scratch with: no
+// processor, page, lock or count is made of it, and it indexes nothing.
+const ScratchPoison = -0x5A5A5A5A
+
+// poisonScratch makes Reuse fill what it takes back with garbage; only
+// tests set it (PoisonScratch).
+var poisonScratch bool
+
+// PoisonScratch makes every barrier episode's scratch, until the test t
+// ends, come back filled with garbage at the moment its owner reuses it,
+// so that a reader still holding the previous episode's contents — the
+// reuse argument's violation — reads garbage. For tests of any package:
+// t is the *testing.T or *testing.B whose cleanup turns it off.
+func PoisonScratch(t interface{ Cleanup(func()) }) {
+	poisonScratch = true
+	t.Cleanup(func() { poisonScratch = false })
+}
+
+// Reuse returns s emptied for a new barrier episode, keeping its array.
+// Under PoisonScratch all of the array is first overwritten with garbage.
+func Reuse[T any](s []T, garbage T) []T {
+	if poisonScratch {
+		fill := s[:cap(s)]
+		for i := range fill {
+			fill[i] = garbage
+		}
+	}
+	return s[:0]
 }

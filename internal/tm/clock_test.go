@@ -20,19 +20,22 @@ import (
 // (DESIGN.md, "TreadMarks' write notices"). At every mark of the engine's
 // observer it snapshots each reachable clock it has not seen before — by
 // backing array — and checks that every processor's current clock still
-// holds its snapshot; at the end of the run every snapshot is checked. The
-// marks are closer together than one message's software overhead, so a
-// clock that lives across a round trip (a lock request's, a barrier
-// arrival's) is seen before anyone could write it. After every barrier it
-// records each processor's clock array: the release hands all of them one
-// clock.
+// holds its snapshot; at the end of the run every snapshot is checked,
+// from the observer's last mark, which the run reaches only as it stops:
+// interval clocks live in the run's region, which nothing may read once
+// the harness has released it. The marks are closer together than one
+// message's software overhead, so a clock that lives across a round trip
+// (a lock request's, a barrier arrival's) is seen before anyone could
+// write it. After every barrier it records each processor's clock array:
+// the release hands all of them one clock.
 type frozen struct {
 	*tm.TM
 	nprocs  int
 	ivals   []int        // per processor, intervals already snapshotted
 	index   map[*int]int // backing array -> its snapshot in snaps
 	snaps   []snapshot
-	changed []string // current clocks found written at a mark
+	changed []string // current clocks found written at a mark, and snapshots at the end
+	ended   bool     // every snapshot was checked as the run stopped
 	after   [][]*int // after[p][k]: processor p's clock array after its k-th barrier
 	samples int
 }
@@ -46,23 +49,38 @@ func (f *frozen) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	f.after = make([][]*int, f.nprocs)
 	f.index = map[*int]int{}
 	last := sim.Time(0)
-	e.Observe(watchMarks, func(int) {
+	e.Observe(watchMarks, func(mark int) {
 		// Nothing changed since the last sample unless an event ran, which
 		// moves the clock; the marks past the end of the run land here.
-		if f.samples > 0 && e.Now() == last {
-			return
-		}
-		last = e.Now()
-		f.samples++
-		for p := range f.nprocs {
-			vc := f.Clock(p)
-			if i, ok := f.index[&vc[0]]; ok && !slices.Equal(vc, f.snaps[i].was) {
-				f.changed = append(f.changed, fmt.Sprintf("cycle %d: processor %d's clock changed from %v to %v",
-					e.Now(), p, f.snaps[i].was, vc))
+		if f.samples == 0 || e.Now() != last {
+			last = e.Now()
+			f.samples++
+			for p := range f.nprocs {
+				vc := f.Clock(p)
+				if i, ok := f.index[&vc[0]]; ok && !slices.Equal(vc, f.snaps[i].was) {
+					f.changed = append(f.changed, fmt.Sprintf("cycle %d: processor %d's clock changed from %v to %v",
+						e.Now(), p, f.snaps[i].was, vc))
+				}
+				f.ivals[p] = f.Clocks(p, f.ivals[p], f.snap)
 			}
-			f.ivals[p] = f.Clocks(p, f.ivals[p], f.snap)
+		}
+		if mark == len(watchMarks)-1 {
+			f.changed = append(f.changed, f.written()...)
+			f.ended = true
 		}
 	})
+}
+
+// written reports every snapshot whose clock changed. It reads the clocks,
+// so it runs while they are the run's: as the run stops, or after a panic,
+// whose region the harness never releases.
+func (f *frozen) written() (bad []string) {
+	for _, s := range f.snaps {
+		if !slices.Equal(s.live, s.was) {
+			bad = append(bad, fmt.Sprintf("a published clock changed from %v to %v", s.was, s.live))
+		}
+	}
+	return bad
 }
 
 func (f *frozen) snap(vc []int) {
@@ -81,10 +99,8 @@ func (f *frozen) Barrier(c *proto.Ctx) {
 // barrier after which the processors' clocks are not one array.
 func (f *frozen) check() []string {
 	bad := f.changed
-	for _, s := range f.snaps {
-		if !slices.Equal(s.live, s.was) {
-			bad = append(bad, fmt.Sprintf("a published clock changed from %v to %v", s.was, s.live))
-		}
+	if !f.ended {
+		bad = append(bad, f.written()...)
 	}
 	for k := range f.after[0] {
 		for p := 1; p < f.nprocs; p++ {

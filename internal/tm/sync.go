@@ -185,8 +185,10 @@ func (pr *TM) handleRel(s *sim.Svc, m *sim.Msg) {
 func (pr *TM) Barrier(c *proto.Ctx) {
 	st := pr.ps[c.ID]
 	pr.closeInterval(c, st)
-	// Summaries of own intervals created since the last barrier.
-	var wns []wnRef
+	// Summaries of own intervals created since the last barrier, in the
+	// arrival's scratch: the last barrier's could not complete before its
+	// receiver had copied them.
+	wns := proto.Reuse(st.arrive.wns, poisonWN)
 	for _, rec := range st.ivals[st.lastBarSeq:] {
 		for _, pg := range rec.pages {
 			wns = append(wns, wnRef{proc: st.id, seq: rec.seq, page: pg})
@@ -197,10 +199,9 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, int64(len(wns)), 0)
 	st.barOut = false
+	st.arrive = barArrive{proc: c.ID, vc: st.vc, wns: wns, count: 1}
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive,
-		16+16*len(wns)+4*pr.nprocs,
-		barArrive{proc: c.ID, vc: st.vc, wns: wns, count: 1},
-		pr.h.barArrive)
+		16+16*len(wns)+4*pr.nprocs, &st.arrive, pr.h.barArrive)
 	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
 	c.Epoch++
 }
@@ -211,7 +212,7 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 // has arrived. The flat barrier routes every count-1 arrival straight to
 // the manager, exactly as in the seed.
 func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
-	a := m.Payload.(barArrive)
+	a := m.Payload.(*barArrive)
 	s.ChargeList(len(a.wns) + 1)
 	if m.To == proto.BarMgr && a.count == 1 {
 		// Per-processor arrivals keep the seed's duplicate guard; a
@@ -222,23 +223,35 @@ func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 		pr.barSeen[a.proc] = true
 	}
 	st := pr.ps[m.To]
-	if st.combVC == nil {
-		// Fresh per barrier, never pooled: the release makes it every
-		// processor's clock.
-		st.combVC = make([]int, pr.nprocs)
+	count, complete := pr.relay.Gather(m.To, a.count)
+	if count == a.count {
+		// The episode's first arrival here. An interior node's parent has
+		// copied the last episode's subtree, so its lists start over in
+		// place. The manager's were published by the release, which may
+		// still be in flight to a slow processor while the next barrier's
+		// first arrivals land here, so they are fresh, the list sized by
+		// the last episode's.
+		if m.To == proto.BarMgr {
+			st.combVC = make([]int, pr.nprocs)
+			st.combWNs = make([]wnRef, 0, len(st.combWNs))
+		} else {
+			if st.combVC == nil {
+				st.combVC = make([]int, pr.nprocs)
+			}
+			clear(st.combVC)
+			st.combWNs = proto.Reuse(st.combWNs, poisonWN)
+		}
 	}
 	mergeVC(st.combVC, a.vc)
 	st.combWNs = append(st.combWNs, a.wns...)
-	count, complete := pr.relay.Gather(m.To, a.count)
 	if !complete {
 		return
 	}
 	vc, wns := st.combVC, st.combWNs
-	st.combVC, st.combWNs = nil, nil
 	if m.To != proto.BarMgr {
 		s.ChargeList(count)
-		pr.relay.Up(s, m.To, kBarArrive, 16+16*len(wns)+4*pr.nprocs+16*(count-1),
-			barArrive{proc: m.To, vc: vc, wns: wns, count: count}, pr.h.barArrive)
+		st.up = barArrive{proc: m.To, vc: vc, wns: wns, count: count}
+		pr.relay.Up(s, m.To, kBarArrive, 16+16*len(wns)+4*pr.nprocs+16*(count-1), &st.up, pr.h.barArrive)
 		return
 	}
 	clear(pr.barSeen)

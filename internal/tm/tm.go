@@ -121,9 +121,16 @@ type tmProc struct {
 
 	// Barrier fan-in state: the merged clock and concatenated notices of
 	// this node's combining-tree subtree (at the manager, the machine),
-	// buffered until the subtree is complete.
+	// buffered until the subtree is complete. At an interior node they are
+	// scratch, like the processor's own arrival (arrive, with its notice
+	// list) and the message that carries the subtree upstream (up): the
+	// parent's handler copies what they hold before the barrier can
+	// complete, so the next episode reuses them. At the manager they are
+	// fresh per barrier: the release publishes them to every processor.
 	combVC  []int
 	combWNs []wnRef
+	arrive  barArrive
+	up      barArrive
 }
 
 type grantMsg struct {
@@ -384,12 +391,19 @@ func (sc *topoScratch) cycle(in []ivalDiff) string {
 	return b.String()
 }
 
+// barArrive is a barrier arrival, sent by pointer to its sender's scratch
+// (tmProc.arrive or tmProc.up) and read, by copy, only by the handler it
+// is sent to.
 type barArrive struct {
 	proc  int
 	vc    []int
 	wns   []wnRef // summaries of intervals created since the last barrier
 	count int     // processors represented (1 from a processor, more from a combining node)
 }
+
+// poisonWN is what a reused notice list is filled with under
+// proto.PoisonScratch.
+var poisonWN = wnRef{proto.ScratchPoison, proto.ScratchPoison, proto.ScratchPoison}
 
 type barRelease struct {
 	wns []wnRef
@@ -507,11 +521,14 @@ func (pr *TM) closeInterval(c *proto.Ctx, st *tmProc) {
 	}
 	// The one clock copy per interval: st.vc may be shared with messages,
 	// intervals and other processors, so it is replaced, never written.
-	vc := slices.Clone(st.vc)
+	// An interval is never collected, so its clock and page list live as
+	// long as the run, and are kept in its region.
+	region := pr.s.Region()
+	vc := region.KeepInts(st.vc)
 	vc[st.id]++
 	st.vc = vc
 	slices.Sort(st.dirty)
-	pages := slices.Clone(slices.Compact(st.dirty))
+	pages := region.KeepInts(slices.Compact(st.dirty))
 	st.dirty = st.dirty[:0]
 	rec := &interval{
 		proc:  st.id,
