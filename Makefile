@@ -18,16 +18,16 @@ test:
 # the interconnect, the memory-system models, the diff kernels and page
 # space, the bitsets, the slice pools, the combining tree, the trace
 # layer, the statistics, the differential checker, the experiment drivers,
-# the applications, the lock lab's queueing model and the commands'
-# observability flags, that no test executes, one file:start,end line
-# each:
+# the applications, the lock lab's queueing model, the commands'
+# observability flags and the invariant rules with their loader, that no
+# test executes, one file:start,end line each:
 # the first check for a change of representation (docs/TESTING.md). The
 # profile repeats a block once per test binary, so a block counts as
 # executed if any binary ran it. The count is a ratchet: it fails above
 # COVER_MAX, the committed count, whose blocks docs/TESTING.md argues one
 # by one. A new block no test runs gets a test, goes, or is argued there
 # with COVER_MAX raised in the same change.
-COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim,./internal/fault,./internal/network,./internal/memsys,./internal/mem,./internal/bitset,./internal/pool,./internal/topo,./internal/trace,./internal/stats,./internal/check,./internal/harness,./internal/apps,./internal/predict,./internal/profutil
+COVERPKG = ./internal/aec,./internal/munin,./internal/tm,./internal/proto,./internal/lap,./internal/recover,./internal/lockpolicy,./internal/sim,./internal/fault,./internal/network,./internal/memsys,./internal/mem,./internal/bitset,./internal/pool,./internal/topo,./internal/trace,./internal/stats,./internal/check,./internal/harness,./internal/apps,./internal/predict,./internal/profutil,./internal/lint,./internal/lint/loader
 COVER_MAX = 14
 cover:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -38,17 +38,17 @@ cover:
 		printf "%d blocks of %s never executed (at most %d allowed)\n", left, "$(COVERPKG)", $(COVER_MAX) > "/dev/stderr"; \
 		exit left > $(COVER_MAX) }' "$$tmp/cover.out"
 
-# Static gates: vet, formatting, the repo's invariant lint suite (dsmvet;
-# see docs/LINTING.md) and the tracing guards' inline budget: "one branch
-# per site when tracing is off" is a property of trace.Emitter's five
-# emitting methods, so the gate fails when the compiler reports that one
-# of them no longer inlines. staticcheck/govulncheck run in CI where the
+# Static gates: vet, formatting, the two invariant rules (a test over the
+# whole module; see docs/LINTING.md) and the tracing guards' inline
+# budget: "one branch per site when tracing is off" is a property of
+# trace.Emitter's five emitting methods, so the gate fails when the
+# compiler reports that one of them no longer inlines. staticcheck/govulncheck run in CI where the
 # tools are installed.
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$fmt" >&2; exit 1; fi
-	$(GO) run ./cmd/dsmvet ./...
+	$(GO) test -count=1 ./internal/lint/
 	! $(GO) build -gcflags=-m=2 ./internal/trace 2>&1 | grep -E 'cannot inline Emitter\.(Event|Lock|LockNote|Page|Diff):'
 
 # Quick differential-checker pass (see docs/TESTING.md for deeper runs),

@@ -6,11 +6,12 @@
 // anything but the memo cache guarded here and the applications' generated
 // inputs, which apps.Inputs builds once and no run writes.
 //
-// The concurrency in this file is strictly *between* engines; inside one
-// engine the single-runner cooperative-scheduling contract still holds
-// and is enforced by dsmvet (docs/LINTING.md).
-//
-//dsmvet:crossengine worker pool over isolated engines; no engine-internal state is touched from more than one goroutine
+// The concurrency in this file is strictly *between* engines: the worker
+// pool runs whole isolated engines, and no engine-internal state is
+// touched from more than one goroutine. Inside one engine the
+// single-runner cooperative-scheduling contract still holds; internal/lint
+// excuses this file's concurrency as cross-engine, and fails on any call
+// it makes to an engine primitive (docs/LINTING.md).
 package harness
 
 import (

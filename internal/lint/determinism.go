@@ -1,27 +1,67 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
-	"aecdsm/internal/lint/analysis"
+	"aecdsm/internal/lint/loader"
 )
 
-// Determinism enforces reproducible virtual time: two runs with the same
-// configuration must produce byte-identical metrics (the PR 2 determinism
-// tests). Wall-clock reads and the global math/rand stream are forbidden,
-// and iterating a map is flagged when the body's effects depend on
-// iteration order: emitting events, sending messages, charging cycles, or
-// accumulating into an outer slice that is never sorted afterwards.
-var Determinism = &analysis.Analyzer{
-	Name: "determinism",
-	Doc: "forbid time.Now and global math/rand, and flag map iteration whose " +
-		"body emits events, sends messages, charges cycles or appends to an " +
-		"outer slice without a subsequent sort (map order is randomized)",
-	Run: runDeterminism,
+// determinism enforces reproducible virtual time: two runs with the same
+// configuration must produce byte-identical metrics. Wall-clock reads and
+// the global math/rand stream are findings, and so is iterating a map when
+// the body's effects depend on iteration order: emitting events, sending
+// messages, charging cycles, or accumulating into an outer slice that is
+// never sorted afterwards (Go randomizes map order per run).
+func determinism(pkg *loader.Package, report func(token.Pos, string)) {
+	if !inScope(pkg.Types.Path(), determinismScope) {
+		return
+	}
+	info := pkg.Info
+	for _, file := range pkg.Syntax {
+		ast.Inspect(file, func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch x := n.(type) {
+			case *ast.BlockStmt:
+				list = x.List
+			case *ast.CaseClause:
+				list = x.Body
+			case *ast.CommClause:
+				list = x.Body
+			case *ast.Ident:
+				fn, ok := info.Uses[x].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					break
+				}
+				switch fn.Pkg().Path() {
+				case "time":
+					if fn.Name() == "Now" {
+						report(x.Pos(), "time.Now reads the wall clock: the simulator runs on deterministic virtual time only")
+					}
+				case "math/rand", "math/rand/v2":
+					if recvNamed(fn) == nil && !strings.HasPrefix(fn.Name(), "New") {
+						report(x.Pos(), "global math/rand."+fn.Name()+" draws from a shared process-wide stream: use a per-run apps.Config stream")
+					}
+				}
+			}
+			// A range over a map is checked with the statements that follow
+			// it in its list: a sort there restores determinism.
+			for i, s := range list {
+				if l, ok := s.(*ast.LabeledStmt); ok {
+					s = l.Stmt
+				}
+				if rs, ok := s.(*ast.RangeStmt); ok {
+					if _, ok := info.TypeOf(rs.X).Underlying().(*types.Map); ok {
+						checkMapRange(info, rs, list[i+1:], report)
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // determinismScope adds the workload and checker layers to the protocol
@@ -44,172 +84,67 @@ var orderSensitiveCalls = map[string]string{
 	"WaitUntil":  "blocks the processor",
 }
 
-func runDeterminism(pass *analysis.Pass) (any, error) {
-	if !inRepoScope(pass.Pkg.Path(), determinismScope...) {
-		return nil, nil
-	}
-
-	// Wall-clock and global-RNG bans, anywhere in scope.
-	type use struct {
-		pos token.Pos
-		msg string
-	}
-	var uses []use
-	for id, obj := range pass.TypesInfo.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			continue
-		}
-		switch fn.Pkg().Path() {
-		case "time":
-			if fn.Name() == "Now" {
-				uses = append(uses, use{id.Pos(), "time.Now reads the wall clock: the simulator runs on deterministic virtual time only"})
-			}
-		case "math/rand", "math/rand/v2":
-			sig, _ := fn.Type().(*types.Signature)
-			if sig != nil && sig.Recv() == nil && !strings.HasPrefix(fn.Name(), "New") {
-				uses = append(uses, use{id.Pos(), "global math/rand." + fn.Name() + " draws from a shared process-wide stream: use a per-run apps.Config stream"})
-			}
-		}
-	}
-	sort.Slice(uses, func(i, j int) bool { return uses[i].pos < uses[j].pos })
-	for _, u := range uses {
-		pass.Reportf(u.pos, "%s", u.msg)
-	}
-
-	// Map-iteration-order hazards.
-	for _, file := range pass.Files {
-		parents := parentMap(file)
-		ast.Inspect(file, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := pass.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, ok := t.Underlying().(*types.Map); !ok {
-				return true
-			}
-			checkMapRange(pass, parents, rs)
-			return true
-		})
-	}
-	return nil, nil
-}
-
-// checkMapRange inspects one `for ... := range m` over a map.
-func checkMapRange(pass *analysis.Pass, parents map[ast.Node]ast.Node, rs *ast.RangeStmt) {
+// checkMapRange inspects one `for ... := range m` over a map, followed in
+// its statement list by following.
+func checkMapRange(info *types.Info, rs *ast.RangeStmt, following []ast.Stmt, report func(token.Pos, string)) {
 	// Outer slices the body appends into, keyed by variable object.
 	appends := make(map[types.Object]token.Pos)
-
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if callee := calleeOf(pass.TypesInfo, x); callee != nil {
-				if why, ok := orderSensitiveCalls[callee.Name()]; ok && recvNamed(callee) != nil {
-					rn := recvNamed(callee).Obj()
-					if pkgIs(rn.Pkg(), "sim") || pkgIs(rn.Pkg(), "trace") || pkgIs(rn.Pkg(), "proto") {
-						pass.Reportf(x.Pos(), "%s.%s inside range over a map %s in map order, which Go randomizes per run; iterate sorted keys instead", rn.Name(), callee.Name(), why)
-					}
-				}
+			callee := calleeOf(info, x)
+			if callee == nil || recvNamed(callee) == nil {
+				break
+			}
+			rn := recvNamed(callee).Obj()
+			if why, ok := orderSensitiveCalls[callee.Name()]; ok && (pkgIs(rn.Pkg(), "sim") || pkgIs(rn.Pkg(), "trace") || pkgIs(rn.Pkg(), "proto")) {
+				report(x.Pos(), fmt.Sprintf("%s.%s inside range over a map %s in map order, which Go randomizes per run; iterate sorted keys instead", rn.Name(), callee.Name(), why))
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range x.Lhs {
 				id, ok := lhs.(*ast.Ident)
-				if !ok || i >= len(x.Rhs) {
+				if !ok || len(x.Rhs) != len(x.Lhs) || !callsBuiltin(info, x.Rhs[i], "append") {
 					continue
 				}
-				call, ok := ast.Unparen(x.Rhs[i]).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				fid, ok := ast.Unparen(call.Fun).(*ast.Ident)
-				if !ok || fid.Name != "append" {
-					continue
-				}
-				if _, ok := pass.TypesInfo.Uses[fid].(*types.Builtin); !ok {
-					continue
-				}
-				obj := pass.TypesInfo.ObjectOf(id)
 				// Only slices declared outside the range body leak map
 				// order out of the loop.
-				if obj != nil && obj.Pos() < rs.Pos() {
+				if obj := info.ObjectOf(id); obj != nil && obj.Pos() < rs.Pos() {
 					appends[obj] = x.Pos()
 				}
 			}
 		}
 		return true
 	})
-
-	if len(appends) == 0 {
-		return
-	}
-	// A subsequent sort of the accumulated slice restores determinism.
-	following := stmtsAfter(parents, rs)
-	var objs []types.Object
-	for obj := range appends {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-	for _, obj := range objs {
-		if sortedAfter(pass, following, obj) {
-			continue
+	// RunPackage sorts the findings, so this map's order does not show.
+	for obj, pos := range appends {
+		if !sortedAfter(info, following, obj) {
+			report(pos, fmt.Sprintf("append to %q inside range over a map records map iteration order, which Go randomizes per run; sort %q afterwards or iterate sorted keys", obj.Name(), obj.Name()))
 		}
-		pass.Reportf(appends[obj], "append to %q inside range over a map records map iteration order, which Go randomizes per run; sort %q afterwards or iterate sorted keys", obj.Name(), obj.Name())
 	}
-}
-
-// stmtsAfter returns the statements following stmt in its innermost
-// enclosing block.
-func stmtsAfter(parents map[ast.Node]ast.Node, stmt ast.Stmt) []ast.Stmt {
-	var n ast.Node = stmt
-	for n != nil {
-		parent := parents[n]
-		if blk, ok := parent.(*ast.BlockStmt); ok {
-			for i, s := range blk.List {
-				if s == n {
-					return blk.List[i+1:]
-				}
-			}
-		}
-		n = parent
-	}
-	return nil
 }
 
 // sortedAfter reports whether any of the statements passes obj to a
-// sort.* or slices.Sort* call.
-func sortedAfter(pass *analysis.Pass, stmts []ast.Stmt, obj types.Object) bool {
+// function of package sort or slices.
+func sortedAfter(info *types.Info, stmts []ast.Stmt, obj types.Object) bool {
+	found := false
 	for _, s := range stmts {
-		found := false
 		ast.Inspect(s, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || found {
 				return !found
 			}
-			callee := calleeOf(pass.TypesInfo, call)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			p := callee.Pkg().Path()
-			if p != "sort" && p != "slices" {
-				return true
-			}
-			for _, arg := range call.Args {
-				ast.Inspect(arg, func(an ast.Node) bool {
-					if id, ok := an.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
-						found = true
-					}
-					return !found
-				})
+			if fn := calleeOf(info, call); fn != nil && fn.Pkg() != nil && (fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") {
+				for _, arg := range call.Args {
+					ast.Inspect(arg, func(an ast.Node) bool {
+						if id, ok := an.(*ast.Ident); ok && info.ObjectOf(id) == obj {
+							found = true
+						}
+						return !found
+					})
+				}
 			}
 			return !found
 		})
-		if found {
-			return true
-		}
 	}
-	return false
+	return found
 }

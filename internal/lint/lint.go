@@ -1,143 +1,84 @@
-// Package lint is dsmvet: static analyzers for the two simulator
-// invariants a deterministic run cannot check for itself — single-runner
-// cooperative scheduling and reproducible virtual time. See
-// docs/LINTING.md for the invariants, the mutation evidence that keeps the
-// suite this small, and the //dsmvet:allow escape hatch.
+// Package lint holds the rules for the two simulator invariants a
+// deterministic run cannot check for itself: single-runner cooperative
+// scheduling (singlethread) and reproducible virtual time (determinism).
+// lint_test.go applies them to every package of the module and fails on a
+// finding its allowance table does not excuse. See docs/LINTING.md for the
+// invariants and the mutation evidence that keeps the rules this small.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
-	"aecdsm/internal/lint/analysis"
 	"aecdsm/internal/lint/loader"
 )
 
-// Analyzers returns the full dsmvet suite in reporting order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Singlethread,
-		Determinism,
+// Rule is one invariant check: Check reports each violation in a package
+// as a position and a message.
+type Rule struct {
+	Name  string
+	Check func(pkg *loader.Package, report func(token.Pos, string))
+}
+
+// Analyzers returns both rules in reporting order.
+func Analyzers() []Rule {
+	return []Rule{
+		{"singlethread", singlethread},
+		{"determinism", determinism},
 	}
 }
 
-// Finding is one post-filter diagnostic, ready for printing.
+// Finding is one violation of one rule.
 type Finding struct {
-	Analyzer string
-	Pos      token.Position
-	Message  string
+	Rule    string
+	Pos     token.Position
+	Message string
 }
 
 func (f Finding) String() string {
-	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
+	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Rule)
 }
 
-// RunPackage executes the analyzers over one package, applies the
-// //dsmvet:allow directives, and reports unused or malformed directives.
-// Findings come back sorted by position for deterministic output.
-func RunPackage(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	allows := analysis.CollectAllows(pkg.Fset, pkg.Syntax)
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	running := make(map[string]bool)
-	for _, a := range analyzers {
-		running[a.Name] = true
-	}
-
+// RunPackage applies the rules to one package and returns what they
+// found, each finding once, sorted by position. A rule cannot fail, so the
+// error is always nil.
+func RunPackage(pkg *loader.Package, rules []Rule) ([]Finding, error) {
 	var out []Finding
-	for _, a := range analyzers {
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Syntax,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %v", pkg.PkgPath, a.Name, err)
-		}
-		seen := make(map[string]bool)
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			if al := analysis.Match(allows, a.Name, pos.Filename, pos.Line); al != nil {
-				al.Used = true
-				continue
+	seen := make(map[Finding]bool)
+	for _, r := range rules {
+		r.Check(pkg, func(pos token.Pos, msg string) {
+			// A call inside nested map ranges is visited once per
+			// enclosing range.
+			f := Finding{Rule: r.Name, Pos: pkg.Fset.Position(pos), Message: msg}
+			if !seen[f] {
+				seen[f] = true
+				out = append(out, f)
 			}
-			// A call inside nested map ranges is visited once per enclosing
-			// range; report each distinct diagnostic once.
-			key := fmt.Sprintf("%s:%d:%d:%s", pos.Filename, pos.Line, pos.Column, d.Message)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-		}
+		})
 	}
-
-	for _, al := range allows {
-		pos := pkg.Fset.Position(al.Pos)
-		switch {
-		case !known[al.Analyzer]:
-			out = append(out, Finding{Analyzer: "allow", Pos: pos,
-				Message: fmt.Sprintf("//dsmvet:allow names unknown analyzer %q", al.Analyzer)})
-		case al.Reason == "":
-			out = append(out, Finding{Analyzer: "allow", Pos: pos,
-				Message: fmt.Sprintf("//dsmvet:allow %s is missing its mandatory reason", al.Analyzer)})
-		case !al.Used && running[al.Analyzer]:
-			out = append(out, Finding{Analyzer: "allow", Pos: pos,
-				Message: fmt.Sprintf("unused //dsmvet:allow %s directive: nothing is suppressed here", al.Analyzer)})
-		}
-	}
-
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(out, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Offset, b.Pos.Offset), strings.Compare(a.Rule, b.Rule))
 	})
 	return out, nil
 }
 
 // ---- shared matching helpers ----------------------------------------------
 
-const repoModule = "aecdsm"
-
 // pkgIs reports whether p is the repo layer with the given base name.
-// Fixture stubs under internal/lint/testdata use the bare base name as the
-// import path ("sim", "stats"), so both spellings match.
 func pkgIs(p *types.Package, base string) bool {
-	if p == nil {
-		return false
-	}
-	path := p.Path()
-	return path == base || path == repoModule+"/internal/"+base ||
-		strings.HasSuffix(path, "/"+base)
+	return p != nil && p.Path() == "aecdsm/internal/"+base
 }
 
-// inRepoScope restricts an analyzer to the named internal layers of the
-// real repo. Packages outside the module (analysistest fixtures) are always
-// in scope so fixtures can exercise every rule directly.
-func inRepoScope(path string, bases ...string) bool {
-	if !strings.HasPrefix(path, repoModule) {
-		return true
-	}
+// inScope reports whether the package path is one of the named internal
+// layers.
+func inScope(path string, bases []string) bool {
 	for _, b := range bases {
-		if path == repoModule+"/internal/"+b {
+		if path == "aecdsm/internal/"+b {
 			return true
 		}
 	}
@@ -156,10 +97,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		f, _ := info.Uses[fun].(*types.Func)
 		return f
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			f, _ := sel.Obj().(*types.Func)
-			return f
-		}
 		f, _ := info.Uses[fun.Sel].(*types.Func)
 		return f
 	}
@@ -181,20 +118,13 @@ func recvNamed(fn *types.Func) *types.Named {
 	return n
 }
 
-// parentMap records each node's syntactic parent within a file.
-func parentMap(file *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
+// callsBuiltin reports whether e is a call of the named built-in
+// function.
+func callsBuiltin(info *types.Info, e ast.Expr, name string) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && info.Uses[id] == types.Universe.Lookup(name)
 }

@@ -1,4 +1,4 @@
-// Package loader type-checks Go packages for the dsmvet analyzers without
+// Package loader type-checks Go packages for the lint rules without
 // depending on golang.org/x/tools/go/packages. It shells out to
 // `go list -export -deps -json`, which works fully offline: the go command
 // compiles each dependency into the build cache and reports the path of its
@@ -18,16 +18,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // Package is one parsed, type-checked package.
 type Package struct {
-	PkgPath string
-	Name    string
-	Dir     string
-	GoFiles []string
-
 	Fset   *token.FileSet
 	Syntax []*ast.File
 	Types  *types.Package
@@ -37,7 +31,6 @@ type Package struct {
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -46,9 +39,9 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// GoList returns the `go list -e -export -deps -json` package records for
+// goList returns the `go list -e -export -deps -json` package records for
 // the patterns in dir, in listing order.
-func GoList(dir string, patterns ...string) ([]listPkg, error) {
+func goList(dir string, patterns ...string) ([]listPkg, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -58,109 +51,104 @@ func GoList(dir string, patterns ...string) ([]listPkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
-	pkgs, err := decodeList(out)
-	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v", patterns, err)
-	}
-	return pkgs, nil
+	return decodeList(out)
 }
 
 // decodeList parses the JSON stream `go list -json` emits.
 func decodeList(out []byte) ([]listPkg, error) {
 	dec := json.NewDecoder(bytes.NewReader(out))
 	var pkgs []listPkg
-	for {
+	for dec.More() {
 		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("go list: decoding its output: %v", err)
 		}
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
 }
 
-// GCImporter builds a types.Importer that resolves import paths through the
-// given export data map.
-func GCImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("loader: no export data for %q", path)
-		}
-		return os.Open(f)
+// gcImporter resolves import paths through the export data of the listed
+// packages.
+func gcImporter(fset *token.FileSet, pkgs []listPkg) types.Importer {
+	exports := make(map[string]string, len(pkgs))
+	for _, p := range pkgs {
+		exports[p.ImportPath] = p.Export
 	}
-	return importer.ForCompiler(fset, "gc", lookup)
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := exports[path]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("loader: no export data for %q", path)
+	})
 }
 
-// NewInfo allocates a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
+// Importer returns an importer for the packages patterns match in dir and
+// for their dependencies, read from build-cache export data.
+func Importer(fset *token.FileSet, dir string, patterns ...string) (types.Importer, error) {
+	pkgs, err := goList(dir, patterns...)
+	if err != nil {
+		return nil, err
 	}
+	return gcImporter(fset, pkgs), nil
 }
 
 // Load parses and type-checks the packages matched by patterns, resolving
 // every import (standard library and module-local alike) from build-cache
-// export data. Test files are not included: dsmvet checks the shipped
+// export data. Test files are not included: the rules check the shipped
 // simulator sources, and `go list` GoFiles excludes *_test.go.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, err := GoList(dir, patterns...)
+	pkgs, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(pkgs))
-	var targets []listPkg
-	for _, p := range pkgs {
-		if p.Error != nil && !p.DepOnly {
-			return nil, fmt.Errorf("loader: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
-			targets = append(targets, p)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
 	fset := token.NewFileSet()
-	imp := GCImporter(fset, exports)
+	imp := gcImporter(fset, pkgs)
 	var out []*Package
-	for _, t := range targets {
-		var files []*ast.File
+	for _, p := range pkgs {
+		if p.DepOnly || p.Standard {
+			continue
+		}
 		var names []string
-		for _, gf := range t.GoFiles {
-			fn := filepath.Join(t.Dir, gf)
-			f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("loader: %s: %v", t.ImportPath, err)
-			}
-			files = append(files, f)
-			names = append(names, fn)
+		for _, gf := range p.GoFiles {
+			names = append(names, filepath.Join(p.Dir, gf))
 		}
-		info := NewInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
+		pkg, err := Check(fset, imp, p.ImportPath, names, nil)
+		if p.Error != nil {
+			err = fmt.Errorf("loader: %s: %s", p.ImportPath, p.Error.Err)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("loader: type-checking %s: %v", t.ImportPath, err)
+			return nil, err
 		}
-		out = append(out, &Package{
-			PkgPath: t.ImportPath,
-			Name:    t.Name,
-			Dir:     t.Dir,
-			GoFiles: names,
-			Fset:    fset,
-			Syntax:  files,
-			Types:   tpkg,
-			Info:    info,
-		})
+		out = append(out, pkg)
 	}
 	return out, nil
+}
+
+// Check parses the named files and type-checks them as the package path,
+// resolving imports through imp. A file whose name is a key of src is
+// parsed from that text; any other is read from disk.
+func Check(fset *token.FileSet, imp types.Importer, path string, names []string, src map[string]string) (*Package, error) {
+	var files []*ast.File
+	for _, name := range names {
+		var text any
+		if s, ok := src[name]; ok {
+			text = s
+		}
+		f, err := parser.ParseFile(fset, name, text, 0)
+		if err != nil {
+			return nil, fmt.Errorf("loader: %s: %v", path, err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	tpkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("loader: type-checking %s: %v", path, err)
+	}
+	return &Package{Fset: fset, Syntax: files, Types: tpkg, Info: info}, nil
 }

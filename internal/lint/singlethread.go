@@ -1,167 +1,111 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 
-	"aecdsm/internal/lint/analysis"
+	"aecdsm/internal/lint/loader"
 )
 
-// Singlethread enforces the simulator's cooperative-scheduling contract:
-// exactly one of {engine, some processor goroutine} executes at any
-// instant, so the protocol packages must not introduce real concurrency.
-// Goroutines, iter.Pull coroutines, channel operations, select statements
-// and sync/sync-atomic primitives are forbidden inside the single-runner
-// core. The engine's hand-off is the one exception: it creates each
-// processor body's coroutine with iter.Pull, behind //dsmvet:allow.
+// singlethread enforces the simulator's cooperative-scheduling contract:
+// exactly one of {engine, some processor body} executes at any instant
+// (sim.Engine: "no locking is needed anywhere"), so the single-runner core
+// must not introduce real concurrency. Goroutines, iter.Pull coroutines,
+// channel operations, select statements and sync/sync-atomic primitives
+// are findings. The engine's hand-off is the one excused exception: it
+// creates each processor body's coroutine with iter.Pull.
 //
-// The driver layers (harness, check) are in scope too, with one
-// deliberately different boundary: a file carrying a
-//
-//	//dsmvet:crossengine <reason>
-//
-// marker declares that its concurrency runs *between* isolated engines
-// (the parallel experiment scheduler), never inside one. Such a file is
-// exempt from the concurrency bans, but in exchange it must not touch any
-// engine-internal primitive — calling one from cross-engine code would
-// put two runners inside a single engine, the exact bug this analyzer
-// exists to prevent.
-var Singlethread = &analysis.Analyzer{
-	Name: "singlethread",
-	Doc: "forbid go statements, iter.Pull coroutines, channel operations and sync " +
-		"primitives in the cooperatively-scheduled simulator core (engine.go: \"no " +
-		"locking is needed anywhere\"); only the engine's one iter.Pull per processor " +
-		"body is exempt, plus //dsmvet:crossengine files whose concurrency is across " +
-		"isolated engines",
-	Run: runSinglethread,
-}
-
-// singlethreadScope is the single-runner core plus the driver layers that
-// may host cross-engine scheduling (in marked files only).
-var singlethreadScope = append([]string{"harness", "check"}, protocolScope...)
-
-// crossenginePrefix marks a whole file as cross-engine scheduler code.
-const crossenginePrefix = "//dsmvet:crossengine"
-
-// crossengineMarker finds a file's //dsmvet:crossengine directive,
-// returning its position and trailing reason.
-func crossengineMarker(file *ast.File) (pos token.Pos, reason string, ok bool) {
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if c.Text == crossenginePrefix || strings.HasPrefix(c.Text, crossenginePrefix+" ") {
-				return c.Pos(), strings.TrimSpace(strings.TrimPrefix(c.Text, crossenginePrefix)), true
-			}
-		}
+// The driver layers (harness, check) are held to the same bans, with one
+// deliberately different boundary: concurrency there may run *between*
+// isolated engines (the parallel experiment scheduler), and the allowance
+// table excuses such a file. In exchange, a driver-layer file that uses
+// concurrency must not call an engine-internal primitive, and no allowance
+// excuses that: calling one from cross-engine code would put two runners
+// inside a single engine, the exact bug this rule exists to prevent.
+func singlethread(pkg *loader.Package, report func(token.Pos, string)) {
+	path := pkg.Types.Path()
+	driver := inScope(path, driverLayers)
+	if !driver && !inScope(path, protocolScope) {
+		return
 	}
-	return token.NoPos, "", false
-}
-
-func runSinglethread(pass *analysis.Pass) (any, error) {
-	if !inRepoScope(pass.Pkg.Path(), singlethreadScope...) {
-		return nil, nil
-	}
-	var crossFiles []*ast.File
-	for _, file := range pass.Files {
-		if pos, reason, ok := crossengineMarker(file); ok {
-			if reason == "" {
-				pass.Reportf(pos, "//dsmvet:crossengine is missing its mandatory reason")
-			}
-			crossFiles = append(crossFiles, file)
-			checkCrossengineFile(pass, file)
-			continue
+	info := pkg.Info
+	for _, file := range pkg.Syntax {
+		concurrent := false
+		found := func(pos token.Pos, msg string) {
+			concurrent = true
+			report(pos, msg)
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(x.Pos(), "go statement spawns a second runner in the cooperatively-scheduled core")
+				found(x.Pos(), "go statement spawns a second runner in the cooperatively-scheduled core")
 			case *ast.SendStmt:
-				pass.Reportf(x.Pos(), "channel send in the single-runner core; protocol state is handed off via the engine, not channels")
+				found(x.Pos(), "channel send in the single-runner core; protocol state is handed off via the engine, not channels")
 			case *ast.UnaryExpr:
 				if x.Op == token.ARROW {
-					pass.Reportf(x.Pos(), "channel receive in the single-runner core; protocol state is handed off via the engine, not channels")
+					found(x.Pos(), "channel receive in the single-runner core; protocol state is handed off via the engine, not channels")
 				}
 			case *ast.SelectStmt:
-				pass.Reportf(x.Pos(), "select statement in the single-runner core; the engine's event loop is the only scheduler")
+				found(x.Pos(), "select statement in the single-runner core; the engine's event loop is the only scheduler")
 			case *ast.RangeStmt:
-				if t := pass.TypeOf(x.X); t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						pass.Reportf(x.Pos(), "range over a channel in the single-runner core")
-					}
+				if isChan(info.TypeOf(x.X)) {
+					found(x.Pos(), "range over a channel in the single-runner core")
 				}
 			case *ast.CallExpr:
-				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-					if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-						if t := pass.TypeOf(x.Args[0]); t != nil {
-							if _, ok := t.Underlying().(*types.Chan); ok {
-								pass.Reportf(x.Pos(), "channel creation in the single-runner core; nothing in it may use channels")
-							}
-						}
-					}
+				if callsBuiltin(info, x, "make") && isChan(info.TypeOf(x)) {
+					found(x.Pos(), "channel creation in the single-runner core; nothing in it may use channels")
+				}
+			case *ast.Ident:
+				// Any use of sync or sync/atomic: the core's whole design
+				// premise is that no locking is needed anywhere. Any use of
+				// iter.Pull/Pull2, called or not: a pulled sequence runs on
+				// its own goroutine, a second runner just as a go statement
+				// is.
+				obj := info.Uses[x]
+				if obj == nil || obj.Pkg() == nil {
+					break
+				}
+				switch p, name := obj.Pkg().Path(), obj.Name(); {
+				case p == "sync" || p == "sync/atomic":
+					found(x.Pos(), "use of "+p+"."+name+" in the single-runner core: the simulator guarantees one runner at a time, so locking hides bugs instead of fixing them")
+				case p == "iter" && (name == "Pull" || name == "Pull2"):
+					found(x.Pos(), "iter."+name+" spawns a second runner in the cooperatively-scheduled core; only the engine's hand-off may create a coroutine")
 				}
 			}
 			return true
 		})
-	}
-
-	// Any use of sync or sync/atomic: the core's whole design premise is
-	// that no locking is needed anywhere (see sim.Engine's doc comment).
-	// Any use of iter.Pull/Pull2, called or not: a pulled sequence runs on
-	// its own goroutine, a second runner just as a go statement is.
-	// Cross-engine files coordinate isolated engines and are exempt.
-	inCross := func(pos token.Pos) bool {
-		for _, f := range crossFiles {
-			if pos >= f.FileStart && pos <= f.FileEnd {
-				return true
-			}
-		}
-		return false
-	}
-	type use struct {
-		pos token.Pos
-		msg string
-	}
-	var uses []use
-	for id, obj := range pass.TypesInfo.Uses {
-		if obj == nil || obj.Pkg() == nil {
-			continue
-		}
-		if inCross(id.Pos()) {
-			continue
-		}
-		switch p, name := obj.Pkg().Path(), obj.Name(); {
-		case p == "sync" || p == "sync/atomic":
-			uses = append(uses, use{id.Pos(), "use of " + p + "." + name + " in the single-runner core: the simulator guarantees one runner at a time, so locking hides bugs instead of fixing them"})
-		case p == "iter" && (name == "Pull" || name == "Pull2"):
-			uses = append(uses, use{id.Pos(), "iter." + name + " spawns a second runner in the cooperatively-scheduled core; only the engine's hand-off may create a coroutine"})
+		if driver && concurrent {
+			engineCalls(info, file, report)
 		}
 	}
-	sort.Slice(uses, func(i, j int) bool { return uses[i].pos < uses[j].pos })
-	for _, u := range uses {
-		pass.Reportf(u.pos, "%s", u.msg)
-	}
-	return nil, nil
 }
 
-// checkCrossengineFile enforces the flip side of the //dsmvet:crossengine
-// exemption: concurrency is allowed, but engine-internal primitives are
-// not — cross-engine code drives whole runs, it never steps inside one
-// engine's cooperative schedule.
-func checkCrossengineFile(pass *analysis.Pass, file *ast.File) {
+// isChan reports whether t is a channel type.
+func isChan(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
+}
+
+// driverLayers run whole simulations and may fan them out across isolated
+// engines.
+var driverLayers = []string{"harness", "check"}
+
+// engineCall begins the message of a finding no allowance excuses.
+const engineCall = "engine-internal primitive "
+
+// engineCalls reports every call to an engine-internal primitive in a
+// driver-layer file that uses concurrency: cross-engine code drives whole
+// isolated runs, it never steps inside one engine's cooperative schedule.
+func engineCalls(info *types.Info, file *ast.File, report func(token.Pos, string)) {
 	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := calleeOf(info, call); fn != nil && engineInternal(fn) {
+				report(call.Pos(), fmt.Sprintf("%s%s.%s called from a driver-layer file that uses concurrency; cross-engine code drives whole isolated runs and must never step inside one engine",
+					engineCall, recvNamed(fn).Obj().Name(), fn.Name()))
+			}
 		}
-		callee := calleeOf(pass.TypesInfo, call)
-		if callee == nil || !engineInternal(callee) {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"engine-internal primitive %s.%s called from a //dsmvet:crossengine file; cross-engine code drives whole isolated runs and must never step inside one engine",
-			recvNamed(callee).Obj().Name(), callee.Name())
 		return true
 	})
 }

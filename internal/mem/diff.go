@@ -32,12 +32,10 @@ type Diff struct {
 // diffIDs hands out process-unique diff identities. Atomic because
 // parallel engines (the sweep scheduler's workers, parallel tests) share
 // the process; within one engine the simulated processors are coroutines
-// of a single goroutine.
-//
-//dsmvet:allow singlethread process-global ID counter shared by parallel test runs; serialized per engine, atomic only for the race detector
+// of a single goroutine, so the counter is serialized per engine and
+// atomic only for the race detector (two allowances in internal/lint).
 var diffIDs atomic.Uint64
 
-//dsmvet:allow singlethread process-global ID counter shared by parallel test runs; serialized per engine, atomic only for the race detector
 func nextDiffID() uint64 { return diffIDs.Add(1) }
 
 // runHeaderBytes is the encoded size of a run header (offset + length).

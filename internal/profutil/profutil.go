@@ -8,6 +8,7 @@
 package profutil
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -164,7 +165,23 @@ func writeHeapProfile(name string) error {
 	// Materialize the live heap before snapshotting allocation counters so
 	// the profile reflects steady state, not GC lag.
 	runtime.GC()
-	return errors.Join(pprof.Lookup("allocs").WriteTo(f, 0), f.Close())
+	// The profile's compressed writer drops the errors of the writes under
+	// it; w keeps the first.
+	w := &errWriter{w: f}
+	err = pprof.Lookup("allocs").WriteTo(w, 0)
+	return errors.Join(cmp.Or(w.err, err), f.Close())
+}
+
+// errWriter writes to w and keeps the first error a write returns.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	e.err = cmp.Or(e.err, err)
+	return n, err
 }
 
 // Pin returns the job count to use when profiling: 1 if either profile

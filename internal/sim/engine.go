@@ -158,7 +158,8 @@ func (e *Engine) launch() {
 	}
 	for i, body := range e.bodies {
 		p := e.Procs[i]
-		//dsmvet:allow singlethread the engine's coroutine hand-off: next/yield switch goroutines directly, so still only one runs
+		// The engine's coroutine hand-off: next and yield switch goroutines
+		// directly, so still only one runs (an allowance in internal/lint).
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
 			defer p.unwound()
