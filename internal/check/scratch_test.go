@@ -17,9 +17,12 @@ import (
 // instructions, targets, homes and arrival lists and TreadMarks' arrival
 // and interior combining lists are rebuilt in place at every barrier,
 // because nothing reads the previous episode's by then (DESIGN.md, "A
-// barrier episode's scratch"). With every reused list overwritten with
-// garbage the moment its owner reuses it, a reader that came too late
-// reads garbage — and then no checksum or statistic may change.
+// barrier episode's scratch"). TreadMarks' Lazy Hybrid piggyback list is
+// rebuilt in place at every grant to the same acquirer, which has consumed
+// the last one (DESIGN.md, "TreadMarks' write notices"). With every reused
+// list overwritten with garbage the moment its owner reuses it, a reader
+// that came too late reads garbage — and then no checksum or statistic may
+// change.
 
 // TestScriptsBarrierScratchPoisoned: the script table under every protocol
 // kind, clean and under light faults, measures the same with the scratch
@@ -62,7 +65,7 @@ func TestTreeBarrierScratchPoisoned(t *testing.T) {
 	schedules := []*fault.Config{slow("light"), slow("crash=17@400000:200000")}
 	kinds := []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoAECNoLAP, harness.ProtoTM, harness.ProtoTMLH}
 	if testing.Short() {
-		kinds = []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoTM}
+		kinds = []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoTM, harness.ProtoTMLH}
 	}
 	type outcome struct {
 		sum uint64 // of every value read, weighted by reader and step

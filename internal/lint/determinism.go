@@ -70,18 +70,24 @@ func determinism(pkg *loader.Package, report func(token.Pos, string)) {
 var determinismScope = append([]string{"apps", "check", "harness"}, protocolScope...)
 
 // orderSensitiveCalls are methods whose invocation order is observable in
-// the event stream or the virtual clock.
+// the event stream or the virtual clock, by name or, where the name alone
+// would also take a read (proto.(*LockMgr).Lock), by receiver and name.
 var orderSensitiveCalls = map[string]string{
-	"Trace":      "emits a trace event",
-	"Send":       "sends a message",
-	"SendFrom":   "sends a message",
-	"Wake":       "schedules a wakeup",
-	"Advance":    "charges cycles",
-	"Charge":     "charges service cycles",
-	"ChargeList": "charges service cycles",
-	"ChargeMem":  "charges service cycles",
-	"Block":      "blocks the processor",
-	"WaitUntil":  "blocks the processor",
+	"Trace":            "emits a trace event",
+	"Emitter.Event":    "emits a trace event",
+	"Emitter.Lock":     "emits a trace event",
+	"Emitter.LockNote": "emits a trace event",
+	"Emitter.Page":     "emits a trace event",
+	"Emitter.Diff":     "emits a trace event",
+	"Send":             "sends a message",
+	"SendFrom":         "sends a message",
+	"Wake":             "schedules a wakeup",
+	"Advance":          "charges cycles",
+	"Charge":           "charges service cycles",
+	"ChargeList":       "charges service cycles",
+	"ChargeMem":        "charges service cycles",
+	"Block":            "blocks the processor",
+	"WaitUntil":        "blocks the processor",
 }
 
 // checkMapRange inspects one `for ... := range m` over a map, followed in
@@ -97,7 +103,11 @@ func checkMapRange(info *types.Info, rs *ast.RangeStmt, following []ast.Stmt, re
 				break
 			}
 			rn := recvNamed(callee).Obj()
-			if why, ok := orderSensitiveCalls[callee.Name()]; ok && (pkgIs(rn.Pkg(), "sim") || pkgIs(rn.Pkg(), "trace") || pkgIs(rn.Pkg(), "proto")) {
+			why, ok := orderSensitiveCalls[rn.Name()+"."+callee.Name()]
+			if !ok {
+				why, ok = orderSensitiveCalls[callee.Name()]
+			}
+			if ok && (pkgIs(rn.Pkg(), "sim") || pkgIs(rn.Pkg(), "trace") || pkgIs(rn.Pkg(), "proto")) {
 				report(x.Pos(), fmt.Sprintf("%s.%s inside range over a map %s in map order, which Go randomizes per run; iterate sorted keys instead", rn.Name(), callee.Name(), why))
 			}
 		case *ast.AssignStmt:

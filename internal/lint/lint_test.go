@@ -379,6 +379,33 @@ func grants(s *sim.Svc, waiting map[int]bool) {
 }
 `, []string{"Svc.Send inside range over a map sends a message"}},
 
+	// The emitting layers trace through trace.Emitter: an emission in map
+	// order puts the events of one run in a per-run order.
+	{"a trace emission in map order", "aec", `
+import "aecdsm/internal/trace"
+
+func arrivals(e trace.Emitter, m map[int]bool) {
+	for k := range m {
+		e.Event(0, k, trace.KindBarrierArrive, 0, 0)
+	}
+}
+`, []string{"Emitter.Event inside range over a map emits a trace event"}},
+
+	// Emitter's methods are matched by receiver: the lock manager's Lock
+	// shares a name with Emitter.Lock and is a read.
+	{"a lock manager read in map order", "tm", `
+import "aecdsm/internal/proto"
+
+func holders(lm *proto.LockMgr, m map[int]bool) (n int) {
+	for lock := range m {
+		if lm.Lock(lock).Held {
+			n++
+		}
+	}
+	return n
+}
+`, nil},
+
 	// The barrier-arrival shape: lock IDs gathered from a map into a list
 	// that goes out in a message. A receiver that re-sorts the list hides
 	// the missing sort from every run.
@@ -452,7 +479,7 @@ func drain(m map[int]int, ready chan bool) (out []int) {
 func TestCases(t *testing.T) {
 	fset := token.NewFileSet()
 	imp, err := loader.Importer(fset, root, "iter", "math/rand", "slices", "sort", "sync", "sync/atomic", "time",
-		"aecdsm/internal/proto", "aecdsm/internal/sim", "aecdsm/internal/stats")
+		"aecdsm/internal/proto", "aecdsm/internal/sim", "aecdsm/internal/stats", "aecdsm/internal/trace")
 	if err != nil {
 		t.Fatal(err)
 	}

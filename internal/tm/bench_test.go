@@ -2,33 +2,33 @@ package tm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"aecdsm/internal/mem"
+	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
 	"aecdsm/internal/stats"
 )
 
-// The fault path's zero-allocation contracts: at steady state a fault runs
-// on the faulting processor's scratch and the machine's one log, and a
-// notice for a page never valid here is counted and dropped. Each test and
-// its benchmark share one body.
+// The fault path's and the lock hand-off's allocation contracts: at steady
+// state a fault runs on the faulting processor's scratch and the machine's
+// one log, a notice is counted and dropped, and a hand-off's messages live
+// in the acquirer's state. Each test and its benchmark share one body.
 
-// refaultRig is a re-fault on notices from k writers: processor 0 receives
-// one notice from each of k writers for a page it holds, and faults on it.
-// The pending list is sorted and consumed, k requests go out by pointer,
-// the servers fill the requester's buffer from their cached diffs, and the
-// k diffs are ordered and applied. measure runs inside processor 0's body
-// with one round, after a first round has made and cached the diffs and
-// grown the scratch; then the rig checks what the rounds applied. measure
-// may not stop its goroutine (no t.Fatal).
+// refaultRig is a re-fault on notices from k writers: processor 0 holds
+// a page each of k writers has closed one interval on, under a clock that
+// covers all k, and the page is invalid with its seen clock zero — as if
+// the notices had just arrived. The fault reads the k log rows between
+// the two clocks, k requests go out by pointer, the servers fill the
+// requester's buffer from their cached diffs, and the k diffs are ordered
+// and applied. measure runs inside processor 0's body with one round,
+// after a first round has made and cached the diffs and grown the
+// scratch; then the rig checks what the rounds applied. measure may not
+// stop its goroutine (no t.Fatal).
 func refaultRig(tb testing.TB, k int, measure func(round func())) {
 	pr := New()
-	wns := make([]wnRef, k)
-	for i := range wns {
-		wns[i] = wnRef{proc: k - i, seq: 1, page: 0} // descending: the sort has work to do
-	}
 	assemble(k+1, 1, pr, func(c *proto.Ctx) {
 		// Every writer closes one interval on the page; page 0 is homed at
 		// processor 0, so its first access there is no fault.
@@ -39,12 +39,16 @@ func refaultRig(tb testing.TB, k int, measure func(round func())) {
 		}
 		st := pr.ps[0]
 		c.P.Advance(10_000_000, stats.Busy) // the writers are done
-		zero := make([]int, k+1)
+		covering := make([]int, k+1)
+		for w := 1; w <= k; w++ {
+			covering[w] = 1
+		}
+		st.vc = covering // a clock is replaced, never written
 		var rounds uint64
 		round := func() {
 			rounds++
-			st.vc = zero // the notices are fresh again; a clock is replaced, never written
-			pr.applyWNs(c, st, wns)
+			st.pages[0].seen = nil // the notices are unapplied again
+			c.M.Invalidate(0)
 			c.ReadI32(0)
 		}
 		round()
@@ -119,6 +123,42 @@ func BenchmarkTMFault(b *testing.B) {
 	})
 }
 
+// TestLockHandoffAllocatesOnlyThePredictorsSet: at steady state a lock
+// hand-off in which nobody wrote allocates one object, the update set the
+// lock manager's passive predictor publishes for the grant (lap): the
+// request, the manager's request to the last releaser and the grant live
+// in the acquirer's state, the grant's notice list comes from the pool,
+// and the clocks are shared. Four processors pass one lock around k and
+// then 2k times each through one warmed arena; the difference is 4k
+// hand-offs.
+func TestLockHandoffAllocatesOnlyThePredictorsSet(t *testing.T) {
+	const procs, k = 4, 16
+	for _, mk := range []func() *TM{New, NewLazyHybrid} {
+		a := &proto.Arena{Region: new(mem.Region)}
+		allocs := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				s := proto.Script{Homes: []int{0}, Locks: 1, Do: func(c *proto.Ctx) {
+					for range rounds {
+						c.Acquire(0)
+						c.Release(0)
+					}
+				}}
+				a.Region.Acquire()
+				defer a.Region.Release()
+				if proto.Assemble(memsys.Default().ForProcs(procs), mk(), s, nil, nil, a).Run() {
+					t.Fatal("deadlocked")
+				}
+			})
+		}
+		// Rounded: under the race detector a run's count wobbles by one.
+		once, twice := allocs(k), allocs(2*k)
+		if got := math.Round((twice - once) / (procs * k)); got != 1 {
+			t.Errorf("%s: %v objects for %d hand-offs, %v for %d: %v per hand-off, want 1",
+				mk().Name(), once, procs*k, twice, 2*procs*k, got)
+		}
+	}
+}
+
 // topoShape builds the fetched diffs of one fault as production delivers
 // them — grouped by writer, ascending in seq — for writers × per
 // intervals. With per > 1 the intervals are one lock's hand-off chain
@@ -134,7 +174,7 @@ func topoShape(writers, per int) []ivalDiff {
 				clear(clock)
 			}
 			clock[w] = s
-			chains[w] = append(chains[w], ivalDiff{proc: w, seq: s, vc: slices.Clone(clock), d: &mem.Diff{}})
+			chains[w] = append(chains[w], ivalDiff{&interval{proc: w, seq: s, vc: slices.Clone(clock)}, &mem.Diff{}})
 		}
 	}
 	return slices.Concat(chains...)

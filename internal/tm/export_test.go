@@ -8,20 +8,22 @@ type Notice struct{ Writer, Seq, Page int }
 
 // OnFreshNotice has f called with every fresh write notice a processor
 // receives, where the protocol used to append it to a per-processor
-// history.
-func (pr *TM) OnFreshNotice(f func(proc int, n Notice)) {
-	pr.noted = func(proc int, wn wnRef) { f(proc, Notice{wn.proc, wn.seq, wn.page}) }
+// history, and whether Lazy Hybrid applied its diff directly.
+func (pr *TM) OnFreshNotice(f func(proc int, n Notice, direct bool)) {
+	pr.noted = func(proc int, wn wnRef, direct bool) { f(proc, Notice{wn.proc, wn.seq, wn.page}, direct) }
 }
 
-// FirstTouchSet is the set of notices a first-touch fault of page at proc
-// derives from the machine-wide log right now, in request order.
-func (pr *TM) FirstTouchSet(proc, page int) []Notice {
+// FaultSet is the set of notices a fault of page at proc derives from the
+// machine-wide log right now — each other writer's row between the page's
+// seen clock and the processor's clock — in request order.
+func (pr *TM) FaultSet(proc, page int) []Notice {
 	var out []Notice
+	st := pr.ps[proc]
 	for _, row := range pr.log[page] {
 		if row.writer == proc {
 			continue
 		}
-		for _, seq := range row.seenBy(pr.ps[proc].vc) {
+		for _, seq := range row.between(st.pages[page].seen, st.vc) {
 			out = append(out, Notice{row.writer, seq, page})
 		}
 	}
@@ -30,8 +32,8 @@ func (pr *TM) FirstTouchSet(proc, page int) []Notice {
 
 // Clocks calls f with every vector clock proc has published that is still
 // reachable: its current clock, the clock of each of its closed intervals
-// from the ivals-th on, the clock its lock request left at the manager, and
-// the clock of a grant that has landed but not been consumed. It returns
+// from the ivals-th on, the clock of its last lock request, and the clock
+// of a grant that has landed but not been consumed. It returns
 // how many intervals proc has closed.
 func (pr *TM) Clocks(proc, ivals int, f func(vc []int)) int {
 	st := pr.ps[proc]
@@ -39,8 +41,8 @@ func (pr *TM) Clocks(proc, ivals int, f func(vc []int)) int {
 	for _, rec := range st.ivals[ivals:] {
 		f(rec.vc)
 	}
-	if st.stashVC != nil {
-		f(st.stashVC)
+	if st.acq.vc != nil {
+		f(st.acq.vc)
 	}
 	if st.grant != nil {
 		f(st.grant.vc)

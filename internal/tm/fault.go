@@ -1,9 +1,6 @@
 package tm
 
 import (
-	"cmp"
-	"slices"
-
 	"aecdsm/internal/proto"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
@@ -27,20 +24,17 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 		if st.pages[page].undiffed != nil {
 			pr.forceDiff(c, st, page, stats.Data)
 		}
-		if !f.EverValid {
-			// A base copy from the page's statically assigned home is of
-			// unknown vintage: apply the full write notice history for
-			// the page.
-			if home := pr.s.InitHome(page); home != c.ID {
-				pr.FetchPage(c, page, home)
-			}
-			pr.fetchHistory(c, st, page)
-		} else {
-			pr.fetchPending(c, st, page)
+		// A base copy from the page's statically assigned home is of
+		// unknown vintage: a page never valid here has seen the zero
+		// clock, so the fault applies the full write notice history.
+		if home := pr.s.InitHome(page); !f.EverValid && home != c.ID {
+			pr.FetchPage(c, page, home)
 		}
+		pr.fetchNotices(c, st, page)
 		pr.applyFetched(c, st)
 		f.Valid = true
 		f.EverValid = true
+		st.pages[page].seen = st.vc
 	}
 
 	// A page twinned in the open interval keeps its twin: an acquire bumps
@@ -61,17 +55,18 @@ func (pr *TM) Fault(c *proto.Ctx, page int, write bool) {
 	}
 }
 
-// fetchHistory fetches every diff of a page this processor's clock covers:
-// each other writer's row of the log, cut at vc[writer]. That is exactly
-// the set of notices the processor has received for the page (DESIGN.md
+// fetchNotices fetches the diffs of every write notice of the page the
+// processor has received since the page was last valid here: each other
+// writer's row of the log, between the page's seen clock and vc (DESIGN.md
 // has the argument), so nothing per-processor needs to remember them.
 //
 // The log grows while the fault is parked in a call — a writer closing its
 // first interval on the page inserts a row and shifts the rest — so the
 // walk goes by writer id and searches again after each call. A row that
 // appears mid-fault holds only seqs above vc (no notice reaches a faulting
-// processor) and is skipped by the prefix rule.
-func (pr *TM) fetchHistory(c *proto.Ctx, st *tmProc, page int) {
+// processor) and is skipped.
+func (pr *TM) fetchNotices(c *proto.Ctx, st *tmProc, page int) {
+	seen := st.pages[page].seen
 	for w := 0; ; w++ {
 		rows := pr.log[page]
 		i, _ := rowOf(rows, w)
@@ -79,34 +74,15 @@ func (pr *TM) fetchHistory(c *proto.Ctx, st *tmProc, page int) {
 			return
 		}
 		w = rows[i].writer
-		if seqs := rows[i].seenBy(st.vc); w != c.ID && len(seqs) > 0 {
+		if seqs := rows[i].between(seen, st.vc); w != c.ID && len(seqs) > 0 {
 			pr.fetchFrom(c, st, page, w, seqs)
 		}
 	}
 }
 
-// fetchPending fetches the diffs named by the notices received since the
-// page was last valid here, writer by writer, and consumes the notices.
-func (pr *TM) fetchPending(c *proto.Ctx, st *tmProc, page int) {
-	pg := &st.pages[page]
-	slices.SortFunc(pg.pending, func(a, b wnRef) int {
-		return cmp.Or(cmp.Compare(a.proc, b.proc), cmp.Compare(a.seq, b.seq))
-	})
-	pend := slices.Compact(pg.pending)
-	for i := 0; i < len(pend); {
-		w := pend[i].proc
-		st.seqs = st.seqs[:0]
-		for ; i < len(pend) && pend[i].proc == w; i++ {
-			st.seqs = append(st.seqs, pend[i].seq)
-		}
-		pr.fetchFrom(c, st, page, w, st.seqs)
-	}
-	pg.pending = pend[:0]
-}
-
 // fetchFrom asks one writer for its diffs of the page in the given
 // intervals and parks until they are in st.fetched. One call per writer,
-// in sequence: ROADMAP item 3(b) replaces the callers' loops with a
+// in sequence: ROADMAP item 6(b) replaces the caller's loop with a
 // fan-out.
 func (pr *TM) fetchFrom(c *proto.Ctx, st *tmProc, page, writer int, seqs []int) {
 	c.P.Stats.DiffRequests++
@@ -151,7 +127,7 @@ func (pr *TM) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 	for _, seq := range req.seqs {
 		rec := pr.closed(m.To, seq, m.From, req.page)
 		d := pr.svcDiff(s, st, rec, req.page)
-		rq.fetched = append(rq.fetched, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
+		rq.fetched = append(rq.fetched, ivalDiff{rec, d})
 		bytes += d.EncodedBytes() + 4*pr.nprocs
 	}
 	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, nil)

@@ -5,8 +5,8 @@ package tm
 // (proto.LockMgr) fails them over. TM records no chain metadata at the
 // manager, so a grant/release record carries just the processor; replay
 // rebuilds the wait queue (with the grant policy's bookkeeping intact)
-// and the held/holder/last-releaser triple. Queued waiters' stashed vector
-// clocks ride the enqueue records conceptually — they live in per-proc
+// and the held/holder/last-releaser triple. Queued waiters' vector clocks
+// ride the enqueue records conceptually — their requests live in per-proc
 // state the crash does not destroy.
 
 // Crashed implements proto.LockCoherence. Unlike AEC, no page copies are

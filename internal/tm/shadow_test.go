@@ -15,55 +15,89 @@ import (
 	"aecdsm/internal/tm"
 )
 
-// shadowed is TreadMarks with the per-processor write-notice history the
+// shadowed is TreadMarks with the per-processor write-notice records the
 // protocol used to keep, rebuilt on the side: every fresh notice a
-// processor receives is recorded under (processor, page), and every
-// first-touch fault checks that the request set it is about to derive from
-// the machine-wide log — each other writer's row, cut at the faulting
-// processor's clock — is exactly that history. This is the invariant that
-// licensed deleting tmProc.history (DESIGN.md, "TreadMarks' write
-// notices").
+// processor receives is recorded under (processor, page), unless Lazy
+// Hybrid applied its diff directly, and a fault that makes the page valid
+// clears the record. So at every fault the record holds the notices
+// received since the page was last valid here — all ever received, on a
+// page never valid here (the deleted tmProc.history), and the deleted
+// tmPage.pending list on a page that has been. Every fault checks the set
+// it is about to derive from the machine-wide log — each other writer's
+// row between the page's seen clock and the faulting processor's clock —
+// against the record. This is the invariant that licensed deleting both
+// (DESIGN.md, "TreadMarks' write notices").
 type shadowed struct {
 	*tm.TM
-	history    map[[2]int][]tm.Notice
-	faults     int // first-touch faults checked
-	nonEmpty   int // of them, with something to fetch
+	since      map[[2]int][]tm.Notice
+	direct     map[[2]int]bool // Lazy Hybrid applied diffs of the page since it was last made valid by a fault
+	n          shadowCounts
 	mismatches []string
 }
 
+// shadowCounts is what a shadowed run checked.
+type shadowCounts struct {
+	faults      int // faults checked
+	firstTouch  int // first-touch faults with something to fetch
+	refault     int // faults on a page valid here before, with something to fetch
+	afterDirect int // faults on a page Lazy Hybrid applied diffs of since it was last made valid
+}
+
+func (a *shadowCounts) add(b shadowCounts) {
+	a.faults += b.faults
+	a.firstTouch += b.firstTouch
+	a.refault += b.refault
+	a.afterDirect += b.afterDirect
+}
+
 func shadow(pr *tm.TM) *shadowed {
-	s := &shadowed{TM: pr, history: map[[2]int][]tm.Notice{}}
-	pr.OnFreshNotice(func(proc int, n tm.Notice) {
+	s := &shadowed{TM: pr, since: map[[2]int][]tm.Notice{}, direct: map[[2]int]bool{}}
+	pr.OnFreshNotice(func(proc int, n tm.Notice, direct bool) {
 		k := [2]int{proc, n.Page}
-		s.history[k] = append(s.history[k], n)
+		if direct {
+			s.direct[k] = true
+			return
+		}
+		s.since[k] = append(s.since[k], n)
 	})
 	return s
 }
 
 func (s *shadowed) Fault(c *proto.Ctx, page int, write bool) {
-	if f := c.M.Peek(page); !f.Valid && !f.EverValid {
-		want := slices.Clone(s.history[[2]int{c.ID, page}])
-		slices.SortFunc(want, func(a, b tm.Notice) int {
-			return cmp.Or(cmp.Compare(a.Writer, b.Writer), cmp.Compare(a.Seq, b.Seq))
-		})
-		want = slices.Compact(want)
-		got := s.FirstTouchSet(c.ID, page)
-		s.faults++
+	k := [2]int{c.ID, page}
+	want := slices.Clone(s.since[k])
+	slices.SortFunc(want, func(a, b tm.Notice) int {
+		return cmp.Or(cmp.Compare(a.Writer, b.Writer), cmp.Compare(a.Seq, b.Seq))
+	})
+	want = slices.Compact(want)
+	got := s.FaultSet(c.ID, page)
+	s.n.faults++
+	what := "first touch"
+	switch ever := c.M.Peek(page).EverValid; {
+	case !ever && len(got) > 0:
+		s.n.firstTouch++
+	case ever:
+		what = "fault"
 		if len(got) > 0 {
-			s.nonEmpty++
+			s.n.refault++
 		}
-		if !slices.Equal(got, want) {
-			s.mismatches = append(s.mismatches, fmt.Sprintf(
-				"proc %d first touch of page %d: log gives %v, received notices were %v", c.ID, page, got, want))
+		if s.direct[k] {
+			what = "fault after a direct apply"
+			s.n.afterDirect++
 		}
 	}
+	if !slices.Equal(got, want) {
+		s.mismatches = append(s.mismatches, fmt.Sprintf(
+			"proc %d %s of page %d: log gives %v, notices received since it was last valid were %v", c.ID, what, page, got, want))
+	}
 	s.TM.Fault(c, page, write)
+	delete(s.since, k)
+	delete(s.direct, k)
 }
 
 // runShadowed runs one generated workload under TM and TM-LH with the
-// shadow history attached and returns how many first-touch faults had a
-// non-empty request set.
-func runShadowed(t *testing.T, w check.Workload, fcfg *fault.Config) (nonEmpty int) {
+// shadow records attached and returns what they checked.
+func runShadowed(t *testing.T, w check.Workload, fcfg *fault.Config) (n shadowCounts) {
 	t.Helper()
 	for _, mk := range []func() *tm.TM{tm.New, tm.NewLazyHybrid} {
 		s := shadow(mk())
@@ -73,17 +107,21 @@ func runShadowed(t *testing.T, w check.Workload, fcfg *fault.Config) (nonEmpty i
 			t.Fatalf("seed %d procs %d %s: deadlocked=%v verify=%v", w.Seed, w.Procs, s.Name(), res.Deadlocked, res.VerifyErr)
 		}
 		if len(s.mismatches) > 0 {
-			t.Fatalf("seed %d procs %d policy %q %s: %d of %d first-touch faults disagree with the received history, first: %s",
-				w.Seed, w.Procs, w.Policy, s.Name(), len(s.mismatches), s.faults, s.mismatches[0])
+			t.Fatalf("seed %d procs %d policy %q %s: %d of %d faults disagree with the received notices, first: %s",
+				w.Seed, w.Procs, w.Policy, s.Name(), len(s.mismatches), s.n.faults, s.mismatches[0])
 		}
-		nonEmpty += s.nonEmpty
+		n.add(s.n)
 	}
-	return nonEmpty
+	return n
 }
 
-// TestLogMatchesReceivedHistory: at every first-touch fault, the log
-// prefix the fault requests equals the set of notices the processor has
-// received for the page — on the checker's random workloads clean, under
+// TestLogMatchesReceivedHistory: at every fault, the log range the fault
+// requests — each other writer's seqs between the page's seen clock and
+// the processor's — equals the notices the processor has received for the
+// page since it was last valid here, less those whose diffs Lazy Hybrid
+// applied directly: at a first touch, every notice received; at a fault on
+// a page valid here before, what the pending list used to hold; on a page
+// still valid, nothing. On the checker's random workloads clean, under
 // light faults, at 64 processors (tree barriers, sharded managers) and
 // under every lock policy.
 func TestLogMatchesReceivedHistory(t *testing.T) {
@@ -91,12 +129,9 @@ func TestLogMatchesReceivedHistory(t *testing.T) {
 	if testing.Short() {
 		clean, faulted, policySeeds = 40, 10, 4
 	}
-	nonEmpty := 0
+	var n shadowCounts
 	for seed := uint64(1); seed <= clean; seed++ {
-		nonEmpty += runShadowed(t, check.Generate(seed, 0), nil)
-	}
-	if nonEmpty == 0 {
-		t.Fatal("no first-touch fault had anything to fetch: the check is vacuous")
+		n.add(runShadowed(t, check.Generate(seed, 0), nil))
 	}
 	for seed := uint64(1); seed <= faulted; seed++ {
 		fc, err := fault.ParseSpec("light")
@@ -104,15 +139,20 @@ func TestLogMatchesReceivedHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc.Seed = 1000 + seed
-		runShadowed(t, check.Generate(seed, 0), &fc)
+		n.add(runShadowed(t, check.Generate(seed, 0), &fc))
 	}
-	runShadowed(t, check.Generate(5, 64), nil)
+	n.add(runShadowed(t, check.Generate(5, 64), nil))
 	for _, k := range lockpolicy.Kinds() {
 		for seed := uint64(1); seed <= policySeeds; seed++ {
 			w := check.Generate(seed, 0)
 			w.Policy = string(k)
-			runShadowed(t, w, nil)
+			n.add(runShadowed(t, w, nil))
 		}
+	}
+	t.Logf("%d faults checked: %d first touches and %d re-faults with something to fetch, %d faults after a direct apply",
+		n.faults, n.firstTouch, n.refault, n.afterDirect)
+	if n.firstTouch == 0 || n.refault == 0 || n.afterDirect == 0 {
+		t.Fatalf("the check is vacuous: %+v", n)
 	}
 }
 

@@ -20,30 +20,34 @@ func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	st.grant = nil
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
 	// Clocks travel by reference: st.vc is replaced, never written.
-	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs,
-		acqReq{lock: lock, vc: st.vc, from: c.ID}, pr.h.acqReq)
+	st.acq = acqReq{lock: lock, vc: st.vc, from: c.ID}
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs, &st.acq, pr.h.acqReq)
 	c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	g := st.grant
 	st.grant = nil
 
 	c.P.Advance(pr.e.Params.ListCycles(len(g.wns)), stats.Synch)
+	// The clock after the grant is what a page the piggybacked diffs
+	// bring up to date has seen.
+	vc := joinVC(st.vc, g.vc)
 	if pr.hybrid && len(g.piggy) > 0 {
-		pr.applyWNsHybrid(c, st, g.wns, g.piggy)
+		pr.applyWNsHybrid(c, st, g.wns, g.piggy, vc)
 	} else {
 		pr.applyWNs(c, st, g.wns)
 	}
 	// Only a grant's slice goes back: barrier notice sets are shared
 	// across release messages and stay unpooled.
 	pr.wns.Put(g.wns)
-	st.vc = joinVC(st.vc, g.vc)
+	st.vc = vc
 	c.Epoch++
 }
 
 // applyWNsHybrid consumes the grant's write notices, applying piggybacked
 // diffs in place of invalidations where they fully cover a cached page's
 // notices (the Lazy Hybrid fast path); everything else falls back to the
-// usual invalidation.
-func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ivalDiff) {
+// usual invalidation. A page applied directly has seen vc, the clock
+// after the grant.
+func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ivalDiff, vc []int) {
 	fresh := st.fresh[:0]
 	for _, wn := range wns {
 		if wn.proc != st.id && wn.seq > st.vc[wn.proc] {
@@ -69,9 +73,10 @@ func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ival
 		for j = i; j < len(fresh) && fresh[j].page == pg; j++ {
 		}
 		refs := fresh[i:j]
-		// A page is hybrid-applicable if it is locally valid, has no pending
-		// notices, and every fresh notice for it is covered by a piggyback.
-		ok := c.M.Peek(pg).Valid && len(st.pages[pg].pending) == 0
+		// A page is hybrid-applicable if it is locally valid — so nothing
+		// before this grant is unapplied — and every fresh notice for it
+		// is covered by a piggyback.
+		ok := c.M.Peek(pg).Valid
 		for k := 0; ok && k < len(refs); k++ {
 			ok = covering(refs[k]) != nil
 		}
@@ -91,20 +96,21 @@ func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ival
 			d := covering(wn)
 			pr.applyDiff(c, *d, pp.DiffCycles(d.d.DataBytes()), stats.Synch)
 			if pr.noted != nil {
-				pr.noted(st.id, wn)
+				pr.noted(st.id, wn, true)
 			}
 		}
+		st.pages[pg].seen = vc
 	}
 	pr.applyWNs(c, st, fresh[:fallback])
 	st.fresh = fresh[:0]
 }
 
 // handleAcqReq lands an ownership request at the lock's manager. The
-// requester's vector clock waits in its per-processor state for the
-// eventual grant, which may be immediate or come off the wait queue.
+// request, with the requester's vector clock, waits in the requester's
+// state for the eventual grant, which may be immediate or come off the
+// wait queue.
 func (pr *TM) handleAcqReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(acqReq)
-	pr.ps[req.from].stashVC = req.vc
+	req := m.Payload.(*acqReq)
 	pr.LockRequest(s, req.lock, req.from)
 }
 
@@ -115,16 +121,16 @@ func (pr *TM) handleAcqReq(s *sim.Svc, m *sim.Msg) {
 // history or returns to its last releaser.
 func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	pr.CommitGrant(s, lock, to, fromQueue, 0, nil)
-	vc := pr.ps[to].stashVC
+	st := pr.ps[to]
+	vc := st.acq.vc
 	// Neither send charges: the acquire and release handlers charged the
 	// queue work, and the grant body is costed at the releaser.
 	if last := pr.Lock(lock).LastReleaser; last >= 0 && last != to {
-		s.Send(last, kGrantReq, 8+4*pr.nprocs,
-			grantReq{lock: lock, to: to, vc: vc}, pr.h.grantReq)
+		st.build = grantReq{lock: lock, to: to, vc: vc}
+		s.Send(last, kGrantReq, 8+4*pr.nprocs, &st.build, pr.h.grantReq)
 		return
 	}
-	s.Send(to, kGrant, 8+4*pr.nprocs,
-		&grantMsg{lock: lock, vc: vc}, pr.h.grant)
+	s.Send(to, kGrant, 8+4*pr.nprocs, pr.grantTo(to, lock, nil, vc), pr.h.grant)
 }
 
 // handleGrantReq runs at the last releaser: build the write-notice set and
@@ -132,11 +138,11 @@ func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 // piggybacks the diffs of its own intervals named in the notices —
 // creating them here, on its critical path, which is the LH trade-off.
 func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(grantReq)
+	req := m.Payload.(*grantReq)
 	st := pr.ps[m.To]
 	wns := pr.collectWNs(req.to, st.vc, req.vc)
 	s.ChargeList(len(wns))
-	g := &grantMsg{lock: req.lock, wns: wns, vc: st.vc}
+	g := pr.grantTo(req.to, req.lock, wns, st.vc)
 	size := 8 + 16*len(wns) + 4*pr.nprocs
 	if pr.hybrid {
 		for _, wn := range wns {
@@ -145,7 +151,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 			}
 			rec := st.ivals[wn.seq-1]
 			d := pr.svcDiff(s, st, rec, wn.page)
-			g.piggy = append(g.piggy, ivalDiff{proc: rec.proc, seq: rec.seq, vc: rec.vc, d: d})
+			g.piggy = append(g.piggy, ivalDiff{rec, d})
 			size += d.EncodedBytes() + 4*pr.nprocs
 		}
 	}

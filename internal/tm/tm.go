@@ -77,11 +77,11 @@ func (rec *interval) slot(pg int) int {
 // tmPage is one processor's protocol state for one page.
 type tmPage struct {
 	undiffed *interval // own latest interval still holding the page's twin
-	// pending is the unapplied write notices of a page that has been valid
-	// here: what the next fault fetches. A page never valid here keeps
-	// none — its first fault reads TM.log instead. Truncated, not freed,
-	// when the fault consumes it.
-	pending []wnRef
+	// seen is the processor's clock when the page was last made valid
+	// here, shared and never written; nil is the zero clock. The notices
+	// a fault fetches are the log's between seen and the clock
+	// (DESIGN.md, "TreadMarks' write notices").
+	seen []int
 }
 
 // wnRow is one writer's line in the machine-wide write-notice log of a
@@ -110,14 +110,22 @@ type tmProc struct {
 	// write notice reaches it there (it has neither arrived at a barrier
 	// nor asked for a lock), so one of each is enough.
 	req     diffReq    // the request in flight, sent by pointer
-	seqs    []int      // req.seqs for a re-fault, gathered from pending; never grown through req.seqs, which may alias the log
 	fetched []ivalDiff // filled by the serving handlers, then ordered and applied
 	fresh   []wnRef    // Lazy Hybrid: a grant's fresh notices, sorted by page
 
-	grant      *grantMsg
+	// The lock hand-off of this processor's acquire, each message sent by
+	// pointer: its request to the manager (acq, whose clock the manager
+	// grants against), the manager's request to the last releaser to
+	// build the grant (build) and the grant (granted). A processor has at
+	// most one acquire outstanding and consumes its grant inside Acquire,
+	// so the next acquire finds all three read.
+	acq     acqReq
+	build   grantReq
+	granted grantMsg
+	grant   *grantMsg // the grant once it has landed, nil before
+
 	barOut     bool
-	stashVC    []int // acquirer vc stashed at the manager until its grant
-	lastBarSeq int   // own interval seq at the last barrier
+	lastBarSeq int // own interval seq at the last barrier
 
 	// Barrier fan-in state: the merged clock and concatenated notices of
 	// this node's combining-tree subtree (at the manager, the machine),
@@ -137,7 +145,7 @@ type grantMsg struct {
 	lock  int
 	wns   []wnRef
 	vc    []int
-	piggy []ivalDiff // Lazy Hybrid: releaser's own diffs, by wn order
+	piggy []ivalDiff // Lazy Hybrid: releaser's own diffs, by wn order; its array is kept across grants
 }
 
 type acqReq struct {
@@ -152,6 +160,14 @@ type grantReq struct { // manager -> last releaser: build the grant
 	vc   []int
 }
 
+// grantTo resets to's grant message for a grant of lock carrying wns and
+// vc, keeping its piggyback list's array.
+func (pr *TM) grantTo(to, lock int, wns []wnRef, vc []int) *grantMsg {
+	g := &pr.ps[to].granted
+	*g = grantMsg{lock: lock, wns: wns, vc: vc, piggy: proto.Reuse(g.piggy, ivalDiff{})}
+	return g
+}
+
 type relMsg struct{ lock int }
 
 // diffReq asks one writer for its diffs of a page. It lives on the
@@ -162,12 +178,11 @@ type diffReq struct {
 	seqs []int
 }
 
-// ivalDiff is one fetched diff together with the interval ordering
-// information needed to apply it in happens-before order.
+// ivalDiff is one fetched diff and the interval it belongs to, whose
+// writer, seq and clock order it in happens-before order.
 type ivalDiff struct {
-	proc, seq int
-	vc        []int
-	d         *mem.Diff
+	*interval
+	d *mem.Diff
 }
 
 // before reports whether interval a happens-before interval b: b's vector
@@ -402,7 +417,8 @@ type barArrive struct {
 }
 
 // poisonWN is what a reused notice list is filled with under
-// proto.PoisonScratch.
+// proto.PoisonScratch; a reused piggyback list is filled with nil
+// intervals, which a stale reader dereferences.
 var poisonWN = wnRef{proto.ScratchPoison, proto.ScratchPoison, proto.ScratchPoison}
 
 type barRelease struct {
@@ -448,8 +464,8 @@ type TM struct {
 	}
 
 	// noted, set by tests only, sees every fresh write notice as it is
-	// received.
-	noted func(proc int, wn wnRef)
+	// received, and whether Lazy Hybrid applied its diff directly.
+	noted func(proc int, wn wnRef, direct bool)
 
 	relay   proto.Relay // barrier fan-in/fan-out
 	barSeen []bool      // manager's duplicate-arrival guard
@@ -569,10 +585,15 @@ func (pr *TM) logNotice(pg, writer, seq int) {
 	row.seqs = append(row.seqs, seq)
 }
 
-// seenBy returns the prefix of the row its reader's clock covers.
-func (r wnRow) seenBy(vc []int) []int {
-	k, _ := slices.BinarySearch(r.seqs, vc[r.writer]+1)
-	return r.seqs[:k]
+// between returns the row's seqs above from's entry for its writer and
+// up to to's (from nil: the zero clock), for clocks from ≤ to.
+func (r wnRow) between(from, to []int) []int {
+	lo := 0
+	if from != nil {
+		lo, _ = slices.BinarySearch(r.seqs, from[r.writer]+1)
+	}
+	hi, _ := slices.BinarySearch(r.seqs, to[r.writer]+1)
+	return r.seqs[lo:hi]
 }
 
 // closed returns holder's closed interval seq, wanted by asker for page
@@ -643,10 +664,10 @@ func (pr *TM) lazyDiff(st *tmProc, rec *interval, pg int, at, cost uint64) *mem.
 	return d
 }
 
-// applyWNs invalidates pages named by write notices and records them as
-// pending where a fault will read them: on pages that have been valid
-// here. A page never valid here takes its first fault from the log.
-// Returns the number of fresh notices (not already seen).
+// applyWNs counts the fresh write notices (not already seen) and
+// invalidates the valid pages they name; it returns how many were fresh.
+// It records nothing: the next fault reads what it must fetch from the
+// log, through the page's seen clock and the processor's.
 func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 	fresh := 0
 	for _, wn := range wns {
@@ -656,14 +677,9 @@ func (pr *TM) applyWNs(ctx *proto.Ctx, st *tmProc, wns []wnRef) int {
 		fresh++
 		ctx.P.Stats.WriteNoticesReceived++
 		if pr.noted != nil {
-			pr.noted(st.id, wn)
+			pr.noted(st.id, wn, false)
 		}
-		f := ctx.M.Peek(wn.page)
-		if f.EverValid {
-			pg := &st.pages[wn.page]
-			pg.pending = append(pg.pending, wn)
-		}
-		if f.Valid {
+		if ctx.M.Peek(wn.page).Valid {
 			ctx.M.Invalidate(wn.page)
 			ctx.P.Stats.Invalidations++
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 func iv(proc, seq int, vc ...int) ivalDiff {
-	return ivalDiff{proc: proc, seq: seq, vc: vc, d: &mem.Diff{Page: 0}}
+	return ivalDiff{&interval{proc: proc, seq: seq, vc: vc}, &mem.Diff{Page: 0}}
 }
 
 func TestBeforeSameProc(t *testing.T) {
@@ -481,5 +481,49 @@ func TestLogRowInsertedMidFault(t *testing.T) {
 		}
 	})
 	reqs = &m.Ctxs[2].P.Stats.DiffRequests
+	m.Run()
+}
+
+// TestHybridDirectApplyAdvancesSeen: processor 0 holds page 0 (its home)
+// when it acquires the lock processor 1 wrote the page under, and applies
+// the piggybacked diff directly. A barrier then brings processor 2's write
+// to the page, which invalidates it. The next fault asks processor 2 alone:
+// the grant's notice is behind the page's seen clock, so its diff is not
+// fetched again.
+func TestHybridDirectApplyAdvancesSeen(t *testing.T) {
+	pr := NewLazyHybrid()
+	s := proto.Script{Homes: []int{0}, Locks: 1, Do: func(c *proto.Ctx) {
+		switch c.ID {
+		case 1:
+			c.Acquire(0)
+			c.WriteI32(4, 11)
+			c.Release(0)
+		case 0:
+			c.P.Advance(1_000_000, stats.Busy) // processor 1 has released
+			c.Acquire(0)
+			if got := c.P.Stats; got.DiffsApplied != 1 || got.DiffRequests != 0 || !c.M.Peek(0).Valid {
+				t.Errorf("the grant applied %d diffs and requested %d, page valid %v; want its one diff applied directly",
+					got.DiffsApplied, got.DiffRequests, c.M.Peek(0).Valid)
+			}
+			c.Release(0)
+		case 2:
+			c.P.Advance(2_000_000, stats.Busy) // processor 0 has acquired
+			c.WriteI32(8, 33)
+		}
+		c.Barrier()
+		if c.ID != 0 {
+			return
+		}
+		if c.M.Peek(0).Valid {
+			t.Error("page 0 is still valid after processor 2's notice")
+		}
+		if a, b := c.ReadI32(4), c.ReadI32(8); a != 11 || b != 33 {
+			t.Errorf("read %d, %d after the fault; want 11, 33", a, b)
+		}
+		if got := c.P.Stats; got.DiffRequests != 1 || got.DiffsApplied != 2 {
+			t.Errorf("%d requests and %d diffs applied in all; want the grant's diff and one request, to processor 2", got.DiffRequests, got.DiffsApplied)
+		}
+	}}
+	m := proto.Assemble(memsys.Default().ForProcs(3), pr, s, nil, nil, nil)
 	m.Run()
 }
