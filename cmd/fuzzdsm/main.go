@@ -216,12 +216,9 @@ func run(args []string, out, errw io.Writer) (code int) {
 					s, w.Procs, w.Cfg.Locks, w.Cfg.Phases, w.Cfg.OpsPerPhase, pol, rep.Runs[0].Final)
 			}
 		}
-		// Cross-policy equivalence: grant order is the only degree of
-		// freedom a policy has, so every policy's runs must produce the
-		// same barrier-phase checksums for the seed.
-		for _, d := range crossPolicyDiffs(perPolicy) {
+		if diffs := check.CrossPolicy(perPolicy); len(diffs) > 0 {
 			failures++
-			fmt.Fprintf(out, "seed %d: FAIL (cross-policy)\n  %s\n", s, d)
+			fmt.Fprintf(out, "seed %d: FAIL (cross-policy)\n  %s\n", s, strings.Join(diffs, "\n  "))
 		}
 	}
 	if failures > 0 {
@@ -235,52 +232,6 @@ func run(args []string, out, errw io.Writer) (code int) {
 	}
 	fmt.Fprintf(out, "fuzzdsm: %d workloads, %d protocols each, all agree\n", *iters, len(kinds))
 	return 0
-}
-
-// crossPolicyDiffs compares the per-policy reports of one seed: the
-// first run's final and per-phase checksums must be bit-identical under
-// every policy.
-func crossPolicyDiffs(perPolicy []*check.Report) []string {
-	var diffs []string
-	var ref *check.Report
-	for _, rep := range perPolicy {
-		if len(rep.Runs) == 0 {
-			continue
-		}
-		if ref == nil {
-			ref = rep
-			continue
-		}
-		a, b := ref.Runs[0], rep.Runs[0]
-		if a.Final != b.Final {
-			diffs = append(diffs, fmt.Sprintf(
-				"final checksum mismatch across policies: %s=%016x vs %s=%016x",
-				orFIFO(ref.Workload.Policy), a.Final, orFIFO(rep.Workload.Policy), b.Final))
-			continue
-		}
-		if len(a.Phases) != len(b.Phases) {
-			diffs = append(diffs, fmt.Sprintf(
-				"phase count mismatch across policies: %s=%d vs %s=%d",
-				orFIFO(ref.Workload.Policy), len(a.Phases), orFIFO(rep.Workload.Policy), len(b.Phases)))
-			continue
-		}
-		for p := range a.Phases {
-			if a.Phases[p] != b.Phases[p] {
-				diffs = append(diffs, fmt.Sprintf(
-					"phase %d checksum mismatch across policies: %s=%016x vs %s=%016x",
-					p, orFIFO(ref.Workload.Policy), a.Phases[p], orFIFO(rep.Workload.Policy), b.Phases[p]))
-				break
-			}
-		}
-	}
-	return diffs
-}
-
-func orFIFO(policy string) string {
-	if policy == "" {
-		return string(lockpolicy.FIFO)
-	}
-	return policy
 }
 
 // parsePolicies expands the -policy flag into the workload policy sweep;

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -68,39 +67,6 @@ func TestRunExitCodes(t *testing.T) {
 	for _, p := range []string{cpuProf, memProf} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			t.Errorf("profile %s is missing or empty (%v)", p, err)
-		}
-	}
-}
-
-// TestCrossPolicyDiffs holds the cross-policy check to the differential
-// runner's rule: policies that disagree on the final checksum, on a
-// phase's checksum or on the number of phases all fail the seed, in
-// either order of the shorter and the longer run.
-func TestCrossPolicyDiffs(t *testing.T) {
-	rep := func(policy string, final uint64, phases ...uint64) *check.Report {
-		return &check.Report{
-			Workload: check.Workload{Policy: policy},
-			Runs:     []check.ProtocolRun{{Final: final, Phases: phases}},
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		reps []*check.Report
-		want []string
-	}{
-		{"agree", []*check.Report{rep("", 9, 1, 2), rep("mcs", 9, 1, 2)}, nil},
-		{"no runs", []*check.Report{{}, rep("mcs", 9, 1, 2), rep("lease", 9, 1, 2)}, nil},
-		{"final", []*check.Report{rep("", 9, 1, 2), rep("mcs", 8, 1, 2)},
-			[]string{"final checksum mismatch across policies: fifo=0000000000000009 vs mcs=0000000000000008"}},
-		{"phase", []*check.Report{rep("", 9, 1, 2), rep("mcs", 9, 1, 3)},
-			[]string{"phase 1 checksum mismatch across policies: fifo=0000000000000002 vs mcs=0000000000000003"}},
-		{"shorter", []*check.Report{rep("", 9, 1, 2), rep("mcs", 9, 1)},
-			[]string{"phase count mismatch across policies: fifo=2 vs mcs=1"}},
-		{"longer", []*check.Report{rep("", 9, 1), rep("lease", 9, 1, 2)},
-			[]string{"phase count mismatch across policies: fifo=1 vs lease=2"}},
-	} {
-		if got := crossPolicyDiffs(tc.reps); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: crossPolicyDiffs = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

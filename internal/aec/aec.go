@@ -171,15 +171,6 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	}
 }
 
-// MutateDiffApply, when true, makes diff application intentionally buggy:
-// the last run of every applied diff is silently skipped (stale memory)
-// and the diff-apply event is emitted twice. It exists solely so
-// internal/check's mutation tests can prove that the differential runner
-// (wrong application results) and the invariant auditor (duplicate apply
-// of one diff) both catch a real diff-application bug. Never enable it
-// outside tests.
-var MutateDiffApply = false
-
 // Notice implements proto.Protocol: sends an acquire notice to the lock
 // manager, feeding the LAP virtual queue.
 func (pr *AEC) Notice(c *proto.Ctx, lock int) {
@@ -236,8 +227,7 @@ func (pr *AEC) chargeDiffCreate(c *proto.Ctx, d *mem.Diff, cat stats.Category, h
 // applyDiff charges this processor for applying a diff to a local page,
 // counts and traces the application, and patches the frame. Every caller
 // holds a diff: chains, pushes, fetch replies and write-notice replies
-// carry no nil entry. The mutation switch emits the event twice and drops
-// the diff's last run.
+// carry no nil entry.
 func (pr *AEC) applyDiff(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden bool) {
 	pp := &pr.e.Params
 	cost := pp.DiffCycles(d.DataBytes())
@@ -248,22 +238,7 @@ func (pr *AEC) applyDiff(c *proto.Ctx, d *mem.Diff, cat stats.Category, hidden b
 	}
 	c.P.Stats.DiffsApplied++
 	pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))
-	if MutateDiffApply {
-		pr.e.Tracer.Diff(c.P.Clock, c.ID, trace.KindDiffApply, d.Page, d.ID, int64(d.DataBytes()), trace.Flag(hidden))
-	}
 	c.P.Advance(cost, cat)
-	if MutateDiffApply {
-		short := &mem.Diff{Page: d.Page}
-		var off int
-		var last []byte
-		for o, data := range d.Runs() {
-			if last != nil {
-				short.AppendRun(off, last)
-			}
-			off, last = o, data
-		}
-		d = short
-	}
 	c.PatchDiff(d)
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"aecdsm/internal/apps"
 	"aecdsm/internal/harness"
+	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
 )
@@ -58,34 +59,48 @@ func TestRaytraceEdgeTiles(t *testing.T) {
 	}
 }
 
+// oneShort lays its program out for one processor more than the machine
+// has, so that processor's writes never happen.
+type oneShort struct{ proto.Program }
+
+func (o oneShort) Init(s *mem.Space, nprocs int) { o.Program.Init(s, nprocs+1) }
+
 // TestVerifiersCatchABrokenRun: the programs that check their run against
 // an invariant, not a serial reference, report a run whose shared memory
 // starts with one wrong word (apps.BreakInit), and pass the same run
-// without it.
+// without it. Synth also reports a stencil slot its processor never
+// published (oneShort).
 func TestVerifiersCatchABrokenRun(t *testing.T) {
 	is := func() proto.Program {
 		p := apps.Registry["IS"](apps.Config{Scale: 0.05}).(*apps.IS)
 		p.Repeats = 1
 		return p
 	}
+	synth := func() proto.Program {
+		return apps.NewSynth(apps.SynthConfig{Seed: 1, Locks: 1, Phases: 1, OpsPerPhase: 2})
+	}
 	for _, tc := range []struct {
 		mk   func() proto.Program
 		want string
+		brk  func(proto.Program) proto.Program // nil: apps.BreakInit
 	}{
-		{func() proto.Program { return apps.NewCounter(2, 16, 4) }, "counter: total"},
-		{func() proto.Program { return apps.NewMicroStencil(2, false) }, "micro-stencil step 0"},
-		{func() proto.Program { return apps.NewMicroRMW(16, 1) }, "micro-rmw: harvested"},
-		{is, "is not a permutation"},
-		{func() proto.Program {
-			return apps.NewSynth(apps.SynthConfig{Seed: 1, Locks: 1, Phases: 1, OpsPerPhase: 2})
-		}, "pair invariant broken"},
-		{func() proto.Program { return apps.NewRaytrace(apps.Config{Scale: 0.05}) }, "1 ray packets leaked"},
+		{func() proto.Program { return apps.NewCounter(2, 16, 4) }, "counter: total", nil},
+		{func() proto.Program { return apps.NewMicroStencil(2, false) }, "micro-stencil step 0", nil},
+		{func() proto.Program { return apps.NewMicroRMW(16, 1) }, "micro-rmw: harvested", nil},
+		{is, "is not a permutation", nil},
+		{synth, "pair invariant broken", nil},
+		{synth, "sees slot 16 = 0, want ", func(p proto.Program) proto.Program { return oneShort{p} }},
+		{func() proto.Program { return apps.NewRaytrace(apps.Config{Scale: 0.05}) }, "1 ray packets leaked", nil},
 	} {
 		name := tc.mk().Name()
 		if err := runIdeal(t, tc.mk()); err != nil {
 			t.Errorf("%s: unbroken run failed verification: %v", name, err)
 		}
-		err := runIdeal(t, apps.BreakInit(tc.mk()))
+		brk := tc.brk
+		if brk == nil {
+			brk = apps.BreakInit
+		}
+		err := runIdeal(t, brk(tc.mk()))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: broken run reported %v, want an error containing %q", name, err, tc.want)
 		}

@@ -1,11 +1,12 @@
 package check
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 
-	"aecdsm/internal/aec"
+	"aecdsm/internal/apps"
 	"aecdsm/internal/harness"
 )
 
@@ -64,65 +65,17 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("run counts differ: %d vs %d", len(a.Runs), len(b.Runs))
 	}
 	for i := range a.Runs {
-		ra, rb := a.Runs[i], b.Runs[i]
-		if ra.Final != rb.Final {
-			t.Errorf("%s: final checksum not reproducible: %016x vs %016x",
-				ra.Kind, ra.Final, rb.Final)
+		for _, d := range mismatches(nil, "first", &a.Runs[i], "replay", &b.Runs[i]) {
+			t.Errorf("%s not reproducible: %s", a.Runs[i].Kind, d)
 		}
-		for p := range ra.Phases {
-			if ra.Phases[p] != rb.Phases[p] {
-				t.Errorf("%s: phase %d checksum not reproducible", ra.Kind, p)
-			}
-		}
-	}
-}
-
-// TestMutationCaught injects an intentional diff-application bug into AEC
-// (the last run of every diff is dropped and the apply event duplicated)
-// and requires BOTH detection layers to fire: the differential runner must
-// see AEC diverge, and the invariant auditor must flag the double apply.
-func TestMutationCaught(t *testing.T) {
-	aec.MutateDiffApply = true
-	defer func() { aec.MutateDiffApply = false }()
-
-	differential, invariant := false, false
-	for seed := uint64(1); seed <= 6; seed++ {
-		rep := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), nil)
-		for _, run := range rep.Runs {
-			if run.Kind != "AEC" {
-				continue
-			}
-			if run.VerifyErr != nil {
-				differential = true
-			}
-			if len(run.Violations) > 0 {
-				invariant = true
-			}
-		}
-		// Divergence can also surface as a cross-protocol checksum
-		// mismatch rather than an in-program verification failure.
-		for _, f := range rep.Failures {
-			if strings.Contains(f, "checksum mismatch") {
-				differential = true
-			}
-		}
-		if differential && invariant {
-			break
-		}
-	}
-	if !differential {
-		t.Error("injected diff-application bug not caught by the differential runner")
-	}
-	if !invariant {
-		t.Error("injected diff-application bug not caught by any runtime invariant")
 	}
 }
 
 // TestEveryMismatchReported: each way a comparison can fail has its line
-// in the report — an unknown grant policy runs nothing; with AEC's
-// diff-application bug injected under light faults, AEC's final and phase
-// checksums differ from the fault-free ideal run's, and its phase
-// checksums from the ideal run's under the same faults.
+// in the report, in the judge's order — each run's deadlock, verification
+// error and violations, then the runs against the fault-free baseline,
+// then against the first run — and each way policies can disagree has its
+// line too. An unknown grant policy runs nothing and is the one failure.
 func TestEveryMismatchReported(t *testing.T) {
 	w := Generate(5, 0)
 	w.Policy = "bogus"
@@ -130,49 +83,114 @@ func TestEveryMismatchReported(t *testing.T) {
 		t.Errorf("unknown policy: %d runs, failures %q; want no run and the policy named", len(rep.Runs), rep.Failures)
 	}
 
-	aec.MutateDiffApply = true
-	defer func() { aec.MutateDiffApply = false }()
-	rep := RunWorkloadFault(Generate(5, 0), []harness.ProtocolKind{harness.ProtoIdeal, harness.ProtoAEC}, mustSpec(t, "light", 1005))
-	for _, want := range []string{
-		"AEC: verification failed",
-		"AEC: faulted final",
-		"AEC phase 0: faulted",
-		"phase 0 checksum mismatch: ideal=",
+	run := func(k harness.ProtocolKind, final uint64, phases ...uint64) ProtocolRun {
+		return ProtocolRun{Kind: k, Final: final, Phases: phases}
+	}
+	ideal, aec := run(harness.ProtoIdeal, 9, 1, 2), run(harness.ProtoAEC, 9, 1, 2)
+	dead, wrong, flagged := aec, aec, aec
+	dead.Deadlocked = true
+	wrong.VerifyErr = errors.New("slot 1 = 7, want 8")
+	flagged.Violations = []string{"diff 3 applied twice"}
+	broken := run(harness.ProtoAEC, 8, 1, 2)
+	broken.Deadlocked, broken.VerifyErr, broken.Violations = true, wrong.VerifyErr, flagged.Violations
+	policy := func(name string, final uint64, phases ...uint64) *Report {
+		return &Report{Workload: Workload{Policy: name}, Runs: []ProtocolRun{run(harness.ProtoAEC, final, phases...)}}
+	}
+	for _, tc := range []struct {
+		name     string
+		runs     []ProtocolRun
+		base     *ProtocolRun
+		policies []*Report
+		want     []string
+	}{
+		{name: "agree", runs: []ProtocolRun{ideal, aec}, base: &ideal},
+		{name: "deadlock", runs: []ProtocolRun{ideal, dead}, want: []string{"AEC: deadlocked"}},
+		{name: "verification", runs: []ProtocolRun{ideal, wrong}, want: []string{"AEC: verification failed: slot 1 = 7, want 8"}},
+		{name: "violation", runs: []ProtocolRun{ideal, flagged}, want: []string{"AEC: invariant violated: diff 3 applied twice"}},
+		{name: "fault-free final", runs: []ProtocolRun{run(harness.ProtoIdeal, 8, 1, 2), run(harness.ProtoAEC, 8, 1, 2)}, base: &ideal,
+			want: []string{
+				"final checksum mismatch: fault-free=0000000000000009 vs ideal=0000000000000008",
+				"final checksum mismatch: fault-free=0000000000000009 vs AEC=0000000000000008",
+			}},
+		{name: "fault-free phase count", runs: []ProtocolRun{run(harness.ProtoIdeal, 9, 1), run(harness.ProtoAEC, 9, 1)}, base: &ideal,
+			want: []string{"phase count mismatch: fault-free=2 vs ideal=1", "phase count mismatch: fault-free=2 vs AEC=1"}},
+		{name: "fault-free phase", runs: []ProtocolRun{run(harness.ProtoIdeal, 9, 1, 3), run(harness.ProtoAEC, 9, 1, 3)}, base: &ideal,
+			want: []string{
+				"phase 1 checksum mismatch: fault-free=0000000000000002 vs ideal=0000000000000003",
+				"phase 1 checksum mismatch: fault-free=0000000000000002 vs AEC=0000000000000003",
+			}},
+		{name: "cross-protocol final", runs: []ProtocolRun{ideal, run(harness.ProtoAEC, 8, 1, 2)},
+			want: []string{"final checksum mismatch: ideal=0000000000000009 vs AEC=0000000000000008"}},
+		{name: "cross-protocol phase count", runs: []ProtocolRun{ideal, run(harness.ProtoAEC, 9, 1, 2, 3)},
+			want: []string{"phase count mismatch: ideal=2 vs AEC=3"}},
+		{name: "cross-protocol phase", runs: []ProtocolRun{ideal, run(harness.ProtoAEC, 9, 0, 2)},
+			want: []string{"phase 0 checksum mismatch: ideal=0000000000000001 vs AEC=0000000000000000"}},
+		{name: "in order", runs: []ProtocolRun{ideal, broken}, base: &ideal,
+			want: []string{
+				"AEC: deadlocked",
+				"AEC: verification failed: slot 1 = 7, want 8",
+				"AEC: invariant violated: diff 3 applied twice",
+				"final checksum mismatch: fault-free=0000000000000009 vs AEC=0000000000000008",
+				"final checksum mismatch: ideal=0000000000000009 vs AEC=0000000000000008",
+			}},
+		{name: "cross-policy final", policies: []*Report{policy("", 9, 1, 2), policy("mcs", 8, 1, 2)},
+			want: []string{"final checksum mismatch: fifo=0000000000000009 vs mcs=0000000000000008"}},
+		{name: "cross-policy phase count", policies: []*Report{policy("", 9, 1, 2), policy("mcs", 9, 1)},
+			want: []string{"phase count mismatch: fifo=2 vs mcs=1"}},
+		{name: "cross-policy phase", policies: []*Report{policy("", 9, 1, 2), policy("mcs", 9, 1, 3)},
+			want: []string{"phase 1 checksum mismatch: fifo=0000000000000002 vs mcs=0000000000000003"}},
 	} {
-		if !slices.ContainsFunc(rep.Failures, func(f string) bool { return strings.HasPrefix(f, want) }) {
-			t.Errorf("no failure starts %q in:\n%s", want, rep)
+		got := judge(tc.runs, tc.base)
+		if tc.policies != nil {
+			got = CrossPolicy(tc.policies)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: failures\n%q\nwant\n%q", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestShrinkReduces checks the shrinker actually reduces a failing
-// workload instead of returning the original shape.
-func TestShrinkReduces(t *testing.T) {
-	aec.MutateDiffApply = true
-	defer func() { aec.MutateDiffApply = false }()
-
-	var failing *Report
-	for seed := uint64(1); seed <= 10; seed++ {
-		if rep := RunWorkloadFault(Generate(seed, 0), DefaultProtocols(), nil); rep.Failed() {
-			failing = rep
-			break
+// TestJudgeDoesNotAllocate: judging runs that all agree, with and without
+// a fault-free baseline and across policies, allocates nothing — the
+// checker judges hundreds of workloads a second.
+func TestJudgeDoesNotAllocate(t *testing.T) {
+	var runs []ProtocolRun
+	var reps []*Report
+	for _, k := range harness.Kinds() {
+		runs = append(runs, ProtocolRun{Kind: k, Final: 9, Phases: []uint64{1, 2, 3}})
+		reps = append(reps, &Report{Workload: Workload{Policy: string(k)}, Runs: runs[len(runs)-1:]})
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if len(judge(runs, nil))+len(judge(runs, &runs[0]))+len(CrossPolicy(reps)) != 0 {
+			t.Fatal("agreeing runs judged as failing")
 		}
+	}); n != 0 {
+		t.Errorf("judging agreeing runs allocates %v times, want 0", n)
 	}
-	if failing == nil {
-		t.Skip("mutation produced no failing seed in 1..10")
+}
+
+// TestShrinkReduces: a workload that fails at every shape (its grant
+// policy does not parse, so nothing runs) shrinks to the floor of every
+// dimension; a passing workload costs the one replay that judged it; and a
+// budget of two stops after one reduction.
+func TestShrinkReduces(t *testing.T) {
+	w := Workload{Seed: 1, Procs: 16, PageSize: 4096, Policy: "bogus", Cfg: apps.SynthConfig{
+		Seed: 1, Locks: 6, CellsPerLock: 8, Phases: 4, OpsPerPhase: 8, PadWords: 100, Notices: true,
+	}}
+	floor := w
+	floor.Procs, floor.Cfg.Locks, floor.Cfg.CellsPerLock, floor.Cfg.Phases = 2, 1, 2, 1
+	floor.Cfg.OpsPerPhase, floor.Cfg.PadWords, floor.Cfg.Notices = 1, 0, false
+	small, spent := ShrinkFault(w, DefaultProtocols(), 100, nil)
+	if !small.Failed() || small.Workload != floor {
+		t.Errorf("shrunk in %d replays to %+v (failed %v), want %+v", spent, small.Workload, small.Failed(), floor)
 	}
-	small, spent := ShrinkFault(failing.Workload, DefaultProtocols(), 40, nil)
-	if !small.Failed() {
-		t.Fatal("shrink returned a passing workload")
+
+	pass := Generate(3, 4)
+	if rep, spent := ShrinkFault(pass, DefaultProtocols(), 100, nil); rep.Failed() || rep.Workload != pass || spent != 1 {
+		t.Errorf("passing workload: failed %v after %d replays, workload %+v; want it back after 1", rep.Failed(), spent, rep.Workload)
 	}
-	if spent < 2 {
-		t.Fatalf("shrink spent only %d replays", spent)
-	}
-	w0, w1 := failing.Workload, small.Workload
-	if w1 == w0 {
-		t.Log("workload already minimal; shrink kept it")
-	} else if w1.Procs > w0.Procs || w1.Cfg.Phases > w0.Cfg.Phases ||
-		w1.Cfg.OpsPerPhase > w0.Cfg.OpsPerPhase || w1.Cfg.Locks > w0.Cfg.Locks {
-		t.Fatalf("shrink grew the workload: %+v -> %+v", w0, w1)
+
+	if rep, spent := ShrinkFault(w, DefaultProtocols(), 2, nil); spent != 2 || rep.Workload != reductions(w)[0] {
+		t.Errorf("budget 2: %d replays, workload %+v; want 2 and %+v", spent, rep.Workload, reductions(w)[0])
 	}
 }

@@ -94,12 +94,12 @@ func DefaultProtocols() []harness.ProtocolKind {
 }
 
 // RunWorkloadFault executes one workload under every protocol kind with
-// the invariant auditor attached, then cross-checks the runs: no
-// deadlocks, no verification failures, no invariant violations, and
-// bit-identical checksums of all shared state at every barrier phase. A
-// non-nil fcfg runs every protocol under the same deterministic fault
-// schedule, and the hardened protocols must still produce the fault-free
-// run's barrier-phase checksums.
+// the invariant auditor attached, then judges the runs: no deadlocks, no
+// verification failures, no invariant violations, and bit-identical
+// checksums of all shared state at every barrier phase. A non-nil fcfg
+// runs every protocol under the same deterministic fault schedule, and the
+// hardened protocols must still produce the fault-free run's barrier-phase
+// checksums.
 func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Config) *Report {
 	rep := &Report{Workload: w, Faults: fcfg}
 	pol, err := lockpolicy.Parse(w.Policy)
@@ -114,24 +114,14 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 		aud := NewAuditor(w.Procs)
 		aud.SetPolicy(pol)
 		res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(k, 2), prog, aud, fcfg)
-		run := ProtocolRun{
+		rep.Runs = append(rep.Runs, ProtocolRun{
 			Kind:       k,
 			Deadlocked: res.Deadlocked,
 			VerifyErr:  res.VerifyErr,
 			Final:      prog.FinalChecksum(),
 			Phases:     prog.PhaseChecksums(),
 			Violations: aud.Violations(),
-		}
-		rep.Runs = append(rep.Runs, run)
-		if run.Deadlocked {
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: deadlocked", k))
-		}
-		if run.VerifyErr != nil {
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: verification failed: %v", k, run.VerifyErr))
-		}
-		for _, v := range run.Violations {
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: invariant violated: %s", k, v))
-		}
+		})
 	}
 	// Fault-free ground truth: faults may change timing, never results.
 	// One clean run of the first protocol anchors the faulted runs — the
@@ -142,62 +132,93 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 	if fcfg != nil && len(kinds) > 0 {
 		prog := apps.NewSharedSynth(w.Cfg, &in)
 		res := harness.Run(w.Params(), harness.NewProtocol(kinds[0], 2), prog)
-		base := &ProtocolRun{
+		rep.Baseline = &ProtocolRun{
 			Kind:       kinds[0],
 			Deadlocked: res.Deadlocked,
 			VerifyErr:  res.VerifyErr,
 			Final:      prog.FinalChecksum(),
 			Phases:     prog.PhaseChecksums(),
 		}
-		rep.Baseline = base
-		for _, run := range rep.Runs {
-			if run.Final != base.Final {
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"%s: faulted final %016x != fault-free %016x",
-					run.Kind, run.Final, base.Final))
-			}
-			if len(run.Phases) != len(base.Phases) {
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"%s: phase count changed under faults: %d vs fault-free %d",
-					run.Kind, len(run.Phases), len(base.Phases)))
-				continue
-			}
-			for p := range base.Phases {
-				if run.Phases[p] != base.Phases[p] {
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"%s phase %d: faulted %016x != fault-free %016x",
-						run.Kind, p, run.Phases[p], base.Phases[p]))
-					break
-				}
-			}
-		}
 	}
-	// Cross-protocol equivalence against the first run.
-	if len(rep.Runs) > 1 {
-		ref := rep.Runs[0]
-		for _, run := range rep.Runs[1:] {
-			if run.Final != ref.Final {
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"final checksum mismatch: %s=%016x vs %s=%016x",
-					ref.Kind, ref.Final, run.Kind, run.Final))
-			}
-			if len(run.Phases) != len(ref.Phases) {
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"phase count mismatch: %s=%d vs %s=%d",
-					ref.Kind, len(ref.Phases), run.Kind, len(run.Phases)))
-				continue
-			}
-			for p := range ref.Phases {
-				if run.Phases[p] != ref.Phases[p] {
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"phase %d checksum mismatch: %s=%016x vs %s=%016x",
-						p, ref.Kind, ref.Phases[p], run.Kind, run.Phases[p]))
-					break
-				}
-			}
-		}
-	}
+	rep.Failures = judge(rep.Runs, rep.Baseline)
 	return rep
+}
+
+// judge lists everything wrong with one workload's runs: each run's
+// deadlock, verification error and invariant violations in run order, then
+// every run against the fault-free baseline (nil for none), then every run
+// against the first. Runs that all agree yield nil.
+func judge(runs []ProtocolRun, base *ProtocolRun) []string {
+	var fails []string
+	for _, run := range runs {
+		if run.Deadlocked {
+			fails = append(fails, fmt.Sprintf("%s: deadlocked", run.Kind))
+		}
+		if run.VerifyErr != nil {
+			fails = append(fails, fmt.Sprintf("%s: verification failed: %v", run.Kind, run.VerifyErr))
+		}
+		for _, v := range run.Violations {
+			fails = append(fails, fmt.Sprintf("%s: invariant violated: %s", run.Kind, v))
+		}
+	}
+	if base != nil {
+		for i := range runs {
+			fails = mismatches(fails, "fault-free", base, string(runs[i].Kind), &runs[i])
+		}
+	}
+	for i := 1; i < len(runs); i++ {
+		fails = mismatches(fails, string(runs[0].Kind), &runs[0], string(runs[i].Kind), &runs[i])
+	}
+	return fails
+}
+
+// CrossPolicy compares the per-policy reports of one seed: grant order is
+// the only degree of freedom a policy has, so the first run's checksums
+// must be bit-identical under every policy. Reports without runs (a policy
+// that did not parse) are skipped; the first with runs is the reference.
+func CrossPolicy(perPolicy []*Report) []string {
+	var fails []string
+	var ref *Report
+	for _, rep := range perPolicy {
+		if len(rep.Runs) == 0 {
+			continue
+		}
+		if ref == nil {
+			ref = rep
+			continue
+		}
+		fails = mismatches(fails, orFIFO(ref.Workload.Policy), &ref.Runs[0], orFIFO(rep.Workload.Policy), &rep.Runs[0])
+	}
+	return fails
+}
+
+// orFIFO names the default grant policy in failure lines.
+func orFIFO(policy string) string {
+	if policy == "" {
+		return string(lockpolicy.FIFO)
+	}
+	return policy
+}
+
+// mismatches appends to fails what differs between a run's checksums and a
+// reference run's: the final checksum, then the phase count or else the
+// first phase that differs. refLabel and label name the two sides.
+func mismatches(fails []string, refLabel string, ref *ProtocolRun, label string, run *ProtocolRun) []string {
+	if run.Final != ref.Final {
+		fails = append(fails, fmt.Sprintf("final checksum mismatch: %s=%016x vs %s=%016x",
+			refLabel, ref.Final, label, run.Final))
+	}
+	if len(run.Phases) != len(ref.Phases) {
+		return append(fails, fmt.Sprintf("phase count mismatch: %s=%d vs %s=%d",
+			refLabel, len(ref.Phases), label, len(run.Phases)))
+	}
+	for p := range ref.Phases {
+		if run.Phases[p] != ref.Phases[p] {
+			return append(fails, fmt.Sprintf("phase %d checksum mismatch: %s=%016x vs %s=%016x",
+				p, refLabel, ref.Phases[p], label, run.Phases[p]))
+		}
+	}
+	return fails
 }
 
 // ShrinkFault replays reduced variants of a failing workload — same seed,
@@ -213,22 +234,18 @@ func ShrinkFault(w Workload, kinds []harness.ProtocolKind, budget int, fcfg *fau
 	if !best.Failed() {
 		return best, spent
 	}
-	for spent < budget {
-		improved := false
+	for improved := true; improved; {
+		improved = false
 		for _, cand := range reductions(best.Workload) {
 			if spent >= budget {
-				break
+				return best, spent
 			}
 			rep := RunWorkloadFault(cand, kinds, fcfg)
 			spent++
 			if rep.Failed() {
-				best = rep
-				improved = true
+				best, improved = rep, true
 				break
 			}
-		}
-		if !improved {
-			break
 		}
 	}
 	return best, spent

@@ -68,19 +68,8 @@ func TestFaultedChecksumsMatchFaultFree(t *testing.T) {
 			t.Fatalf("seed %d: unexpected failure\nclean:\n%s\nfaulty:\n%s", seed, clean, faulty)
 		}
 		for i := range clean.Runs {
-			c, f := clean.Runs[i], faulty.Runs[i]
-			if c.Final != f.Final {
-				t.Fatalf("seed %d %s: faulted final %016x != fault-free %016x",
-					seed, c.Kind, f.Final, c.Final)
-			}
-			if len(c.Phases) != len(f.Phases) {
-				t.Fatalf("seed %d %s: phase count changed under faults", seed, c.Kind)
-			}
-			for p := range c.Phases {
-				if c.Phases[p] != f.Phases[p] {
-					t.Fatalf("seed %d %s phase %d: faulted %016x != fault-free %016x",
-						seed, c.Kind, p, f.Phases[p], c.Phases[p])
-				}
+			for _, d := range mismatches(nil, "fault-free", &clean.Runs[i], "faulted", &faulty.Runs[i]) {
+				t.Errorf("seed %d %s: %s", seed, clean.Runs[i].Kind, d)
 			}
 		}
 	}
@@ -96,9 +85,8 @@ func TestFaultedRunsDeterministic(t *testing.T) {
 		t.Fatalf("unexpected failure:\n%s\n%s", a, b)
 	}
 	for i := range a.Runs {
-		if a.Runs[i].Final != b.Runs[i].Final {
-			t.Fatalf("%s: replay diverged: %016x vs %016x",
-				a.Runs[i].Kind, a.Runs[i].Final, b.Runs[i].Final)
+		for _, d := range mismatches(nil, "first", &a.Runs[i], "replay", &b.Runs[i]) {
+			t.Errorf("%s replay diverged: %s", a.Runs[i].Kind, d)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"aecdsm/internal/fault"
@@ -78,8 +79,7 @@ func TestPoliciesAgreeDifferentially(t *testing.T) {
 				name += "-faulted"
 			}
 			t.Run(name, func(t *testing.T) {
-				var finals []uint64
-				var phases [][]uint64
+				var reps []*Report
 				for _, k := range lockpolicy.Kinds() {
 					w := Generate(seed, 0)
 					w.Policy = string(k)
@@ -87,22 +87,46 @@ func TestPoliciesAgreeDifferentially(t *testing.T) {
 					if rep.Failed() {
 						t.Fatalf("policy %s failed:\n%s", k, rep)
 					}
-					finals = append(finals, rep.Runs[0].Final)
-					phases = append(phases, rep.Runs[0].Phases)
+					reps = append(reps, rep)
 				}
-				for i := 1; i < len(finals); i++ {
-					if finals[i] != finals[0] {
-						t.Errorf("final checksum diverged across policies: %s=%016x vs %s=%016x",
-							lockpolicy.Kinds()[0], finals[0], lockpolicy.Kinds()[i], finals[i])
-					}
-					for p := range phases[0] {
-						if p < len(phases[i]) && phases[i][p] != phases[0][p] {
-							t.Errorf("phase %d checksum diverged across policies %s vs %s",
-								p, lockpolicy.Kinds()[0], lockpolicy.Kinds()[i])
-						}
-					}
+				for _, d := range CrossPolicy(reps) {
+					t.Error(d)
 				}
 			})
+		}
+	}
+}
+
+// TestCrossPolicyDiffs holds the cross-policy check to the differential
+// runner's rule: every policy is compared with the first that ran (a
+// report without runs is skipped), in the order the policies came, and a
+// final checksum that differs does not hide a phase that differs.
+func TestCrossPolicyDiffs(t *testing.T) {
+	rep := func(policy string, final uint64, phases ...uint64) *Report {
+		return &Report{
+			Workload: Workload{Policy: policy},
+			Runs:     []ProtocolRun{{Final: final, Phases: phases}},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		reps []*Report
+		want []string
+	}{
+		{"agree", []*Report{rep("", 9, 1, 2), rep("mcs", 9, 1, 2)}, nil},
+		{"no runs", []*Report{{}, rep("mcs", 9, 1, 2), rep("lease", 9, 1, 3)},
+			[]string{"phase 1 checksum mismatch: mcs=0000000000000002 vs lease=0000000000000003"}},
+		{"longer", []*Report{rep("", 9, 1), rep("lease", 9, 1, 2)},
+			[]string{"phase count mismatch: fifo=1 vs lease=2"}},
+		{"final and phase", []*Report{rep("", 9, 1, 2), rep("mcs", 8, 0, 2)}, []string{
+			"final checksum mismatch: fifo=0000000000000009 vs mcs=0000000000000008",
+			"phase 0 checksum mismatch: fifo=0000000000000001 vs mcs=0000000000000000",
+		}},
+		{"each against the first", []*Report{rep("", 9, 1), rep("mcs", 9, 1), rep("lease", 8, 1)},
+			[]string{"final checksum mismatch: fifo=0000000000000009 vs lease=0000000000000008"}},
+	} {
+		if got := CrossPolicy(tc.reps); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: CrossPolicy = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
