@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fuzz results cover
+.PHONY: all build test lint fuzz results cover profile
 
 all: build lint test
 
@@ -83,3 +83,29 @@ results:
 	"$$tmp/tables" -scaling -scaling-procs 16,64 -scale 0.05 -jobs 1 > "$$tmp/scaling-jobs1.txt"; \
 	"$$tmp/tables" -scaling -scaling-procs 16,64 -scale 0.05 > "$$tmp/scaling-jobsN.txt"; \
 	cmp "$$tmp/scaling-jobs1.txt" "$$tmp/scaling-jobsN.txt"
+
+# One-P CPU profiles of the three bench workloads' configurations, taken
+# through the commands' -cpuprofile flags and printed as `go tool pprof
+# -top` tables, so the next optimisation is chosen from a table
+# (docs/PERFORMANCE.md): tables_q is the quarter-scale tables, bigmesh the
+# 64-processor scaling sweep, fuzz_small the checker's 160 clean seeds
+# and its 80 under light faults, profiled apart and printed merged. Each
+# command runs five times, merged, for enough samples (about 20 s). The
+# profiles are kept in PROFILE_DIR when it is set, e.g.
+# `make profile PROFILE_DIR=prof`.
+PROFILE_DIR ?=
+profile:
+	@set -e; dir="$(PROFILE_DIR)"; \
+	if [ -z "$$dir" ]; then dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; fi; \
+	mkdir -p "$$dir"; export GOMAXPROCS=1; \
+	$(GO) build -o "$$dir/tables" ./cmd/tables; \
+	$(GO) build -o "$$dir/fuzzdsm" ./cmd/fuzzdsm; \
+	for i in 1 2 3 4 5; do \
+		"$$dir/tables" -scale 0.25 -jobs 1 -cpuprofile "$$dir/tables_q.$$i.prof" > /dev/null; \
+		"$$dir/tables" -scaling -scaling-procs 64 -scale 0.1 -jobs 1 -cpuprofile "$$dir/bigmesh.$$i.prof" > /dev/null; \
+		"$$dir/fuzzdsm" -iters 160 -jobs 1 -cpuprofile "$$dir/fuzz_small.$$i.prof" > /dev/null; \
+		"$$dir/fuzzdsm" -iters 80 -faults light -fault-seed 1 -jobs 1 -cpuprofile "$$dir/fuzz_small.light.$$i.prof" > /dev/null; \
+	done; \
+	for w in tables_q bigmesh fuzz_small; do \
+		echo "== $$w"; $(GO) tool pprof -top -nodecount=30 "$$dir/$$w".*prof 2>/dev/null | grep -vE '^(File|Build ID|Type|Time):'; \
+	done

@@ -123,7 +123,10 @@ func (a *Auditor) failf(format string, args ...any) {
 }
 
 // Trace implements trace.Tracer.
-func (a *Auditor) Trace(ev trace.Event) {
+func (a *Auditor) Trace(ev trace.Event) { a.TraceEvent(&ev) }
+
+// TraceEvent audits ev in place (see trace.Emitter).
+func (a *Auditor) TraceEvent(ev *trace.Event) {
 	// Any non-apply event at a processor ends its apply episode: protocols
 	// may legitimately re-apply an inherited diff across separate grants,
 	// but between those applies the processor always observes other
@@ -171,7 +174,7 @@ func (a *Auditor) Trace(ev trace.Event) {
 
 // traceLock audits one lock or LAP event against the lock's model
 // (invariants 1-3).
-func (a *Auditor) traceLock(ev trace.Event, l *lockState) {
+func (a *Auditor) traceLock(ev *trace.Event, l *lockState) {
 	switch ev.Kind {
 	case trace.KindLockEnqueue:
 		l.queue = append(l.queue, queueEntry{proc: int(ev.Arg)})
@@ -227,7 +230,7 @@ func (a *Auditor) traceLock(ev trace.Event, l *lockState) {
 
 // tracePage audits one twin or diff event against its processor's model
 // (invariants 4 and 5).
-func (a *Auditor) tracePage(ev trace.Event, p *procState) {
+func (a *Auditor) tracePage(ev *trace.Event, p *procState) {
 	switch ev.Kind {
 	case trace.KindTwinCreate:
 		for len(p.twins) <= ev.Page {
@@ -265,7 +268,7 @@ func (a *Auditor) tracePage(ev trace.Event, p *procState) {
 // auditGrantOrder enforces invariant 2 on one grant event: strict
 // head-of-queue order for fifo/mcs, the MaxBypass starvation bound for
 // the reordering policies.
-func (a *Auditor) auditGrantOrder(ev trace.Event, l *lockState) {
+func (a *Auditor) auditGrantOrder(ev *trace.Event, l *lockState) {
 	q := l.queue
 	i := -1
 	for j, e := range q {

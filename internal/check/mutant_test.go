@@ -68,6 +68,17 @@ var mutants = []struct {
 		run:  "^TestIntervalDiffsKeptInRegion$",
 		want: []string{`does not read the released region's poison`},
 	},
+	{
+		// One trace byte moves and no simulated cycle does: the service
+		// time a msg-deliver event reports is one cycle long.
+		name: "trace-deliver-arg",
+		file: "internal/sim/msg.go",
+		old:  "trace.KindMsgDeliver, int64(m.From), int64(svc))",
+		new:  "trace.KindMsgDeliver, int64(m.From), int64(svc)+1)",
+		pkg:  "./internal/harness",
+		run:  "^TestTracedTablesDigest$",
+		want: []string{`traced_tables_digest.txt diverged from the golden snapshot`},
+	},
 }
 
 // TestMutants runs every committed mutant: its row passes only when the

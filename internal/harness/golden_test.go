@@ -11,7 +11,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite the testdata/golden_*.txt snapshot of each golden test that runs")
+	"rewrite the testdata snapshot (golden_*.txt, traced_tables_digest.txt) of each golden test that runs")
 
 const goldenScale = 0.1
 

@@ -223,7 +223,7 @@ func (p Params) ValidateSpace(bytes int) error {
 }
 
 // Words converts a byte count to whole machine words, rounding up.
-func (p Params) Words(bytes int) int {
+func (p *Params) Words(bytes int) int {
 	if bytes <= 0 {
 		return 0
 	}
@@ -232,7 +232,7 @@ func (p Params) Words(bytes int) int {
 
 // MemCycles returns the cost of moving n bytes through local memory:
 // setup plus the per-word access time.
-func (p Params) MemCycles(bytes int) uint64 {
+func (p *Params) MemCycles(bytes int) uint64 {
 	if bytes <= 0 {
 		return 0
 	}
@@ -241,18 +241,18 @@ func (p Params) MemCycles(bytes int) uint64 {
 
 // TwinCycles returns the processor cost of twinning a page of the given
 // size (the memory traffic is charged separately through the bus model).
-func (p Params) TwinCycles(bytes int) uint64 {
+func (p *Params) TwinCycles(bytes int) uint64 {
 	return round(p.TwinPerWordCycles * float64(p.Words(bytes)))
 }
 
 // DiffCycles returns the processor cost of creating or applying a diff
 // covering the given number of bytes of page data scanned or patched.
-func (p Params) DiffCycles(bytes int) uint64 {
+func (p *Params) DiffCycles(bytes int) uint64 {
 	return round(p.DiffPerWordCycles * float64(p.Words(bytes)))
 }
 
 // ListCycles returns the protocol list processing cost for n elements.
-func (p Params) ListCycles(n int) uint64 {
+func (p *Params) ListCycles(n int) uint64 {
 	if n <= 0 {
 		return 0
 	}

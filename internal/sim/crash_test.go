@@ -14,7 +14,7 @@ func TestCrashOutsideMachineIgnored(t *testing.T) {
 	e.EnableFaults(fault.Config{Crashes: []fault.Crash{
 		{Node: 2, At: 10, Down: 10}, {Node: -1, At: 10, Down: 10},
 	}})
-	if n := e.events.Len(); n != 0 {
+	if n := len(e.events); n != 0 {
 		t.Fatalf("%d events scheduled for crashes outside a 2-node machine, want 0", n)
 	}
 }

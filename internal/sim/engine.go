@@ -14,10 +14,10 @@ import (
 )
 
 // Engine drives the simulation: it owns virtual time, the event queue, the
-// network, and the processors, whose bodies are coroutines (iter.Pull) of
-// the engine's goroutine. Exactly one of {engine, some processor body}
-// executes at any instant, so no locking is needed anywhere in the
-// simulator or the protocols.
+// network, and the processors, whose bodies are coroutines (iter.Pull)
+// resumed by the engine's goroutine or by one another. Exactly one
+// goroutine executes at any instant, so no locking is needed anywhere in
+// the simulator or the protocols.
 type Engine struct {
 	Params memsys.Params
 	Net    *network.Mesh
@@ -55,9 +55,18 @@ type Engine struct {
 	bodies   []func(*Proc)
 	launched bool
 
-	// marks and observe are the observer (Observe).
-	marks   []Time
-	observe func(i int)
+	// marks and observe are the observer (Observe); nextMark indexes the
+	// next mark to observe and markAt is its cycle (Forever past the last).
+	marks    []Time
+	observe  func(i int)
+	nextMark int
+	markAt   Time
+
+	// inEvent is set while a delivery, transport record or At function
+	// runs, on whichever stack dispatches it: a panic raised then is the
+	// event's, not the body's of the processor dispatching it. named is
+	// set once a panic has been given its source (Engine.source).
+	inEvent, named bool
 
 	// rel is the reliable-transport state: nil, or &transport once
 	// EnableFaults has armed it. transport outlives the run, like the
@@ -110,28 +119,36 @@ func (e *Engine) Spawn(id int, body func(*Proc)) {
 	e.bodies[id] = body
 }
 
-// step resumes processor p: grants it a horizon, switches into its body
-// until it yields, and reschedules it if it merely paused.
-func (e *Engine) step(p *Proc) {
-	p.horizon = e.events.peek()
-	if _, running := p.next(); !running {
-		p.done = true // the body returned
-		e.finished++
-	} else if !p.blocked {
-		e.scheduleStep(p.Clock, p) // reached its horizon; a blocked one waits for a Wake
-	}
-}
-
 // closed is the panic that unwinds a parked body when its engine is closed
-// (not runtime.Goexit: iter.Pull carries that into the engine's goroutine).
+// (not runtime.Goexit: iter.Pull carries that into the resumer's goroutine).
 type closed struct{}
 
+// source names the origin of a panic r raised on p's stack (p nil: the
+// engine goroutine's): an event being dispatched, or else p's body. It
+// keeps the stack, which is lost once iter.Pull re-panics on the resumer's
+// goroutine. A panic is named once: one already named (a processor's
+// resumer sees it again), or one raised on the engine goroutine outside an
+// event (the observer's), is returned unchanged.
+func (e *Engine) source(r any, p *Proc) any {
+	switch {
+	case e.named:
+		return r
+	case e.inEvent:
+		r = fmt.Sprintf("sim: event at cycle %d panicked: %v\n%s", e.now, r, debug.Stack())
+	case p != nil:
+		r = fmt.Sprintf("sim: processor %d panicked at cycle %d: %v\n%s", p.ID, p.Clock, r, debug.Stack())
+	default:
+		return r
+	}
+	e.named = true
+	return r
+}
+
 // unwound is deferred at the root of p's coroutine: it swallows closed and
-// re-raises any other panic with the processor, its clock and the body's
-// stack, which is lost once iter.Pull re-panics on the engine's goroutine.
+// re-raises any other panic, named (source).
 func (p *Proc) unwound() {
 	if r := recover(); r != nil && r != any(closed{}) {
-		panic(fmt.Sprintf("sim: processor %d panicked at cycle %d: %v\n%s", p.ID, p.Clock, r, debug.Stack()))
+		panic(p.Eng.source(r, p))
 	}
 }
 
@@ -165,7 +182,7 @@ func (e *Engine) launch() {
 			defer p.unwound()
 			body(p)
 		})
-		e.scheduleStep(0, p)
+		e.scheduleResume(0, p)
 	}
 }
 
@@ -187,30 +204,51 @@ func (e *Engine) mark(i int) Time {
 	return Forever
 }
 
-// run dispatches events until every body has returned or the queue drains
-// with processors still blocked (Deadlocked), calling the observer at its
-// marks. However the run ends — finished, deadlocked, a body's panic
-// passing through — it closes the engine.
-func (e *Engine) run() {
-	defer e.close()
-	next := 0 // the next mark to observe
-	horizon := e.mark(next)
+// dispatch is the event loop, one function for every goroutine that holds
+// control: the engine's (self nil) or that of self, a processor that has
+// just parked or blocked. Either way it dispatches the root of the queue
+// in (at, seq) order: a delivery, transport record or At function runs on
+// the current stack, and another processor's resume switches into that
+// processor (resume), which dispatches on its own stack when it parks. It
+// returns true when self's own resume comes up, so self continues with no
+// hand-off; false when control goes back to whoever resumed self — the next
+// resume is a processor suspended beneath self on this chain of resumes,
+// or the next thing is an observer mark or an empty queue, which are the
+// engine goroutine's business. On the engine goroutine it returns once
+// every body has returned, or with Deadlocked when the queue drains first.
+func (e *Engine) dispatch(self *Proc) bool {
 	for e.finished < len(e.Procs) {
-		if e.events.Len() == 0 {
-			e.Deadlocked = true
-			break
+		if len(e.events) == 0 {
+			if self == nil {
+				e.Deadlocked = true
+			}
+			return false
 		}
-		if e.events.peek() >= horizon && next < len(e.marks) {
-			e.observe(next)
-			next++
-			horizon = e.mark(next)
+		root := &e.events[0]
+		if root.at >= e.markAt && e.nextMark < len(e.marks) {
+			if self != nil {
+				return false
+			}
+			e.observe(e.nextMark)
+			e.nextMark++
+			e.markAt = e.mark(e.nextMark)
+			continue
+		}
+		e.now = root.at
+		if p := root.proc; p != nil {
+			switch {
+			case p == self:
+				p.horizon = e.events.second()
+				return true
+			case p.onChain:
+				return false
+			}
+			e.resume(p)
 			continue
 		}
 		ev := e.events.pop()
-		e.now = ev.at
+		e.inEvent = true
 		switch {
-		case ev.proc != nil:
-			e.step(ev.proc)
 		case ev.m == nil:
 			ev.fn()
 		case ev.m.op == opDeliver:
@@ -218,9 +256,44 @@ func (e *Engine) run() {
 		default:
 			e.transportEvent(ev.m, ev.h)
 		}
+		e.inEvent = false
 	}
-	for ; next < len(e.marks); next++ {
-		e.observe(next)
+	return false
+}
+
+// resume switches into p, whose resume event is at the root, with the
+// horizon of the event after it, and returns when control comes back: p
+// parked or blocked and handed it down the chain, or p's body returned —
+// its resume, still at the root, then leaves the queue.
+func (e *Engine) resume(p *Proc) {
+	p.horizon = e.events.second()
+	p.onChain = true
+	_, running := p.next()
+	p.onChain = false
+	if !running {
+		e.events.pop()
+		p.done = true
+		e.finished++
+	}
+}
+
+// run dispatches events until every body has returned or the queue drains
+// with processors still blocked (Deadlocked), calling the observer at its
+// marks, and observes the marks the run never reached. However the run
+// ends — finished, deadlocked, a panic passing through — it closes the
+// engine.
+func (e *Engine) run() {
+	defer func() {
+		r := recover()
+		e.close()
+		if r != nil {
+			panic(e.source(r, nil))
+		}
+	}()
+	e.markAt = e.mark(0)
+	e.dispatch(nil)
+	for ; e.nextMark < len(e.marks); e.nextMark++ {
+		e.observe(e.nextMark)
 	}
 }
 

@@ -4,13 +4,16 @@
 // (iter.Pull) of the engine. It plays the role of MINT plus the back-end
 // scheduler in the paper's methodology.
 //
-// Engine and processor bodies alternate strictly: the engine switches
-// directly into a body and the body switches directly back, with no
-// channel and no trip through the Go scheduler, so at most one of them
-// runs at any instant and no package state needs locking. The engine
-// resumes the runnable processor event with the lowest timestamp and hands
-// it a horizon (the timestamp of the next pending event); the processor
-// executes until an operation would cross the horizon, then yields. This
+// One goroutine runs at any instant, and events are dispatched in (at, seq)
+// order wherever that goroutine is. The event loop (Engine.dispatch) runs
+// on the engine's goroutine or on the stack of the processor that holds
+// control: a processor that reaches its horizon or blocks dispatches the
+// deliveries, transport records and At functions ahead of its own resume
+// itself, continues with no hand-off when its own resume comes up, and
+// switches directly into the next processor when another's does — there is
+// no channel and no trip through the Go scheduler, so no package state
+// needs locking. A resumed processor gets a horizon (the timestamp of the
+// next pending event) and executes until an operation would cross it. This
 // conservative windowing keeps the simulation causal and deterministic.
 package sim
 
@@ -33,7 +36,8 @@ type event struct {
 	at  Time
 	seq uint64
 	// proc marks the "resume processor p" event without allocating a
-	// closure for it (the event loop calls e.step(proc) directly).
+	// closure for it. A running processor's resume stays at the root of
+	// the queue while its body runs (Engine.dispatch).
 	proc *Proc
 	// m/h carry a message delivery without allocating a closure for it
 	// (the event loop calls e.deliver(m, h) directly); m returns to the
@@ -48,9 +52,12 @@ type event struct {
 // []event, ordered by (at, seq). Events are stored by value, so a push
 // allocates nothing once the slice has grown to the run's high-water
 // mark. seq is unique, which makes (at, seq) a total order: pop order
-// does not depend on the heap's shape, and peek is a read of the root —
-// the engine peeks mid-dispatch, to grant a resumed processor its
-// horizon, and the processor then schedules events below that horizon.
+// does not depend on the heap's shape. A running processor's resume stays
+// at the root while its body runs: every event the body schedules is at
+// or after now with a later seq, so it goes below the root, and the
+// horizon the body was granted is the earliest of the root's children
+// (second). When the body parks, its resume is rewritten in place and
+// sifted down (requeue) — what a pop and a push would leave.
 // Arity 4 against 2: as many compares on the way down over half the
 // levels, so half the moves, and half the way up on every push. bench
 // could not tell the two apart; the microbenchmarks lean to 4
@@ -62,18 +69,6 @@ const arity = 4
 // before is the queue's order: time, then schedule order.
 func (a *event) before(b *event) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
-}
-
-// Len returns the number of pending events.
-func (q eventQueue) Len() int { return len(q) }
-
-// peek returns the earliest pending event's time without removing it,
-// or Forever when the queue is empty.
-func (q eventQueue) peek() Time {
-	if len(q) == 0 {
-		return Forever
-	}
-	return q[0].at
 }
 
 // push adds an event, sifting a hole up from the new leaf to its place.
@@ -92,8 +87,20 @@ func (q *eventQueue) push(ev event) {
 	*q = h
 }
 
+// second returns the time of the earliest event after the root — the
+// earliest of the root's children — or Forever when there is none.
+func (q eventQueue) second() Time {
+	t := Forever
+	for i := 1; i <= arity && i < len(q); i++ {
+		if q[i].at < t {
+			t = q[i].at
+		}
+	}
+	return t
+}
+
 // pop removes and returns the earliest pending event; the queue must be
-// non-empty. The last leaf refills the root by sifting a hole down.
+// non-empty. The last leaf refills the root.
 func (q *eventQueue) pop() event {
 	h := *q
 	n := len(h) - 1
@@ -101,47 +108,66 @@ func (q *eventQueue) pop() event {
 	h[n] = event{} // drop payload references promptly
 	h = h[:n]
 	*q = h
-	if n == 0 {
-		return top
+	if n > 0 {
+		h.down(last)
 	}
+	return top
+}
+
+// requeue gives the root event the key (at, seq) and sifts it down to its
+// place; the queue must be non-empty.
+func (q eventQueue) requeue(at Time, seq uint64) {
+	ev := q[0]
+	ev.at, ev.seq = at, seq
+	q.down(ev)
+}
+
+// down puts ev in the root's place by sifting a hole down from the root.
+func (q eventQueue) down(ev event) {
+	n := len(q)
 	i := 0
 	for c := 1; c < n; c = arity*i + 1 {
 		m := c // the earliest of i's children
 		for j := c + 1; j < c+arity && j < n; j++ {
-			if h[j].before(&h[m]) {
+			if q[j].before(&q[m]) {
 				m = j
 			}
 		}
-		if !h[m].before(&last) {
+		if !q[m].before(&ev) {
 			break
 		}
-		h[i] = h[m]
+		q[i] = q[m]
 		i = m
 	}
-	h[i] = last
-	return top
+	q[i] = ev
 }
 
-// enqueue stamps ev with the next sequence number and queues it. An event
+// stamp returns the sequence number of an event for cycle at. An event
 // before now would run with the clock turned back; no causal schedule
 // produces one, so it is a bug to stop at, not a timestamp to rewrite
 // (Engine.At is the one entry point that documents a clamp, and clamps
 // before it gets here).
-func (e *Engine) enqueue(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: event scheduled for cycle %d, before now (cycle %d)", ev.at, e.now))
+func (e *Engine) stamp(at Time) uint64 {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: event scheduled for cycle %d, before now (cycle %d)", at, e.now))
 	}
 	e.seq++
-	ev.seq = e.seq
+	return e.seq
+}
+
+// enqueue stamps ev and queues it.
+func (e *Engine) enqueue(ev event) {
+	ev.seq = e.stamp(ev.at)
 	e.events.push(ev)
 }
 
 func (e *Engine) schedule(at Time, fn func()) { e.enqueue(event{at: at, fn: fn}) }
 
-// scheduleStep schedules the hot-path "resume processor p" event. The
-// processor pointer rides in the event itself, so the per-cycle reschedule
-// of every running processor costs no closure allocation.
-func (e *Engine) scheduleStep(at Time, p *Proc) { e.enqueue(event{at: at, proc: p}) }
+// scheduleResume schedules a "resume processor p" event: a processor's
+// first, and a blocked one's wake-up. The processor pointer rides in the
+// event itself, so it costs no closure allocation. A processor that merely
+// reached its horizon keeps its event (Proc.park).
+func (e *Engine) scheduleResume(at Time, p *Proc) { e.enqueue(event{at: at, proc: p}) }
 
 // scheduleDeliver schedules the message-delivery event for m at its
 // arrival time. The message and handler ride in the event itself — no

@@ -29,21 +29,25 @@ func (s *pendingSet) pop() event {
 	return ev
 }
 
-func (s pendingSet) peek() Time {
-	if len(s) == 0 {
+// second is the time of the earliest event after the least one.
+func (s pendingSet) second() Time {
+	if len(s) < 2 {
 		return Forever
 	}
-	return s[s.min()].at
+	rest := append(pendingSet(nil), s...)
+	rest.pop()
+	return rest[rest.min()].at
 }
 
 // TestQueuePopOrder drives the event queue and the linear-scan oracle
-// with identical randomized push/pop/peek streams and demands
+// with identical randomized push/pop/requeue/second streams and demands
 // bit-identical behavior. The push deltas mix same-cycle bursts (the
 // seq tie-break), near, far-future and Forever-adjacent timestamps
-// (where arithmetic on the key would overflow uint64). Pushes respect
-// the engine invariant that no event is scheduled before the last
-// popped timestamp, and peeks are interleaved mid-stream because the
-// engine peeks while dispatching.
+// (where arithmetic on the key would overflow uint64). Pushes and
+// requeues respect the engine invariant that no event is scheduled before
+// the last dispatched timestamp; a requeue gives the root a fresh key, as
+// a parking processor does its resume, and second — a horizon — is read
+// mid-stream, because the engine reads it while dispatching.
 func TestQueuePopOrder(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -53,46 +57,55 @@ func TestQueuePopOrder(t *testing.T) {
 		var last Time
 		for op := 0; op < 5000; op++ {
 			r := rng.Intn(10)
+			var at Time
+			switch rng.Intn(7) {
+			case 0: // same-cycle burst fodder
+				at = last
+			case 1:
+				at = last + Time(rng.Intn(1<<8))
+			case 2:
+				at = last + Time(rng.Intn(1<<16))
+			case 3:
+				at = last + Time(rng.Intn(1<<24))
+			case 4: // far future
+				at = last + 1<<24 + Time(rng.Intn(1<<30))
+			case 5: // Forever-adjacent
+				at = Forever - Time(rng.Intn(4))
+			case 6:
+				at = Forever
+			}
+			if at < last {
+				at = last
+			}
 			switch {
 			case r < 5 || len(ref) == 0:
-				var at Time
-				switch rng.Intn(7) {
-				case 0: // same-cycle burst fodder
-					at = last
-				case 1:
-					at = last + Time(rng.Intn(1<<8))
-				case 2:
-					at = last + Time(rng.Intn(1<<16))
-				case 3:
-					at = last + Time(rng.Intn(1<<24))
-				case 4: // far future
-					at = last + 1<<24 + Time(rng.Intn(1<<30))
-				case 5: // Forever-adjacent
-					at = Forever - Time(rng.Intn(4))
-				case 6:
-					at = Forever
-				}
-				if at < last {
-					at = last
-				}
 				seq++
 				ev := event{at: at, seq: seq}
 				q.push(ev)
 				ref = append(ref, ev)
-			case r < 8:
+			case r < 7:
 				qe, re := q.pop(), ref.pop()
 				if qe.at != re.at || qe.seq != re.seq {
 					t.Fatalf("trial %d op %d: pop (at %d, seq %d), oracle (at %d, seq %d)",
 						trial, op, qe.at, qe.seq, re.at, re.seq)
 				}
 				last = qe.at
+			case r < 8:
+				last = q[0].at
+				if at < last {
+					at = last
+				}
+				seq++
+				q.requeue(at, seq)
+				ref.pop()
+				ref = append(ref, event{at: at, seq: seq})
 			default:
-				if got, want := q.peek(), ref.peek(); got != want {
-					t.Fatalf("trial %d op %d: peek %d, oracle %d", trial, op, got, want)
+				if got, want := q.second(), ref.second(); got != want {
+					t.Fatalf("trial %d op %d: second %d, oracle %d", trial, op, got, want)
 				}
 			}
-			if q.Len() != len(ref) {
-				t.Fatalf("trial %d op %d: Len %d, oracle %d", trial, op, q.Len(), len(ref))
+			if len(q) != len(ref) || len(q) > 0 && (q[0].at != ref[ref.min()].at || q[0].seq != ref[ref.min()].seq) {
+				t.Fatalf("trial %d op %d: %d events, root %+v; oracle %d", trial, op, len(q), q[:min(len(q), 1)], len(ref))
 			}
 		}
 		for len(ref) > 0 {
@@ -102,30 +115,33 @@ func TestQueuePopOrder(t *testing.T) {
 					trial, qe.at, qe.seq, re.at, re.seq)
 			}
 		}
-		if q.Len() != 0 || q.peek() != Forever {
-			t.Fatalf("trial %d: drained queue Len %d peek %d", trial, q.Len(), q.peek())
+		if len(q) != 0 || q.second() != Forever {
+			t.Fatalf("trial %d: drained queue holds %d, second %d", trial, len(q), q.second())
 		}
 	}
 }
 
-// TestQueuePeekStable: peeking must not perturb the queue. The engine
-// peeks between a pop and the pushes that dispatching the popped event
-// produces, so a push below the peeked horizon (but at or above the
-// last popped time) must still land in order.
-func TestQueuePeekStable(t *testing.T) {
+// TestQueueRootStaysWhileRunning: the root is a running processor's
+// resume, and stays the root while its body pushes events at or after it
+// — nearer than the horizon it was granted, too; second sees them. The
+// body's requeue then sifts the resume below the nearer ones.
+func TestQueueRootStaysWhileRunning(t *testing.T) {
 	var q eventQueue
-	// Next pending event far away; peek it, then push nearer events the
-	// way an in-flight dispatch does.
-	q.push(event{at: 1 << 20, seq: 1})
-	if got := q.peek(); got != 1<<20 {
-		t.Fatalf("peek = %d", got)
+	q.push(event{at: 0, seq: 1})
+	q.push(event{at: 1 << 20, seq: 2})
+	if got := q.second(); got != 1<<20 {
+		t.Fatalf("second = %d", got)
 	}
-	q.push(event{at: 5, seq: 2})
-	q.push(event{at: 3, seq: 3})
-	if got := q.peek(); got != 3 {
-		t.Fatalf("peek after near push = %d", got)
+	q.push(event{at: 5, seq: 3})
+	q.push(event{at: 3, seq: 4})
+	if q[0].seq != 1 {
+		t.Fatalf("the root moved to seq %d", q[0].seq)
 	}
-	for i, want := range []Time{3, 5, 1 << 20} {
+	if got := q.second(); got != 3 {
+		t.Fatalf("second after near pushes = %d", got)
+	}
+	q.requeue(4, 5)
+	for i, want := range []Time{3, 4, 5, 1 << 20} {
 		if ev := q.pop(); ev.at != want {
 			t.Fatalf("pop %d: at %d, want %d", i, ev.at, want)
 		}
@@ -139,7 +155,7 @@ func TestPastEventStops(t *testing.T) {
 	e, _ := testEngine(1)
 	e.now = 100
 	e.At(40, func() {})
-	if got := e.events.peek(); got != 100 {
+	if got := e.events[0].at; got != 100 {
 		t.Fatalf("At(40) at cycle 100 queued for cycle %d, want 100", got)
 	}
 	defer func() {
@@ -151,7 +167,7 @@ func TestPastEventStops(t *testing.T) {
 	e.schedule(99, func() {})
 }
 
-// scheduleOp returns one steady-state pop/push/peek cycle of the event
+// scheduleOp returns one steady-state pop/push/second cycle of the event
 // queue — the hot loop under every simulated cycle — with the given number
 // of events pending.
 func scheduleOp(pending int) func() {
@@ -165,7 +181,7 @@ func scheduleOp(pending int) func() {
 		ev := q.pop()
 		seq++
 		q.push(event{at: ev.at + Time(seq%97) + 1, seq: seq})
-		_ = q.peek()
+		_ = q.second()
 	}
 }
 
@@ -175,7 +191,7 @@ func scheduleOp(pending int) func() {
 func TestScheduleDoesNotAllocate(t *testing.T) {
 	for _, pending := range []int{64, 4096} {
 		if n := testing.AllocsPerRun(1000, scheduleOp(pending)); n != 0 {
-			t.Errorf("pop/push/peek with %d pending allocates %v objects/op, want 0", pending, n)
+			t.Errorf("pop/push/second with %d pending allocates %v objects/op, want 0", pending, n)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func reliableOp() func() {
 	p0 := e.Procs[0]
 	op := func() {
 		e.sendOpt(p0, e.now, 1, 0, 64, nil, h, true)
-		for e.events.Len() > 0 {
+		for len(e.events) > 0 {
 			ev := e.events.pop()
 			e.now = ev.at
 			e.transportEvent(ev.m, ev.h)

@@ -26,9 +26,11 @@ type Proc struct {
 	MemBus *memsys.Bus
 	IOBus  *memsys.Bus
 
-	// Coroutine hand-off (iter.Pull, see Engine.launch): the engine sets
-	// horizon and calls next to switch into the body; the body calls yield
-	// to switch back, blocked or merely at its horizon. stop unwinds it.
+	// Coroutine hand-off (iter.Pull, see Engine.launch): whoever holds
+	// control — the engine's goroutine or another processor — sets horizon
+	// and calls next to switch into the body (Engine.resume); the body
+	// calls yield to switch back when control must go down the chain
+	// (Engine.dispatch). stop unwinds it.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
@@ -36,6 +38,10 @@ type Proc struct {
 	horizon Time
 	blocked bool
 	done    bool
+	// onChain is set while the processor is inside a next call: running, or
+	// suspended in resume beneath the processors it resumed. When its
+	// resume comes up, those yield down to it rather than resume it.
+	onChain bool
 
 	// wakeAt is the time a blocked processor should resume at, set by
 	// Wake before the resume event fires.
@@ -81,10 +87,21 @@ func (p *Proc) Advance(cycles uint64, cat stats.Category) {
 // charging any cycles. Call it inside long polling loops.
 func (p *Proc) Checkpoint() { p.Advance(0, stats.Busy) }
 
-// park hands control to the engine and returns when step resumes the
-// body with a fresh horizon — or unwinds it if the engine was closed.
+// park is where a body that reached its horizon or blocked gives up
+// control. Its resume event, at the root of the queue while it ran, moves
+// to the processor's clock — or leaves the queue, for a blocked processor,
+// until a Wake — and the processor dispatches the events ahead of it on
+// its own stack. It returns when its resume comes up again: at once, if
+// dispatch reaches it, or else once it has yielded and been resumed. A
+// closed engine unwinds it instead.
 func (p *Proc) park() {
-	if !p.yield(struct{}{}) {
+	e := p.Eng
+	if p.blocked {
+		e.events.pop()
+	} else {
+		e.events.requeue(p.Clock, e.stamp(p.Clock))
+	}
+	if !e.dispatch(p) && !p.yield(struct{}{}) {
 		panic(closed{})
 	}
 }
@@ -130,7 +147,7 @@ func (p *Proc) Wake(at Time) {
 	}
 	p.blocked = false // consumed; prevents double resume events
 	p.wakeAt = at
-	p.Eng.scheduleStep(at, p)
+	p.Eng.scheduleResume(at, p)
 }
 
 // Blocked reports whether the processor is parked waiting for a Wake.

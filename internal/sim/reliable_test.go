@@ -521,8 +521,8 @@ func TestTrackedMessagesRecycled(t *testing.T) {
 			})
 		}
 		e.Start()
-		if e.Deadlocked || e.events.Len() != 0 {
-			t.Fatalf("seed %d: run did not settle: deadlocked %v, %d events pending", seed, e.Deadlocked, e.events.Len())
+		if e.Deadlocked || len(e.events) != 0 {
+			t.Fatalf("seed %d: run did not settle: deadlocked %v, %d events pending", seed, e.Deadlocked, len(e.events))
 		}
 		var sum stats.Proc
 		for i := range run.Procs {

@@ -205,8 +205,8 @@ func TestReleasedEngineKeepsNoRun(t *testing.T) {
 					t.Fatalf("%s at %d: the released engine keeps %s", name, n, line)
 				}
 			}
-			if e.Run != nil || len(e.Procs) != 0 || e.events.Len() != 0 {
-				t.Fatalf("%s at %d: the released engine keeps its statistics, %d processors and %d events", name, n, len(e.Procs), e.events.Len())
+			if e.Run != nil || len(e.Procs) != 0 || len(e.events) != 0 {
+				t.Fatalf("%s at %d: the released engine keeps its statistics, %d processors and %d events", name, n, len(e.Procs), len(e.events))
 			}
 		}
 	}

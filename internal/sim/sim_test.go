@@ -419,6 +419,115 @@ func TestBodyPanicSurfaces(t *testing.T) {
 	}
 }
 
+// startPanic starts e and returns the panic Start raised, as a string.
+func startPanic(t *testing.T, e *Engine) (got string) {
+	t.Helper()
+	defer func() { got = fmt.Sprint(recover()) }()
+	e.Start()
+	t.Fatal("Start returned without the panic")
+	return ""
+}
+
+// checkRenewed: the engine a panic passed through renews into one that
+// runs a body to its end.
+func checkRenewed(t *testing.T, e *Engine) {
+	t.Helper()
+	run := stats.NewRun("test", "test", 1)
+	p := e.Params
+	p.NumProcs, p.MeshW, p.MeshH = 1, 1, 1
+	e.Renew(p, run)
+	e.Spawn(0, func(p *Proc) { p.Advance(100, stats.Busy) })
+	if got := e.Start(); got != 100 || e.Deadlocked {
+		t.Errorf("the renewed engine ran to cycle %d (deadlocked %v), want 100", got, e.Deadlocked)
+	}
+}
+
+// TestEventPanicNamesTheEvent: a panic in an event — here an At function
+// — is the event's wherever it is dispatched: on the stack of processor 0,
+// which parked ahead of it; on that of processor 1, which processor 0
+// resumed; or on the engine goroutine, which dispatches it after the
+// observer's mark. Each time Start re-panics once, naming the event's cycle
+// and keeping its stack, and blames no processor; every coroutine is
+// released and the engine renews into a working one.
+func TestEventPanicNamesTheEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		procs  int
+		marks  []Time
+		onProc bool
+	}{
+		{"on processor 0's stack", 1, nil, true},
+		{"on processor 1's stack, resumed by processor 0", 2, nil, true},
+		{"on the engine goroutine", 1, []Time{40}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e, _ := testEngine(tc.procs)
+			e.Observe(tc.marks, func(int) {})
+			e.At(40, func() { panic("directory entry lost") })
+			for i := range e.Procs {
+				e.Spawn(i, func(p *Proc) {
+					for {
+						p.Advance(100, stats.Busy)
+					}
+				})
+			}
+			got := startPanic(t, e)
+			for _, want := range []string{"sim: event at cycle 40 panicked: directory entry lost", "sim_test.go"} {
+				if !strings.Contains(got, want) {
+					t.Errorf("panic value lacks %q:\n%s", want, got)
+				}
+			}
+			if n := strings.Count(got, "panicked"); n != 1 || strings.Contains(got, "processor") {
+				t.Errorf("panic value names %d sources, or a processor:\n%s", n, got)
+			}
+			if parked := strings.Contains(got, "(*Proc).park"); parked != tc.onProc {
+				t.Errorf("dispatched from a parked processor: %v, want %v:\n%s", parked, tc.onProc, got)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines after the panic, started with %d", after, before)
+			}
+			checkRenewed(t, e)
+		})
+	}
+}
+
+// TestNestedPanicNamedOnce: processors resume one another, so a body's
+// panic can unwind through every processor on the chain of resumes above
+// it — here processor 2, resumed by 1, resumed by 0, resumed by the
+// engine. Start re-panics it once, naming processor 2 and its clock; every
+// coroutine is released and the engine renews into a working one.
+func TestNestedPanicNamedOnce(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, _ := testEngine(3)
+	nested := false
+	for i := range e.Procs {
+		e.Spawn(i, func(p *Proc) {
+			for {
+				p.Advance(10, stats.Busy)
+				if p.ID == 2 {
+					nested = e.Procs[1].onChain && e.Procs[0].onChain
+					panic("lost write")
+				}
+			}
+		})
+	}
+	got := startPanic(t, e)
+	if !nested {
+		t.Fatal("processor 2 did not panic beneath processors 1 and 0")
+	}
+	if want := "sim: processor 2 panicked at cycle 10: lost write"; !strings.Contains(got, want) {
+		t.Errorf("panic value lacks %q:\n%s", want, got)
+	}
+	if n := strings.Count(got, "panicked"); n != 1 {
+		t.Errorf("the panic is named %d times:\n%s", n, got)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the panic, started with %d", after, before)
+	}
+	checkRenewed(t, e)
+}
+
 // TestClosedEngineStaysStopped: a run cut short by a panic on the engine's
 // own goroutine — here the observer's, with every body still runnable —
 // closes the engine on the way out. No body takes another step, not even
@@ -452,9 +561,9 @@ func TestClosedEngineStaysStopped(t *testing.T) {
 }
 
 // lockstep runs two processors through the given number of simulated
-// cycles in lockstep: each processor's Advance(1) reaches the horizon,
-// yields to the engine and is resumed by a step event, so a cycle is two
-// hand-offs (schedule, pop, switch in, switch out).
+// cycles in lockstep: each processor's Advance(1) reaches the horizon and
+// requeues its resume behind the other's, so a cycle is two hand-offs —
+// processor 0 switches into processor 1, which yields back to it.
 func lockstep(cycles int) {
 	e, _ := testEngine(2)
 	for i := range e.Procs {

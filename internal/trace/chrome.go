@@ -74,7 +74,10 @@ func (c *Chrome) thread(proc int) {
 }
 
 // Trace implements Tracer.
-func (c *Chrome) Trace(ev Event) {
+func (c *Chrome) Trace(ev Event) { c.TraceEvent(&ev) }
+
+// TraceEvent reads ev in place (see Emitter).
+func (c *Chrome) TraceEvent(ev *Event) {
 	proc := ev.Proc
 	if proc < 0 {
 		proc = 0

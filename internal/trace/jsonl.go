@@ -29,7 +29,10 @@ func NewJSONL(w io.Writer) *JSONL {
 }
 
 // Trace implements Tracer.
-func (j *JSONL) Trace(ev Event) {
+func (j *JSONL) Trace(ev Event) { j.TraceEvent(&ev) }
+
+// TraceEvent reads ev in place (see Emitter).
+func (j *JSONL) TraceEvent(ev *Event) {
 	b := j.buf[:0]
 	b = append(b, `{"c":`...)
 	b = strconv.AppendUint(b, ev.Cycle, 10)

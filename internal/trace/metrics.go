@@ -111,7 +111,10 @@ func (m *Metrics) page(id int) *pageAgg {
 }
 
 // Trace implements Tracer.
-func (m *Metrics) Trace(ev Event) {
+func (m *Metrics) Trace(ev Event) { m.TraceEvent(&ev) }
+
+// TraceEvent reads ev in place (see Emitter).
+func (m *Metrics) TraceEvent(ev *Event) {
 	m.events++
 	switch ev.Kind {
 	case KindLockRequest:

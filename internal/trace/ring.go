@@ -17,11 +17,14 @@ func NewRing(capacity int) *Ring {
 }
 
 // Trace implements Tracer.
-func (r *Ring) Trace(ev Event) {
+func (r *Ring) Trace(ev Event) { r.TraceEvent(&ev) }
+
+// TraceEvent reads ev in place (see Emitter).
+func (r *Ring) TraceEvent(ev *Event) {
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
+		r.buf = append(r.buf, *ev)
 	} else {
-		r.buf[r.total%uint64(cap(r.buf))] = ev
+		r.buf[r.total%uint64(cap(r.buf))] = *ev
 	}
 	r.total++
 }

@@ -323,7 +323,10 @@ func Flag(b bool) int64 {
 // arrive sorted by Cycle: the stream follows execution order, and service
 // handlers stamp their (earlier) service time. They may assume single-
 // threaded delivery: the simulator guarantees at most one emitter runs at
-// any instant.
+// any instant. A sink that also has a TraceEvent(*Event) method (every
+// sink of this package does) is handed each event by address instead,
+// see Emitter; its Trace is then the one-line adapter for callers that
+// hold an Event.
 type Tracer interface {
 	Trace(ev Event)
 }
@@ -342,13 +345,21 @@ func Multi(sinks ...Tracer) Tracer {
 	case 1:
 		return live[0]
 	}
-	return multi(live)
+	m := make(multi, len(live))
+	for i, s := range live {
+		m[i] = reader(s)
+	}
+	return m
 }
 
-type multi []Tracer
+type multi []inPlace
 
-func (m multi) Trace(ev Event) {
+// Trace implements Tracer.
+func (m multi) Trace(ev Event) { m.TraceEvent(&ev) }
+
+// TraceEvent hands every member the same event, in place.
+func (m multi) TraceEvent(ev *Event) {
 	for _, s := range m {
-		s.Trace(ev)
+		s.TraceEvent(ev)
 	}
 }
