@@ -138,7 +138,9 @@ type Config struct {
 }
 
 // Run simulates one application under one protocol and returns the
-// measurements (execution breakdown, fault/diff/LAP statistics).
+// measurements (execution breakdown, fault/diff/LAP statistics). A run
+// that did not finish and verify returns its measurements with its
+// Result.Err, prefixed "aecdsm: ".
 func Run(cfg Config) (*Result, error) {
 	if cfg.Params.NumProcs == 0 {
 		cfg.Params = DefaultParams()
@@ -169,21 +171,11 @@ func Run(cfg Config) (*Result, error) {
 		fc.Seed = cfg.FaultSeed
 		fcfg = &fc
 	}
-	res := harness.RunFaultTraced(cfg.Params, pr, prog, cfg.TraceSink, fcfg)
-	if res.SplitErr != nil {
-		return res, fmt.Errorf("aecdsm: %s cannot run on %d processors: %w", cfg.App, cfg.Params.NumProcs, res.SplitErr)
-	}
-	if res.Deadlocked {
-		return res, fmt.Errorf("aecdsm: %s under %s deadlocked", cfg.App, cfg.Protocol)
-	}
-	if res.VerifyErr != nil {
-		return res, fmt.Errorf("aecdsm: verification failed: %w", res.VerifyErr)
-	}
-	return res, nil
+	return verdict(harness.RunFaultTraced(cfg.Params, pr, prog, cfg.TraceSink, fcfg))
 }
 
 // RunProgram simulates a caller-supplied Program (see proto.Program for
-// the interface) under the named protocol.
+// the interface) under the named protocol, with Run's verdict.
 func RunProgram(params Params, protocol string, prog Program) (*Result, error) {
 	if params.NumProcs == 0 {
 		params = DefaultParams()
@@ -192,14 +184,15 @@ func RunProgram(params Params, protocol string, prog Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := harness.Run(params, pr, prog)
-	if res.SplitErr != nil {
-		return res, fmt.Errorf("aecdsm: %s cannot run on %d processors: %w", prog.Name(), params.NumProcs, res.SplitErr)
+	return verdict(harness.Run(params, pr, prog))
+}
+
+// verdict returns res with its Err, if any, as this package's error.
+func verdict(res *Result) (*Result, error) {
+	if err := res.Err(); err != nil {
+		return res, fmt.Errorf("aecdsm: %w", err)
 	}
-	if res.Deadlocked {
-		return res, fmt.Errorf("aecdsm: %s deadlocked", prog.Name())
-	}
-	return res, res.VerifyErr
+	return res, nil
 }
 
 // NewExperiments builds the driver that regenerates the paper's tables and

@@ -2,6 +2,7 @@ package aecdsm_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -156,6 +157,12 @@ func TestRunProgram(t *testing.T) {
 	}
 	if _, err := aecdsm.RunProgram(aecdsm.DefaultParams(), "bogus", &miniProgram{}); err == nil {
 		t.Fatal("bogus protocol accepted")
+	}
+	// A program that fails its own check returns the run's verdict.
+	boom := errors.New("boom")
+	const want = "aecdsm: mini under AEC on 16 processors failed verification: boom"
+	if _, err := aecdsm.RunProgram(aecdsm.DefaultParams(), "AEC", &miniProgram{err: boom}); !errors.Is(err, boom) || err.Error() != want {
+		t.Errorf("RunProgram of a failing program: error %v, want %q wrapping its Err", err, want)
 	}
 }
 

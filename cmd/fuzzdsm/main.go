@@ -212,8 +212,14 @@ func run(args []string, out, errw io.Writer) (code int) {
 				if len(policies) > 1 {
 					pol = " policy=" + w.Policy
 				}
-				fmt.Fprintf(out, "seed %d: ok (procs=%d locks=%d phases=%d ops=%d%s final=%016x)\n",
-					s, w.Procs, w.Cfg.Locks, w.Cfg.Phases, w.Cfg.OpsPerPhase, pol, rep.Runs[0].Final)
+				// Each run's cycles pin when the protocols finished as well
+				// as what they computed.
+				var cycles []uint64
+				for _, r := range rep.Runs {
+					cycles = append(cycles, r.Cycles)
+				}
+				fmt.Fprintf(out, "seed %d: ok (procs=%d locks=%d phases=%d ops=%d%s final=%016x cycles=%v)\n",
+					s, w.Procs, w.Cfg.Locks, w.Cfg.Phases, w.Cfg.OpsPerPhase, pol, rep.Runs[0].Final, cycles)
 			}
 		}
 		if diffs := check.CrossPolicy(perPolicy); len(diffs) > 0 {

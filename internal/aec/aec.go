@@ -60,12 +60,12 @@ type Options struct {
 	// Ns is the update set size (the paper evaluates 1-3; 2 is best).
 	Ns int
 
-	// LazyBarrierDiffs (false in the paper's protocol) disables eager
+	// lazyBarrierDiffs (false in the paper's protocol) disables eager
 	// outside-diff creation during the barrier wait, so an outside twin
 	// outlives its barrier. It is the hook of
 	// TestRigFetchSavesOutsideModifications, the one way to reach the base
 	// fetch that archives a live outside twin first (fetchPage).
-	LazyBarrierDiffs bool
+	lazyBarrierDiffs bool
 }
 
 // DefaultOptions returns the paper's configuration: LAP on, Ns=2.

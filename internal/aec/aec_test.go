@@ -1,6 +1,7 @@
 package aec_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -72,11 +73,8 @@ func TestChainCumulative(t *testing.T) {
 	for _, lap := range []bool{true, false} {
 		prog := &chainProg{rounds: 4}
 		res := harness.Run(memsys.Default(), aec.New(aec.Options{UseLAP: lap, Ns: 2}), prog)
-		if res.Deadlocked {
-			t.Fatalf("lap=%v deadlocked", lap)
-		}
-		if res.VerifyErr != nil {
-			t.Fatalf("lap=%v: %v", lap, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatalf("lap=%v: %v", lap, err)
 		}
 	}
 }
@@ -84,8 +82,8 @@ func TestChainCumulative(t *testing.T) {
 func TestNoLAPNeverPushes(t *testing.T) {
 	res := harness.Run(memsys.Default(), aec.New(aec.Options{UseLAP: false, Ns: 2}),
 		apps.NewCounter(4, 64, 8))
-	if res.VerifyErr != nil {
-		t.Fatal(res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if n := res.Run.Sum(func(p *stats.Proc) uint64 { return p.UpdatesPushed }); n != 0 {
 		t.Fatalf("AEC-noLAP pushed %d updates", n)
@@ -95,8 +93,8 @@ func TestNoLAPNeverPushes(t *testing.T) {
 func TestLAPPushesAndHelps(t *testing.T) {
 	lapRes := harness.Run(memsys.Default(), aec.New(aec.DefaultOptions()), apps.NewCounter(6, 64, 8))
 	noRes := harness.Run(memsys.Default(), aec.New(aec.Options{UseLAP: false, Ns: 2}), apps.NewCounter(6, 64, 8))
-	if lapRes.VerifyErr != nil || noRes.VerifyErr != nil {
-		t.Fatal(lapRes.VerifyErr, noRes.VerifyErr)
+	if err := errors.Join(lapRes.Err(), noRes.Err()); err != nil {
+		t.Fatal(err)
 	}
 	pushes := lapRes.Run.Sum(func(p *stats.Proc) uint64 { return p.UpdatesPushed })
 	if pushes == 0 {
@@ -111,8 +109,8 @@ func TestLAPPushesAndHelps(t *testing.T) {
 func TestLAPStatsExposed(t *testing.T) {
 	pr := aec.New(aec.DefaultOptions())
 	res := harness.Run(memsys.Default(), pr, apps.NewCounter(6, 32, 4))
-	if res.VerifyErr != nil {
-		t.Fatal(res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if pr.NumLocks() < 1 {
 		t.Fatal("no locks")
@@ -133,8 +131,8 @@ func TestUpdateSetSizeBounded(t *testing.T) {
 			t.Fatalf("options not preserved")
 		}
 		res := harness.Run(memsys.Default(), pr, apps.NewCounter(4, 32, 4))
-		if res.VerifyErr != nil {
-			t.Fatalf("ns=%d: %v", ns, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatalf("ns=%d: %v", ns, err)
 		}
 	}
 }
@@ -189,11 +187,8 @@ func TestWriteNoticesWithGaps(t *testing.T) {
 	for _, lap := range []bool{true, false} {
 		prog := &readerWriterProg{steps: 12}
 		res := harness.Run(memsys.Default(), aec.New(aec.Options{UseLAP: lap, Ns: 2}), prog)
-		if res.Deadlocked {
-			t.Fatal("deadlocked")
-		}
-		if res.VerifyErr != nil {
-			t.Fatalf("lap=%v: %v", lap, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatalf("lap=%v: %v", lap, err)
 		}
 	}
 }
@@ -242,11 +237,8 @@ func TestWriteNoticePathSteadyReader(t *testing.T) {
 		prog := &hotReaderProg{steps: 10}
 		pr := aec.New(aec.Options{UseLAP: lap, Ns: 2})
 		res := harness.Run(memsys.Default(), pr, prog)
-		if res.Deadlocked {
-			t.Fatal("deadlocked")
-		}
-		if res.VerifyErr != nil {
-			t.Fatalf("lap=%v: %v", lap, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatalf("lap=%v: %v", lap, err)
 		}
 		// The reader must have issued write-notice diff fetches.
 		if n := res.Run.Sum(func(p *stats.Proc) uint64 { return p.DiffRequests }); n == 0 {
@@ -277,11 +269,8 @@ func TestBarrier64Procs(t *testing.T) {
 	}{{"flat", flat}, {"scaled", scaled}} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := harness.Run(tc.p, aec.New(aec.DefaultOptions()), apps.NewCounter(3, 64, 8))
-			if res.Deadlocked {
-				t.Fatal("deadlocked")
-			}
-			if res.VerifyErr != nil {
-				t.Fatal(res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -336,8 +325,8 @@ func TestOrphanedCopyRefetchedAfterBarrier(t *testing.T) {
 	fc := &fault.Config{Crashes: []fault.Crash{{Node: 2, At: 500_000, Down: 100_000}}}
 	prog := &orphanProg{}
 	res := harness.RunFaultTraced(p, aec.New(aec.Options{UseLAP: false}), prog, nil, fc)
-	if res.Deadlocked || res.VerifyErr != nil {
-		t.Fatalf("deadlock=%v verify=%v", res.Deadlocked, res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if n := res.Run.Procs[2].OrphanInvalidations; n == 0 {
 		t.Fatal("the crash orphaned no page: the scenario is not exercised")

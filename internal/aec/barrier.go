@@ -63,7 +63,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	// Overlap outside-diff creation with the barrier wait (§3.3): only
 	// pages some other processor has requested before are worth diffing
 	// eagerly; the rest stay lazy.
-	for st.barInstr == nil && !pr.opt.LazyBarrierDiffs {
+	for st.barInstr == nil && !pr.opt.lazyBarrierDiffs {
 		if !pr.barrierOverlapUnit(c, st) {
 			break
 		}

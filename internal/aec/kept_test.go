@@ -25,7 +25,7 @@ func encoding(d *mem.Diff) []byte { return reflect.ValueOf(d).Elem().FieldByName
 // "outside, inside, outside" script of internal/check). Captured inside the
 // run, after a second barrier, the archive holds the two outside diffs.
 // Once the run is over and its region released and poisoned — what the
-// harness does to a harvested run's arena under harness.PoisonReleased —
+// harness does to a harvested run's arena under mem.Poisoned —
 // every byte of both reads 0xA5; a diff merged on the heap would still
 // read the words.
 func TestArchivedDiffsKeptInRegion(t *testing.T) {

@@ -133,7 +133,7 @@ func TestRigInsideWriteOverOutsideTwin(t *testing.T) {
 // home's notice naming p2 replays it from p2's own archive.
 func TestRigFetchSavesOutsideModifications(t *testing.T) {
 	for _, opt := range bothKinds {
-		opt.LazyBarrierDiffs = true
+		opt.lazyBarrierDiffs = true
 		t.Run(New(opt).Name(), func(t *testing.T) {
 			var created, fetches uint64
 			run(t, assemble(New(opt), proto.Script{Homes: []int{0}, Do: func(c *proto.Ctx) {

@@ -313,7 +313,7 @@ type barInstr struct {
 	sharedPages []int
 }
 
-// What reused barrier scratch is filled with under proto.PoisonScratch.
+// What reused barrier scratch is filled with under mem.Poisoned.
 var (
 	poisonOwned    = ownedLock{lock: proto.ScratchPoison, count: proto.ScratchPoison}
 	poisonDiffSend = sendDiffInstr{page: proto.ScratchPoison, lock: proto.ScratchPoison}

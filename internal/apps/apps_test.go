@@ -33,11 +33,8 @@ func runApp(t *testing.T, name string, mk func() proto.Protocol) *harness.Result
 		t.Fatalf("app %q not registered", name)
 	}
 	res := harness.Run(memsys.Default(), mk(), factory(apps.Config{Scale: testScale}))
-	if res.Deadlocked {
-		t.Fatalf("%s deadlocked", name)
-	}
-	if res.VerifyErr != nil {
-		t.Fatalf("%s verification: %v", name, res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return res
 }

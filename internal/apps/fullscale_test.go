@@ -28,11 +28,8 @@ func TestFullScale(t *testing.T) {
 			} {
 				pr := mk()
 				res := harness.Run(memsys.Default(), pr, apps.Registry[name](apps.Config{Scale: 1.0}))
-				if res.Deadlocked {
-					t.Fatalf("%s deadlocked", pr.Name())
-				}
-				if res.VerifyErr != nil {
-					t.Fatalf("%s: %v", pr.Name(), res.VerifyErr)
+				if err := res.Err(); err != nil {
+					t.Fatalf("%s: %v", pr.Name(), err)
 				}
 				switch pr.Name() {
 				case "AEC":

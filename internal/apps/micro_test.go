@@ -18,11 +18,8 @@ func TestMicroStencil(t *testing.T) {
 		for _, withLock := range []bool{false, true} {
 			app := apps.NewMicroStencil(6, withLock)
 			res := harness.Run(memsys.Default(), mk(), app)
-			if res.Deadlocked {
-				t.Fatalf("%s lock=%v deadlocked", pname, withLock)
-			}
-			if res.VerifyErr != nil {
-				t.Errorf("%s lock=%v: %v", pname, withLock, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Errorf("%s lock=%v: %v", pname, withLock, err)
 			}
 		}
 	}
@@ -34,11 +31,8 @@ func TestMicroRMW(t *testing.T) {
 	for pname, mk := range protocols() {
 		app := apps.NewMicroRMW(64, 3)
 		res := harness.Run(memsys.Default(), mk(), app)
-		if res.Deadlocked {
-			t.Fatalf("%s deadlocked", pname)
-		}
-		if res.VerifyErr != nil {
-			t.Errorf("%s: %v", pname, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Errorf("%s: %v", pname, err)
 		}
 	}
 }
@@ -57,9 +51,8 @@ func TestMicroRMWSweep(t *testing.T) {
 				pr := mk()
 				app := apps.NewMicroRMW(counters, rounds)
 				res := harness.Run(memsys.Default(), pr, app)
-				if res.Deadlocked || res.VerifyErr != nil {
-					t.Errorf("%s counters=%d rounds=%d: dead=%v err=%v",
-						pr.Name(), counters, rounds, res.Deadlocked, res.VerifyErr)
+				if err := res.Err(); err != nil {
+					t.Errorf("counters=%d rounds=%d: %v", counters, rounds, err)
 				}
 			}
 		}

@@ -32,11 +32,8 @@ func TestAuditorCleanOnApps(t *testing.T) {
 		for _, kind := range kinds {
 			aud := NewAuditor(memsys.Default().NumProcs)
 			res := harness.RunFaultTraced(memsys.Default(), harness.NewProtocol(kind, 2), factory(), aud, nil)
-			if res.Deadlocked {
-				t.Errorf("%s under %s: deadlocked", name, kind)
-			}
-			if res.VerifyErr != nil {
-				t.Errorf("%s under %s: %v", name, kind, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Errorf("%s under %s: %v", name, kind, err)
 			}
 			for _, v := range aud.Violations() {
 				t.Errorf("%s under %s: spurious violation: %s", name, kind, v)
@@ -335,8 +332,8 @@ func TestAuditorDoesNotAllocate(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			var rec recording
 			res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(kind, 2), apps.NewSynth(w.Cfg), &rec, nil)
-			if res.Deadlocked || res.VerifyErr != nil {
-				t.Fatalf("recording run: deadlocked %v, verify %v", res.Deadlocked, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 			seen := map[trace.Kind]int{}
 			for _, ev := range rec {

@@ -8,6 +8,7 @@ import (
 
 	"aecdsm/internal/apps"
 	"aecdsm/internal/harness"
+	"aecdsm/internal/stats"
 )
 
 // TestDifferentialSeeds is the property test behind cmd/fuzzdsm: for every
@@ -72,8 +73,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestEveryMismatchReported: each way a comparison can fail has its line
-// in the report, in the judge's order — each run's deadlock, verification
-// error and violations, then the runs against the fault-free baseline,
+// in the report, in the judge's order — each run's Err and violations,
+// then the fault-free baseline's Err and the runs against it,
 // then against the first run — and each way policies can disagree has its
 // line too. An unknown grant policy runs nothing and is the one failure.
 func TestEveryMismatchReported(t *testing.T) {
@@ -87,12 +88,16 @@ func TestEveryMismatchReported(t *testing.T) {
 		return ProtocolRun{Kind: k, Final: final, Phases: phases}
 	}
 	ideal, aec := run(harness.ProtoIdeal, 9, 1, 2), run(harness.ProtoAEC, 9, 1, 2)
+	verdict := func(r harness.Result) error {
+		r.Run = stats.NewRun("synth", "AEC", 4)
+		return r.Err()
+	}
 	dead, wrong, flagged := aec, aec, aec
-	dead.Deadlocked = true
-	wrong.VerifyErr = errors.New("slot 1 = 7, want 8")
+	dead.Err = verdict(harness.Result{Deadlocked: true})
+	wrong.Err = verdict(harness.Result{VerifyErr: errors.New("slot 1 = 7, want 8")})
 	flagged.Violations = []string{"diff 3 applied twice"}
 	broken := run(harness.ProtoAEC, 8, 1, 2)
-	broken.Deadlocked, broken.VerifyErr, broken.Violations = true, wrong.VerifyErr, flagged.Violations
+	broken.Err, broken.Violations = wrong.Err, flagged.Violations
 	policy := func(name string, final uint64, phases ...uint64) *Report {
 		return &Report{Workload: Workload{Policy: name}, Runs: []ProtocolRun{run(harness.ProtoAEC, final, phases...)}}
 	}
@@ -104,9 +109,11 @@ func TestEveryMismatchReported(t *testing.T) {
 		want     []string
 	}{
 		{name: "agree", runs: []ProtocolRun{ideal, aec}, base: &ideal},
-		{name: "deadlock", runs: []ProtocolRun{ideal, dead}, want: []string{"AEC: deadlocked"}},
-		{name: "verification", runs: []ProtocolRun{ideal, wrong}, want: []string{"AEC: verification failed: slot 1 = 7, want 8"}},
+		{name: "deadlock", runs: []ProtocolRun{ideal, dead}, want: []string{"AEC: synth under AEC on 4 processors deadlocked"}},
+		{name: "verification", runs: []ProtocolRun{ideal, wrong}, want: []string{"AEC: synth under AEC on 4 processors failed verification: slot 1 = 7, want 8"}},
 		{name: "violation", runs: []ProtocolRun{ideal, flagged}, want: []string{"AEC: invariant violated: diff 3 applied twice"}},
+		{name: "fault-free verdict", runs: []ProtocolRun{ideal, aec}, base: &dead,
+			want: []string{"fault-free AEC: synth under AEC on 4 processors deadlocked"}},
 		{name: "fault-free final", runs: []ProtocolRun{run(harness.ProtoIdeal, 8, 1, 2), run(harness.ProtoAEC, 8, 1, 2)}, base: &ideal,
 			want: []string{
 				"final checksum mismatch: fault-free=0000000000000009 vs ideal=0000000000000008",
@@ -127,8 +134,7 @@ func TestEveryMismatchReported(t *testing.T) {
 			want: []string{"phase 0 checksum mismatch: ideal=0000000000000001 vs AEC=0000000000000000"}},
 		{name: "in order", runs: []ProtocolRun{ideal, broken}, base: &ideal,
 			want: []string{
-				"AEC: deadlocked",
-				"AEC: verification failed: slot 1 = 7, want 8",
+				"AEC: synth under AEC on 4 processors failed verification: slot 1 = 7, want 8",
 				"AEC: invariant violated: diff 3 applied twice",
 				"final checksum mismatch: fault-free=0000000000000009 vs AEC=0000000000000008",
 				"final checksum mismatch: ideal=0000000000000009 vs AEC=0000000000000008",

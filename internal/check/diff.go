@@ -13,8 +13,8 @@ import (
 // ProtocolRun is the outcome of one workload under one protocol.
 type ProtocolRun struct {
 	Kind       harness.ProtocolKind
-	Deadlocked bool
-	VerifyErr  error
+	Err        error    // the run's verdict, harness.Result.Err
+	Cycles     uint64   // the run's parallel execution time
 	Final      uint64   // checksum of all shared state after the last phase
 	Phases     []uint64 // checksum at every barrier phase
 	Violations []string // invariant-auditor findings
@@ -31,8 +31,8 @@ type Report struct {
 	// present only when Faults != nil: every faulted run's checksums must
 	// match it bit for bit, not merely agree with each other.
 	Baseline *ProtocolRun
-	// Failures lists everything wrong: per-run deadlocks, verification
-	// errors and invariant violations, plus cross-protocol disagreements.
+	// Failures lists everything wrong: each run's Err and invariant
+	// violations, plus cross-protocol disagreements.
 	// Empty means every protocol agreed and every invariant held.
 	Failures []string
 }
@@ -55,8 +55,8 @@ func (r *Report) String() string {
 			r.Baseline.Kind, r.Baseline.Final)
 	}
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "  %-10s final=%016x deadlock=%v verify=%v violations=%d\n",
-			run.Kind, run.Final, run.Deadlocked, run.VerifyErr, len(run.Violations))
+		fmt.Fprintf(&b, "  %-10s final=%016x cycles=%d err=%v violations=%d\n",
+			run.Kind, run.Final, run.Cycles, run.Err, len(run.Violations))
 	}
 	if r.Failed() {
 		for _, f := range r.Failures {
@@ -94,12 +94,12 @@ func DefaultProtocols() []harness.ProtocolKind {
 }
 
 // RunWorkloadFault executes one workload under every protocol kind with
-// the invariant auditor attached, then judges the runs: no deadlocks, no
-// verification failures, no invariant violations, and bit-identical
-// checksums of all shared state at every barrier phase. A non-nil fcfg
-// runs every protocol under the same deterministic fault schedule, and the
-// hardened protocols must still produce the fault-free run's barrier-phase
-// checksums.
+// the invariant auditor attached, then judges the runs: every run
+// finished and verified (harness.Result.Err), no invariant violations,
+// and bit-identical checksums of all shared state at every barrier phase.
+// A non-nil fcfg runs every protocol under the same deterministic fault
+// schedule, and the hardened protocols must still produce the fault-free
+// run's barrier-phase checksums.
 func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Config) *Report {
 	rep := &Report{Workload: w, Faults: fcfg}
 	pol, err := lockpolicy.Parse(w.Policy)
@@ -116,8 +116,8 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 		res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(k, 2), prog, aud, fcfg)
 		rep.Runs = append(rep.Runs, ProtocolRun{
 			Kind:       k,
-			Deadlocked: res.Deadlocked,
-			VerifyErr:  res.VerifyErr,
+			Err:        res.Err(),
+			Cycles:     res.Cycles(),
 			Final:      prog.FinalChecksum(),
 			Phases:     prog.PhaseChecksums(),
 			Violations: aud.Violations(),
@@ -133,35 +133,35 @@ func RunWorkloadFault(w Workload, kinds []harness.ProtocolKind, fcfg *fault.Conf
 		prog := apps.NewSharedSynth(w.Cfg, &in)
 		res := harness.Run(w.Params(), harness.NewProtocol(kinds[0], 2), prog)
 		rep.Baseline = &ProtocolRun{
-			Kind:       kinds[0],
-			Deadlocked: res.Deadlocked,
-			VerifyErr:  res.VerifyErr,
-			Final:      prog.FinalChecksum(),
-			Phases:     prog.PhaseChecksums(),
+			Kind:   kinds[0],
+			Err:    res.Err(),
+			Cycles: res.Cycles(),
+			Final:  prog.FinalChecksum(),
+			Phases: prog.PhaseChecksums(),
 		}
 	}
 	rep.Failures = judge(rep.Runs, rep.Baseline)
 	return rep
 }
 
-// judge lists everything wrong with one workload's runs: each run's
-// deadlock, verification error and invariant violations in run order, then
-// every run against the fault-free baseline (nil for none), then every run
+// judge lists everything wrong with one workload's runs: each run's Err
+// and invariant violations in run order, then the fault-free baseline's
+// Err and every run against the baseline (nil for none), then every run
 // against the first. Runs that all agree yield nil.
 func judge(runs []ProtocolRun, base *ProtocolRun) []string {
 	var fails []string
 	for _, run := range runs {
-		if run.Deadlocked {
-			fails = append(fails, fmt.Sprintf("%s: deadlocked", run.Kind))
-		}
-		if run.VerifyErr != nil {
-			fails = append(fails, fmt.Sprintf("%s: verification failed: %v", run.Kind, run.VerifyErr))
+		if run.Err != nil {
+			fails = append(fails, fmt.Sprintf("%s: %v", run.Kind, run.Err))
 		}
 		for _, v := range run.Violations {
 			fails = append(fails, fmt.Sprintf("%s: invariant violated: %s", run.Kind, v))
 		}
 	}
 	if base != nil {
+		if base.Err != nil {
+			fails = append(fails, fmt.Sprintf("fault-free %s: %v", base.Kind, base.Err))
+		}
 		for i := range runs {
 			fails = mismatches(fails, "fault-free", base, string(runs[i].Kind), &runs[i])
 		}
@@ -262,26 +262,12 @@ func reductions(w Workload) []Workload {
 			out = append(out, c)
 		}
 	}
-	add(func(c *Workload) { c.Procs = max2(c.Procs / 2) })
-	add(func(c *Workload) { c.Cfg.Phases = max1(c.Cfg.Phases / 2) })
-	add(func(c *Workload) { c.Cfg.OpsPerPhase = max1(c.Cfg.OpsPerPhase / 2) })
-	add(func(c *Workload) { c.Cfg.Locks = max1(c.Cfg.Locks / 2) })
-	add(func(c *Workload) { c.Cfg.CellsPerLock = max2(c.Cfg.CellsPerLock / 2) })
+	add(func(c *Workload) { c.Procs = max(c.Procs/2, 2) })
+	add(func(c *Workload) { c.Cfg.Phases = max(c.Cfg.Phases/2, 1) })
+	add(func(c *Workload) { c.Cfg.OpsPerPhase = max(c.Cfg.OpsPerPhase/2, 1) })
+	add(func(c *Workload) { c.Cfg.Locks = max(c.Cfg.Locks/2, 1) })
+	add(func(c *Workload) { c.Cfg.CellsPerLock = max(c.Cfg.CellsPerLock/2, 2) })
 	add(func(c *Workload) { c.Cfg.PadWords = 0 })
 	add(func(c *Workload) { c.Cfg.Notices = false })
 	return out
-}
-
-func max1(v int) int {
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
-func max2(v int) int {
-	if v < 2 {
-		return 2
-	}
-	return v
 }

@@ -159,8 +159,8 @@ func TestCrashFailoverFires(t *testing.T) {
 	for _, k := range []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoTM, harness.ProtoMunin} {
 		prog := apps.NewSynth(w.Cfg)
 		res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(k, 2), prog, nil, fc)
-		if res.Deadlocked || res.VerifyErr != nil {
-			t.Fatalf("%s: deadlock=%v verify=%v", k, res.Deadlocked, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
 		}
 		crashes := res.Run.Sum(func(p *stats.Proc) uint64 { return p.NodeCrashes })
 		logBytes := res.Run.Sum(func(p *stats.Proc) uint64 { return p.ReplicaLogBytes })
@@ -188,16 +188,16 @@ func TestLAPFallback(t *testing.T) {
 	w := Generate(21, 8)
 	prog := apps.NewSynth(w.Cfg)
 	clean := harness.Run(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), prog)
-	if clean.Deadlocked || clean.VerifyErr != nil {
-		t.Fatalf("fault-free run failed: deadlock=%v err=%v", clean.Deadlocked, clean.VerifyErr)
+	if err := clean.Err(); err != nil {
+		t.Fatal(err)
 	}
 	want := prog.FinalChecksum()
 
 	fc := &fault.Config{Seed: 4, Drop: 1, RTO: 2000, MaxAttempts: 2}
 	prog2 := apps.NewSynth(w.Cfg)
 	faulty := harness.RunFaultTraced(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), prog2, nil, fc)
-	if faulty.Deadlocked || faulty.VerifyErr != nil {
-		t.Fatalf("faulted run failed: deadlock=%v err=%v", faulty.Deadlocked, faulty.VerifyErr)
+	if err := faulty.Err(); err != nil {
+		t.Fatal(err)
 	}
 	fallbacks := faulty.Run.Sum(func(p *stats.Proc) uint64 { return p.LAPFallbacks })
 	if fallbacks == 0 {

@@ -56,7 +56,7 @@ var mutants = []struct {
 `,
 		pkg:  "./internal/check",
 		run:  "^TestDifferentialSeeds$",
-		want: []string{`FAIL: (AEC: verification failed|.*checksum mismatch)`, `FAIL: AEC: invariant violated`},
+		want: []string{`FAIL: (AEC: .* failed verification|.*checksum mismatch)`, `FAIL: AEC: invariant violated`},
 	},
 	{
 		// An interval's clock copied to the heap outlives the run's region.
@@ -78,6 +78,27 @@ var mutants = []struct {
 		pkg:  "./internal/harness",
 		run:  "^TestTracedTablesDigest$",
 		want: []string{`traced_tables_digest.txt diverged from the golden snapshot`},
+	},
+	{
+		// A deadlocked run counts as one that finished and verified.
+		name: "verdict-drops-deadlock",
+		file: "internal/harness/run.go",
+		old:  "	case r.Deadlocked:\n		return fmt.Errorf(\"%s deadlocked\", r.what())\n",
+		new:  "",
+		pkg:  "./internal/harness",
+		run:  "^TestResultErr$",
+		want: []string{`Err\(\) = <nil>, want ".* deadlocked"`},
+	},
+	{
+		// A transport acknowledgement one byte longer moves simulated time
+		// under faults and nothing a run computes.
+		name: "transport-ack-bytes",
+		file: "internal/sim/reliable.go",
+		old:  "const ackBytes = 16\n",
+		new:  "const ackBytes = 17\n",
+		pkg:  "./cmd/fuzzdsm",
+		run:  "^TestCIFuzzLines$",
+		want: []string{`the CI fuzzer lines moved`},
 	},
 }
 

@@ -29,7 +29,7 @@ import (
 // poisoned as without.
 func TestScriptsBarrierScratchPoisoned(t *testing.T) {
 	plain := runScripts(t)
-	proto.PoisonScratch(t)
+	mem.Poison(t)
 	poisoned := runScripts(t)
 	for name, run := range plain {
 		if !reflect.DeepEqual(poisoned[name], run) {
@@ -112,8 +112,8 @@ func TestTreeBarrierScratchPoisoned(t *testing.T) {
 				}}
 				aud := NewAuditor(procs)
 				res := harness.RunFaultTraced(params, harness.NewProtocol(kind, 2), s, aud, fc)
-				if res.Deadlocked {
-					t.Fatalf("%s: deadlocked", what)
+				if err := res.Err(); err != nil {
+					t.Fatalf("%s: %v", what, err)
 				}
 				if crashes := res.Run.Sum(func(p *stats.Proc) uint64 { return p.NodeCrashes }); crashes != uint64(len(fc.Crashes)) {
 					t.Errorf("%s: %d crashes, want %d", what, crashes, len(fc.Crashes))
@@ -127,7 +127,7 @@ func TestTreeBarrierScratchPoisoned(t *testing.T) {
 		return out
 	}
 	plain := runAll(t)
-	proto.PoisonScratch(t)
+	mem.Poison(t)
 	poisoned := runAll(t)
 	for what, o := range plain {
 		p := poisoned[what]

@@ -257,8 +257,8 @@ func runScripts(t *testing.T) map[string]*stats.Run {
 					s := proto.Script{Homes: sc.homes, Locks: sc.locks, Do: func(c *proto.Ctx) { sc.body(t, c) }}
 					aud := NewAuditor(sc.procs)
 					res := harness.RunFaultTraced(memsys.Default().ForProcs(sc.procs), harness.NewProtocol(kind, 2), s, aud, fc)
-					if res.Deadlocked {
-						t.Fatal("deadlocked")
+					if err := res.Err(); err != nil {
+						t.Fatal(err)
 					}
 					for _, v := range aud.Violations() {
 						t.Error(v)

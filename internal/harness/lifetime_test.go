@@ -30,7 +30,7 @@ func TestLifetimePoisonedChecker(t *testing.T) {
 	if testing.Short() {
 		clean, faulted = 12, 6
 	}
-	harness.PoisonReleased(t)
+	mem.Poison(t)
 	for seed := uint64(1); seed <= clean; seed++ {
 		if rep := check.RunWorkloadFault(check.Generate(seed, 0), check.DefaultProtocols(), nil); rep.Failed() {
 			t.Fatalf("seed %d, clean:\n%s", seed, rep)
@@ -88,7 +88,7 @@ func (p *tally) Err() error {
 // — run, keep the result, run again, compare — under every protocol, each
 // run on the poisoned region of the one before.
 func TestLifetimePoisonedFacade(t *testing.T) {
-	harness.PoisonReleased(t)
+	mem.Poison(t)
 	for _, protocol := range aecdsm.Protocols() {
 		first, err := aecdsm.Run(aecdsm.Config{App: "IS", Protocol: protocol, Scale: 0.05})
 		if err != nil {

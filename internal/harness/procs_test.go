@@ -27,12 +27,8 @@ func TestProcessorCounts(t *testing.T) {
 			pr := mk()
 			name := fmt.Sprintf("%dx%d/%s", sh.w, sh.h, pr.Name())
 			res := Run(params, pr, apps.NewCounter(3, 32, 4))
-			if res.Deadlocked {
-				t.Errorf("%s: deadlocked", name)
-				continue
-			}
-			if res.VerifyErr != nil {
-				t.Errorf("%s: %v", name, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Errorf("%s: %v", name, err)
 			}
 		}
 	}
@@ -50,8 +46,8 @@ func TestPageSizeVariants(t *testing.T) {
 		} {
 			pr := mk()
 			res := Run(params, pr, apps.NewMicroRMW(64, 3))
-			if res.Deadlocked || res.VerifyErr != nil {
-				t.Errorf("pagesize %d %s: dead=%v err=%v", ps, pr.Name(), res.Deadlocked, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Error(err)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func idleArenas() []*proto.Arena {
 // moment its run is harvested: nothing they compare may have been read from
 // a finished run's memory or engine.
 func TestLifetimePoisoned(t *testing.T) {
-	PoisonReleased(t)
+	mem.Poison(t)
 	t.Run("TraceDoesNotPerturbCycles", TestTraceDoesNotPerturbCycles)
 	t.Run("TimelineSnapshotsMatchOneMarkRuns", TestTimelineSnapshotsMatchOneMarkRuns)
 	t.Run("ParallelOutputIdentical", TestParallelOutputIdentical)
@@ -142,7 +142,7 @@ func assembled(t *testing.T, what string, a *proto.Arena, kind ProtocolKind, par
 	if err := prog.Err(); err != nil {
 		out.err = err.Error()
 	}
-	if poisonReleased && a != nil {
+	if mem.Poisoned && a != nil {
 		a.Engine.Release()
 		a.Engine.Poison()
 	}

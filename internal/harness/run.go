@@ -28,29 +28,46 @@ type Result struct {
 	// refused the (scale, procs) combination (proto.SplitChecker); the
 	// simulation never ran and Run holds only the names and machine size.
 	SplitErr error
-	// faults is the injected fault schedule (nil = none), for Must's message.
+	// faults is the injected fault schedule (nil = none), for Err's message.
 	faults *fault.Config
 }
 
 // Cycles returns the parallel execution time.
 func (r *Result) Cycles() uint64 { return r.Run.Cycles }
 
-// Must returns r when its simulation ran to completion and verified, and
-// panics otherwise, naming the application, protocol, machine size and
-// fault schedule: the one failure policy of the experiment drivers, where
-// a failed run invalidates the whole table.
-func (r *Result) Must() *Result {
-	what := fmt.Sprintf("harness: %s under %s on %d processors", r.Run.App, r.Run.Protocol, len(r.Run.Procs))
+// Err is the run's verdict, and the one place it is decided: nil when the
+// simulation ran to completion and verified, and otherwise an error
+// naming the run and why it does not count — the splitter's refusal
+// (SplitErr, wrapped), a deadlock, or a failed verification (VerifyErr,
+// wrapped).
+func (r *Result) Err() error {
+	switch {
+	case r.SplitErr != nil:
+		return fmt.Errorf("%s cannot run: %w", r.what(), r.SplitErr)
+	case r.Deadlocked:
+		return fmt.Errorf("%s deadlocked", r.what())
+	case r.VerifyErr != nil:
+		return fmt.Errorf("%s failed verification: %w", r.what(), r.VerifyErr)
+	}
+	return nil
+}
+
+// what names the run in Err: application, protocol, machine size and
+// fault schedule.
+func (r *Result) what() string {
+	what := fmt.Sprintf("%s under %s on %d processors", r.Run.App, r.Run.Protocol, len(r.Run.Procs))
 	if r.faults != nil {
 		what += " with faults " + r.faults.String()
 	}
-	switch {
-	case r.SplitErr != nil:
-		panic(fmt.Sprintf("%s cannot run: %v", what, r.SplitErr))
-	case r.Deadlocked:
-		panic(what + " deadlocked")
-	case r.VerifyErr != nil:
-		panic(fmt.Sprintf("%s failed verification: %v", what, r.VerifyErr))
+	return what
+}
+
+// Must returns r when Err is nil and panics with Err otherwise: the one
+// failure policy of the experiment drivers, where a failed run
+// invalidates the whole table.
+func (r *Result) Must() *Result {
+	if err := r.Err(); err != nil {
+		panic("harness: " + err.Error())
 	}
 	return r
 }
@@ -95,17 +112,13 @@ func run(params memsys.Params, pr proto.Protocol, prog proto.Program, tr trace.T
 	if marks != nil {
 		m.E.Observe(marks, func(int) { samples = append(samples, res.Run.Clone()) })
 	}
-	if tr != nil {
-		ev := trace.Ev(0, 0, trace.KindRunStart)
-		ev.Arg = int64(params.NumProcs)
-		ev.Note = prog.Name() + "/" + pr.Name()
-		tr.Trace(ev)
+	// The run markers name no lock (-1) and no page.
+	if em := m.E.Tracer; em.On() {
+		em.LockNote(0, 0, trace.KindRunStart, -1, int64(params.NumProcs), prog.Name()+"/"+pr.Name())
 	}
 	res.Deadlocked = m.Run()
-	if tr != nil {
-		ev := trace.Ev(res.Run.Cycles, 0, trace.KindRunEnd)
-		ev.Note = prog.Name() + "/" + pr.Name()
-		tr.Trace(ev)
+	if em := m.E.Tracer; em.On() {
+		em.LockNote(res.Run.Cycles, 0, trace.KindRunEnd, -1, 0, prog.Name()+"/"+pr.Name())
 	}
 	res.VerifyErr = prog.Err()
 	// Harvested: the program has checked its results against the shared

@@ -26,11 +26,8 @@ func TestCounterAllProtocols(t *testing.T) {
 		pr := pr
 		t.Run(pr.Name(), func(t *testing.T) {
 			res := Run(params, pr, apps.NewCounter(4, 64, 8))
-			if res.Deadlocked {
-				t.Fatal("simulation deadlocked")
-			}
-			if res.VerifyErr != nil {
-				t.Fatalf("verification failed: %v", res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 			if res.Cycles() == 0 {
 				t.Fatal("no cycles elapsed")
@@ -62,7 +59,7 @@ func TestRunDeterminism(t *testing.T) {
 // NewProtocol, so a program with more locks than any constant runs.
 func TestIdealSizedByProgram(t *testing.T) {
 	res := Run(memsys.Default().ForProcs(4), NewProtocol(ProtoIdeal, 2), apps.NewMicroRMW(5000, 1))
-	if res.Deadlocked || res.VerifyErr != nil {
-		t.Fatalf("micro-rmw with 5000 locks under ideal: deadlocked=%v, verify: %v", res.Deadlocked, res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,10 +59,6 @@ const regionKeepBytes = 16 << 20
 // sixteen).
 const engineKeepBytes = 8 << 20
 
-// poisonReleased makes releaseArena poison what it takes back; only the
-// lifetime tests set it (export_test.go).
-var poisonReleased bool
-
 // takeArena returns an idle arena, or a new one with a region and no
 // engine yet, held for the caller's run.
 func takeArena() *proto.Arena {
@@ -93,7 +89,7 @@ func releaseArena(a *proto.Arena) {
 			a.Engine = nil
 		}
 	}
-	if poisonReleased {
+	if mem.Poisoned {
 		a.Region.Poison()
 		if a.Engine != nil {
 			a.Engine.Poison()

@@ -14,47 +14,56 @@ import (
 	"aecdsm/internal/trace"
 )
 
-// TestResultMust pins the one failure policy: Must passes a clean result
-// through, and panics on a split refusal, a deadlock and a verification
-// failure with a message naming the application, protocol, machine size
-// and fault schedule.
-func TestResultMust(t *testing.T) {
+// TestResultErr pins the one verdict: Err is nil for a clean result and
+// otherwise names the application, protocol, machine size and fault
+// schedule with one wording per failure kind, through which errors.Is
+// reaches the splitter's refusal and the verification error; Must passes a
+// clean result through and panics with Err otherwise.
+func TestResultErr(t *testing.T) {
 	boom, drops := errors.New("boom"), &fault.Config{Drop: 0.02}
 	for _, tc := range []struct {
-		name string
-		res  Result
-		want string // "" = must not panic
+		name  string
+		res   Result
+		want  string // "" = no error
+		cause error  // what errors.Is must reach, if anything
 	}{
-		{"clean", Result{}, ""},
-		{"clean under faults", Result{faults: drops}, ""},
-		{"split", Result{SplitErr: boom}, "cannot run: boom"},
-		{"deadlock", Result{Deadlocked: true}, "deadlocked"},
-		{"verify", Result{VerifyErr: boom}, "failed verification: boom"},
-		{"verify under faults", Result{VerifyErr: boom, faults: drops}, "failed verification: boom"},
+		{"clean", Result{}, "", nil},
+		{"clean under faults", Result{faults: drops}, "", nil},
+		{"split", Result{SplitErr: boom}, "Ocean under TM on 64 processors cannot run: boom", boom},
+		{"deadlock", Result{Deadlocked: true}, "Ocean under TM on 64 processors deadlocked", nil},
+		{"verify", Result{VerifyErr: boom}, "Ocean under TM on 64 processors failed verification: boom", boom},
+		{"verify under faults", Result{VerifyErr: boom, faults: drops},
+			"Ocean under TM on 64 processors with faults drop=0.02 failed verification: boom", boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := tc.res
 			res.Run = stats.NewRun("Ocean", "TM", 64)
+			err := res.Err()
 			msg := panicMessage(func() {
 				if got := res.Must(); got != &res {
 					t.Error("Must did not return its receiver")
 				}
 			})
 			if tc.want == "" {
-				if msg != "" {
-					t.Fatalf("clean result panicked: %s", msg)
+				if err != nil || msg != "" {
+					t.Fatalf("clean result: Err %v, Must panicked with %q", err, msg)
 				}
 				return
 			}
-			for _, part := range []string{"Ocean", "TM", "64 processors", tc.want} {
-				if !strings.Contains(msg, part) {
-					t.Errorf("panic %q does not mention %q", msg, part)
-				}
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Err() = %v, want %q", err, tc.want)
 			}
-			if strings.Contains(msg, "with faults drop=0.02") != (res.faults != nil) {
-				t.Errorf("panic %q names the fault schedule wrongly (schedule %v)", msg, res.faults)
+			if tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Errorf("errors.Is(%v, %v) is false", err, tc.cause)
+			}
+			if msg != "harness: "+tc.want {
+				t.Errorf("Must panicked with %q, want %q", msg, "harness: "+tc.want)
 			}
 		})
+	}
+	clean := Result{Run: stats.NewRun("Ocean", "TM", 64)}
+	if n := testing.AllocsPerRun(100, func() { _ = clean.Err() }); n != 0 {
+		t.Errorf("Err on a clean result allocates %v objects, want 0", n)
 	}
 }
 

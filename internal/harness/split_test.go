@@ -54,9 +54,8 @@ func TestFFTRunsAt64Procs(t *testing.T) {
 		t.Fatalf("CheckSplit(64) on a 64x64 matrix: %v", err)
 	}
 	res := Run(memsys.Default().ForProcs(64), NewProtocol(ProtoIdeal, 2), prog)
-	if res.SplitErr != nil || res.Deadlocked || res.VerifyErr != nil {
-		t.Fatalf("64-proc FFT failed: split=%v dead=%v verify=%v",
-			res.SplitErr, res.Deadlocked, res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

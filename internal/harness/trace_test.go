@@ -40,8 +40,8 @@ func TestTraceDeterministic(t *testing.T) {
 			var buf bytes.Buffer
 			j := trace.NewJSONL(&buf)
 			res := RunFaultTraced(params, mk(), apps.NewCounter(4, 64, 8), j, nil)
-			if res.Deadlocked || res.VerifyErr != nil {
-				t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 			j.Close()
 			return buf.Bytes()
@@ -130,8 +130,8 @@ func TestTraceEventStream(t *testing.T) {
 		t.Run(pr.Name(), func(t *testing.T) {
 			ring := trace.NewRing(1 << 20)
 			res := RunFaultTraced(params, pr, apps.NewCounter(4, 64, 8), ring, nil)
-			if res.Deadlocked || res.VerifyErr != nil {
-				t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 			evs := ring.Events()
 			if len(evs) < 10 {
@@ -176,8 +176,8 @@ func TestTraceMetricsEndToEnd(t *testing.T) {
 	params := memsys.Default()
 	m := trace.NewMetrics()
 	res := RunFaultTraced(params, aec.New(aec.DefaultOptions()), apps.NewCounter(4, 64, 8), m, nil)
-	if res.Deadlocked || res.VerifyErr != nil {
-		t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	s := m.Summary()
 	if s.Events == 0 || s.Messages == 0 {
@@ -248,8 +248,8 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	c := trace.NewChrome(&buf)
 	res := RunFaultTraced(params, aec.New(aec.DefaultOptions()), apps.NewCounter(4, 64, 8), c, nil)
-	if res.Deadlocked || res.VerifyErr != nil {
-		t.Fatalf("run failed: deadlock=%v err=%v", res.Deadlocked, res.VerifyErr)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -237,17 +237,12 @@ func (m *ProcMem) RecycleDiff(d *Diff) {
 	if d == nil || d.enc == nil {
 		return
 	}
-	if poisonRecycled {
+	if Poisoned {
 		fill(d.enc[:cap(d.enc)], regionPoison)
 	}
 	m.encs.Put(d.enc)
 	d.enc, d.runs = nil, 0
 }
-
-// poisonRecycled makes RecycleDiff fill what it takes back with 0xA5, so
-// that a reader of a recycled diff's bytes reads garbage; only tests set it
-// (export_test.go).
-var poisonRecycled bool
 
 // Invalidate marks the page unreadable here.
 func (m *ProcMem) Invalidate(page int) {

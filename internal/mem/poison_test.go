@@ -24,7 +24,7 @@ import (
 // moment it is handed back, a reader that came too late reads garbage — and
 // then no checksum, statistic or rendered table below may change.
 func TestTransientPoisoned(t *testing.T) {
-	mem.PoisonRecycled(t)
+	mem.Poison(t)
 	t.Run("Checker", poisonedChecker)
 	t.Run("TraceDoesNotPerturbCycles", poisonedTrace)
 	t.Run("Goldens", poisonedGoldens)

@@ -52,6 +52,18 @@ const (
 // frame state is likely to be made of it.
 const regionPoison = 0xA5
 
+// Poisoned makes every layer that takes memory back for reuse overwrite it
+// with garbage as it does — RecycleDiff, proto.Reuse and the harness's
+// released arenas — so that a reader still holding it, the violation of
+// its lifetime rule, reads garbage. Only tests set it, through Poison.
+var Poisoned bool
+
+// Poison sets Poisoned until the test t (a *testing.T or *testing.B) ends.
+func Poison(t interface{ Cleanup(func()) }) {
+	Poisoned = true
+	t.Cleanup(func() { Poisoned = false })
+}
+
 // bump carves slices off the front of fixed chunks and takes them all
 // back at once.
 type bump[T any] struct {

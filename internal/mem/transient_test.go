@@ -47,7 +47,7 @@ func transientMem(r *Region, ps int, cur []byte) *ProcMem {
 // recycled, longest first, so that every shorter diff lands on the bytes of
 // a longer one (the dirty-memory rule).
 func TestTransientMatchesMakeDiff(t *testing.T) {
-	PoisonRecycled(t)
+	Poison(t)
 	const ps = 4096
 	for _, w := range []int{1, 2, 4, 8} {
 		pages := transientPages(ps, w)

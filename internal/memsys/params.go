@@ -33,9 +33,6 @@ type Params struct {
 	CacheBytes int
 	// CacheLineBytes is the cache line size.
 	CacheLineBytes int
-	// WriteBufEntries is the paper's write-buffer size. No code models
-	// write-buffer stalls; the value is only printed in Table 1.
-	WriteBufEntries int
 	// MemSetupCycles is the memory setup time.
 	MemSetupCycles uint64
 	// MemPerWordCycles is the memory access time per word.
@@ -107,7 +104,6 @@ func Default() Params {
 		PageSize:           4096,
 		CacheBytes:         256 * 1024,
 		CacheLineBytes:     32,
-		WriteBufEntries:    4,
 		MemSetupCycles:     9,
 		MemPerWordCycles:   2.25,
 		IOBusSetupCycles:   12,

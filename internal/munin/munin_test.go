@@ -21,18 +21,15 @@ func TestMuninCorrectnessMicro(t *testing.T) {
 		for _, withLock := range []bool{false, true} {
 			app := apps.NewMicroStencil(6, withLock)
 			res := harness.Run(memsys.Default(), munin.New(munin.Options{UseLAP: lap}), app)
-			if res.Deadlocked {
-				t.Fatalf("lap=%v lock=%v deadlocked", lap, withLock)
-			}
-			if res.VerifyErr != nil {
-				t.Errorf("lap=%v lock=%v: %v", lap, withLock, res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Errorf("lap=%v lock=%v: %v", lap, withLock, err)
 			}
 		}
 		// Integer RMW with page-level false sharing.
 		app := apps.NewMicroRMW(64, 3)
 		res := harness.Run(memsys.Default(), munin.New(munin.Options{UseLAP: lap}), app)
-		if res.Deadlocked || res.VerifyErr != nil {
-			t.Errorf("rmw lap=%v: dead=%v err=%v", lap, res.Deadlocked, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -47,11 +44,8 @@ func TestMuninAllApps(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				res := harness.Run(memsys.Default(),
 					munin.New(munin.Options{UseLAP: lap}), apps.Registry[name](apps.Config{Scale: 0.1}))
-				if res.Deadlocked {
-					t.Fatal("deadlocked")
-				}
-				if res.VerifyErr != nil {
-					t.Fatalf("lap=%v: %v", lap, res.VerifyErr)
+				if err := res.Err(); err != nil {
+					t.Fatalf("lap=%v: %v", lap, err)
 				}
 			})
 		}
@@ -110,11 +104,8 @@ func TestMunin64Procs(t *testing.T) {
 	}{{"flat", flat}, {"scaled", scaled}} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := harness.Run(tc.p, munin.New(munin.Options{UseLAP: true}), apps.NewCounter(3, 64, 8))
-			if res.Deadlocked {
-				t.Fatal("deadlocked")
-			}
-			if res.VerifyErr != nil {
-				t.Fatal(res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

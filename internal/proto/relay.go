@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"aecdsm/internal/mem"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/topo"
 )
@@ -97,28 +98,17 @@ func (r *Relay) Down(s *sim.Svc, m *sim.Msg, h sim.Handler) {
 // combining lists. Each protocol argues why (DESIGN.md, "A barrier
 // episode's scratch"); Reuse is where it starts over.
 
-// ScratchPoison is what PoisonScratch fills reused int scratch with: no
-// processor, page, lock or count is made of it, and it indexes nothing.
+// ScratchPoison is what Reuse fills reused int scratch with under
+// mem.Poisoned: no processor, page, lock or count is made of it, and it
+// indexes nothing.
 const ScratchPoison = -0x5A5A5A5A
 
-// poisonScratch makes Reuse fill what it takes back with garbage; only
-// tests set it (PoisonScratch).
-var poisonScratch bool
-
-// PoisonScratch makes every barrier episode's scratch, until the test t
-// ends, come back filled with garbage at the moment its owner reuses it,
-// so that a reader still holding the previous episode's contents — the
-// reuse argument's violation — reads garbage. For tests of any package:
-// t is the *testing.T or *testing.B whose cleanup turns it off.
-func PoisonScratch(t interface{ Cleanup(func()) }) {
-	poisonScratch = true
-	t.Cleanup(func() { poisonScratch = false })
-}
-
 // Reuse returns s emptied for a new barrier episode, keeping its array.
-// Under PoisonScratch all of the array is first overwritten with garbage.
+// Under mem.Poisoned all of the array is first overwritten with garbage,
+// so that a reader still holding the previous episode's contents — the
+// reuse argument's violation — reads garbage.
 func Reuse[T any](s []T, garbage T) []T {
-	if poisonScratch {
+	if mem.Poisoned {
 		fill := s[:cap(s)]
 		for i := range fill {
 			fill[i] = garbage

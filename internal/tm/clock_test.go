@@ -147,8 +147,8 @@ func runFrozen(t *testing.T, w check.Workload, fcfg *fault.Config) (clocks, barr
 		if bad := f.check(); len(bad) > 0 {
 			t.Fatalf("%s: %d findings, first: %s", where, len(bad), bad[0])
 		}
-		if res.Deadlocked || res.VerifyErr != nil {
-			t.Fatalf("%s: deadlocked=%v verify=%v", where, res.Deadlocked, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatalf("%s: %v", where, err)
 		}
 		if last := watchMarks[len(watchMarks)-1]; res.Cycles() >= last || f.samples == 0 {
 			t.Fatalf("%s: %d cycles, %d samples: the marks end at cycle %d", where, res.Cycles(), f.samples, last)

@@ -17,22 +17,19 @@ func TestLazyHybridCorrectness(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			res := harness.Run(memsys.Default(), tm.NewLazyHybrid(), apps.Registry[name](apps.Config{Scale: 0.1}))
-			if res.Deadlocked {
-				t.Fatal("deadlocked")
-			}
-			if res.VerifyErr != nil {
-				t.Fatal(res.VerifyErr)
+			if err := res.Err(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 	for _, mk := range []func() *tm.TM{tm.NewLazyHybrid} {
 		res := harness.Run(memsys.Default(), mk(), apps.NewMicroRMW(64, 3))
-		if res.Deadlocked || res.VerifyErr != nil {
-			t.Fatalf("micro-rmw: dead=%v err=%v", res.Deadlocked, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
 		}
 		res = harness.Run(memsys.Default(), mk(), apps.NewMicroStencil(6, true))
-		if res.Deadlocked || res.VerifyErr != nil {
-			t.Fatalf("micro-stencil: dead=%v err=%v", res.Deadlocked, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

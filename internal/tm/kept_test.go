@@ -22,7 +22,7 @@ func encoding(d *mem.Diff) []byte { return reflect.ValueOf(d).Elem().FieldByName
 // the diffs carry the four words, and each interval's clock counts it and
 // its page list names page 0. Once the run is over and its region released
 // and poisoned — what the harness does to a harvested run's arena under
-// harness.PoisonReleased — every byte of every one reads 0xA5; a diff,
+// mem.Poisoned — every byte of every one reads 0xA5; a diff,
 // clock or list copied to the heap would still read what it held.
 func TestIntervalDiffsKeptInRegion(t *testing.T) {
 	const procs = 4

@@ -103,8 +103,8 @@ func runShadowed(t *testing.T, w check.Workload, fcfg *fault.Config) (n shadowCo
 		s := shadow(mk())
 		prog := apps.NewSynth(w.Cfg)
 		res := harness.RunFaultTraced(w.Params(), s, prog, nil, fcfg)
-		if res.Deadlocked || res.VerifyErr != nil {
-			t.Fatalf("seed %d procs %d %s: deadlocked=%v verify=%v", w.Seed, w.Procs, s.Name(), res.Deadlocked, res.VerifyErr)
+		if err := res.Err(); err != nil {
+			t.Fatalf("seed %d: %v", w.Seed, err)
 		}
 		if len(s.mismatches) > 0 {
 			t.Fatalf("seed %d procs %d policy %q %s: %d of %d faults disagree with the received notices, first: %s",

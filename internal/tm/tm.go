@@ -417,7 +417,7 @@ type barArrive struct {
 }
 
 // poisonWN is what a reused notice list is filled with under
-// proto.PoisonScratch; a reused piggyback list is filled with nil
+// mem.Poisoned; a reused piggyback list is filled with nil
 // intervals, which a stale reader dereferences.
 var poisonWN = wnRef{proto.ScratchPoison, proto.ScratchPoison, proto.ScratchPoison}
 
