@@ -32,7 +32,7 @@ type Report struct {
 	// match it bit for bit, not merely agree with each other.
 	Baseline *ProtocolRun
 	// Failures lists everything wrong: each run's Err and invariant
-	// violations, plus cross-protocol disagreements.
+	// violations, the baseline's Err, plus disagreements.
 	// Empty means every protocol agreed and every invariant held.
 	Failures []string
 }
