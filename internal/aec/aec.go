@@ -30,27 +30,21 @@ import (
 	"aecdsm/internal/trace"
 )
 
-// Message kinds.
+// Message kinds of the messages AEC sends itself; the shared services send
+// theirs. sim.Msg.Kind is written but never read (ROADMAP item 10(e)).
 const (
-	kAcqReq = iota
-	kAcqGrant
+	kAcqGrant = iota
 	kRel
 	kPush
 	kDiffReq
 	kDiffRep
-	kPageReq
-	kPageRep
 	kWNDiffReq
 	kWNDiffRep
-	kNotice
 	kBarArrive
 	kBarInstr
 	kBarDiff
 	kBarWN
-	kBarReady
-	kBarComplete
 	kBarInstrBatch
-	kRepLog // lock-manager journal record -> backup node (proto.LockMgr)
 )
 
 // Options configures an AEC instance.
@@ -87,14 +81,14 @@ type AEC struct {
 	ps   []*procState
 
 	bar   barrierState
-	relay proto.Relay // barrier fan-in/fan-out; arrive and ready share it
+	relay proto.Relay // barrier fan-in/fan-out; arrive and ready (Sync) share it
 
 	// h is the message handlers, bound once in Attach: a method value
 	// written at a send site is a fresh closure per message.
 	h struct {
-		acqReq, grant, push, rel, diffReq, wnDiffReq sim.Handler
-		barArrive, barDiff, barWN, barReady          sim.Handler
-		barInstr, barInstrBatch, barComplete         sim.Handler
+		grant, push, rel, diffReq, wnDiffReq sim.Handler
+		barArrive, barDiff, barWN            sim.Handler
+		barInstr, barInstrBatch              sim.Handler
 	}
 
 	nprocs   int
@@ -140,16 +134,16 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
 	pr.merger = mem.NewMerger(pr.pageSize)
-	pr.h.acqReq, pr.h.grant, pr.h.push, pr.h.rel = pr.handleAcqReq, pr.handleGrant, pr.handlePush, pr.handleRel
+	pr.h.grant, pr.h.push, pr.h.rel = pr.handleGrant, pr.handlePush, pr.handleRel
 	pr.h.diffReq, pr.h.wnDiffReq = pr.handleDiffReq, pr.handleWNDiffReq
-	pr.h.barArrive, pr.h.barDiff, pr.h.barWN, pr.h.barReady = pr.handleBarArrive, pr.handleBarDiff, pr.handleBarWN, pr.handleBarReady
-	pr.h.barInstr, pr.h.barInstrBatch, pr.h.barComplete = pr.handleBarInstr, pr.handleBarInstrBatch, pr.handleBarComplete
+	pr.h.barArrive, pr.h.barDiff, pr.h.barWN = pr.handleBarArrive, pr.handleBarDiff, pr.handleBarWN
+	pr.h.barInstr, pr.h.barInstrBatch = pr.handleBarInstr, pr.handleBarInstrBatch
 	nsz := pr.opt.Ns
 	if !pr.opt.UseLAP {
 		nsz = 1 // predictor still sized, but never consulted for pushes
 	}
-	pr.InitLocks(e, nsz, kRepLog, pr)
-	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
+	pr.InitLocks(e, nsz, pr)
+	pr.InitPageHome(ctxs, pr.pageDelta)
 	// The lock records are sized by NumLocks, which InitLocks sets.
 	pages := s.Pages()
 	pr.ps = make([]*procState, pr.nprocs)
@@ -175,7 +169,7 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 // manager, feeding the LAP virtual queue.
 func (pr *AEC) Notice(c *proto.Ctx, lock int) {
 	if pr.opt.UseLAP {
-		pr.LockNotice(c, kNotice, lock)
+		pr.LockNotice(c, lock)
 	}
 }
 

@@ -54,7 +54,6 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	c.P.Advance(pr.e.Params.ListCycles(elems), stats.Synch)
 
 	st.barInstr = nil
-	st.barComplete = false
 	*a = arriveMsg{proc: c.ID, owned: owned, outside: outside, newValid: newValid}
 	st.batch.arr = append(st.batch.arr[:0], a)
 	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 16+8*elems,
@@ -107,8 +106,7 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	c.P.WaitUntil(func() bool {
 		return st.barDiffsGot >= instr.expDiffs && st.barWNsGot >= instr.expWNs
 	}, stats.Synch)
-	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarReady, 8, 1, pr.h.barReady)
-	c.P.WaitUntil(func() bool { return st.barComplete }, stats.Synch)
+	pr.relay.Sync(c)
 
 	pr.finalizeStep(c, st)
 }
@@ -349,6 +347,8 @@ func (pr *AEC) computeBarrierInstructions(s *sim.Svc) {
 	}
 	pr.sendInstrSubtree(s, proto.BarMgr, instr[:1])
 	pr.scatterInstr(s, proto.BarMgr, instr)
+	// Nothing reads the arrivals after this; the next episode's land here.
+	clear(b.arrivals)
 }
 
 // appendTargets appends to the flat targets buffer the holders of a valid
@@ -380,7 +380,7 @@ func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []barInstr) {
 	if len(ins) == 1 {
 		in := &ins[0]
 		size := 16 + 8*(len(in.diffSends)+len(in.wnSends)+len(in.homes))
-		pr.relay.Send(s, c, kBarInstr, size, in, pr.h.barInstr)
+		s.Send(c, kBarInstr, size, in, pr.h.barInstr)
 		return
 	}
 	size := 16 * (len(ins) - 1)
@@ -390,7 +390,7 @@ func (pr *AEC) sendInstrSubtree(s *sim.Svc, c int, ins []barInstr) {
 	}
 	batch := &pr.bar.batches[c]
 	batch.ins = ins
-	pr.relay.Send(s, c, kBarInstrBatch, size, batch, pr.h.barInstrBatch)
+	s.Send(c, kBarInstrBatch, size, batch, pr.h.barInstrBatch)
 }
 
 // handleBarInstrBatch lands a subtree's instructions at its
@@ -444,36 +444,6 @@ func (pr *AEC) handleBarWN(s *sim.Svc, m *sim.Msg) {
 	p.reason = invalWN
 	p.pendingWN = append(p.pendingWN, w.wn)
 	st.barWNsGot++
-	s.Wake(s.P)
-}
-
-// handleBarReady counts ready processors — combining counts up the tree
-// — and, at the manager, broadcasts completion down the same edges when
-// the whole machine is done exchanging.
-func (pr *AEC) handleBarReady(s *sim.Svc, m *sim.Msg) {
-	s.ChargeList(1)
-	ready, complete := pr.relay.Gather(m.To, m.Payload.(int))
-	if !complete {
-		return
-	}
-	if m.To != proto.BarMgr {
-		pr.relay.Up(s, m.To, kBarReady, 8, ready, pr.h.barReady)
-		return
-	}
-	// Episode over: reset manager state and release everyone.
-	b := &pr.bar
-	for i := range b.arrivals {
-		b.arrivals[i] = nil
-	}
-	pr.relay.Broadcast(s, kBarComplete, 8, b.seq, pr.h.barComplete)
-}
-
-// handleBarComplete releases a processor from the barrier, relaying the
-// completion to its tree children first.
-func (pr *AEC) handleBarComplete(s *sim.Svc, m *sim.Msg) {
-	pr.relay.Down(s, m, pr.h.barComplete)
-	st := pr.ps[m.To]
-	st.barComplete = true
 	s.Wake(s.P)
 }
 

@@ -22,9 +22,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	}
 	pp := &pr.e.Params
 
-	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
-	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
-		acqReq{lock: lock}, pr.h.acqReq)
+	pr.Request(c, lock, 8)
 
 	// Overlap window: apply pushed diffs for this lock to valid pages,
 	// then create outside diffs, until the grant arrives (§3.2). Work
@@ -193,11 +191,6 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lc *lockChain) bool {
 		return true
 	}
 	return false
-}
-
-// handleAcqReq lands an ownership request at the lock's manager.
-func (pr *AEC) handleAcqReq(s *sim.Svc, m *sim.Msg) {
-	pr.LockRequest(s, m.Payload.(acqReq).lock, m.From)
 }
 
 // Grant implements proto.LockCoherence: the grant carries the acquire

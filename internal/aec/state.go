@@ -186,7 +186,6 @@ type procState struct {
 
 	// Barrier exchange bookkeeping.
 	barDiffsGot, barWNsGot int
-	barComplete            bool
 
 	// The barrier arrival's scratch: the message and its lists, the
 	// pages of its owned locks in one flat buffer, and the one-element
@@ -355,10 +354,6 @@ type ownedBy struct {
 }
 
 // wire payload types.
-type acqReq struct {
-	lock int
-}
-
 type relMsg struct {
 	lock  int
 	count int

@@ -105,15 +105,6 @@ func (s Set) Or(o Set) Set {
 	return s
 }
 
-// AndNot clears every bit of o from s in place (s &^= o).
-func (s Set) AndNot(o Set) {
-	for i := range s {
-		if i < len(o) {
-			s[i] &^= o[i]
-		}
-	}
-}
-
 // ForEach calls fn for every set bit in ascending order.
 func (s Set) ForEach(fn func(i int)) {
 	for wi, w := range s {

@@ -100,6 +100,27 @@ var mutants = []struct {
 		run:  "^TestCIFuzzLines$",
 		want: []string{`the CI fuzzer lines moved`},
 	},
+	{
+		// The counting barrier releases the machine one count short: the
+		// last processor's count lands after everyone else has left.
+		name: "relay-sync-release-early",
+		file: "internal/proto/relay.go",
+		old:  "	n, complete := r.Gather(m.To, m.Payload.(int))\n",
+		new:  "	n, complete := r.Gather(m.To, m.Payload.(int))\n	if m.To == BarMgr && n == r.SubtreeSize(BarMgr)-1 {\n		r.heard[BarMgr], complete = 0, true\n	}\n",
+		pkg:  "./internal/proto",
+		run:  "^TestRelaySync$",
+		want: []string{`radix 0: processor \d+ left barrier 0 at cycle \d+, before processor 63 entered it`},
+	},
+	{
+		// The plain release absorbs its list element for free.
+		name: "lockmgr-relinquish-free",
+		file: "internal/proto/lockmgr.go",
+		old:  "func (m *LockMgr) handleRelinquish(s *sim.Svc, msg *sim.Msg) {\n	s.ChargeList(1)\n",
+		new:  "func (m *LockMgr) handleRelinquish(s *sim.Svc, msg *sim.Msg) {\n",
+		pkg:  "./internal/proto",
+		run:  "^TestLockMgrRelinquish$",
+		want: []string{`crashes false: Relinquish charged 0 cycles beyond LockRelease, want \d+`},
+	},
 }
 
 // TestMutants runs every committed mutant: its row passes only when the

@@ -65,8 +65,8 @@ type Config struct {
 	BurstLen uint64
 
 	// Crashes schedules node crash/restart events: state-destroying
-	// faults, unlike everything above. Closed (Down > 0) by construction —
-	// ParseSpec rejects a crash never matched by a restart.
+	// faults, unlike everything above. Closed (Down > 0) by construction:
+	// ParseSpec requires a crash's :DOWNCY.
 	Crashes []Crash
 	// Partitions schedules full network partitions: traffic between the
 	// named group and the rest of the machine is dropped for the window.
@@ -158,14 +158,11 @@ var Presets = map[string]string{
 //
 //	drop=P  dup=P  delay=P:MAXCY  stall=P:MAXCY  degrade=P:WINDOWCY:EXTRACY
 //	burst=P:LEN  rto=CYCLES  maxattempts=N
-//	crash=NODE@AT:DOWNCY  restart=NODE@AT
-//	partition=N1.N2.…@AT:LENCY  heal=AT
+//	crash=NODE@AT:DOWNCY  partition=N1.N2.…@AT:LENCY
 //
 // e.g. "drop=0.01,dup=0.005,delay=0.02:2000". Probabilities are in [0,1].
-// crash without :DOWNCY and partition without :LENCY are open until a
-// later restart/heal clause closes them; a spec that leaves any outage
-// open is rejected, which keeps every schedule finite (the liveness
-// arguments in docs/ROBUSTNESS.md depend on outages ending).
+// Every outage names its length, so every schedule is finite (the
+// liveness arguments in docs/ROBUSTNESS.md depend on outages ending).
 // "none" — what Config.String renders the empty schedule as — and the
 // empty string are the empty schedule.
 // The returned Config has Seed zero; callers set it from their -fault-seed.
@@ -205,22 +202,6 @@ func ParseSpec(spec string) (Config, error) {
 			}
 			return n, nil
 		}
-		// nodeAt splits "NODE@AT" (the crash/restart clause head).
-		nodeAt := func(s string) (int, uint64, error) {
-			ns, as, ok := strings.Cut(s, "@")
-			if !ok {
-				return 0, 0, fmt.Errorf("fault: %s wants NODE@CYCLE, got %q", key, s)
-			}
-			n, err := strconv.Atoi(ns)
-			if err != nil || n < 0 {
-				return 0, 0, fmt.Errorf("fault: %s wants a node number, got %q", key, ns)
-			}
-			at, err := strconv.ParseUint(as, 10, 64)
-			if err != nil {
-				return 0, 0, fmt.Errorf("fault: %s wants a cycle, got %q", key, as)
-			}
-			return n, at, nil
-		}
 		var err error
 		switch strings.ToLower(key) {
 		case "drop":
@@ -246,31 +227,22 @@ func ParseSpec(spec string) (Config, error) {
 				c.BurstLen, err = cycles(1)
 			}
 		case "crash":
-			var n int
-			var at uint64
-			if n, at, err = nodeAt(parts[0]); err == nil {
-				cr := Crash{Node: n, At: at}
-				if len(parts) > 1 {
-					cr.Down, err = cycles(1)
-				}
-				c.Crashes = append(c.Crashes, cr)
+			ns, as, ok := strings.Cut(parts[0], "@")
+			if !ok {
+				err = fmt.Errorf("fault: crash wants NODE@CYCLE, got %q", parts[0])
+				break
 			}
-		case "restart":
-			var n int
-			var at uint64
-			if n, at, err = nodeAt(parts[0]); err == nil {
-				err = fmt.Errorf("fault: restart=%s matches no open crash of node %d", val, n)
-				for i := len(c.Crashes) - 1; i >= 0; i-- {
-					cr := &c.Crashes[i]
-					if cr.Node == n && cr.Down == 0 {
-						if at <= cr.At {
-							err = fmt.Errorf("fault: restart=%s is not after the crash at cycle %d", val, cr.At)
-						} else {
-							cr.Down, err = at-cr.At, nil
-						}
-						break
-					}
-				}
+			var cr Crash
+			if cr.Node, err = strconv.Atoi(ns); err != nil || cr.Node < 0 {
+				err = fmt.Errorf("fault: crash wants a node number, got %q", ns)
+				break
+			}
+			if cr.At, err = strconv.ParseUint(as, 10, 64); err != nil {
+				err = fmt.Errorf("fault: crash wants a cycle, got %q", as)
+				break
+			}
+			if cr.Down, err = cycles(1); err == nil {
+				c.Crashes = append(c.Crashes, cr)
 			}
 		case "partition":
 			ns, as, ok := strings.Cut(parts[0], "@")
@@ -294,30 +266,10 @@ func ParseSpec(spec string) (Config, error) {
 				err = fmt.Errorf("fault: partition wants a cycle, got %q", as)
 				break
 			}
-			if len(parts) > 1 {
-				var length uint64
-				if length, err = cycles(1); err == nil {
-					p.Until = p.At + length
-				}
-			}
-			c.Partitions = append(c.Partitions, p)
-		case "heal":
-			var at uint64
-			if at, err = strconv.ParseUint(parts[0], 10, 64); err != nil {
-				err = fmt.Errorf("fault: heal wants a cycle, got %q", parts[0])
-				break
-			}
-			err = fmt.Errorf("fault: heal=%s matches no open partition", val)
-			for i := len(c.Partitions) - 1; i >= 0; i-- {
-				p := &c.Partitions[i]
-				if p.Until == 0 {
-					if at <= p.At {
-						err = fmt.Errorf("fault: heal=%s is not after the partition at cycle %d", val, p.At)
-					} else {
-						p.Until, err = at, nil
-					}
-					break
-				}
+			var length uint64
+			if length, err = cycles(1); err == nil {
+				p.Until = p.At + length
+				c.Partitions = append(c.Partitions, p)
 			}
 		case "rto":
 			c.RTO, err = cycles(0)
@@ -327,21 +279,11 @@ func ParseSpec(spec string) (Config, error) {
 				c.MaxAttempts = int(n)
 			}
 		default:
-			err = fmt.Errorf("fault: unknown clause %q (want drop/dup/delay/stall/degrade/burst/crash/restart/partition/heal/rto/maxattempts or a preset %v)",
+			err = fmt.Errorf("fault: unknown clause %q (want drop/dup/delay/stall/degrade/burst/crash/partition/rto/maxattempts or a preset %v)",
 				key, presetNames())
 		}
 		if err != nil {
 			return c, err
-		}
-	}
-	for _, cr := range c.Crashes {
-		if cr.Down == 0 {
-			return c, fmt.Errorf("fault: crash of node %d at cycle %d is never restarted (add :DOWNCY or a restart clause)", cr.Node, cr.At)
-		}
-	}
-	for _, p := range c.Partitions {
-		if p.Until == 0 {
-			return c, fmt.Errorf("fault: partition at cycle %d is never healed (add :LENCY or a heal clause)", p.At)
 		}
 	}
 	return c, nil

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -41,19 +42,19 @@ func TestParseSpecPresets(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"bogus",                   // not key=value and not a preset
-		"drop=2",                  // probability out of range
-		"drop=x",                  // not a number
-		"drop=NaN",                // a float, and in no interval
-		"delay=0.5",               // missing cycle bound
-		"stall=0.5:0",             // zero cycle bound
-		"degrade=0.5:100",         // missing extra cycles
-		"wibble=0.5",              // unknown clause
-		"maxattempts=never",       // not a count
-		"crash=1@x:100",           // crash cycle not a number
-		"partition=1.2:100",       // partition without @CYCLE
-		"partition=1.2@x:1",       // partition cycle not a number
-		"partition=1.2@10,heal=x", // heal cycle not a number
+		"bogus",              // not key=value and not a preset
+		"drop=2",             // probability out of range
+		"drop=x",             // not a number
+		"drop=NaN",           // a float, and in no interval
+		"delay=0.5",          // missing cycle bound
+		"stall=0.5:0",        // zero cycle bound
+		"degrade=0.5:100",    // missing extra cycles
+		"wibble=0.5",         // unknown clause
+		"maxattempts=never",  // not a count
+		"crash=1@x:100",      // crash cycle not a number
+		"partition=1.2:100",  // partition without @CYCLE
+		"partition=1.2@x:1",  // partition cycle not a number
+		"partition=1.2@10:x", // partition length not a number
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", spec)
@@ -90,15 +91,15 @@ func TestStringRoundTrip(t *testing.T) {
 // String/ParseSpec round trip exactly — fuzzdsm prints reproduce lines
 // in this syntax.
 func TestOutageRoundTrip(t *testing.T) {
-	orig, err := ParseSpec("burst=0.02:6,crash=3@50000:20000,crash=1@90000,restart=1@140000,partition=0.2@10000:5000,partition=5@200000,heal=230000")
+	orig, err := ParseSpec("burst=0.02:6,crash=3@50000:20000,crash=1@90000:50000,partition=0.2@10000:5000,partition=5@200000:30000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(orig.Crashes) != 2 || orig.Crashes[1].Down != 50000 {
-		t.Fatalf("restart clause did not close the crash: %+v", orig.Crashes)
+		t.Fatalf("a crash's :DOWNCY did not close it: %+v", orig.Crashes)
 	}
 	if len(orig.Partitions) != 2 || orig.Partitions[1].Until != 230000 {
-		t.Fatalf("heal clause did not close the partition: %+v", orig.Partitions)
+		t.Fatalf("a partition's :LENCY did not close it: %+v", orig.Partitions)
 	}
 	back, err := ParseSpec(orig.String())
 	if err != nil {
@@ -111,20 +112,24 @@ func TestOutageRoundTrip(t *testing.T) {
 
 func TestOutageSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"burst=0.5",                 // missing burst length
-		"burst=0.5:0",               // zero burst length
-		"crash=1",                   // missing @cycle
-		"crash=x@100:10",            // bad node
-		"crash=1@100",               // open-ended crash, never restarted
-		"restart=1@100",             // restart with no crash
-		"crash=1@100,restart=1@50",  // restart before the crash
-		"partition=0.1@100",         // never healed
-		"partition=@100:10",         // no nodes
-		"heal=100",                  // heal with no partition
-		"partition=0.1@100,heal=50", // heal before the cut
+		"burst=0.5",         // missing burst length
+		"burst=0.5:0",       // zero burst length
+		"crash=1",           // missing @cycle
+		"crash=x@100:10",    // bad node
+		"crash=1@100",       // open-ended crash: no :DOWNCY
+		"crash=1@100:0",     // zero-length crash
+		"partition=0.1@100", // open-ended partition: no :LENCY
+		"partition=@100:10", // no nodes
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", spec)
+		}
+	}
+	// An outage is closed by its own length: there is no clause that
+	// closes one later.
+	for _, spec := range []string{"crash=1@100:10,restart=1@200", "partition=0.1@100:10,heal=200"} {
+		if _, err := ParseSpec(spec); err == nil || !strings.Contains(err.Error(), "unknown clause") {
+			t.Errorf("ParseSpec(%q) = %v, want an unknown clause", spec, err)
 		}
 	}
 }

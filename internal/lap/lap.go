@@ -92,26 +92,6 @@ type Stats struct {
 	HitFull, HitWaitQ, HitWaitAff, HitWaitVirt uint64
 }
 
-// Rate returns hits/evaluated as a percentage, or -1 if never evaluated.
-func rate(hits, evaluated uint64) float64 {
-	if evaluated == 0 {
-		return -1
-	}
-	return 100 * float64(hits) / float64(evaluated)
-}
-
-// RateFull returns the overall LAP success rate (%).
-func (s Stats) RateFull() float64 { return rate(s.HitFull, s.Evaluated) }
-
-// RateWaitQ returns the waiting-queue-only success rate (%).
-func (s Stats) RateWaitQ() float64 { return rate(s.HitWaitQ, s.Evaluated) }
-
-// RateWaitAff returns the waitQ+affinity success rate (%).
-func (s Stats) RateWaitAff() float64 { return rate(s.HitWaitAff, s.Evaluated) }
-
-// RateWaitVirt returns the waitQ+virtualQ success rate (%).
-func (s Stats) RateWaitVirt() float64 { return rate(s.HitWaitVirt, s.Evaluated) }
-
 // New builds a predictor for one lock.
 func New(nprocs, ns int) *Predictor {
 	if ns < 1 {

@@ -171,15 +171,20 @@ func TestStatsRates(t *testing.T) {
 	if s.SelfTransfers != 1 {
 		t.Fatalf("self transfers = %d, want 1", s.SelfTransfers)
 	}
-	if s.RateFull() < 0 || s.RateFull() > 100 {
-		t.Fatalf("rate out of range: %v", s.RateFull())
+	for i, hits := range []uint64{s.HitFull, s.HitWaitQ, s.HitWaitAff, s.HitWaitVirt} {
+		if hits > s.Evaluated {
+			t.Fatalf("technique %d hits %d of %d evaluated", i, hits, s.Evaluated)
+		}
 	}
 }
 
+// TestRateUnevaluated: a lock's first grant has no prediction to judge,
+// so it counts no evaluation and no hit.
 func TestRateUnevaluated(t *testing.T) {
-	var s Stats
-	if s.RateFull() != -1 || s.RateWaitQ() != -1 || s.RateWaitAff() != -1 || s.RateWaitVirt() != -1 {
-		t.Fatal("unevaluated rates should be -1")
+	p := New(4, 2)
+	p.Granted(1, -1)
+	if s := p.Stats; s.Evaluated != 0 || s.HitFull+s.HitWaitQ+s.HitWaitAff+s.HitWaitVirt != 0 {
+		t.Fatalf("first grant evaluated: %+v", s)
 	}
 }
 
@@ -199,11 +204,11 @@ func TestPerfectChainPrediction(t *testing.T) {
 		holder = next
 	}
 	s := p.Stats
-	if s.RateWaitQ() < 95 {
-		t.Fatalf("waitQ rate = %v, want ~100", s.RateWaitQ())
+	if s.Evaluated == 0 || 100*s.HitWaitQ < 95*s.Evaluated {
+		t.Fatalf("waitQ hits %d of %d, want ~all", s.HitWaitQ, s.Evaluated)
 	}
-	if s.RateFull() < 95 {
-		t.Fatalf("full rate = %v, want ~100", s.RateFull())
+	if 100*s.HitFull < 95*s.Evaluated {
+		t.Fatalf("full hits %d of %d, want ~all", s.HitFull, s.Evaluated)
 	}
 }
 
@@ -218,7 +223,7 @@ func TestAffinityLearnsRing(t *testing.T) {
 			prev = q
 		}
 	}
-	if r := p.Stats.RateFull(); r < 70 {
-		t.Fatalf("ring prediction rate = %v, want >= 70", r)
+	if s := p.Stats; s.Evaluated == 0 || 100*s.HitFull < 70*s.Evaluated {
+		t.Fatalf("ring prediction hits %d of %d, want >= 70 %%", s.HitFull, s.Evaluated)
 	}
 }

@@ -28,21 +28,16 @@ import (
 	"aecdsm/internal/trace"
 )
 
-// Message kinds.
+// Message kinds of the messages Munin sends itself; the shared services
+// send theirs. sim.Msg.Kind is written but never read (ROADMAP item
+// 10(e)).
 const (
-	kAcqReq = iota
-	kGrant
-	kRel
+	kGrant     = iota
 	kUpdate    // releaser -> page home: diff + distribution policy
 	kFwdUpdate // home -> sharer: diff to apply
 	kFwdInval  // home -> sharer outside the update set: invalidate
 	kHomeAck   // home -> releaser: forward fan-out size
 	kMemberAck // sharer -> releaser: update applied
-	kPageReq
-	kPageRep
-	kBarArrive
-	kBarComplete
-	kRepLog // lock-manager journal record -> backup node (proto.LockMgr)
 )
 
 // Options configures the protocol.
@@ -71,13 +66,13 @@ type Munin struct {
 	ps   []*procState
 
 	pages []pageState // per-page home-side state (lives at InitHome)
-	relay proto.Relay // barrier fan-in/fan-out
+	relay proto.Relay // the barrier (Sync)
 
 	// h is the message handlers, bound once in Attach: a method value or
 	// closure written at a send site is a fresh allocation per message.
 	h struct {
-		acqReq, grant, rel, update, fwdUpdate, fwdInval sim.Handler
-		homeAck, memberAck, barArrive, barComplete      sim.Handler
+		grant, update, fwdUpdate, fwdInval sim.Handler
+		homeAck, memberAck                 sim.Handler
 	}
 
 	nprocs   int
@@ -104,7 +99,6 @@ type procState struct {
 	homeAcks  int   // flush acks from homes
 	memWanted int   // member acks expected (learned from home acks)
 	memAcks   int
-	barOut    bool
 
 	// flushPages is the reusable sorted dirty-page scratch of flush.
 	// Per-processor, not per-protocol: a flush blocks on acks, and other
@@ -119,12 +113,10 @@ type pageState struct {
 	copyset bitset.Set // sharer set, maintained at the page's home
 }
 
-type acqReq struct{ lock, from int }
 type grantMsg struct {
 	lock int
 	us   []int
 }
-type relMsg struct{ lock int }
 
 type updateMsg struct {
 	page     int
@@ -164,16 +156,14 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.nprocs = len(ctxs)
 	pr.relay.InitRelay(e)
 	pr.pageSize = s.PageSize()
-	pr.h.acqReq, pr.h.grant, pr.h.rel = pr.handleAcqReq, pr.handleGrant, pr.handleRel
-	pr.h.update, pr.h.fwdUpdate, pr.h.fwdInval = pr.handleUpdate, pr.handleFwdUpdate, pr.handleFwdInval
+	pr.h.grant, pr.h.update, pr.h.fwdUpdate, pr.h.fwdInval = pr.handleGrant, pr.handleUpdate, pr.handleFwdUpdate, pr.handleFwdInval
 	pr.h.homeAck, pr.h.memberAck = pr.handleHomeAck, pr.handleMemberAck
-	pr.h.barArrive, pr.h.barComplete = pr.handleBarArrive, pr.handleBarComplete
 	pr.ps = make([]*procState, pr.nprocs)
 	for i := range pr.ps {
 		pr.ps[i] = &procState{id: i, dirty: bitset.New(s.Pages()), fetching: -1, curLock: -1}
 	}
-	pr.InitLocks(e, pr.opt.Ns, kRepLog, pr)
-	pr.InitPageHome(ctxs, kPageReq, kPageRep, pr.pageDelta)
+	pr.InitLocks(e, pr.opt.Ns, pr)
+	pr.InitPageHome(ctxs, pr.pageDelta)
 	pr.pages = make([]pageState, s.Pages())
 	for pg := range pr.pages {
 		pr.pages[pg].copyset = bitset.With(pr.nprocs, s.InitHome(pg))
@@ -186,7 +176,7 @@ func (pr *Munin) homeOf(page int) int { return pr.s.InitHome(page) }
 // is enabled.
 func (pr *Munin) Notice(c *proto.Ctx, lock int) {
 	if pr.opt.UseLAP {
-		pr.LockNotice(c, kAcqReq+100, lock)
+		pr.LockNotice(c, lock)
 	}
 }
 
@@ -258,19 +248,11 @@ func (pr *Munin) pageDelta(home, page, from int) (any, int) {
 func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
 	st.grant = false
-	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
-	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
-		acqReq{lock: lock, from: c.ID}, pr.h.acqReq)
+	pr.Request(c, lock, 8)
 	c.P.WaitUntil(func() bool { return st.grant }, stats.Synch)
 	st.inCS++
 	st.curLock = lock
 	c.Epoch++
-}
-
-// handleAcqReq lands an ownership request at the lock's manager.
-func (pr *Munin) handleAcqReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(acqReq)
-	pr.LockRequest(s, req.lock, req.from)
 }
 
 // Grant implements proto.LockCoherence: under LAP the grant carries the
@@ -307,15 +289,8 @@ func (pr *Munin) Release(c *proto.Ctx, lock int) {
 	st.inCS--
 	st.curLock = -1
 	c.Epoch++
-	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
-		relMsg{lock: lock}, pr.h.rel)
-}
-
-// handleRel lands a release at the lock's manager; the flush already made
-// every sharer current, so no chain state stays behind.
-func (pr *Munin) handleRel(s *sim.Svc, m *sim.Msg) {
-	s.ChargeList(1)
-	pr.LockRelease(s, m.Payload.(relMsg).lock, m.From, 0, nil, nil)
+	// The flush made every sharer current: no chain state stays behind.
+	pr.Relinquish(c, lock)
 }
 
 // flush diffs every dirty page and distributes the updates through the
@@ -480,38 +455,11 @@ func (pr *Munin) handleFwdInval(s *sim.Svc, m *sim.Msg) {
 }
 
 // Barrier implements proto.Protocol: flush everything (to all sharers —
-// barriers have no predicted acquirer), then a plain centralized barrier.
+// barriers have no predicted acquirer), then a plain counting barrier.
 func (pr *Munin) Barrier(c *proto.Ctx) {
-	st := pr.ps[c.ID]
-	pr.flush(c, st, nil, false)
+	pr.flush(c, pr.ps[c.ID], nil, false)
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, 0, 0)
-	st.barOut = false
-	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 8, 1, pr.h.barArrive)
-	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
+	pr.relay.Sync(c)
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierDepart, 0, 0)
 	c.Epoch++
-}
-
-// handleBarArrive counts arrivals, combining subtree counts up the tree
-// (a no-op in the flat barrier, where every count-1 arrival lands at the
-// manager directly, as in the seed).
-func (pr *Munin) handleBarArrive(s *sim.Svc, m *sim.Msg) {
-	s.ChargeList(1)
-	arrived, complete := pr.relay.Gather(m.To, m.Payload.(int))
-	if !complete {
-		return
-	}
-	if m.To != proto.BarMgr {
-		pr.relay.Up(s, m.To, kBarArrive, 8, arrived, pr.h.barArrive)
-		return
-	}
-	pr.relay.Broadcast(s, kBarComplete, 8, nil, pr.h.barComplete)
-}
-
-// handleBarComplete releases a processor, relaying the completion to its
-// tree children first.
-func (pr *Munin) handleBarComplete(s *sim.Svc, m *sim.Msg) {
-	pr.relay.Down(s, m, pr.h.barComplete)
-	pr.ps[m.To].barOut = true
-	s.Wake(s.P)
 }

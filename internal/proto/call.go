@@ -24,17 +24,11 @@ func (c *Ctx) Call(cat stats.Category, to, kind, bytes int, req any, h sim.Handl
 // the serving node's handler, after that handler has charged the work the
 // reply stands for.
 func (c *Ctx) Reply(s *sim.Svc, kind, bytes int, payload any) {
-	svcSend(s, c.ID, kind, bytes, payload, c.land)
+	s.Send(c.ID, kind, bytes, payload, c.land)
 }
 
 // landReply is the delivery handler of every reply (c.land, bound once).
 func (c *Ctx) landReply(s *sim.Svc, m *sim.Msg) {
 	c.reply, c.replied = m.Payload, true
 	s.Wake(s.P)
-}
-
-// svcSend is the one place the substrate sends on a handler's behalf: a
-// reply to a blocked caller, or barrier traffic relayed along the tree.
-func svcSend(s *sim.Svc, to, kind, bytes int, payload any, h sim.Handler) {
-	s.Send(to, kind, bytes, payload, h)
 }

@@ -7,7 +7,13 @@ import (
 	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
+	"aecdsm/internal/trace"
 )
+
+// lockKind is the kind of every message the lock service sends: requests,
+// plain releases and acquire notices. sim.Msg.Kind is written but never
+// read (ROADMAP item 10(e)).
+const lockKind = -1
 
 // LockCoherence is the coherence delta a DSM protocol plugs into the
 // shared lock manager: the paper frames AEC and TreadMarks as differing
@@ -37,11 +43,12 @@ type ManagedLock struct {
 }
 
 // LockMgr is the distributed lock-manager service every DSM protocol
-// embeds: manager placement, the per-lock wait queue under the configured
-// grant policy, the enqueue-or-grant and release-then-pick decisions with
-// their list-processing charges, primary-backup journaling of every
-// decision when the fault schedule contains crashes, and the failover that
-// rebuilds a crashed manager's locks from the journal
+// embeds: manager placement, the ownership request, the plain release and
+// the acquire notice with their messages, the per-lock wait queue under
+// the configured grant policy, the enqueue-or-grant and release-then-pick
+// decisions with their list-processing charges, primary-backup journaling
+// of every decision when the fault schedule contains crashes, and the
+// failover that rebuilds a crashed manager's locks from the journal
 // (docs/ROBUSTNESS.md). The state lives in Go memory but is only touched
 // by messages addressed to the managing node, so its costs land on the
 // right processor.
@@ -52,8 +59,8 @@ type LockMgr struct {
 	numLocks int
 	locks    []ManagedLock
 
-	repKind int
-	noticeH sim.Handler
+	// The service's handlers, bound once in InitLocks.
+	requestH, relinquishH, noticeH sim.Handler
 
 	// rep is the replication log, nil unless the fault schedule can crash
 	// a node: runs without crash faults carry no replication traffic.
@@ -82,11 +89,10 @@ func (m *LockMgr) Lock(lock int) *ManagedLock { return &m.locks[lock] }
 
 // InitLocks builds the managers at Attach time: one predictor per lock
 // with update sets of size ns under the machine's grant policy, wired to
-// the engine's tracer. repKind is the protocol's message kind for shipped
-// journal records.
-func (m *LockMgr) InitLocks(e *sim.Engine, ns, repKind int, coh LockCoherence) {
-	m.e, m.coh, m.nprocs, m.repKind = e, coh, len(e.Procs), repKind
-	m.noticeH = m.handleNotice
+// the engine's tracer.
+func (m *LockMgr) InitLocks(e *sim.Engine, ns int, coh LockCoherence) {
+	m.e, m.coh, m.nprocs = e, coh, len(e.Procs)
+	m.requestH, m.relinquishH, m.noticeH = m.handleRequest, m.handleRelinquish, m.handleNotice
 	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
 	if err != nil {
 		panic("proto: " + err.Error())
@@ -119,10 +125,37 @@ func (m *LockMgr) MgrOf(lock int) int {
 	return lock % m.nprocs
 }
 
-// LockNotice sends an acquire notice (a message of the protocol's kind)
-// to the lock's manager, feeding the LAP virtual queue.
-func (m *LockMgr) LockNotice(c *Ctx, kind, lock int) {
-	m.e.SendFrom(c.P, stats.Synch, m.MgrOf(lock), kind, 8, lock, m.noticeH)
+// Request emits lock-request and sends c's ownership request for lock,
+// bytes on the wire, to the lock's manager, whose LockRequest answers it
+// with a grant now or off the wait queue later. The protocol waits for
+// its grant.
+func (m *LockMgr) Request(c *Ctx, lock, bytes int) {
+	mgr := m.MgrOf(lock)
+	m.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(mgr), 0)
+	m.e.SendFrom(c.P, stats.Synch, mgr, lockKind, bytes, lock, m.requestH)
+}
+
+func (m *LockMgr) handleRequest(s *sim.Svc, msg *sim.Msg) {
+	m.LockRequest(s, msg.Payload.(int), msg.From)
+}
+
+// Relinquish sends c's release of lock to the lock's manager: 8 bytes,
+// one list element to absorb, and no chain state left behind — the
+// release of a protocol whose next acquirer inherits nothing from the
+// manager (TreadMarks, Munin).
+func (m *LockMgr) Relinquish(c *Ctx, lock int) {
+	m.e.SendFrom(c.P, stats.Synch, m.MgrOf(lock), lockKind, 8, lock, m.relinquishH)
+}
+
+func (m *LockMgr) handleRelinquish(s *sim.Svc, msg *sim.Msg) {
+	s.ChargeList(1)
+	m.LockRelease(s, msg.Payload.(int), msg.From, 0, nil, nil)
+}
+
+// LockNotice sends an acquire notice to the lock's manager, feeding the
+// LAP virtual queue.
+func (m *LockMgr) LockNotice(c *Ctx, lock int) {
+	m.e.SendFrom(c.P, stats.Synch, m.MgrOf(lock), lockKind, 8, lock, m.noticeH)
 }
 
 func (m *LockMgr) handleNotice(s *sim.Svc, msg *sim.Msg) {
@@ -138,7 +171,7 @@ func (m *LockMgr) journal(s *sim.Svc, rec recover.Record) {
 	}
 	rec.US = append([]int(nil), rec.US...)
 	rec.Pages = append([]int(nil), rec.Pages...)
-	m.rep.Ship(s, m.nprocs, m.repKind, rec)
+	m.rep.Ship(s, m.nprocs, rec)
 }
 
 // LockRequest is the manager's service routine for an ownership request:
@@ -155,7 +188,8 @@ func (m *LockMgr) LockRequest(s *sim.Svc, lock, from int) {
 }
 
 // LockRelease is the manager's service routine for a release, called once
-// the protocol has decoded (and charged for) its release message: record
+// the release message has been decoded and charged for — by Relinquish's
+// handler, or by a protocol that sends its own release: record
 // the chain state the release leaves behind — the releaser's acquire
 // count, the update set and the cumulative page list the next acquirer
 // inherits; zero and nil for protocols that keep none — and hand the lock

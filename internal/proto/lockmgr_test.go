@@ -7,6 +7,7 @@ import (
 
 	"aecdsm/internal/fault"
 	"aecdsm/internal/lockpolicy"
+	"aecdsm/internal/mem"
 	"aecdsm/internal/memsys"
 	journal "aecdsm/internal/recover" // named so the builtin recover stays reachable
 	"aecdsm/internal/sim"
@@ -62,7 +63,7 @@ func newMgrRig(policy lockpolicy.Kind, nprocs, nlocks int, shard, crashes bool) 
 	}
 	r.log = &grantLog{m: r.LockMgr}
 	r.SetNumLocks(nlocks)
-	r.InitLocks(eng, 2, 99, r.log)
+	r.InitLocks(eng, 2, r.log)
 	return r
 }
 
@@ -295,7 +296,7 @@ func TestLockMgrUnarmed(t *testing.T) {
 		}
 	}()
 	m := &LockMgr{}
-	m.InitLocks(r.eng, 2, 99, forgetful{})
+	m.InitLocks(r.eng, 2, forgetful{})
 	m.LockRequest(&sim.Svc{E: r.eng, P: r.eng.Procs[0]}, 0, 1)
 }
 
@@ -303,3 +304,112 @@ type forgetful struct{}
 
 func (forgetful) Grant(*sim.Svc, int, int, bool) {}
 func (forgetful) Crashed(int) uint64             { return 0 }
+
+// mgrProto runs the lock service's own messages over the ideal memory:
+// Request to acquire, Relinquish to release, and a grant that notes the
+// node it was decided at.
+type mgrProto struct {
+	Ideal
+	LockMgr
+	granted []bool
+	decided [][2]int // lock, node
+	grantH  sim.Handler
+}
+
+func (p *mgrProto) SetNumLocks(n int) { p.LockMgr.SetNumLocks(n) }
+
+func (p *mgrProto) Attach(e *sim.Engine, s *mem.Space, ctxs []*Ctx) {
+	p.Ideal.Attach(e, s, ctxs)
+	p.InitLocks(e, 2, p)
+	p.granted = make([]bool, len(ctxs))
+	p.grantH = func(s *sim.Svc, m *sim.Msg) {
+		p.granted[m.To] = true
+		s.Wake(s.P)
+	}
+}
+
+func (p *mgrProto) Acquire(c *Ctx, lock int) {
+	p.Request(c, lock, 8)
+	c.P.WaitUntil(func() bool { return p.granted[c.ID] }, stats.Synch)
+	p.granted[c.ID] = false
+}
+
+func (p *mgrProto) Release(c *Ctx, lock int) { p.Relinquish(c, lock) }
+
+func (p *mgrProto) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
+	p.decided = append(p.decided, [2]int{lock, s.P.ID})
+	p.CommitGrant(s, lock, to, fromQueue, 0, nil)
+	s.Send(to, 0, 8, nil, p.grantH)
+}
+
+func (p *mgrProto) Crashed(int) uint64 { return 0 }
+
+// TestLockMgrRequestLandsAtManager: every processor takes every lock
+// twice through Request and Relinquish, under round-robin and sharded
+// placement; each grant is decided at the lock's manager, every request
+// is granted, and no release leaves chain state behind.
+func TestLockMgrRequestLandsAtManager(t *testing.T) {
+	const nprocs, nlocks = 8, 5
+	for _, shard := range []bool{false, true} {
+		params := memsys.Default().ForProcs(nprocs)
+		params.ShardManagers = shard
+		pr := &mgrProto{Ideal: *NewIdeal(0)}
+		m := Assemble(params, pr, Script{Homes: []int{0}, Locks: nlocks, Do: func(c *Ctx) {
+			for range 2 {
+				for lock := range nlocks {
+					c.Acquire(lock)
+					c.Compute(100)
+					c.Release(lock)
+				}
+			}
+		}}, nil, nil, nil)
+		if m.Run() {
+			t.Fatalf("shard %v: deadlocked", shard)
+		}
+		if got, want := len(pr.decided), 2*nprocs*nlocks; got != want {
+			t.Errorf("shard %v: %d grants, want %d", shard, got, want)
+		}
+		for _, d := range pr.decided {
+			if mgr := pr.MgrOf(d[0]); d[1] != mgr {
+				t.Errorf("shard %v: lock %d granted at node %d, its manager is %d", shard, d[0], d[1], mgr)
+			}
+		}
+		for lock := range nlocks {
+			if l := pr.Lock(lock); l.LastReleaser < 0 || l.LastUS != nil || l.CumPages != nil {
+				t.Errorf("shard %v: lock %d ends %+v, want released with no chain state", shard, lock, l.Image)
+			}
+		}
+	}
+}
+
+// TestLockMgrRelinquish: the plain release's handler charges one list
+// element on top of what LockRelease charges for the same release, leaves
+// no chain state, and, with crashes armed, journals one OpRelease.
+func TestLockMgrRelinquish(t *testing.T) {
+	for _, crashes := range []bool{false, true} {
+		plain := newMgrRig(lockpolicy.FIFO, 4, 2, false, crashes)
+		direct := newMgrRig(lockpolicy.FIFO, 4, 2, false, crashes)
+		for _, r := range []*mgrRig{plain, direct} {
+			r.LockRequest(r.svc(1), 1, 2)
+		}
+		// Both start once the grant's journal record has left the I/O bus.
+		s, want := plain.svc(1), direct.svc(1)
+		s.Now, want.Now = 1_000_000, 1_000_000
+		plain.handleRelinquish(s, &sim.Msg{From: 2, To: plain.MgrOf(1), Payload: 1})
+		direct.LockRelease(want, 1, 2, 0, nil, nil)
+		if got, extra := s.Now-want.Now, plain.eng.Params.ListCycles(1); got != extra {
+			t.Errorf("crashes %v: Relinquish charged %d cycles beyond LockRelease, want %d", crashes, got, extra)
+		}
+		l := plain.Lock(1)
+		if l.Held || l.LastReleaser != 2 || l.LastCount != 0 || l.LastUS != nil || l.CumPages != nil {
+			t.Errorf("crashes %v: lock 1 after Relinquish: %+v", crashes, l.Image)
+		}
+		if !crashes {
+			continue
+		}
+		recs := plain.rep.Records(1)
+		if len(recs) != 2 || recs[1].Op != journal.OpRelease || recs[1].Proc != 2 {
+			t.Errorf("crashes %v: lock 1's journal %+v, want a grant then one release by 2", crashes, recs)
+		}
+	}
+}

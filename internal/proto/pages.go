@@ -20,10 +20,9 @@ type PageDelta func(home, page, from int) (extra any, bytes int)
 // pays for writing it into its own frame. Which node is the home, and when
 // a base copy is needed at all, stay with the protocol.
 type PageHome struct {
-	ctxs             []*Ctx
-	reqKind, repKind int
-	delta            PageDelta
-	serve            sim.Handler
+	ctxs  []*Ctx
+	delta PageDelta
+	serve sim.Handler
 
 	// snaps recycles the page snapshots replies carry: servePage takes
 	// one (a new one comes from the space's region), FetchPage puts it
@@ -37,10 +36,13 @@ type pageReply struct {
 	extra any
 }
 
-// InitPageHome wires the service at Attach time. reqKind and repKind are
-// the protocol's message kinds for the exchange; delta may be nil.
-func (h *PageHome) InitPageHome(ctxs []*Ctx, reqKind, repKind int, delta PageDelta) {
-	h.ctxs, h.reqKind, h.repKind, h.delta = ctxs, reqKind, repKind, delta
+// pageKind is the kind of the page request and its reply. sim.Msg.Kind is
+// written but never read (ROADMAP item 10(e)).
+const pageKind = -2
+
+// InitPageHome wires the service at Attach time; delta may be nil.
+func (h *PageHome) InitPageHome(ctxs []*Ctx, delta PageDelta) {
+	h.ctxs, h.delta = ctxs, delta
 	h.serve = h.servePage
 }
 
@@ -48,7 +50,7 @@ func (h *PageHome) InitPageHome(ctxs []*Ctx, reqKind, repKind int, delta PageDel
 // protocol's delta. It blocks for the round trip.
 func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	c.P.Stats.PageFetches++
-	rep := c.Call(stats.Data, home, h.reqKind, 8, page, h.serve).(pageReply)
+	rep := c.Call(stats.Data, home, pageKind, 8, page, h.serve).(pageReply)
 	c.E.Tracer.Page(c.P.Clock, c.ID, trace.KindPageFetch, page, int64(home), int64(len(rep.data)))
 	// Copy the page in across the memory bus.
 	size := c.S.PageSize()
@@ -81,7 +83,7 @@ func (h *PageHome) servePage(s *sim.Svc, m *sim.Msg) {
 		rep.extra, more = h.delta(m.To, page, m.From)
 		bytes += more
 	}
-	h.ctxs[m.From].Reply(s, h.repKind, bytes, rep)
+	h.ctxs[m.From].Reply(s, pageKind, bytes, rep)
 }
 
 // ChargeTwin charges this processor for making a twin of one page.

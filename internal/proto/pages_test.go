@@ -37,7 +37,7 @@ func pageRig(t *testing.T, faults string, delta PageDelta, bodies ...func(h *Pag
 		ctxs[i] = NewCtx(e.Procs[i], e, mem.NewProcMem(space, i), space, nil, i, p.NumProcs)
 	}
 	h := &PageHome{}
-	h.InitPageHome(ctxs, 1, 2, delta)
+	h.InitPageHome(ctxs, delta)
 	for i, body := range bodies {
 		e.Spawn(i, func(*sim.Proc) { body(h, ctxs[i]) })
 	}

@@ -3,11 +3,16 @@ package proto
 import (
 	"aecdsm/internal/mem"
 	"aecdsm/internal/sim"
+	"aecdsm/internal/stats"
 	"aecdsm/internal/topo"
 )
 
 // BarMgr is the barrier manager's processor: the root of the relay tree.
 const BarMgr = 0
+
+// relayKind is the kind of the counting barrier's messages (Sync).
+// sim.Msg.Kind is written but never read (ROADMAP item 10(e)).
+const relayKind = -3
 
 // Relay is the barrier fan-in/fan-out every DSM protocol runs its barrier
 // messages through: the combining tree (flat — the paper's centralized
@@ -16,21 +21,62 @@ const BarMgr = 0
 // parent once a subtree is complete, and the relay of the release down the
 // same edges. A protocol supplies what it combines on the way up and what
 // it distributes on the way down; its handlers charge their own list work,
-// the relay only the fan-out it adds at interior nodes.
+// the relay only the fan-out it adds at interior nodes. A barrier that
+// only counts processors in and releases them is the relay's own (Sync).
 //
 // One Relay carries one fan-in at a time. That is enough for a barrier
 // with several phases (AEC: arrive, then ready), because no processor
 // enters a phase before the manager has completed the previous one.
 type Relay struct {
 	topo.Tree
-	heard []int // per node: processors of its subtree heard from so far
-	kids  []int // fan-out scratch (Children, Broadcast, Down)
+	heard []int  // per node: processors of its subtree heard from so far
+	out   []bool // per node: Sync's release has landed
+	kids  []int  // fan-out scratch (Children, Broadcast, Down)
+
+	countH, releaseH sim.Handler // Sync's handlers, bound once
 }
 
 // InitRelay builds the tree over the engine's processors at Attach time.
 func (r *Relay) InitRelay(e *sim.Engine) {
 	r.Tree = topo.New(len(e.Procs), e.Params.BarrierRadix)
 	r.heard = make([]int, len(e.Procs))
+	r.out = make([]bool, len(e.Procs))
+	r.countH, r.releaseH = r.count, r.release
+}
+
+// Sync is the counting barrier: c's processor counts itself in up the
+// tree and parks until the release comes back down. Every hop is 8
+// bytes; a node charges one list element per count it absorbs, and an
+// interior node the fan-out of the release. It is Munin's whole barrier
+// and the ready phase of AEC's.
+func (r *Relay) Sync(c *Ctx) {
+	out := &r.out[c.ID]
+	*out = false
+	c.E.SendFrom(c.P, stats.Synch, r.ArrivalDest(c.ID), relayKind, 8, 1, r.countH)
+	c.P.WaitUntil(func() bool { return *out }, stats.Synch)
+}
+
+// count absorbs a subtree's count at m.To: forwarded up once the subtree
+// is complete, the release broadcast once the machine is.
+func (r *Relay) count(s *sim.Svc, m *sim.Msg) {
+	s.ChargeList(1)
+	n, complete := r.Gather(m.To, m.Payload.(int))
+	if !complete {
+		return
+	}
+	if m.To != BarMgr {
+		r.Up(s, m.To, relayKind, 8, n, r.countH)
+		return
+	}
+	r.Broadcast(s, relayKind, 8, nil, r.releaseH)
+}
+
+// release lets a processor out of Sync, relaying the release to its tree
+// children first.
+func (r *Relay) release(s *sim.Svc, m *sim.Msg) {
+	r.Down(s, m, r.releaseH)
+	r.out[m.To] = true
+	s.Wake(s.P)
 }
 
 // Gather records that node has heard from n more processors of its
@@ -53,23 +99,18 @@ func (r *Relay) Children(node int) []int {
 	return r.kids
 }
 
-// Send ships one relay message from a handler that has charged for it.
-func (r *Relay) Send(s *sim.Svc, to, kind, bytes int, payload any, h sim.Handler) {
-	svcSend(s, to, kind, bytes, payload, h)
-}
-
 // Up forwards what node combined for its complete subtree to its parent.
 func (r *Relay) Up(s *sim.Svc, node, kind, bytes int, payload any, h sim.Handler) {
-	svcSend(s, r.Parent(node), kind, bytes, payload, h)
+	s.Send(r.Parent(node), kind, bytes, payload, h)
 }
 
 // Broadcast starts a release at the manager: to itself first, then to its
 // children in ascending order, which in the flat tree is everyone.
 func (r *Relay) Broadcast(s *sim.Svc, kind, bytes int, payload any, h sim.Handler) {
-	svcSend(s, BarMgr, kind, bytes, payload, h)
+	s.Send(BarMgr, kind, bytes, payload, h)
 	r.kids = r.AppendChildren(r.kids[:0], BarMgr)
 	for _, q := range r.kids {
-		svcSend(s, q, kind, bytes, payload, h)
+		s.Send(q, kind, bytes, payload, h)
 	}
 }
 
@@ -87,7 +128,7 @@ func (r *Relay) Down(s *sim.Svc, m *sim.Msg, h sim.Handler) {
 	}
 	s.ChargeList(len(r.kids))
 	for _, q := range r.kids {
-		svcSend(s, q, m.Kind, m.Bytes, m.Payload, h)
+		s.Send(q, m.Kind, m.Bytes, m.Payload, h)
 	}
 }
 

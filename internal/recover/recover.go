@@ -14,7 +14,7 @@
 //
 // Modeling note — why the in-process log is authoritative. The simulator
 // is single-threaded and manager handlers run to completion, so "append
-// before effect" is trivially atomic here; the kRepLog message to the
+// before effect" is trivially atomic here; the message to the
 // backup models the COST of synchronous replication (wire bytes, backup
 // service time), not its content. This is the standard simulation fiction:
 // a real implementation would block the manager until the backup acked the
@@ -132,8 +132,7 @@ type Queue interface {
 // per protocol instance (authoritative, per the package comment) and
 // charges the shipping cost separately.
 type Replicator struct {
-	logs  [][]Record // by lock id
-	bytes uint64
+	logs [][]Record // by lock id
 }
 
 // NewReplicator returns an empty backup store for lock ids below locks.
@@ -145,25 +144,23 @@ func NewReplicator(locks int) *Replicator {
 // caller charges to the replication stream.
 func (r *Replicator) Append(rec Record) int {
 	r.logs[rec.Lock] = append(r.logs[rec.Lock], rec)
-	n := rec.Bytes()
-	r.bytes += uint64(n)
-	return n
+	return rec.Bytes()
 }
 
 // Records returns the log of one lock in append order (shared slice —
 // callers replay, they do not mutate).
 func (r *Replicator) Records(lock int) []Record { return r.logs[lock] }
 
-// LoggedBytes is the total modeled wire volume appended so far.
-func (r *Replicator) LoggedBytes() uint64 { return r.bytes }
+// shipKind is the kind of a shipped journal record. sim.Msg.Kind is
+// written but never read (ROADMAP item 10(e)).
+const shipKind = -4
 
 // Ship appends one record (the authoritative, journaled copy — see the
 // package comment) and ships it to the manager's backup over the reliable
 // transport, charging the manager's log append and the wire cost of
 // synchronous replication. It must be called from the manager's service
-// context, before the recorded action's effect is applied; kind is the
-// protocol's reserved log-shipping message kind.
-func (r *Replicator) Ship(s *sim.Svc, nprocs, kind int, rec Record) {
+// context, before the recorded action's effect is applied.
+func (r *Replicator) Ship(s *sim.Svc, nprocs int, rec Record) {
 	n := r.Append(rec)
 	mgr := s.P.ID
 	s.P.Stats.ReplicaLogBytes += uint64(n)
@@ -171,7 +168,7 @@ func (r *Replicator) Ship(s *sim.Svc, nprocs, kind int, rec Record) {
 	backup := memsys.BackupOf(mgr, nprocs)
 	s.E.Tracer.Lock(s.Now, mgr, trace.KindReplicaLog, rec.Lock, int64(backup), int64(n))
 	if backup != mgr {
-		s.Send(backup, kind, n, rec, HandleShip)
+		s.Send(backup, shipKind, n, rec, HandleShip)
 	}
 }
 

@@ -87,10 +87,11 @@ func TestRecordBytes(t *testing.T) {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
 	rep := NewReplicator(2)
-	rep.Append(r)
-	rep.Append(Record{Lock: 1, Op: OpEnqueue, Proc: 3})
-	if got, want := rep.LoggedBytes(), uint64(16+8*4+16); got != want {
-		t.Fatalf("LoggedBytes() = %d, want %d", got, want)
+	if got, want := rep.Append(r)+rep.Append(Record{Lock: 1, Op: OpEnqueue, Proc: 3}), 16+8*4+16; got != want {
+		t.Fatalf("Append returned %d bytes in all, want %d", got, want)
+	}
+	if got := len(rep.Records(1)); got != 2 {
+		t.Fatalf("lock 1 logged %d records, want 2", got)
 	}
 }
 

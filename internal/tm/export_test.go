@@ -41,8 +41,8 @@ func (pr *TM) Clocks(proc, ivals int, f func(vc []int)) int {
 	for _, rec := range st.ivals[ivals:] {
 		f(rec.vc)
 	}
-	if st.acq.vc != nil {
-		f(st.acq.vc)
+	if st.acqVC != nil {
+		f(st.acqVC)
 	}
 	if st.grant != nil {
 		f(st.grant.vc)

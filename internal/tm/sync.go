@@ -18,10 +18,10 @@ import (
 func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
 	st.grant = nil
-	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(pr.MgrOf(lock)), 0)
-	// Clocks travel by reference: st.vc is replaced, never written.
-	st.acq = acqReq{lock: lock, vc: st.vc, from: c.ID}
-	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8+4*pr.nprocs, &st.acq, pr.h.acqReq)
+	// The request carries the clock on the wire; the manager reads it
+	// here, by reference: st.vc is replaced, never written.
+	st.acqVC = st.vc
+	pr.Request(c, lock, 8+4*pr.nprocs)
 	c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
 	g := st.grant
 	st.grant = nil
@@ -105,15 +105,6 @@ func (pr *TM) applyWNsHybrid(c *proto.Ctx, st *tmProc, wns []wnRef, piggy []ival
 	st.fresh = fresh[:0]
 }
 
-// handleAcqReq lands an ownership request at the lock's manager. The
-// request, with the requester's vector clock, waits in the requester's
-// state for the eventual grant, which may be immediate or come off the
-// wait queue.
-func (pr *TM) handleAcqReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(*acqReq)
-	pr.LockRequest(s, req.lock, req.from)
-}
-
 // Grant implements proto.LockCoherence. TreadMarks keeps no chain state
 // at the manager, so the record carries just the processor; the manager
 // then asks the last releaser to build the grant (it owns the freshest
@@ -122,7 +113,7 @@ func (pr *TM) handleAcqReq(s *sim.Svc, m *sim.Msg) {
 func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	pr.CommitGrant(s, lock, to, fromQueue, 0, nil)
 	st := pr.ps[to]
-	vc := st.acq.vc
+	vc := st.acqVC
 	// Neither send charges: the acquire and release handlers charged the
 	// queue work, and the grant body is costed at the releaser.
 	if last := pr.Lock(lock).LastReleaser; last >= 0 && last != to {
@@ -174,15 +165,8 @@ func (pr *TM) Release(c *proto.Ctx, lock int) {
 	pr.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRelease, lock, 0, 0)
 	pr.closeInterval(c, st)
 	c.Epoch++
-	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8,
-		relMsg{lock: lock}, pr.h.rel)
-}
-
-// handleRel lands a release at the lock's manager; a lazy release leaves
-// no chain state behind.
-func (pr *TM) handleRel(s *sim.Svc, m *sim.Msg) {
-	s.ChargeList(1)
-	pr.LockRelease(s, m.Payload.(relMsg).lock, m.From, 0, nil, nil)
+	// A lazy release leaves no chain state behind.
+	pr.Relinquish(c, lock)
 }
 
 // Barrier implements the TreadMarks barrier: everyone ships its new

@@ -32,19 +32,16 @@ import (
 	"aecdsm/internal/trace"
 )
 
-// Message kinds.
+// Message kinds of the messages TreadMarks sends itself; the shared
+// services send theirs. sim.Msg.Kind is written but never read (ROADMAP
+// item 10(e)).
 const (
-	kAcqReq = iota
-	kGrantReq
+	kGrantReq = iota
 	kGrant
-	kRel
 	kDiffReq
 	kDiffRep
-	kPageReq
-	kPageRep
 	kBarArrive
 	kBarRelease
-	kRepLog // lock-manager journal record -> backup node (proto.LockMgr)
 )
 
 // wnRef names one interval's modification of one page.
@@ -113,13 +110,13 @@ type tmProc struct {
 	fetched []ivalDiff // filled by the serving handlers, then ordered and applied
 	fresh   []wnRef    // Lazy Hybrid: a grant's fresh notices, sorted by page
 
-	// The lock hand-off of this processor's acquire, each message sent by
-	// pointer: its request to the manager (acq, whose clock the manager
-	// grants against), the manager's request to the last releaser to
-	// build the grant (build) and the grant (granted). A processor has at
-	// most one acquire outstanding and consumes its grant inside Acquire,
-	// so the next acquire finds all three read.
-	acq     acqReq
+	// The lock hand-off of this processor's acquire: the clock of its
+	// request, which the manager grants against (acqVC), and, each sent
+	// by pointer, the manager's request to the last releaser to build the
+	// grant (build) and the grant (granted). A processor has at most one
+	// acquire outstanding and consumes its grant inside Acquire, so the
+	// next acquire finds all three read.
+	acqVC   []int
 	build   grantReq
 	granted grantMsg
 	grant   *grantMsg // the grant once it has landed, nil before
@@ -148,12 +145,6 @@ type grantMsg struct {
 	piggy []ivalDiff // Lazy Hybrid: releaser's own diffs, by wn order; its array is kept across grants
 }
 
-type acqReq struct {
-	lock int
-	vc   []int
-	from int
-}
-
 type grantReq struct { // manager -> last releaser: build the grant
 	lock int
 	to   int
@@ -167,8 +158,6 @@ func (pr *TM) grantTo(to, lock int, wns []wnRef, vc []int) *grantMsg {
 	*g = grantMsg{lock: lock, wns: wns, vc: vc, piggy: proto.Reuse(g.piggy, ivalDiff{})}
 	return g
 }
-
-type relMsg struct{ lock int }
 
 // diffReq asks one writer for its diffs of a page. It lives on the
 // requester's tmProc and travels by pointer; the server appends what it
@@ -459,7 +448,7 @@ type TM struct {
 	// h is the message handlers, bound once in Attach: a method value
 	// written at a send site is a fresh closure per message.
 	h struct {
-		acqReq, grantReq, grant, rel   sim.Handler
+		grantReq, grant                sim.Handler
 		diffReq, barArrive, barRelease sim.Handler
 	}
 
@@ -518,10 +507,10 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 		}
 	}
 	pr.log = make([][]wnRow, s.Pages())
-	pr.h.acqReq, pr.h.grantReq, pr.h.grant, pr.h.rel = pr.handleAcqReq, pr.handleGrantReq, pr.handleGrant, pr.handleRel
+	pr.h.grantReq, pr.h.grant = pr.handleGrantReq, pr.handleGrant
 	pr.h.diffReq, pr.h.barArrive, pr.h.barRelease = pr.handleDiffReq, pr.handleBarArrive, pr.handleBarRelease
-	pr.InitLocks(e, 2, kRepLog, pr)
-	pr.InitPageHome(ctxs, kPageReq, kPageRep, nil)
+	pr.InitLocks(e, 2, pr)
+	pr.InitPageHome(ctxs, nil)
 	pr.barSeen = make([]bool, pr.nprocs)
 }
 
