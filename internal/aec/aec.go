@@ -33,14 +33,8 @@ import (
 // Message kinds of the messages AEC sends itself; the shared services send
 // theirs. sim.Msg.Kind is written but never read (ROADMAP item 10(e)).
 const (
-	kAcqGrant = iota
-	kRel
+	kRel = iota
 	kPush
-	kDiffReq
-	kDiffRep
-	kWNDiffReq
-	kWNDiffRep
-	kBarArrive
 	kBarInstr
 	kBarDiff
 	kBarWN
@@ -86,9 +80,9 @@ type AEC struct {
 	// h is the message handlers, bound once in Attach: a method value
 	// written at a send site is a fresh closure per message.
 	h struct {
-		grant, push, rel, diffReq, wnDiffReq sim.Handler
-		barArrive, barDiff, barWN            sim.Handler
-		barInstr, barInstrBatch              sim.Handler
+		push, rel, diffReq, wnDiffReq sim.Handler
+		barArrive, barDiff, barWN     sim.Handler
+		barInstr, barInstrBatch       sim.Handler
 	}
 
 	nprocs   int
@@ -131,10 +125,10 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.s = s
 	pr.ctxs = ctxs
 	pr.nprocs = len(ctxs)
-	pr.relay.InitRelay(e)
+	pr.relay.InitRelay(e, ctxs)
 	pr.pageSize = s.PageSize()
 	pr.merger = mem.NewMerger(pr.pageSize)
-	pr.h.grant, pr.h.push, pr.h.rel = pr.handleGrant, pr.handlePush, pr.handleRel
+	pr.h.push, pr.h.rel = pr.handlePush, pr.handleRel
 	pr.h.diffReq, pr.h.wnDiffReq = pr.handleDiffReq, pr.handleWNDiffReq
 	pr.h.barArrive, pr.h.barDiff, pr.h.barWN = pr.handleBarArrive, pr.handleBarDiff, pr.handleBarWN
 	pr.h.barInstr, pr.h.barInstrBatch = pr.handleBarInstr, pr.handleBarInstrBatch
@@ -142,7 +136,7 @@ func (pr *AEC) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	if !pr.opt.UseLAP {
 		nsz = 1 // predictor still sized, but never consulted for pushes
 	}
-	pr.InitLocks(e, nsz, pr)
+	pr.InitLocks(e, ctxs, nsz, pr)
 	pr.InitPageHome(ctxs, pr.pageDelta)
 	// The lock records are sized by NumLocks, which InitLocks sets.
 	pages := s.Pages()

@@ -53,25 +53,13 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 	elems += len(outside) + len(newValid)
 	c.P.Advance(pr.e.Params.ListCycles(elems), stats.Synch)
 
-	st.barInstr = nil
 	*a = arriveMsg{proc: c.ID, owned: owned, outside: outside, newValid: newValid}
 	st.batch.arr = append(st.batch.arr[:0], a)
-	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive, 16+8*elems,
-		&st.batch, pr.h.barArrive)
+	pr.relay.Arrive(c, 16+8*elems, &st.batch, pr.h.barArrive)
 
-	// Overlap outside-diff creation with the barrier wait (§3.3): only
-	// pages some other processor has requested before are worth diffing
-	// eagerly; the rest stay lazy.
-	for st.barInstr == nil && !pr.opt.lazyBarrierDiffs {
-		if !pr.barrierOverlapUnit(c, st) {
-			break
-		}
-	}
-	if st.barInstr == nil {
-		c.P.WaitUntil(func() bool { return st.barInstr != nil }, stats.Synch)
-	}
-	instr := st.barInstr
-	st.barInstr = nil
+	// Overlap outside-diff creation with the wait for the instructions
+	// (§3.3).
+	instr := c.Await(stats.Synch, func() bool { return pr.barrierOverlapUnit(c, st) }).(*barInstr)
 
 	// Home reassignments first, so faults after the barrier go to the
 	// right place.
@@ -112,8 +100,12 @@ func (pr *AEC) Barrier(c *proto.Ctx) {
 }
 
 // barrierOverlapUnit creates one eager outside diff; reports whether any
-// work was done.
+// work was done. Only pages some other processor has requested before are
+// worth diffing eagerly; the rest stay lazy.
 func (pr *AEC) barrierOverlapUnit(c *proto.Ctx, st *procState) bool {
+	if pr.opt.lazyBarrierDiffs {
+		return false
+	}
 	for _, pg := range st.snapshot(st.dirtyOutside) {
 		if p := &st.pages[pg]; !p.reqSeen && !p.sharedHint {
 			continue
@@ -227,7 +219,7 @@ func (pr *AEC) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 	}
 	s.ChargeList(len(st.combArr))
 	st.comb.arr = st.combArr
-	pr.relay.Up(s, m.To, kBarArrive, size, &st.comb, pr.h.barArrive)
+	pr.relay.Up(s, m.To, size, &st.comb, pr.h.barArrive)
 }
 
 // computeBarrierInstructions is the barrier manager's core: determine, for
@@ -401,17 +393,14 @@ func (pr *AEC) handleBarInstrBatch(s *sim.Svc, m *sim.Msg) {
 	pr.scatterInstr(s, m.To, batch.ins)
 	in := &batch.ins[0]
 	s.ChargeList(len(in.diffSends) + len(in.wnSends))
-	pr.ps[m.To].barInstr = in
-	s.Wake(s.P)
+	pr.ctxs[m.To].Land(s, in)
 }
 
 // handleBarInstr lands the manager's instructions at a processor.
 func (pr *AEC) handleBarInstr(s *sim.Svc, m *sim.Msg) {
-	st := pr.ps[m.To]
 	in := m.Payload.(*barInstr)
 	s.ChargeList(len(in.diffSends) + len(in.wnSends))
-	st.barInstr = in
-	s.Wake(s.P)
+	pr.ctxs[m.To].Land(s, in)
 }
 
 // handleBarDiff applies a merged CS diff pushed during the barrier

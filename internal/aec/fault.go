@@ -146,7 +146,7 @@ func (pr *AEC) applyWriteNotices(c *proto.Ctx, st *procState, page int, wns []me
 			continue
 		}
 		c.P.Stats.DiffRequests++
-		c.Call(stats.Data, w, kWNDiffReq, 8+8*len(req.steps), req, pr.h.wnDiffReq)
+		c.Call(stats.Data, w, 8+8*len(req.steps), req, pr.h.wnDiffReq)
 	}
 	// Notices naming ourselves (adopted from a home that had not applied
 	// our diff yet) replay from the local archive without network traffic,
@@ -190,7 +190,7 @@ func (pr *AEC) handleWNDiffReq(s *sim.Svc, m *sim.Msg) {
 			bytes += d.EncodedBytes()
 		}
 	}
-	pr.ctxs[m.From].Reply(s, kWNDiffRep, bytes, nil)
+	pr.ctxs[m.From].Reply(s, bytes, nil)
 }
 
 // writeFault grants write permission for the current epoch, creating the

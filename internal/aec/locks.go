@@ -17,9 +17,6 @@ import (
 // outside-diff creation with the wait for the manager's reply.
 func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
-	if st.grant != nil {
-		panic("aec: nested acquire reply outstanding")
-	}
 	pp := &pr.e.Params
 
 	pr.Request(c, lock, 8)
@@ -30,16 +27,7 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	// delay (Table 4). Application status lives in the push buffer
 	// itself: a fresher push replacing the buffer must be re-applied.
 	lc := st.lock(lock)
-	for st.grant == nil {
-		if !pr.overlapUnit(c, st, lc) {
-			break
-		}
-	}
-	if st.grant == nil {
-		c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
-	}
-	g := st.grant
-	st.grant = nil
+	g := c.Await(stats.Synch, func() bool { return pr.overlapUnit(c, st, lc) }).(*grantMsg)
 
 	st.inCS++
 	st.curLock = lock
@@ -219,7 +207,6 @@ func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		}
 	}
 	g := &grantMsg{
-		lock:         lock,
 		lastReleaser: l.LastReleaser,
 		lastCount:    l.LastCount,
 		myCount:      l.Count,
@@ -232,16 +219,7 @@ func (pr *AEC) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		size += 8 * len(g.invPages)
 		s.ChargeList(len(g.invPages))
 	}
-	s.Send(to, kAcqGrant, size, g, pr.h.grant)
-}
-
-// handleGrant lands the manager's reply at the acquirer.
-func (pr *AEC) handleGrant(s *sim.Svc, m *sim.Msg) {
-	g := m.Payload.(*grantMsg)
-	st := pr.ps[m.To]
-	st.grant = g
-	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(g.lastReleaser), int64(g.myCount))
-	s.Wake(s.P)
+	pr.SendGrant(s, to, lock, size, g, l.LastReleaser, l.Count)
 }
 
 // Release implements the lock release operation of §3.2: create the diffs
@@ -410,7 +388,7 @@ func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 // release top-up). The reply holds the diffs the owner has, none nil.
 func (pr *AEC) fetchLockDiffs(c *proto.Ctx, lock, owner int, pages []int, cat stats.Category) []*mem.Diff {
 	c.P.Stats.DiffRequests++
-	return c.Call(cat, owner, kDiffReq, 8+8*len(pages),
+	return c.Call(cat, owner, 8+8*len(pages),
 		diffReq{lock: lock, pages: pages}, pr.h.diffReq).([]*mem.Diff)
 }
 
@@ -429,5 +407,5 @@ func (pr *AEC) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 			bytes += d.EncodedBytes()
 		}
 	}
-	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, out)
+	pr.ctxs[m.From].Reply(s, bytes, out)
 }

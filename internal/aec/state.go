@@ -39,7 +39,6 @@ type recvBuf struct {
 // are the manager's own (the release's cumulative pages, the predictor's
 // published update set), shared and never written.
 type grantMsg struct {
-	lock         int
 	lastReleaser int   // -1 if first acquisition since reset
 	lastCount    int   // acquire counter of the last releaser's tenure
 	myCount      int   // acquire counter of this grant
@@ -179,10 +178,6 @@ type procState struct {
 	// flight (sent by pointer) and what the writers served.
 	wnReq wnDiffReq
 	wnGot []stepDiff
-
-	// Landing zones for in-flight replies.
-	grant    *grantMsg
-	barInstr *barInstr
 
 	// Barrier exchange bookkeeping.
 	barDiffsGot, barWNsGot int

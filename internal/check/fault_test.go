@@ -193,7 +193,7 @@ func TestLAPFallback(t *testing.T) {
 	}
 	want := prog.FinalChecksum()
 
-	fc := &fault.Config{Seed: 4, Drop: 1, RTO: 2000, MaxAttempts: 2}
+	fc := &fault.Config{Seed: 4, Drop: 1}
 	prog2 := apps.NewSynth(w.Cfg)
 	faulty := harness.RunFaultTraced(w.Params(), harness.NewProtocol(harness.ProtoAEC, 2), prog2, nil, fc)
 	if err := faulty.Err(); err != nil {

@@ -102,14 +102,15 @@ var mutants = []struct {
 	},
 	{
 		// The counting barrier releases the machine one count short: the
-		// last processor's count lands after everyone else has left.
+		// last processor's count lands after everyone else has left, so
+		// the next release lands at it before it awaited the first.
 		name: "relay-sync-release-early",
 		file: "internal/proto/relay.go",
 		old:  "	n, complete := r.Gather(m.To, m.Payload.(int))\n",
 		new:  "	n, complete := r.Gather(m.To, m.Payload.(int))\n	if m.To == BarMgr && n == r.SubtreeSize(BarMgr)-1 {\n		r.heard[BarMgr], complete = 0, true\n	}\n",
 		pkg:  "./internal/proto",
 		run:  "^TestRelaySync$",
-		want: []string{`radix 0: processor \d+ left barrier 0 at cycle \d+, before processor 63 entered it`},
+		want: []string{`proto: processor 63: an answer landed before the last one was awaited`},
 	},
 	{
 		// The plain release absorbs its list element for free.
@@ -120,6 +121,28 @@ var mutants = []struct {
 		pkg:  "./internal/proto",
 		run:  "^TestLockMgrRelinquish$",
 		want: []string{`crashes false: Relinquish charged 0 cycles beyond LockRelease, want \d+`},
+	},
+	{
+		// An awaited answer stays in the landing zone: the next await
+		// returns it again.
+		name: "ctx-await-keeps-answer",
+		file: "internal/proto/call.go",
+		old:  "	c.answer, c.answered = nil, false\n",
+		new:  "",
+		pkg:  "./internal/proto",
+		run:  "^TestAwaitOverlapsUntilLanded$",
+		want: []string{`await 0 left the answer 0 in the landing zone`, `the awaits returned \[0 0\], want \[0 1\]`},
+	},
+	{
+		// One trace byte moves and no simulated cycle does: every
+		// lock-grant event's second argument is one too large.
+		name: "lockmgr-grant-arg",
+		file: "internal/proto/lockmgr.go",
+		old:  "trace.KindLockGrant, g.lock, int64(g.arg), int64(g.arg2))",
+		new:  "trace.KindLockGrant, g.lock, int64(g.arg), int64(g.arg2)+1)",
+		pkg:  "./internal/harness",
+		run:  "^TestTracedTablesDigest$",
+		want: []string{`traced_tables_digest.txt diverged from the golden snapshot`},
 	},
 }
 

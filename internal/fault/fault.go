@@ -60,7 +60,8 @@ type Config struct {
 	// Burst is the per-transmission probability that the network enters a
 	// drop burst (a bad cable): this transmission and the next
 	// uniform[0, BurstLen-1] transmissions are all dropped, instead of
-	// Bernoulli singles. The MaxAttempts floor still applies per message.
+	// Bernoulli singles. The DefaultMaxAttempts floor still applies per
+	// message.
 	Burst    float64
 	BurstLen uint64
 
@@ -72,15 +73,6 @@ type Config struct {
 	// named group and the rest of the machine is dropped for the window.
 	// Closed (Until > At) by construction.
 	Partitions []Partition
-
-	// RTO is the initial retransmission timeout in virtual cycles; it
-	// doubles per attempt (capped). Zero selects DefaultRTO.
-	RTO uint64
-	// MaxAttempts bounds adversarial loss: once a reliable message
-	// reaches this attempt number, neither it nor its ack is dropped
-	// any more, so delivery is guaranteed. Zero selects
-	// DefaultMaxAttempts.
-	MaxAttempts int
 }
 
 // Crash schedules one node outage: the node loses its volatile protocol
@@ -119,33 +111,18 @@ func (p *Partition) covers(now uint64, a, b int) bool {
 	return inA != inB
 }
 
-// Defaults for the recovery-timing knobs.
+// The recovery timing of the reliable transport.
 const (
-	DefaultRTO         = 40000 // ~4 interrupt times: a generous virtual RTT
+	// DefaultRTO is the initial retransmission timeout in virtual cycles,
+	// ~4 interrupt times: a generous virtual RTT. It doubles per attempt
+	// (capped).
+	DefaultRTO = 40000
+	// DefaultMaxAttempts bounds adversarial loss: once a reliable message
+	// reaches this attempt number, neither it nor its ack is dropped any
+	// more, so delivery is guaranteed.
 	DefaultMaxAttempts = 8
 	rtoBackoffCap      = 6 // exponential backoff stops doubling after 2^6
 )
-
-// rto returns the retransmission timeout for the given attempt number
-// (1-based) with exponential backoff.
-func (c *Config) rto(attempt int) uint64 {
-	base := c.RTO
-	if base == 0 {
-		base = DefaultRTO
-	}
-	shift := attempt - 1
-	if shift > rtoBackoffCap {
-		shift = rtoBackoffCap
-	}
-	return base << uint(shift)
-}
-
-func (c *Config) maxAttempts() int {
-	if c.MaxAttempts <= 0 {
-		return DefaultMaxAttempts
-	}
-	return c.MaxAttempts
-}
 
 // Presets name commonly used schedules for the -faults flag.
 var Presets = map[string]string{
@@ -157,7 +134,7 @@ var Presets = map[string]string{
 // ("light", "heavy") or a comma-separated list of clauses
 //
 //	drop=P  dup=P  delay=P:MAXCY  stall=P:MAXCY  degrade=P:WINDOWCY:EXTRACY
-//	burst=P:LEN  rto=CYCLES  maxattempts=N
+//	burst=P:LEN
 //	crash=NODE@AT:DOWNCY  partition=N1.N2.…@AT:LENCY
 //
 // e.g. "drop=0.01,dup=0.005,delay=0.02:2000". Probabilities are in [0,1].
@@ -271,15 +248,8 @@ func ParseSpec(spec string) (Config, error) {
 				p.Until = p.At + length
 				c.Partitions = append(c.Partitions, p)
 			}
-		case "rto":
-			c.RTO, err = cycles(0)
-		case "maxattempts":
-			var n uint64
-			if n, err = cycles(0); err == nil {
-				c.MaxAttempts = int(n)
-			}
 		default:
-			err = fmt.Errorf("fault: unknown clause %q (want drop/dup/delay/stall/degrade/burst/crash/partition/rto/maxattempts or a preset %v)",
+			err = fmt.Errorf("fault: unknown clause %q (want drop/dup/delay/stall/degrade/burst/crash/partition or a preset %v)",
 				key, presetNames())
 		}
 		if err != nil {
@@ -324,12 +294,6 @@ func (c Config) String() string {
 			group[i] = strconv.Itoa(n)
 		}
 		parts = append(parts, fmt.Sprintf("partition=%s@%d:%d", strings.Join(group, "."), p.At, p.Until-p.At))
-	}
-	if c.RTO > 0 {
-		parts = append(parts, fmt.Sprintf("rto=%d", c.RTO))
-	}
-	if c.MaxAttempts > 0 {
-		parts = append(parts, fmt.Sprintf("maxattempts=%d", c.MaxAttempts))
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -415,11 +379,11 @@ func (in *Injector) cyclesIn(max uint64) uint64 {
 
 // OnSend decides the fate of one transmission (attempt is 1-based;
 // retransmissions pass their attempt number). reliable transmissions stop
-// being dropped once attempt reaches MaxAttempts, which bounds recovery:
-// by then both the message and its ack go through.
+// being dropped once attempt reaches DefaultMaxAttempts, which bounds
+// recovery: by then both the message and its ack go through.
 func (in *Injector) OnSend(now uint64, from, to, attempt int, reliable bool) SendDecision {
 	var d SendDecision
-	floor := reliable && attempt >= in.cfg.maxAttempts()
+	floor := reliable && attempt >= DefaultMaxAttempts
 	if in.chance(in.cfg.Drop) && !floor {
 		d.Drop = true
 		in.counts.Drops++
@@ -488,24 +452,16 @@ func (in *Injector) OnLink(now uint64, from, to int) uint64 {
 
 // RTO returns the retransmission timeout for the given attempt (1-based),
 // with exponential backoff.
-func (in *Injector) RTO(attempt int) uint64 { return in.cfg.rto(attempt) }
-
-// MaxAttempts returns the bound after which reliable traffic stops being
-// dropped.
-func (in *Injector) MaxAttempts() int { return in.cfg.maxAttempts() }
+func (in *Injector) RTO(attempt int) uint64 {
+	return DefaultRTO << uint(min(attempt-1, rtoBackoffCap))
+}
 
 // PushTimeout is how long an acquirer waits for a predicted eager push
 // before falling back to explicit fetches: long enough that an in-flight
 // (possibly delayed) push usually lands, short enough not to dominate the
 // acquire when the push was lost. Pushes are best-effort (never
 // retransmitted), so waiting longer than one delayed flight is pointless.
-func (in *Injector) PushTimeout() uint64 {
-	base := in.cfg.RTO
-	if base == 0 {
-		base = DefaultRTO
-	}
-	return 2*base + in.cfg.DelayMax
-}
+func (in *Injector) PushTimeout() uint64 { return 2*DefaultRTO + in.cfg.DelayMax }
 
 // Down reports whether node is inside a crash window at cycle now. The
 // check draws no randomness — the schedule is fixed in the Config — so
@@ -533,7 +489,7 @@ func (in *Injector) Cut(now uint64, from, to int) bool {
 
 // Outage reports whether the (from, to) path is unusable at cycle now —
 // either endpoint crashed, or a partition between them — and counts the
-// hit. These drops bypass the MaxAttempts floor: a crashed node is
+// hit. These drops bypass the DefaultMaxAttempts floor: a crashed node is
 // physically disconnected. Liveness survives because every outage window
 // is finite (ParseSpec validation) and the sender's retransmission timers
 // (sim/reliable.go) keep firing through it, with capped backoff, until an

@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseSpecClauses(t *testing.T) {
-	c, err := ParseSpec("drop=0.05,dup=0.02,delay=0.1:8000,stall=0.01:20000,degrade=0.02:50000:200,rto=5000,maxattempts=4")
+	c, err := ParseSpec("drop=0.05,dup=0.02,delay=0.1:8000,stall=0.01:20000,degrade=0.02:50000:200")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +22,6 @@ func TestParseSpecClauses(t *testing.T) {
 	}
 	if c.Degrade != 0.02 || c.DegradeWindow != 50000 || c.DegradeExtra != 200 {
 		t.Fatalf("degrade wrong: %+v", c)
-	}
-	if c.RTO != 5000 || c.MaxAttempts != 4 {
-		t.Fatalf("recovery knobs wrong: %+v", c)
 	}
 }
 
@@ -50,7 +47,6 @@ func TestParseSpecErrors(t *testing.T) {
 		"stall=0.5:0",        // zero cycle bound
 		"degrade=0.5:100",    // missing extra cycles
 		"wibble=0.5",         // unknown clause
-		"maxattempts=never",  // not a count
 		"crash=1@x:100",      // crash cycle not a number
 		"partition=1.2:100",  // partition without @CYCLE
 		"partition=1.2@x:1",  // partition cycle not a number
@@ -60,12 +56,19 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("ParseSpec(%q) should fail", spec)
 		}
 	}
+	// The transport's timing is fixed (DefaultRTO, DefaultMaxAttempts):
+	// no clause sets it.
+	for _, spec := range []string{"rto=5000", "drop=0.01,maxattempts=4"} {
+		if _, err := ParseSpec(spec); err == nil || !strings.Contains(err.Error(), "unknown clause") {
+			t.Errorf("ParseSpec(%q) = %v, want an unknown clause", spec, err)
+		}
+	}
 }
 
 func TestStringRoundTrip(t *testing.T) {
-	// The second spec sets the transport's timeout and attempt bound: a
-	// reproduce line that dropped them would run a different schedule.
-	for _, spec := range []string{"light", "drop=0.01,rto=5000,maxattempts=3"} {
+	// The second spec has a clause of each kind no preset uses: a
+	// reproduce line that dropped one would run a different schedule.
+	for _, spec := range []string{"light", "drop=0.01,burst=0.02:6,crash=3@50000:20000,partition=0.2.5@10000:5000"} {
 		orig, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -227,12 +230,12 @@ func TestProbabilityExtremes(t *testing.T) {
 // retransmission protocol builds on. Best-effort traffic has no such
 // floor.
 func TestMaxAttemptsBoundsLoss(t *testing.T) {
-	in := New(Config{Seed: 7, Drop: 1, MaxAttempts: 3}, 16)
+	in := New(Config{Seed: 7, Drop: 1}, 16)
 	for i := 0; i < 100; i++ {
-		if !in.OnSend(0, 0, 1, 2, true).Drop {
+		if !in.OnSend(0, 0, 1, DefaultMaxAttempts-1, true).Drop {
 			t.Fatal("below the bound, reliable traffic should drop at p=1")
 		}
-		if in.OnSend(0, 0, 1, 3, true).Drop {
+		if in.OnSend(0, 0, 1, DefaultMaxAttempts, true).Drop {
 			t.Fatal("at the bound, reliable traffic must never drop")
 		}
 		if !in.OnSend(0, 0, 1, 99, false).Drop {
@@ -242,19 +245,11 @@ func TestMaxAttemptsBoundsLoss(t *testing.T) {
 }
 
 func TestRTOBackoff(t *testing.T) {
-	in := New(Config{RTO: 1000}, 16)
-	want := []uint64{1000, 2000, 4000, 8000, 16000, 32000, 64000, 64000, 64000}
-	for i, w := range want {
-		if got := in.RTO(i + 1); got != w {
-			t.Fatalf("RTO(attempt %d) = %d, want %d", i+1, got, w)
-		}
-	}
 	def := New(Config{}, 16)
-	if def.RTO(1) != DefaultRTO {
-		t.Fatalf("default RTO = %d, want %d", def.RTO(1), DefaultRTO)
-	}
-	if def.MaxAttempts() != DefaultMaxAttempts {
-		t.Fatalf("default MaxAttempts = %d", def.MaxAttempts())
+	for i, w := range []uint64{1, 2, 4, 8, 16, 32, 64, 64, 64} {
+		if got := def.RTO(i + 1); got != w*DefaultRTO {
+			t.Fatalf("RTO(attempt %d) = %d, want %d", i+1, got, w*DefaultRTO)
+		}
 	}
 	if def.PushTimeout() < 2*DefaultRTO {
 		t.Fatalf("PushTimeout %d should cover two RTOs", def.PushTimeout())
@@ -299,10 +294,10 @@ func TestBurstCorrelation(t *testing.T) {
 	if maxRun < 2 {
 		t.Fatalf("burst schedule produced no drop run (max run %d)", maxRun)
 	}
-	// The MaxAttempts floor holds inside a burst too.
-	floor := New(Config{Seed: 3, Burst: 1, BurstLen: 4, MaxAttempts: 3}, 16)
+	// The DefaultMaxAttempts floor holds inside a burst too.
+	floor := New(Config{Seed: 3, Burst: 1, BurstLen: 4}, 16)
 	for i := 0; i < 50; i++ {
-		if floor.OnSend(0, 0, 1, 3, true).Drop {
+		if floor.OnSend(0, 0, 1, DefaultMaxAttempts, true).Drop {
 			t.Fatal("reliable traffic at the attempt bound dropped inside a burst")
 		}
 	}

@@ -20,13 +20,14 @@ func FuzzParseSpec(f *testing.F) {
 	}
 	for _, spec := range []string{
 		"", "none", " Light ",
-		"drop=0.05,dup=0.02,delay=0.1:8000,stall=0.01:20000,degrade=0.02:50000:200,rto=5000,maxattempts=4",
-		"drop=0.01,rto=5000,maxattempts=3",
+		"drop=0.05,dup=0.02,delay=0.1:8000,stall=0.01:20000,degrade=0.02:50000:200",
+		"drop=0.01,burst=0.02:6,crash=3@50000:20000,partition=0.2.5@10000:5000",
 		"burst=0.02:6,crash=3@50000:20000,crash=1@90000:50000,partition=0.2@10000:5000,partition=5@200000:30000",
 		"crash=2@1000:500,partition=0.1@2000:300",
 		"delay=0:100,drop=1e-3,, dup = 0.5",
 		// fault_test.go's rejects.
-		"bogus", "drop=2", "drop=x", "drop=NaN", "delay=0.5", "stall=0.5:0", "degrade=0.5:100", "wibble=0.5", "maxattempts=never",
+		"bogus", "drop=2", "drop=x", "drop=NaN", "delay=0.5", "stall=0.5:0", "degrade=0.5:100", "wibble=0.5",
+		"rto=5000", "drop=0.01,maxattempts=4",
 		"burst=0.5", "burst=0.5:0", "crash=1", "crash=x@100:10", "crash=1@100", "crash=1@100:0",
 		"partition=0.1@100", "partition=@100:10", "crash=1@100:10,restart=1@200", "partition=0.1@100:10,heal=200",
 	} {

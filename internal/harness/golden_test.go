@@ -11,7 +11,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite the testdata snapshot (golden_*.txt, traced_tables_digest.txt) of each golden test that runs")
+	"rewrite the snapshot (testdata/golden_*.txt, testdata/traced_tables_digest.txt, results/locklab.txt) of each golden test that runs")
 
 const goldenScale = 0.1
 
@@ -25,7 +25,7 @@ const goldenScale = 0.1
 func TestGoldenKeyStats(t *testing.T) {
 	var buf bytes.Buffer
 	NewExperiments(goldenScale).KeyStats(&buf)
-	checkGolden(t, "golden_short.txt", buf.Bytes())
+	checkGolden(t, filepath.Join("testdata", "golden_short.txt"), buf.Bytes())
 }
 
 // TestGoldenBreakdown diffs the execution-time breakdown of every paper
@@ -52,14 +52,13 @@ func TestGoldenBreakdown(t *testing.T) {
 			fmt.Fprintf(&buf, "  %-18s %v\n", "", b)
 		}
 	}
-	checkGolden(t, "golden_breakdown.txt", buf.Bytes())
+	checkGolden(t, filepath.Join("testdata", "golden_breakdown.txt"), buf.Bytes())
 }
 
-// checkGolden compares got with testdata/<name>, or rewrites the file
-// under -update-golden.
-func checkGolden(t *testing.T, name string, got []byte) {
+// checkGolden compares got with the snapshot at path, relative to the
+// package directory, or rewrites the file under -update-golden.
+func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -72,7 +71,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden snapshot (run with -update-golden): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s diverged from the golden snapshot:\n%s", name, diffLines(string(want), string(got)))
+		t.Errorf("%s diverged from the golden snapshot:\n%s", path, diffLines(string(want), string(got)))
 	}
 }
 

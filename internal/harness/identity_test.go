@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"path/filepath"
 	"testing"
 
 	"aecdsm/internal/trace"
@@ -47,5 +48,5 @@ func TestTracedTablesDigest(t *testing.T) {
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "traced_tables_digest.txt", fmt.Appendf(nil, "stdout: %s\ntrace:  %s\n", out, stream))
+	checkGolden(t, filepath.Join("testdata", "traced_tables_digest.txt"), fmt.Appendf(nil, "stdout: %s\ntrace:  %s\n", out, stream))
 }

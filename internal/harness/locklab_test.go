@@ -2,17 +2,12 @@ package harness
 
 import (
 	"bytes"
-	"flag"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"aecdsm/internal/lockpolicy"
 )
-
-var updateLockLab = flag.Bool("update-locklab", false,
-	"rewrite results/locklab.txt from the current code")
 
 // lockLab is the driver the lab tests share: its memo cache runs the grid
 // exactly once per test binary.
@@ -31,28 +26,12 @@ func lockLabData(t *testing.T) LockLabStats {
 // are fixed-size (scale-independent, like Table 1), so the table is
 // reproducible bit-for-bit from any checkout. Regenerate deliberately:
 //
-//	go test ./internal/harness -run TestLockLabGolden -update-locklab
+//	go test ./internal/harness -run TestLockLabGolden -update-golden
 func TestLockLabGolden(t *testing.T) {
 	lockLabData(t)
 	var buf bytes.Buffer
 	lockLab.LockLab(&buf)
-
-	path := filepath.Join("..", "..", "results", "locklab.txt")
-	if *updateLockLab {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing lock-lab artifact (run with -update-locklab): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("lock-policy lab table diverged from results/locklab.txt:\n%s",
-			diffLines(string(want), buf.String()))
-	}
+	checkGolden(t, filepath.Join("..", "..", "results", "locklab.txt"), buf.Bytes())
 }
 
 // TestLockLabPredictionErrorBound enforces the analytical model's

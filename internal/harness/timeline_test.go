@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -100,5 +101,5 @@ func TestGoldenTimeline(t *testing.T) {
 	var buf bytes.Buffer
 	NewExperiments(goldenScale).TimelineSweep(&buf, "Raytrace")
 
-	checkGolden(t, "golden_timeline.txt", buf.Bytes())
+	checkGolden(t, filepath.Join("testdata", "golden_timeline.txt"), buf.Bytes())
 }

@@ -32,12 +32,11 @@ import (
 // send theirs. sim.Msg.Kind is written but never read (ROADMAP item
 // 10(e)).
 const (
-	kGrant     = iota
-	kUpdate    // releaser -> page home: diff + distribution policy
-	kFwdUpdate // home -> sharer: diff to apply
-	kFwdInval  // home -> sharer outside the update set: invalidate
-	kHomeAck   // home -> releaser: forward fan-out size
-	kMemberAck // sharer -> releaser: update applied
+	kUpdate    = iota // releaser -> page home: diff + distribution policy
+	kFwdUpdate        // home -> sharer: diff to apply
+	kFwdInval         // home -> sharer outside the update set: invalidate
+	kHomeAck          // home -> releaser: forward fan-out size
+	kMemberAck        // sharer -> releaser: update applied
 )
 
 // Options configures the protocol.
@@ -71,8 +70,7 @@ type Munin struct {
 	// h is the message handlers, bound once in Attach: a method value or
 	// closure written at a send site is a fresh allocation per message.
 	h struct {
-		grant, update, fwdUpdate, fwdInval sim.Handler
-		homeAck, memberAck                 sim.Handler
+		update, fwdUpdate, fwdInval, homeAck, memberAck sim.Handler
 	}
 
 	nprocs   int
@@ -94,7 +92,6 @@ type procState struct {
 	inCS    int
 	curLock int
 
-	grant     bool
 	curLockUS []int // update set granted with the currently held lock
 	homeAcks  int   // flush acks from homes
 	memWanted int   // member acks expected (learned from home acks)
@@ -111,11 +108,6 @@ type procState struct {
 
 type pageState struct {
 	copyset bitset.Set // sharer set, maintained at the page's home
-}
-
-type grantMsg struct {
-	lock int
-	us   []int
 }
 
 type updateMsg struct {
@@ -154,15 +146,15 @@ func (pr *Munin) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.s = s
 	pr.ctxs = ctxs
 	pr.nprocs = len(ctxs)
-	pr.relay.InitRelay(e)
+	pr.relay.InitRelay(e, ctxs)
 	pr.pageSize = s.PageSize()
-	pr.h.grant, pr.h.update, pr.h.fwdUpdate, pr.h.fwdInval = pr.handleGrant, pr.handleUpdate, pr.handleFwdUpdate, pr.handleFwdInval
+	pr.h.update, pr.h.fwdUpdate, pr.h.fwdInval = pr.handleUpdate, pr.handleFwdUpdate, pr.handleFwdInval
 	pr.h.homeAck, pr.h.memberAck = pr.handleHomeAck, pr.handleMemberAck
 	pr.ps = make([]*procState, pr.nprocs)
 	for i := range pr.ps {
 		pr.ps[i] = &procState{id: i, dirty: bitset.New(s.Pages()), fetching: -1, curLock: -1}
 	}
-	pr.InitLocks(e, pr.opt.Ns, pr)
+	pr.InitLocks(e, ctxs, pr.opt.Ns, pr)
 	pr.InitPageHome(ctxs, pr.pageDelta)
 	pr.pages = make([]pageState, s.Pages())
 	for pg := range pr.pages {
@@ -247,16 +239,16 @@ func (pr *Munin) pageDelta(home, page, from int) (any, int) {
 // moved all coherence work to the release.
 func (pr *Munin) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
-	st.grant = false
 	pr.Request(c, lock, 8)
-	c.P.WaitUntil(func() bool { return st.grant }, stats.Synch)
+	st.curLockUS = c.Await(stats.Synch, nil).([]int)
 	st.inCS++
 	st.curLock = lock
 	c.Epoch++
 }
 
 // Grant implements proto.LockCoherence: under LAP the grant carries the
-// update set the grantee's release-time flush is restricted to.
+// update set the grantee's release-time flush is restricted to: the set
+// is the grant's payload, so a grant without LAP boxes nothing.
 func (pr *Munin) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 	var us []int
 	if pr.opt.UseLAP {
@@ -266,17 +258,7 @@ func (pr *Munin) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		s.ChargeList(len(us) + 1)
 	}
 	pr.CommitGrant(s, lock, to, fromQueue, 0, us)
-	s.Send(to, kGrant, 16+8*len(us), grantMsg{lock: lock, us: us}, pr.h.grant)
-}
-
-// handleGrant lands the grant at the acquirer.
-func (pr *Munin) handleGrant(s *sim.Svc, m *sim.Msg) {
-	g := m.Payload.(grantMsg)
-	st := pr.ps[m.To]
-	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(m.From), int64(len(g.us)))
-	st.grant = true
-	st.curLockUS = g.us
-	s.Wake(s.P)
+	pr.SendGrant(s, to, lock, 16+8*len(us), us, s.P.ID, len(us))
 }
 
 // Release implements proto.Protocol: flush all modifications eagerly to

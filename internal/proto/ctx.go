@@ -34,12 +34,12 @@ type Ctx struct {
 	// initially-valid pages trap on first write.
 	Epoch uint64
 
-	// The landing zone of Call (call.go): the reply, whether it is in,
-	// the handler that lands it and the predicate Call waits on.
-	reply   any
-	replied bool
-	land    sim.Handler
-	landed  func() bool
+	// The landing zone (call.go): the answer, whether it is in, the
+	// handler that lands a reply and the predicate Await parks on.
+	answer   any
+	answered bool
+	land     sim.Handler
+	landed   func() bool
 
 	scratch [8]byte
 
@@ -63,7 +63,7 @@ func (c *Ctx) bulk(n int) []byte {
 func NewCtx(p *sim.Proc, e *sim.Engine, m *mem.ProcMem, s *mem.Space, pr Protocol, id, n int) *Ctx {
 	c := &Ctx{P: p, E: e, M: m, S: s, Pr: pr, ID: id, N: n, Epoch: 1}
 	c.land = c.landReply
-	c.landed = func() bool { return c.replied }
+	c.landed = func() bool { return c.answered }
 	return c
 }
 

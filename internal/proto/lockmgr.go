@@ -11,8 +11,8 @@ import (
 )
 
 // lockKind is the kind of every message the lock service sends: requests,
-// plain releases and acquire notices. sim.Msg.Kind is written but never
-// read (ROADMAP item 10(e)).
+// grants, plain releases and acquire notices. sim.Msg.Kind is written but
+// never read (ROADMAP item 10(e)).
 const lockKind = -1
 
 // LockCoherence is the coherence delta a DSM protocol plugs into the
@@ -24,8 +24,8 @@ type LockCoherence interface {
 	// the predictor has absorbed the transfer. It computes what travels
 	// with the grant (charging whatever that costs), commits the grant
 	// with CommitGrant — passing fromQueue through — and only then ships
-	// the grant message: the journal record must leave for the backup
-	// before the grant leaves for the acquirer.
+	// the grant with SendGrant: the journal record must leave for the
+	// backup before the grant leaves for the acquirer.
 	Grant(s *sim.Svc, lock, to int, fromQueue bool)
 	// Crashed scrubs whatever else of the protocol's state on node is
 	// volatile (the managed locks were already failed over) and returns
@@ -43,24 +43,30 @@ type ManagedLock struct {
 }
 
 // LockMgr is the distributed lock-manager service every DSM protocol
-// embeds: manager placement, the ownership request, the plain release and
-// the acquire notice with their messages, the per-lock wait queue under
-// the configured grant policy, the enqueue-or-grant and release-then-pick
-// decisions with their list-processing charges, primary-backup journaling
-// of every decision when the fault schedule contains crashes, and the
-// failover that rebuilds a crashed manager's locks from the journal
-// (docs/ROBUSTNESS.md). The state lives in Go memory but is only touched
+// embeds: manager placement, the ownership request, the grant, the plain
+// release and the acquire notice with their messages, the per-lock wait
+// queue under the configured grant policy, the enqueue-or-grant and
+// release-then-pick decisions with their list-processing charges,
+// primary-backup journaling of every decision when the fault schedule
+// contains crashes, and the failover that rebuilds a crashed manager's
+// locks from the journal (docs/ROBUSTNESS.md). The state lives in Go memory but is only touched
 // by messages addressed to the managing node, so its costs land on the
 // right processor.
 type LockMgr struct {
 	e        *sim.Engine
+	ctxs     []*Ctx
 	coh      LockCoherence
 	nprocs   int
 	numLocks int
 	locks    []ManagedLock
 
 	// The service's handlers, bound once in InitLocks.
-	requestH, relinquishH, noticeH sim.Handler
+	requestH, grantH, relinquishH, noticeH sim.Handler
+
+	// grants holds, by acquirer, the lock-grant event of the grant in
+	// flight to it. An acquirer asks for one grant at a time and consumes
+	// it before it can ask again, so one slot each is enough.
+	grants []grantEvent
 
 	// rep is the replication log, nil unless the fault schedule can crash
 	// a node: runs without crash faults carry no replication traffic.
@@ -87,12 +93,17 @@ func (m *LockMgr) LockLAP(lock int) lap.Stats { return m.locks[lock].Pred.Stats 
 // Lock returns the manager-side state of one lock.
 func (m *LockMgr) Lock(lock int) *ManagedLock { return &m.locks[lock] }
 
+// grantEvent is what the lock-grant event of a grant in flight reports.
+type grantEvent struct{ lock, arg, arg2 int }
+
 // InitLocks builds the managers at Attach time: one predictor per lock
 // with update sets of size ns under the machine's grant policy, wired to
-// the engine's tracer.
-func (m *LockMgr) InitLocks(e *sim.Engine, ns int, coh LockCoherence) {
-	m.e, m.coh, m.nprocs = e, coh, len(e.Procs)
-	m.requestH, m.relinquishH, m.noticeH = m.handleRequest, m.handleRelinquish, m.handleNotice
+// the engine's tracer, and grants landing in the processors' contexts.
+func (m *LockMgr) InitLocks(e *sim.Engine, ctxs []*Ctx, ns int, coh LockCoherence) {
+	m.e, m.ctxs, m.coh, m.nprocs = e, ctxs, coh, len(e.Procs)
+	m.requestH, m.grantH = m.handleRequest, m.handleGrant
+	m.relinquishH, m.noticeH = m.handleRelinquish, m.handleNotice
+	m.grants = make([]grantEvent, m.nprocs)
 	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
 	if err != nil {
 		panic("proto: " + err.Error())
@@ -127,9 +138,10 @@ func (m *LockMgr) MgrOf(lock int) int {
 
 // Request emits lock-request and sends c's ownership request for lock,
 // bytes on the wire, to the lock's manager, whose LockRequest answers it
-// with a grant now or off the wait queue later. The protocol waits for
-// its grant.
+// with a grant now or off the wait queue later. The protocol awaits the
+// grant's payload (c.Await).
 func (m *LockMgr) Request(c *Ctx, lock, bytes int) {
+	c.asking()
 	mgr := m.MgrOf(lock)
 	m.e.Tracer.Lock(c.P.Clock, c.ID, trace.KindLockRequest, lock, int64(mgr), 0)
 	m.e.SendFrom(c.P, stats.Synch, mgr, lockKind, bytes, lock, m.requestH)
@@ -137,6 +149,21 @@ func (m *LockMgr) Request(c *Ctx, lock, bytes int) {
 
 func (m *LockMgr) handleRequest(s *sim.Svc, msg *sim.Msg) {
 	m.LockRequest(s, msg.Payload.(int), msg.From)
+}
+
+// SendGrant sends the grant of lock to processor to from s's node — the
+// manager, or the node that builds the grant for it (TreadMarks' last
+// releaser): bytes on the wire, and payload what the acquirer's Await
+// returns. At delivery the acquirer emits lock-grant with arg and arg2.
+func (m *LockMgr) SendGrant(s *sim.Svc, to, lock, bytes int, payload any, arg, arg2 int) {
+	m.grants[to] = grantEvent{lock: lock, arg: arg, arg2: arg2}
+	s.Send(to, lockKind, bytes, payload, m.grantH)
+}
+
+func (m *LockMgr) handleGrant(s *sim.Svc, msg *sim.Msg) {
+	g := &m.grants[msg.To]
+	m.e.Tracer.Lock(s.Now, msg.To, trace.KindLockGrant, g.lock, int64(g.arg), int64(g.arg2))
+	m.ctxs[msg.To].Land(s, msg.Payload)
 }
 
 // Relinquish sends c's release of lock to the lock's manager: 8 bytes,

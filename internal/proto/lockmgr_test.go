@@ -12,6 +12,7 @@ import (
 	journal "aecdsm/internal/recover" // named so the builtin recover stays reachable
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
+	"aecdsm/internal/trace"
 )
 
 // grantLog is a minimal coherence delta: like AEC it numbers tenures and
@@ -63,7 +64,7 @@ func newMgrRig(policy lockpolicy.Kind, nprocs, nlocks int, shard, crashes bool) 
 	}
 	r.log = &grantLog{m: r.LockMgr}
 	r.SetNumLocks(nlocks)
-	r.InitLocks(eng, 2, r.log)
+	r.InitLocks(eng, nil, 2, r.log)
 	return r
 }
 
@@ -296,7 +297,7 @@ func TestLockMgrUnarmed(t *testing.T) {
 		}
 	}()
 	m := &LockMgr{}
-	m.InitLocks(r.eng, 2, forgetful{})
+	m.InitLocks(r.eng, nil, 2, forgetful{})
 	m.LockRequest(&sim.Svc{E: r.eng, P: r.eng.Procs[0]}, 0, 1)
 }
 
@@ -306,40 +307,44 @@ func (forgetful) Grant(*sim.Svc, int, int, bool) {}
 func (forgetful) Crashed(int) uint64             { return 0 }
 
 // mgrProto runs the lock service's own messages over the ideal memory:
-// Request to acquire, Relinquish to release, and a grant that notes the
-// node it was decided at.
+// Request to acquire, SendGrant to grant, Relinquish to release. Each
+// grant notes the node it was decided at, carries its decision number as
+// its payload and its lock-grant arguments, and the acquirer notes when it
+// consumed which grant.
 type mgrProto struct {
 	Ideal
 	LockMgr
-	granted []bool
-	decided [][2]int // lock, node
-	grantH  sim.Handler
+	decided  []grantRec
+	consumed [][2]uint64 // by acquire: decision number, acquirer's clock
+}
+
+// grantRec is one grant decision: the lock, the node deciding it and its
+// clock once the grant was sent, and the acquirer.
+type grantRec struct {
+	lock, node, to int
+	sent           sim.Time
 }
 
 func (p *mgrProto) SetNumLocks(n int) { p.LockMgr.SetNumLocks(n) }
 
 func (p *mgrProto) Attach(e *sim.Engine, s *mem.Space, ctxs []*Ctx) {
 	p.Ideal.Attach(e, s, ctxs)
-	p.InitLocks(e, 2, p)
-	p.granted = make([]bool, len(ctxs))
-	p.grantH = func(s *sim.Svc, m *sim.Msg) {
-		p.granted[m.To] = true
-		s.Wake(s.P)
-	}
+	p.InitLocks(e, ctxs, 2, p)
 }
 
 func (p *mgrProto) Acquire(c *Ctx, lock int) {
 	p.Request(c, lock, 8)
-	c.P.WaitUntil(func() bool { return p.granted[c.ID] }, stats.Synch)
-	p.granted[c.ID] = false
+	n := c.Await(stats.Synch, nil).(int)
+	p.consumed = append(p.consumed, [2]uint64{uint64(n), c.P.Clock})
 }
 
 func (p *mgrProto) Release(c *Ctx, lock int) { p.Relinquish(c, lock) }
 
 func (p *mgrProto) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
-	p.decided = append(p.decided, [2]int{lock, s.P.ID})
 	p.CommitGrant(s, lock, to, fromQueue, 0, nil)
-	s.Send(to, 0, 8, nil, p.grantH)
+	n := len(p.decided)
+	p.SendGrant(s, to, lock, 8, n, 1000+n, -n)
+	p.decided = append(p.decided, grantRec{lock: lock, node: s.P.ID, to: to, sent: s.Now})
 }
 
 func (p *mgrProto) Crashed(int) uint64 { return 0 }
@@ -370,8 +375,8 @@ func TestLockMgrRequestLandsAtManager(t *testing.T) {
 			t.Errorf("shard %v: %d grants, want %d", shard, got, want)
 		}
 		for _, d := range pr.decided {
-			if mgr := pr.MgrOf(d[0]); d[1] != mgr {
-				t.Errorf("shard %v: lock %d granted at node %d, its manager is %d", shard, d[0], d[1], mgr)
+			if mgr := pr.MgrOf(d.lock); d.node != mgr {
+				t.Errorf("shard %v: lock %d granted at node %d, its manager is %d", shard, d.lock, d.node, mgr)
 			}
 		}
 		for lock := range nlocks {
@@ -410,6 +415,60 @@ func TestLockMgrRelinquish(t *testing.T) {
 		recs := plain.rep.Records(1)
 		if len(recs) != 2 || recs[1].Op != journal.OpRelease || recs[1].Proc != 2 {
 			t.Errorf("crashes %v: lock 1's journal %+v, want a grant then one release by 2", crashes, recs)
+		}
+	}
+}
+
+// TestLockMgrSendGrant: a grant's lock-grant event is emitted at its
+// acquirer when the grant is delivered — after the grantor sent it (at
+// once, to the grantor itself), no later than the acquirer consumed it —
+// with the lock and the arguments
+// the grantor passed, and the acquirer consumes each grant's payload once.
+func TestLockMgrSendGrant(t *testing.T) {
+	const nprocs, nlocks = 4, 3
+	pr := &mgrProto{Ideal: *NewIdeal(0)}
+	ring := trace.NewRing(1 << 16)
+	m := Assemble(memsys.Default().ForProcs(nprocs), pr, Script{Homes: []int{0}, Locks: nlocks, Do: func(c *Ctx) {
+		for lock := range nlocks {
+			c.Acquire(lock)
+			c.Compute(100)
+			c.Release(lock)
+		}
+	}}, ring, nil, nil)
+	if m.Run() {
+		t.Fatal("deadlocked")
+	}
+	consumedAt := make(map[int]sim.Time)
+	for _, c := range pr.consumed {
+		if _, dup := consumedAt[int(c[0])]; dup {
+			t.Errorf("grant %d consumed twice", c[0])
+		}
+		consumedAt[int(c[0])] = c[1]
+	}
+	var grants []trace.Event
+	for _, ev := range ring.Events() {
+		if ev.Kind == trace.KindLockGrant {
+			grants = append(grants, ev)
+		}
+	}
+	if len(grants) != nprocs*nlocks || len(pr.decided) != nprocs*nlocks || len(consumedAt) != nprocs*nlocks {
+		t.Fatalf("%d lock-grant events, %d grants sent, %d consumed; want %d each",
+			len(grants), len(pr.decided), len(consumedAt), nprocs*nlocks)
+	}
+	for _, ev := range grants {
+		n := int(ev.Arg) - 1000
+		if n < 0 || n >= len(pr.decided) {
+			t.Fatalf("lock-grant %+v names no grant sent", ev)
+		}
+		d := pr.decided[n]
+		if ev.Proc != d.to || ev.Lock != d.lock || ev.Arg2 != int64(-n) {
+			t.Errorf("grant %d (lock %d to %d): lock-grant %+v, want it at processor %d with arguments %d, %d",
+				n, d.lock, d.to, ev, d.to, 1000+n, -n)
+		}
+		// A grant to the manager's own processor is delivered as it is sent.
+		if early := ev.Cycle < d.sent || (ev.Cycle == d.sent && d.node != d.to); early || ev.Cycle > consumedAt[n] {
+			t.Errorf("grant %d: lock-grant at cycle %d, want after it was sent (%d) and no later than it was consumed (%d)",
+				n, ev.Cycle, d.sent, consumedAt[n])
 		}
 	}
 }

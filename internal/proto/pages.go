@@ -36,10 +36,6 @@ type pageReply struct {
 	extra any
 }
 
-// pageKind is the kind of the page request and its reply. sim.Msg.Kind is
-// written but never read (ROADMAP item 10(e)).
-const pageKind = -2
-
 // InitPageHome wires the service at Attach time; delta may be nil.
 func (h *PageHome) InitPageHome(ctxs []*Ctx, delta PageDelta) {
 	h.ctxs, h.delta = ctxs, delta
@@ -50,7 +46,7 @@ func (h *PageHome) InitPageHome(ctxs []*Ctx, delta PageDelta) {
 // protocol's delta. It blocks for the round trip.
 func (h *PageHome) FetchPage(c *Ctx, page, home int) any {
 	c.P.Stats.PageFetches++
-	rep := c.Call(stats.Data, home, pageKind, 8, page, h.serve).(pageReply)
+	rep := c.Call(stats.Data, home, 8, page, h.serve).(pageReply)
 	c.E.Tracer.Page(c.P.Clock, c.ID, trace.KindPageFetch, page, int64(home), int64(len(rep.data)))
 	// Copy the page in across the memory bus.
 	size := c.S.PageSize()
@@ -83,7 +79,7 @@ func (h *PageHome) servePage(s *sim.Svc, m *sim.Msg) {
 		rep.extra, more = h.delta(m.To, page, m.From)
 		bytes += more
 	}
-	h.ctxs[m.From].Reply(s, pageKind, bytes, rep)
+	h.ctxs[m.From].Reply(s, bytes, rep)
 }
 
 // ChargeTwin charges this processor for making a twin of one page.

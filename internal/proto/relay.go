@@ -10,7 +10,8 @@ import (
 // BarMgr is the barrier manager's processor: the root of the relay tree.
 const BarMgr = 0
 
-// relayKind is the kind of the counting barrier's messages (Sync).
+// relayKind is the kind of every message the relay sends: arrivals,
+// their forwards up the tree and the releases down it.
 // sim.Msg.Kind is written but never read (ROADMAP item 10(e)).
 const relayKind = -3
 
@@ -19,7 +20,9 @@ const relayKind = -3
 // barrier — unless Params.BarrierRadix says otherwise, docs/SCALING.md),
 // the count of processors each node has heard from, the forward to the
 // parent once a subtree is complete, and the relay of the release down the
-// same edges. A protocol supplies what it combines on the way up and what
+// same edges. A processor arrives through the relay (Arrive) and awaits
+// its answer in its Ctx; every release handler ends by landing it there
+// (Ctx.Land). A protocol supplies what it combines on the way up and what
 // it distributes on the way down; its handlers charge their own list work,
 // the relay only the fan-out it adds at interior nodes. A barrier that
 // only counts processors in and releases them is the relay's own (Sync).
@@ -29,19 +32,27 @@ const relayKind = -3
 // enters a phase before the manager has completed the previous one.
 type Relay struct {
 	topo.Tree
-	heard []int  // per node: processors of its subtree heard from so far
-	out   []bool // per node: Sync's release has landed
-	kids  []int  // fan-out scratch (Children, Broadcast, Down)
+	ctxs  []*Ctx
+	heard []int // per node: processors of its subtree heard from so far
+	kids  []int // fan-out scratch (Children, Broadcast, Down)
 
 	countH, releaseH sim.Handler // Sync's handlers, bound once
 }
 
 // InitRelay builds the tree over the engine's processors at Attach time.
-func (r *Relay) InitRelay(e *sim.Engine) {
+func (r *Relay) InitRelay(e *sim.Engine, ctxs []*Ctx) {
 	r.Tree = topo.New(len(e.Procs), e.Params.BarrierRadix)
+	r.ctxs = ctxs
 	r.heard = make([]int, len(e.Procs))
-	r.out = make([]bool, len(e.Procs))
 	r.countH, r.releaseH = r.count, r.release
+}
+
+// Arrive sends c's processor's arrival at a barrier, bytes on the wire,
+// to its first hop up the tree; h gathers it there. The processor then
+// awaits what the barrier answers it with.
+func (r *Relay) Arrive(c *Ctx, bytes int, payload any, h sim.Handler) {
+	c.asking()
+	c.E.SendFrom(c.P, stats.Synch, r.ArrivalDest(c.ID), relayKind, bytes, payload, h)
 }
 
 // Sync is the counting barrier: c's processor counts itself in up the
@@ -50,10 +61,8 @@ func (r *Relay) InitRelay(e *sim.Engine) {
 // interior node the fan-out of the release. It is Munin's whole barrier
 // and the ready phase of AEC's.
 func (r *Relay) Sync(c *Ctx) {
-	out := &r.out[c.ID]
-	*out = false
-	c.E.SendFrom(c.P, stats.Synch, r.ArrivalDest(c.ID), relayKind, 8, 1, r.countH)
-	c.P.WaitUntil(func() bool { return *out }, stats.Synch)
+	r.Arrive(c, 8, 1, r.countH)
+	c.Await(stats.Synch, nil)
 }
 
 // count absorbs a subtree's count at m.To: forwarded up once the subtree
@@ -65,18 +74,17 @@ func (r *Relay) count(s *sim.Svc, m *sim.Msg) {
 		return
 	}
 	if m.To != BarMgr {
-		r.Up(s, m.To, relayKind, 8, n, r.countH)
+		r.Up(s, m.To, 8, n, r.countH)
 		return
 	}
-	r.Broadcast(s, relayKind, 8, nil, r.releaseH)
+	r.Broadcast(s, 8, nil, r.releaseH)
 }
 
 // release lets a processor out of Sync, relaying the release to its tree
 // children first.
 func (r *Relay) release(s *sim.Svc, m *sim.Msg) {
 	r.Down(s, m, r.releaseH)
-	r.out[m.To] = true
-	s.Wake(s.P)
+	r.ctxs[m.To].Land(s, nil)
 }
 
 // Gather records that node has heard from n more processors of its
@@ -100,17 +108,17 @@ func (r *Relay) Children(node int) []int {
 }
 
 // Up forwards what node combined for its complete subtree to its parent.
-func (r *Relay) Up(s *sim.Svc, node, kind, bytes int, payload any, h sim.Handler) {
-	s.Send(r.Parent(node), kind, bytes, payload, h)
+func (r *Relay) Up(s *sim.Svc, node, bytes int, payload any, h sim.Handler) {
+	s.Send(r.Parent(node), relayKind, bytes, payload, h)
 }
 
 // Broadcast starts a release at the manager: to itself first, then to its
 // children in ascending order, which in the flat tree is everyone.
-func (r *Relay) Broadcast(s *sim.Svc, kind, bytes int, payload any, h sim.Handler) {
-	s.Send(BarMgr, kind, bytes, payload, h)
+func (r *Relay) Broadcast(s *sim.Svc, bytes int, payload any, h sim.Handler) {
+	s.Send(BarMgr, relayKind, bytes, payload, h)
 	r.kids = r.AppendChildren(r.kids[:0], BarMgr)
 	for _, q := range r.kids {
-		s.Send(q, kind, bytes, payload, h)
+		s.Send(q, relayKind, bytes, payload, h)
 	}
 }
 

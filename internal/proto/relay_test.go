@@ -16,7 +16,7 @@ type syncProto struct {
 
 func (p *syncProto) Attach(e *sim.Engine, s *mem.Space, ctxs []*Ctx) {
 	p.Ideal.Attach(e, s, ctxs)
-	p.InitRelay(e)
+	p.InitRelay(e, ctxs)
 }
 
 func (p *syncProto) Barrier(c *Ctx) { p.Sync(c) }

@@ -168,14 +168,16 @@ func (r *Replicator) Ship(s *sim.Svc, nprocs int, rec Record) {
 	backup := memsys.BackupOf(mgr, nprocs)
 	s.E.Tracer.Lock(s.Now, mgr, trace.KindReplicaLog, rec.Lock, int64(backup), int64(n))
 	if backup != mgr {
-		s.Send(backup, shipKind, n, rec, HandleShip)
+		// The record travels as n bytes on the wire; its content is
+		// authoritative in-process (package comment), so no payload does.
+		s.Send(backup, shipKind, n, nil, handleShip)
 	}
 }
 
-// HandleShip is the backup-side service routine for a shipped record: the
-// append to the backup's journaled log is charged; the record content is
-// authoritative in-process (package comment), so nothing else happens.
-func HandleShip(s *sim.Svc, m *sim.Msg) { s.ChargeList(1) }
+// handleShip is the backup-side service routine for a shipped record: the
+// append to the backup's journaled log is charged, and nothing else
+// happens.
+func handleShip(s *sim.Svc, m *sim.Msg) { s.ChargeList(1) }
 
 // Replay rebuilds one lock's state from its log: the queue is reset and
 // every record applied in order. The returned Image is what the failed-

@@ -7,8 +7,8 @@ package sim
 //
 //   - While a node is down (or a partition separates two nodes), every
 //     remote transmission between them is lost — bypassing even the
-//     MaxAttempts no-drop floor, because a dead link is a physical fact,
-//     not adversarial loss. Liveness survives: every outage window is
+//     fault.DefaultMaxAttempts no-drop floor, because a dead link is a
+//     physical fact, not adversarial loss. Liveness survives: every outage window is
 //     finite (fault.ParseSpec validation), retransmission timers keep
 //     firing, and the floor resumes once the path heals.
 //   - At the crash instant the engine runs the protocols' OnCrash hooks,

@@ -15,8 +15,8 @@ package sim
 // tolerance costs, separately from the paper's ipc category.
 //
 // Liveness: the injector never drops a reliable transmission (or the ack
-// it triggers) once its attempt number reaches MaxAttempts, and backoff
-// eventually exceeds the round trip, so every reliable message is
+// it triggers) once its attempt number reaches fault.DefaultMaxAttempts,
+// and backoff eventually exceeds the round trip, so every reliable message is
 // delivered and acked after boundedly many attempts. Best-effort traffic
 // (LAP eager pushes) gets sequence numbers and dedup but no ack or
 // retransmission: a dropped push stays lost, and the AEC acquirer times
@@ -177,7 +177,7 @@ func (e *Engine) transmit(m *Msg, h Handler, size int, ready Time) {
 		e.queueTx(opTimeout, m, ready+e.Faults.RTO(m.attempt))
 	}
 	// A crashed endpoint or a partition between the pair loses the
-	// transmission outright, MaxAttempts floor or not: the link is
+	// transmission outright, DefaultMaxAttempts floor or not: the link is
 	// physically dead. The retransmission timer above keeps the message
 	// alive until the (finite) outage ends.
 	if !dec.Drop && e.Faults.Outage(ready, m.From, m.To) {
@@ -322,7 +322,7 @@ func (e *Engine) deliverTracked(m *Msg, h Handler) {
 // message. The ack occupies the receiver's service window (charged to
 // Recovery) and crosses the real network, so it can itself be dropped or
 // delayed — but never once the data message's attempt number has reached
-// MaxAttempts, which bounds the retransmission dance.
+// fault.DefaultMaxAttempts, which bounds the retransmission dance.
 func (e *Engine) sendAck(m *Msg) {
 	p := e.Procs[m.To]
 	pp := &e.Params

@@ -43,14 +43,13 @@ func TestDedupUnderForcedDuplication(t *testing.T) {
 	}
 }
 
-// TestRetransmitAfterDrop: under total loss with MaxAttempts=3 the first
-// two attempts vanish and the third is guaranteed through, so delivery
-// happens exactly once, after at least the sum of the first two backoff
-// timeouts.
+// TestRetransmitAfterDrop: under total loss every attempt below
+// DefaultMaxAttempts vanishes and the last is guaranteed through, so
+// delivery happens exactly once, after at least the sum of the backoff
+// timeouts of the attempts before it.
 func TestRetransmitAfterDrop(t *testing.T) {
 	e, run := testEngine(2)
-	const rto = 2000
-	e.EnableFaults(fault.Config{Seed: 1, Drop: 1, RTO: rto, MaxAttempts: 3})
+	e.EnableFaults(fault.Config{Seed: 1, Drop: 1})
 	count := 0
 	var sentAt, deliveredAt Time
 	e.Spawn(0, func(p *Proc) {
@@ -69,15 +68,20 @@ func TestRetransmitAfterDrop(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("handler ran %d times, want exactly 1", count)
 	}
-	if run.Procs[0].Retransmits != 2 {
-		t.Fatalf("Retransmits = %d, want 2", run.Procs[0].Retransmits)
+	const lost = fault.DefaultMaxAttempts - 1
+	if run.Procs[0].Retransmits != lost {
+		t.Fatalf("Retransmits = %d, want %d", run.Procs[0].Retransmits, lost)
 	}
-	if run.Procs[0].MsgsDropped != 2 {
-		t.Fatalf("MsgsDropped = %d, want 2", run.Procs[0].MsgsDropped)
+	if run.Procs[0].MsgsDropped != lost {
+		t.Fatalf("MsgsDropped = %d, want %d", run.Procs[0].MsgsDropped, lost)
 	}
-	// Attempt 2 fires one RTO after attempt 1, attempt 3 two RTOs (backoff)
-	// after that: delivery cannot precede the accumulated timeouts.
-	if min := sentAt + rto + 2*rto; deliveredAt < min {
+	// Attempt a+1 fires RTO(a) after attempt a (backoff): delivery cannot
+	// precede the accumulated timeouts.
+	min := sentAt
+	for a := 1; a <= lost; a++ {
+		min += e.Faults.RTO(a)
+	}
+	if deliveredAt < min {
 		t.Fatalf("delivered at %d, before the backoff floor %d", deliveredAt, min)
 	}
 	if run.Procs[0].Breakdown[stats.Recovery] == 0 && run.Procs[0].RecoveryHiddenCycles == 0 {
@@ -150,13 +154,15 @@ func TestInjectedStallDelaysDelivery(t *testing.T) {
 
 // TestDeliveryAcrossReceiverCrash: a message sent into a receiver's crash
 // window is lost on every attempt — the outage bypasses even the
-// MaxAttempts no-drop floor — yet the self-sustaining retransmission loop
-// outlives the outage and delivers exactly once after the restart.
+// DefaultMaxAttempts no-drop floor — yet the self-sustaining
+// retransmission loop outlives the outage and delivers exactly once after
+// the restart. The window outlasts the backoff of every attempt below the
+// floor.
 func TestDeliveryAcrossReceiverCrash(t *testing.T) {
 	e, run := testEngine(2)
-	const windowEnd = 500 + 30000
-	e.EnableFaults(fault.Config{Seed: 1, RTO: 2000, MaxAttempts: 2,
-		Crashes: []fault.Crash{{Node: 1, At: 500, Down: 30000}}})
+	const windowEnd = 500 + 10_000_000
+	e.EnableFaults(fault.Config{Seed: 1,
+		Crashes: []fault.Crash{{Node: 1, At: 500, Down: 10_000_000}}})
 	count := 0
 	var deliveredAt Time
 	e.Spawn(0, func(p *Proc) {
@@ -178,10 +184,11 @@ func TestDeliveryAcrossReceiverCrash(t *testing.T) {
 	if deliveredAt < windowEnd {
 		t.Fatalf("delivered at %d, inside the crash window (ends %d)", deliveredAt, windowEnd)
 	}
-	// The floor says attempt 2 may not be dropped; the dead node drops it
-	// anyway, so the attempt count must have sailed past MaxAttempts.
-	if run.Procs[0].Retransmits <= 2 {
-		t.Fatalf("Retransmits = %d, want > MaxAttempts: the outage must bypass the no-drop floor",
+	// The floor says attempt DefaultMaxAttempts may not be dropped; the
+	// dead node drops it anyway, so the attempt count must have sailed
+	// past it.
+	if run.Procs[0].Retransmits < fault.DefaultMaxAttempts {
+		t.Fatalf("Retransmits = %d, want >= DefaultMaxAttempts: the outage must bypass the no-drop floor",
 			run.Procs[0].Retransmits)
 	}
 	if run.Procs[1].NodeCrashes != 1 {
@@ -191,12 +198,13 @@ func TestDeliveryAcrossReceiverCrash(t *testing.T) {
 
 // TestPartitionExhaustsMaxAttempts: a partition likewise bypasses the
 // no-drop floor for its whole window — attempts keep failing past
-// MaxAttempts — and delivery lands exactly once after the heal, with the
-// peers' state intact (a partition, unlike a crash, destroys nothing).
+// DefaultMaxAttempts — and delivery lands exactly once after the heal,
+// with the peers' state intact (a partition, unlike a crash, destroys
+// nothing).
 func TestPartitionExhaustsMaxAttempts(t *testing.T) {
 	e, run := testEngine(2)
-	const heal = 40000
-	e.EnableFaults(fault.Config{Seed: 1, RTO: 1000, MaxAttempts: 3,
+	const heal = 10_000_000
+	e.EnableFaults(fault.Config{Seed: 1,
 		Partitions: []fault.Partition{{Nodes: []int{1}, At: 0, Until: heal}}})
 	count := 0
 	var deliveredAt Time
@@ -219,8 +227,8 @@ func TestPartitionExhaustsMaxAttempts(t *testing.T) {
 	if deliveredAt < heal {
 		t.Fatalf("delivered at %d, before the heal at %d", deliveredAt, heal)
 	}
-	if run.Procs[0].Retransmits <= 3 {
-		t.Fatalf("Retransmits = %d, want > MaxAttempts", run.Procs[0].Retransmits)
+	if run.Procs[0].Retransmits < fault.DefaultMaxAttempts {
+		t.Fatalf("Retransmits = %d, want >= DefaultMaxAttempts", run.Procs[0].Retransmits)
 	}
 	if run.Procs[1].NodeCrashes != 0 {
 		t.Fatal("a partition must not count as a crash")
@@ -235,7 +243,7 @@ func TestPartitionClosesBehindInFlightMessage(t *testing.T) {
 	const heal = 30000
 	// The send at cycle 100 passes the transmit-side check; the partition
 	// opens at 101, before any network crossing can complete.
-	e.EnableFaults(fault.Config{Seed: 1, RTO: 2000,
+	e.EnableFaults(fault.Config{Seed: 1,
 		Partitions: []fault.Partition{{Nodes: []int{1}, At: 101, Until: heal}}})
 	count := 0
 	var deliveredAt Time
@@ -264,7 +272,8 @@ func TestPartitionClosesBehindInFlightMessage(t *testing.T) {
 }
 
 // TestAckLossRetransmitDedup: when the data message gets through but its
-// ack is lost (possible while the attempt number is below MaxAttempts),
+// ack is lost (possible while the attempt number is below
+// DefaultMaxAttempts),
 // the sender retransmits a message the receiver has already handled — the
 // duplicate must be suppressed and re-acked, never re-run. The seeds are
 // probed for the first schedule exhibiting exactly that shape; the fault
@@ -272,7 +281,7 @@ func TestPartitionClosesBehindInFlightMessage(t *testing.T) {
 func TestAckLossRetransmitDedup(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		e, run := testEngine(2)
-		e.EnableFaults(fault.Config{Seed: seed, Drop: 0.5, RTO: 2000, MaxAttempts: 8})
+		e.EnableFaults(fault.Config{Seed: seed, Drop: 0.5})
 		count := 0
 		e.Spawn(0, func(p *Proc) {
 			e.SendFrom(p, stats.Synch, 1, 1, 64, nil, func(s *Svc, m *Msg) {
@@ -283,6 +292,8 @@ func TestAckLossRetransmitDedup(t *testing.T) {
 		})
 		e.Spawn(1, func(p *Proc) {
 			p.WaitUntil(func() bool { return count > 0 }, stats.Synch)
+			// Outlive the retransmission a lost ack sets off.
+			p.Advance(10_000_000, stats.Busy)
 		})
 		e.Start()
 		if count != 1 {
@@ -309,7 +320,7 @@ func TestAckLossRetransmitDedup(t *testing.T) {
 func TestDedupAcrossReceiverRestart(t *testing.T) {
 	e, run := testEngine(2)
 	const windowEnd = 20000 + 30000
-	e.EnableFaults(fault.Config{Seed: 5, Dup: 1, RTO: 2000, MaxAttempts: 2,
+	e.EnableFaults(fault.Config{Seed: 5, Dup: 1,
 		Crashes: []fault.Crash{{Node: 1, At: 20000, Down: 30000}}})
 	count := 0
 	var secondAt Time
@@ -360,11 +371,11 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy.Seed, heavy.RTO = 77, 4000
+	heavy.Seed = 77
 	heavy.Crashes = []fault.Crash{{Node: 2, At: 2000, Down: 15000}}
 	for name, cfg := range map[string]fault.Config{
 		"mixed": {Seed: 77, Drop: 0.3, Dup: 0.3, Delay: 0.5,
-			DelayMax: 3000, Stall: 0.2, StallMax: 2000, RTO: 4000},
+			DelayMax: 3000, Stall: 0.2, StallMax: 2000},
 		"heavy+crash": heavy,
 	} {
 		runOnce := func() (Time, *stats.Run) {
@@ -496,7 +507,6 @@ func TestTrackedMessagesRecycled(t *testing.T) {
 		e, run := testEngine(4)
 		e.EnableFaults(fault.Config{Seed: seed, Drop: 0.2, Dup: 0.2, Delay: 0.3, DelayMax: 3000,
 			Stall: 0.1, StallMax: 1500, Degrade: 0.05, DegradeWindow: 5000, DegradeExtra: 40,
-			RTO: 2000, MaxAttempts: 4,
 			Crashes:    []fault.Crash{{Node: 1, At: 5000, Down: 20000}},
 			Partitions: []fault.Partition{{Nodes: []int{3}, At: 30000, Until: 50000}}})
 		handled := 0
@@ -517,7 +527,7 @@ func TestTrackedMessagesRecycled(t *testing.T) {
 					p.Advance(900, stats.Busy)
 				}
 				// Outlive every backoff the outages can stretch.
-				p.Advance(3_000_000, stats.Busy)
+				p.Advance(60_000_000, stats.Busy)
 			})
 		}
 		e.Start()

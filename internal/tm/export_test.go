@@ -33,8 +33,8 @@ func (pr *TM) FaultSet(proc, page int) []Notice {
 // Clocks calls f with every vector clock proc has published that is still
 // reachable: its current clock, the clock of each of its closed intervals
 // from the ivals-th on, the clock of its last lock request, and the clock
-// of a grant that has landed but not been consumed. It returns
-// how many intervals proc has closed.
+// of the last grant sent to it. It returns how many intervals proc has
+// closed.
 func (pr *TM) Clocks(proc, ivals int, f func(vc []int)) int {
 	st := pr.ps[proc]
 	f(st.vc)
@@ -44,8 +44,8 @@ func (pr *TM) Clocks(proc, ivals int, f func(vc []int)) int {
 	if st.acqVC != nil {
 		f(st.acqVC)
 	}
-	if st.grant != nil {
-		f(st.grant.vc)
+	if st.granted.vc != nil {
+		f(st.granted.vc)
 	}
 	return len(st.ivals)
 }

@@ -87,7 +87,7 @@ func (pr *TM) fetchNotices(c *proto.Ctx, st *tmProc, page int) {
 func (pr *TM) fetchFrom(c *proto.Ctx, st *tmProc, page, writer int, seqs []int) {
 	c.P.Stats.DiffRequests++
 	st.req = diffReq{page: page, seqs: seqs}
-	c.Call(stats.Data, writer, kDiffReq, 8+8*len(seqs), &st.req, pr.h.diffReq)
+	c.Call(stats.Data, writer, 8+8*len(seqs), &st.req, pr.h.diffReq)
 }
 
 // applyFetched applies the fault's fetched diffs in happens-before order
@@ -130,5 +130,5 @@ func (pr *TM) handleDiffReq(s *sim.Svc, m *sim.Msg) {
 		rq.fetched = append(rq.fetched, ivalDiff{rec, d})
 		bytes += d.EncodedBytes() + 4*pr.nprocs
 	}
-	pr.ctxs[m.From].Reply(s, kDiffRep, bytes, nil)
+	pr.ctxs[m.From].Reply(s, bytes, nil)
 }

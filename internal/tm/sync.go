@@ -17,14 +17,11 @@ import (
 // (invalidations) before entering the critical section.
 func (pr *TM) Acquire(c *proto.Ctx, lock int) {
 	st := pr.ps[c.ID]
-	st.grant = nil
 	// The request carries the clock on the wire; the manager reads it
 	// here, by reference: st.vc is replaced, never written.
 	st.acqVC = st.vc
 	pr.Request(c, lock, 8+4*pr.nprocs)
-	c.P.WaitUntil(func() bool { return st.grant != nil }, stats.Synch)
-	g := st.grant
-	st.grant = nil
+	g := c.Await(stats.Synch, nil).(*grantMsg)
 
 	c.P.Advance(pr.e.Params.ListCycles(len(g.wns)), stats.Synch)
 	// The clock after the grant is what a page the piggybacked diffs
@@ -121,7 +118,7 @@ func (pr *TM) Grant(s *sim.Svc, lock, to int, fromQueue bool) {
 		s.Send(last, kGrantReq, 8+4*pr.nprocs, &st.build, pr.h.grantReq)
 		return
 	}
-	s.Send(to, kGrant, 8+4*pr.nprocs, pr.grantTo(to, lock, nil, vc), pr.h.grant)
+	pr.SendGrant(s, to, lock, 8+4*pr.nprocs, pr.grantTo(to, nil, vc), s.P.ID, 0)
 }
 
 // handleGrantReq runs at the last releaser: build the write-notice set and
@@ -133,7 +130,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 	st := pr.ps[m.To]
 	wns := pr.collectWNs(req.to, st.vc, req.vc)
 	s.ChargeList(len(wns))
-	g := pr.grantTo(req.to, req.lock, wns, st.vc)
+	g := pr.grantTo(req.to, wns, st.vc)
 	size := 8 + 16*len(wns) + 4*pr.nprocs
 	if pr.hybrid {
 		for _, wn := range wns {
@@ -146,15 +143,7 @@ func (pr *TM) handleGrantReq(s *sim.Svc, m *sim.Msg) {
 			size += d.EncodedBytes() + 4*pr.nprocs
 		}
 	}
-	s.Send(req.to, kGrant, size, g, pr.h.grant)
-}
-
-// handleGrant lands the grant at the acquirer.
-func (pr *TM) handleGrant(s *sim.Svc, m *sim.Msg) {
-	g := m.Payload.(*grantMsg)
-	pr.e.Tracer.Lock(s.Now, m.To, trace.KindLockGrant, g.lock, int64(m.From), int64(len(g.wns)))
-	pr.ps[m.To].grant = g
-	s.Wake(s.P)
+	pr.SendGrant(s, req.to, req.lock, size, g, s.P.ID, len(wns))
 }
 
 // Release implements the lazy release: close the interval locally and tell
@@ -188,11 +177,9 @@ func (pr *TM) Barrier(c *proto.Ctx) {
 	c.P.Advance(pr.e.Params.ListCycles(len(wns)), stats.Synch)
 
 	pr.e.Tracer.Event(c.P.Clock, c.ID, trace.KindBarrierArrive, int64(len(wns)), 0)
-	st.barOut = false
 	st.arrive = barArrive{proc: c.ID, vc: st.vc, wns: wns, count: 1}
-	pr.e.SendFrom(c.P, stats.Synch, pr.relay.ArrivalDest(c.ID), kBarArrive,
-		16+16*len(wns)+4*pr.nprocs, &st.arrive, pr.h.barArrive)
-	c.P.WaitUntil(func() bool { return st.barOut }, stats.Synch)
+	pr.relay.Arrive(c, 16+16*len(wns)+4*pr.nprocs, &st.arrive, pr.h.barArrive)
+	c.Await(stats.Synch, nil)
 	c.Epoch++
 }
 
@@ -241,12 +228,12 @@ func (pr *TM) handleBarArrive(s *sim.Svc, m *sim.Msg) {
 	if m.To != proto.BarMgr {
 		s.ChargeList(count)
 		st.up = barArrive{proc: m.To, vc: vc, wns: wns, count: count}
-		pr.relay.Up(s, m.To, kBarArrive, 16+16*len(wns)+4*pr.nprocs+16*(count-1), &st.up, pr.h.barArrive)
+		pr.relay.Up(s, m.To, 16+16*len(wns)+4*pr.nprocs+16*(count-1), &st.up, pr.h.barArrive)
 		return
 	}
 	clear(pr.barSeen)
 	s.ChargeList(len(wns))
-	pr.relay.Broadcast(s, kBarRelease, 16+16*len(wns)+4*pr.nprocs,
+	pr.relay.Broadcast(s, 16+16*len(wns)+4*pr.nprocs,
 		barRelease{wns: wns, vc: vc}, pr.h.barRelease)
 }
 
@@ -264,6 +251,5 @@ func (pr *TM) handleBarRelease(s *sim.Svc, m *sim.Msg) {
 	// joinVC adopts it: after a barrier every processor shares one clock.
 	st.vc = joinVC(st.vc, r.vc)
 	pr.e.Tracer.Event(s.Now, m.To, trace.KindBarrierDepart, int64(fresh), 0)
-	st.barOut = true
-	s.Wake(s.P)
+	ctx.Land(s, nil)
 }

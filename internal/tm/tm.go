@@ -32,17 +32,11 @@ import (
 	"aecdsm/internal/trace"
 )
 
-// Message kinds of the messages TreadMarks sends itself; the shared
-// services send theirs. sim.Msg.Kind is written but never read (ROADMAP
+// kGrantReq is the kind of the one message TreadMarks sends itself, the
+// manager's request that the last releaser build a grant; the shared
+// services send the rest. sim.Msg.Kind is written but never read (ROADMAP
 // item 10(e)).
-const (
-	kGrantReq = iota
-	kGrant
-	kDiffReq
-	kDiffRep
-	kBarArrive
-	kBarRelease
-)
+const kGrantReq = 0
 
 // wnRef names one interval's modification of one page.
 type wnRef struct {
@@ -119,9 +113,7 @@ type tmProc struct {
 	acqVC   []int
 	build   grantReq
 	granted grantMsg
-	grant   *grantMsg // the grant once it has landed, nil before
 
-	barOut     bool
 	lastBarSeq int // own interval seq at the last barrier
 
 	// Barrier fan-in state: the merged clock and concatenated notices of
@@ -139,7 +131,6 @@ type tmProc struct {
 }
 
 type grantMsg struct {
-	lock  int
 	wns   []wnRef
 	vc    []int
 	piggy []ivalDiff // Lazy Hybrid: releaser's own diffs, by wn order; its array is kept across grants
@@ -151,11 +142,11 @@ type grantReq struct { // manager -> last releaser: build the grant
 	vc   []int
 }
 
-// grantTo resets to's grant message for a grant of lock carrying wns and
-// vc, keeping its piggyback list's array.
-func (pr *TM) grantTo(to, lock int, wns []wnRef, vc []int) *grantMsg {
+// grantTo resets to's grant message for a grant carrying wns and vc,
+// keeping its piggyback list's array.
+func (pr *TM) grantTo(to int, wns []wnRef, vc []int) *grantMsg {
 	g := &pr.ps[to].granted
-	*g = grantMsg{lock: lock, wns: wns, vc: vc, piggy: proto.Reuse(g.piggy, ivalDiff{})}
+	*g = grantMsg{wns: wns, vc: vc, piggy: proto.Reuse(g.piggy, ivalDiff{})}
 	return g
 }
 
@@ -448,8 +439,7 @@ type TM struct {
 	// h is the message handlers, bound once in Attach: a method value
 	// written at a send site is a fresh closure per message.
 	h struct {
-		grantReq, grant                sim.Handler
-		diffReq, barArrive, barRelease sim.Handler
+		grantReq, diffReq, barArrive, barRelease sim.Handler
 	}
 
 	// noted, set by tests only, sees every fresh write notice as it is
@@ -496,7 +486,7 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 	pr.s = s
 	pr.ctxs = ctxs
 	pr.nprocs = len(ctxs)
-	pr.relay.InitRelay(e)
+	pr.relay.InitRelay(e, ctxs)
 	pr.pageSize = s.PageSize()
 	pr.ps = make([]*tmProc, pr.nprocs)
 	for i := range pr.ps {
@@ -507,9 +497,9 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 		}
 	}
 	pr.log = make([][]wnRow, s.Pages())
-	pr.h.grantReq, pr.h.grant = pr.handleGrantReq, pr.handleGrant
-	pr.h.diffReq, pr.h.barArrive, pr.h.barRelease = pr.handleDiffReq, pr.handleBarArrive, pr.handleBarRelease
-	pr.InitLocks(e, 2, pr)
+	pr.h.grantReq, pr.h.diffReq = pr.handleGrantReq, pr.handleDiffReq
+	pr.h.barArrive, pr.h.barRelease = pr.handleBarArrive, pr.handleBarRelease
+	pr.InitLocks(e, ctxs, 2, pr)
 	pr.InitPageHome(ctxs, nil)
 	pr.barSeen = make([]bool, pr.nprocs)
 }
